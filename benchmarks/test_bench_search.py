@@ -76,7 +76,11 @@ def _search(sampler: str, store_root: Path) -> SearchResult:
         ),
     )
     clear_caches()
-    loop = FalsificationLoop(spec, ExperimentStore(store_root), executor=BENCH_JOBS)
+    # The batch engine is bit-identical to the scalar loop, so the searches
+    # (and the gate) are the same; it only runs them faster.
+    loop = FalsificationLoop(
+        spec, ExperimentStore(store_root), executor=BENCH_JOBS, engine="batch"
+    )
     return loop.run()
 
 

@@ -63,6 +63,10 @@ class RandomAttacker(CameraMitmAttackerBase):
             self._chosen_actor_id = int(candidates[int(self._rng.integers(0, len(candidates)))])
         self._fizzled = False
 
+    @property
+    def episode_over(self) -> bool:
+        return self._attack_completed or self._fizzled
+
     def _maybe_launch(
         self, estimates: Sequence[WorldObjectEstimate], ego_speed_mps: float
     ) -> Optional[tuple[AttackVector, int, WorldObjectEstimate, Optional[AttackFeatures], float]]:

@@ -17,6 +17,12 @@ it:
 While an attack is active the malware's own perception consumes the *perturbed*
 frames so that its tracker state mirrors the victim's tracker state — the
 ``s_hat_{t-1}`` used by the association constraint of paper Eq. (4).
+
+One attack episode is mounted per run.  Once it is over nothing reads the
+reconstruction any more, so the attacker stops running it.  The per-frame hook
+is split around the reconstruction step (:meth:`frame_for_replica`, then
+:meth:`frame_to_deliver`), which lets the batch engine run the replicas of
+many runs in lockstep.
 """
 
 from __future__ import annotations
@@ -31,6 +37,8 @@ from repro.core.attack_vectors import AttackVector
 from repro.core.safety_hijacker import AttackDecision, AttackFeatures, SafetyHijacker
 from repro.core.scenario_matcher import ScenarioMatcher, ScenarioMatcherConfig
 from repro.core.trajectory_hijacker import TrajectoryHijacker, TrajectoryHijackerConfig
+from repro.perception.detection import DetectorConfig
+from repro.perception.fusion import FusionConfig
 from repro.perception.pipeline import PerceptionConfig, PerceptionSystem
 from repro.perception.transforms import WorldObjectEstimate
 from repro.sensors.camera import CameraFrame
@@ -62,23 +70,28 @@ class AttackRecord:
         return self.start_frame is not None
 
 
+def _camera_only(detector_config: DetectorConfig | None = None) -> PerceptionConfig:
+    """The replica's pipeline: ``detector_config`` under the camera-only policy."""
+    return PerceptionConfig(
+        detector=detector_config or DetectorConfig(),
+        fusion=FusionConfig(policy="camera_only"),
+    )
+
+
 @dataclass(frozen=True)
 class RoboTackConfig:
     """Configuration shared by RoboTack and its baselines."""
 
     #: Attack vectors the scenario matcher may select (campaigns usually pin one).
     allowed_vectors: Sequence[AttackVector] = tuple(AttackVector)
-    #: Only one attack episode is mounted per run (as in the paper's campaigns).
-    allow_reattack: bool = False
     #: Number of consecutive frames for which the safety hijacker must keep
     #: recommending an attack before the attack is actually launched; guards
     #: against launching on a single noisy kinematic estimate.
     launch_confirmation_frames: int = 2
     matcher: ScenarioMatcherConfig = field(default_factory=ScenarioMatcherConfig)
     hijacker: TrajectoryHijackerConfig = field(default_factory=TrajectoryHijackerConfig)
-    perception: PerceptionConfig = field(
-        default_factory=lambda: PerceptionConfig(use_lidar=False)
-    )
+    #: The malware's camera-only reconstruction pipeline.
+    perception: PerceptionConfig = field(default_factory=_camera_only)
 
     @classmethod
     def for_detector(
@@ -99,7 +112,7 @@ class RoboTackConfig:
         return cls(
             allowed_vectors=tuple(allowed_vectors),
             hijacker=TrajectoryHijackerConfig(detector=detector_config),
-            perception=PerceptionConfig(detector=detector_config, use_lidar=False),
+            perception=_camera_only(detector_config),
         )
 
 
@@ -141,29 +154,61 @@ class CameraMitmAttackerBase:
     def target_actor_id(self) -> Optional[int]:
         return self.record.target_actor_id
 
+    @property
+    def episode_over(self) -> bool:
+        """Whether this run's one attack episode is over (or can no longer start).
+
+        From then on the attacker passes every frame through unchanged and
+        nothing reads its reconstruction, so the replica stops running.
+        """
+        return self._attack_completed
+
     def process_frame(
         self, frame: CameraFrame, ego_speed_mps: float, dt: float
     ) -> CameraFrame:
         """Observe the clean frame, maybe perturb it, and return what the ADS sees."""
+        observed = self.frame_for_replica(frame)
+        if self.episode_over:
+            return observed
+        own_view = self.perception.process(observed, ego_speed_mps=ego_speed_mps)
+        return self.frame_to_deliver(observed, own_view.world_estimates, ego_speed_mps)
+
+    def frame_for_replica(self, frame: CameraFrame, tracks=None) -> CameraFrame:
+        """First half of a frame: count it and return what the replica observes.
+
+        While an attack runs this is the perturbed frame, which is also what
+        the ADS sees, so the reconstruction mirrors the victim's tracker.
+        ``tracks`` answers the target-track lookup (``track_for_actor``); it
+        defaults to the replica's own tracker, here still as the previous
+        frame left it.
+        """
         self._frame_count += 1
-        if self._attack_active:
-            delivered = self._continue_attack(frame)
-            # Mirror the victim's tracker by feeding the perturbed frame to the
-            # malware's own reconstruction.
-            self.perception.process(delivered, ego_speed_mps=ego_speed_mps)
-            return delivered
-
-        own_view = self.perception.process(frame, ego_speed_mps=ego_speed_mps)
-        if self._attack_completed and not self.config.allow_reattack:
+        if not self._attack_active:
             return frame
+        return self._continue_attack(frame, tracks)
 
-        launch = self._maybe_launch(own_view.world_estimates, ego_speed_mps)
+    def frame_to_deliver(
+        self,
+        observed: CameraFrame,
+        estimates: Sequence[WorldObjectEstimate],
+        ego_speed_mps: float,
+        tracks=None,
+    ) -> CameraFrame:
+        """Second half of a frame: the frame the ADS sees, given the replica's
+        world estimates for ``observed``.
+
+        When no attack is running this decides whether to launch one; a launch
+        perturbs the frame with the target track as the replica left it after
+        this frame (``tracks`` as in :meth:`frame_for_replica`).
+        """
+        if self._attack_active or self.episode_over:
+            return observed
+        launch = self._maybe_launch(estimates, ego_speed_mps)
         if launch is None:
-            return frame
+            return observed
         vector, k_frames, target, features, predicted = launch
         self._begin_attack(vector, k_frames, target, features, predicted)
-        delivered = self._continue_attack(frame)
-        return delivered
+        return self._continue_attack(observed, tracks)
 
     # ------------------------------------------------------------------ #
     # Episode management
@@ -195,10 +240,12 @@ class CameraMitmAttackerBase:
         self._attack_active = True
         self._remaining_frames = max(1, k_frames)
 
-    def _continue_attack(self, frame: CameraFrame) -> CameraFrame:
+    def _continue_attack(self, frame: CameraFrame, tracks=None) -> CameraFrame:
+        if tracks is None:
+            tracks = self.perception.tracker
         target_track = None
         if self.record.target_actor_id is not None:
-            target_track = self.perception.tracker.track_for_actor(self.record.target_actor_id)
+            target_track = tracks.track_for_actor(self.record.target_actor_id)
         delivered = self.trajectory_hijacker.perturb_frame(frame, target_track)
         self._remaining_frames -= 1
         self.record.frames_perturbed = self.trajectory_hijacker.frames_perturbed

@@ -48,9 +48,32 @@ Restrictions (the scalar path has none of these):
   ``camera_only``, ``lidar_only``), each of which has a plain-float port here;
   third-party fusion policies need the scalar Simulator.
 
-Attackers are invoked as black boxes on real :class:`CameraFrame` objects, so
-any scalar attacker composes unchanged (at the cost of building frame
-dataclasses for attacked lanes only).
+Attackers
+---------
+
+RoboTack and its baselines (:class:`CameraMitmAttackerBase` with the stock
+frame hook and a fresh, stock :class:`PerceptionSystem` replica) run their
+camera-only replica on the batch engine too: the lane gets a second
+:class:`_CameraPerception` (detector, tracker and image-to-world ports; the
+replica's fusion stage is dropped because the attacker reads only world
+estimates), whose tracks share the Kalman pool with the victims' tracks.  The
+attacker's frame hook is called in its two halves around the replica step,
+in the scalar order:
+
+* before the stacked predict, :meth:`~CameraMitmAttackerBase.frame_for_replica`
+  picks the frame the replica observes; a running attack perturbs it with the
+  replica's target track as the previous frame left it;
+* after the replicas' stacked update,
+  :meth:`~CameraMitmAttackerBase.frame_to_deliver` decides on a launch from
+  this frame's world estimates, and a launch reads this frame's updated
+  target track.
+
+Once the attacker's episode is over (:attr:`~CameraMitmAttackerBase.episode_over`)
+the replica's Kalman rows are freed and the attacker is no longer called: it
+would pass every frame through unchanged.  Any other attacker — one that
+implements only the :class:`CameraAttacker` protocol — is invoked as a black
+box on real :class:`CameraFrame` objects every frame, so it composes
+unchanged.
 """
 
 from __future__ import annotations
@@ -64,8 +87,10 @@ import numpy as np
 
 from repro.ads.prediction import _NOMINAL_HALF_LENGTH_M, _NOMINAL_HALF_WIDTH_M
 from repro.ads.safety import SafetyModel
+from repro.core.robotack import CameraMitmAttackerBase
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.vec import Vec2
+from repro.perception.detection import SimulatedDetector
 from repro.perception.fusion import (
     CameraOnlyFusion,
     ConsistencyGatedFusion,
@@ -73,7 +98,13 @@ from repro.perception.fusion import (
     SensorFusion,
 )
 from repro.perception.hungarian import hungarian_assignment
-from repro.perception.transforms import NOMINAL_HEIGHT_M
+from repro.perception.mot import MultiObjectTracker
+from repro.perception.pipeline import PerceptionSystem
+from repro.perception.transforms import (
+    NOMINAL_HEIGHT_M,
+    ImageToWorldTransform,
+    WorldObjectEstimate,
+)
 from repro.sensors.camera import CameraFrame, CameraObject, CameraSensor
 from repro.sensors.gps_imu import GpsImuSensor
 from repro.sensors.lidar import LidarSensor
@@ -179,6 +210,42 @@ class _KalmanPool:
         self.covs[idx] = 0.5 * (covs + covs.transpose(0, 2, 1))
         self.states[idx] = states
 
+    def predict_tracks(self, cameras: Sequence["_CameraPerception"]) -> None:
+        """One stacked predict over every track of ``cameras``; each track
+        keeps its predicted box (size floored at 1 px) for association."""
+        refs = [track for camera in cameras for track in camera.tracks.values()]
+        if not refs:
+            return
+        rows = np.array([track.row for track in refs], dtype=np.intp)
+        states = self.predict(rows).tolist()
+        for track, state in zip(refs, states):
+            track.pred_cx = state[0]
+            track.pred_cy = state[1]
+            w = state[2]
+            h = state[3]
+            track.pred_w = w if w > 1.0 else 1.0
+            track.pred_h = h if h > 1.0 else 1.0
+
+    def update_rows(self, rows: List[int], measurements: List[tuple]) -> None:
+        if rows:
+            self.update(np.array(rows, dtype=np.intp), np.array(measurements))
+
+    def refresh_observed(self, cameras: Sequence["_CameraPerception"]) -> None:
+        """Copy the filtered boxes of each camera's observed tracks out of the
+        pool (one stacked gather), for the image-to-world transform."""
+        refs = [track for camera in cameras for track in camera.observed]
+        if not refs:
+            return
+        rows = np.array([track.row for track in refs], dtype=np.intp)
+        states = self.states[rows].tolist()
+        for track, state in zip(refs, states):
+            track.cx = state[0]
+            track.cy = state[1]
+            w = state[2]
+            h = state[3]
+            track.w = w if w > 1.0 else 1.0
+            track.h = h if h > 1.0 else 1.0
+
 
 # --------------------------------------------------------------------------- #
 # Plain-float ports of the world-side state
@@ -276,14 +343,17 @@ class _LaneActor:
 class _Track:
     """Tracker bookkeeping for one pooled Kalman row."""
 
-    __slots__ = ("track_id", "kind", "actor_id", "row", "hits", "misses",
+    __slots__ = ("track_id", "kind", "actor_id", "row", "born", "hits", "misses",
                  "pred_cx", "pred_cy", "pred_w", "pred_h", "cx", "cy", "w", "h")
 
-    def __init__(self, track_id, kind, actor_id, row, cx, cy, w, h):
+    def __init__(self, track_id, kind, actor_id, row, born, cx, cy, w, h):
         self.track_id = track_id
         self.kind = kind
         self.actor_id = actor_id
         self.row = row
+        #: Tracker frame the track was spawned on (``ObjectTrack.age_frames``
+        #: is one more than the frames since).
+        self.born = born
         self.hits = 1
         self.misses = 0
         self.pred_cx = cx
@@ -347,65 +417,43 @@ class _LidarOnly:
         self.registered = False
 
 
-@dataclass
-class BatchRunSpec:
-    """One lane of a batch: a scenario, its victim agent, and its seeds."""
+class _TrackView:
+    """A replica track as the trajectory hijacker reads an ``ObjectTrack``:
+    its current filtered box and its miss streak."""
 
-    scenario: DrivingScenario
-    ads: "AdsAgent"
-    attacker: Optional[CameraAttacker] = None
-    rng: Optional[np.random.Generator] = None
+    __slots__ = ("bbox", "consecutive_misses")
+
+    def __init__(self, bbox: BoundingBox, consecutive_misses: int):
+        self.bbox = bbox
+        self.consecutive_misses = consecutive_misses
 
 
 # --------------------------------------------------------------------------- #
-# One lane: the full per-run state and the scalar-equivalent step logic
+# Camera perception: detector, tracker and image-to-world ports
 # --------------------------------------------------------------------------- #
 
 
-class _Lane:
-    """All state of one simulated run, held as plain floats.
+class _CameraPerception:
+    """Plain-float ports of a :class:`PerceptionSystem`'s camera stages.
 
-    The constructor replicates ``Simulator.__init__``'s RNG draws and extracts
-    every parameter the ported pipeline needs from the supplied agent.  The
-    per-step work is split into ``pre_step`` (sensors → detection →
-    association; feeds the shared Kalman pool) and ``post_step`` (transform →
-    fusion → planning → actuation → world advance), with the batched Kalman
-    predict/update running between them in :meth:`BatchSimulator.run`.
+    Detection, association plus track lifecycle, and the image-to-world
+    transform of one pipeline; its tracks keep their Kalman state in the
+    simulator's shared :class:`_KalmanPool`, which predicts and updates them
+    in stacked calls.  Every lane has one for its victim, and an attacked lane
+    may have a second one for the attacker's camera-only replica.
     """
 
-    def __init__(self, spec: BatchRunSpec, config: SimulationConfig, pool: _KalmanPool):
-        scenario = spec.scenario
-        ads = spec.ads
-        rng = spec.rng if spec.rng is not None else np.random.default_rng()
-        sensor_seeds = rng.integers(0, 2**31 - 1, size=2)
+    # Slots keep the per-lane working set small on wide batches.
+    __slots__ = ("pool", "det_rng", "vnoise", "pnoise", "min_bbox_h", "burst",
+                 "min_iou", "cd_gate", "max_misses", "min_hits", "tracks",
+                 "next_tid", "frames", "observed", "frame_dt", "tf_alpha",
+                 "tf_om_alpha", "tf_focal", "tf_img_cx", "tf_min_d", "tf_hist",
+                 "nominal_h")
 
-        perception = ads.perception
-        fusion_type = type(perception.fusion)
-        # Exact-type dispatch: a third-party subclass has unknown semantics
-        # and must not silently run the base class's port.  The subclass
-        # ConsistencyGatedFusion is listed before its base SensorFusion only
-        # for readability — ``type() is`` does not chase the MRO.
-        if fusion_type is ConsistencyGatedFusion:
-            self.fusion_mode = "consistency_gated"
-        elif fusion_type is SensorFusion:
-            self.fusion_mode = "late"
-        elif fusion_type is CameraOnlyFusion:
-            self.fusion_mode = "camera_only"
-        elif fusion_type is LidarOnlyFusion:
-            self.fusion_mode = "lidar_only"
-        else:
-            raise ValueError(
-                "BatchSimulator has plain-float ports of the built-in fused "
-                f"fusion policies only; got {fusion_type.__name__}. Use the "
-                "scalar Simulator for custom fusion policies"
-            )
-
+    def __init__(self, perception: PerceptionSystem, pool: _KalmanPool):
         self.pool = pool
-        self.dt = config.dt
-        self.max_steps = min(config.max_steps, int(round(scenario.duration_s / self.dt)))
-        self.lidar_due = [config.lidar_due(step) for step in range(self.max_steps)]
 
-        # --- detector (shares the agent's runtime generator; scalar draws) ---
+        # --- detector (shares the owner's runtime generator; scalar draws) ---
         det_cfg = perception.detector.config
         self.det_rng = perception.detector._rng
         vn = det_cfg.vehicle_noise
@@ -427,284 +475,29 @@ class _Lane:
         self.min_hits = t_cfg.min_hits_to_confirm
         self.tracks: Dict[int, _Track] = {}
         self.next_tid = 1
+        self.frames = 0
         self.observed: List[_Track] = []
 
         # --- image-to-world transform ---
         transform = perception.transform
         proj = transform.projection
-        self.frame_dt = perception.config.frame_dt_s
+        self.frame_dt = transform.frame_dt_s
         self.tf_alpha = transform.velocity_smoothing
         self.tf_om_alpha = 1 - transform.velocity_smoothing
         self.tf_focal = proj.intrinsics.focal_px
         self.tf_img_cx = proj.intrinsics.image_cx
         self.tf_min_d = proj.MIN_DISTANCE_M
         self.tf_hist: Dict[int, List[float]] = {}
-
-        # --- fusion ---
-        f_cfg = perception.fusion.config
-        self.cam_w = f_cfg.camera_weight
-        self.om_cam_w = 1.0 - f_cfg.camera_weight
-        self.cam_dw = f_cfg.camera_distance_weight
-        self.om_cam_dw = 1.0 - f_cfg.camera_distance_weight
-        self.fused_reg = f_cfg.fused_registration_frames
-        self.cam_reg = f_cfg.camera_only_registration_frames
-        self.lidar_reg = f_cfg.lidar_only_registration_scans
-        self.cam_timeout = f_cfg.camera_only_timeout_frames
-        self.lidar_backed_timeout = f_cfg.lidar_backed_timeout_frames
-        self.lidar_timeout = f_cfg.lidar_only_timeout_scans
-        self.gate = f_cfg.association_gate_m
-        self.gate_factor = f_cfg.association_gate_range_factor
-        self.falpha = f_cfg.lateral_velocity_smoothing
-        self.om_falpha = 1 - f_cfg.lateral_velocity_smoothing
-        self.baseline_p1 = f_cfg.lateral_velocity_baseline_frames + 1
-        self.fusion_tracks: Dict[tuple, _Fused] = {}
-        # Consistency gate (consistency_gated policy): the penalized weights
-        # are formed as weight * penalty, the same operands and order as the
-        # scalar ConsistencyGatedFusion._blend_weights, so they stay
-        # bit-identical.
-        self.cons_enabled = self.fusion_mode == "consistency_gated"
-        self.cons_gate = f_cfg.consistency_gate_m
-        self.pen_cam_w = f_cfg.camera_weight * f_cfg.consistency_camera_penalty
-        self.om_pen_cam_w = 1.0 - self.pen_cam_w
-        self.pen_cam_dw = f_cfg.camera_distance_weight * f_cfg.consistency_camera_penalty
-        self.om_pen_cam_dw = 1.0 - self.pen_cam_dw
-        self.lidar_only_tracks: Dict[int, _LidarOnly] = {}
-        if self.fusion_mode == "camera_only":
-            self._fuse_impl = self._fuse_camera_only
-        elif self.fusion_mode == "lidar_only":
-            self._fuse_impl = self._fuse_lidar_only
-        else:
-            self._fuse_impl = self._fuse
-
-        # --- planner / PID / smoother ---
-        p_cfg = ads.planner_config
-        self.cruise = p_cfg.cruise_speed_mps
-        self.p_max_accel = p_cfg.max_accel_mps2
-        self.p_comfort = p_cfg.comfortable_decel_mps2
-        self.p_max_decel = p_cfg.max_decel_mps2
-        self.headway = p_cfg.time_headway_s
-        self.standstill = p_cfg.standstill_gap_m
-        self.coast_frames = p_cfg.lost_lead_coast_frames
-        self.emerg_demand = p_cfg.emergency_decel_demand_mps2
-        self.emerg_delta = p_cfg.emergency_delta_m
-        self.ped_caution_speed = p_cfg.pedestrian_caution_speed_mps
-        self.ped_range = p_cfg.pedestrian_caution_range_m
-        self.ped_margin = p_cfg.pedestrian_caution_margin_m
-        self.idm_denom = 2.0 * math.sqrt(p_cfg.max_accel_mps2 * p_cfg.comfortable_decel_mps2)
-        pred = p_cfg.prediction
-        self.horizon = pred.horizon_s
-        self.lat_margin = pred.lateral_margin_m
-        self.min_lat_speed = pred.min_lateral_speed_mps
-        self.min_pred_dist = pred.min_prediction_distance_m
-        self.p_reaction = ads.planner.safety_model.reaction_time_s
-        self.cycles_since_lead_lost = ads.planner._cycles_since_lead_lost
-        self.hw_veh = _NOMINAL_HALF_WIDTH_M[ActorKind.VEHICLE]
-        self.hw_ped = _NOMINAL_HALF_WIDTH_M[ActorKind.PEDESTRIAN]
-        self.hl_veh = _NOMINAL_HALF_LENGTH_M[ActorKind.VEHICLE]
-        self.hl_ped = _NOMINAL_HALF_LENGTH_M[ActorKind.PEDESTRIAN]
         self.nominal_h = NOMINAL_HEIGHT_M
-        pid = ads.speed_pid
-        self.pid_kp = pid.kp
-        self.pid_ki = pid.ki
-        self.pid_kd = pid.kd
-        self.pid_min = pid.output_min
-        self.pid_max = pid.output_max
-        self.pid_integral = 0.0
-        self.pid_prev: Optional[float] = None
-        smoother = ads.smoother
-        self.jerk_comfort = smoother.comfort_jerk_mps3
-        self.jerk_emergency = smoother.emergency_jerk_mps3
-        self.last_accel = 0.0
 
-        # --- road ---
-        ego_lane = ads.road.ego_lane
-        self.lane_lo = ego_lane.y_min
-        self.lane_hi = ego_lane.y_max
+    def release(self) -> None:
+        """Return every track's Kalman row to the pool."""
+        for track in self.tracks.values():
+            self.pool.free(track.row)
+        self.tracks.clear()
+        self.observed = []
 
-        # --- world state ---
-        world = scenario.world
-        ego = world.ego
-        self.ego_id = ego.actor_id
-        self.ego_dims = ego.dimensions
-        self.ego_len = ego.dimensions.length_m
-        self.ego_w = ego.dimensions.width_m
-        self.ego_half_len = self.ego_len / 2.0
-        self.ego_max_accel = ego.max_accel_mps2
-        self.ego_max_decel = ego.max_decel_mps2
-        self.ego_x = ego.position.x
-        self.ego_y = ego.position.y
-        self.ego_speed = ego.speed_mps
-        self.actors = [_LaneActor(actor) for actor in world.actors]
-        self.time_s = world.time_s
-        self.step = world.step_index
-        self.loop_step = 0
-
-        # --- camera constants (stateless; mirrors Simulator's CameraSensor()) ---
-        camera = CameraSensor()
-        intr = camera.projection.intrinsics
-        self.cam_max_range = camera.max_range_m
-        self.cam_min_d = camera.projection.MIN_DISTANCE_M
-        self.focal = intr.focal_px
-        self.img_cx = intr.image_cx
-        self.img_cy = intr.image_cy
-        self.img_w = intr.image_width
-        self.cam_h = intr.camera_height_m
-
-        # --- buffered sensor noise (bulk draws; see module docstring) ---
-        lidar = LidarSensor(rng=np.random.default_rng(int(sensor_seeds[0])))
-        gps = GpsImuSensor(rng=np.random.default_rng(int(sensor_seeds[1])))
-        self.lidar_v_range = lidar.vehicle_range_m
-        self.lidar_p_range = lidar.pedestrian_range_m
-        n_scans = sum(1 for due in self.lidar_due if due)
-        n_draws = 2 * len(self.actors) * n_scans
-        self.lidar_noise = (
-            lidar._rng.normal(0.0, lidar.position_noise_m, size=n_draws).tolist()
-            if n_draws
-            else []
-        )
-        self.lidar_cursor = 0
-        if gps.position_noise_m == gps.speed_noise_mps:
-            self.gps_noise = gps._rng.normal(
-                0.0, gps.speed_noise_mps, size=3 * self.max_steps
-            ).tolist()
-        else:  # pragma: no cover - non-default sensor config
-            sigmas = (gps.position_noise_m, gps.position_noise_m, gps.speed_noise_mps)
-            self.gps_noise = [
-                float(gps._rng.normal(0.0, sigmas[i % 3]))
-                for i in range(3 * self.max_steps)
-            ]
-
-        # --- run bookkeeping ---
-        sim_safety = SafetyModel(comfortable_decel_mps2=config.comfortable_decel_mps2)
-        self.sim_reaction = sim_safety.reaction_time_s
-        self.sim_comfort = sim_safety.comfortable_decel_mps2
-        self.attacker = spec.attacker
-        self.scenario_id = scenario.scenario_id
-        self.scenario_target_id = scenario.target_actor_id
-        self.events = EventLog()
-        self.attack_was_active = False
-        self.emergency_was_active = False
-        self.halted = False
-        self.done = False
-        self.last_lidar: Optional[List[tuple]] = None
-        self.gps_speed = 0.0
-
-        # Mirror the scalar pre-loop collision check: actors spawned already
-        # overlapping halt at step 0 instead of running the full duration.
-        hit = self._check_collision()
-        if hit is not None:
-            self._halt(hit, float("inf"))
-        elif self.max_steps == 0:
-            self._finish()
-
-    # ------------------------------------------------------------------ #
-    # Sensors (ports of CameraSensor.capture / LidarSensor.scan / GpsImu)
-    # ------------------------------------------------------------------ #
-
-    def _render_objects(self) -> List[tuple]:
-        """Camera render: (distance, lateral, aid, kind, cx, cy, w, h, oh, ow)."""
-        camera_x = self.ego_x + self.ego_half_len
-        ego_y = self.ego_y
-        min_d = self.cam_min_d
-        focal = self.focal
-        objects = []
-        for actor in self.actors:
-            distance = actor.x - camera_x
-            if distance <= min_d or distance > self.cam_max_range:
-                continue
-            lateral = actor.y - ego_y
-            cx_fov = self.img_cx - lateral * focal / distance
-            if not 0.0 <= cx_fov <= self.img_w:
-                continue
-            d = distance if distance > min_d else min_d
-            scale = focal / d
-            width_px = actor.width * scale
-            height_px = actor.height * scale
-            cx = self.img_cx - lateral * scale
-            ground_y = self.img_cy + self.cam_h * scale
-            cy = ground_y - (actor.height / 2.0) * scale
-            objects.append((distance, lateral, actor.actor_id, actor.kind,
-                            cx, cy, width_px, height_px, actor.height, actor.width))
-        objects.sort(key=_first)
-        return objects
-
-    def _scan(self) -> None:
-        """LiDAR scan into ``last_lidar``: (distance, lateral, aid, kind, vx)."""
-        ego_front = self.ego_x + self.ego_half_len
-        ego_y = self.ego_y
-        noise = self.lidar_noise
-        cursor = self.lidar_cursor
-        detections = []
-        for actor in self.actors:
-            distance = actor.x - ego_front
-            max_range = (
-                self.lidar_v_range if actor.kind is ActorKind.VEHICLE else self.lidar_p_range
-            )
-            if distance <= 0.0 or distance > max_range:
-                continue
-            noise_x = noise[cursor]
-            noise_y = noise[cursor + 1]
-            cursor += 2
-            detections.append((distance + noise_x, actor.y - ego_y + noise_y,
-                               actor.actor_id, actor.kind, actor.vx))
-        self.lidar_cursor = cursor
-        detections.sort(key=_first)
-        self.last_lidar = detections
-
-    # ------------------------------------------------------------------ #
-    # pre_step: sensing -> attack -> detection -> association
-    # ------------------------------------------------------------------ #
-
-    def pre_step(self, upd_rows: List[int], upd_z: List[tuple]) -> None:
-        rendered = self._render_objects()
-        if self.lidar_due[self.loop_step]:
-            self._scan()
-        gps = self.ego_speed + self.gps_noise[3 * self.loop_step + 2]
-        self.gps_speed = gps if gps > 0.0 else 0.0
-
-        if self.attacker is not None:
-            frame = CameraFrame(
-                time_s=self.time_s,
-                frame_index=self.step,
-                objects=tuple(
-                    CameraObject(
-                        actor_id=obj[2],
-                        kind=obj[3],
-                        bbox=BoundingBox(cx=obj[4], cy=obj[5], width=obj[6], height=obj[7]),
-                        distance_m=obj[0],
-                        lateral_m=obj[1],
-                        object_height_m=obj[8],
-                        object_width_m=obj[9],
-                    )
-                    for obj in rendered
-                ),
-            )
-            delivered = self.attacker.process_frame(
-                frame, ego_speed_mps=self.gps_speed, dt=self.dt
-            )
-            active = bool(self.attacker.attack_active)
-            if active and not self.attack_was_active:
-                self.events.record(SimulationEvent(
-                    kind=EventKind.ATTACK_STARTED, time_s=self.time_s, step_index=self.step
-                ))
-            elif not active and self.attack_was_active:
-                self.events.record(SimulationEvent(
-                    kind=EventKind.ATTACK_ENDED, time_s=self.time_s, step_index=self.step
-                ))
-            self.attack_was_active = active
-            camera_objects = [
-                (obj.actor_id, obj.kind, obj.bbox.cx, obj.bbox.cy,
-                 obj.bbox.width, obj.bbox.height)
-                for obj in delivered.objects
-            ]
-        else:
-            camera_objects = [(obj[2], obj[3], obj[4], obj[5], obj[6], obj[7])
-                              for obj in rendered]
-
-        detections = self._detect(camera_objects)
-        self._track_step(detections, upd_rows, upd_z)
-
-    def _detect(self, camera_objects: List[tuple]) -> List[tuple]:
+    def detect(self, camera_objects: List[tuple]) -> List[tuple]:
         """Detector port: (cx, cy, w, h, kind, aid), scalar RNG call order."""
         rng = self.det_rng
         burst = self.burst
@@ -767,9 +560,10 @@ class _Lane:
         normalized = np.hypot(pcx - dcx, pcy - dcy) / mean_width
         return (1.0 - overlap) + 0.05 * min(normalized, 10.0)
 
-    def _track_step(self, detections: List[tuple],
-                    upd_rows: List[int], upd_z: List[tuple]) -> None:
+    def track_step(self, detections: List[tuple],
+                   upd_rows: List[int], upd_z: List[tuple]) -> None:
         """MOT association + lifecycle; Kalman updates are deferred to the pool."""
+        self.frames += 1
         tracks = self.tracks
         track_list = list(tracks.values())
         n_tracks = len(track_list)
@@ -850,6 +644,9 @@ class _Lane:
                 matched_tracks.append(track)
                 matched_det_idx.append(c)
 
+        # Every existing track misses this frame unless it is matched below.
+        for track in track_list:
+            track.misses += 1
         for track, c in zip(matched_tracks, matched_det_idx):
             det = detections[c]
             track.kind = det[4]
@@ -859,11 +656,6 @@ class _Lane:
             upd_rows.append(track.row)
             upd_z.append((det[0], det[1], det[2], det[3]))
 
-        matched_ids = {track.track_id for track in matched_tracks}
-        for track in track_list:
-            if track.track_id not in matched_ids:
-                track.misses += 1
-
         matched_cols = set(matched_det_idx)
         for c, det in enumerate(detections):
             if c in matched_cols:
@@ -871,9 +663,11 @@ class _Lane:
             tid = self.next_tid
             self.next_tid += 1
             row = self.pool.alloc(det[0], det[1], det[2], det[3])
-            tracks[tid] = _Track(tid, det[4], det[5], row, det[0], det[1], det[2], det[3])
+            tracks[tid] = _Track(tid, det[4], det[5], row, self.frames,
+                                 det[0], det[1], det[2], det[3])
 
-        stale = [tid for tid, track in tracks.items() if track.misses > self.max_misses]
+        max_misses = self.max_misses
+        stale = [tid for tid, track in tracks.items() if track.misses > max_misses]
         for tid in stale:
             self.pool.free(tracks.pop(tid).row)
 
@@ -881,17 +675,14 @@ class _Lane:
         self.observed = [track for track in tracks.values()
                          if track.hits >= min_hits and track.misses <= 1]
 
-    # ------------------------------------------------------------------ #
-    # post_step: transform -> fusion -> planning -> actuation -> world
-    # ------------------------------------------------------------------ #
-
-    def post_step(self) -> None:
-        # --- image-to-world transform (EMA velocity estimation) ---
+    def transform(self) -> List[tuple]:
+        """Image-to-world estimates of the observed tracks, distance-sorted:
+        (distance, lateral, rel_velocity, lateral_velocity, track_id,
+        actor_id, kind, rel_acceleration, born)."""
         history = self.tf_hist
         frame_dt = self.frame_dt
         alpha = self.tf_alpha
         om_alpha = self.tf_om_alpha
-        # (distance, lateral, rel_velocity, lateral_velocity, track_id, actor_id, kind)
         estimates = []
         for track in self.observed:
             height_px = track.h
@@ -906,6 +697,7 @@ class _Lane:
                 history[track.track_id] = [distance, lateral, 0.0, 0.0, 0.0]
                 velocity = 0.0
                 lateral_velocity = 0.0
+                acceleration = 0.0
             else:
                 raw_v = (distance - record[0]) / frame_dt
                 raw_lv = (lateral - record[1]) / frame_dt
@@ -919,12 +711,464 @@ class _Lane:
                 record[3] = lateral_velocity
                 record[4] = acceleration
             estimates.append((distance, lateral, velocity, lateral_velocity,
-                              track.track_id, track.actor_id, track.kind))
+                              track.track_id, track.actor_id, track.kind,
+                              acceleration, track.born))
         if history:
             live = {track.track_id for track in self.observed}
             for tid in [tid for tid in history if tid not in live]:
                 del history[tid]
         estimates.sort(key=_first)
+        return estimates
+
+    def world_estimates(self) -> List[WorldObjectEstimate]:
+        """:meth:`transform` as the scalar pipeline's ``world_estimates``."""
+        frames = self.frames
+        return [
+            WorldObjectEstimate(
+                track_id=track_id,
+                actor_id=actor_id,
+                kind=kind,
+                distance_m=distance,
+                lateral_m=lateral,
+                relative_longitudinal_velocity_mps=velocity,
+                relative_longitudinal_acceleration_mps2=acceleration,
+                lateral_velocity_mps=lateral_velocity,
+                age_frames=frames - born + 1,
+            )
+            for (distance, lateral, velocity, lateral_velocity, track_id,
+                 actor_id, kind, acceleration, born) in self.transform()
+        ]
+
+    def track_for_actor(self, actor_id: int) -> Optional[_TrackView]:
+        """``MultiObjectTracker.track_for_actor`` over the pooled state: the
+        box is whatever the pool holds for the track right now."""
+        for track in self.tracks.values():
+            if track.actor_id == actor_id:
+                cx, cy, w, h = self.pool.states[track.row, :4].tolist()
+                box = BoundingBox(cx=cx, cy=cy, width=w if w > 1.0 else 1.0,
+                                  height=h if h > 1.0 else 1.0)
+                return _TrackView(box, track.misses)
+        return None
+
+
+def _batched_replica(attacker: Optional[CameraAttacker]) -> Optional[PerceptionSystem]:
+    """The attacker's replica when the batch engine can run it in lockstep.
+
+    That needs the stock frame hook of :class:`CameraMitmAttackerBase` and a
+    fresh replica built from the stock stages; anything else stays a black
+    box.
+    """
+    if not isinstance(attacker, CameraMitmAttackerBase):
+        return None
+    if type(attacker).process_frame is not CameraMitmAttackerBase.process_frame:
+        return None
+    replica = attacker.perception
+    stock = (type(replica) is PerceptionSystem
+             and type(replica.detector) is SimulatedDetector
+             and type(replica.tracker) is MultiObjectTracker
+             and type(replica.transform) is ImageToWorldTransform)
+    # An attacker that has already seen frames carries replica state the port
+    # does not start from.
+    return replica if stock and attacker._frame_count == 0 else None
+
+
+def _frame_objects(frame: CameraFrame) -> List[tuple]:
+    """A camera frame as the detector port's (aid, kind, cx, cy, w, h) rows."""
+    return [(obj.actor_id, obj.kind, obj.bbox.cx, obj.bbox.cy,
+             obj.bbox.width, obj.bbox.height)
+            for obj in frame.objects]
+
+
+@dataclass
+class BatchRunSpec:
+    """One lane of a batch: a scenario, its victim agent, and its seeds."""
+
+    scenario: DrivingScenario
+    ads: "AdsAgent"
+    attacker: Optional[CameraAttacker] = None
+    rng: Optional[np.random.Generator] = None
+
+
+# --------------------------------------------------------------------------- #
+# One lane: the full per-run state and the scalar-equivalent step logic
+# --------------------------------------------------------------------------- #
+
+
+class _Lane:
+    """All state of one simulated run, held as plain floats.
+
+    The constructor replicates ``Simulator.__init__``'s RNG draws and extracts
+    every parameter the ported pipeline needs from the supplied agent.  The
+    per-step work is split into ``pre_step`` (sensors → attack → detection →
+    association; feeds the shared Kalman pool) and ``post_step`` (transform →
+    fusion → planning → actuation → world advance), with the batched Kalman
+    predict/update running between them in :meth:`BatchSimulator.run`.  A lane
+    with a batched replica also runs ``observe`` before the predict and
+    ``replica_step`` before the victim's ``pre_step``.
+    """
+
+    def __init__(self, spec: BatchRunSpec, config: SimulationConfig, pool: _KalmanPool):
+        scenario = spec.scenario
+        ads = spec.ads
+        rng = spec.rng if spec.rng is not None else np.random.default_rng()
+        sensor_seeds = rng.integers(0, 2**31 - 1, size=2)
+
+        perception = ads.perception
+        fusion_type = type(perception.fusion)
+        # Exact-type dispatch: a third-party subclass has unknown semantics
+        # and must not silently run the base class's port.  The subclass
+        # ConsistencyGatedFusion is listed before its base SensorFusion only
+        # for readability — ``type() is`` does not chase the MRO.
+        if fusion_type is ConsistencyGatedFusion:
+            self.fusion_mode = "consistency_gated"
+        elif fusion_type is SensorFusion:
+            self.fusion_mode = "late"
+        elif fusion_type is CameraOnlyFusion:
+            self.fusion_mode = "camera_only"
+        elif fusion_type is LidarOnlyFusion:
+            self.fusion_mode = "lidar_only"
+        else:
+            raise ValueError(
+                "BatchSimulator has plain-float ports of the built-in fused "
+                f"fusion policies only; got {fusion_type.__name__}. Use the "
+                "scalar Simulator for custom fusion policies"
+            )
+
+        self.dt = config.dt
+        self.max_steps = min(config.max_steps, int(round(scenario.duration_s / self.dt)))
+        self.lidar_due = [config.lidar_due(step) for step in range(self.max_steps)]
+
+        # --- camera perception: the victim's, and the attacker's replica ---
+        self.camera = _CameraPerception(perception, pool)
+        self.frame_dt = perception.config.frame_dt_s
+        self.attacker = spec.attacker
+        replica = _batched_replica(spec.attacker)
+        self.replica = _CameraPerception(replica, pool) if replica is not None else None
+        #: A batched attacker whose episode is over: no longer called.
+        self.attacker_done = False
+        self.frame: Optional[CameraFrame] = None
+        self.clean_objects: List[tuple] = []
+        #: The frame the replica observed this step (set by ``observe``).
+        self.observed_frame: Optional[CameraFrame] = None
+
+        # --- fusion ---
+        f_cfg = perception.fusion.config
+        self.cam_w = f_cfg.camera_weight
+        self.om_cam_w = 1.0 - f_cfg.camera_weight
+        self.cam_dw = f_cfg.camera_distance_weight
+        self.om_cam_dw = 1.0 - f_cfg.camera_distance_weight
+        self.fused_reg = f_cfg.fused_registration_frames
+        self.cam_reg = f_cfg.camera_only_registration_frames
+        self.lidar_reg = f_cfg.lidar_only_registration_scans
+        self.cam_timeout = f_cfg.camera_only_timeout_frames
+        self.lidar_backed_timeout = f_cfg.lidar_backed_timeout_frames
+        self.lidar_timeout = f_cfg.lidar_only_timeout_scans
+        self.gate = f_cfg.association_gate_m
+        self.gate_factor = f_cfg.association_gate_range_factor
+        self.falpha = f_cfg.lateral_velocity_smoothing
+        self.om_falpha = 1 - f_cfg.lateral_velocity_smoothing
+        self.baseline_p1 = f_cfg.lateral_velocity_baseline_frames + 1
+        self.fusion_tracks: Dict[tuple, _Fused] = {}
+        # Consistency gate (consistency_gated policy): the penalized weights
+        # are formed as weight * penalty, the same operands and order as the
+        # scalar ConsistencyGatedFusion._blend_weights, so they stay
+        # bit-identical.
+        self.cons_enabled = self.fusion_mode == "consistency_gated"
+        self.cons_gate = f_cfg.consistency_gate_m
+        self.pen_cam_w = f_cfg.camera_weight * f_cfg.consistency_camera_penalty
+        self.om_pen_cam_w = 1.0 - self.pen_cam_w
+        self.pen_cam_dw = f_cfg.camera_distance_weight * f_cfg.consistency_camera_penalty
+        self.om_pen_cam_dw = 1.0 - self.pen_cam_dw
+        self.lidar_only_tracks: Dict[int, _LidarOnly] = {}
+        if self.fusion_mode == "camera_only":
+            self._fuse_impl = self._fuse_camera_only
+        elif self.fusion_mode == "lidar_only":
+            self._fuse_impl = self._fuse_lidar_only
+        else:
+            self._fuse_impl = self._fuse
+
+        # --- planner / PID / smoother ---
+        p_cfg = ads.planner_config
+        self.cruise = p_cfg.cruise_speed_mps
+        self.p_max_accel = p_cfg.max_accel_mps2
+        self.p_comfort = p_cfg.comfortable_decel_mps2
+        self.p_max_decel = p_cfg.max_decel_mps2
+        self.headway = p_cfg.time_headway_s
+        self.standstill = p_cfg.standstill_gap_m
+        self.coast_frames = p_cfg.lost_lead_coast_frames
+        self.emerg_demand = p_cfg.emergency_decel_demand_mps2
+        self.emerg_delta = p_cfg.emergency_delta_m
+        self.ped_caution_speed = p_cfg.pedestrian_caution_speed_mps
+        self.ped_range = p_cfg.pedestrian_caution_range_m
+        self.ped_margin = p_cfg.pedestrian_caution_margin_m
+        self.idm_denom = 2.0 * math.sqrt(p_cfg.max_accel_mps2 * p_cfg.comfortable_decel_mps2)
+        pred = p_cfg.prediction
+        self.horizon = pred.horizon_s
+        self.lat_margin = pred.lateral_margin_m
+        self.min_lat_speed = pred.min_lateral_speed_mps
+        self.min_pred_dist = pred.min_prediction_distance_m
+        self.p_reaction = ads.planner.safety_model.reaction_time_s
+        self.cycles_since_lead_lost = ads.planner._cycles_since_lead_lost
+        self.hw_veh = _NOMINAL_HALF_WIDTH_M[ActorKind.VEHICLE]
+        self.hw_ped = _NOMINAL_HALF_WIDTH_M[ActorKind.PEDESTRIAN]
+        self.hl_veh = _NOMINAL_HALF_LENGTH_M[ActorKind.VEHICLE]
+        self.hl_ped = _NOMINAL_HALF_LENGTH_M[ActorKind.PEDESTRIAN]
+        pid = ads.speed_pid
+        self.pid_kp = pid.kp
+        self.pid_ki = pid.ki
+        self.pid_kd = pid.kd
+        self.pid_min = pid.output_min
+        self.pid_max = pid.output_max
+        self.pid_integral = 0.0
+        self.pid_prev: Optional[float] = None
+        smoother = ads.smoother
+        self.jerk_comfort = smoother.comfort_jerk_mps3
+        self.jerk_emergency = smoother.emergency_jerk_mps3
+        self.last_accel = 0.0
+
+        # --- road ---
+        ego_lane = ads.road.ego_lane
+        self.lane_lo = ego_lane.y_min
+        self.lane_hi = ego_lane.y_max
+
+        # --- world state ---
+        world = scenario.world
+        ego = world.ego
+        self.ego_id = ego.actor_id
+        self.ego_dims = ego.dimensions
+        self.ego_len = ego.dimensions.length_m
+        self.ego_w = ego.dimensions.width_m
+        self.ego_half_len = self.ego_len / 2.0
+        self.ego_max_accel = ego.max_accel_mps2
+        self.ego_max_decel = ego.max_decel_mps2
+        self.ego_x = ego.position.x
+        self.ego_y = ego.position.y
+        self.ego_speed = ego.speed_mps
+        self.actors = [_LaneActor(actor) for actor in world.actors]
+        self.time_s = world.time_s
+        self.step = world.step_index
+        self.loop_step = 0
+
+        # --- camera constants (stateless; mirrors Simulator's CameraSensor()) ---
+        camera = CameraSensor()
+        intr = camera.projection.intrinsics
+        self.cam_max_range = camera.max_range_m
+        self.cam_min_d = camera.projection.MIN_DISTANCE_M
+        self.focal = intr.focal_px
+        self.img_cx = intr.image_cx
+        self.img_cy = intr.image_cy
+        self.img_w = intr.image_width
+        self.cam_h = intr.camera_height_m
+
+        # --- buffered sensor noise (bulk draws; see module docstring) ---
+        lidar = LidarSensor(rng=np.random.default_rng(int(sensor_seeds[0])))
+        gps = GpsImuSensor(rng=np.random.default_rng(int(sensor_seeds[1])))
+        self.lidar_v_range = lidar.vehicle_range_m
+        self.lidar_p_range = lidar.pedestrian_range_m
+        n_scans = sum(1 for due in self.lidar_due if due)
+        n_draws = 2 * len(self.actors) * n_scans
+        self.lidar_noise = (
+            lidar._rng.normal(0.0, lidar.position_noise_m, size=n_draws).tolist()
+            if n_draws
+            else []
+        )
+        self.lidar_cursor = 0
+        if gps.position_noise_m == gps.speed_noise_mps:
+            self.gps_noise = gps._rng.normal(
+                0.0, gps.speed_noise_mps, size=3 * self.max_steps
+            ).tolist()
+        else:  # pragma: no cover - non-default sensor config
+            sigmas = (gps.position_noise_m, gps.position_noise_m, gps.speed_noise_mps)
+            self.gps_noise = [
+                float(gps._rng.normal(0.0, sigmas[i % 3]))
+                for i in range(3 * self.max_steps)
+            ]
+
+        # --- run bookkeeping ---
+        sim_safety = SafetyModel(comfortable_decel_mps2=config.comfortable_decel_mps2)
+        self.sim_reaction = sim_safety.reaction_time_s
+        self.sim_comfort = sim_safety.comfortable_decel_mps2
+        self.scenario_id = scenario.scenario_id
+        self.scenario_target_id = scenario.target_actor_id
+        self.events = EventLog()
+        self.attack_was_active = False
+        self.emergency_was_active = False
+        self.halted = False
+        self.done = False
+        self.last_lidar: Optional[List[tuple]] = None
+        self.gps_speed = 0.0
+
+        # Mirror the scalar pre-loop collision check: actors spawned already
+        # overlapping halt at step 0 instead of running the full duration.
+        hit = self._check_collision()
+        if hit is not None:
+            self._halt(hit, float("inf"))
+        elif self.max_steps == 0:
+            self._finish()
+
+    # ------------------------------------------------------------------ #
+    # Sensors (ports of CameraSensor.capture / LidarSensor.scan / GpsImu)
+    # ------------------------------------------------------------------ #
+
+    def _render_objects(self) -> List[tuple]:
+        """Camera render: (distance, lateral, aid, kind, cx, cy, w, h, oh, ow)."""
+        camera_x = self.ego_x + self.ego_half_len
+        ego_y = self.ego_y
+        min_d = self.cam_min_d
+        focal = self.focal
+        objects = []
+        for actor in self.actors:
+            distance = actor.x - camera_x
+            if distance <= min_d or distance > self.cam_max_range:
+                continue
+            lateral = actor.y - ego_y
+            cx_fov = self.img_cx - lateral * focal / distance
+            if not 0.0 <= cx_fov <= self.img_w:
+                continue
+            d = distance if distance > min_d else min_d
+            scale = focal / d
+            width_px = actor.width * scale
+            height_px = actor.height * scale
+            cx = self.img_cx - lateral * scale
+            ground_y = self.img_cy + self.cam_h * scale
+            cy = ground_y - (actor.height / 2.0) * scale
+            objects.append((distance, lateral, actor.actor_id, actor.kind,
+                            cx, cy, width_px, height_px, actor.height, actor.width))
+        objects.sort(key=_first)
+        return objects
+
+    def _scan(self) -> None:
+        """LiDAR scan into ``last_lidar``: (distance, lateral, aid, kind, vx)."""
+        ego_front = self.ego_x + self.ego_half_len
+        ego_y = self.ego_y
+        noise = self.lidar_noise
+        cursor = self.lidar_cursor
+        detections = []
+        for actor in self.actors:
+            distance = actor.x - ego_front
+            max_range = (
+                self.lidar_v_range if actor.kind is ActorKind.VEHICLE else self.lidar_p_range
+            )
+            if distance <= 0.0 or distance > max_range:
+                continue
+            noise_x = noise[cursor]
+            noise_y = noise[cursor + 1]
+            cursor += 2
+            detections.append((distance + noise_x, actor.y - ego_y + noise_y,
+                               actor.actor_id, actor.kind, actor.vx))
+        self.lidar_cursor = cursor
+        detections.sort(key=_first)
+        self.last_lidar = detections
+
+    # ------------------------------------------------------------------ #
+    # pre_step: sensing -> attack -> detection -> association
+    # ------------------------------------------------------------------ #
+
+    def _sense(self) -> List[tuple]:
+        """Camera, LiDAR (when due) and GPS; returns the rendered objects."""
+        rendered = self._render_objects()
+        if self.lidar_due[self.loop_step]:
+            self._scan()
+        gps = self.ego_speed + self.gps_noise[3 * self.loop_step + 2]
+        self.gps_speed = gps if gps > 0.0 else 0.0
+        return rendered
+
+    def _camera_frame(self, rendered: List[tuple]) -> CameraFrame:
+        """The rendered objects as the scalar camera's :class:`CameraFrame`."""
+        return CameraFrame(
+            time_s=self.time_s,
+            frame_index=self.step,
+            objects=tuple(
+                CameraObject(
+                    actor_id=obj[2],
+                    kind=obj[3],
+                    bbox=BoundingBox(cx=obj[4], cy=obj[5], width=obj[6], height=obj[7]),
+                    distance_m=obj[0],
+                    lateral_m=obj[1],
+                    object_height_m=obj[8],
+                    object_width_m=obj[9],
+                )
+                for obj in rendered
+            ),
+        )
+
+    def observe(self) -> None:
+        """Batched replica, before the predict: sense, and let the attacker
+        pick the frame its replica observes (a running attack perturbs it
+        with the target track as the previous frame left it)."""
+        rendered = self._sense()
+        self.clean_objects = [(obj[2], obj[3], obj[4], obj[5], obj[6], obj[7])
+                              for obj in rendered]
+        self.frame = self._camera_frame(rendered)
+        self.observed_frame = self.attacker.frame_for_replica(self.frame, self.replica)
+        if self.attacker.episode_over:
+            self._stop_replica()
+
+    def replica_step(self, upd_rows: List[int], upd_z: List[tuple]) -> None:
+        """Batched replica: detection and association on the observed frame."""
+        observed = self.observed_frame
+        objects = (self.clean_objects if observed is self.frame
+                   else _frame_objects(observed))
+        replica = self.replica
+        replica.track_step(replica.detect(objects), upd_rows, upd_z)
+
+    def _stop_replica(self) -> None:
+        self.replica.release()
+        self.replica = None
+        self.attacker_done = True
+
+    def pre_step(self, upd_rows: List[int], upd_z: List[tuple]) -> None:
+        """Sensing (unless ``observe`` did it) -> attack -> victim detection
+        -> association."""
+        observed = self.observed_frame
+        if observed is not None:
+            # Batched replica: deliver, given its estimates from this frame.
+            self.observed_frame = None
+            delivered = observed
+            if self.replica is not None:
+                attacker = self.attacker
+                estimates = () if attacker.attack_active else self.replica.world_estimates()
+                delivered = attacker.frame_to_deliver(
+                    observed, estimates, self.gps_speed, self.replica
+                )
+                if attacker.episode_over:
+                    self._stop_replica()
+            self._log_attack()
+            camera_objects = (self.clean_objects if delivered is self.frame
+                              else _frame_objects(delivered))
+        else:
+            rendered = self._sense()
+            if self.attacker is None or self.attacker_done:
+                camera_objects = [(obj[2], obj[3], obj[4], obj[5], obj[6], obj[7])
+                                  for obj in rendered]
+            else:
+                delivered = self.attacker.process_frame(
+                    self._camera_frame(rendered), ego_speed_mps=self.gps_speed, dt=self.dt
+                )
+                self._log_attack()
+                camera_objects = _frame_objects(delivered)
+        self.camera.track_step(self.camera.detect(camera_objects), upd_rows, upd_z)
+
+    def _log_attack(self) -> None:
+        active = bool(self.attacker.attack_active)
+        if active and not self.attack_was_active:
+            self.events.record(SimulationEvent(
+                kind=EventKind.ATTACK_STARTED, time_s=self.time_s, step_index=self.step
+            ))
+        elif not active and self.attack_was_active:
+            self.events.record(SimulationEvent(
+                kind=EventKind.ATTACK_ENDED, time_s=self.time_s, step_index=self.step
+            ))
+        self.attack_was_active = active
+
+    # ------------------------------------------------------------------ #
+    # post_step: transform -> fusion -> planning -> actuation -> world
+    # ------------------------------------------------------------------ #
+
+    def post_step(self) -> None:
+        # (distance, lateral, rel_velocity, lateral_velocity, track_id,
+        #  actor_id, kind, rel_acceleration, born), distance-sorted
+        estimates = self.camera.transform()
 
         # --- fusion (dispatched on the lane's fusion policy) ---
         obstacles = self._fuse_impl(estimates)
@@ -1141,7 +1385,7 @@ class _Lane:
             if lidar is not None:
                 fused.scans_since_lidar += 1
 
-        for distance, lateral, velocity, _lat_vel, track_id, actor_id, kind in estimates:
+        for distance, lateral, velocity, _lat_vel, track_id, actor_id, kind, _a, _b in estimates:
             key = ("cam", track_id)
             fused = tracks.get(key)
             if fused is None:
@@ -1280,7 +1524,7 @@ class _Lane:
         """
         ego_speed = self.gps_speed
         obstacles = []
-        for distance, lateral, velocity, lat_vel, _track_id, _actor_id, kind in estimates:
+        for distance, lateral, velocity, lat_vel, _tid, _aid, kind, _accel, _born in estimates:
             speed = ego_speed + velocity
             if not speed > 0.0:
                 speed = 0.0
@@ -1413,10 +1657,9 @@ class _Lane:
             self.events.record(SimulationEvent(
                 kind=EventKind.ATTACK_ENDED, time_s=self.time_s, step_index=self.step
             ))
-        for track in self.tracks.values():
-            self.pool.free(track.row)
-        self.tracks.clear()
-        self.observed = []
+        self.camera.release()
+        if self.replica is not None:
+            self._stop_replica()
         self.done = True
 
     def result(self) -> SimulationResult:
@@ -1460,13 +1703,17 @@ class _Lane:
 class BatchSimulator:
     """Advances N independently-seeded runs in lockstep within one process.
 
-    Each step runs four phases: (A) one stacked Kalman predict over every
-    live track of every active lane; (B) per-lane sensing, attack, detection,
-    and association (collecting matched measurements); (C) one stacked Kalman
-    update plus a stacked gather of the observed track states; (D) per-lane
-    world-estimation, fusion, planning, actuation, and world advance.  Lanes
-    that halt (collision) or exhaust their duration drop out of the active
-    set; the loop ends when no lane is active.
+    Each step runs these phases: (0) lanes with a batched replica sense, and
+    their attackers pick the frame the replica observes; (A) one stacked
+    Kalman predict over every live victim and replica track of every active
+    lane; (R) the replicas' detection and association, one stacked update of
+    their tracks, and a stacked gather of the boxes a launch decision reads;
+    (B) per-lane sensing, attack, detection, and association (collecting
+    matched measurements); (C) one stacked Kalman update plus a stacked gather
+    of the observed track states; (D) per-lane world-estimation, fusion,
+    planning, actuation, and world advance.  Lanes that halt (collision) or
+    exhaust their duration drop out of the active set; the loop ends when no
+    lane is active.
     """
 
     def __init__(self, specs: Sequence[BatchRunSpec],
@@ -1481,23 +1728,27 @@ class BatchSimulator:
         """Execute all lanes to completion; results are in spec order."""
         pool = self._pool
         active = [lane for lane in self._lanes if not lane.done]
+        split = [lane for lane in active if lane.replica is not None]
         while active:
+            # Phase 0: the attacker picks the frame its replica observes.
+            for lane in split:
+                lane.observe()
+            split = [lane for lane in split if lane.replica is not None]
+
             # Phase A: stacked predict for every live track.
-            refs: List[_Track] = []
-            rows: List[int] = []
-            for lane in active:
-                for track in lane.tracks.values():
-                    refs.append(track)
-                    rows.append(track.row)
-            if rows:
-                states = pool.predict(np.array(rows, dtype=np.intp)).tolist()
-                for track, state in zip(refs, states):
-                    track.pred_cx = state[0]
-                    track.pred_cy = state[1]
-                    w = state[2]
-                    h = state[3]
-                    track.pred_w = w if w > 1.0 else 1.0
-                    track.pred_h = h if h > 1.0 else 1.0
+            victims = [lane.camera for lane in active]
+            pool.predict_tracks(victims + [lane.replica for lane in split])
+
+            # Phase R: the replicas' detection, association and update; a
+            # launch decision in phase B reads this frame's updated tracks.
+            if split:
+                rep_rows: List[int] = []
+                rep_z: List[tuple] = []
+                for lane in split:
+                    lane.replica_step(rep_rows, rep_z)
+                pool.update_rows(rep_rows, rep_z)
+                pool.refresh_observed([lane.replica for lane in split
+                                       if not lane.attacker.attack_active])
 
             # Phase B: per-lane sensing/attack/detection/association.
             upd_rows: List[int] = []
@@ -1506,26 +1757,12 @@ class BatchSimulator:
                 lane.pre_step(upd_rows, upd_z)
 
             # Phase C: stacked update, then refresh the observed boxes.
-            if upd_rows:
-                pool.update(np.array(upd_rows, dtype=np.intp), np.array(upd_z))
-            refs = []
-            rows = []
-            for lane in active:
-                for track in lane.observed:
-                    refs.append(track)
-                    rows.append(track.row)
-            if rows:
-                states = pool.states[np.array(rows, dtype=np.intp)].tolist()
-                for track, state in zip(refs, states):
-                    track.cx = state[0]
-                    track.cy = state[1]
-                    w = state[2]
-                    h = state[3]
-                    track.w = w if w > 1.0 else 1.0
-                    track.h = h if h > 1.0 else 1.0
+            pool.update_rows(upd_rows, upd_z)
+            pool.refresh_observed(victims)
 
             # Phase D: per-lane estimation/fusion/planning/actuation/world.
             for lane in active:
                 lane.post_step()
             active = [lane for lane in active if not lane.done]
+            split = [lane for lane in split if lane.replica is not None]
         return [lane.result() for lane in self._lanes]

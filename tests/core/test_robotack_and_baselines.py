@@ -8,6 +8,7 @@ from repro.core.baselines import RandomAttacker, RoboTackWithoutSafetyHijacker
 from repro.core.robotack import RoboTack, RoboTackConfig
 from repro.core.safety_hijacker import KinematicSafetyPredictor, SafetyHijacker
 from repro.perception.detection import DetectorConfig, DetectorNoiseModel
+from repro.perception.fusion import FusionConfig
 from repro.perception.pipeline import PerceptionConfig
 from repro.sensors.camera import CameraSensor
 from repro.sim.scenarios import ScenarioVariation, build_scenario
@@ -35,7 +36,9 @@ def quiet_config(vector: AttackVector) -> RoboTackConfig:
     )
     return RoboTackConfig(
         allowed_vectors=(vector,),
-        perception=PerceptionConfig(detector=detector, use_lidar=False),
+        perception=PerceptionConfig(
+            detector=detector, fusion=FusionConfig(policy="camera_only")
+        ),
     )
 
 
@@ -98,6 +101,42 @@ class TestRoboTack:
         assert not attacker.attack_active
         assert attacker._attack_completed
 
+    def test_replica_stops_once_the_episode_is_over(self):
+        scenario = build_scenario("DS-1", ScenarioVariation.nominal())
+        attacker = make_robotack(scenario, AttackVector.DISAPPEAR)
+        drive_with_attacker(scenario, attacker, n_frames=350)
+        assert attacker.episode_over
+        replica_calls = []
+        attacker.perception.process = lambda *args, **kwargs: replica_calls.append(args)
+        camera = CameraSensor()
+        frame = camera.capture(scenario.world.snapshot())
+        assert attacker.process_frame(frame, ego_speed_mps=12.5, dt=FRAME_DT) is frame
+        assert replica_calls == []
+
+    def test_split_hook_composes_to_process_frame(self):
+        """frame_for_replica -> replica -> frame_to_deliver is process_frame."""
+        delivered = {}
+        for mode in ("whole", "split"):
+            scenario = build_scenario("DS-1", ScenarioVariation.nominal())
+            attacker = make_robotack(scenario, AttackVector.DISAPPEAR)
+            camera = CameraSensor()
+            frames = []
+            for _ in range(260):
+                frame = camera.capture(scenario.world.snapshot())
+                if mode == "whole":
+                    out = attacker.process_frame(frame, ego_speed_mps=12.5, dt=FRAME_DT)
+                else:
+                    observed = attacker.frame_for_replica(frame)
+                    estimates = attacker.perception.process(
+                        observed, ego_speed_mps=12.5
+                    ).world_estimates
+                    out = attacker.frame_to_deliver(observed, estimates, 12.5)
+                frames.append(tuple((o.kind, o.bbox) for o in out.objects))
+                scenario.world.step(FRAME_DT, ego_acceleration_mps2=0.0)
+            assert attacker.record.launched
+            delivered[mode] = frames
+        assert delivered["whole"] == delivered["split"]
+
     def test_respects_scenario_matcher_rules(self):
         # Move_In is not applicable to an in-path lead vehicle that keeps its lane.
         scenario = build_scenario("DS-1", ScenarioVariation.nominal())
@@ -146,6 +185,8 @@ class TestRandomAttacker:
         )
         drive_with_attacker(scenario, attacker, n_frames=80)
         assert not attacker.record.launched
+        # A fizzled random attack can never launch: its replica stops.
+        assert attacker.episode_over
 
     def test_invalid_start_window_rejected(self, road):
         with pytest.raises(ValueError):

@@ -13,21 +13,29 @@ whose actors draw fresh ids from the module-global actor-id counter, so the
 two arms of one comparison.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.ads.agent import AdsAgent
 from repro.ads.planning import PlannerConfig
 from repro.core.attack_vectors import AttackVector
+from repro.core.safety_hijacker import KinematicSafetyPredictor
 from repro.experiments.campaign import (
     AttackerKind,
     CampaignConfig,
+    PredictorKind,
     _build_attacker,
+    _build_run_setup,
     build_ads_agent,
+    standard_campaigns,
 )
 from repro.geometry import Vec2
+from repro.perception.detection import DetectorDegradation
 from repro.perception.fusion import FusionConfig, SensorFusion, list_fusion_policies
 from repro.perception.pipeline import PerceptionConfig
+from repro.sensors.camera import CameraSensor
 from repro.sim.batch import BatchRunSpec, BatchSimulator
 from repro.sim.events import EventKind
 from repro.sim.scenarios import build_scenario, list_scenario_ids
@@ -207,3 +215,230 @@ class TestScalarBatchEquivalence:
         kinds = [(e.kind, e.step_index) for e in result.events.events]
         assert (EventKind.COLLISION, 0) in kinds
         assert (EventKind.SIMULATION_HALTED, 0) in kinds
+
+
+# --------------------------------------------------------------------------- #
+# Attacked lanes: RoboTack, its ablations, and a protocol-only black box
+# --------------------------------------------------------------------------- #
+
+#: The six (scenario, vector) pairs of paper Table II.
+_TABLE2_PAIRS = [(config.scenario_id, config.vector) for config in standard_campaigns()]
+#: Runs per attacked campaign compared engine against engine.
+_ATTACKED_RUNS = 3
+
+
+def _campaign(scenario_id, attacker, vector=None, degradation=None):
+    return CampaignConfig(
+        campaign_id=f"eq-{scenario_id}-{attacker.value}",
+        scenario_id=scenario_id,
+        attacker=attacker,
+        vector=vector,
+        n_runs=_ATTACKED_RUNS,
+        seed=_ATTACK_SEED,
+        predictor=PredictorKind.KINEMATIC,
+        detector_degradation=degradation,
+    )
+
+
+def _log_target_lookups(attacker):
+    """Log (frame index, target box, misses) for every frame the trajectory
+    hijacker perturbs: the replica's view of the target at that moment."""
+    log = []
+    hijacker = attacker.trajectory_hijacker
+    perturb = hijacker.perturb_frame
+
+    def logged(frame, attacker_track):
+        seen = None
+        if attacker_track is not None:
+            seen = (attacker_track.bbox, attacker_track.consecutive_misses)
+        log.append((frame.frame_index, seen))
+        return perturb(frame, attacker_track)
+
+    hijacker.perturb_frame = logged
+    return log
+
+
+def _lane(config, run_index, wrap=None):
+    """One run of ``config`` through the campaign layer's seeding chain."""
+    predictor = None
+    if config.attacker is AttackerKind.ROBOTACK:
+        predictor = KinematicSafetyPredictor(config.vector)
+    setup = _build_run_setup(config, run_index, predictor=predictor)
+    lookups = [] if setup.attacker is None else _log_target_lookups(setup.attacker)
+    attacker = setup.attacker if wrap is None else wrap(setup.attacker)
+    return setup, attacker, lookups
+
+
+def _run_both(lanes, wrap=None):
+    """Each (config, run index) alone on the scalar engine, then all of them
+    as the lanes of one batch; returns (result, attacker, lookups) per lane."""
+    scalar = []
+    for config, index in lanes:
+        setup, attacker, lookups = _lane(config, index, wrap)
+        result = Simulator(setup.scenario, setup.ads, config=config.simulation,
+                           attacker=attacker, rng=setup.sim_rng).run()
+        scalar.append((result, attacker, lookups))
+    built = [_lane(config, index, wrap) for config, index in lanes]
+    results = BatchSimulator([
+        BatchRunSpec(scenario=setup.scenario, ads=setup.ads, attacker=attacker,
+                     rng=setup.sim_rng)
+        for setup, attacker, _ in built
+    ]).run()
+    batch = [(result, attacker, lookups)
+             for result, (_, attacker, lookups) in zip(results, built)]
+    return scalar, batch
+
+
+def _record_signature(attacker):
+    # Actor ids come from a module-global counter (see the module docstring),
+    # so the target is compared by kind, not id.
+    record = attacker.record
+    return repr(dataclasses.replace(record, target_actor_id=None))
+
+
+def _assert_attacked_identical(scalar, batch):
+    assert len(scalar) == len(batch)
+    for (s_result, s_attacker, s_log), (b_result, b_attacker, b_log) in zip(scalar, batch):
+        _assert_bit_identical(s_result, b_result)
+        if s_attacker is not None:
+            inner_s = getattr(s_attacker, "inner", s_attacker)
+            inner_b = getattr(b_attacker, "inner", b_attacker)
+            assert _record_signature(inner_s) == _record_signature(inner_b)
+        assert s_log == b_log
+
+
+def _launched(lanes):
+    return [attacker for _, attacker, _ in lanes
+            if attacker is not None and attacker.record.launched]
+
+
+class _ProtocolOnlyAttacker:
+    """Implements only the ``CameraAttacker`` protocol: a black box that
+    passes every frame through to an inner attacker and reports its state."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.frames_seen = 0
+
+    def process_frame(self, frame, ego_speed_mps, dt):
+        self.frames_seen += 1
+        return self.inner.process_frame(frame, ego_speed_mps=ego_speed_mps, dt=dt)
+
+    @property
+    def attack_active(self):
+        return self.inner.attack_active
+
+    @property
+    def target_actor_id(self):
+        return self.inner.target_actor_id
+
+    @property
+    def record(self):
+        return self.inner.record
+
+
+class TestAttackedScalarBatchEquivalence:
+    """RoboTack and its baselines on the batch engine: traces, events, the
+    attack record and every target-track lookup of the trajectory hijacker
+    must match the scalar loop exactly."""
+
+    @pytest.mark.parametrize("scenario_id, vector", _TABLE2_PAIRS)
+    def test_robotack_table2_pairs(self, scenario_id, vector):
+        config = _campaign(scenario_id, AttackerKind.ROBOTACK, vector)
+        scalar, batch = _run_both([(config, index) for index in range(_ATTACKED_RUNS)])
+        _assert_attacked_identical(scalar, batch)
+        assert _launched(batch)
+
+    def test_robotack_without_safety_hijacker(self):
+        lanes = [(_campaign("DS-1", AttackerKind.ROBOTACK_NO_SH, AttackVector.DISAPPEAR), 0),
+                 (_campaign("DS-2", AttackerKind.ROBOTACK_NO_SH, AttackVector.MOVE_OUT), 0),
+                 (_campaign("DS-3", AttackerKind.ROBOTACK_NO_SH, AttackVector.MOVE_IN), 0)]
+        scalar, batch = _run_both(lanes)
+        _assert_attacked_identical(scalar, batch)
+        assert _launched(batch)
+
+    def test_degraded_detector_move_in(self):
+        degradation = DetectorDegradation(sigma_scale=6, misdetection_scale=4)
+        config = _campaign("DS-3", AttackerKind.ROBOTACK, AttackVector.MOVE_IN, degradation)
+        scalar, batch = _run_both([(config, index) for index in range(_ATTACKED_RUNS)])
+        _assert_attacked_identical(scalar, batch)
+        assert _launched(batch)
+
+    def test_mixed_attacked_and_benign_lanes(self):
+        """Attacked and benign lanes in one batch, halting at different steps.
+
+        Covers both moments the perturbation reads the replica's target
+        track: on the launch frame it sees this frame's updated tracks, on
+        every later attack frame the track as the previous frame left it.
+        """
+        lanes = [(_campaign(scenario_id, AttackerKind.ROBOTACK, vector), 0)
+                 for scenario_id, vector in _TABLE2_PAIRS]
+        lanes += [(_campaign("DS-5", AttackerKind.RANDOM), 1),
+                  (_campaign("DS-2", AttackerKind.ROBOTACK_NO_SH, AttackVector.DISAPPEAR), 1)]
+        lanes += [(_campaign(scenario_id, AttackerKind.NONE), 0)
+                  for scenario_id in list_scenario_ids()]
+        scalar, batch = _run_both(lanes)
+        _assert_attacked_identical(scalar, batch)
+        assert len({result.steps_executed for result, _, _ in batch}) > 1
+        launch_reads = later_reads = 0
+        for _, attacker, lookups in batch:
+            if attacker is None or not attacker.record.launched:
+                continue
+            launch_frame = attacker.record.start_frame - 1
+            for frame_index, seen in lookups:
+                if seen is not None:
+                    launch_reads += frame_index == launch_frame
+                    later_reads += frame_index > launch_frame
+        assert launch_reads and later_reads
+
+    def test_protocol_only_attacker_runs_as_a_black_box(self):
+        config = _campaign("DS-2", AttackerKind.ROBOTACK, AttackVector.DISAPPEAR)
+        scalar, batch = _run_both([(config, index) for index in range(2)],
+                                  wrap=_ProtocolOnlyAttacker)
+        _assert_attacked_identical(scalar, batch)
+        assert _launched(batch)
+        for result, attacker, _ in batch:
+            assert attacker.frames_seen == result.steps_executed
+
+    def test_stock_replica_runs_in_the_batch_port(self):
+        """A RoboTack lane never calls its scalar replica pipeline on the
+        batch engine, and every Kalman row is back in the pool at the end."""
+        lanes = [_lane(_campaign("DS-3", AttackerKind.ROBOTACK, AttackVector.MOVE_IN), index)
+                 for index in range(_ATTACKED_RUNS)]
+        for _, attacker, _ in lanes:
+            attacker.perception.process = None  # any call would raise
+        simulator = BatchSimulator([
+            BatchRunSpec(scenario=setup.scenario, ads=setup.ads, attacker=attacker,
+                         rng=setup.sim_rng)
+            for setup, attacker, _ in lanes
+        ])
+        simulator.run()
+        assert any(attacker.record.launched for _, attacker, _ in lanes)
+        pool = simulator._pool
+        assert sorted(pool._free) == list(range(pool.states.shape[0]))
+
+    @pytest.mark.parametrize("variant", ["overridden_hook", "used_attacker"])
+    def test_non_stock_attackers_fall_back_to_black_box(self, variant):
+        """A subclass that overrides the frame hook, or an attacker whose
+        replica already holds state, runs as a black box on every frame."""
+        config = _campaign("DS-2", AttackerKind.ROBOTACK, AttackVector.DISAPPEAR)
+
+        def wrap(attacker):
+            if variant == "overridden_hook":
+                class Hooked(type(attacker)):
+                    def process_frame(self, frame, ego_speed_mps, dt):
+                        self.frames_seen = getattr(self, "frames_seen", 0) + 1
+                        return super().process_frame(frame, ego_speed_mps, dt)
+                attacker.__class__ = Hooked
+            else:
+                scenario = build_scenario("DS-2")
+                frame = CameraSensor().capture(scenario.world.snapshot())
+                for _ in range(5):
+                    attacker.process_frame(frame, ego_speed_mps=10.0, dt=1.0 / 15.0)
+            return attacker
+
+        scalar, batch = _run_both([(config, index) for index in range(2)], wrap=wrap)
+        _assert_attacked_identical(scalar, batch)
+        if variant == "overridden_hook":
+            for result, attacker, _ in batch:
+                assert attacker.frames_seen == result.steps_executed
