@@ -12,10 +12,10 @@ shares no state with its siblings, so campaigns fan out over the
 :mod:`repro.runtime` executors: ``run_campaign(config, executor=4)`` runs on
 four worker processes and produces *element-wise identical* results to the
 serial path.  Safety-hijacker predictors are trained once per
-(scenario, vector) pair in the parent process and shipped to the workers, and
-both predictors and campaign results live in process-safe
-:class:`~repro.runtime.cache.ArtifactCache` stores (set ``REPRO_CACHE_DIR`` to
-persist them across processes and sessions).
+(scenario, vector) pair in the parent process and shipped to the workers.
+Predictors and store-less campaign results are memoized per process; what
+outlives the process is the experiment store (``store=``): its run records
+and model registry are the one persistence path.
 """
 
 from __future__ import annotations
@@ -53,7 +53,8 @@ from repro.perception.detection import DetectorDegradation
 from repro.perception.fusion import DEFAULT_FUSION_POLICY, FusionConfig
 from repro.perception.pipeline import PerceptionConfig
 from repro.sim.actors import ActorKind
-from repro.runtime import ArtifactCache, Executor, ExecutorLike, resolve_executor
+from repro.runtime import ExecutorLike, resolve_executor
+from repro.runtime.cache import encode_key
 from repro.sim.config import SimulationConfig
 from repro.sim.scenarios import DrivingScenario, ScenarioVariation, build_scenario
 from repro.sim.simulator import SimulationResult, Simulator
@@ -69,6 +70,7 @@ __all__ = [
     "run_campaigns",
     "get_or_train_predictor",
     "training_grid_for",
+    "oracle_spec_hash",
     "clear_caches",
 ]
 
@@ -122,8 +124,10 @@ _DEFAULT_TRAINING_GRID: Tuple[Tuple[float, ...], Tuple[int, ...]] = (
     (12, 24, 36, 48),
 )
 
-_PREDICTOR_CACHE = ArtifactCache("predictors")
-_CAMPAIGN_CACHE = ArtifactCache("campaigns")
+#: Per-process memos keyed by the :func:`encode_key` encoding of a predictor
+#: key or ``CampaignConfig.cache_key()``.
+_PREDICTOR_CACHE: Dict[str, SafetyPredictor] = {}
+_CAMPAIGN_CACHE: Dict[str, CampaignResult] = {}
 
 
 def training_grid_for(scenario_id: str) -> Tuple[Tuple[float, ...], Tuple[int, ...]]:
@@ -131,16 +135,10 @@ def training_grid_for(scenario_id: str) -> Tuple[Tuple[float, ...], Tuple[int, .
     return _TRAINING_GRIDS.get(scenario_id, _DEFAULT_TRAINING_GRID)
 
 
-def clear_caches(*, disk: bool = False) -> None:
-    """Drop all cached predictors and campaign results (mainly for tests)."""
-    _PREDICTOR_CACHE.clear(disk=disk)
-    _CAMPAIGN_CACHE.clear(disk=disk)
-
-
-def set_cache_dir(cache_dir) -> None:
-    """Point both artifact caches at a disk directory (``None`` = env default)."""
-    _PREDICTOR_CACHE.set_directory(cache_dir)
-    _CAMPAIGN_CACHE.set_directory(cache_dir)
+def clear_caches() -> None:
+    """Drop all memoized predictors and campaign results (mainly for tests)."""
+    _PREDICTOR_CACHE.clear()
+    _CAMPAIGN_CACHE.clear()
 
 
 @dataclass(frozen=True)
@@ -181,10 +179,10 @@ class CampaignConfig:
         return self.fusion.policy if self.fusion is not None else DEFAULT_FUSION_POLICY
 
     def cache_key(self) -> Tuple:
-        # Every field that changes the campaign's results belongs here: with
-        # the disk cache enabled, two configs differing only in training
-        # epochs or simulation parameters must never shadow each other.  The
-        # experiment store's content address is derived from this same key.
+        # Every field that changes the campaign's results belongs here: two
+        # configs differing only in training epochs or simulation parameters
+        # must never shadow each other.  The experiment store's content
+        # address is derived from this same key.
         key = (
             self.campaign_id,
             self.scenario_id,
@@ -310,6 +308,25 @@ def _train_predictor(
     return predictor
 
 
+def oracle_spec_hash(
+    scenario_id: str,
+    vector: AttackVector,
+    seed: int = 7,
+    training_epochs: int = CampaignConfig.training_epochs,
+) -> str:
+    """The registry spec hash a store-backed campaign looks its oracle up by.
+
+    The defaults are the ones :func:`run_campaign` resolves: the collection
+    seed of :func:`get_or_train_predictor` and the config's default epochs.
+    A model trained under any other spec is registered but never auto-loaded.
+    """
+    delta_grid, k_grid = training_grid_for(scenario_id)
+    return training_spec_hash(
+        scenario_id, vector, delta_grid, k_grid,
+        collect_seed=seed, repeats=2, epochs=training_epochs,
+    )
+
+
 def _store_backed_predictor(
     scenario_id: str,
     vector: AttackVector,
@@ -325,14 +342,12 @@ def _store_backed_predictor(
     model; every later campaign process — including every restart — reloads
     the identical weights instead of retraining.
     """
-    delta_grid, k_grid = training_grid_for(scenario_id)
-    spec_hash = training_spec_hash(
-        scenario_id, vector, delta_grid, k_grid,
-        collect_seed=seed, repeats=2, epochs=training_epochs,
+    loaded = load_registered_predictor(
+        store, oracle_spec_hash(scenario_id, vector, seed, training_epochs)
     )
-    loaded = load_registered_predictor(store, spec_hash)
     if loaded is not None:
         return loaded
+    delta_grid, k_grid = training_grid_for(scenario_id)
     artifact = train_and_register_predictor(
         scenario_id, vector, delta_grid, k_grid,
         seed=seed, repeats=2, epochs=training_epochs,
@@ -356,27 +371,27 @@ def get_or_train_predictor(
     freshly trained oracle is published back into it); the dataset collection
     behind a training miss fans out over ``executor`` and is itself resumable.
     """
-    # training_epochs is part of the key: with the disk layer enabled, a
-    # predictor trained with different epochs must never shadow this one.
-    cache_key = (scenario_id, vector, kind, seed, training_epochs)
+    # training_epochs is part of the key: a predictor trained with different
+    # epochs must never shadow this one.
+    key = (scenario_id, vector, kind, seed, training_epochs)
     resolved_store = resolve_store(store)
     if resolved_store is not None and kind is PredictorKind.NEURAL:
         # The store root is part of the key: each store must get its own
-        # publish-to-registry side effect (and its own disk-cache entry), or
-        # a second store would silently never receive the trained model.
-        return _PREDICTOR_CACHE.get_or_create(
-            cache_key + ("store", str(resolved_store.root)),
-            functools.partial(
-                _store_backed_predictor, scenario_id, vector, seed, training_epochs,
-                resolved_store, executor,
-            ),
+        # publish-to-registry side effect, or a second store would silently
+        # never receive the trained model.
+        key += ("store", str(resolved_store.root))
+        build = functools.partial(
+            _store_backed_predictor, scenario_id, vector, seed, training_epochs,
+            resolved_store, executor,
         )
-    return _PREDICTOR_CACHE.get_or_create(
-        cache_key,
-        functools.partial(
+    else:
+        build = functools.partial(
             _train_predictor, scenario_id, vector, kind, seed, training_epochs
-        ),
-    )
+        )
+    encoded = encode_key(key)
+    if encoded not in _PREDICTOR_CACHE:
+        _PREDICTOR_CACHE[encoded] = build()
+    return _PREDICTOR_CACHE[encoded]
 
 
 def _safety_hijacker_for(
@@ -729,13 +744,13 @@ def run_campaign(
     ``executor`` accepts anything :func:`repro.runtime.resolve_executor`
     understands: ``None`` (serial), a worker count, or an
     :class:`~repro.runtime.executor.Executor` instance to share a worker pool
-    across campaigns.  Results are cached per process (and on disk when a
-    cache directory is configured).
+    across campaigns.  With ``use_cache`` (the default) a store-less
+    campaign's result is memoized for the rest of the process.
 
     ``store`` (an :class:`~repro.experiments.store.ExperimentStore` or its
     root path) switches the campaign to the durable, resumable path: every
     run is checkpointed to the store as it completes, already-stored runs are
-    skipped, and the opaque pickle cache is bypassed — the store *is* the
+    skipped, and the in-process memo is bypassed — the store *is* the
     durable record.
 
     ``engine`` selects the simulation engine: ``"scalar"`` (the reference
@@ -752,11 +767,9 @@ def run_campaign(
         return _run_campaign_checkpointed(
             config, resolved_store, executor, engine=engine, batch_size=batch_size
         )
-    key = config.cache_key()
-    if use_cache:
-        cached = _CAMPAIGN_CACHE.get(key)
-        if cached is not None:
-            return cached
+    key = encode_key(config.cache_key())
+    if use_cache and key in _CAMPAIGN_CACHE:
+        return _CAMPAIGN_CACHE[key]
     predictor = _prepare_predictor(config)
     resolved = resolve_executor(executor)
     try:
@@ -785,7 +798,7 @@ def run_campaign(
         runs=runs,
     )
     if use_cache:
-        _CAMPAIGN_CACHE.put(key, campaign)
+        _CAMPAIGN_CACHE[key] = campaign
     return campaign
 
 

@@ -1,11 +1,11 @@
 """Durable, append-only, content-addressed experiment store.
 
 The paper's evaluation is thousands of Monte-Carlo simulation runs over a
-(scenario x attack-vector x variation) grid.  Before this module, each
-:class:`~repro.experiments.results.CampaignResult` existed only as an opaque
-pickle inside :class:`~repro.runtime.cache.ArtifactCache`: there was no
-queryable record of individual runs and an interrupted campaign restarted
-from zero.  :class:`ExperimentStore` fixes both:
+(scenario x attack-vector x variation) grid.  A
+:class:`~repro.experiments.results.CampaignResult` held in memory is no
+queryable record of individual runs, and an interrupted campaign would
+restart from zero.  :class:`ExperimentStore` is the one persistence path that
+fixes both:
 
 * every simulation run flattens into a :class:`RunRecord` — campaign config
   hash, per-run seed, the exact :class:`~repro.sim.scenarios.ScenarioVariation`

@@ -34,8 +34,8 @@ built-ins ship as first-class victim variants for defense evaluation:
   (:class:`SensorFusion`); the default victim, bit-identical to the
   pre-registry behaviour;
 * ``camera_only`` — the camera estimates pass straight through
-  (:class:`CameraOnlyFusion`); also what ``use_lidar=False`` resolves to,
-  and the pipeline RoboTack runs internally to reconstruct world state;
+  (:class:`CameraOnlyFusion`); the pipeline RoboTack runs internally to
+  reconstruct world state;
 * ``lidar_only`` — obstacles come from LiDAR returns alone
   (:class:`LidarOnlyFusion`); immune to camera perturbation but blind to
   camera-only objects (distant pedestrians) and classification-poor;
@@ -497,12 +497,10 @@ class ConsistencyGatedFusion(SensorFusion):
 class CameraOnlyFusion:
     """Pass the camera world estimates straight through as the world model.
 
-    Bit-identical to the camera-only branch `PerceptionSystem` used to inline
-    for ``use_lidar=False`` (which now resolves to this policy): one obstacle
-    per camera estimate, in estimate order (already distance-sorted by the
-    transform stage), with the ego-relative velocity re-absolutized.  This is
-    also the reconstruction pipeline RoboTack runs inside the attacked
-    process, so it sits on the attacked golden-trace path.
+    One obstacle per camera estimate, in estimate order (already
+    distance-sorted by the transform stage), with the ego-relative velocity
+    re-absolutized.  This is the reconstruction pipeline RoboTack runs inside
+    the attacked process, so it sits on the attacked golden-trace path.
     """
 
     def __init__(self, config: FusionConfig | None = None):
@@ -676,7 +674,7 @@ FUSION_POLICIES.register(
 FUSION_POLICIES.register(
     "camera_only",
     CameraOnlyFusion,
-    description="camera estimates pass through; use_lidar=False alias",
+    description="camera estimates pass straight through",
 )
 FUSION_POLICIES.register(
     "lidar_only",

@@ -8,11 +8,9 @@ Two configurations are used in the reproduction:
 
 * the **victim ADS** runs the full pipeline with the fusion policy named by
   ``PerceptionConfig.fusion.policy`` (``late`` by default);
-* **RoboTack** runs a camera-only instance to reconstruct its own approximate
+* **RoboTack** runs a camera-only instance
+  (``FusionConfig(policy="camera_only")``) to reconstruct its own approximate
   world state from the tapped camera feed (paper §III-D, Phase 2).
-
-``use_lidar=False`` is kept as a deprecated alias that forces the
-``camera_only`` policy; there is no separate camera-only code path anymore.
 """
 
 from __future__ import annotations
@@ -40,16 +38,7 @@ class PerceptionConfig:
     detector: DetectorConfig = field(default_factory=DetectorConfig)
     tracker: TrackerConfig = field(default_factory=TrackerConfig)
     fusion: FusionConfig = field(default_factory=FusionConfig)
-    #: Deprecated alias: ``False`` forces the ``camera_only`` fusion policy,
-    #: overriding ``fusion.policy``.  Prefer
-    #: ``fusion=FusionConfig(policy="camera_only")``.
-    use_lidar: bool = True
     frame_dt_s: float = 1.0 / 15.0
-
-    @property
-    def fusion_policy(self) -> str:
-        """The fusion-policy name this config resolves to."""
-        return self.fusion.policy if self.use_lidar else "camera_only"
 
 
 @dataclass(frozen=True)
@@ -94,7 +83,7 @@ class PerceptionSystem:
         self.detector = SimulatedDetector(self.config.detector, rng=rng)
         self.tracker = MultiObjectTracker(self.config.tracker)
         self.transform = ImageToWorldTransform(frame_dt_s=self.config.frame_dt_s)
-        self.fusion = build_fusion_policy(self.config.fusion_policy, self.config.fusion)
+        self.fusion = build_fusion_policy(self.config.fusion.policy, self.config.fusion)
 
     def reset(self) -> None:
         """Reset all stateful stages."""

@@ -1,4 +1,4 @@
-"""Execution runtime: parallel executors, artifact caches, and registries.
+"""Execution runtime: parallel executors, content keys, and registries.
 
 This package is the infrastructure layer underneath the experiment harness:
 
@@ -6,9 +6,9 @@ This package is the infrastructure layer underneath the experiment harness:
   :class:`SerialExecutor` (in-process ``map``) and a
   :class:`ParallelExecutor` (a :class:`concurrent.futures.ProcessPoolExecutor`
   fan-out) that produce *identical* results for seeded workloads;
-* :mod:`repro.runtime.cache` — :class:`ArtifactCache`, a process-safe,
-  optionally disk-backed store for expensive artifacts (trained
-  safety-predictor weights, campaign results);
+* :mod:`repro.runtime.cache` — :func:`~repro.runtime.cache.encode_key`,
+  the canonical key encoding every content hash derives from, and
+  :func:`~repro.runtime.cache.atomic_publish`, temp-file + rename writes;
 * :mod:`repro.runtime.registry` — :class:`Registry`, the decorator-friendly
   plugin registry backing the open scenario catalog of
   :mod:`repro.sim.scenarios`;
@@ -19,7 +19,6 @@ The runtime deliberately depends on nothing above it (no ``repro.sim`` /
 reproduction can build on it without cycles.
 """
 
-from repro.runtime.cache import ArtifactCache, default_cache_dir
 from repro.runtime.executor import (
     Executor,
     ExecutorLike,
@@ -33,8 +32,6 @@ from repro.runtime.executor import (
 from repro.runtime.registry import Registry, RegistryError
 
 __all__ = [
-    "ArtifactCache",
-    "default_cache_dir",
     "Executor",
     "ExecutorLike",
     "FaultInjectingExecutor",

@@ -1,62 +1,26 @@
-"""Process-safe, optionally disk-backed artifact caches.
+"""Canonical content keys and atomic file publication.
 
-Trained safety-predictor weights and campaign results are expensive to build
-(hundreds of seeded simulation runs per predictor dataset) and were previously
-memoized in module-global dicts — invisible to worker processes and lost when
-the process exited.  :class:`ArtifactCache` replaces those globals:
+Two primitives every content address in the reproduction derives from:
 
-* the in-memory layer keeps the old per-process behaviour (same object
-  returned on a hit);
-* an optional disk layer (``cache_dir`` argument or the ``REPRO_CACHE_DIR``
-  environment variable) persists artifacts across processes and sessions,
-  with atomic writes (temp file + :func:`os.replace`) so concurrent writers
-  never corrupt each other.
-
-Cache keys can be arbitrary compositions of primitives, enums, tuples, and
-frozen dataclasses; they are canonicalized to a stable string (and hashed to
-a filename for the disk layer) by :func:`encode_key`.
+* :func:`encode_key` canonicalizes a key built from primitives, enums,
+  tuples, and frozen dataclasses into a stable, process-independent string —
+  the experiment store hashes it into campaign config hashes, and the
+  training pipeline and search loop into dataset, model, and search hashes;
+* :func:`atomic_publish` writes a file through a temp sibling and an
+  :func:`os.replace` rename, so concurrent writers never corrupt each other
+  and readers never see a torn file.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
-import hashlib
-import logging
 import os
-import pickle
 import tempfile
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional, TypeVar, Union
+from typing import Any, Callable
 
-__all__ = ["ArtifactCache", "atomic_publish", "encode_key", "default_cache_dir"]
-
-T = TypeVar("T")
-
-#: Environment variable enabling the disk layer for all caches by default.
-_CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-
-_MISSING = object()
-
-_LOGGER = logging.getLogger(__name__)
-
-#: Exceptions that mean the file's *contents* are bad (truncated or garbage
-#: pickle stream, or a payload type that no longer deserializes) — as opposed
-#: to :class:`OSError`, which is an I/O-level problem that may be transient.
-_CORRUPT_PICKLE_ERRORS = (
-    pickle.UnpicklingError,
-    EOFError,
-    AttributeError,
-    ImportError,
-    IndexError,
-    ValueError,
-)
-
-
-def default_cache_dir() -> Optional[Path]:
-    """The disk-cache root configured via ``REPRO_CACHE_DIR``, if any."""
-    value = os.environ.get(_CACHE_DIR_ENV)
-    return Path(value).expanduser() if value else None
+__all__ = ["atomic_publish", "encode_key"]
 
 
 def atomic_publish(path: Path, write: Callable[[Any], None], durable: bool = False) -> None:
@@ -129,147 +93,3 @@ def encode_key(key: Any) -> str:
     raise TypeError(
         f"cannot build a stable cache key from {type(key).__name__}: {key!r}"
     )
-
-
-class ArtifactCache:
-    """A named cache for expensive artifacts with an optional disk layer.
-
-    ``cache_dir`` pins the disk root for this cache; when left ``None`` the
-    ``REPRO_CACHE_DIR`` environment variable is consulted on every access, so
-    enabling persistence requires no code changes.  With no directory
-    configured the cache is purely in-memory (the pre-refactor behaviour).
-    """
-
-    def __init__(self, name: str, cache_dir: Union[str, Path, None] = None):
-        if not name:
-            raise ValueError("cache name must be non-empty")
-        self.name = name
-        self._explicit_dir = Path(cache_dir).expanduser() if cache_dir else None
-        self._memory: Dict[str, Any] = {}
-
-    # ------------------------------------------------------------------ #
-    # Disk layer
-    # ------------------------------------------------------------------ #
-
-    @property
-    def directory(self) -> Optional[Path]:
-        """This cache's disk directory, or ``None`` when memory-only."""
-        root = self._explicit_dir or default_cache_dir()
-        return root / self.name if root is not None else None
-
-    def set_directory(self, cache_dir: Union[str, Path, None]) -> None:
-        """(Re)configure the disk root (``None`` reverts to the env default)."""
-        self._explicit_dir = Path(cache_dir).expanduser() if cache_dir else None
-
-    def _path_for(self, encoded: str) -> Optional[Path]:
-        directory = self.directory
-        if directory is None:
-            return None
-        digest = hashlib.sha256(encoded.encode("utf-8")).hexdigest()
-        return directory / f"{digest}.pkl"
-
-    def _load_from_disk(self, encoded: str) -> Any:
-        path = self._path_for(encoded)
-        if path is None or not path.exists():
-            return _MISSING
-        try:
-            with path.open("rb") as handle:
-                return pickle.load(handle)
-        except OSError:
-            # An I/O-level hiccup (permissions, racing unlink); the file may
-            # be fine on the next access, so treat as a plain miss.
-            return _MISSING
-        except _CORRUPT_PICKLE_ERRORS:
-            # The entry itself is unreadable and will stay unreadable: move
-            # it aside so later gets miss cleanly (and rebuild via the
-            # factory) instead of re-attempting the doomed load every time.
-            self._quarantine(path)
-            return _MISSING
-
-    def _quarantine(self, path: Path) -> None:
-        """Move a corrupt entry out of the lookup path (keeping it for triage)."""
-        quarantined = path.with_name(path.name + ".corrupt")
-        try:
-            os.replace(path, quarantined)
-            _LOGGER.warning(
-                "cache %r: quarantined corrupt entry %s -> %s",
-                self.name,
-                path.name,
-                quarantined.name,
-            )
-        except OSError:
-            try:
-                path.unlink()
-                _LOGGER.warning(
-                    "cache %r: deleted corrupt entry %s", self.name, path.name
-                )
-            except OSError:  # pragma: no cover - racing cleanup is benign
-                pass
-
-    def _store_to_disk(self, encoded: str, value: Any) -> None:
-        path = self._path_for(encoded)
-        if path is None:
-            return
-        atomic_publish(
-            path,
-            lambda handle: pickle.dump(value, handle, protocol=pickle.HIGHEST_PROTOCOL),
-        )
-
-    # ------------------------------------------------------------------ #
-    # Core API
-    # ------------------------------------------------------------------ #
-
-    def get(self, key: Any, default: Any = None) -> Any:
-        """Return the cached artifact for ``key``, or ``default`` on a miss."""
-        encoded = encode_key(key)
-        if encoded in self._memory:
-            return self._memory[encoded]
-        value = self._load_from_disk(encoded)
-        if value is _MISSING:
-            return default
-        self._memory[encoded] = value
-        return value
-
-    def put(self, key: Any, value: Any) -> None:
-        """Store an artifact in memory and (when configured) on disk."""
-        encoded = encode_key(key)
-        self._memory[encoded] = value
-        self._store_to_disk(encoded, value)
-
-    def get_or_create(self, key: Any, factory: Callable[[], T]) -> T:
-        """Return the cached artifact for ``key``, building it on first use."""
-        encoded = encode_key(key)
-        if encoded in self._memory:
-            return self._memory[encoded]
-        value = self._load_from_disk(encoded)
-        if value is _MISSING:
-            value = factory()
-            self._store_to_disk(encoded, value)
-        self._memory[encoded] = value
-        return value
-
-    def __contains__(self, key: Any) -> bool:
-        encoded = encode_key(key)
-        if encoded in self._memory:
-            return True
-        return self._load_from_disk(encoded) is not _MISSING
-
-    def __len__(self) -> int:
-        """Number of artifacts in the in-memory layer."""
-        return len(self._memory)
-
-    def clear(self, *, disk: bool = False) -> None:
-        """Drop the in-memory layer; with ``disk=True`` also delete disk files."""
-        self._memory.clear()
-        if disk:
-            directory = self.directory
-            if directory is not None and directory.exists():
-                # "*.pkl*" also sweeps quarantined "*.pkl.corrupt" entries.
-                for path in directory.glob("*.pkl*"):
-                    try:
-                        path.unlink()
-                    except OSError:
-                        pass
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"ArtifactCache({self.name!r}, entries={len(self._memory)}, dir={self.directory})"

@@ -1,50 +1,52 @@
 """The ``repro-campaign`` console entry point.
 
-Runs seeded experiment campaigns from the command line, with parallel
-execution (``--jobs``), disk-backed artifact caching (``--cache-dir``),
-durable per-run recording (``--store``), and the full scenario catalog
-(``--list-scenarios``).  Modes:
+Runs seeded experiment campaigns from the command line.  Every mode is a
+subcommand:
 
-* the default reproduces the paper's Table II evaluation: the six RoboTack
+* ``table2`` reproduces the paper's Table II evaluation: the six RoboTack
   campaigns plus the DS-5 random baseline, printing the reproduced table and
   the §I headline findings;
-* ``--scenario DS-6 --attacker robotack --vector disappear`` runs a single
+* ``run --scenario DS-6 --attacker robotack --vector disappear`` runs a single
   custom campaign against any registered scenario and prints its summary row;
 * ``sweep`` expands a declarative parameter space (``--param`` axes over
   ``variation.*`` / ``simulation.*`` / ``detector.*`` / ``fusion.*``) into
   one campaign per sweep point and records every run in the experiment store;
-* ``resume`` finishes every interrupted campaign found in a store — the
-  resumed statistics are bit-identical to an uninterrupted run;
 * ``search`` runs the closed-loop falsification engine: an adaptive sampler
   (cross-entropy, bandit, or random) steers sweep batches toward the
   attack-success boundary under a fixed simulation budget, checkpointing its
   state in the store so the same command resumes after any crash;
-
-``--fusion POLICY`` (on run, sweep, and resume) selects the fusion-policy
-victim variant (late, camera_only, lidar_only, consistency_gated); resume
-uses it as a filter over the store's incomplete campaigns.
 * ``train`` runs the safety-hijacker training pipeline for one
   (scenario, vector) pair: parallel, resumable dataset collection streamed
   into the store, training of the paper's 100-100-50 oracle, and publication
   into the store's content-addressed model registry — later campaigns against
-  the same store load the pretrained oracle instead of retraining.
+  the same store load the pretrained oracle instead of retraining;
+* ``resume`` finishes every interrupted campaign found in a store — the
+  resumed statistics are bit-identical to an uninterrupted run;
+* ``scenarios`` prints the registered scenario catalog.
+
+A flag means the same thing on every subcommand that takes it: ``--jobs``
+fans runs out over worker processes, ``--engine batch`` advances
+``--batch-size`` runs in lockstep (bit-identical results), ``--store``
+durably records every run, and ``--fusion`` selects the fusion-policy victim
+variant (late, camera_only, lidar_only, consistency_gated); on ``resume`` it
+filters the store's incomplete campaigns instead.
 
 Examples::
 
-    repro-campaign --runs 30 --jobs 4
-    repro-campaign --scenario DS-7 --attacker robotack --vector disappear --jobs -1
-    repro-campaign --scenario DS-1 --attacker none --store runs/ --runs 50
+    repro-campaign table2 --runs 30 --jobs 4
+    repro-campaign run --scenario DS-7 --attacker robotack --vector disappear --jobs -1
+    repro-campaign run --scenario DS-1 --attacker none --store runs/ --runs 50
+    repro-campaign run --scenario DS-1 --attacker none --fusion lidar_only --runs 20
     repro-campaign sweep --scenario DS-1 --store runs/ --sampler lhs --n 50 \\
         --param variation.lead_gap_offset_m=-8:8 --param detector.sigma_scale=1:2
     repro-campaign sweep --scenario DS-2 --store runs/ --sampler grid \\
         --param fusion.policy=late,lidar_only,consistency_gated \\
         --param fusion.camera_weight=0.4:0.8:3
-    repro-campaign --scenario DS-1 --attacker none --fusion lidar_only --runs 20
     repro-campaign resume --store runs/ --jobs -1
     repro-campaign search --scenario DS-3 --attacker robotack --vector move_out \\
         --store runs/ --sampler ce --budget 300 --batch-points 8 --target 0.9
     repro-campaign train --scenario DS-2 --vector disappear --store runs/ --jobs -1
-    repro-campaign --list-scenarios
+    repro-campaign scenarios
 """
 
 from __future__ import annotations
@@ -55,38 +57,84 @@ from typing import List, Optional, Sequence
 
 __all__ = ["main", "build_parser"]
 
+#: The campaign-identity flags, in declaration order.
+_IDENTITY = ("scenario", "attacker", "vector", "predictor", "fusion", "runs", "seed")
 
-class _TrackedStore(argparse.Action):
-    """``store`` action that records which dests the user explicitly set.
 
-    The subcommands re-declare several top-level flag names; knowing which
-    top-level flags were *actually typed* (vs merely defaulted) lets main()
-    reject the ambiguous ``--runs 10 sweep ...`` form even when the typed
-    value coincides with the default.
+# ---------------------------------------------------------------------- #
+# Shared flag groups: each flag is declared once, here
+# ---------------------------------------------------------------------- #
+
+
+def _add_campaign_args(
+    parser: argparse.ArgumentParser,
+    flags: Sequence[str] = _IDENTITY,
+    *,
+    runs: int = 10,
+    seed: int = 2020,
+    attacker: str = "robotack",
+    vector_required: bool = False,
+) -> None:
+    """Declare the campaign-identity flags named in ``flags``.
+
+    Per-command defaults are arguments here: every call creates its own
+    Actions, so one subcommand's defaults never leak into another's.
     """
+    group = parser.add_argument_group("campaign")
+    if "scenario" in flags:
+        group.add_argument("--scenario", required=True,
+                           help="registered scenario id (see `repro-campaign scenarios`)")
+    if "attacker" in flags:
+        group.add_argument("--attacker", default=attacker,
+                           help="attacker kind: robotack, robotack_no_sh, random, "
+                           "none (default: %(default)s)")
+    if "vector" in flags:
+        group.add_argument("--vector", required=vector_required,
+                           help="attack vector: disappear, move_out, move_in "
+                           "(the robotack attackers need one)")
+    if "predictor" in flags:
+        group.add_argument("--predictor", default="neural",
+                           help="safety-potential oracle: neural, kinematic "
+                           "(default: %(default)s)")
+    if "fusion" in flags:
+        group.add_argument("--fusion",
+                           help="fusion-policy victim variant: late, camera_only, "
+                           "lidar_only, consistency_gated (default: the "
+                           "scenario's own fusion, late)")
+    if "runs" in flags:
+        group.add_argument("--runs", type=int, default=runs,
+                           help="simulation runs per campaign (default: %(default)s)")
+    if "seed" in flags:
+        group.add_argument("--seed", type=int, default=seed,
+                           help="root seed (default: %(default)s)")
 
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, values)
-        _mark_provided(namespace, self.dest)
+
+def _add_execution_args(parser: argparse.ArgumentParser, *, engine: bool = True) -> None:
+    """Declare ``--jobs`` and, unless ``engine=False``, ``--engine`` / ``--batch-size``."""
+    group = parser.add_argument_group("execution")
+    group.add_argument("--jobs", type=int, default=0,
+                       help="worker processes (0/1 = serial, -1 = all CPUs)")
+    if engine:
+        group.add_argument("--engine", default="scalar", choices=("scalar", "batch"),
+                           help="simulation engine: 'scalar' steps one run at a "
+                           "time, 'batch' advances --batch-size runs in lockstep "
+                           "per work item (bit-identical results)")
+        group.add_argument("--batch-size", type=int, default=16,
+                           help="lockstep runs per work item when --engine batch "
+                           "(default: %(default)s)")
 
 
-class _TrackedStoreTrue(argparse.Action):
-    def __init__(self, option_strings, dest, **kwargs):
-        super().__init__(option_strings, dest, nargs=0, const=True, default=False, **kwargs)
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, True)
-        _mark_provided(namespace, self.dest)
+def _add_store_arg(parser: argparse.ArgumentParser, *, required: bool = True) -> None:
+    parser.add_argument("--store", required=required,
+                        help="experiment-store root: durably records runs, "
+                        "datasets, models and search checkpoints")
 
 
-def _mark_provided(namespace: argparse.Namespace, dest: str) -> None:
-    # The set lives on the namespace (never as a parser default): a default
-    # would be one shared instance mutated across parse_args calls.
-    provided = getattr(namespace, "_provided", None)
-    if provided is None:
-        provided = set()
-        setattr(namespace, "_provided", provided)
-    provided.add(dest)
+def _add_param_arg(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--param", action="append", metavar="PATH=SPEC",
+                        help="axis as namespace.field=low:high[:points] or "
+                        "=v1,v2,... (repeatable; default: the ScenarioVariation "
+                        "sampling ranges)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -95,89 +143,34 @@ def build_parser() -> argparse.ArgumentParser:
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    parser.add_argument("--runs", type=int, default=10, action=_TrackedStore,
-                        help="simulation runs per campaign")
-    parser.add_argument("--seed", type=int, default=2020, action=_TrackedStore,
-                        help="root seed for the campaigns")
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=0,
-        action=_TrackedStore,
-        help="worker processes (0/1 = serial, -1 = all CPUs)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        action=_TrackedStore,
-        help="persist trained predictors and campaign results under this directory",
-    )
-    parser.add_argument(
-        "--store",
-        default=None,
-        action=_TrackedStore,
-        help="experiment-store root: durably record every run and make the "
-        "campaign resumable",
-    )
-    parser.add_argument(
-        "--scenario",
-        default=None,
-        action=_TrackedStore,
-        help="run one campaign against this scenario instead of the Table II suite",
-    )
-    parser.add_argument(
-        "--attacker",
-        default="robotack",
-        action=_TrackedStore,
-        help="attacker kind for --scenario mode (robotack, robotack_no_sh, random, none)",
-    )
-    parser.add_argument(
-        "--vector",
-        default=None,
-        action=_TrackedStore,
-        help="attack vector for --scenario mode (disappear, move_out, move_in)",
-    )
-    parser.add_argument(
-        "--predictor",
-        default="neural",
-        action=_TrackedStore,
-        help="safety-potential oracle (neural, kinematic)",
-    )
-    parser.add_argument(
-        "--fusion",
-        default=None,
-        action=_TrackedStore,
-        help="fusion-policy victim variant (late, camera_only, lidar_only, "
-        "consistency_gated); default: the scenario's own fusion (late)",
-    )
-    parser.add_argument(
-        "--engine",
-        default="scalar",
-        choices=("scalar", "batch"),
-        action=_TrackedStore,
-        help="simulation engine: 'scalar' steps one run at a time, 'batch' "
-        "advances --batch-size runs in lockstep per work item (bit-identical "
-        "results, composes with --jobs and --store)",
-    )
-    parser.add_argument(
-        "--batch-size",
-        type=int,
-        default=16,
-        action=_TrackedStore,
-        help="lockstep runs per work item when --engine batch",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action=_TrackedStoreTrue,
-        help="bypass the campaign result cache (predictors are still reused)",
-    )
-    parser.add_argument(
-        "--list-scenarios",
-        action=_TrackedStoreTrue,
-        help="print the registered scenario catalog and exit",
-    )
+    subparsers = parser.add_subparsers(dest="command", required=True)
 
-    subparsers = parser.add_subparsers(dest="command")
+    table2 = subparsers.add_parser(
+        "table2",
+        help="reproduce the paper's Table II campaigns and headline findings",
+        description=(
+            "Run the six RoboTack campaigns of paper Table II plus the DS-5 "
+            "random baseline, then print the reproduced table and the §I "
+            "headline findings."
+        ),
+    )
+    _add_campaign_args(table2, ("predictor", "fusion", "runs", "seed"))
+    _add_execution_args(table2)
+    _add_store_arg(table2, required=False)
+    table2.set_defaults(handler=_run_table2)
+
+    run = subparsers.add_parser(
+        "run",
+        help="run one campaign against any registered scenario",
+        description=(
+            "Run one seeded campaign (scenario, attacker, vector) and print its "
+            "summary row."
+        ),
+    )
+    _add_campaign_args(run)
+    _add_execution_args(run)
+    _add_store_arg(run, required=False)
+    run.set_defaults(handler=_run_single_campaign)
 
     sweep = subparsers.add_parser(
         "sweep",
@@ -186,34 +179,11 @@ def build_parser() -> argparse.ArgumentParser:
             "Expand a parameter space over variation.*, simulation.*, "
             "detector.*, and fusion.* axes into one campaign per sweep "
             "point, execute the batch, and durably record every run in the "
-            "experiment store."
+            "experiment store.  --fusion sets every point's base policy; "
+            "fusion.* axes apply on top of it."
         ),
     )
-    # Subcommand flags share names with the top-level flags but get their
-    # own dests ("sub_*"): argparse would otherwise let the subparser's
-    # defaults silently clobber values the user set before the subcommand.
-    # main() remaps them after rejecting that ambiguous mixed form outright.
-    sweep.add_argument("--scenario", dest="sub_scenario", required=True,
-                       help="scenario id to sweep")
-    sweep.add_argument("--store", dest="sub_store", required=True,
-                       help="experiment-store root")
-    sweep.add_argument(
-        "--attacker",
-        dest="sub_attacker",
-        default="none",
-        help="attacker kind for every sweep point (default: none = golden runs)",
-    )
-    sweep.add_argument("--vector", dest="sub_vector", default=None,
-                       help="attack vector (robotack modes)")
-    sweep.add_argument("--predictor", dest="sub_predictor", default="neural",
-                       help="safety oracle kind")
-    sweep.add_argument("--fusion", dest="sub_fusion", default=None,
-                       help="fusion-policy victim variant for every sweep "
-                       "point (fusion.* axes apply on top of it)")
-    sweep.add_argument("--runs", dest="sub_runs", type=int, default=3,
-                       help="runs per sweep point")
-    sweep.add_argument("--seed", dest="sub_seed", type=int, default=2020,
-                       help="root seed per campaign")
+    _add_campaign_args(sweep, runs=3, attacker="none")
     sweep.add_argument(
         "--sampler",
         default="lhs",
@@ -232,83 +202,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--sweep-seed", type=int, default=None,
         help="seed of the space sampler itself (random/lhs; default 0)",
     )
-    sweep.add_argument(
-        "--param",
-        action="append",
-        default=None,
-        metavar="PATH=SPEC",
-        help="axis as namespace.field=low:high[:points] or =v1,v2,... "
-        "(repeatable; default: the ScenarioVariation sampling ranges)",
-    )
-    sweep.add_argument("--jobs", dest="sub_jobs", type=int, default=0,
-                       help="worker processes (0/1 serial, -1 all CPUs)")
-    sweep.add_argument("--engine", dest="sub_engine", default="scalar",
-                       choices=("scalar", "batch"),
-                       help="simulation engine per sweep point (bit-identical)")
-    sweep.add_argument("--batch-size", dest="sub_batch_size", type=int, default=16,
-                       help="lockstep runs per work item when --engine batch")
+    _add_param_arg(sweep)
+    _add_execution_args(sweep)
+    _add_store_arg(sweep)
     sweep.add_argument(
         "--dry-run",
         action="store_true",
         help="print the expanded sweep points without executing them",
     )
-
-    train = subparsers.add_parser(
-        "train",
-        help="collect, train, and persist the safety-hijacker oracle",
-        description=(
-            "Run the end-to-end training pipeline for one (scenario, vector) "
-            "pair: fan the scripted-attack collection grid out over worker "
-            "processes (resumable via the store's dataset records), train the "
-            "paper's 100-100-50 oracle, and publish it into the store's "
-            "content-addressed model registry for later campaigns to load."
-        ),
-    )
-    train.add_argument("--scenario", dest="sub_scenario", required=True,
-                       help="scenario id to train for")
-    train.add_argument("--vector", dest="sub_vector", required=True,
-                       help="attack vector (disappear, move_out, move_in)")
-    train.add_argument("--store", dest="sub_store", required=True,
-                       help="experiment-store root (datasets + model registry)")
-    train.add_argument("--seed", dest="sub_seed", type=int, default=7,
-                       help="root seed of the collection grid (and of training)")
-    train.add_argument("--repeats", type=int, default=2,
-                       help="simulations per (delta_inject, k) grid point")
-    train.add_argument("--epochs", type=int, default=200,
-                       help="training epochs")
-    train.add_argument("--learning-rate", type=float, default=1e-3,
-                       help="Adam learning rate")
-    train.add_argument("--jobs", dest="sub_jobs", type=int, default=0,
-                       help="worker processes for collection (0/1 serial, -1 all CPUs)")
-    train.add_argument(
-        "--force",
-        action="store_true",
-        help="retrain even when the spec is already registered in the store",
-    )
-
-    resume = subparsers.add_parser(
-        "resume",
-        help="finish every interrupted campaign recorded in an experiment store",
-        description=(
-            "Scan the store manifests for campaigns with missing run indices, "
-            "execute only the missing runs, and print the merged summaries — "
-            "bit-identical to campaigns that were never interrupted."
-        ),
-    )
-    resume.add_argument("--store", dest="sub_store", required=True,
-                       help="experiment-store root")
-    resume.add_argument("--jobs", dest="sub_jobs", type=int, default=0,
-                       help="worker processes (0/1 serial, -1 all CPUs)")
-    resume.add_argument("--engine", dest="sub_engine", default="scalar",
-                        choices=("scalar", "batch"),
-                        help="simulation engine for the missing runs (records "
-                        "are engine-independent, so mixing is safe)")
-    resume.add_argument("--batch-size", dest="sub_batch_size", type=int, default=16,
-                        help="lockstep runs per work item when --engine batch")
-    resume.add_argument("--fusion", dest="sub_fusion", default=None,
-                        help="only resume campaigns whose effective fusion "
-                        "policy matches (stored configs without a fusion "
-                        "override count as 'late')")
+    sweep.set_defaults(handler=_run_sweep)
 
     search = subparsers.add_parser(
         "search",
@@ -324,22 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
             "resumes mid-iteration without re-proposing."
         ),
     )
-    search.add_argument("--scenario", dest="sub_scenario", required=True,
-                        help="scenario id to search")
-    search.add_argument("--store", dest="sub_store", required=True,
-                        help="experiment-store root (runs, checkpoints, report)")
-    search.add_argument("--attacker", dest="sub_attacker", default="robotack",
-                        help="attacker kind for every search point")
-    search.add_argument("--vector", dest="sub_vector", default=None,
-                        help="attack vector (robotack modes)")
-    search.add_argument("--predictor", dest="sub_predictor", default="neural",
-                        help="safety oracle kind")
-    search.add_argument("--fusion", dest="sub_fusion", default=None,
-                        help="fusion-policy victim variant for every point")
-    search.add_argument("--runs", dest="sub_runs", type=int, default=3,
-                        help="runs per search point (the per-point sample size)")
-    search.add_argument("--seed", dest="sub_seed", type=int, default=2020,
-                        help="root seed per campaign")
+    _add_campaign_args(search, runs=3)
     search.add_argument(
         "--sampler", default="ce",
         help="adaptive sampler: ce (cross-entropy), ucb / thompson "
@@ -371,48 +258,154 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-iterations", type=int, default=None,
         help="cap the iterations executed by this invocation (resume later)",
     )
-    search.add_argument(
-        "--param",
-        action="append",
-        default=None,
-        metavar="PATH=SPEC",
-        help="axis as namespace.field=low:high[:points] or =v1,v2,... "
-        "(repeatable; default: the ScenarioVariation sampling ranges)",
+    _add_param_arg(search)
+    _add_execution_args(search)
+    _add_store_arg(search)
+    search.set_defaults(handler=_run_search)
+
+    train = subparsers.add_parser(
+        "train",
+        help="collect, train, and persist the safety-hijacker oracle",
+        description=(
+            "Run the end-to-end training pipeline for one (scenario, vector) "
+            "pair: fan the scripted-attack collection grid out over worker "
+            "processes (resumable via the store's dataset records), train the "
+            "paper's 100-100-50 oracle, and publish it into the store's "
+            "content-addressed model registry for later campaigns to load."
+        ),
     )
-    search.add_argument("--jobs", dest="sub_jobs", type=int, default=0,
-                        help="worker processes (0/1 serial, -1 all CPUs)")
-    search.add_argument("--engine", dest="sub_engine", default="scalar",
-                        choices=("scalar", "batch"),
-                        help="simulation engine per search point (bit-identical)")
-    search.add_argument("--batch-size", dest="sub_batch_size", type=int, default=16,
-                        help="lockstep runs per work item when --engine batch")
+    _add_campaign_args(train, ("scenario", "vector", "seed"), seed=7, vector_required=True)
+    train.add_argument("--repeats", type=int, default=2,
+                       help="simulations per (delta_inject, k) grid point")
+    train.add_argument("--epochs", type=int, default=200,
+                       help="training epochs")
+    train.add_argument("--learning-rate", type=float, default=1e-3,
+                       help="Adam learning rate")
+    _add_execution_args(train, engine=False)
+    _add_store_arg(train)
+    train.add_argument(
+        "--force",
+        action="store_true",
+        help="retrain even when the spec is already registered in the store",
+    )
+    train.set_defaults(handler=_run_train)
+
+    resume = subparsers.add_parser(
+        "resume",
+        help="finish every interrupted campaign recorded in an experiment store",
+        description=(
+            "Scan the store manifests for campaigns with missing run indices, "
+            "execute only the missing runs, and print the merged summaries — "
+            "bit-identical to campaigns that were never interrupted.  With "
+            "--fusion, only campaigns whose effective fusion policy matches "
+            "are resumed (stored configs without a fusion override count as "
+            "'late'); records are engine-independent, so any --engine is safe."
+        ),
+    )
+    _add_campaign_args(resume, ("fusion",))
+    _add_execution_args(resume)
+    _add_store_arg(resume)
+    resume.set_defaults(handler=_run_resume)
+
+    scenarios = subparsers.add_parser(
+        "scenarios", help="print the registered scenario catalog",
+    )
+    scenarios.set_defaults(handler=_print_scenarios)
     return parser
 
 
-def _adopt_subcommand_args(args: argparse.Namespace) -> None:
-    """Reject pre-subcommand top-level flags, then canonicalize ``sub_*`` dests.
+# ---------------------------------------------------------------------- #
+# Flag validation
+# ---------------------------------------------------------------------- #
 
-    ``repro-campaign --runs 5 sweep ...`` is ambiguous (argparse would let the
-    sweep's own ``--runs`` default win silently); fail loudly and tell the
-    user where the flag belongs — even when the typed value equals the
-    default (the tracked actions record what was actually provided).  Flags
-    the subcommand does not declare at all (e.g. ``--cache-dir``) are
-    rejected for the same reason.
-    """
-    provided = sorted(getattr(args, "_provided", set()))
-    if provided:
-        flags = ", ".join("--" + name.replace("_", "-") for name in provided)
+
+def _check_scenario(scenario_id: str) -> None:
+    from repro.sim.scenarios import list_scenario_ids
+
+    if scenario_id not in list_scenario_ids():
         raise SystemExit(
-            f"{flags}: pass options after the {args.command!r} subcommand "
-            f"(e.g. repro-campaign {args.command} {flags.split(',')[0]} ...)"
+            f"unknown scenario {scenario_id!r}; available: {list_scenario_ids()}"
         )
-    for name in ("scenario", "store", "attacker", "vector", "predictor",
-                 "fusion", "runs", "seed", "jobs", "engine", "batch_size"):
-        if hasattr(args, "sub_" + name):
-            setattr(args, name, getattr(args, "sub_" + name))
 
 
-def _print_scenarios() -> None:
+def _parse_choice(kind, value: str, what: str):
+    """Convert a flag value into the enum ``kind`` with a one-line error."""
+    try:
+        return kind(value)
+    except ValueError:
+        raise SystemExit(
+            f"unknown {what} {value!r}; choose from {[member.value for member in kind]}"
+        ) from None
+
+
+def _parse_vector(name: str):
+    from repro.core.attack_vectors import AttackVector
+
+    try:
+        return AttackVector.from_string(name)
+    except ValueError as error:
+        raise SystemExit(str(error)) from None
+
+
+def _parse_fusion(policy: Optional[str]):
+    """Convert ``--fusion POLICY`` into a FusionConfig (or None when unset)."""
+    from repro.perception.fusion import FusionConfig, list_fusion_policies
+
+    if policy is None:
+        return None
+    if policy not in list_fusion_policies():
+        raise SystemExit(
+            f"unknown fusion policy {policy!r}; choose from {list_fusion_policies()}"
+        )
+    return FusionConfig(policy=policy)
+
+
+def _parse_space(args: argparse.Namespace):
+    """The ``--param`` axes as a ParameterSpace (``None`` when none given)."""
+    from repro.sim.sweeps import ParameterSpace, parse_axis
+
+    if not args.param:
+        return None
+    try:
+        return ParameterSpace(dict(parse_axis(axis) for axis in args.param))
+    except ValueError as error:
+        raise SystemExit(str(error)) from None
+
+
+def _base_config(args: argparse.Namespace, suffix: str):
+    """The campaign the identity flags describe, id ``<scenario>-<Vector>-<suffix>``."""
+    from repro.core.attack_vectors import AttackVector
+    from repro.experiments.campaign import AttackerKind, CampaignConfig, PredictorKind
+
+    _check_scenario(args.scenario)
+    attacker = _parse_choice(AttackerKind, args.attacker, "attacker")
+    vector = _parse_vector(args.vector) if args.vector is not None else None
+    predictor = _parse_choice(PredictorKind, args.predictor, "predictor")
+    if vector is None and attacker in (AttackerKind.ROBOTACK, AttackerKind.ROBOTACK_NO_SH):
+        raise SystemExit(
+            f"attacker {attacker.value!r} needs an attack vector; pass "
+            f"--vector {{{', '.join(v.name.lower() for v in AttackVector)}}}"
+        )
+    fusion = _parse_fusion(args.fusion)
+    vector_label = vector.name.title() if vector is not None else attacker.value.title()
+    return CampaignConfig(
+        campaign_id=f"{args.scenario}-{vector_label}-{suffix}",
+        scenario_id=args.scenario,
+        attacker=attacker,
+        vector=vector,
+        n_runs=args.runs,
+        seed=args.seed,
+        predictor=predictor,
+        fusion=fusion,
+    )
+
+
+# ---------------------------------------------------------------------- #
+# Subcommand handlers
+# ---------------------------------------------------------------------- #
+
+
+def _print_scenarios(args: argparse.Namespace) -> None:
     from repro.sim.scenarios import scenario_catalog
 
     print("Registered driving scenarios:")
@@ -420,24 +413,11 @@ def _print_scenarios() -> None:
         print(f"  {scenario_id:<6s} {description}")
 
 
-def _parse_fusion(args: argparse.Namespace):
-    """Convert ``--fusion POLICY`` into a FusionConfig (or None when unset)."""
-    from repro.perception.fusion import FusionConfig, list_fusion_policies
-
-    if args.fusion is None:
-        return None
-    if args.fusion not in list_fusion_policies():
-        raise SystemExit(
-            f"unknown fusion policy {args.fusion!r}; "
-            f"choose from {list_fusion_policies()}"
-        )
-    return FusionConfig(policy=args.fusion)
-
-
-def _run_table2_suite(args: argparse.Namespace) -> None:
+def _run_table2(args: argparse.Namespace) -> None:
     import dataclasses
 
     from repro.experiments.campaign import (
+        PredictorKind,
         baseline_random_campaign,
         run_campaigns,
         standard_campaigns,
@@ -445,9 +425,12 @@ def _run_table2_suite(args: argparse.Namespace) -> None:
     from repro.experiments.metrics import summarize_campaign
     from repro.experiments.tables import headline_findings
 
-    configs = list(standard_campaigns(n_runs=args.runs, seed=args.seed))
-    configs.append(baseline_random_campaign(n_runs=args.runs, seed=args.seed))
-    fusion = _parse_fusion(args)
+    predictor = _parse_choice(PredictorKind, args.predictor, "predictor")
+    fusion = _parse_fusion(args.fusion)
+    configs = [
+        *standard_campaigns(n_runs=args.runs, seed=args.seed, predictor=predictor),
+        baseline_random_campaign(n_runs=args.runs, seed=args.seed),
+    ]
     if fusion is not None:
         configs = [dataclasses.replace(config, fusion=fusion) for config in configs]
     print(
@@ -456,7 +439,6 @@ def _run_table2_suite(args: argparse.Namespace) -> None:
     )
     results = run_campaigns(
         configs,
-        use_cache=not args.no_cache,
         executor=args.jobs,
         store=args.store,
         engine=args.engine,
@@ -476,65 +458,14 @@ def _run_table2_suite(args: argparse.Namespace) -> None:
     )
 
 
-def _parse_campaign_kinds(args: argparse.Namespace):
-    """Validate/convert the (scenario, attacker, vector, predictor) flags."""
-    from repro.core.attack_vectors import AttackVector
-    from repro.experiments.campaign import AttackerKind, PredictorKind
-    from repro.sim.scenarios import list_scenario_ids
-
-    if args.scenario not in list_scenario_ids():
-        raise SystemExit(
-            f"unknown scenario {args.scenario!r}; available: {list_scenario_ids()}"
-        )
-    try:
-        attacker = AttackerKind(args.attacker)
-    except ValueError:
-        raise SystemExit(
-            f"unknown attacker {args.attacker!r}; "
-            f"choose from {[kind.value for kind in AttackerKind]}"
-        ) from None
-    vector = None
-    if args.vector is not None:
-        try:
-            vector = AttackVector.from_string(args.vector)
-        except ValueError as error:
-            raise SystemExit(str(error)) from None
-    try:
-        predictor = PredictorKind(args.predictor)
-    except ValueError:
-        raise SystemExit(
-            f"unknown predictor {args.predictor!r}; "
-            f"choose from {[kind.value for kind in PredictorKind]}"
-        ) from None
-    if vector is None and attacker in (AttackerKind.ROBOTACK, AttackerKind.ROBOTACK_NO_SH):
-        raise SystemExit(
-            f"attacker {attacker.value!r} needs an attack vector; pass "
-            f"--vector {{{', '.join(v.name.lower() for v in AttackVector)}}}"
-        )
-    return attacker, vector, predictor
-
-
 def _run_single_campaign(args: argparse.Namespace) -> None:
-    from repro.experiments.campaign import CampaignConfig, run_campaign
+    from repro.experiments.campaign import run_campaign
     from repro.experiments.metrics import summarize_campaign
 
-    attacker, vector, predictor = _parse_campaign_kinds(args)
-    fusion = _parse_fusion(args)
-    vector_label = vector.name.title() if vector is not None else attacker.value.title()
-    config = CampaignConfig(
-        campaign_id=f"{args.scenario}-{vector_label}-cli",
-        scenario_id=args.scenario,
-        attacker=attacker,
-        vector=vector,
-        n_runs=args.runs,
-        seed=args.seed,
-        predictor=predictor,
-        fusion=fusion,
-    )
+    config = _base_config(args, "cli")
     print(f"Running {config.campaign_id}: {args.runs} runs (jobs={args.jobs}) ...")
     result = run_campaign(
         config,
-        use_cache=not args.no_cache,
         executor=args.jobs,
         store=args.store,
         engine=args.engine,
@@ -544,29 +475,12 @@ def _run_single_campaign(args: argparse.Namespace) -> None:
 
 
 def _run_sweep(args: argparse.Namespace) -> None:
-    from repro.experiments.campaign import CampaignConfig, run_campaigns
+    from repro.experiments.campaign import run_campaigns
     from repro.experiments.metrics import summarize_campaign
-    from repro.sim.sweeps import ParameterSpace, parse_axis, sweep_campaigns
+    from repro.sim.sweeps import sweep_campaigns
 
-    attacker, vector, predictor = _parse_campaign_kinds(args)
-    fusion = _parse_fusion(args)
-    space = None
-    if args.param:
-        try:
-            space = ParameterSpace(dict(parse_axis(axis) for axis in args.param))
-        except ValueError as error:
-            raise SystemExit(str(error)) from None
-    vector_label = vector.name.title() if vector is not None else attacker.value.title()
-    base = CampaignConfig(
-        campaign_id=f"{args.scenario}-{vector_label}-sweep",
-        scenario_id=args.scenario,
-        attacker=attacker,
-        vector=vector,
-        n_runs=args.runs,
-        seed=args.seed,
-        predictor=predictor,
-        fusion=fusion,
-    )
+    base = _base_config(args, "sweep")
+    space = _parse_space(args)
     try:
         configs = sweep_campaigns(
             base, space, sampler=args.sampler, n=args.n, seed=args.sweep_seed
@@ -594,7 +508,6 @@ def _run_sweep(args: argparse.Namespace) -> None:
 
 
 def _run_search(args: argparse.Namespace) -> None:
-    from repro.experiments.campaign import CampaignConfig
     from repro.experiments.store import ExperimentStore
     from repro.experiments.tables import search_report_from_store
     from repro.search import (
@@ -603,10 +516,9 @@ def _run_search(args: argparse.Namespace) -> None:
         list_objectives,
         list_search_samplers,
     )
-    from repro.sim.sweeps import ParameterSpace, default_variation_space, parse_axis
+    from repro.sim.sweeps import default_variation_space
 
-    attacker, vector, predictor = _parse_campaign_kinds(args)
-    fusion = _parse_fusion(args)
+    base = _base_config(args, "search")
     if args.sampler not in list_search_samplers():
         raise SystemExit(
             f"unknown search sampler {args.sampler!r}; "
@@ -617,24 +529,9 @@ def _run_search(args: argparse.Namespace) -> None:
             f"unknown objective {args.objective!r}; "
             f"choose from {list_objectives()}"
         )
-    if args.param:
-        try:
-            space = ParameterSpace(dict(parse_axis(axis) for axis in args.param))
-        except ValueError as error:
-            raise SystemExit(str(error)) from None
-    else:
+    space = _parse_space(args)
+    if space is None:
         space = default_variation_space()
-    vector_label = vector.name.title() if vector is not None else attacker.value.title()
-    base = CampaignConfig(
-        campaign_id=f"{args.scenario}-{vector_label}-search",
-        scenario_id=args.scenario,
-        attacker=attacker,
-        vector=vector,
-        n_runs=args.runs,
-        seed=args.seed,
-        predictor=predictor,
-        fusion=fusion,
-    )
     try:
         spec = SearchSpec(
             base=base,
@@ -699,36 +596,32 @@ def _loss_curve_report(train_loss: List[float], validation_loss: List[float]) ->
 
 
 def _run_train(args: argparse.Namespace) -> None:
-    from repro.core.attack_vectors import AttackVector
     from repro.core.training import train_and_register_predictor, training_spec_hash
-    from repro.experiments.campaign import training_grid_for
+    from repro.experiments.campaign import (
+        CampaignConfig,
+        oracle_spec_hash,
+        training_grid_for,
+    )
     from repro.experiments.store import ExperimentStore
-    from repro.sim.scenarios import list_scenario_ids
 
-    if args.scenario not in list_scenario_ids():
-        raise SystemExit(
-            f"unknown scenario {args.scenario!r}; available: {list_scenario_ids()}"
-        )
-    try:
-        vector = AttackVector.from_string(args.vector)
-    except ValueError as error:
-        raise SystemExit(str(error)) from None
+    _check_scenario(args.scenario)
+    vector = _parse_vector(args.vector)
     store = ExperimentStore(args.store)
-    if args.repeats != 2 or args.learning_rate != 1e-3:
-        # Campaign lookups hash the spec with the fixed campaign-side
-        # collection parameters; a model trained off those defaults is still
-        # registered and loadable by hash, but won't be auto-loaded.
-        print(
-            "note: campaigns look up oracles with repeats=2 and "
-            "learning-rate=1e-3; this model will not be auto-loaded by "
-            "`repro-campaign --store` runs."
-        )
     delta_grid, k_grid = training_grid_for(args.scenario)
     spec_hash = training_spec_hash(
         args.scenario, vector, delta_grid, k_grid,
         collect_seed=args.seed, repeats=args.repeats, epochs=args.epochs,
         learning_rate=args.learning_rate,
     )
+    auto_loaded = spec_hash == oracle_spec_hash(args.scenario, vector)
+    if not auto_loaded:
+        # The model is still registered and loadable by hash; campaigns just
+        # resolve a different spec and would train their own oracle.
+        print(
+            "note: campaigns look up oracles trained with --seed 7 --repeats 2 "
+            f"--epochs {CampaignConfig.training_epochs} --learning-rate 1e-3; "
+            "this model will not be auto-loaded by `repro-campaign run --store` runs."
+        )
     if not args.force:
         # Existence check only — don't deserialize the weights just to
         # discard them; the report below comes from the registry metadata.
@@ -763,11 +656,12 @@ def _run_train(args: argparse.Namespace) -> None:
     )
     print(_loss_curve_report(history.train_loss, history.validation_loss))
     print(f"Registered model {artifact.model_hash[:12]} at {artifact.model_dir}")
-    print(
-        f"Campaigns against this store now load the pretrained oracle, e.g.\n"
-        f"  repro-campaign --scenario {args.scenario} --attacker robotack "
-        f"--vector {vector.name.lower()} --store {args.store}"
-    )
+    if auto_loaded:
+        print(
+            f"Campaigns against this store now load the pretrained oracle, e.g.\n"
+            f"  repro-campaign run --scenario {args.scenario} --attacker robotack "
+            f"--vector {vector.name.lower()} --store {args.store}"
+        )
 
 
 def _run_resume(args: argparse.Namespace) -> None:
@@ -781,25 +675,19 @@ def _run_resume(args: argparse.Namespace) -> None:
     if not Path(args.store).expanduser().is_dir():
         # A mistyped path must not masquerade as "every campaign complete".
         raise SystemExit(f"no experiment store at {args.store!r} (directory not found)")
+    fusion = _parse_fusion(args.fusion)
     store = ExperimentStore(args.store)
     worklist = store.incomplete_campaigns()
-    if args.fusion is not None:
-        from repro.perception.fusion import list_fusion_policies
-
-        if args.fusion not in list_fusion_policies():
-            raise SystemExit(
-                f"unknown fusion policy {args.fusion!r}; "
-                f"choose from {list_fusion_policies()}"
-            )
+    if fusion is not None:
         worklist = [
             (config, missing)
             for config, missing in worklist
-            if config.fusion_policy == args.fusion
+            if config.fusion_policy == fusion.policy
         ]
         if not worklist:
             print(
                 f"Nothing to resume: no incomplete campaign in {args.store} "
-                f"runs the {args.fusion!r} fusion policy."
+                f"runs the {fusion.policy!r} fusion policy."
             )
             return
     if not worklist:
@@ -825,39 +713,14 @@ def _run_resume(args: argparse.Namespace) -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(list(argv) if argv is not None else None)
-
-    if args.command is not None:
-        _adopt_subcommand_args(args)
-
-    if args.runs < 1:
+    args = build_parser().parse_args(argv)
+    if getattr(args, "runs", 1) < 1:
         raise SystemExit("--runs must be a positive number of simulation runs")
-    if args.jobs < -1:
+    if getattr(args, "jobs", 0) < -1:
         raise SystemExit("--jobs must be -1 (all CPUs), 0/1 (serial), or a worker count")
-    if args.batch_size < 1:
+    if getattr(args, "batch_size", 1) < 1:
         raise SystemExit("--batch-size must be a positive number of lockstep runs")
-
-    if args.list_scenarios:
-        _print_scenarios()
-        return 0
-
-    if args.cache_dir:
-        from repro.experiments.campaign import set_cache_dir
-
-        set_cache_dir(args.cache_dir)
-
-    if args.command == "sweep":
-        _run_sweep(args)
-    elif args.command == "train":
-        _run_train(args)
-    elif args.command == "resume":
-        _run_resume(args)
-    elif args.command == "search":
-        _run_search(args)
-    elif args.scenario is not None:
-        _run_single_campaign(args)
-    else:
-        _run_table2_suite(args)
+    args.handler(args)
     return 0
 
 

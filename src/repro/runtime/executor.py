@@ -113,11 +113,11 @@ class ParallelExecutor(Executor):
     output bit-identical to serial output.
 
     Workers are started with the ``fork`` method where the platform offers it,
-    so per-process state set up before the fan-out — scenarios registered by
-    downstream plugins via ``@register_scenario``, cache directories set with
-    ``set_cache_dir`` — is visible inside the workers.  On spawn-only
-    platforms (Windows) such state must instead be established at module
-    import time, because workers re-import modules from scratch.
+    so per-process state set up before the fan-out — such as scenarios
+    registered by downstream plugins via ``@register_scenario`` — is visible
+    inside the workers.  On spawn-only platforms (Windows) such state must
+    instead be established at module import time, because workers re-import
+    modules from scratch.
     """
 
     def __init__(

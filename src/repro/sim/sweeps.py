@@ -278,16 +278,6 @@ class ParameterSpace:
             for row in units
         ]
 
-    def _assignments_from_units(self, units: np.ndarray) -> List[Assignment]:
-        """Deprecated private alias of :meth:`sample_from` (kept one release)."""
-        warnings.warn(
-            "ParameterSpace._assignments_from_units is deprecated; use the "
-            "public sample_from(units) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.sample_from(units)
-
 
 #: Default number of sweep points for the stochastic samplers (random/lhs).
 DEFAULT_SWEEP_POINTS = 50

@@ -408,8 +408,8 @@ class TestPerceptionSystem:
         assert abs(lead.lateral_m) < 1.0
 
     def test_camera_only_mode_uses_camera_only_policy(self):
-        config = PerceptionConfig(use_lidar=False)
-        assert config.fusion_policy == "camera_only"
+        config = PerceptionConfig(fusion=FusionConfig(policy="camera_only"))
+        assert config.fusion.policy == "camera_only"
         system = PerceptionSystem(config, rng=np.random.default_rng(2))
         assert type(system.fusion) is CameraOnlyFusion
         scenario = build_scenario("DS-1", ScenarioVariation.nominal())
@@ -422,29 +422,10 @@ class TestPerceptionSystem:
         assert output.obstacles
         assert output.obstacles[0].sources == ("camera",)
 
-    def test_use_lidar_false_identical_to_camera_only_policy(self):
-        # The deprecated ``use_lidar=False`` flag is an alias for the
-        # ``camera_only`` policy — same code path, identical outputs.
-        legacy = PerceptionSystem(
-            PerceptionConfig(use_lidar=False), rng=np.random.default_rng(7)
-        )
-        policy = PerceptionSystem(
-            PerceptionConfig(fusion=FusionConfig(policy="camera_only")),
-            rng=np.random.default_rng(7),
-        )
-        scenario = build_scenario("DS-2", ScenarioVariation.nominal())
-        camera = CameraSensor()
-        for _ in range(20):
-            snapshot = scenario.world.snapshot()
-            legacy_out = legacy.process(camera.capture(snapshot), None, 12.5)
-            policy_out = policy.process(camera.capture(snapshot), None, 12.5)
-            assert legacy_out.obstacles == policy_out.obstacles
-            scenario.world.step(FRAME_DT, 0.0)
-
     def test_perception_config_resolves_policy_from_fusion(self):
-        assert PerceptionConfig().fusion_policy == "late"
+        assert PerceptionConfig().fusion.policy == "late"
         config = PerceptionConfig(fusion=FusionConfig(policy="lidar_only"))
-        assert config.fusion_policy == "lidar_only"
+        assert config.fusion.policy == "lidar_only"
         system = PerceptionSystem(config, rng=np.random.default_rng(8))
         assert type(system.fusion) is LidarOnlyFusion
 

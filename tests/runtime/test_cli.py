@@ -1,9 +1,54 @@
 """Tests for the ``repro-campaign`` console entry point."""
 
+import argparse
+import re
+
 import pytest
 
 from repro.experiments.campaign import clear_caches
 from repro.runtime.cli import build_parser, main
+
+COMMANDS = ("table2", "run", "sweep", "search", "train", "resume", "scenarios")
+
+#: Minimal argv per subcommand and the defaults it must parse to.
+_DEFAULTS = {
+    "table2": (
+        [],
+        dict(predictor="neural", fusion=None, runs=10, seed=2020, jobs=0,
+             engine="scalar", batch_size=16, store=None),
+    ),
+    "run": (
+        ["--scenario", "DS-1"],
+        dict(attacker="robotack", vector=None, predictor="neural", fusion=None,
+             runs=10, seed=2020, jobs=0, engine="scalar", batch_size=16, store=None),
+    ),
+    "sweep": (
+        ["--scenario", "DS-1", "--store", "/unused"],
+        dict(attacker="none", vector=None, predictor="neural", fusion=None,
+             runs=3, seed=2020, jobs=0, engine="scalar", batch_size=16,
+             sampler="lhs", param=None),
+    ),
+    "search": (
+        ["--scenario", "DS-3", "--store", "/unused"],
+        dict(attacker="robotack", vector=None, predictor="neural", fusion=None,
+             runs=3, seed=2020, jobs=0, engine="scalar", batch_size=16,
+             sampler="ce", param=None),
+    ),
+    "train": (
+        ["--scenario", "DS-2", "--vector", "disappear", "--store", "/unused"],
+        dict(seed=7, repeats=2, epochs=200, learning_rate=1e-3, jobs=0, force=False),
+    ),
+    "resume": (
+        ["--store", "/unused"],
+        dict(fusion=None, jobs=0, engine="scalar", batch_size=16),
+    ),
+    "scenarios": ([], {}),
+}
+
+
+def _subparsers(parser: argparse.ArgumentParser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
 
 
 @pytest.fixture(autouse=True)
@@ -13,16 +58,73 @@ def _fresh_caches():
     clear_caches()
 
 
+class TestParserStructure:
+    def test_subcommands(self):
+        assert tuple(_subparsers(build_parser())) == COMMANDS
+
+    def test_top_level_parser_declares_only_help(self):
+        options = [a.option_strings for a in build_parser()._actions if a.option_strings]
+        assert options == [["-h", "--help"]]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help_lists_every_option_once(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        listed = []
+        for line in capsys.readouterr().out.splitlines():
+            if line.startswith("  -"):
+                invocation = re.split(r"\s{2,}", line.strip())[0]
+                listed += re.findall(r"(?<![\w-])--?[a-z][\w-]*", invocation)
+        declared = [
+            option
+            for action in _subparsers(build_parser())[command]._actions
+            for option in action.option_strings
+        ]
+        assert len(listed) == len(set(listed))
+        assert sorted(listed) == sorted(declared)
+
+    def test_defaults_hold_for_every_subcommand(self):
+        # One parser, every subcommand: a default shared through one argparse
+        # Action would show up here as the last-built subcommand's value.
+        parser = build_parser()
+        for command in COMMANDS + COMMANDS[::-1]:
+            argv, defaults = _DEFAULTS[command]
+            args = parser.parse_args([command, *argv])
+            assert args.command == command
+            for name, value in defaults.items():
+                assert getattr(args, name) == value, (command, name)
+
+    def test_bare_invocation_prints_usage_and_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([])
+        assert exit_info.value.code == 2
+        assert "usage: repro-campaign" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--runs", "5", "sweep", "--scenario", "DS-1", "--store", "/unused"],
+            ["--seed", "5", "train", "--scenario", "DS-2", "--vector", "disappear",
+             "--store", "/unused"],
+        ],
+    )
+    def test_flags_before_the_subcommand_are_rejected(self, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code != 0
+
+
 class TestCli:
     def test_list_scenarios(self, capsys):
-        assert main(["--list-scenarios"]) == 0
+        assert main(["scenarios"]) == 0
         out = capsys.readouterr().out
         for scenario_id in ("DS-1", "DS-5", "DS-6", "DS-7"):
             assert scenario_id in out
 
     def test_single_campaign_without_attacker(self, capsys):
         code = main(
-            ["--scenario", "DS-1", "--attacker", "none", "--runs", "2", "--seed", "3"]
+            ["run", "--scenario", "DS-1", "--attacker", "none", "--runs", "2", "--seed", "3"]
         )
         assert code == 0
         out = capsys.readouterr().out
@@ -30,36 +132,21 @@ class TestCli:
 
     def test_unknown_scenario_exits_with_error(self):
         with pytest.raises(SystemExit):
-            main(["--scenario", "DS-99", "--runs", "1"])
+            main(["run", "--scenario", "DS-99", "--runs", "1"])
 
     def test_unknown_attacker_exits_with_error(self):
         with pytest.raises(SystemExit):
-            main(["--scenario", "DS-1", "--attacker", "quantum", "--runs", "1"])
+            main(["run", "--scenario", "DS-1", "--attacker", "quantum", "--runs", "1"])
 
     def test_unknown_vector_exits_with_error(self):
         with pytest.raises(SystemExit):
-            main(["--scenario", "DS-1", "--vector", "teleport", "--runs", "1"])
-
-    def test_cache_dir_flag_routes_artifacts_to_disk(self, tmp_path, capsys):
-        code = main(
-            [
-                "--scenario", "DS-1", "--attacker", "none",
-                "--runs", "1", "--cache-dir", str(tmp_path),
-            ]
-        )
-        assert code == 0
-        capsys.readouterr()
-        assert list(tmp_path.glob("campaigns/*.pkl"))
-        # Restore the caches' default (env-based) directory for other tests.
-        from repro.experiments.campaign import set_cache_dir
-
-        set_cache_dir(None)
+            main(["run", "--scenario", "DS-1", "--vector", "teleport", "--runs", "1"])
 
     def test_single_campaign_with_batch_engine(self, tmp_path, capsys):
         """--engine batch composes with --store and records every run."""
         code = main(
             [
-                "--scenario", "DS-3", "--attacker", "none", "--runs", "3",
+                "run", "--scenario", "DS-3", "--attacker", "none", "--runs", "3",
                 "--seed", "3", "--engine", "batch", "--batch-size", "2",
                 "--store", str(tmp_path / "runs"),
             ]
@@ -74,39 +161,76 @@ class TestCli:
 
     def test_invalid_engine_exits_with_error(self):
         with pytest.raises(SystemExit):
-            main(["--scenario", "DS-1", "--runs", "1", "--engine", "vectorized"])
+            main(["run", "--scenario", "DS-1", "--runs", "1", "--engine", "vectorized"])
 
     def test_non_positive_batch_size_exits_with_error(self):
         with pytest.raises(SystemExit):
             main(
-                ["--scenario", "DS-1", "--attacker", "none", "--runs", "1",
+                ["run", "--scenario", "DS-1", "--attacker", "none", "--runs", "1",
                  "--engine", "batch", "--batch-size", "0"]
             )
 
     def test_parser_defaults(self):
-        args = build_parser().parse_args([])
+        args = build_parser().parse_args(["run", "--scenario", "DS-1"])
         assert args.runs == 10
         assert args.engine == "scalar"
         assert args.batch_size == 16
         assert args.jobs == 0
-        assert args.scenario is None
+        assert args.scenario == "DS-1"
         assert args.store is None
-        assert args.command is None
+        assert args.command == "run"
 
     def test_store_flag_records_runs_durably(self, tmp_path, capsys):
         code = main(
             [
-                "--scenario", "DS-1", "--attacker", "none",
+                "run", "--scenario", "DS-1", "--attacker", "none",
                 "--runs", "2", "--store", str(tmp_path),
             ]
         )
         assert code == 0
         capsys.readouterr()
-        from repro.experiments.store import ExperimentStore
+        from repro.experiments.campaign import AttackerKind, CampaignConfig
+        from repro.experiments.store import ExperimentStore, config_hash
 
         store = ExperimentStore(tmp_path)
-        assert len(store.manifests()) == 1
+        ((stored_hash, config),) = store.manifests().items()
+        # The CLI's campaign ids (and so existing stores' hashes) are stable.
+        assert stored_hash == config_hash(
+            CampaignConfig(campaign_id="DS-1-None-cli", scenario_id="DS-1",
+                           attacker=AttackerKind.NONE, n_runs=2, seed=2020)
+        )
         assert sum(1 for _ in store.iter_records(scenario_id="DS-1")) == 2
+
+
+class TestTable2Cli:
+    def test_predictor_flag_reaches_every_robotack_campaign(self, monkeypatch):
+        from repro.experiments import campaign
+
+        captured = []
+
+        class _Captured(Exception):
+            pass
+
+        def fake_run_campaigns(configs, **kwargs):
+            captured.extend(configs)
+            raise _Captured
+
+        monkeypatch.setattr(campaign, "run_campaigns", fake_run_campaigns)
+        with pytest.raises(_Captured):
+            main(["table2", "--predictor", "kinematic", "--runs", "1"])
+        robotack = [c for c in captured if c.attacker is campaign.AttackerKind.ROBOTACK]
+        assert len(robotack) == 6
+        assert all(c.predictor is campaign.PredictorKind.KINEMATIC for c in robotack)
+
+    @pytest.mark.parametrize("flag", ["--scenario", "--attacker", "--vector"])
+    def test_flags_table2_ignores_are_not_accepted(self, flag):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["table2", flag, "DS-1"])
+        assert exit_info.value.code == 2
+
+    def test_unknown_predictor_exits_with_error(self):
+        with pytest.raises(SystemExit, match="unknown predictor"):
+            main(["table2", "--predictor", "oracle"])
 
 
 class TestSweepCli:
@@ -173,14 +297,6 @@ class TestSweepCli:
         with pytest.raises(SystemExit):
             main(["sweep", "--scenario", "DS-99", "--store", "/unused", "--dry-run"])
 
-    def test_top_level_flags_before_subcommand_are_rejected(self):
-        # argparse would otherwise let the sweep's own --runs default silently
-        # clobber the user's value; fail loudly instead.
-        with pytest.raises(SystemExit, match="after the 'sweep' subcommand"):
-            main(["--runs", "5", "sweep", "--scenario", "DS-1", "--store", "/unused"])
-        with pytest.raises(SystemExit, match="after the 'resume' subcommand"):
-            main(["--seed", "99", "resume", "--store", "/unused"])
-
     def test_subcommand_flags_reach_the_sweep(self, capsys):
         code = main(
             [
@@ -196,7 +312,7 @@ class TestFusionCli:
     def test_run_with_fusion_records_policy_in_manifest(self, tmp_path, capsys):
         code = main(
             [
-                "--scenario", "DS-1", "--attacker", "none", "--runs", "1",
+                "run", "--scenario", "DS-1", "--attacker", "none", "--runs", "1",
                 "--seed", "3", "--fusion", "lidar_only", "--store", str(tmp_path),
             ]
         )
@@ -210,7 +326,7 @@ class TestFusionCli:
     def test_fusion_composes_with_batch_engine(self, capsys):
         code = main(
             [
-                "--scenario", "DS-1", "--attacker", "none", "--runs", "2",
+                "run", "--scenario", "DS-1", "--attacker", "none", "--runs", "2",
                 "--seed", "3", "--fusion", "consistency_gated", "--engine", "batch",
             ]
         )
@@ -220,7 +336,7 @@ class TestFusionCli:
     def test_unknown_fusion_policy_exits_with_error(self):
         with pytest.raises(SystemExit, match="unknown fusion policy"):
             main(
-                ["--scenario", "DS-1", "--attacker", "none", "--runs", "1",
+                ["run", "--scenario", "DS-1", "--attacker", "none", "--runs", "1",
                  "--fusion", "ekf"]
             )
 
@@ -345,10 +461,28 @@ class TestTrainCli:
             main(["train", "--scenario", "DS-2", "--vector", "teleport",
                   "--store", "/unused"])
 
-    def test_top_level_flags_before_train_are_rejected(self):
-        with pytest.raises(SystemExit, match="after the 'train' subcommand"):
-            main(["--seed", "5", "train", "--scenario", "DS-2",
-                  "--vector", "disappear", "--store", "/unused"])
+    def test_note_when_campaigns_will_not_load_the_model(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # Campaigns resolve the oracle by (seed 7, repeats 2, 200 epochs, lr
+        # 1e-3); any other spec must say it will not be auto-loaded.
+        from repro.core import training
+
+        class _Stop(Exception):
+            pass
+
+        def stop(*args, **kwargs):
+            raise _Stop
+
+        monkeypatch.setattr(training, "train_and_register_predictor", stop)
+        argv = ["train", "--scenario", "DS-2", "--vector", "disappear",
+                "--store", str(tmp_path)]
+        with pytest.raises(_Stop):
+            main(argv + ["--epochs", "3"])
+        assert "will not be auto-loaded" in capsys.readouterr().out
+        with pytest.raises(_Stop):
+            main(argv)
+        assert "will not be auto-loaded" not in capsys.readouterr().out
 
 
 class TestResumeCli:

@@ -110,13 +110,3 @@ class TestCampaignCaching:
         parallel = run_campaign(self._config(), executor=2)
         cached = run_campaign(self._config())
         assert cached is parallel
-
-    def test_disk_backed_cache_survives_memory_clear(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        first = run_campaign(self._config())
-        clear_caches()  # drops the memory layer; disk files remain
-        reloaded = run_campaign(self._config())
-        assert reloaded is not first
-        assert reloaded.n_runs == first.n_runs
-        for left, right in zip(first.runs, reloaded.runs):
-            assert_runs_identical(left, right)

@@ -1,11 +1,11 @@
-"""Tests for the runtime registry and artifact cache."""
+"""Tests for the runtime registry and the canonical cache-key encoding."""
 
 import enum
 from dataclasses import dataclass
 
 import pytest
 
-from repro.runtime.cache import ArtifactCache, default_cache_dir, encode_key
+from repro.runtime.cache import encode_key
 from repro.runtime.registry import Registry, RegistryError
 
 
@@ -115,90 +115,3 @@ class TestEncodeKey:
     def test_unhashable_key_types_rejected(self):
         with pytest.raises(TypeError):
             encode_key(object())
-
-
-class TestArtifactCache:
-    def test_memory_roundtrip_and_identity(self):
-        cache = ArtifactCache("test")
-        value = {"weights": [1.0, 2.0]}
-        cache.put(("a", 1), value)
-        assert cache.get(("a", 1)) is value
-        assert ("a", 1) in cache
-        assert cache.get(("missing",)) is None
-        assert cache.get(("missing",), default=7) == 7
-
-    def test_get_or_create_builds_once(self):
-        cache = ArtifactCache("test")
-        calls = []
-
-        def factory():
-            calls.append(1)
-            return "artifact"
-
-        assert cache.get_or_create("k", factory) == "artifact"
-        assert cache.get_or_create("k", factory) == "artifact"
-        assert len(calls) == 1
-
-    def test_clear(self):
-        cache = ArtifactCache("test")
-        cache.put("k", 1)
-        cache.clear()
-        assert "k" not in cache
-
-    def test_disk_backing_survives_memory_clear(self, tmp_path):
-        cache = ArtifactCache("predictors", cache_dir=tmp_path)
-        cache.put(("DS-1", _Color.RED), [1, 2, 3])
-        cache.clear()  # drop the memory layer only
-        assert cache.get(("DS-1", _Color.RED)) == [1, 2, 3]
-
-    def test_disk_backing_shared_between_instances(self, tmp_path):
-        # Simulates two processes pointing at the same cache directory.
-        writer = ArtifactCache("campaigns", cache_dir=tmp_path)
-        writer.put("key", {"runs": 30})
-        reader = ArtifactCache("campaigns", cache_dir=tmp_path)
-        assert reader.get("key") == {"runs": 30}
-
-    def test_disk_clear_removes_files(self, tmp_path):
-        cache = ArtifactCache("test", cache_dir=tmp_path)
-        cache.put("k", 1)
-        cache.clear(disk=True)
-        assert cache.get("k") is None
-        assert not list((tmp_path / "test").glob("*.pkl"))
-
-    def test_corrupt_disk_entry_is_a_miss(self, tmp_path):
-        cache = ArtifactCache("test", cache_dir=tmp_path)
-        cache.put("k", 1)
-        cache.clear()
-        for path in (tmp_path / "test").glob("*.pkl"):
-            path.write_bytes(b"not a pickle")
-        assert cache.get("k") is None
-
-    def test_corrupt_disk_entry_is_quarantined_and_rebuilt(self, tmp_path, caplog):
-        cache = ArtifactCache("test", cache_dir=tmp_path)
-        cache.put("k", 1)
-        cache.clear()
-        (corrupted,) = (tmp_path / "test").glob("*.pkl")
-        corrupted.write_bytes(b"not a pickle")
-        with caplog.at_level("WARNING", logger="repro.runtime.cache"):
-            assert cache.get("k") is None
-        # The doomed entry is moved aside (kept for triage), not retried.
-        assert not corrupted.exists()
-        assert corrupted.with_name(corrupted.name + ".corrupt").exists()
-        assert any(
-            "quarantined corrupt entry" in record.getMessage()
-            for record in caplog.records
-        )
-        # A later get_or_create misses cleanly and rebuilds through the factory.
-        assert cache.get_or_create("k", lambda: 2) == 2
-        cache.clear()
-        assert cache.get("k") == 2
-
-    def test_env_var_enables_disk_layer(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        assert default_cache_dir() == tmp_path
-        cache = ArtifactCache("envtest")
-        cache.put("k", "v")
-        cache.clear()
-        assert cache.get("k") == "v"
-        monkeypatch.delenv("REPRO_CACHE_DIR")
-        assert default_cache_dir() is None

@@ -18,8 +18,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.ads.agent import AdsAgent
-from repro.ads.planning import PlannerConfig
 from repro.core.attack_vectors import AttackVector
 from repro.core.safety_hijacker import KinematicSafetyPredictor
 from repro.experiments.campaign import (
@@ -34,7 +32,6 @@ from repro.experiments.campaign import (
 from repro.geometry import Vec2
 from repro.perception.detection import DetectorDegradation
 from repro.perception.fusion import FusionConfig, SensorFusion, list_fusion_policies
-from repro.perception.pipeline import PerceptionConfig
 from repro.sensors.camera import CameraSensor
 from repro.sim.batch import BatchRunSpec, BatchSimulator
 from repro.sim.events import EventKind
@@ -159,25 +156,6 @@ class TestScalarBatchEquivalence:
         batch = BatchSimulator(
             [BatchRunSpec(scenario=scenario, ads=ads, attacker=attacker, rng=rng)]
         ).run()[0]
-        _assert_bit_identical(scalar, batch)
-
-    def test_camera_only_agent_is_supported(self):
-        """A ``use_lidar=False`` agent resolves to the camera_only policy and
-        runs bit-identically on the batch engine (it used to be rejected)."""
-        def setup():
-            scenario = build_scenario("DS-1")
-            ads = AdsAgent(
-                road=scenario.road,
-                planner_config=PlannerConfig(cruise_speed_mps=scenario.cruise_speed_mps),
-                perception_config=PerceptionConfig(use_lidar=False),
-                rng=np.random.default_rng(_ADS_SEED),
-            )
-            return scenario, ads, np.random.default_rng(_SIM_SEED)
-
-        scenario, ads, rng = setup()
-        scalar = Simulator(scenario, ads, rng=rng).run()
-        scenario, ads, rng = setup()
-        batch = BatchSimulator([BatchRunSpec(scenario=scenario, ads=ads, rng=rng)]).run()[0]
         _assert_bit_identical(scalar, batch)
 
     def test_custom_fusion_policy_is_rejected(self):

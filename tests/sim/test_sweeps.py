@@ -308,12 +308,6 @@ class TestUnitCubeBridge:
         with pytest.raises(KeyError, match="declared axes"):
             self.SPACE.spec("variation.pedestrian_delay_s")
 
-    def test_private_alias_is_deprecated_but_equivalent(self):
-        units = np.random.default_rng(0).uniform(size=(3, 2))
-        with pytest.deprecated_call():
-            legacy = self.SPACE._assignments_from_units(units)
-        assert legacy == self.SPACE.sample_from(units)
-
 
 class TestGeneratorSeeds:
     """random / latin_hypercube accept a Generator directly (stream reuse)."""
