@@ -108,6 +108,17 @@ class TestLongitudinalPlanner:
         assert decision.desired_acceleration_mps2 < 0
         assert decision.lead_obstacle is not None
 
+    def test_lead_is_nearest_in_path_obstacle_on_unsorted_input(self, planner):
+        # ``plan`` accepts any WorldModel, not only fusion's distance-sorted
+        # output: the lead must be the nearest relevant obstacle, not the
+        # first one listed.
+        far = obstacle(45, 0.0, speed=5.0, obstacle_id="far", actor_id=1)
+        near = obstacle(25, 0.0, speed=5.0, obstacle_id="near", actor_id=2)
+        decision = planner.plan(world(ego_speed=12.5, obstacles=[far, near]))
+        assert decision.lead_obstacle is near
+        gap = planner.predictor.bumper_gap(near)
+        assert decision.perceived_delta_m == planner.safety_model.safety_potential(gap, 12.5)
+
     def test_ignores_parked_vehicle_in_parking_lane(self, planner):
         decision = planner.plan(world(ego_speed=12.5, obstacles=[obstacle(40, -3.5, speed=0.0)]))
         assert decision.lead_obstacle is None
