@@ -85,21 +85,13 @@ class AdsAgent:
             obstacles=perception_output.obstacles,
         )
         planning = self.planner.plan(world_model)
-
-        # PID speed trim: nudges the planned acceleration so the ego speed
-        # converges on the planner's target speed without overshoot.
-        speed_error = planning.target_speed_mps - ego_pose.speed_mps
-        trim = self.speed_pid.update(speed_error, dt)
-        desired = planning.desired_acceleration_mps2
-        if not planning.emergency_brake and desired > -self.planner_config.comfortable_decel_mps2:
-            desired = float(
-                min(
-                    max(desired + 0.2 * trim, -self.planner_config.comfortable_decel_mps2),
-                    self.planner_config.max_accel_mps2,
-                )
-            )
-
-        smoothed = self.smoother.smooth(desired, dt, emergency=planning.emergency_brake)
+        smoothed = self.actuate(
+            planning.desired_acceleration_mps2,
+            planning.emergency_brake,
+            planning.target_speed_mps,
+            ego_pose.speed_mps,
+            dt,
+        )
         return AdsDecision(
             acceleration_mps2=smoothed,
             emergency_brake=planning.emergency_brake,
@@ -108,3 +100,29 @@ class AdsAgent:
             perception=perception_output,
             world_model=world_model,
         )
+
+    def actuate(
+        self,
+        desired_accel: float,
+        emergency: bool,
+        target_speed_mps: float,
+        ego_speed_mps: float,
+        dt: float,
+    ) -> float:
+        """Turn one planned acceleration into the smoothed command.
+
+        The PID speed trim nudges the planned acceleration so the ego speed
+        converges on the planner's target speed without overshoot (skipped
+        while braking hard or in an emergency); the smoother then limits the
+        jerk.  The batch engine calls this directly.
+        """
+        trim = self.speed_pid.update(target_speed_mps - ego_speed_mps, dt)
+        config = self.planner_config
+        comfort_floor = -config.comfortable_decel_mps2
+        if not emergency and desired_accel > comfort_floor:
+            # min(max(trimmed, comfort_floor), max_accel) as conditional expressions.
+            trimmed = desired_accel + 0.2 * trim
+            trimmed = comfort_floor if comfort_floor > trimmed else trimmed
+            max_accel = config.max_accel_mps2
+            desired_accel = float(max_accel if max_accel < trimmed else trimmed)
+        return self.smoother.smooth(desired_accel, dt, emergency)

@@ -54,7 +54,8 @@ class PIDController:
             # (conditional anti-windup).
             self._integral = candidate_integral
             return output
-        return min(max(output, self.output_min), self.output_max)
+        output = self.output_min if self.output_min > output else output
+        return self.output_max if self.output_max < output else output
 
 
 @dataclass
@@ -79,6 +80,10 @@ class ActuationSmoother:
             raise ValueError("dt must be positive")
         jerk_limit = self.emergency_jerk_mps3 if emergency else self.comfort_jerk_mps3
         max_change = jerk_limit * dt
-        change = min(max(desired_accel - self._last_accel, -max_change), max_change)
+        # min(max(change, -max_change), max_change), without the builtin calls
+        # (this runs once per lane-step on the batch engine).
+        change = desired_accel - self._last_accel
+        change = -max_change if -max_change > change else change
+        change = max_change if max_change < change else change
         self._last_accel += change
         return self._last_accel

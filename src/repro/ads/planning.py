@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence, Tuple
 
 from repro.ads.prediction import ObstaclePredictor, PredictionConfig
 from repro.ads.safety import SafetyModel
@@ -93,7 +93,12 @@ class PlanningDecision:
 
 
 class LongitudinalPlanner:
-    """IDM-style longitudinal planning with emergency-braking escalation."""
+    """IDM-style longitudinal planning with emergency-braking escalation.
+
+    :meth:`plan_rows` is the planner, on the obstacle rows of
+    :mod:`repro.perception.fusion`; :meth:`plan` adapts a :class:`WorldModel`
+    to it.  The batch simulation engine calls :meth:`plan_rows` directly.
+    """
 
     def __init__(self, road: Road, config: PlannerConfig | None = None):
         self.config = config or PlannerConfig()
@@ -110,95 +115,95 @@ class LongitudinalPlanner:
 
     def plan(self, world: WorldModel) -> PlanningDecision:
         """Produce the desired acceleration for the current world model."""
+        obstacles = world.obstacles
+        desired, emergency, perceived_delta, lead, target_speed = self.plan_rows(
+            self.predictor.rows(obstacles), world.ego.speed_mps
+        )
+        return PlanningDecision(
+            desired_acceleration_mps2=desired,
+            emergency_brake=emergency,
+            perceived_delta_m=perceived_delta,
+            lead_obstacle=None if lead is None else obstacles[lead],
+            target_speed_mps=target_speed,
+        )
+
+    def plan_rows(
+        self, obstacles: Sequence[tuple], ego_speed: float
+    ) -> Tuple[float, bool, float, Optional[int], float]:
+        """Plan on obstacle rows ``(kind, distance, lateral, speed,
+        lateral_velocity, ...)`` in any order.
+
+        Returns (desired acceleration, emergency brake, perceived safety
+        potential — inf without a lead, index of the lead row or ``None``,
+        target speed).  Clamps are written as conditional expressions with
+        ``min``/``max``'s first-argument-wins semantics; they run once per
+        lane-step on the batch engine.
+        """
         cfg = self.config
-        ego_speed = world.ego.speed_mps
-        obstacles = list(world.obstacles)
-        lead = self.predictor.nearest_in_path(obstacles)
+        predictor = self.predictor
+        lead = predictor.lead_index(obstacles)
 
         target_speed = cfg.cruise_speed_mps
-        cautious_pedestrians = self.predictor.pedestrians_near_path(
-            obstacles,
-            max_distance_m=cfg.pedestrian_caution_range_m,
-            caution_margin_m=cfg.pedestrian_caution_margin_m,
-        )
-        if cautious_pedestrians:
-            target_speed = min(target_speed, cfg.pedestrian_caution_speed_mps)
+        for row in obstacles:
+            if predictor.near_path_pedestrian(
+                row[0], row[1], row[2],
+                cfg.pedestrian_caution_range_m, cfg.pedestrian_caution_margin_m,
+            ):
+                caution_speed = cfg.pedestrian_caution_speed_mps
+                target_speed = caution_speed if caution_speed < target_speed else target_speed
+                break
 
-        free_accel = self._free_road_acceleration(ego_speed, target_speed)
+        # IDM free-road term: approach the target speed comfortably.
+        max_accel = cfg.max_accel_mps2
+        comfort_floor = -cfg.comfortable_decel_mps2
+        if target_speed <= 0:
+            free_accel = comfort_floor
+        else:
+            accel = max_accel * (1.0 - (ego_speed / target_speed) ** 4)
+            accel = comfort_floor if comfort_floor > accel else accel
+            free_accel = float(max_accel if max_accel < accel else accel)
 
         if lead is None:
             self._cycles_since_lead_lost += 1
             if self._cycles_since_lead_lost <= cfg.lost_lead_coast_frames:
                 # The lead obstacle vanished from the world model moments ago:
                 # hold speed instead of accelerating into the gap it occupied.
-                free_accel = min(free_accel, 0.0)
-            return PlanningDecision(
-                desired_acceleration_mps2=free_accel,
-                emergency_brake=False,
-                perceived_delta_m=float("inf"),
-                lead_obstacle=None,
-                target_speed_mps=target_speed,
-            )
+                free_accel = 0.0 if 0.0 < free_accel else free_accel
+            return free_accel, False, math.inf, None, target_speed
         self._cycles_since_lead_lost = 0
 
-        gap = max(0.1, self.predictor.bumper_gap(lead))
-        lead_speed = max(0.0, lead.longitudinal_speed_mps)
-        closing_speed = ego_speed - lead_speed
+        row = obstacles[lead]
+        gap = predictor.gap(row[0], row[1])
+        gap = gap if gap > 0.1 else 0.1
+        lead_speed = row[3]
+        closing_speed = ego_speed - (lead_speed if lead_speed > 0.0 else 0.0)
         perceived_delta = self.safety_model.safety_potential(gap, ego_speed)
 
-        interaction_accel = self._idm_acceleration(ego_speed, target_speed, gap, closing_speed)
-        desired = min(free_accel, interaction_accel)
-
-        emergency = self._emergency_required(gap, closing_speed, perceived_delta)
-        if emergency:
-            desired = -cfg.max_decel_mps2
-        else:
-            desired = max(desired, -cfg.comfortable_decel_mps2)
-
-        return PlanningDecision(
-            desired_acceleration_mps2=desired,
-            emergency_brake=emergency,
-            perceived_delta_m=perceived_delta,
-            lead_obstacle=lead,
-            target_speed_mps=target_speed,
-        )
-
-    # ------------------------------------------------------------------ #
-    # Acceleration models
-    # ------------------------------------------------------------------ #
-
-    def _free_road_acceleration(self, ego_speed: float, target_speed: float) -> float:
-        """IDM free-road term: approach the target speed comfortably."""
-        cfg = self.config
-        if target_speed <= 0:
-            return -cfg.comfortable_decel_mps2
-        speed_ratio = ego_speed / target_speed
-        accel = cfg.max_accel_mps2 * (1.0 - speed_ratio**4)
-        return float(min(max(accel, -cfg.comfortable_decel_mps2), cfg.max_accel_mps2))
-
-    def _idm_acceleration(
-        self, ego_speed: float, target_speed: float, gap: float, closing_speed: float
-    ) -> float:
-        """IDM interaction term for car-following."""
-        cfg = self.config
+        # IDM interaction term for car-following.
         desired_gap = (
             cfg.standstill_gap_m
             + ego_speed * cfg.time_headway_s
-            + ego_speed * closing_speed / (2.0 * math.sqrt(cfg.max_accel_mps2 * cfg.comfortable_decel_mps2))
+            + ego_speed * closing_speed
+            / (2.0 * math.sqrt(cfg.max_accel_mps2 * cfg.comfortable_decel_mps2))
         )
-        desired_gap = max(desired_gap, cfg.standstill_gap_m)
-        speed_ratio = ego_speed / max(target_speed, 0.1)
-        accel = cfg.max_accel_mps2 * (1.0 - speed_ratio**4 - (desired_gap / gap) ** 2)
-        return float(min(accel, cfg.max_accel_mps2))
+        if cfg.standstill_gap_m > desired_gap:
+            desired_gap = cfg.standstill_gap_m
+        speed_ratio = ego_speed / (0.1 if 0.1 > target_speed else target_speed)
+        interaction = max_accel * (1.0 - speed_ratio**4 - (desired_gap / gap) ** 2)
+        interaction = float(max_accel if max_accel < interaction else interaction)
+        desired = interaction if interaction < free_accel else free_accel
 
-    def _emergency_required(
-        self, gap: float, closing_speed: float, perceived_delta: float
-    ) -> bool:
-        """Whether the situation demands more than comfortable braking."""
-        cfg = self.config
-        if closing_speed <= 0.3:
-            return False
-        required_decel = closing_speed**2 / (2.0 * max(gap - 1.0, 0.1))
-        if required_decel > cfg.emergency_decel_demand_mps2:
-            return True
-        return perceived_delta < cfg.emergency_delta_m
+        # Escalate when the situation demands more than comfortable braking.
+        emergency = False
+        if not closing_speed <= 0.3:
+            braking_gap = gap - 1.0
+            required_decel = closing_speed**2 / (2.0 * (0.1 if 0.1 > braking_gap else braking_gap))
+            emergency = (
+                required_decel > cfg.emergency_decel_demand_mps2
+                or perceived_delta < cfg.emergency_delta_m
+            )
+        if emergency:
+            desired = -cfg.max_decel_mps2
+        elif comfort_floor > desired:
+            desired = comfort_floor
+        return desired, emergency, perceived_delta, lead, target_speed

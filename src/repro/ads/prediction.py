@@ -15,7 +15,7 @@ membership and therefore the planner's reaction (paper §III-C attack vectors).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple
 
 from repro.perception.fusion import FusedObstacle
 from repro.sim.actors import ActorKind
@@ -56,66 +56,141 @@ class PredictionConfig:
             raise ValueError("horizon must be non-negative")
 
 
+# The two classes and their nominal sizes as plain names: enum attribute and
+# enum-keyed dict lookups are costly on the per-obstacle path.
+_VEHICLE = ActorKind.VEHICLE
+_PEDESTRIAN = ActorKind.PEDESTRIAN
+_VEHICLE_HALF_LENGTH = _NOMINAL_HALF_LENGTH_M[_VEHICLE]
+_PEDESTRIAN_HALF_LENGTH = _NOMINAL_HALF_LENGTH_M[_PEDESTRIAN]
+_PEDESTRIAN_HALF_WIDTH = _NOMINAL_HALF_WIDTH_M[_PEDESTRIAN]
+
+
 class ObstaclePredictor:
-    """Constant-velocity lane-membership prediction for fused obstacles."""
+    """Constant-velocity lane-membership prediction for fused obstacles.
+
+    The row-level methods (:meth:`lead_index`, :meth:`near_path_pedestrian`,
+    :meth:`gap`) take obstacle rows or an obstacle's fields as plain values —
+    the obstacle rows of :mod:`repro.perception.fusion` — and are the one
+    implementation; the :class:`FusedObstacle` methods adapt to them.
+    The ego lane is read from ``road`` once, at construction.
+    """
 
     def __init__(self, road: Road, config: PredictionConfig | None = None):
         self.road = road
         self.config = config or PredictionConfig()
+        lane = road.ego_lane
+        self._lane_min = lane.y_min
+        self._lane_max = lane.y_max
+        # Lateral bounds of the ego path per class: the lane widened by the
+        # lateral margin plus the class's nominal half width.
+        self._vehicle_path = self._widened_lane(self.config.lateral_margin_m, _VEHICLE)
+        self._pedestrian_path = self._widened_lane(self.config.lateral_margin_m, _PEDESTRIAN)
 
-    def half_width(self, obstacle: FusedObstacle) -> float:
-        return _NOMINAL_HALF_WIDTH_M[obstacle.kind]
+    def _widened_lane(self, margin: float, kind: ActorKind) -> Tuple[float, float]:
+        margin = margin + _NOMINAL_HALF_WIDTH_M[kind]
+        return (self._lane_min - margin, self._lane_max + margin)
 
-    def half_length(self, obstacle: FusedObstacle) -> float:
-        return _NOMINAL_HALF_LENGTH_M[obstacle.kind]
+    # ------------------------------------------------------------------ #
+    # Row-level core
+    # ------------------------------------------------------------------ #
+
+    def gap(self, kind: ActorKind, distance: float) -> float:
+        """Bumper-to-bumper gap from the ego front to the obstacle rear."""
+        return distance - (_VEHICLE_HALF_LENGTH if kind is _VEHICLE else _PEDESTRIAN_HALF_LENGTH)
+
+    def _in_path_now(self, kind: ActorKind, lateral: float) -> bool:
+        low, high = self._vehicle_path if kind is _VEHICLE else self._pedestrian_path
+        return low <= lateral <= high
+
+    def _in_path_ahead(
+        self, kind: ActorKind, distance: float, lateral: float, lateral_velocity: float
+    ) -> bool:
+        cfg = self.config
+        if distance < cfg.min_prediction_distance_m:
+            return False
+        if abs(lateral_velocity) < cfg.min_lateral_speed_mps:
+            lateral_velocity = 0.0
+        return self._in_path_now(kind, lateral + lateral_velocity * cfg.horizon_s)
+
+    def lead_index(self, rows: Sequence[tuple]) -> Optional[int]:
+        """Index of the closest obstacle row that is in the ego path now or
+        predicted to be within the horizon (the first on ties).
+
+        Rows are ``(kind, distance, lateral, speed, lateral_velocity, ...)``
+        in any order.
+        """
+        lead = None
+        lead_distance = 0.0
+        for index, row in enumerate(rows):
+            distance = row[1]
+            if distance <= 0 or (lead is not None and not distance < lead_distance):
+                continue
+            kind = row[0]
+            lateral = row[2]
+            # _in_path_now, inlined: this runs per obstacle per planning cycle.
+            low, high = self._vehicle_path if kind is _VEHICLE else self._pedestrian_path
+            if low <= lateral <= high or self._in_path_ahead(kind, distance, lateral, row[4]):
+                lead = index
+                lead_distance = distance
+        return lead
+
+    def near_path_pedestrian(
+        self,
+        kind: ActorKind,
+        distance: float,
+        lateral: float,
+        max_distance_m: float,
+        caution_margin_m: float,
+    ) -> bool:
+        """A pedestrian within ``max_distance_m`` and close to the ego lane
+        boundary (the caution-speed rule)."""
+        if kind is not _PEDESTRIAN or not 0.0 < distance <= max_distance_m:
+            return False
+        margin = caution_margin_m + _PEDESTRIAN_HALF_WIDTH
+        return self._lane_min - margin <= lateral <= self._lane_max + margin
+
+    # ------------------------------------------------------------------ #
+    # FusedObstacle adapters
+    # ------------------------------------------------------------------ #
+
+    @staticmethod
+    def rows(obstacles: Sequence[FusedObstacle]) -> List[tuple]:
+        """Fused obstacles as obstacle rows (their five planning fields)."""
+        return [
+            (o.kind, o.distance_m, o.lateral_m, o.longitudinal_speed_mps,
+             o.lateral_velocity_mps)
+            for o in obstacles
+        ]
 
     def bumper_gap(self, obstacle: FusedObstacle) -> float:
         """Bumper-to-bumper gap from the ego front to the obstacle rear."""
-        return obstacle.distance_m - self.half_length(obstacle)
+        return self.gap(obstacle.kind, obstacle.distance_m)
 
     def currently_in_path(self, obstacle: FusedObstacle) -> bool:
         """Whether the obstacle footprint overlaps the ego lane right now."""
-        margin = self.config.lateral_margin_m + self.half_width(obstacle)
-        return self.road.in_ego_lane(obstacle.lateral_m, margin=margin)
-
-    def predicted_lateral(self, obstacle: FusedObstacle) -> float:
-        """Lateral position extrapolated to the prediction horizon."""
-        lateral_speed = obstacle.lateral_velocity_mps
-        if abs(lateral_speed) < self.config.min_lateral_speed_mps:
-            lateral_speed = 0.0
-        return obstacle.lateral_m + lateral_speed * self.config.horizon_s
+        return self._in_path_now(obstacle.kind, obstacle.lateral_m)
 
     def predicted_in_path(self, obstacle: FusedObstacle) -> bool:
         """Whether the obstacle is expected to overlap the ego lane soon."""
-        if obstacle.distance_m < self.config.min_prediction_distance_m:
-            return False
-        margin = self.config.lateral_margin_m + self.half_width(obstacle)
-        return self.road.in_ego_lane(self.predicted_lateral(obstacle), margin=margin)
-
-    def is_relevant(self, obstacle: FusedObstacle) -> bool:
-        """In path now, or predicted to be in path within the horizon."""
-        if obstacle.distance_m <= 0:
-            return False
-        return self.currently_in_path(obstacle) or self.predicted_in_path(obstacle)
+        return self._in_path_ahead(
+            obstacle.kind, obstacle.distance_m, obstacle.lateral_m,
+            obstacle.lateral_velocity_mps,
+        )
 
     def nearest_in_path(self, obstacles: List[FusedObstacle]) -> Optional[FusedObstacle]:
         """The closest obstacle that is (or will be) in the ego path."""
-        relevant = [o for o in obstacles if self.is_relevant(o)]
-        if not relevant:
-            return None
-        return min(relevant, key=lambda o: o.distance_m)
+        index = self.lead_index(self.rows(obstacles))
+        return None if index is None else obstacles[index]
 
     def pedestrians_near_path(
         self, obstacles: List[FusedObstacle], max_distance_m: float, caution_margin_m: float
     ) -> List[FusedObstacle]:
         """Pedestrians close to the ego lane boundary (caution-speed rule)."""
-        nearby: List[FusedObstacle] = []
-        for obstacle in obstacles:
-            if obstacle.kind is not ActorKind.PEDESTRIAN:
-                continue
-            if not 0.0 < obstacle.distance_m <= max_distance_m:
-                continue
-            margin = caution_margin_m + self.half_width(obstacle)
-            if self.road.in_ego_lane(obstacle.lateral_m, margin=margin):
-                nearby.append(obstacle)
-        return nearby
+        return [
+            obstacle
+            for obstacle in obstacles
+            if self.near_path_pedestrian(
+                obstacle.kind, obstacle.distance_m, obstacle.lateral_m,
+                max_distance_m, caution_margin_m,
+            )
+        ]

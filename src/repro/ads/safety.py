@@ -46,7 +46,7 @@ class SafetyModel:
 
     def stopping_distance(self, speed_mps: float) -> float:
         """``dstop`` for the given ego speed (Definition 3)."""
-        speed = max(0.0, speed_mps)
+        speed = speed_mps if speed_mps > 0.0 else 0.0
         return speed * self.reaction_time_s + speed * speed / (2.0 * self.comfortable_decel_mps2)
 
     def safety_potential(self, gap_m: float, speed_mps: float) -> float:

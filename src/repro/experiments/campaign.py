@@ -172,6 +172,14 @@ class CampaignConfig:
             raise ValueError("n_runs must be positive")
         if self.attacker in (AttackerKind.ROBOTACK, AttackerKind.ROBOTACK_NO_SH) and self.vector is None:
             raise ValueError("RoboTack campaigns must pin an attack vector")
+        if self.simulation.dt != PerceptionConfig.frame_dt_s:
+            # The perception pipeline, its image-to-world transform and
+            # RoboTack's hijacker all difference over one 15 Hz frame.
+            raise ValueError(
+                f"simulation.camera_rate_hz={self.simulation.camera_rate_hz:g} is not "
+                f"supported: perception assumes {1.0 / PerceptionConfig.frame_dt_s:g} Hz "
+                "camera frames"
+            )
 
     @property
     def fusion_policy(self) -> str:

@@ -43,11 +43,31 @@ built-ins ship as first-class victim variants for defense evaluation:
   the two modalities disagree laterally (:class:`ConsistencyGatedFusion`),
   a sparse-fusion-style defense whose arbitration is itself an attack
   surface (perturb one modality, exploit the gate).
+
+Row-level core
+--------------
+
+The built-ins derive from :class:`RowFusionPolicy`: each implements its logic
+once, as :meth:`~RowFusionPolicy.fuse` over plain-float rows, and shares one
+``step`` adapter that converts the dataclasses to rows and the output rows to
+:class:`FusedObstacle`.  The batch simulation engine, which already carries
+rows, calls ``fuse`` on each victim's own policy object, so both engines run
+the same fusion code.  The rows are:
+
+* *estimate rows* ``(distance, lateral, rel_velocity, lateral_velocity,
+  track_id, actor_id, kind, rel_acceleration, age_frames)`` — a
+  :class:`WorldObjectEstimate` as a tuple;
+* *LiDAR rows* ``(distance, lateral, actor_id, kind, vx)`` — a
+  :class:`LidarDetection` as a tuple;
+* *obstacle rows* ``(kind, distance, lateral, speed, lateral_velocity,
+  obstacle_id, sources, actor_id)``, distance-sorted — a
+  :class:`FusedObstacle` with the five fields the planner reads first.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Protocol, Tuple
 
 from repro.perception.transforms import WorldObjectEstimate
@@ -59,6 +79,7 @@ __all__ = [
     "FusionConfig",
     "FusedObstacle",
     "FusionPolicy",
+    "RowFusionPolicy",
     "SensorFusion",
     "CameraOnlyFusion",
     "LidarOnlyFusion",
@@ -183,59 +204,40 @@ class FusedObstacle:
     actor_id: Optional[int] = None
 
 
-@dataclass
-class _FusedTrack:
-    key: str
-    kind: ActorKind
-    actor_id: Optional[int]
-    lateral_history: List[float] = field(default_factory=list)
-    camera_frames_seen: int = 0
-    lidar_scans_seen: int = 0
-    frames_since_camera: int = 10_000
-    scans_since_lidar: int = 10_000
-    camera_distance_m: float = 0.0
-    camera_lateral_m: float = 0.0
-    camera_rel_velocity_mps: float = 0.0
-    lidar_distance_m: float = 0.0
-    lidar_lateral_m: float = 0.0
-    lidar_speed_mps: float = 0.0
-    fused_lateral_m: float = 0.0
-    fused_distance_m: float = 0.0
-    lateral_velocity_mps: float = 0.0
-    registered: bool = False
-    camera_track_id: Optional[int] = None
-    has_camera_history: bool = field(default=False)
-
-    @property
-    def camera_recent(self) -> bool:
-        return self.frames_since_camera == 0
-
-    @property
-    def lidar_recent(self) -> bool:
-        return self.scans_since_lidar <= 2
+_CAMERA = ("camera",)
+_LIDAR = ("lidar",)
+_CAMERA_LIDAR = ("camera", "lidar")
+_distance = itemgetter(1)
 
 
-class SensorFusion:
-    """Blends camera world estimates and LiDAR scans into the ADS world model.
+class RowFusionPolicy:
+    """A fusion policy implemented once, on plain-float rows.
 
-    This is the ``late`` fusion policy — the paper's default victim.  The
-    camera/LiDAR blend weights are factored into :meth:`_blend_weights` so
-    that :class:`ConsistencyGatedFusion` can override the arbitration without
-    duplicating the track lifecycle; with the base weights the arithmetic is
-    bit-identical to the pre-policy implementation.
+    Subclasses implement :meth:`fuse` (see the module docstring for the row
+    layouts) and keep per-object state in ``_tracks``; :meth:`step` is the
+    one adapter from the perception dataclasses.  The batch engine runs a
+    policy only while ``step`` is this adapter, because it calls ``fuse``
+    directly.
     """
 
     def __init__(self, config: FusionConfig | None = None):
         self.config = config or FusionConfig()
-        self._tracks: Dict[str, _FusedTrack] = {}
-
-    def _blend_weights(self, track: _FusedTrack) -> Tuple[float, float]:
-        """(lateral, distance) camera weights for a camera+LiDAR-fresh track."""
-        return (self.config.camera_weight, self.config.camera_distance_weight)
+        self._tracks: Dict[object, object] = {}
 
     def reset(self) -> None:
-        """Drop all fused tracks."""
+        """Drop all per-object state."""
         self._tracks.clear()
+
+    def fuse(
+        self,
+        estimates: List[tuple],
+        lidar: Optional[List[tuple]],
+        ego_speed_mps: float,
+        frame_dt_s: float,
+    ) -> List[tuple]:
+        """Fuse one frame of estimate rows with the latest LiDAR rows (or
+        ``None`` before the first scan) into distance-sorted obstacle rows."""
+        raise NotImplementedError
 
     def step(
         self,
@@ -245,231 +247,243 @@ class SensorFusion:
         frame_dt_s: float,
     ) -> List[FusedObstacle]:
         """Fuse one frame of camera estimates with the latest LiDAR scan."""
-        for track in self._tracks.values():
-            track.frames_since_camera += 1
-            if lidar_scan is not None:
-                track.scans_since_lidar += 1
-
-        self._ingest_camera(camera_estimates)
+        estimates = [
+            (e.distance_m, e.lateral_m, e.relative_longitudinal_velocity_mps,
+             e.lateral_velocity_mps, e.track_id, e.actor_id, e.kind,
+             e.relative_longitudinal_acceleration_mps2, e.age_frames)
+            for e in camera_estimates
+        ]
+        lidar = None
         if lidar_scan is not None:
-            self._ingest_lidar(lidar_scan)
+            lidar = [
+                (d.relative_position.x, d.relative_position.y, d.actor_id, d.kind,
+                 d.velocity.x)
+                for d in lidar_scan.detections
+            ]
+        return [
+            FusedObstacle(row[5], row[0], row[1], row[2], row[3], row[4], row[6], row[7])
+            for row in self.fuse(estimates, lidar, ego_speed_mps, frame_dt_s)
+        ]
 
-        self._update_registration()
-        self._drop_stale_tracks()
-        return self._build_obstacles(ego_speed_mps, frame_dt_s)
 
-    # ------------------------------------------------------------------ #
-    # Ingestion
-    # ------------------------------------------------------------------ #
+def _update_lateral_velocity(track, lateral: float, keep: int, alpha: float,
+                             frame_dt_s: float) -> None:
+    """Differenced-baseline lateral velocity with exponential smoothing.
 
-    def _ingest_camera(self, estimates: List[WorldObjectEstimate]) -> None:
-        for estimate in estimates:
-            track = self._find_or_create_camera_track(estimate)
-            track.camera_frames_seen += 1
-            track.frames_since_camera = 0
-            track.camera_distance_m = estimate.distance_m
-            track.camera_lateral_m = estimate.lateral_m
-            track.camera_rel_velocity_mps = estimate.relative_longitudinal_velocity_mps
-            track.camera_track_id = estimate.track_id
-            track.actor_id = estimate.actor_id
-            track.kind = estimate.kind
-            track.has_camera_history = True
+    ``track`` carries ``lateral_history`` (the last ``keep`` laterals) and
+    ``lateral_velocity``; ``lateral`` is this frame's measurement.
+    """
+    history = track.lateral_history
+    if history and abs(lateral - history[-1]) > 1.0:
+        # A jump this large within one frame is an association or source
+        # switch, not physical motion; restart the baseline so it does not
+        # masquerade as lateral velocity.
+        history.clear()
+        track.lateral_velocity = 0.0
+    history.append(lateral)
+    if len(history) > keep:
+        del history[:-keep]
+    n = len(history)
+    raw = (history[-1] - history[0]) / ((n - 1) * frame_dt_s) if n >= 2 else 0.0
+    track.lateral_velocity = (1 - alpha) * track.lateral_velocity + alpha * raw
 
-    def _find_or_create_camera_track(self, estimate: WorldObjectEstimate) -> _FusedTrack:
-        key = f"cam-{estimate.track_id}"
-        if key in self._tracks:
-            return self._tracks[key]
-        # A new camera track may correspond to an existing fused track (for
-        # example a LiDAR-only object, or a camera track that was re-created
-        # after a misdetection burst); associate by spatial proximity so the
-        # evidence accumulates in one place instead of spawning duplicates.
-        nearest = self._nearest_track(
-            estimate.distance_m, estimate.lateral_m, require_lidar=False
-        )
-        if nearest is not None:
-            return nearest
-        track = _FusedTrack(
-            key=key,
-            kind=estimate.kind,
-            actor_id=estimate.actor_id,
-            fused_lateral_m=estimate.lateral_m,
-            fused_distance_m=estimate.distance_m,
-        )
-        self._tracks[key] = track
-        return track
 
-    def _ingest_lidar(self, scan: LidarScan) -> None:
-        for detection in scan.detections:
-            track = self._nearest_track(
-                detection.distance_m, detection.lateral_m, require_lidar=False
-            )
-            if track is None:
-                key = f"lidar-{detection.actor_id}"
-                track = self._tracks.get(key)
-                if track is None:
-                    track = _FusedTrack(
-                        key=key,
-                        kind=detection.kind,
-                        actor_id=detection.actor_id,
-                        fused_lateral_m=detection.lateral_m,
-                        fused_distance_m=detection.distance_m,
-                    )
-                    self._tracks[key] = track
-            track.lidar_scans_seen += 1
-            track.scans_since_lidar = 0
-            track.lidar_distance_m = detection.distance_m
-            track.lidar_lateral_m = detection.lateral_m
-            track.lidar_speed_mps = detection.velocity.x
-            if track.actor_id is None:
-                track.actor_id = detection.actor_id
+class _FusedTrack:
+    """Camera and LiDAR evidence of one fused object."""
 
-    def _nearest_track(
-        self, distance_m: float, lateral_m: float, require_lidar: bool
-    ) -> Optional[_FusedTrack]:
-        best: Optional[_FusedTrack] = None
-        best_distance = (
-            self.config.association_gate_m
-            + self.config.association_gate_range_factor * max(0.0, distance_m)
+    __slots__ = ("obstacle_id", "kind", "actor_id", "camera_frames_seen",
+                 "lidar_scans_seen", "frames_since_camera", "scans_since_lidar",
+                 "camera_distance", "camera_lateral", "camera_rel_velocity",
+                 "lidar_distance", "lidar_lateral", "lidar_speed", "fused_lateral",
+                 "fused_distance", "lateral_velocity", "lateral_history",
+                 "has_camera_history", "registered")
+
+    def __init__(self, obstacle_id: str, kind: ActorKind, actor_id: Optional[int],
+                 lateral: float, distance: float):
+        self.obstacle_id = obstacle_id
+        self.kind = kind
+        self.actor_id = actor_id
+        self.camera_frames_seen = 0
+        self.lidar_scans_seen = 0
+        self.frames_since_camera = 10_000
+        self.scans_since_lidar = 10_000
+        self.camera_distance = 0.0
+        self.camera_lateral = 0.0
+        self.camera_rel_velocity = 0.0
+        self.lidar_distance = 0.0
+        self.lidar_lateral = 0.0
+        self.lidar_speed = 0.0
+        self.fused_lateral = lateral
+        self.fused_distance = distance
+        self.lateral_velocity = 0.0
+        self.lateral_history: List[float] = []
+        self.has_camera_history = False
+        self.registered = False
+
+
+class SensorFusion(RowFusionPolicy):
+    """Blends camera world estimates and LiDAR scans into the ADS world model.
+
+    This is the ``late`` fusion policy — the paper's default victim.  The
+    camera/LiDAR blend weights are factored into :meth:`_blend_weights` so
+    that :class:`ConsistencyGatedFusion` can override the arbitration without
+    duplicating the track lifecycle.  Camera tracks are keyed by tracker
+    track id, LiDAR-born tracks by ``"lidar-<actor id>"``.
+    """
+
+    def _blend_weights(self, track: _FusedTrack) -> Tuple[float, float]:
+        """(lateral, distance) camera weights for a camera+LiDAR-fresh track."""
+        return (self.config.camera_weight, self.config.camera_distance_weight)
+
+    def _nearest_track(self, distance: float, lateral: float) -> Optional[_FusedTrack]:
+        """The closest track with camera history or recent LiDAR evidence
+        inside the range-widened association gate."""
+        cfg = self.config
+        best = None
+        best_separation = (
+            cfg.association_gate_m
+            + cfg.association_gate_range_factor * (distance if distance > 0.0 else 0.0)
         )
         for track in self._tracks.values():
-            if require_lidar and track.lidar_scans_seen == 0:
+            if not track.has_camera_history and not track.scans_since_lidar <= 2:
                 continue
-            if not require_lidar and not track.has_camera_history and not track.lidar_recent:
-                continue
-            ref_distance = track.fused_distance_m
-            ref_lateral = track.fused_lateral_m
             # Lateral disagreement is weighted heavily: a one-lane lateral
             # offset means a different object even when the ranges are close
             # (e.g. an oncoming vehicle passing the lead vehicle).
-            separation = abs(ref_distance - distance_m) + 2.5 * abs(ref_lateral - lateral_m)
-            if separation < best_distance:
-                best_distance = separation
+            separation = abs(track.fused_distance - distance) + 2.5 * abs(
+                track.fused_lateral - lateral
+            )
+            if separation < best_separation:
+                best_separation = separation
                 best = track
         return best
 
-    # ------------------------------------------------------------------ #
-    # Lifecycle
-    # ------------------------------------------------------------------ #
-
-    def _update_registration(self) -> None:
+    def fuse(self, estimates, lidar, ego_speed_mps, frame_dt_s):
         cfg = self.config
-        for track in self._tracks.values():
-            if track.registered:
-                continue
-            if track.camera_frames_seen > 0 and track.lidar_scans_seen > 0:
-                if track.camera_frames_seen >= cfg.fused_registration_frames:
-                    track.registered = True
-            elif track.camera_frames_seen > 0:
-                if track.camera_frames_seen >= cfg.camera_only_registration_frames:
-                    track.registered = True
-            elif track.lidar_scans_seen >= cfg.lidar_only_registration_scans:
-                track.registered = True
+        tracks = self._tracks
+        for track in tracks.values():
+            track.frames_since_camera += 1
+            if lidar is not None:
+                track.scans_since_lidar += 1
 
-    def _drop_stale_tracks(self) -> None:
-        cfg = self.config
-        stale: List[str] = []
-        for key, track in self._tracks.items():
+        for distance, lateral, rel_velocity, _lv, track_id, actor_id, kind, _a, _age in estimates:
+            track = tracks.get(track_id)
+            if track is None:
+                # A new camera track may correspond to an existing fused track
+                # (a LiDAR-only object, or a camera track re-created after a
+                # misdetection burst); associate by spatial proximity so the
+                # evidence accumulates in one place instead of duplicating.
+                track = self._nearest_track(distance, lateral)
+                if track is None:
+                    track = _FusedTrack(f"cam-{track_id}", kind, actor_id, lateral, distance)
+                    tracks[track_id] = track
+            track.camera_frames_seen += 1
+            track.frames_since_camera = 0
+            track.camera_distance = distance
+            track.camera_lateral = lateral
+            track.camera_rel_velocity = rel_velocity
+            track.actor_id = actor_id
+            track.kind = kind
+            track.has_camera_history = True
+
+        if lidar is not None:
+            for distance, lateral, actor_id, kind, speed in lidar:
+                track = self._nearest_track(distance, lateral)
+                if track is None:
+                    key = f"lidar-{actor_id}"
+                    track = tracks.get(key)
+                    if track is None:
+                        track = _FusedTrack(key, kind, actor_id, lateral, distance)
+                        tracks[key] = track
+                track.lidar_scans_seen += 1
+                track.scans_since_lidar = 0
+                track.lidar_distance = distance
+                track.lidar_lateral = lateral
+                track.lidar_speed = speed
+                if track.actor_id is None:
+                    track.actor_id = actor_id
+
+        # One pass per track: registration, expiry, then the world-model entry.
+        keep = cfg.lateral_velocity_baseline_frames + 1
+        alpha = cfg.lateral_velocity_smoothing
+        stale = []
+        obstacles = []
+        for key, track in tracks.items():
+            # Fused evidence registers fastest, camera-only slower, LiDAR-only
+            # slowest (camera-driven classification).
+            if not track.registered:
+                if track.camera_frames_seen > 0 and track.lidar_scans_seen > 0:
+                    if track.camera_frames_seen >= cfg.fused_registration_frames:
+                        track.registered = True
+                elif track.camera_frames_seen > 0:
+                    if track.camera_frames_seen >= cfg.camera_only_registration_frames:
+                        track.registered = True
+                elif track.lidar_scans_seen >= cfg.lidar_only_registration_scans:
+                    track.registered = True
             if track.has_camera_history:
-                if track.lidar_recent:
-                    if track.frames_since_camera > cfg.lidar_backed_timeout_frames:
-                        stale.append(key)
-                elif track.frames_since_camera > cfg.camera_only_timeout_frames:
+                timeout = (
+                    cfg.lidar_backed_timeout_frames
+                    if track.scans_since_lidar <= 2
+                    else cfg.camera_only_timeout_frames
+                )
+                if track.frames_since_camera > timeout:
                     stale.append(key)
+                    continue
             elif track.scans_since_lidar > cfg.lidar_only_timeout_scans:
                 stale.append(key)
-        for key in stale:
-            del self._tracks[key]
-
-    # ------------------------------------------------------------------ #
-    # Output
-    # ------------------------------------------------------------------ #
-
-    def _build_obstacles(self, ego_speed_mps: float, frame_dt_s: float) -> List[FusedObstacle]:
-        cfg = self.config
-        obstacles: List[FusedObstacle] = []
-        for track in self._tracks.values():
-            sources: List[str] = []
+                continue
             camera_fresh = track.frames_since_camera <= 2 and track.camera_frames_seen > 0
-            lidar_fresh = track.lidar_recent and track.lidar_scans_seen > 0
-            if camera_fresh:
-                sources.append("camera")
-            if lidar_fresh:
-                sources.append("lidar")
-
+            lidar_fresh = track.scans_since_lidar <= 2 and track.lidar_scans_seen > 0
             if camera_fresh and lidar_fresh:
                 lateral_weight, distance_weight = self._blend_weights(track)
                 lateral = (
-                    lateral_weight * track.camera_lateral_m
-                    + (1.0 - lateral_weight) * track.lidar_lateral_m
+                    lateral_weight * track.camera_lateral
+                    + (1.0 - lateral_weight) * track.lidar_lateral
                 )
                 distance = (
-                    distance_weight * track.camera_distance_m
-                    + (1.0 - distance_weight) * track.lidar_distance_m
+                    distance_weight * track.camera_distance
+                    + (1.0 - distance_weight) * track.lidar_distance
                 )
-                speed = track.lidar_speed_mps
+                speed = track.lidar_speed
+                sources = _CAMERA_LIDAR
             elif camera_fresh:
-                lateral = track.camera_lateral_m
-                distance = track.camera_distance_m
-                speed = max(0.0, ego_speed_mps + track.camera_rel_velocity_mps)
+                lateral = track.camera_lateral
+                distance = track.camera_distance
+                speed = ego_speed_mps + track.camera_rel_velocity
+                if not speed > 0.0:
+                    speed = 0.0
+                sources = _CAMERA
             elif lidar_fresh:
-                lateral = track.lidar_lateral_m
-                distance = track.lidar_distance_m
-                speed = track.lidar_speed_mps
+                lateral = track.lidar_lateral
+                distance = track.lidar_distance
+                speed = track.lidar_speed
+                sources = _LIDAR
             else:
-                # Coast on the last fused state while the track is kept alive.
-                lateral = track.fused_lateral_m
-                distance = track.fused_distance_m
-                speed = track.lidar_speed_mps if track.lidar_scans_seen else max(
-                    0.0, ego_speed_mps + track.camera_rel_velocity_mps
-                )
-
-            alpha = cfg.lateral_velocity_smoothing
-            baseline = cfg.lateral_velocity_baseline_frames
-            if not camera_fresh and not lidar_fresh:
-                # Coasting: no new measurement, so the lateral velocity decays
-                # instead of being re-estimated from stale data.
-                track.lateral_velocity_mps *= 0.8
-            else:
-                if (
-                    track.lateral_history
-                    and abs(lateral - track.lateral_history[-1]) > 1.0
-                ):
-                    # A jump this large within one frame is an association or
-                    # source switch, not physical motion; restart the baseline
-                    # so it does not masquerade as lateral velocity.
-                    track.lateral_history.clear()
-                    track.lateral_velocity_mps = 0.0
-                track.lateral_history.append(lateral)
-                if len(track.lateral_history) > baseline + 1:
-                    del track.lateral_history[: -(baseline + 1)]
-                if len(track.lateral_history) >= 2:
-                    span = len(track.lateral_history) - 1
-                    raw_lateral_velocity = (
-                        track.lateral_history[-1] - track.lateral_history[0]
-                    ) / (span * frame_dt_s)
+                # Coast on the last fused state while the track is kept alive;
+                # with no new measurement the lateral velocity decays instead
+                # of being re-estimated from stale data.
+                lateral = track.fused_lateral
+                distance = track.fused_distance
+                if track.lidar_scans_seen:
+                    speed = track.lidar_speed
                 else:
-                    raw_lateral_velocity = 0.0
-                track.lateral_velocity_mps = (
-                    (1 - alpha) * track.lateral_velocity_mps + alpha * raw_lateral_velocity
-                )
-            track.fused_lateral_m = lateral
-            track.fused_distance_m = distance
-
-            if not track.registered:
-                continue
-            obstacles.append(
-                FusedObstacle(
-                    obstacle_id=track.key,
-                    kind=track.kind,
-                    distance_m=distance,
-                    lateral_m=lateral,
-                    longitudinal_speed_mps=speed,
-                    lateral_velocity_mps=track.lateral_velocity_mps,
-                    sources=tuple(sources),
-                    actor_id=track.actor_id,
-                )
-            )
-        obstacles.sort(key=lambda o: o.distance_m)
+                    speed = ego_speed_mps + track.camera_rel_velocity
+                    if not speed > 0.0:
+                        speed = 0.0
+                sources = ()
+            if sources:
+                _update_lateral_velocity(track, lateral, keep, alpha, frame_dt_s)
+            else:
+                track.lateral_velocity *= 0.8
+            track.fused_lateral = lateral
+            track.fused_distance = distance
+            if track.registered:
+                obstacles.append((track.kind, distance, lateral, speed,
+                                  track.lateral_velocity, track.obstacle_id, sources,
+                                  track.actor_id))
+        for key in stale:
+            del tracks[key]
+        obstacles.sort(key=_distance)
         return obstacles
 
 
@@ -486,7 +500,7 @@ class ConsistencyGatedFusion(SensorFusion):
 
     def _blend_weights(self, track: _FusedTrack) -> Tuple[float, float]:
         cfg = self.config
-        if abs(track.camera_lateral_m - track.lidar_lateral_m) > cfg.consistency_gate_m:
+        if abs(track.camera_lateral - track.lidar_lateral) > cfg.consistency_gate_m:
             return (
                 cfg.camera_weight * cfg.consistency_camera_penalty,
                 cfg.camera_distance_weight * cfg.consistency_camera_penalty,
@@ -494,60 +508,50 @@ class ConsistencyGatedFusion(SensorFusion):
         return (cfg.camera_weight, cfg.camera_distance_weight)
 
 
-class CameraOnlyFusion:
+class CameraOnlyFusion(RowFusionPolicy):
     """Pass the camera world estimates straight through as the world model.
 
     One obstacle per camera estimate, in estimate order (already
     distance-sorted by the transform stage), with the ego-relative velocity
     re-absolutized.  This is the reconstruction pipeline RoboTack runs inside
     the attacked process, so it sits on the attacked golden-trace path.
+    Stateless: ``_tracks`` stays empty.
     """
 
-    def __init__(self, config: FusionConfig | None = None):
-        self.config = config or FusionConfig()
-
-    def reset(self) -> None:
-        """Stateless: nothing to drop."""
-
-    def step(
-        self,
-        camera_estimates: List[WorldObjectEstimate],
-        lidar_scan: Optional[LidarScan],
-        ego_speed_mps: float,
-        frame_dt_s: float,
-    ) -> List[FusedObstacle]:
-        return [
-            FusedObstacle(
-                obstacle_id=f"cam-{estimate.track_id}",
-                kind=estimate.kind,
-                distance_m=estimate.distance_m,
-                lateral_m=estimate.lateral_m,
-                longitudinal_speed_mps=max(
-                    0.0, ego_speed_mps + estimate.relative_longitudinal_velocity_mps
-                ),
-                lateral_velocity_mps=estimate.lateral_velocity_mps,
-                sources=("camera",),
-                actor_id=estimate.actor_id,
-            )
-            for estimate in camera_estimates
-        ]
+    def fuse(self, estimates, lidar, ego_speed_mps, frame_dt_s):
+        obstacles = []
+        for (distance, lateral, rel_velocity, lateral_velocity, track_id, actor_id, kind,
+             _accel, _age) in estimates:
+            speed = ego_speed_mps + rel_velocity
+            if not speed > 0.0:
+                speed = 0.0
+            obstacles.append((kind, distance, lateral, speed, lateral_velocity,
+                              f"cam-{track_id}", _CAMERA, actor_id))
+        return obstacles
 
 
-@dataclass
 class _LidarOnlyTrack:
-    kind: ActorKind
-    actor_id: int
-    distance_m: float = 0.0
-    lateral_m: float = 0.0
-    speed_mps: float = 0.0
-    scans_seen: int = 0
-    scans_since: int = 10_000
-    lateral_history: List[float] = field(default_factory=list)
-    lateral_velocity_mps: float = 0.0
-    registered: bool = False
+    """LiDAR evidence of one actor."""
+
+    __slots__ = ("obstacle_id", "kind", "actor_id", "distance", "lateral", "speed",
+                 "scans_seen", "scans_since", "lateral_history", "lateral_velocity",
+                 "registered")
+
+    def __init__(self, kind: ActorKind, actor_id: int):
+        self.obstacle_id = f"lidar-{actor_id}"
+        self.kind = kind
+        self.actor_id = actor_id
+        self.distance = 0.0
+        self.lateral = 0.0
+        self.speed = 0.0
+        self.scans_seen = 0
+        self.scans_since = 10_000
+        self.lateral_history: List[float] = []
+        self.lateral_velocity = 0.0
+        self.registered = False
 
 
-class LidarOnlyFusion:
+class LidarOnlyFusion(RowFusionPolicy):
     """Build the world model from LiDAR returns alone.
 
     Immune to camera-channel perturbation, but blind to camera-only objects
@@ -557,42 +561,27 @@ class LidarOnlyFusion:
     registration persistence (``fused_registration_frames`` scans: LiDAR-only
     here is the *primary* channel, not an unclassified residue, so it
     registers at the fused cadence) and the scan-domain timeout
-    (``lidar_only_timeout_scans``).  The lateral-velocity estimator reuses the
-    late policy's jump-reset + differenced-baseline + exponential smoothing,
-    evaluated only on frames that carry a scan.
+    (``lidar_only_timeout_scans``).  The lateral-velocity estimator is the
+    late policy's, evaluated only on frames whose scan saw the track.
     """
 
-    def __init__(self, config: FusionConfig | None = None):
-        self.config = config or FusionConfig()
-        self._tracks: Dict[int, _LidarOnlyTrack] = {}
-
-    def reset(self) -> None:
-        """Drop all LiDAR tracks."""
-        self._tracks.clear()
-
-    def step(
-        self,
-        camera_estimates: List[WorldObjectEstimate],
-        lidar_scan: Optional[LidarScan],
-        ego_speed_mps: float,
-        frame_dt_s: float,
-    ) -> List[FusedObstacle]:
+    def fuse(self, estimates, lidar, ego_speed_mps, frame_dt_s):
         cfg = self.config
         tracks = self._tracks
-        if lidar_scan is not None:
+        if lidar is not None:
             for track in tracks.values():
                 track.scans_since += 1
-            for detection in lidar_scan.detections:
-                track = tracks.get(detection.actor_id)
+            for distance, lateral, actor_id, kind, speed in lidar:
+                track = tracks.get(actor_id)
                 if track is None:
-                    track = _LidarOnlyTrack(kind=detection.kind, actor_id=detection.actor_id)
-                    tracks[detection.actor_id] = track
+                    track = _LidarOnlyTrack(kind, actor_id)
+                    tracks[actor_id] = track
                 track.scans_seen += 1
                 track.scans_since = 0
-                track.distance_m = detection.distance_m
-                track.lateral_m = detection.lateral_m
-                track.speed_mps = detection.velocity.x
-                track.kind = detection.kind
+                track.distance = distance
+                track.lateral = lateral
+                track.speed = speed
+                track.kind = kind
                 if not track.registered and track.scans_seen >= cfg.fused_registration_frames:
                     track.registered = True
             stale = [
@@ -603,43 +592,19 @@ class LidarOnlyFusion:
             for actor_id in stale:
                 del tracks[actor_id]
 
-        obstacles: List[FusedObstacle] = []
+        keep = cfg.lateral_velocity_baseline_frames + 1
         alpha = cfg.lateral_velocity_smoothing
-        baseline = cfg.lateral_velocity_baseline_frames
+        obstacles = []
         for track in tracks.values():
             if track.scans_since == 0:
-                history = track.lateral_history
-                if history and abs(track.lateral_m - history[-1]) > 1.0:
-                    history.clear()
-                    track.lateral_velocity_mps = 0.0
-                history.append(track.lateral_m)
-                if len(history) > baseline + 1:
-                    del history[: -(baseline + 1)]
-                if len(history) >= 2:
-                    span = len(history) - 1
-                    raw_lateral_velocity = (history[-1] - history[0]) / (span * frame_dt_s)
-                else:
-                    raw_lateral_velocity = 0.0
-                track.lateral_velocity_mps = (
-                    (1 - alpha) * track.lateral_velocity_mps + alpha * raw_lateral_velocity
-                )
+                _update_lateral_velocity(track, track.lateral, keep, alpha, frame_dt_s)
             else:
-                track.lateral_velocity_mps *= 0.8
-            if not track.registered:
-                continue
-            obstacles.append(
-                FusedObstacle(
-                    obstacle_id=f"lidar-{track.actor_id}",
-                    kind=track.kind,
-                    distance_m=track.distance_m,
-                    lateral_m=track.lateral_m,
-                    longitudinal_speed_mps=track.speed_mps,
-                    lateral_velocity_mps=track.lateral_velocity_mps,
-                    sources=("lidar",),
-                    actor_id=track.actor_id,
-                )
-            )
-        obstacles.sort(key=lambda o: o.distance_m)
+                track.lateral_velocity *= 0.8
+            if track.registered:
+                obstacles.append((track.kind, track.distance, track.lateral, track.speed,
+                                  track.lateral_velocity, track.obstacle_id, _LIDAR,
+                                  track.actor_id))
+        obstacles.sort(key=_distance)
         return obstacles
 
 
@@ -660,8 +625,10 @@ class FusionPolicy(Protocol):
 
 
 #: Registry of fusion-policy factories (``FusionConfig -> FusionPolicy``).
-#: Third-party policies register here and become sweepable/CLI-selectable;
-#: the batch engine only ports the built-ins and rejects anything else.
+#: Third-party policies register here and become sweepable/CLI-selectable on
+#: the scalar engine.  The batch engine calls :meth:`RowFusionPolicy.fuse`
+#: directly, so it runs the built-ins and any :class:`RowFusionPolicy` whose
+#: ``step`` is still the shared adapter, and rejects every other policy.
 FUSION_POLICIES: Registry[Callable[[FusionConfig], "FusionPolicy"]] = Registry(
     "fusion policy"
 )

@@ -8,7 +8,9 @@ arrays, while the cheap-but-branchy per-lane logic (sensor rendering, detector
 noise, association, fusion, planning) runs as straight-line Python over plain
 floats.  The scalar :class:`~repro.sim.simulator.Simulator` remains the
 reference path; the batch engine is validated against it bit-for-bit by the
-equivalence suite (``tests/sim/test_batch_equivalence.py``).
+equivalence suite (``tests/sim/test_batch_equivalence.py``), and the stages
+both engines share are pinned by the golden digests
+(``tests/sim/test_golden_traces.py``).
 
 Determinism contract
 --------------------
@@ -36,17 +38,27 @@ final state) for any lane set, by construction:
   ``KalmanFilter``; NumPy evaluates a stacked matmul as the identical sequence
   of dot products per stack element, so the results are bit-identical.
 * **Per-lane ports** — camera projection, detection noise, IoU/Hungarian
-  association, image-to-world transform, camera/LiDAR fusion, IDM planning,
-  PID trim, and actuation smoothing are literal ports of the scalar code with
-  identical evaluation order (including float left-associativity).
+  association and the image-to-world transform are literal ports of the
+  scalar code with identical evaluation order (including float
+  left-associativity), as are the world-side sensors, kinematics and
+  ground-truth safety potential.
+* **Shared victim stages** — fusion, planning, PID trim and actuation
+  smoothing are not ported: each lane calls its victim agent's own objects,
+  ``ads.perception.fusion.fuse`` (:class:`RowFusionPolicy`),
+  ``ads.planner.plan_rows`` and ``ads.actuate``, on the plain-float rows the
+  lane already carries — the same code the scalar ``AdsAgent.step`` runs
+  through its dataclass adapters.
 
 Restrictions (the scalar path has none of these):
 
 * every lane shares one :class:`SimulationConfig` (lockstep needs one ``dt``);
-* the agents must be freshly built (no carried-over perception state) and run
-  one of the built-in fusion policies (``late``, ``consistency_gated``,
-  ``camera_only``, ``lidar_only``), each of which has a plain-float port here;
-  third-party fusion policies need the scalar Simulator.
+* the victim's camera perception must be fresh — a detector, tracker or
+  transform that carries state from an earlier run is rejected (call
+  ``ads.reset()`` first), because the camera-stage ports start empty;
+* the victim's fusion policy must keep the shared
+  :meth:`RowFusionPolicy.step` adapter (every built-in does, as does a
+  subclass that only overrides ``fuse`` or the blend weights); a policy with
+  its own ``step`` needs the scalar Simulator.
 
 Attackers
 ---------
@@ -81,22 +93,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.ads.prediction import _NOMINAL_HALF_LENGTH_M, _NOMINAL_HALF_WIDTH_M
 from repro.ads.safety import SafetyModel
 from repro.core.robotack import CameraMitmAttackerBase
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.vec import Vec2
 from repro.perception.detection import SimulatedDetector
-from repro.perception.fusion import (
-    CameraOnlyFusion,
-    ConsistencyGatedFusion,
-    LidarOnlyFusion,
-    SensorFusion,
-)
+from repro.perception.fusion import RowFusionPolicy
 from repro.perception.hungarian import hungarian_assignment
 from repro.perception.mot import MultiObjectTracker
 from repro.perception.pipeline import PerceptionSystem
@@ -121,7 +127,8 @@ if TYPE_CHECKING:  # pragma: no cover - type hints only
 __all__ = ["BatchRunSpec", "BatchSimulator"]
 
 _first = itemgetter(0)
-_second = itemgetter(1)
+#: Enum attribute and enum-keyed dict lookups are costly per object per step.
+_VEHICLE = ActorKind.VEHICLE
 
 # --------------------------------------------------------------------------- #
 # Batched Kalman filter (constant matrices shared by every track)
@@ -366,57 +373,6 @@ class _Track:
         self.h = self.pred_h
 
 
-class _Fused:
-    """Plain-float port of the fusion module's ``_FusedTrack``."""
-
-    __slots__ = ("kind", "actor_id", "camera_frames_seen", "lidar_scans_seen",
-                 "frames_since_camera", "scans_since_lidar",
-                 "camera_distance", "camera_lateral", "camera_rel_velocity",
-                 "lidar_distance", "lidar_lateral", "lidar_speed",
-                 "fused_lateral", "fused_distance", "lateral_velocity",
-                 "lateral_history", "has_camera_history", "registered")
-
-    def __init__(self, kind, actor_id, lateral, distance):
-        self.kind = kind
-        self.actor_id = actor_id
-        self.camera_frames_seen = 0
-        self.lidar_scans_seen = 0
-        self.frames_since_camera = 10_000
-        self.scans_since_lidar = 10_000
-        self.camera_distance = 0.0
-        self.camera_lateral = 0.0
-        self.camera_rel_velocity = 0.0
-        self.lidar_distance = 0.0
-        self.lidar_lateral = 0.0
-        self.lidar_speed = 0.0
-        self.fused_lateral = lateral
-        self.fused_distance = distance
-        self.lateral_velocity = 0.0
-        self.lateral_history: List[float] = []
-        self.has_camera_history = False
-        self.registered = False
-
-
-class _LidarOnly:
-    """Plain-float port of the fusion module's ``_LidarOnlyTrack``."""
-
-    __slots__ = ("kind", "actor_id", "distance", "lateral", "speed",
-                 "scans_seen", "scans_since", "lateral_history",
-                 "lateral_velocity", "registered")
-
-    def __init__(self, kind, actor_id):
-        self.kind = kind
-        self.actor_id = actor_id
-        self.distance = 0.0
-        self.lateral = 0.0
-        self.speed = 0.0
-        self.scans_seen = 0
-        self.scans_since = 10_000
-        self.lateral_history: List[float] = []
-        self.lateral_velocity = 0.0
-        self.registered = False
-
-
 class _TrackView:
     """A replica track as the trajectory hijacker reads an ``ObjectTrack``:
     its current filtered box and its miss streak."""
@@ -448,7 +404,7 @@ class _CameraPerception:
                  "min_iou", "cd_gate", "max_misses", "min_hits", "tracks",
                  "next_tid", "frames", "observed", "frame_dt", "tf_alpha",
                  "tf_om_alpha", "tf_focal", "tf_img_cx", "tf_min_d", "tf_hist",
-                 "nominal_h")
+                 "nominal_v", "nominal_p")
 
     def __init__(self, perception: PerceptionSystem, pool: _KalmanPool):
         self.pool = pool
@@ -488,7 +444,8 @@ class _CameraPerception:
         self.tf_img_cx = proj.intrinsics.image_cx
         self.tf_min_d = proj.MIN_DISTANCE_M
         self.tf_hist: Dict[int, List[float]] = {}
-        self.nominal_h = NOMINAL_HEIGHT_M
+        self.nominal_v = NOMINAL_HEIGHT_M[ActorKind.VEHICLE]
+        self.nominal_p = NOMINAL_HEIGHT_M[ActorKind.PEDESTRIAN]
 
     def release(self) -> None:
         """Return every track's Kalman row to the pool."""
@@ -498,15 +455,16 @@ class _CameraPerception:
         self.observed = []
 
     def detect(self, camera_objects: List[tuple]) -> List[tuple]:
-        """Detector port: (cx, cy, w, h, kind, aid), scalar RNG call order."""
+        """Detector port over rendered rows (see ``_Lane._render_objects``):
+        (cx, cy, w, h, kind, aid) detections, scalar RNG call order."""
         rng = self.det_rng
         burst = self.burst
         min_bbox_h = self.min_bbox_h
         detections = []
         visible = set()
-        for actor_id, kind, cx, cy, w, h in camera_objects:
+        for _distance, _lateral, actor_id, kind, cx, cy, w, h, _oh, _ow in camera_objects:
             visible.add(actor_id)
-            noise = self.vnoise if kind is ActorKind.VEHICLE else self.pnoise
+            noise = self.vnoise if kind is _VEHICLE else self.pnoise
             if h < min_bbox_h:
                 continue
             remaining = burst.get(actor_id, 0)
@@ -667,18 +625,24 @@ class _CameraPerception:
                                  det[0], det[1], det[2], det[3])
 
         max_misses = self.max_misses
-        stale = [tid for tid, track in tracks.items() if track.misses > max_misses]
+        min_hits = self.min_hits
+        stale = []
+        observed = []
+        for tid, track in tracks.items():
+            if track.misses > max_misses:
+                stale.append(tid)
+            elif track.hits >= min_hits and track.misses <= 1:
+                observed.append(track)
         for tid in stale:
             self.pool.free(tracks.pop(tid).row)
-
-        min_hits = self.min_hits
-        self.observed = [track for track in tracks.values()
-                         if track.hits >= min_hits and track.misses <= 1]
+        self.observed = observed
 
     def transform(self) -> List[tuple]:
-        """Image-to-world estimates of the observed tracks, distance-sorted:
-        (distance, lateral, rel_velocity, lateral_velocity, track_id,
-        actor_id, kind, rel_acceleration, born)."""
+        """Image-to-world estimates of the observed tracks as distance-sorted
+        estimate rows (:mod:`repro.perception.fusion`): (distance, lateral,
+        rel_velocity, lateral_velocity, track_id, actor_id, kind,
+        rel_acceleration, age_frames)."""
+        frames = self.frames + 1
         history = self.tf_hist
         frame_dt = self.frame_dt
         alpha = self.tf_alpha
@@ -686,7 +650,7 @@ class _CameraPerception:
         estimates = []
         for track in self.observed:
             height_px = track.h
-            nominal = self.nominal_h[track.kind]
+            nominal = self.nominal_v if track.kind is _VEHICLE else self.nominal_p
             if height_px <= 0:
                 continue
             distance = self.tf_focal * nominal / height_px
@@ -712,8 +676,10 @@ class _CameraPerception:
                 record[4] = acceleration
             estimates.append((distance, lateral, velocity, lateral_velocity,
                               track.track_id, track.actor_id, track.kind,
-                              acceleration, track.born))
-        if history:
+                              acceleration, frames - track.born))
+        # Every estimate has a history entry, so only a larger history can
+        # hold tracks that are no longer observed.
+        if len(history) > len(estimates):
             live = {track.track_id for track in self.observed}
             for tid in [tid for tid in history if tid not in live]:
                 del history[tid]
@@ -722,7 +688,6 @@ class _CameraPerception:
 
     def world_estimates(self) -> List[WorldObjectEstimate]:
         """:meth:`transform` as the scalar pipeline's ``world_estimates``."""
-        frames = self.frames
         return [
             WorldObjectEstimate(
                 track_id=track_id,
@@ -733,10 +698,10 @@ class _CameraPerception:
                 relative_longitudinal_velocity_mps=velocity,
                 relative_longitudinal_acceleration_mps2=acceleration,
                 lateral_velocity_mps=lateral_velocity,
-                age_frames=frames - born + 1,
+                age_frames=age_frames,
             )
             for (distance, lateral, velocity, lateral_velocity, track_id,
-                 actor_id, kind, acceleration, born) in self.transform()
+                 actor_id, kind, acceleration, age_frames) in self.transform()
         ]
 
     def track_for_actor(self, actor_id: int) -> Optional[_TrackView]:
@@ -773,9 +738,10 @@ def _batched_replica(attacker: Optional[CameraAttacker]) -> Optional[PerceptionS
 
 
 def _frame_objects(frame: CameraFrame) -> List[tuple]:
-    """A camera frame as the detector port's (aid, kind, cx, cy, w, h) rows."""
-    return [(obj.actor_id, obj.kind, obj.bbox.cx, obj.bbox.cy,
-             obj.bbox.width, obj.bbox.height)
+    """A camera frame as rendered rows, the detector port's input."""
+    return [(obj.distance_m, obj.lateral_m, obj.actor_id, obj.kind, obj.bbox.cx,
+             obj.bbox.cy, obj.bbox.width, obj.bbox.height, obj.object_height_m,
+             obj.object_width_m)
             for obj in frame.objects]
 
 
@@ -798,7 +764,8 @@ class _Lane:
     """All state of one simulated run, held as plain floats.
 
     The constructor replicates ``Simulator.__init__``'s RNG draws and extracts
-    every parameter the ported pipeline needs from the supplied agent.  The
+    every parameter the ported camera and world stages need from the supplied
+    agent; fusion, planning and actuation run on the agent's own objects.  The
     per-step work is split into ``pre_step`` (sensors → attack → detection →
     association; feeds the shared Kalman pool) and ``post_step`` (transform →
     fusion → planning → actuation → world advance), with the batched Kalman
@@ -814,24 +781,23 @@ class _Lane:
         sensor_seeds = rng.integers(0, 2**31 - 1, size=2)
 
         perception = ads.perception
-        fusion_type = type(perception.fusion)
-        # Exact-type dispatch: a third-party subclass has unknown semantics
-        # and must not silently run the base class's port.  The subclass
-        # ConsistencyGatedFusion is listed before its base SensorFusion only
-        # for readability — ``type() is`` does not chase the MRO.
-        if fusion_type is ConsistencyGatedFusion:
-            self.fusion_mode = "consistency_gated"
-        elif fusion_type is SensorFusion:
-            self.fusion_mode = "late"
-        elif fusion_type is CameraOnlyFusion:
-            self.fusion_mode = "camera_only"
-        elif fusion_type is LidarOnlyFusion:
-            self.fusion_mode = "lidar_only"
-        else:
+        fusion = perception.fusion
+        # The lane calls the policy's row-level core directly, which is
+        # exactly what ``step`` does only while it is the shared adapter.
+        if getattr(fusion.step, "__func__", None) is not RowFusionPolicy.step:
             raise ValueError(
-                "BatchSimulator has plain-float ports of the built-in fused "
-                f"fusion policies only; got {fusion_type.__name__}. Use the "
-                "scalar Simulator for custom fusion policies"
+                "BatchSimulator runs the built-in fusion policies, and subclasses "
+                "that keep the shared RowFusionPolicy.step adapter, through their "
+                f"row-level fuse(); {type(fusion).__name__}.step is not that "
+                "adapter. Use the scalar Simulator for custom fusion policies"
+            )
+        # The camera-stage ports start empty; a victim whose detector, tracker
+        # or transform carries state would silently diverge from the scalar run.
+        if (perception.detector._burst_remaining or perception.tracker.tracks
+                or perception.transform._history):
+            raise ValueError(
+                "BatchSimulator needs a fresh victim agent: its camera perception "
+                "already holds state from an earlier run (call ads.reset() first)"
             )
 
         self.dt = config.dt
@@ -851,80 +817,10 @@ class _Lane:
         #: The frame the replica observed this step (set by ``observe``).
         self.observed_frame: Optional[CameraFrame] = None
 
-        # --- fusion ---
-        f_cfg = perception.fusion.config
-        self.cam_w = f_cfg.camera_weight
-        self.om_cam_w = 1.0 - f_cfg.camera_weight
-        self.cam_dw = f_cfg.camera_distance_weight
-        self.om_cam_dw = 1.0 - f_cfg.camera_distance_weight
-        self.fused_reg = f_cfg.fused_registration_frames
-        self.cam_reg = f_cfg.camera_only_registration_frames
-        self.lidar_reg = f_cfg.lidar_only_registration_scans
-        self.cam_timeout = f_cfg.camera_only_timeout_frames
-        self.lidar_backed_timeout = f_cfg.lidar_backed_timeout_frames
-        self.lidar_timeout = f_cfg.lidar_only_timeout_scans
-        self.gate = f_cfg.association_gate_m
-        self.gate_factor = f_cfg.association_gate_range_factor
-        self.falpha = f_cfg.lateral_velocity_smoothing
-        self.om_falpha = 1 - f_cfg.lateral_velocity_smoothing
-        self.baseline_p1 = f_cfg.lateral_velocity_baseline_frames + 1
-        self.fusion_tracks: Dict[tuple, _Fused] = {}
-        # Consistency gate (consistency_gated policy): the penalized weights
-        # are formed as weight * penalty, the same operands and order as the
-        # scalar ConsistencyGatedFusion._blend_weights, so they stay
-        # bit-identical.
-        self.cons_enabled = self.fusion_mode == "consistency_gated"
-        self.cons_gate = f_cfg.consistency_gate_m
-        self.pen_cam_w = f_cfg.camera_weight * f_cfg.consistency_camera_penalty
-        self.om_pen_cam_w = 1.0 - self.pen_cam_w
-        self.pen_cam_dw = f_cfg.camera_distance_weight * f_cfg.consistency_camera_penalty
-        self.om_pen_cam_dw = 1.0 - self.pen_cam_dw
-        self.lidar_only_tracks: Dict[int, _LidarOnly] = {}
-        if self.fusion_mode == "camera_only":
-            self._fuse_impl = self._fuse_camera_only
-        elif self.fusion_mode == "lidar_only":
-            self._fuse_impl = self._fuse_lidar_only
-        else:
-            self._fuse_impl = self._fuse
-
-        # --- planner / PID / smoother ---
-        p_cfg = ads.planner_config
-        self.cruise = p_cfg.cruise_speed_mps
-        self.p_max_accel = p_cfg.max_accel_mps2
-        self.p_comfort = p_cfg.comfortable_decel_mps2
-        self.p_max_decel = p_cfg.max_decel_mps2
-        self.headway = p_cfg.time_headway_s
-        self.standstill = p_cfg.standstill_gap_m
-        self.coast_frames = p_cfg.lost_lead_coast_frames
-        self.emerg_demand = p_cfg.emergency_decel_demand_mps2
-        self.emerg_delta = p_cfg.emergency_delta_m
-        self.ped_caution_speed = p_cfg.pedestrian_caution_speed_mps
-        self.ped_range = p_cfg.pedestrian_caution_range_m
-        self.ped_margin = p_cfg.pedestrian_caution_margin_m
-        self.idm_denom = 2.0 * math.sqrt(p_cfg.max_accel_mps2 * p_cfg.comfortable_decel_mps2)
-        pred = p_cfg.prediction
-        self.horizon = pred.horizon_s
-        self.lat_margin = pred.lateral_margin_m
-        self.min_lat_speed = pred.min_lateral_speed_mps
-        self.min_pred_dist = pred.min_prediction_distance_m
-        self.p_reaction = ads.planner.safety_model.reaction_time_s
-        self.cycles_since_lead_lost = ads.planner._cycles_since_lead_lost
-        self.hw_veh = _NOMINAL_HALF_WIDTH_M[ActorKind.VEHICLE]
-        self.hw_ped = _NOMINAL_HALF_WIDTH_M[ActorKind.PEDESTRIAN]
-        self.hl_veh = _NOMINAL_HALF_LENGTH_M[ActorKind.VEHICLE]
-        self.hl_ped = _NOMINAL_HALF_LENGTH_M[ActorKind.PEDESTRIAN]
-        pid = ads.speed_pid
-        self.pid_kp = pid.kp
-        self.pid_ki = pid.ki
-        self.pid_kd = pid.kd
-        self.pid_min = pid.output_min
-        self.pid_max = pid.output_max
-        self.pid_integral = 0.0
-        self.pid_prev: Optional[float] = None
-        smoother = ads.smoother
-        self.jerk_comfort = smoother.comfort_jerk_mps3
-        self.jerk_emergency = smoother.emergency_jerk_mps3
-        self.last_accel = 0.0
+        # --- the victim's own fusion, planner, PID trim and smoother ---
+        self.ads = ads
+        self.fusion = fusion
+        self.planner = ads.planner
 
         # --- road ---
         ego_lane = ads.road.ego_lane
@@ -1047,7 +943,7 @@ class _Lane:
         for actor in self.actors:
             distance = actor.x - ego_front
             max_range = (
-                self.lidar_v_range if actor.kind is ActorKind.VEHICLE else self.lidar_p_range
+                self.lidar_v_range if actor.kind is _VEHICLE else self.lidar_p_range
             )
             if distance <= 0.0 or distance > max_range:
                 continue
@@ -1097,8 +993,7 @@ class _Lane:
         pick the frame its replica observes (a running attack perturbs it
         with the target track as the previous frame left it)."""
         rendered = self._sense()
-        self.clean_objects = [(obj[2], obj[3], obj[4], obj[5], obj[6], obj[7])
-                              for obj in rendered]
+        self.clean_objects = rendered
         self.frame = self._camera_frame(rendered)
         self.observed_frame = self.attacker.frame_for_replica(self.frame, self.replica)
         if self.attacker.episode_over:
@@ -1139,8 +1034,7 @@ class _Lane:
         else:
             rendered = self._sense()
             if self.attacker is None or self.attacker_done:
-                camera_objects = [(obj[2], obj[3], obj[4], obj[5], obj[6], obj[7])
-                                  for obj in rendered]
+                camera_objects = rendered
             else:
                 delivered = self.attacker.process_frame(
                     self._camera_frame(rendered), ego_speed_mps=self.gps_speed, dt=self.dt
@@ -1166,146 +1060,14 @@ class _Lane:
     # ------------------------------------------------------------------ #
 
     def post_step(self) -> None:
-        # (distance, lateral, rel_velocity, lateral_velocity, track_id,
-        #  actor_id, kind, rel_acceleration, born), distance-sorted
-        estimates = self.camera.transform()
-
-        # --- fusion (dispatched on the lane's fusion policy) ---
-        obstacles = self._fuse_impl(estimates)
-
-        # --- planning (LongitudinalPlanner port) ---
         ego_speed = self.gps_speed
-        target_speed = self.cruise
-        for obstacle in obstacles:
-            if obstacle[0] is not ActorKind.PEDESTRIAN:
-                continue
-            if not 0.0 < obstacle[1] <= self.ped_range:
-                continue
-            margin = self.ped_margin + self.hw_ped
-            if self.lane_lo - margin <= obstacle[2] <= self.lane_hi + margin:
-                target_speed = min(target_speed, self.ped_caution_speed)
-                break
-
-        if target_speed <= 0:
-            free_accel = -self.p_comfort
-        else:
-            speed_ratio = ego_speed / target_speed
-            accel = self.p_max_accel * (1.0 - speed_ratio**4)
-            neg_comfort = -self.p_comfort
-            if neg_comfort > accel:
-                accel = neg_comfort
-            if self.p_max_accel < accel:
-                accel = self.p_max_accel
-            free_accel = float(accel)
-
-        # obstacles are distance-sorted, so the first relevant one is the lead.
-        lead = None
-        for obstacle in obstacles:
-            distance = obstacle[1]
-            if distance <= 0:
-                continue
-            half_w = self.hw_veh if obstacle[0] is ActorKind.VEHICLE else self.hw_ped
-            margin = self.lat_margin + half_w
-            lo = self.lane_lo - margin
-            hi = self.lane_hi + margin
-            lateral = obstacle[2]
-            if lo <= lateral <= hi:
-                lead = obstacle
-                break
-            if distance < self.min_pred_dist:
-                continue
-            lateral_speed = obstacle[4]
-            if abs(lateral_speed) < self.min_lat_speed:
-                lateral_speed = 0.0
-            if lo <= lateral + lateral_speed * self.horizon <= hi:
-                lead = obstacle
-                break
-
-        if lead is None:
-            self.cycles_since_lead_lost += 1
-            if self.cycles_since_lead_lost <= self.coast_frames:
-                free_accel = 0.0 if 0.0 < free_accel else free_accel
-            desired = free_accel
-            emergency = False
-            perceived = float("inf")
-        else:
-            self.cycles_since_lead_lost = 0
-            half_len = self.hl_veh if lead[0] is ActorKind.VEHICLE else self.hl_ped
-            gap = lead[1] - half_len
-            if not gap > 0.1:
-                gap = 0.1
-            lead_speed = lead[3]
-            if not lead_speed > 0.0:
-                lead_speed = 0.0
-            closing = ego_speed - lead_speed
-            sp = ego_speed if ego_speed > 0.0 else 0.0
-            perceived = gap - (sp * self.p_reaction + sp * sp / (2.0 * self.p_comfort))
-            desired_gap = (
-                self.standstill
-                + ego_speed * self.headway
-                + ego_speed * closing / self.idm_denom
-            )
-            if self.standstill > desired_gap:
-                desired_gap = self.standstill
-            speed_ratio = ego_speed / (0.1 if 0.1 > target_speed else target_speed)
-            interaction = self.p_max_accel * (
-                1.0 - speed_ratio**4 - (desired_gap / gap) ** 2
-            )
-            if self.p_max_accel < interaction:
-                interaction = self.p_max_accel
-            interaction = float(interaction)
-            desired = interaction if interaction < free_accel else free_accel
-            if closing <= 0.3:
-                emergency = False
-            else:
-                braking_gap = gap - 1.0
-                if not braking_gap > 0.1:
-                    braking_gap = 0.1
-                required = closing**2 / (2.0 * braking_gap)
-                emergency = required > self.emerg_demand or perceived < self.emerg_delta
-            if emergency:
-                desired = -self.p_max_decel
-            else:
-                neg_comfort = -self.p_comfort
-                if neg_comfort > desired:
-                    desired = neg_comfort
-
-        # --- PID trim + actuation smoothing (AdsAgent.step port) ---
-        error = target_speed - ego_speed
-        if self.pid_prev is not None:
-            derivative = (error - self.pid_prev) / self.dt
-        else:
-            derivative = 0.0
-        self.pid_prev = error
-        candidate = self.pid_integral + error * self.dt
-        output = self.pid_kp * error + self.pid_ki * candidate + self.pid_kd * derivative
-        if self.pid_min <= output <= self.pid_max:
-            self.pid_integral = candidate
-            trim = output
-        else:
-            trim = output
-            if self.pid_min > trim:
-                trim = self.pid_min
-            if self.pid_max < trim:
-                trim = self.pid_max
-        if not emergency and desired > -self.p_comfort:
-            trimmed = desired + 0.2 * trim
-            neg_comfort = -self.p_comfort
-            if neg_comfort > trimmed:
-                trimmed = neg_comfort
-            if self.p_max_accel < trimmed:
-                trimmed = self.p_max_accel
-            desired = float(trimmed)
-        jerk = self.jerk_emergency if emergency else self.jerk_comfort
-        max_change = jerk * self.dt
-        change = desired - self.last_accel
-        neg_change = -max_change
-        if neg_change > change:
-            change = neg_change
-        if max_change < change:
-            change = max_change
-        self.last_accel += change
-        acceleration = self.last_accel
+        obstacles = self.fusion.fuse(
+            self.camera.transform(), self.last_lidar, ego_speed, self.frame_dt
+        )
+        desired, emergency, perceived, _lead, target_speed = self.planner.plan_rows(
+            obstacles, ego_speed
+        )
+        acceleration = self.ads.actuate(desired, emergency, target_speed, ego_speed, self.dt)
 
         # --- events + traces (pre-step time/step, like the scalar loop) ---
         if emergency and not self.emergency_was_active:
@@ -1352,238 +1114,6 @@ class _Lane:
             self._halt(hit, perceived)
         elif self.loop_step >= self.max_steps:
             self._finish()
-
-    # ------------------------------------------------------------------ #
-    # Fusion (SensorFusion.step port)
-    # ------------------------------------------------------------------ #
-
-    def _nearest_fused(self, distance: float, lateral: float) -> Optional[_Fused]:
-        best = None
-        best_sep = self.gate + self.gate_factor * (distance if distance > 0.0 else 0.0)
-        for fused in self.fusion_tracks.values():
-            if not fused.has_camera_history and not fused.scans_since_lidar <= 2:
-                continue
-            separation = abs(fused.fused_distance - distance) + 2.5 * abs(
-                fused.fused_lateral - lateral
-            )
-            if separation < best_sep:
-                best_sep = separation
-                best = fused
-        return best
-
-    def _fuse(self, estimates: List[tuple]) -> List[tuple]:
-        """Returns distance-sorted (kind, distance, lateral, speed, lat_vel).
-
-        Port of ``SensorFusion`` (the ``late`` policy) — and, through the
-        weight selection in the camera+LiDAR-fresh branch, of
-        ``ConsistencyGatedFusion`` when ``cons_enabled`` is set.
-        """
-        tracks = self.fusion_tracks
-        lidar = self.last_lidar
-        for fused in tracks.values():
-            fused.frames_since_camera += 1
-            if lidar is not None:
-                fused.scans_since_lidar += 1
-
-        for distance, lateral, velocity, _lat_vel, track_id, actor_id, kind, _a, _b in estimates:
-            key = ("cam", track_id)
-            fused = tracks.get(key)
-            if fused is None:
-                fused = self._nearest_fused(distance, lateral)
-                if fused is None:
-                    fused = _Fused(kind, actor_id, lateral, distance)
-                    tracks[key] = fused
-            fused.camera_frames_seen += 1
-            fused.frames_since_camera = 0
-            fused.camera_distance = distance
-            fused.camera_lateral = lateral
-            fused.camera_rel_velocity = velocity
-            fused.actor_id = actor_id
-            fused.kind = kind
-            fused.has_camera_history = True
-
-        if lidar is not None:
-            for distance, lateral, actor_id, kind, speed in lidar:
-                fused = self._nearest_fused(distance, lateral)
-                if fused is None:
-                    key = ("lidar", actor_id)
-                    fused = tracks.get(key)
-                    if fused is None:
-                        fused = _Fused(kind, actor_id, lateral, distance)
-                        tracks[key] = fused
-                fused.lidar_scans_seen += 1
-                fused.scans_since_lidar = 0
-                fused.lidar_distance = distance
-                fused.lidar_lateral = lateral
-                fused.lidar_speed = speed
-                if fused.actor_id is None:
-                    fused.actor_id = actor_id
-
-        for fused in tracks.values():
-            if fused.registered:
-                continue
-            if fused.camera_frames_seen > 0 and fused.lidar_scans_seen > 0:
-                if fused.camera_frames_seen >= self.fused_reg:
-                    fused.registered = True
-            elif fused.camera_frames_seen > 0:
-                if fused.camera_frames_seen >= self.cam_reg:
-                    fused.registered = True
-            elif fused.lidar_scans_seen >= self.lidar_reg:
-                fused.registered = True
-
-        stale = []
-        for key, fused in tracks.items():
-            if fused.has_camera_history:
-                timeout = (
-                    self.lidar_backed_timeout
-                    if fused.scans_since_lidar <= 2
-                    else self.cam_timeout
-                )
-                if fused.frames_since_camera > timeout:
-                    stale.append(key)
-            elif fused.scans_since_lidar > self.lidar_timeout:
-                stale.append(key)
-        for key in stale:
-            del tracks[key]
-
-        ego_speed = self.gps_speed
-        obstacles = []
-        for fused in tracks.values():
-            camera_fresh = fused.frames_since_camera <= 2 and fused.camera_frames_seen > 0
-            lidar_fresh = fused.scans_since_lidar <= 2 and fused.lidar_scans_seen > 0
-            if camera_fresh and lidar_fresh:
-                if self.cons_enabled and (
-                    abs(fused.camera_lateral - fused.lidar_lateral) > self.cons_gate
-                ):
-                    lateral = (
-                        self.pen_cam_w * fused.camera_lateral
-                        + self.om_pen_cam_w * fused.lidar_lateral
-                    )
-                    distance = (
-                        self.pen_cam_dw * fused.camera_distance
-                        + self.om_pen_cam_dw * fused.lidar_distance
-                    )
-                else:
-                    lateral = (
-                        self.cam_w * fused.camera_lateral + self.om_cam_w * fused.lidar_lateral
-                    )
-                    distance = (
-                        self.cam_dw * fused.camera_distance + self.om_cam_dw * fused.lidar_distance
-                    )
-                speed = fused.lidar_speed
-            elif camera_fresh:
-                lateral = fused.camera_lateral
-                distance = fused.camera_distance
-                speed = ego_speed + fused.camera_rel_velocity
-                if not speed > 0.0:
-                    speed = 0.0
-            elif lidar_fresh:
-                lateral = fused.lidar_lateral
-                distance = fused.lidar_distance
-                speed = fused.lidar_speed
-            else:
-                lateral = fused.fused_lateral
-                distance = fused.fused_distance
-                if fused.lidar_scans_seen:
-                    speed = fused.lidar_speed
-                else:
-                    speed = ego_speed + fused.camera_rel_velocity
-                    if not speed > 0.0:
-                        speed = 0.0
-            if not camera_fresh and not lidar_fresh:
-                fused.lateral_velocity *= 0.8
-            else:
-                lat_history = fused.lateral_history
-                if lat_history and abs(lateral - lat_history[-1]) > 1.0:
-                    lat_history.clear()
-                    fused.lateral_velocity = 0.0
-                lat_history.append(lateral)
-                if len(lat_history) > self.baseline_p1:
-                    del lat_history[: -self.baseline_p1]
-                n = len(lat_history)
-                if n >= 2:
-                    raw = (lat_history[-1] - lat_history[0]) / ((n - 1) * self.frame_dt)
-                else:
-                    raw = 0.0
-                fused.lateral_velocity = (
-                    self.om_falpha * fused.lateral_velocity + self.falpha * raw
-                )
-            fused.fused_lateral = lateral
-            fused.fused_distance = distance
-            if fused.registered:
-                obstacles.append((fused.kind, distance, lateral, speed,
-                                  fused.lateral_velocity))
-        obstacles.sort(key=_second)
-        return obstacles
-
-    def _fuse_camera_only(self, estimates: List[tuple]) -> List[tuple]:
-        """Port of ``CameraOnlyFusion``: camera estimates pass straight through.
-
-        Estimates are already distance-sorted, matching the scalar policy's
-        output order, so no re-sort is needed.
-        """
-        ego_speed = self.gps_speed
-        obstacles = []
-        for distance, lateral, velocity, lat_vel, _tid, _aid, kind, _accel, _born in estimates:
-            speed = ego_speed + velocity
-            if not speed > 0.0:
-                speed = 0.0
-            obstacles.append((kind, distance, lateral, speed, lat_vel))
-        return obstacles
-
-    def _fuse_lidar_only(self, estimates: List[tuple]) -> List[tuple]:
-        """Port of ``LidarOnlyFusion``: the world model from LiDAR alone."""
-        tracks = self.lidar_only_tracks
-        lidar = self.last_lidar
-        if lidar is not None:
-            for track in tracks.values():
-                track.scans_since += 1
-            for distance, lateral, actor_id, kind, speed in lidar:
-                track = tracks.get(actor_id)
-                if track is None:
-                    track = _LidarOnly(kind, actor_id)
-                    tracks[actor_id] = track
-                track.scans_seen += 1
-                track.scans_since = 0
-                track.distance = distance
-                track.lateral = lateral
-                track.speed = speed
-                track.kind = kind
-                if not track.registered and track.scans_seen >= self.fused_reg:
-                    track.registered = True
-            stale = [
-                actor_id
-                for actor_id, track in tracks.items()
-                if track.scans_since > self.lidar_timeout
-            ]
-            for actor_id in stale:
-                del tracks[actor_id]
-
-        obstacles = []
-        for track in tracks.values():
-            if track.scans_since == 0:
-                lat_history = track.lateral_history
-                if lat_history and abs(track.lateral - lat_history[-1]) > 1.0:
-                    lat_history.clear()
-                    track.lateral_velocity = 0.0
-                lat_history.append(track.lateral)
-                if len(lat_history) > self.baseline_p1:
-                    del lat_history[: -self.baseline_p1]
-                n = len(lat_history)
-                if n >= 2:
-                    raw = (lat_history[-1] - lat_history[0]) / ((n - 1) * self.frame_dt)
-                else:
-                    raw = 0.0
-                track.lateral_velocity = (
-                    self.om_falpha * track.lateral_velocity + self.falpha * raw
-                )
-            else:
-                track.lateral_velocity *= 0.8
-            if track.registered:
-                obstacles.append((track.kind, track.distance, track.lateral,
-                                  track.speed, track.lateral_velocity))
-        obstacles.sort(key=_second)
-        return obstacles
 
     # ------------------------------------------------------------------ #
     # Ground truth, collision, halt, result

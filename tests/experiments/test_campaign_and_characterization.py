@@ -28,6 +28,7 @@ from repro.experiments.campaign import (
 from repro.experiments.store import ExperimentStore
 from repro.experiments.characterization import characterize_detector
 from repro.sim.actors import ActorKind
+from repro.sim.config import SimulationConfig
 
 
 class TestCampaignConfig:
@@ -45,6 +46,22 @@ class TestCampaignConfig:
                 attacker=AttackerKind.RANDOM,
                 n_runs=0,
             )
+
+    def test_camera_rate_must_match_perception_frame_period(self):
+        with pytest.raises(ValueError, match="camera_rate_hz=10 is not supported"):
+            CampaignConfig(
+                campaign_id="x",
+                scenario_id="DS-1",
+                attacker=AttackerKind.NONE,
+                simulation=SimulationConfig(camera_rate_hz=10),
+            )
+        config = CampaignConfig(
+            campaign_id="x",
+            scenario_id="DS-1",
+            attacker=AttackerKind.NONE,
+            simulation=SimulationConfig(camera_rate_hz=15, lidar_rate_hz=5),
+        )
+        assert config.simulation.dt == 1.0 / 15.0
 
     def test_standard_campaigns_cover_paper_table(self):
         campaigns = standard_campaigns(n_runs=5)

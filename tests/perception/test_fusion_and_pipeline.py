@@ -10,6 +10,7 @@ from repro.perception.fusion import (
     ConsistencyGatedFusion,
     FusionConfig,
     LidarOnlyFusion,
+    RowFusionPolicy,
     SensorFusion,
     build_fusion_policy,
     list_fusion_policies,
@@ -388,6 +389,53 @@ class TestLidarOnlyFusion:
             fusion.step([], lidar_scan(step, [lidar_detection(25.0, 0.0)]), 10.0, FRAME_DT)
         fusion.reset()
         assert fusion.step([], None, 10.0, FRAME_DT) == []
+
+
+class TestRowCore:
+    """``step`` is one shared adapter over each policy's row-level ``fuse``."""
+
+    @pytest.mark.parametrize("policy", list_fusion_policies())
+    def test_step_wraps_fuse_rows(self, policy):
+        via_step = build_fusion_policy(policy)
+        via_rows = build_fusion_policy(policy)
+        assert type(via_step).step is RowFusionPolicy.step
+        for step in range(12):
+            estimates = [camera_estimate(40.0 - step, 0.1 * step, kind=ActorKind.PEDESTRIAN,
+                                         track_id=3, actor_id=5, v_rel=-1.0)]
+            scan = lidar_scan(step, [lidar_detection(25.0 - step, -0.2, actor_id=6)])
+            obstacles = via_step.step(estimates, scan, 10.0, FRAME_DT)
+            rows = via_rows.fuse(
+                [(e.distance_m, e.lateral_m, e.relative_longitudinal_velocity_mps,
+                  e.lateral_velocity_mps, e.track_id, e.actor_id, e.kind,
+                  e.relative_longitudinal_acceleration_mps2, e.age_frames)
+                 for e in estimates],
+                [(d.distance_m, d.lateral_m, d.actor_id, d.kind, d.velocity.x)
+                 for d in scan.detections],
+                10.0,
+                FRAME_DT,
+            )
+            assert [
+                (o.kind, o.distance_m, o.lateral_m, o.longitudinal_speed_mps,
+                 o.lateral_velocity_mps, o.obstacle_id, o.sources, o.actor_id)
+                for o in obstacles
+            ] == rows
+        assert obstacles
+
+    def test_rows_are_distance_sorted_with_ids_and_sources(self):
+        fusion = SensorFusion()
+        for step in range(10):
+            rows = fusion.fuse(
+                [(30.0, 0.0, 0.0, 0.0, 1, 1, ActorKind.VEHICLE, 0.0, 5),
+                 (45.0, -2.0, 0.0, 0.0, 2, 2, ActorKind.PEDESTRIAN, 0.0, 5)],
+                [(30.1, 0.0, 1, ActorKind.VEHICLE, 5.0)],
+                10.0,
+                FRAME_DT,
+            )
+        assert [row[1] for row in rows] == sorted(row[1] for row in rows)
+        assert [(row[5], row[6], row[7]) for row in rows] == [
+            ("cam-1", ("camera", "lidar"), 1),
+            ("cam-2", ("camera",), 2),
+        ]
 
 
 class TestPerceptionSystem:

@@ -1,14 +1,28 @@
 """Tests for the ``repro-campaign`` console entry point."""
 
 import argparse
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.experiments.campaign import clear_caches
 from repro.runtime.cli import build_parser, main
 
 COMMANDS = ("table2", "run", "sweep", "search", "train", "resume", "scenarios")
+
+#: Environment for ``python -m repro.runtime.cli`` subprocesses: the package
+#: importable from the same source tree as this pytest process.
+_SUBPROCESS_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        [str(Path(repro.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    ),
+}
 
 #: Minimal argv per subcommand and the defaults it must parse to.
 _DEFAULTS = {
@@ -296,6 +310,25 @@ class TestSweepCli:
     def test_unknown_scenario_exits_with_error(self):
         with pytest.raises(SystemExit):
             main(["sweep", "--scenario", "DS-99", "--store", "/unused", "--dry-run"])
+
+    def test_non_15hz_camera_rate_exits_before_the_store(self, tmp_path):
+        # Perception differences over 15 Hz frames; another camera rate would
+        # mis-scale every camera velocity, so sweep expansion rejects it.
+        store = tmp_path / "store"
+        completed = subprocess.run(
+            [
+                sys.executable, "-m", "repro.runtime.cli", "sweep",
+                "--scenario", "DS-1", "--store", str(store), "--sampler", "grid",
+                "--runs", "1", "--param", "simulation.camera_rate_hz=10",
+            ],
+            capture_output=True, text=True, env=_SUBPROCESS_ENV,
+        )
+        assert completed.returncode == 1
+        assert completed.stderr.splitlines() == [
+            "simulation.camera_rate_hz=10 is not supported: "
+            "perception assumes 15 Hz camera frames"
+        ]
+        assert not store.exists()
 
     def test_subcommand_flags_reach_the_sweep(self, capsys):
         code = main(

@@ -34,6 +34,7 @@ from repro.perception.detection import DetectorDegradation
 from repro.perception.fusion import FusionConfig, SensorFusion, list_fusion_policies
 from repro.sensors.camera import CameraSensor
 from repro.sim.batch import BatchRunSpec, BatchSimulator
+from repro.sim.config import SimulationConfig
 from repro.sim.events import EventKind
 from repro.sim.scenarios import build_scenario, list_scenario_ids
 from repro.sim.simulator import Simulator
@@ -159,19 +160,64 @@ class TestScalarBatchEquivalence:
         _assert_bit_identical(scalar, batch)
 
     def test_custom_fusion_policy_is_rejected(self):
-        """The batch engine has plain-float ports of the built-in fusion
-        policies only; a third-party policy (here: a SensorFusion subclass it
-        has no port for) must fail loudly instead of silently running the
-        base-class port and diverging from the scalar path."""
+        """The batch engine calls a policy's row-level ``fuse`` core, which is
+        what ``step`` runs only while it is the shared adapter; a policy with
+        its own ``step`` (here: a SensorFusion subclass overriding it) must
+        fail loudly instead of silently diverging from the scalar path."""
 
         class CustomFusion(SensorFusion):
-            pass
+            def step(self, camera_estimates, lidar_scan, ego_speed_mps, frame_dt_s):
+                obstacles = super().step(camera_estimates, lidar_scan, ego_speed_mps,
+                                         frame_dt_s)
+                return obstacles[:1]
 
         scenario = build_scenario("DS-1")
         ads = build_ads_agent(scenario, np.random.default_rng(_ADS_SEED))
         ads.perception.fusion = CustomFusion()
         with pytest.raises(ValueError, match="built-in"):
             BatchSimulator([BatchRunSpec(scenario=scenario, ads=ads)])
+
+    def test_protocol_only_fusion_policy_is_rejected(self):
+        """Same for a policy that implements just the FusionPolicy protocol."""
+
+        class ProtocolOnly:
+            config = FusionConfig()
+
+            def reset(self):
+                pass
+
+            def step(self, camera_estimates, lidar_scan, ego_speed_mps, frame_dt_s):
+                return []
+
+        scenario = build_scenario("DS-1")
+        ads = build_ads_agent(scenario, np.random.default_rng(_ADS_SEED))
+        ads.perception.fusion = ProtocolOnly()
+        with pytest.raises(ValueError, match="built-in"):
+            BatchSimulator([BatchRunSpec(scenario=scenario, ads=ads)])
+
+    @pytest.mark.parametrize("mode", sorted(_SETUPS))
+    def test_blend_weight_subclass_matches_scalar(self, mode):
+        """A built-in subclass that only overrides the blend weights keeps the
+        shared ``step`` adapter, so the batch engine runs it through the same
+        core: bit-identical to the scalar loop, and different from ``late``."""
+
+        class CameraDistrustingFusion(SensorFusion):
+            def _blend_weights(self, track):
+                return (0.2, 0.05)
+
+        def run(engine, fusion_type):
+            scenario, ads, attacker, rng = _SETUPS[mode]("DS-1")
+            ads.perception.fusion = fusion_type(ads.perception.config.fusion)
+            if engine == "scalar":
+                return Simulator(scenario, ads, attacker=attacker, rng=rng).run()
+            return BatchSimulator(
+                [BatchRunSpec(scenario=scenario, ads=ads, attacker=attacker, rng=rng)]
+            ).run()[0]
+
+        scalar = run("scalar", CameraDistrustingFusion)
+        _assert_bit_identical(scalar, run("batch", CameraDistrustingFusion))
+        late = run("scalar", SensorFusion)
+        assert scalar.events.perceived_delta_trace != late.events.perceived_delta_trace
 
     def test_spawn_overlap_halts_batch_lane_at_step_zero(self):
         """The step-0 collision check is mirrored in the batch engine."""
@@ -193,6 +239,47 @@ class TestScalarBatchEquivalence:
         kinds = [(e.kind, e.step_index) for e in result.events.events]
         assert (EventKind.COLLISION, 0) in kinds
         assert (EventKind.SIMULATION_HALTED, 0) in kinds
+
+
+class TestFreshVictimAgent:
+    """The batch engine's camera-stage ports start from empty state, so a
+    victim agent that already ran must be reset before it joins a batch."""
+
+    @staticmethod
+    def _warmed_setup(reset):
+        """The benign DS-1 setup after a 3 s scalar run with the same agent."""
+        scenario, ads, _, rng = _benign_setup("DS-1")
+        warm_up = SimulationConfig(max_duration_s=3.0)
+        Simulator(build_scenario("DS-1"), ads, config=warm_up,
+                  rng=np.random.default_rng(_SIM_SEED)).run()
+        if reset:
+            ads.reset()
+        return scenario, ads, rng
+
+    def test_warmed_agent_is_rejected(self):
+        scenario, ads, rng = self._warmed_setup(reset=False)
+        with pytest.raises(ValueError, match="fresh victim agent"):
+            BatchSimulator([BatchRunSpec(scenario=scenario, ads=ads, rng=rng)])
+
+    @pytest.mark.parametrize("stage", ["detector", "tracker", "transform"])
+    def test_each_stateful_camera_stage_is_checked(self, stage):
+        scenario, ads, _, rng = _benign_setup("DS-1")
+        perception = ads.perception
+        if stage == "detector":
+            perception.detector._burst_remaining[1] = 3
+        elif stage == "tracker":
+            perception.tracker.tracks[1] = object()
+        else:
+            perception.transform._history[1] = object()
+        with pytest.raises(ValueError, match="fresh victim agent"):
+            BatchSimulator([BatchRunSpec(scenario=scenario, ads=ads, rng=rng)])
+
+    def test_reset_agent_matches_scalar(self):
+        scenario, ads, rng = self._warmed_setup(reset=True)
+        scalar = Simulator(scenario, ads, rng=rng).run()
+        scenario, ads, rng = self._warmed_setup(reset=True)
+        batch = BatchSimulator([BatchRunSpec(scenario=scenario, ads=ads, rng=rng)]).run()[0]
+        _assert_bit_identical(scalar, batch)
 
 
 # --------------------------------------------------------------------------- #
