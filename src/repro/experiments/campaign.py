@@ -23,6 +23,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import functools
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -53,7 +54,7 @@ from repro.perception.detection import DetectorDegradation
 from repro.perception.fusion import DEFAULT_FUSION_POLICY, FusionConfig
 from repro.perception.pipeline import PerceptionConfig
 from repro.sim.actors import ActorKind
-from repro.runtime import ExecutorLike, resolve_executor
+from repro.runtime import Executor, ExecutorLike, resolve_executor
 from repro.runtime.cache import encode_key
 from repro.sim.config import SimulationConfig
 from repro.sim.scenarios import DrivingScenario, ScenarioVariation, build_scenario
@@ -125,7 +126,8 @@ _DEFAULT_TRAINING_GRID: Tuple[Tuple[float, ...], Tuple[int, ...]] = (
 )
 
 #: Per-process memos keyed by the :func:`encode_key` encoding of a predictor
-#: key or ``CampaignConfig.cache_key()``.
+#: key (for store-backed oracles: the registered model hash) or
+#: ``CampaignConfig.cache_key()``.
 _PREDICTOR_CACHE: Dict[str, SafetyPredictor] = {}
 _CAMPAIGN_CACHE: Dict[str, CampaignResult] = {}
 
@@ -349,19 +351,27 @@ def _store_backed_predictor(
     ``repro-campaign train``) pays collection + training and publishes the
     model; every later campaign process — including every restart — reloads
     the identical weights instead of retraining.
+
+    Oracles are memoized by the model hash the store's registry resolves to,
+    so the same model registered in any number of stores is one object per
+    process.  A store whose registry lacks it still trains and publishes it.
     """
-    loaded = load_registered_predictor(
-        store, oracle_spec_hash(scenario_id, vector, seed, training_epochs)
-    )
-    if loaded is not None:
-        return loaded
+    spec_hash = oracle_spec_hash(scenario_id, vector, seed, training_epochs)
+    model_hash = store.resolve_model_spec(spec_hash)
+    if model_hash is not None and store.has_model(model_hash):
+        key = encode_key(("model", model_hash))
+        if key not in _PREDICTOR_CACHE:
+            _PREDICTOR_CACHE[key] = load_registered_predictor(store, spec_hash)
+        return _PREDICTOR_CACHE[key]
     delta_grid, k_grid = training_grid_for(scenario_id)
     artifact = train_and_register_predictor(
         scenario_id, vector, delta_grid, k_grid,
         seed=seed, repeats=2, epochs=training_epochs,
         executor=executor, store=store,
     )
-    return artifact.predictor
+    return _PREDICTOR_CACHE.setdefault(
+        encode_key(("model", artifact.model_hash)), artifact.predictor
+    )
 
 
 def get_or_train_predictor(
@@ -379,27 +389,19 @@ def get_or_train_predictor(
     freshly trained oracle is published back into it); the dataset collection
     behind a training miss fans out over ``executor`` and is itself resumable.
     """
-    # training_epochs is part of the key: a predictor trained with different
-    # epochs must never shadow this one.
-    key = (scenario_id, vector, kind, seed, training_epochs)
     resolved_store = resolve_store(store)
     if resolved_store is not None and kind is PredictorKind.NEURAL:
-        # The store root is part of the key: each store must get its own
-        # publish-to-registry side effect, or a second store would silently
-        # never receive the trained model.
-        key += ("store", str(resolved_store.root))
-        build = functools.partial(
-            _store_backed_predictor, scenario_id, vector, seed, training_epochs,
-            resolved_store, executor,
+        return _store_backed_predictor(
+            scenario_id, vector, seed, training_epochs, resolved_store, executor
         )
-    else:
-        build = functools.partial(
-            _train_predictor, scenario_id, vector, kind, seed, training_epochs
+    # training_epochs is part of the key: a predictor trained with different
+    # epochs must never shadow this one.
+    key = encode_key((scenario_id, vector, kind, seed, training_epochs))
+    if key not in _PREDICTOR_CACHE:
+        _PREDICTOR_CACHE[key] = _train_predictor(
+            scenario_id, vector, kind, seed, training_epochs
         )
-    encoded = encode_key(key)
-    if encoded not in _PREDICTOR_CACHE:
-        _PREDICTOR_CACHE[encoded] = build()
-    return _PREDICTOR_CACHE[encoded]
+    return _PREDICTOR_CACHE[key]
 
 
 def _safety_hijacker_for(
@@ -612,8 +614,11 @@ def run_single_experiment(
     return run_single_experiment_record(config, run_index, predictor=predictor).result
 
 
-#: Lanes per :class:`~repro.sim.batch.BatchSimulator` when ``engine="batch"``.
-DEFAULT_BATCH_SIZE = 16
+#: The simulation engine campaigns, sweeps and searches run on by default.
+DEFAULT_ENGINE = "batch"
+#: Most lanes per :class:`~repro.sim.batch.BatchSimulator` when
+#: ``engine="batch"``: a default 30-run campaign is one chunk.
+DEFAULT_BATCH_SIZE = 32
 
 
 def _validate_engine(engine: str, batch_size: int) -> None:
@@ -623,8 +628,14 @@ def _validate_engine(engine: str, batch_size: int) -> None:
         raise ValueError("batch_size must be at least 1")
 
 
-def _chunked(indices: Sequence[int], size: int) -> List[List[int]]:
-    return [list(indices[start:start + size]) for start in range(0, len(indices), size)]
+def _chunked(
+    indices: Sequence[int], batch_size: int, executor: Executor
+) -> List[List[int]]:
+    """Lockstep chunks of ``indices``, ``min(batch_size, ceil(n / workers))``
+    wide, so every worker of ``executor`` gets a chunk when there are enough
+    runs."""
+    width = min(batch_size, math.ceil(len(indices) / executor.workers))
+    return [list(indices[start:start + width]) for start in range(0, len(indices), width)]
 
 
 def _run_batch_chunk(
@@ -690,7 +701,7 @@ def _run_campaign_checkpointed(
     config: CampaignConfig,
     store: ExperimentStore,
     executor: ExecutorLike,
-    engine: str = "scalar",
+    engine: str = DEFAULT_ENGINE,
     batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> CampaignResult:
     """Stream a campaign's runs into the store, skipping already-stored ones.
@@ -700,11 +711,11 @@ def _run_campaign_checkpointed(
     the runs in flight.  On restart, the stored (config-hash, run-index)
     pairs are skipped, and because every run is independently seeded from
     ``(campaign_seed, run_index)``, the merged statistics are bit-identical
-    to an uninterrupted serial campaign.  With ``engine="batch"`` the pending
-    indices are chunked onto lockstep :class:`BatchSimulator` lanes instead
-    (checkpoint granularity becomes one chunk); resuming a campaign with a
-    different engine or chunk size is safe because records only depend on the
-    per-run seed.
+    to an uninterrupted serial campaign.  With ``engine="batch"`` (the
+    default) the pending indices are chunked onto lockstep
+    :class:`BatchSimulator` lanes, so a crash loses at most the chunks in
+    flight; resuming a campaign with a different engine or chunk size is safe
+    because records only depend on the per-run seed.
     """
     store.write_manifest(config)
     done = store.run_indices(config_hash(config))
@@ -718,7 +729,8 @@ def _run_campaign_checkpointed(
             predictor = _prepare_predictor(config, store=store, executor=resolved)
             if engine == "batch":
                 worker = functools.partial(_run_batch_chunk, config, predictor=predictor)
-                for _, records in resolved.imap(worker, _chunked(pending, batch_size)):
+                chunks = _chunked(pending, batch_size, resolved)
+                for _, records in resolved.imap(worker, chunks):
                     for record in records:
                         store.append(record)
             else:
@@ -744,7 +756,7 @@ def run_campaign(
     use_cache: bool = True,
     executor: ExecutorLike = None,
     store: StoreLike = None,
-    engine: str = "scalar",
+    engine: str = DEFAULT_ENGINE,
     batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> CampaignResult:
     """Execute all runs of a campaign, optionally fanning out over processes.
@@ -761,13 +773,14 @@ def run_campaign(
     skipped, and the in-process memo is bypassed — the store *is* the
     durable record.
 
-    ``engine`` selects the simulation engine: ``"scalar"`` (the reference
-    :class:`~repro.sim.simulator.Simulator`, one run per work item) or
-    ``"batch"`` (the vectorized :class:`~repro.sim.batch.BatchSimulator`,
-    ``batch_size`` lockstep runs per work item).  Both produce bit-identical
-    results, so the engine deliberately does not enter the cache key or the
-    store's config hash — a batch campaign resumes a scalar one and
-    vice versa.
+    ``engine`` selects the simulation engine: ``"batch"`` (the default: the
+    vectorized :class:`~repro.sim.batch.BatchSimulator`, up to ``batch_size``
+    lockstep runs per work item, narrowed so every worker of ``executor``
+    gets one) or ``"scalar"`` (the reference
+    :class:`~repro.sim.simulator.Simulator`, one run per work item).  Both
+    produce bit-identical results, so the engine deliberately does not enter
+    the cache key or the store's config hash — a batch campaign resumes a
+    scalar one and vice versa.
     """
     _validate_engine(engine, batch_size)
     resolved_store = resolve_store(store)
@@ -784,7 +797,7 @@ def run_campaign(
         if engine == "batch":
             record_chunks = resolved.map(
                 functools.partial(_run_batch_chunk, config, predictor=predictor),
-                _chunked(range(config.n_runs), batch_size),
+                _chunked(range(config.n_runs), batch_size, resolved),
             )
             runs = [record.result for chunk in record_chunks for record in chunk]
         else:
@@ -815,7 +828,7 @@ def run_campaigns(
     use_cache: bool = True,
     executor: ExecutorLike = None,
     store: StoreLike = None,
-    engine: str = "scalar",
+    engine: str = DEFAULT_ENGINE,
     batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> List[CampaignResult]:
     """Execute several campaigns, sharing one executor (and its worker pool)."""

@@ -215,9 +215,9 @@ class RowFusionPolicy:
 
     Subclasses implement :meth:`fuse` (see the module docstring for the row
     layouts) and keep per-object state in ``_tracks``; :meth:`step` is the
-    one adapter from the perception dataclasses.  The batch engine runs a
-    policy only while ``step`` is this adapter, because it calls ``fuse``
-    directly.
+    one adapter from the perception dataclasses.  The batch engine calls
+    ``fuse`` directly only while ``step`` is this adapter; a lane whose policy
+    has its own ``step`` runs on the reference Simulator.
     """
 
     def __init__(self, config: FusionConfig | None = None):
@@ -626,9 +626,10 @@ class FusionPolicy(Protocol):
 
 #: Registry of fusion-policy factories (``FusionConfig -> FusionPolicy``).
 #: Third-party policies register here and become sweepable/CLI-selectable on
-#: the scalar engine.  The batch engine calls :meth:`RowFusionPolicy.fuse`
-#: directly, so it runs the built-ins and any :class:`RowFusionPolicy` whose
-#: ``step`` is still the shared adapter, and rejects every other policy.
+#: both engines.  The batch engine calls :meth:`RowFusionPolicy.fuse` directly
+#: for the built-ins and any :class:`RowFusionPolicy` whose ``step`` is still
+#: the shared adapter; a lane with any other policy runs on the reference
+#: Simulator inside the batch.
 FUSION_POLICIES: Registry[Callable[[FusionConfig], "FusionPolicy"]] = Registry(
     "fusion policy"
 )

@@ -25,8 +25,10 @@ subcommand:
 * ``scenarios`` prints the registered scenario catalog.
 
 A flag means the same thing on every subcommand that takes it: ``--jobs``
-fans runs out over worker processes, ``--engine batch`` advances
-``--batch-size`` runs in lockstep (bit-identical results), ``--store``
+fans runs out over worker processes, ``--engine`` picks the simulation engine
+(the default ``batch`` advances up to ``--batch-size`` runs in lockstep,
+split across ``--jobs``; ``scalar`` is the reference; both give
+bit-identical results), ``--store``
 durably records every run, and ``--fusion`` selects the fusion-policy victim
 variant (late, camera_only, lidar_only, consistency_gated); on ``resume`` it
 filters the store's incomplete campaigns instead.
@@ -110,18 +112,25 @@ def _add_campaign_args(
 
 
 def _add_execution_args(parser: argparse.ArgumentParser, *, engine: bool = True) -> None:
-    """Declare ``--jobs`` and, unless ``engine=False``, ``--engine`` / ``--batch-size``."""
+    """Declare ``--jobs`` and, unless ``engine=False``, ``--engine`` / ``--batch-size``.
+
+    The engine defaults are the library's own (``run_campaign``'s).
+    """
     group = parser.add_argument_group("execution")
     group.add_argument("--jobs", type=int, default=0,
                        help="worker processes (0/1 = serial, -1 = all CPUs)")
     if engine:
-        group.add_argument("--engine", default="scalar", choices=("scalar", "batch"),
-                           help="simulation engine: 'scalar' steps one run at a "
-                           "time, 'batch' advances --batch-size runs in lockstep "
-                           "per work item (bit-identical results)")
-        group.add_argument("--batch-size", type=int, default=16,
-                           help="lockstep runs per work item when --engine batch "
-                           "(default: %(default)s)")
+        from repro.experiments.campaign import DEFAULT_BATCH_SIZE, DEFAULT_ENGINE
+
+        group.add_argument("--engine", default=DEFAULT_ENGINE, choices=("scalar", "batch"),
+                           help="simulation engine: 'batch' advances up to "
+                           "--batch-size runs in lockstep per work item, "
+                           "'scalar' steps one run at a time (bit-identical "
+                           "results; default: %(default)s)")
+        group.add_argument("--batch-size", type=int, default=DEFAULT_BATCH_SIZE,
+                           help="most lockstep runs per work item when --engine "
+                           "batch; a campaign's runs are split into at least "
+                           "--jobs chunks (default: %(default)s)")
 
 
 def _add_store_arg(parser: argparse.ArgumentParser, *, required: bool = True) -> None:

@@ -78,6 +78,11 @@ class Executor(abc.ABC):
         """
         yield from enumerate(self.map(fn, items))
 
+    @property
+    def workers(self) -> int:
+        """How many work items this executor runs at once."""
+        return 1
+
     def close(self) -> None:
         """Release any worker resources (idempotent)."""
 
@@ -132,6 +137,10 @@ class ParallelExecutor(Executor):
             raise ValueError("chunksize must be at least 1")
         self._chunksize = chunksize
         self._pool: Optional[ProcessPoolExecutor] = None
+
+    @property
+    def workers(self) -> int:
+        return self.max_workers
 
     @staticmethod
     def _mp_context():
@@ -217,6 +226,10 @@ class FaultInjectingExecutor(Executor):
         self.fail_after = fail_after
         self.inner = inner or SerialExecutor()
         self.completed = 0
+
+    @property
+    def workers(self) -> int:
+        return self.inner.workers
 
     def map(self, fn: Callable[[T], R], items: Iterable[T]) -> List[R]:
         pairs = sorted(self.imap(fn, items))

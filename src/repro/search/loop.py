@@ -40,6 +40,7 @@ import numpy as np
 
 from repro.experiments.campaign import (
     DEFAULT_BATCH_SIZE,
+    DEFAULT_ENGINE,
     CampaignConfig,
     StoreLike,
     resolve_store,
@@ -220,7 +221,7 @@ class FalsificationLoop:
         spec: SearchSpec,
         store: StoreLike,
         executor: ExecutorLike = None,
-        engine: str = "scalar",
+        engine: str = DEFAULT_ENGINE,
         batch_size: int = DEFAULT_BATCH_SIZE,
     ):
         resolved = resolve_store(store)
@@ -464,7 +465,7 @@ def run_falsification_search(
     spec: SearchSpec,
     store: StoreLike,
     executor: ExecutorLike = None,
-    engine: str = "scalar",
+    engine: str = DEFAULT_ENGINE,
     batch_size: int = DEFAULT_BATCH_SIZE,
     max_iterations: Optional[int] = None,
 ) -> SearchResult:

@@ -31,7 +31,10 @@ final state) for any lane set, by construction:
   NumPy's Generator produces bit-identical values for a size-``n`` vector draw
   and ``n`` sequential scalar draws with the same ``loc``/``scale`` (both walk
   the same ziggurat stream), so buffering is exact.  When the GPS position and
-  speed sigmas differ the buffer falls back to sequential scalar draws.
+  speed sigmas differ the buffer falls back to sequential scalar draws.  The
+  buffers are ``array("d")`` (8 bytes a value; indexing yields the same
+  Python float a list would hold), and the GPS one keeps only the speed
+  draws, the one GPS value the victim reads.
 * **Batched Kalman algebra** — the stacked predict/update uses ``np.matmul``
   broadcasting with the same left-associated operation order, the same ``.T``
   views, and the same Joseph-form + symmetrization expressions as the scalar
@@ -54,11 +57,18 @@ Restrictions (the scalar path has none of these):
 * every lane shares one :class:`SimulationConfig` (lockstep needs one ``dt``);
 * the victim's camera perception must be fresh — a detector, tracker or
   transform that carries state from an earlier run is rejected (call
-  ``ads.reset()`` first), because the camera-stage ports start empty;
-* the victim's fusion policy must keep the shared
-  :meth:`RowFusionPolicy.step` adapter (every built-in does, as does a
-  subclass that only overrides ``fuse`` or the blend weights); a policy with
-  its own ``step`` needs the scalar Simulator.
+  ``ads.reset()`` first), because the camera-stage ports start empty.
+
+Reference-engine lanes
+----------------------
+
+A ported lane calls its fusion policy's row-level core, which is what
+``step`` runs only while it is the shared :meth:`RowFusionPolicy.step`
+adapter (every built-in keeps it, as does a subclass that only overrides
+``fuse`` or the blend weights).  A lane whose policy has its own ``step`` — a
+third-party ``FUSION_POLICIES`` entry, say — runs on the reference
+:class:`~repro.sim.simulator.Simulator` instead, from the same
+:class:`BatchRunSpec`; its result takes its place in spec order.
 
 Attackers
 ---------
@@ -91,6 +101,7 @@ unchanged.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
@@ -118,7 +129,7 @@ from repro.sim.actors import ActorKind, ActorSnapshot
 from repro.sim.config import SimulationConfig
 from repro.sim.events import EventKind, EventLog, SimulationEvent
 from repro.sim.scenarios import DrivingScenario
-from repro.sim.simulator import CameraAttacker, SimulationResult
+from repro.sim.simulator import CameraAttacker, SimulationResult, Simulator
 from repro.sim.world import GroundTruthSnapshot
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
@@ -755,6 +766,13 @@ class BatchRunSpec:
     rng: Optional[np.random.Generator] = None
 
 
+def _shares_row_core(spec: BatchRunSpec) -> bool:
+    """Whether the lane's fusion ``step`` is the shared adapter over the
+    row-level ``fuse`` core that a ported lane calls directly."""
+    step = spec.ads.perception.fusion.step
+    return getattr(step, "__func__", None) is RowFusionPolicy.step
+
+
 # --------------------------------------------------------------------------- #
 # One lane: the full per-run state and the scalar-equivalent step logic
 # --------------------------------------------------------------------------- #
@@ -781,16 +799,6 @@ class _Lane:
         sensor_seeds = rng.integers(0, 2**31 - 1, size=2)
 
         perception = ads.perception
-        fusion = perception.fusion
-        # The lane calls the policy's row-level core directly, which is
-        # exactly what ``step`` does only while it is the shared adapter.
-        if getattr(fusion.step, "__func__", None) is not RowFusionPolicy.step:
-            raise ValueError(
-                "BatchSimulator runs the built-in fusion policies, and subclasses "
-                "that keep the shared RowFusionPolicy.step adapter, through their "
-                f"row-level fuse(); {type(fusion).__name__}.step is not that "
-                "adapter. Use the scalar Simulator for custom fusion policies"
-            )
         # The camera-stage ports start empty; a victim whose detector, tracker
         # or transform carries state would silently diverge from the scalar run.
         if (perception.detector._burst_remaining or perception.tracker.tracks
@@ -819,7 +827,7 @@ class _Lane:
 
         # --- the victim's own fusion, planner, PID trim and smoother ---
         self.ads = ads
-        self.fusion = fusion
+        self.fusion = perception.fusion
         self.planner = ads.planner
 
         # --- road ---
@@ -863,22 +871,21 @@ class _Lane:
         self.lidar_p_range = lidar.pedestrian_range_m
         n_scans = sum(1 for due in self.lidar_due if due)
         n_draws = 2 * len(self.actors) * n_scans
-        self.lidar_noise = (
-            lidar._rng.normal(0.0, lidar.position_noise_m, size=n_draws).tolist()
-            if n_draws
-            else []
-        )
+        self.lidar_noise = array("d", lidar._rng.normal(
+            0.0, lidar.position_noise_m, size=n_draws
+        ).tobytes())
         self.lidar_cursor = 0
+        # Only the speed noise (every third GPS draw, after x and y) is read.
         if gps.position_noise_m == gps.speed_noise_mps:
-            self.gps_noise = gps._rng.normal(
+            self.gps_noise = array("d", gps._rng.normal(
                 0.0, gps.speed_noise_mps, size=3 * self.max_steps
-            ).tolist()
+            )[2::3].tobytes())
         else:  # pragma: no cover - non-default sensor config
             sigmas = (gps.position_noise_m, gps.position_noise_m, gps.speed_noise_mps)
-            self.gps_noise = [
+            self.gps_noise = array("d", [
                 float(gps._rng.normal(0.0, sigmas[i % 3]))
                 for i in range(3 * self.max_steps)
-            ]
+            ][2::3])
 
         # --- run bookkeeping ---
         sim_safety = SafetyModel(comfortable_decel_mps2=config.comfortable_decel_mps2)
@@ -965,7 +972,7 @@ class _Lane:
         rendered = self._render_objects()
         if self.lidar_due[self.loop_step]:
             self._scan()
-        gps = self.ego_speed + self.gps_noise[3 * self.loop_step + 2]
+        gps = self.ego_speed + self.gps_noise[self.loop_step]
         self.gps_speed = gps if gps > 0.0 else 0.0
         return rendered
 
@@ -1243,7 +1250,8 @@ class BatchSimulator:
     of the observed track states; (D) per-lane world-estimation, fusion,
     planning, actuation, and world advance.  Lanes that halt (collision) or
     exhaust their duration drop out of the active set; the loop ends when no
-    lane is active.
+    lane is active.  Reference-engine lanes (see the module docstring) run on
+    their own :class:`Simulator` after the loop.
     """
 
     def __init__(self, specs: Sequence[BatchRunSpec],
@@ -1252,12 +1260,20 @@ class BatchSimulator:
             raise ValueError("BatchSimulator needs at least one run spec")
         self.config = config or SimulationConfig()
         self._pool = _KalmanPool()
-        self._lanes = [_Lane(spec, self.config, self._pool) for spec in specs]
+        # Both kinds of lane draw their sensor seeds on construction, so
+        # building them in spec order keeps every generator's draw order.
+        self._lanes: List[_Lane | Simulator] = [
+            _Lane(spec, self.config, self._pool) if _shares_row_core(spec)
+            else Simulator(spec.scenario, spec.ads, config=self.config,
+                           attacker=spec.attacker, rng=spec.rng)
+            for spec in specs
+        ]
 
     def run(self) -> List[SimulationResult]:
         """Execute all lanes to completion; results are in spec order."""
         pool = self._pool
-        active = [lane for lane in self._lanes if not lane.done]
+        active = [lane for lane in self._lanes
+                  if isinstance(lane, _Lane) and not lane.done]
         split = [lane for lane in active if lane.replica is not None]
         while active:
             # Phase 0: the attacker picks the frame its replica observes.
@@ -1295,4 +1311,5 @@ class BatchSimulator:
                 lane.post_step()
             active = [lane for lane in active if not lane.done]
             split = [lane for lane in split if lane.replica is not None]
-        return [lane.result() for lane in self._lanes]
+        return [lane.result() if isinstance(lane, _Lane) else lane.run()
+                for lane in self._lanes]

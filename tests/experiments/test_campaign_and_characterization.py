@@ -6,6 +6,7 @@ the unit suite; campaigns are kept to a handful of runs.
 
 import dataclasses
 import math
+import shutil
 
 import numpy as np
 import pytest
@@ -27,6 +28,8 @@ from repro.experiments.campaign import (
 )
 from repro.experiments.store import ExperimentStore
 from repro.experiments.characterization import characterize_detector
+from repro.perception.fusion import FUSION_POLICIES, FusionConfig, SensorFusion
+from repro.runtime import ParallelExecutor, SerialExecutor
 from repro.sim.actors import ActorKind
 from repro.sim.config import SimulationConfig
 
@@ -297,6 +300,58 @@ class TestBatchEngine:
         assert mixed.n_runs == full.n_runs == config.n_runs
         assert all(_results_equal(a, b) for a, b in zip(mixed.runs, full.runs))
 
+    def test_default_engine_runs_a_custom_step_fusion_policy(self):
+        """A registered policy with its own ``step`` runs on reference-engine
+        lanes of the default batch engine: identical to ``engine="scalar"``."""
+
+        class NearestOnly(SensorFusion):
+            def step(self, camera_estimates, lidar_scan, ego_speed_mps, frame_dt_s):
+                return super().step(
+                    camera_estimates, lidar_scan, ego_speed_mps, frame_dt_s
+                )[:1]
+
+        FUSION_POLICIES.register("nearest_only", NearestOnly)
+        try:
+            config = self._config(
+                campaign_id="custom-fusion", scenario_id="DS-2",
+                attacker=AttackerKind.RANDOM, n_runs=3,
+                fusion=FusionConfig(policy="nearest_only"),
+            )
+            default = run_campaign(config, use_cache=False)
+            scalar = run_campaign(config, use_cache=False, engine="scalar")
+        finally:
+            FUSION_POLICIES.unregister("nearest_only")
+        assert default.n_runs == scalar.n_runs == 3
+        assert all(_results_equal(a, b) for a, b in zip(default.runs, scalar.runs))
+
+    def test_default_engine_splits_runs_across_workers(self):
+        """A default 30-run campaign is one chunk serially, and is split so
+        that each of two workers gets one; the results are the same."""
+
+        class Recording:
+            def map(self, fn, items):
+                self.items = list(items)
+                return super().map(fn, self.items)
+
+        class RecordingSerial(Recording, SerialExecutor):
+            pass
+
+        class RecordingParallel(Recording, ParallelExecutor):
+            pass
+
+        config = self._config(
+            campaign_id="split-ds3", n_runs=30,
+            simulation=SimulationConfig(max_duration_s=1.0),
+        )
+        serial_executor = RecordingSerial()
+        serial = run_campaign(config, use_cache=False, executor=serial_executor)
+        with RecordingParallel(max_workers=2) as parallel_executor:
+            parallel = run_campaign(config, use_cache=False, executor=parallel_executor)
+        assert serial_executor.items == [list(range(30))]
+        assert len(parallel_executor.items) >= 2
+        assert sorted(sum(parallel_executor.items, [])) == list(range(30))
+        assert all(_results_equal(a, b) for a, b in zip(serial.runs, parallel.runs))
+
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown engine"):
             run_campaign(self._config(), engine="vectorized")
@@ -388,21 +443,48 @@ class TestStoreBackedPredictor:
         clear_caches()
 
     def test_each_store_receives_its_own_published_model(self, tmp_path):
-        # The predictor cache key includes the store root: a second store in
-        # the same process must still get the publish-to-registry side effect.
+        # The oracle is memoized by model hash, but a second store whose
+        # registry lacks it must still get the publish-to-registry side effect.
         from repro.experiments.campaign import clear_caches
         from repro.experiments.store import ExperimentStore
 
         store_a = ExperimentStore(tmp_path / "a")
         store_b = ExperimentStore(tmp_path / "b")
         clear_caches()
-        get_or_train_predictor(
+        from_a = get_or_train_predictor(
             "DS-2", AttackVector.DISAPPEAR, seed=17, training_epochs=2, store=store_a
         )
-        get_or_train_predictor(
+        from_b = get_or_train_predictor(
             "DS-2", AttackVector.DISAPPEAR, seed=17, training_epochs=2, store=store_b
         )
         assert store_a.model_hashes() == store_b.model_hashes() != []
+        assert from_a is from_b
+        clear_caches()
+
+    def test_same_model_in_two_stores_is_one_memoized_oracle(self, tmp_path):
+        from repro.experiments import campaign as campaign_module
+        from repro.experiments.campaign import clear_caches
+        from repro.experiments.store import ExperimentStore
+
+        clear_caches()
+        get_or_train_predictor(
+            "DS-2", AttackVector.DISAPPEAR, seed=17, training_epochs=2,
+            store=ExperimentStore(tmp_path / "a"),
+        )
+        shutil.copytree(tmp_path / "a" / "models", tmp_path / "b" / "models")
+        # A "new process" that meets the same registered model in two stores.
+        clear_caches()
+        from_a = get_or_train_predictor(
+            "DS-2", AttackVector.DISAPPEAR, seed=17, training_epochs=2,
+            store=ExperimentStore(tmp_path / "a"),
+        )
+        from_b = get_or_train_predictor(
+            "DS-2", AttackVector.DISAPPEAR, seed=17, training_epochs=2,
+            store=ExperimentStore(tmp_path / "b"),
+        )
+        assert isinstance(from_a, NeuralSafetyPredictor)
+        assert from_a is from_b
+        assert len(campaign_module._PREDICTOR_CACHE) == 1
         clear_caches()
 
     def test_kinematic_predictor_ignores_the_store(self, tmp_path):

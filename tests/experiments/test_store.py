@@ -445,7 +445,10 @@ class TestConsumers:
         )
         store = ExperimentStore(tmp_path)
         with pytest.raises(InjectedFault):
-            run_campaign(config, store=store, executor=FaultInjectingExecutor(1))
+            # Scalar: one run per work item, so the fault leaves one run stored.
+            run_campaign(
+                config, store=store, executor=FaultInjectingExecutor(1), engine="scalar"
+            )
 
         # Rates over 1 of 3 runs would be silently wrong statistics.
         with pytest.raises(ValueError, match="incomplete"):

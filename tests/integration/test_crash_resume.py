@@ -7,7 +7,9 @@ independently seeded from ``(campaign_seed, run_index)`` and the store
 skips exactly the (config-hash, run-index) pairs already on disk.
 
 The crash is simulated with :class:`FaultInjectingExecutor`, which completes
-a fixed number of work items (checkpointing them) and then dies.
+a fixed number of work items (checkpointing them) and then dies.  A work item
+is one run on the scalar engine and one chunk of lockstep runs on the default
+batch engine, so the per-run checkpoint tests pin ``engine="scalar"``.
 """
 
 import math
@@ -68,11 +70,13 @@ def assert_campaigns_identical(a: CampaignResult, b: CampaignResult) -> None:
 class TestCrashResume:
     def test_interrupted_then_resumed_is_bit_identical_to_clean_serial(self, tmp_path):
         config = _config()
-        clean = run_campaign(config, use_cache=False)
+        clean = run_campaign(config, use_cache=False, engine="scalar")
 
         store = ExperimentStore(tmp_path)
         with pytest.raises(InjectedFault):
-            run_campaign(config, store=store, executor=FaultInjectingExecutor(2))
+            run_campaign(
+                config, store=store, executor=FaultInjectingExecutor(2), engine="scalar"
+            )
 
         # The crash checkpointed exactly the completed runs...
         assert store.run_indices(config_hash(config)) == {0, 1}
@@ -89,13 +93,14 @@ class TestCrashResume:
         # An out-of-order parallel crash leaves an arbitrary subset of run
         # indices behind; order-tagged checkpointing makes the merge exact.
         config = _config(n_runs=6, seed=29)
-        clean = run_campaign(config, use_cache=False)
+        clean = run_campaign(config, use_cache=False, engine="scalar")
 
         store = ExperimentStore(tmp_path)
         with ParallelExecutor(max_workers=2) as inner:
             with pytest.raises(InjectedFault):
                 run_campaign(
-                    config, store=store, executor=FaultInjectingExecutor(3, inner)
+                    config, store=store, executor=FaultInjectingExecutor(3, inner),
+                    engine="scalar",
                 )
         done = store.run_indices(config_hash(config))
         assert len(done) == 3
@@ -103,6 +108,23 @@ class TestCrashResume:
 
         resumed = run_campaign(config, store=store)
         assert_campaigns_identical(resumed, clean)
+
+    def test_batch_crash_loses_at_most_the_chunk_in_flight(self, tmp_path):
+        # On the default batch engine a work item is a chunk of lockstep runs:
+        # a fault after the first chunk leaves exactly that chunk's indices.
+        config = _config(n_runs=5, seed=17)
+        clean = run_campaign(config, use_cache=False, engine="scalar")
+
+        store = ExperimentStore(tmp_path)
+        with pytest.raises(InjectedFault):
+            run_campaign(
+                config, store=store, executor=FaultInjectingExecutor(1), batch_size=2
+            )
+        assert store.run_indices(config_hash(config)) == {0, 1}
+
+        resumed = run_campaign(config, store=store)
+        assert_campaigns_identical(resumed, clean)
+        assert store.incomplete_campaigns() == []
 
     def test_resume_of_complete_campaign_runs_nothing(self, tmp_path):
         config = _config(n_runs=3, seed=7)

@@ -1,6 +1,7 @@
 """Tests for the ``repro-campaign`` console entry point."""
 
 import argparse
+import inspect
 import os
 import re
 import subprocess
@@ -10,7 +11,12 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.experiments.campaign import clear_caches
+from repro.experiments.campaign import (
+    DEFAULT_BATCH_SIZE,
+    DEFAULT_ENGINE,
+    clear_caches,
+    run_campaign,
+)
 from repro.runtime.cli import build_parser, main
 
 COMMANDS = ("table2", "run", "sweep", "search", "train", "resume", "scenarios")
@@ -24,29 +30,30 @@ _SUBPROCESS_ENV = {
     ),
 }
 
+#: The engine flags' defaults: the library's own.
+_ENGINE = dict(engine=DEFAULT_ENGINE, batch_size=DEFAULT_BATCH_SIZE)
+
 #: Minimal argv per subcommand and the defaults it must parse to.
 _DEFAULTS = {
     "table2": (
         [],
         dict(predictor="neural", fusion=None, runs=10, seed=2020, jobs=0,
-             engine="scalar", batch_size=16, store=None),
+             store=None, **_ENGINE),
     ),
     "run": (
         ["--scenario", "DS-1"],
         dict(attacker="robotack", vector=None, predictor="neural", fusion=None,
-             runs=10, seed=2020, jobs=0, engine="scalar", batch_size=16, store=None),
+             runs=10, seed=2020, jobs=0, store=None, **_ENGINE),
     ),
     "sweep": (
         ["--scenario", "DS-1", "--store", "/unused"],
         dict(attacker="none", vector=None, predictor="neural", fusion=None,
-             runs=3, seed=2020, jobs=0, engine="scalar", batch_size=16,
-             sampler="lhs", param=None),
+             runs=3, seed=2020, jobs=0, sampler="lhs", param=None, **_ENGINE),
     ),
     "search": (
         ["--scenario", "DS-3", "--store", "/unused"],
         dict(attacker="robotack", vector=None, predictor="neural", fusion=None,
-             runs=3, seed=2020, jobs=0, engine="scalar", batch_size=16,
-             sampler="ce", param=None),
+             runs=3, seed=2020, jobs=0, sampler="ce", param=None, **_ENGINE),
     ),
     "train": (
         ["--scenario", "DS-2", "--vector", "disappear", "--store", "/unused"],
@@ -54,7 +61,7 @@ _DEFAULTS = {
     ),
     "resume": (
         ["--store", "/unused"],
-        dict(fusion=None, jobs=0, engine="scalar", batch_size=16),
+        dict(fusion=None, jobs=0, **_ENGINE),
     ),
     "scenarios": ([], {}),
 }
@@ -108,6 +115,17 @@ class TestParserStructure:
             assert args.command == command
             for name, value in defaults.items():
                 assert getattr(args, name) == value, (command, name)
+
+    def test_run_help_shows_the_library_engine_defaults(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["run", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        signature = inspect.signature(run_campaign).parameters
+        assert signature["engine"].default == DEFAULT_ENGINE == "batch"
+        assert signature["batch_size"].default == DEFAULT_BATCH_SIZE
+        assert f"default: {DEFAULT_ENGINE})" in help_text
+        assert f"default: {DEFAULT_BATCH_SIZE})" in help_text
+        assert "split into at least --jobs chunks" in help_text
 
     def test_bare_invocation_prints_usage_and_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -187,8 +205,8 @@ class TestCli:
     def test_parser_defaults(self):
         args = build_parser().parse_args(["run", "--scenario", "DS-1"])
         assert args.runs == 10
-        assert args.engine == "scalar"
-        assert args.batch_size == 16
+        assert args.engine == DEFAULT_ENGINE == "batch"
+        assert args.batch_size == DEFAULT_BATCH_SIZE
         assert args.jobs == 0
         assert args.scenario == "DS-1"
         assert args.store is None
@@ -431,7 +449,10 @@ class TestFusionCli:
         )
         store = ExperimentStore(tmp_path)
         with pytest.raises(InjectedFault):
-            run_campaign(config, store=store, executor=FaultInjectingExecutor(1))
+            # Scalar: one run per work item, so the fault leaves a gap to resume.
+            run_campaign(
+                config, store=store, executor=FaultInjectingExecutor(1), engine="scalar"
+            )
 
         # A filter on a different policy matches nothing and resumes nothing.
         code = main(["resume", "--store", str(tmp_path), "--fusion", "camera_only"])
@@ -539,7 +560,10 @@ class TestResumeCli:
         )
         store = ExperimentStore(tmp_path)
         with pytest.raises(InjectedFault):
-            run_campaign(config, store=store, executor=FaultInjectingExecutor(1))
+            # Scalar: one run per work item, so the fault leaves one run stored.
+            run_campaign(
+                config, store=store, executor=FaultInjectingExecutor(1), engine="scalar"
+            )
         assert store.run_indices(config_hash(config)) == {0}
 
         code = main(["resume", "--store", str(tmp_path)])

@@ -175,7 +175,8 @@ class TestCrashResume:
         clean = FalsificationLoop(spec, clean_store).run()
 
         crash_store = ExperimentStore(tmp_path / "crash")
-        # Die after 4 of the first iteration's 6 runs.
+        # Die after 4 work items: on the default batch engine each 2-run
+        # point is one chunk, so this is partway through the second iteration.
         with pytest.raises(InjectedFault):
             FalsificationLoop(
                 spec, crash_store, executor=FaultInjectingExecutor(4)

@@ -159,25 +159,48 @@ class TestScalarBatchEquivalence:
         ).run()[0]
         _assert_bit_identical(scalar, batch)
 
-    def test_custom_fusion_policy_is_rejected(self):
+    @staticmethod
+    def _mixed_batch_matches_scalar(policy_type):
+        """A batch of ported lanes around one ``policy_type`` victim (attacked
+        DS-1) matches each lane's own scalar run, and that victim's run
+        differs from a late-fusion one, so its own policy really ran."""
+        lanes = [("DS-1", "benign", None), ("DS-1", "attacked", policy_type),
+                 ("DS-2", "attacked", None)]
+
+        def setups():
+            for scenario_id, mode, fusion_type in lanes:
+                scenario, ads, attacker, rng = _SETUPS[mode](scenario_id)
+                if fusion_type is not None:
+                    ads.perception.fusion = fusion_type()
+                yield scenario, ads, attacker, rng
+
+        scalars = [Simulator(scenario, ads, attacker=attacker, rng=rng).run()
+                   for scenario, ads, attacker, rng in setups()]
+        batch = BatchSimulator([
+            BatchRunSpec(scenario=scenario, ads=ads, attacker=attacker, rng=rng)
+            for scenario, ads, attacker, rng in setups()
+        ]).run()
+        assert len(batch) == len(scalars)
+        for scalar, result in zip(scalars, batch):
+            _assert_bit_identical(scalar, result)
+        scenario, ads, attacker, rng = _SETUPS["attacked"]("DS-1")
+        late = Simulator(scenario, ads, attacker=attacker, rng=rng).run()
+        assert scalars[1].events.perceived_delta_trace != late.events.perceived_delta_trace
+
+    def test_custom_step_fusion_policy_runs_on_a_reference_lane(self):
         """The batch engine calls a policy's row-level ``fuse`` core, which is
-        what ``step`` runs only while it is the shared adapter; a policy with
-        its own ``step`` (here: a SensorFusion subclass overriding it) must
-        fail loudly instead of silently diverging from the scalar path."""
+        what ``step`` runs only while it is the shared adapter; a lane whose
+        policy has its own ``step`` (here: a SensorFusion subclass that drops
+        the LiDAR scan) runs on the reference Simulator, in spec order among
+        the ported lanes."""
 
         class CustomFusion(SensorFusion):
             def step(self, camera_estimates, lidar_scan, ego_speed_mps, frame_dt_s):
-                obstacles = super().step(camera_estimates, lidar_scan, ego_speed_mps,
-                                         frame_dt_s)
-                return obstacles[:1]
+                return super().step(camera_estimates, None, ego_speed_mps, frame_dt_s)
 
-        scenario = build_scenario("DS-1")
-        ads = build_ads_agent(scenario, np.random.default_rng(_ADS_SEED))
-        ads.perception.fusion = CustomFusion()
-        with pytest.raises(ValueError, match="built-in"):
-            BatchSimulator([BatchRunSpec(scenario=scenario, ads=ads)])
+        self._mixed_batch_matches_scalar(CustomFusion)
 
-    def test_protocol_only_fusion_policy_is_rejected(self):
+    def test_protocol_only_fusion_policy_runs_on_a_reference_lane(self):
         """Same for a policy that implements just the FusionPolicy protocol."""
 
         class ProtocolOnly:
@@ -189,11 +212,7 @@ class TestScalarBatchEquivalence:
             def step(self, camera_estimates, lidar_scan, ego_speed_mps, frame_dt_s):
                 return []
 
-        scenario = build_scenario("DS-1")
-        ads = build_ads_agent(scenario, np.random.default_rng(_ADS_SEED))
-        ads.perception.fusion = ProtocolOnly()
-        with pytest.raises(ValueError, match="built-in"):
-            BatchSimulator([BatchRunSpec(scenario=scenario, ads=ads)])
+        self._mixed_batch_matches_scalar(ProtocolOnly)
 
     @pytest.mark.parametrize("mode", sorted(_SETUPS))
     def test_blend_weight_subclass_matches_scalar(self, mode):
