@@ -1,0 +1,90 @@
+"""Paired scalar-vs-batch timing behind the batch engine's speed gates.
+
+The shared hosts these benchmarks run on change speed by up to ~1.6x within
+seconds, so a scalar time taken before a batch time can measure the host
+instead of the engines.  The gates therefore alternate short scalar samples
+with batch samples (scalar, batch, scalar, ..., batch, scalar), pair each
+batch sample with the mean of the two scalar samples around it, and take the
+median of the per-pair speedups: a slow stretch slows both halves of a pair
+and cancels in its ratio, a steady drift cancels between the two scalar
+samples, and a pair that straddles a sudden speed change is an outlier the
+median ignores.
+"""
+
+from __future__ import annotations
+
+import time
+from typing import List, Optional, Tuple
+
+import numpy as np
+
+from repro.experiments.campaign import build_ads_agent
+from repro.perception.fusion import FusionConfig
+from repro.sim.batch import BatchRunSpec, BatchSimulator
+from repro.sim.scenarios import build_scenario
+from repro.sim.simulator import Simulator
+
+#: Batch samples per gate, each paired with the scalar samples around it.
+PAIRS = 9
+#: Scalar runs per sample; every run is the same scenario and duration, so a
+#: short sample keeps each pair's samples close together in time.
+SCALAR_RUNS = 2
+
+
+def ds1_setups(
+    n: int, fusion: Optional[FusionConfig] = None
+) -> List[Tuple[object, object, np.random.Generator]]:
+    """N independently-seeded DS-1 runs, seeded like a campaign would."""
+    setups = []
+    for index in range(n):
+        rng = np.random.default_rng(
+            np.random.SeedSequence([424242, index]).generate_state(1)[0]
+        )
+        scenario = build_scenario("DS-1")
+        ads = build_ads_agent(
+            scenario, np.random.default_rng(int(rng.integers(0, 2**31 - 1))), fusion=fusion
+        )
+        int(rng.integers(0, 2**31 - 1))  # attacker-slot draw, campaign draw order
+        sim_rng = np.random.default_rng(int(rng.integers(0, 2**31 - 1)))
+        setups.append((scenario, ads, sim_rng))
+    return setups
+
+
+def scalar_seconds_per_run(n: int, fusion: Optional[FusionConfig] = None) -> float:
+    """Wall seconds per run of n runs on the reference scalar loop."""
+    setups = ds1_setups(n, fusion)
+    start = time.perf_counter()
+    for scenario, ads, rng in setups:
+        Simulator(scenario, ads, rng=rng).run()
+    return (time.perf_counter() - start) / n
+
+
+def batch_seconds_per_run(width: int, fusion: Optional[FusionConfig] = None) -> float:
+    """Wall seconds per run of one ``width``-lane lockstep batch."""
+    specs = [
+        BatchRunSpec(scenario=scenario, ads=ads, rng=rng)
+        for scenario, ads, rng in ds1_setups(width, fusion)
+    ]
+    start = time.perf_counter()
+    results = BatchSimulator(specs).run()
+    elapsed = time.perf_counter() - start
+    assert len(results) == width
+    return elapsed / width
+
+
+def paired_seconds_per_run(
+    width: int, fusion: Optional[FusionConfig] = None
+) -> List[Tuple[float, float]]:
+    """``PAIRS`` (scalar, batch) seconds-per-run pairs from alternating samples."""
+    scalar = [scalar_seconds_per_run(SCALAR_RUNS, fusion)]
+    pairs = []
+    for _ in range(PAIRS):
+        batch = batch_seconds_per_run(width, fusion)
+        scalar.append(scalar_seconds_per_run(SCALAR_RUNS, fusion))
+        pairs.append(((scalar[-2] + scalar[-1]) / 2, batch))
+    return pairs
+
+
+def speedups(pairs: List[Tuple[float, float]]) -> List[float]:
+    """Per-pair batch speedups over the scalar loop."""
+    return [scalar / batch for scalar, batch in pairs]

@@ -8,90 +8,62 @@ comes from amortizing the per-step interpreter overhead (stacked Kalman
 algebra, one lockstep loop) across lanes and is orthogonal to ``--jobs``
 process fan-out: campaigns compose both (``engine="batch"`` + ``--jobs``).
 
-The >= 5x assertion at N=64 is the ISSUE acceptance bound; like the other
-benchmarks, ``REPRO_BENCH_STRICT=0`` demotes it to a recorded metric for
-noisy shared runners.
+The >= 5x assertion at N=64 gates the median speedup over alternating
+scalar/batch sample pairs (:mod:`benchmarks.engine_speed`), so a host that
+changes speed mid-test does not decide it; like the other benchmarks,
+``REPRO_BENCH_STRICT=0`` demotes it to a recorded metric for noisy shared
+runners.
 """
 
 from __future__ import annotations
 
 import os
-import time
-from typing import List, Tuple
+import statistics
 
-import numpy as np
 import pytest
 
-from repro.experiments.campaign import build_ads_agent
-from repro.sim.batch import BatchRunSpec, BatchSimulator
-from repro.sim.scenarios import build_scenario
-from repro.sim.simulator import Simulator
+from benchmarks.engine_speed import (
+    batch_seconds_per_run,
+    paired_seconds_per_run,
+    speedups,
+)
 
 _WIDTHS = (1, 16, 64, 256)
 _GATED_WIDTH = 64
 _MIN_SPEEDUP = 5.0
-#: Scalar runs timed to estimate the baseline (full 256 would dominate wall time).
-_SCALAR_SAMPLE = 8
-
-
-def _run_setups(n: int) -> List[Tuple[object, object, np.random.Generator]]:
-    """N independently-seeded DS-1 runs, seeded like a campaign would."""
-    setups = []
-    for index in range(n):
-        rng = np.random.default_rng(
-            np.random.SeedSequence([424242, index]).generate_state(1)[0]
-        )
-        scenario = build_scenario("DS-1")
-        ads = build_ads_agent(
-            scenario, np.random.default_rng(int(rng.integers(0, 2**31 - 1)))
-        )
-        int(rng.integers(0, 2**31 - 1))  # attacker-slot draw, campaign draw order
-        sim_rng = np.random.default_rng(int(rng.integers(0, 2**31 - 1)))
-        setups.append((scenario, ads, sim_rng))
-    return setups
 
 
 def test_bench_batch_engine_throughput():
-    # Scalar baseline: best-of-two over a sample of runs, extrapolated to
-    # runs/sec (every run is the same scenario and duration).
-    scalar_s = float("inf")
-    for _ in range(2):
-        setups = _run_setups(_SCALAR_SAMPLE)
-        start = time.perf_counter()
-        for scenario, ads, rng in setups:
-            Simulator(scenario, ads, rng=rng).run()
-        scalar_s = min(scalar_s, time.perf_counter() - start)
-    scalar_per_run = scalar_s / _SCALAR_SAMPLE
+    pairs = paired_seconds_per_run(_GATED_WIDTH)
+    ratios = speedups(pairs)
+    gated_speedup = statistics.median(ratios)
+    scalar_per_run = statistics.median(scalar for scalar, _ in pairs)
     print(f"\nscalar    : {1.0 / scalar_per_run:8.1f} runs/sec")
 
-    speedups = {}
     for width in _WIDTHS:
-        batch_s = float("inf")
-        for _ in range(2):
-            specs = [
-                BatchRunSpec(scenario=scenario, ads=ads, rng=rng)
-                for scenario, ads, rng in _run_setups(width)
-            ]
-            start = time.perf_counter()
-            results = BatchSimulator(specs).run()
-            batch_s = min(batch_s, time.perf_counter() - start)
-        assert len(results) == width
-        per_run = batch_s / width
-        speedups[width] = scalar_per_run / per_run
+        if width == _GATED_WIDTH:
+            per_run = statistics.median(batch for _, batch in pairs)
+            speedup = gated_speedup
+            note = f", median of {len(pairs)} pairs"
+        else:
+            per_run = batch_seconds_per_run(width)
+            speedup = scalar_per_run / per_run
+            note = ""
         print(
             f"batch N={width:<4d}: {1.0 / per_run:8.1f} runs/sec "
-            f"(speedup {speedups[width]:.2f}x)"
+            f"(speedup {speedup:.2f}x{note})"
         )
+    print("per-pair speedups at N=64: " + " ".join(f"{r:.2f}" for r in ratios))
 
     # REPRO_BENCH_STRICT=0 demotes the bound to a recorded metric.
     strict = os.environ.get("REPRO_BENCH_STRICT", "1") != "0"
     if strict:
-        assert speedups[_GATED_WIDTH] >= _MIN_SPEEDUP, (
+        assert gated_speedup >= _MIN_SPEEDUP, (
             f"expected >= {_MIN_SPEEDUP}x runs/sec over the scalar loop at "
-            f"N={_GATED_WIDTH}, measured {speedups[_GATED_WIDTH]:.2f}x"
+            f"N={_GATED_WIDTH}, measured {gated_speedup:.2f}x"
         )
-    elif speedups[_GATED_WIDTH] < _MIN_SPEEDUP:
+    elif gated_speedup < _MIN_SPEEDUP:
         pytest.skip(
-            f"non-strict mode: measured {speedups[_GATED_WIDTH]:.2f}x "
+            f"non-strict mode: measured {gated_speedup:.2f}x "
             f"(< {_MIN_SPEEDUP}x) at N={_GATED_WIDTH}"
         )

@@ -70,8 +70,8 @@ class ObstaclePredictor:
 
     The row-level methods (:meth:`lead_index`, :meth:`near_path_pedestrian`,
     :meth:`gap`) take obstacle rows or an obstacle's fields as plain values —
-    the obstacle rows of :mod:`repro.perception.fusion` — and are the one
-    implementation; the :class:`FusedObstacle` methods adapt to them.
+    the obstacle rows of :mod:`repro.perception.fusion`; :meth:`rows` turns
+    :class:`FusedObstacle` objects into such rows.
     The ego lane is read from ``road`` once, at construction.
     """
 
@@ -149,10 +149,6 @@ class ObstaclePredictor:
         margin = caution_margin_m + _PEDESTRIAN_HALF_WIDTH
         return self._lane_min - margin <= lateral <= self._lane_max + margin
 
-    # ------------------------------------------------------------------ #
-    # FusedObstacle adapters
-    # ------------------------------------------------------------------ #
-
     @staticmethod
     def rows(obstacles: Sequence[FusedObstacle]) -> List[tuple]:
         """Fused obstacles as obstacle rows (their five planning fields)."""
@@ -160,37 +156,4 @@ class ObstaclePredictor:
             (o.kind, o.distance_m, o.lateral_m, o.longitudinal_speed_mps,
              o.lateral_velocity_mps)
             for o in obstacles
-        ]
-
-    def bumper_gap(self, obstacle: FusedObstacle) -> float:
-        """Bumper-to-bumper gap from the ego front to the obstacle rear."""
-        return self.gap(obstacle.kind, obstacle.distance_m)
-
-    def currently_in_path(self, obstacle: FusedObstacle) -> bool:
-        """Whether the obstacle footprint overlaps the ego lane right now."""
-        return self._in_path_now(obstacle.kind, obstacle.lateral_m)
-
-    def predicted_in_path(self, obstacle: FusedObstacle) -> bool:
-        """Whether the obstacle is expected to overlap the ego lane soon."""
-        return self._in_path_ahead(
-            obstacle.kind, obstacle.distance_m, obstacle.lateral_m,
-            obstacle.lateral_velocity_mps,
-        )
-
-    def nearest_in_path(self, obstacles: List[FusedObstacle]) -> Optional[FusedObstacle]:
-        """The closest obstacle that is (or will be) in the ego path."""
-        index = self.lead_index(self.rows(obstacles))
-        return None if index is None else obstacles[index]
-
-    def pedestrians_near_path(
-        self, obstacles: List[FusedObstacle], max_distance_m: float, caution_margin_m: float
-    ) -> List[FusedObstacle]:
-        """Pedestrians close to the ego lane boundary (caution-speed rule)."""
-        return [
-            obstacle
-            for obstacle in obstacles
-            if self.near_path_pedestrian(
-                obstacle.kind, obstacle.distance_m, obstacle.lateral_m,
-                max_distance_m, caution_margin_m,
-            )
         ]

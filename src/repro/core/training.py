@@ -75,6 +75,7 @@ __all__ = [
     "training_spec_hash",
     "collect_safety_dataset",
     "train_neural_safety_predictor",
+    "check_training_spec",
     "train_and_register_predictor",
     "load_registered_predictor",
 ]
@@ -586,6 +587,30 @@ class OracleArtifact:
     model_dir: Optional[Path] = None
 
 
+def check_training_spec(
+    seed: int,
+    repeats: int,
+    epochs: int,
+    learning_rate: float,
+    train_seed: Optional[int] = None,
+) -> None:
+    """Reject a training spec that could never train (``ValueError``).
+
+    :func:`train_and_register_predictor` runs this before collecting, so a
+    bad spec fails before it simulates anything into the store.
+    """
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    if train_seed is not None and train_seed < 0:
+        raise ValueError(f"train_seed must be non-negative, got {train_seed}")
+    if repeats < 1:
+        raise ValueError(f"repeats must be at least 1, got {repeats}")
+    if epochs < 1:
+        raise ValueError(f"epochs must be at least 1, got {epochs}")
+    if not learning_rate > 0:
+        raise ValueError(f"learning_rate must be positive, got {learning_rate}")
+
+
 def train_and_register_predictor(
     scenario_id: str,
     vector: AttackVector,
@@ -610,6 +635,7 @@ def train_and_register_predictor(
     ``sha256(dataset_hash + training config)`` and indexed by its spec hash
     for lookup by campaign processes.
     """
+    check_training_spec(seed, repeats, epochs, learning_rate, train_seed)
     train_seed = train_seed if train_seed is not None else seed
     resolved_store = _resolve_store(store)
     dataset = collect_safety_dataset(

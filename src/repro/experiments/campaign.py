@@ -172,6 +172,9 @@ class CampaignConfig:
     def __post_init__(self) -> None:
         if self.n_runs <= 0:
             raise ValueError("n_runs must be positive")
+        if self.seed < 0:
+            # SeedSequence rejects negative entropy, so no run could start.
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.attacker in (AttackerKind.ROBOTACK, AttackerKind.ROBOTACK_NO_SH) and self.vector is None:
             raise ValueError("RoboTack campaigns must pin an attack vector")
         if self.simulation.dt != PerceptionConfig.frame_dt_s:

@@ -22,10 +22,10 @@ def attack_succeeded(run) -> bool:
     The paper's §VI-C success rule: the Move_In vector aims for spurious
     emergency braking, every other vector (and the vectorless baselines) for
     an accident.  ``run`` is anything exposing ``vector`` /
-    ``emergency_braking`` / ``accident`` — a :class:`RunResult`, a stored
-    :class:`~repro.experiments.store.RunOutcome`, etc.  This single rule is
-    shared by the defense tables and the falsification objectives, so "attack
-    success" means the same thing in every report.
+    ``emergency_braking`` / ``accident`` — a :class:`RunResult`, which is
+    also what a stored :class:`~repro.experiments.store.RunRecord` carries.
+    This single rule is shared by the defense tables and the falsification
+    objectives, so "attack success" means the same thing in every report.
     """
     if run.vector is AttackVector.MOVE_IN:
         return bool(run.emergency_braking)

@@ -48,10 +48,14 @@ hash of the *specification* (scenario, vector, grids, seeds, epochs) to that
 model so campaign processes can load a pretrained oracle without ever
 touching the dataset.
 
-The load/query/aggregate API (:meth:`ExperimentStore.load_records`,
+Every consumer reads stored runs as :class:`RunRecord` objects through one
+load/query API (:meth:`ExperimentStore.load_records`,
 :meth:`ExperimentStore.iter_records`, :meth:`ExperimentStore.campaign_result`,
-:meth:`ExperimentStore.summaries`) is what the table and figure generators
-consume instead of recomputing from in-memory lists.
+:meth:`ExperimentStore.summaries`): the table and figure generators, resume,
+and the falsification search's objectives.  Underneath, every JSON read goes
+through one of two readers — ``_scan_jsonl`` for the logs, ``_read_document``
+for the documents — and both reject a record written by a newer
+:data:`SCHEMA_VERSION`.
 """
 
 from __future__ import annotations
@@ -94,19 +98,26 @@ if TYPE_CHECKING:  # pragma: no cover - type hints only (campaign imports us)
 
 __all__ = [
     "RunRecord",
-    "RunOutcome",
-    "OutcomeSummary",
-    "AggregateBatch",
     "ExperimentStore",
     "config_hash",
     "records_equal",
 ]
 
-#: Bump when the JSONL schema changes incompatibly; readers reject newer majors.
+#: Bump when a store document or log line changes incompatibly; both readers
+#: (``_scan_jsonl``, ``_read_document``) reject anything newer.
 SCHEMA_VERSION = 1
 
 #: One recorded simulation event: (kind value, step index, time, details).
 EventTuple = Tuple[str, int, float, Dict[str, float]]
+
+
+def _check_schema(payload: Dict[str, object], path: Path) -> None:
+    """Reject a document or log line written by a newer store schema."""
+    schema = int(payload.get("schema", 0))  # type: ignore[arg-type]
+    if schema > SCHEMA_VERSION:
+        raise ValueError(
+            f"{path} was written by a newer schema ({schema} > {SCHEMA_VERSION})"
+        )
 
 
 def config_hash(config: "CampaignConfig") -> str:
@@ -190,11 +201,6 @@ class RunRecord:
         perceived_delta_trace: np.ndarray,
         ego_speed_trace: np.ndarray,
     ) -> "RunRecord":
-        schema = int(payload.get("schema", 0))
-        if schema > SCHEMA_VERSION:
-            raise ValueError(
-                f"run record written by a newer schema ({schema} > {SCHEMA_VERSION})"
-            )
         result_payload = dict(payload["result"])  # type: ignore[arg-type]
         vector = result_payload["vector"]
         result_payload["vector"] = AttackVector[vector] if vector else None
@@ -241,129 +247,6 @@ def records_equal(left: RunRecord, right: RunRecord) -> bool:
         if not np.array_equal(getattr(left, name), getattr(right, name), equal_nan=True):
             return False
     return True
-
-
-@dataclass(frozen=True)
-class RunOutcome:
-    """The outcome scalars of one stored run — the aggregation fast path.
-
-    A :class:`RunRecord` parse reconstructs the full variation, result, and
-    event payload; an outcome keeps only the fields the search loop and the
-    summary tables consume, so scanning thousands of JSONL lines per search
-    iteration stays cheap.
-    """
-
-    run_index: int
-    campaign_id: str
-    vector: Optional[AttackVector]
-    attack_launched: bool
-    emergency_braking: bool
-    accident: bool
-    collision: bool
-    #: The shared §VI-C rule (Move_In → spurious braking, else accident).
-    success: bool
-    duration_s: float
-    min_true_delta_m: float
-
-    @staticmethod
-    def from_json_dict(payload: Dict[str, object]) -> "RunOutcome":
-        from repro.experiments.metrics import attack_succeeded
-
-        result = payload["result"]
-        vector_name = result["vector"]  # type: ignore[index]
-        vector = AttackVector[str(vector_name)] if vector_name else None
-        outcome = RunOutcome(
-            run_index=int(payload["run_index"]),
-            campaign_id=str(payload["campaign_id"]),
-            vector=vector,
-            attack_launched=bool(result["attack_launched"]),  # type: ignore[index]
-            emergency_braking=bool(result["emergency_braking"]),  # type: ignore[index]
-            accident=bool(result["accident"]),  # type: ignore[index]
-            collision=bool(result["collision"]),  # type: ignore[index]
-            success=False,
-            duration_s=float(payload["duration_s"]),
-            min_true_delta_m=float(result["min_true_delta_m"]),  # type: ignore[index]
-        )
-        return dataclasses.replace(outcome, success=attack_succeeded(outcome))
-
-
-@dataclass(frozen=True)
-class OutcomeSummary:
-    """Aggregate outcome statistics of one campaign's stored runs."""
-
-    config_hash: str
-    campaign_id: str
-    n_runs: int
-    launched: int
-    emergency_braking: int
-    accidents: int
-    collisions: int
-    successes: int
-    #: Sum of ``duration_s`` over the successful runs (time-to-violation mass).
-    sum_success_time_s: float
-    #: Count / sum over runs whose min ground-truth δ is finite.
-    finite_delta_runs: int
-    sum_min_delta_m: float
-    min_min_delta_m: float
-
-    @property
-    def success_rate(self) -> float:
-        return self.successes / self.n_runs if self.n_runs else 0.0
-
-    @staticmethod
-    def from_outcomes(
-        config_hash_: str, outcomes: Sequence[RunOutcome]
-    ) -> "OutcomeSummary":
-        finite = [o.min_true_delta_m for o in outcomes if np.isfinite(o.min_true_delta_m)]
-        return OutcomeSummary(
-            config_hash=config_hash_,
-            campaign_id=outcomes[0].campaign_id if outcomes else "",
-            n_runs=len(outcomes),
-            launched=sum(o.attack_launched for o in outcomes),
-            emergency_braking=sum(o.emergency_braking for o in outcomes),
-            accidents=sum(o.accident for o in outcomes),
-            collisions=sum(o.collision for o in outcomes),
-            successes=sum(o.success for o in outcomes),
-            sum_success_time_s=float(sum(o.duration_s for o in outcomes if o.success)),
-            finite_delta_runs=len(finite),
-            sum_min_delta_m=float(sum(finite)),
-            min_min_delta_m=float(min(finite)) if finite else float("nan"),
-        )
-
-
-@dataclass
-class AggregateBatch:
-    """The result of one :meth:`ExperimentStore.aggregate` scan.
-
-    ``outcomes`` maps config hash -> {run_index -> :class:`RunOutcome`}
-    (last write wins, like :meth:`ExperimentStore.load_records`);
-    ``cursor`` maps config hash -> the byte offset up to which the JSONL log
-    has been consumed.  Feed the cursor back as ``since`` on the next call to
-    read only lines appended in between — the incremental path that keeps a
-    long falsification search from re-scanning every line per iteration.
-    Merging a later batch into an earlier one is ``merge`` (per-run
-    last-write-wins, cursor advanced).
-    """
-
-    outcomes: Dict[str, Dict[int, RunOutcome]]
-    cursor: Dict[str, int]
-
-    def merge(self, newer: "AggregateBatch") -> None:
-        """Fold a later incremental batch into this one in place."""
-        for config_hash_, by_index in newer.outcomes.items():
-            self.outcomes.setdefault(config_hash_, {}).update(by_index)
-        self.cursor.update(newer.cursor)
-
-    def summary(self, config_hash_: str) -> OutcomeSummary:
-        """Summarize one campaign's accumulated outcomes."""
-        by_index = self.outcomes.get(config_hash_, {})
-        return OutcomeSummary.from_outcomes(
-            config_hash_, [by_index[index] for index in sorted(by_index)]
-        )
-
-    def summaries(self) -> Dict[str, OutcomeSummary]:
-        """Per-campaign summaries over every hash this batch has seen."""
-        return {config_hash_: self.summary(config_hash_) for config_hash_ in self.outcomes}
 
 
 class ExperimentStore:
@@ -462,6 +345,16 @@ class ExperimentStore:
                 if fcntl is not None:
                     fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
 
+    @staticmethod
+    def _write_document(path: Path, fields: Dict[str, object]) -> None:
+        """Publish one JSON document, ``schema`` first (atomic, fsynced)."""
+        document = {"schema": SCHEMA_VERSION, **fields}
+        atomic_publish(
+            path,
+            lambda handle: handle.write(json.dumps(document, indent=2).encode("utf-8")),
+            durable=True,
+        )
+
     def _write_traces(self, record: RunRecord) -> None:
         def write(handle) -> None:
             np.savez_compressed(
@@ -487,15 +380,8 @@ class ExperimentStore:
         path = self._manifest_path(config_hash_)
         if path.exists():
             return config_hash_
-        payload = {
-            "schema": SCHEMA_VERSION,
-            "config_hash": config_hash_,
-            "config": config.to_json_dict(),
-        }
-        atomic_publish(
-            path,
-            lambda handle: handle.write(json.dumps(payload, indent=2).encode("utf-8")),
-            durable=True,
+        self._write_document(
+            path, {"config_hash": config_hash_, "config": config.to_json_dict()}
         )
         return config_hash_
 
@@ -503,9 +389,8 @@ class ExperimentStore:
         """Reconstruct the campaign config stored under a hash."""
         from repro.experiments.campaign import CampaignConfig
 
-        with self._manifest_path(config_hash_).open("r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        return CampaignConfig.from_json_dict(payload["config"])
+        payload = self._read_document(self._manifest_path(config_hash_))
+        return CampaignConfig.from_json_dict(payload["config"])  # type: ignore[arg-type]
 
     def manifests(self) -> Dict[str, "CampaignConfig"]:
         """All stored campaign configs, keyed by config hash."""
@@ -531,7 +416,7 @@ class ExperimentStore:
         """All records of a campaign, sorted by run index (last write wins).
 
         ``with_traces=False`` skips the NPZ loads (the traces come back as
-        empty arrays) — the fast path for scalar-only aggregation.
+        empty arrays) — the fast path for tables and search scoring.
         """
         by_index = self._scan_lines(config_hash_)
         records: List[RunRecord] = []
@@ -550,7 +435,11 @@ class ExperimentStore:
 
     @staticmethod
     def _scan_jsonl(path: Path, index_field: str) -> Dict[int, Dict[str, object]]:
-        """Read a JSONL log keyed by ``index_field`` (last occurrence wins)."""
+        """Read a JSONL log keyed by ``index_field`` (last occurrence wins).
+
+        The one reader of every log (runs, dataset points, search
+        iterations); a line written by a newer schema raises.
+        """
         if not path.exists():
             return {}
         by_index: Dict[int, Dict[str, object]] = {}
@@ -565,8 +454,17 @@ class ExperimentStore:
                     # A torn line can only be the (crashed) tail of the log;
                     # everything before it is intact.
                     continue
+                _check_schema(payload, path)
                 by_index[int(payload[index_field])] = payload
         return by_index
+
+    @staticmethod
+    def _read_document(path: Path) -> Dict[str, object]:
+        """The one reader of every JSON document; a newer schema raises."""
+        with path.open("r", encoding="utf-8") as handle:
+            payload = json.load(handle)
+        _check_schema(payload, path)
+        return payload
 
     def _load_traces(
         self, config_hash_: str, run_index: int
@@ -654,18 +552,13 @@ class ExperimentStore:
     ) -> Dict[int, Tuple[List[List[float]], List[float]]]:
         """All collected grid points, keyed by point index (last write wins)."""
         by_index = self._scan_jsonl(self._dataset_path(collection_hash_), "point_index")
-        points: Dict[int, Tuple[List[List[float]], List[float]]] = {}
-        for point_index, payload in by_index.items():
-            schema = int(payload.get("schema", 0))
-            if schema > SCHEMA_VERSION:
-                raise ValueError(
-                    f"dataset point written by a newer schema ({schema} > {SCHEMA_VERSION})"
-                )
-            points[point_index] = (
+        return {
+            point_index: (
                 [[float(value) for value in row] for row in payload["inputs"]],
                 [float(value) for value in payload["targets"]],
             )
-        return points
+            for point_index, payload in by_index.items()
+        }
 
     def write_dataset_manifest(
         self, collection_hash_: str, payload: Dict[str, object]
@@ -674,23 +567,11 @@ class ExperimentStore:
         path = self._dataset_manifest_path(collection_hash_)
         if path.exists():
             return
-        document = {
-            "schema": SCHEMA_VERSION,
-            "collection_hash": collection_hash_,
-            **payload,
-        }
-        atomic_publish(
-            path,
-            lambda handle: handle.write(json.dumps(document, indent=2).encode("utf-8")),
-            durable=True,
-        )
+        self._write_document(path, {"collection_hash": collection_hash_, **payload})
 
     def load_dataset_manifest(self, collection_hash_: str) -> Dict[str, object]:
         """The provenance document of a stored collection."""
-        with self._dataset_manifest_path(collection_hash_).open(
-            "r", encoding="utf-8"
-        ) as handle:
-            return json.load(handle)
+        return self._read_document(self._dataset_manifest_path(collection_hash_))
 
     # ------------------------------------------------------------------ #
     # Model registry — content-addressed trained predictors
@@ -722,15 +603,8 @@ class ExperimentStore:
         try:
             staging.mkdir(parents=True, exist_ok=True)
             write(staging)
-            atomic_publish(
-                staging / "registry.json",
-                lambda handle: handle.write(
-                    json.dumps(
-                        {"schema": SCHEMA_VERSION, "model_hash": model_hash_, **metadata},
-                        indent=2,
-                    ).encode("utf-8")
-                ),
-                durable=True,
+            self._write_document(
+                staging / "registry.json", {"model_hash": model_hash_, **metadata}
             )
             try:
                 os.replace(staging, final)
@@ -744,25 +618,15 @@ class ExperimentStore:
 
     def load_model_metadata(self, model_hash_: str) -> Dict[str, object]:
         """The registry document published next to a model's artifact files."""
-        with (self.model_dir(model_hash_) / "registry.json").open(
-            "r", encoding="utf-8"
-        ) as handle:
-            return json.load(handle)
+        return self._read_document(self.model_dir(model_hash_) / "registry.json")
 
     def register_model_spec(
         self, spec_hash_: str, model_hash_: str, metadata: Optional[Dict[str, object]] = None
     ) -> None:
         """Map a training-spec hash to a published model (last write wins)."""
-        payload = {
-            "schema": SCHEMA_VERSION,
-            "spec_hash": spec_hash_,
-            "model_hash": model_hash_,
-            **(metadata or {}),
-        }
-        atomic_publish(
+        self._write_document(
             self._model_index_path(spec_hash_),
-            lambda handle: handle.write(json.dumps(payload, indent=2).encode("utf-8")),
-            durable=True,
+            {"spec_hash": spec_hash_, "model_hash": model_hash_, **(metadata or {})},
         )
 
     def resolve_model_spec(self, spec_hash_: str) -> Optional[str]:
@@ -770,8 +634,7 @@ class ExperimentStore:
         path = self._model_index_path(spec_hash_)
         if not path.exists():
             return None
-        with path.open("r", encoding="utf-8") as handle:
-            return str(json.load(handle)["model_hash"])
+        return str(self._read_document(path)["model_hash"])
 
     def model_hashes(self) -> List[str]:
         """Every fully published model hash in the registry."""
@@ -798,17 +661,11 @@ class ExperimentStore:
         path = self._search_manifest_path(search_hash_)
         if path.exists():
             return
-        document = {"schema": SCHEMA_VERSION, "search_hash": search_hash_, **payload}
-        atomic_publish(
-            path,
-            lambda handle: handle.write(json.dumps(document, indent=2).encode("utf-8")),
-            durable=True,
-        )
+        self._write_document(path, {"search_hash": search_hash_, **payload})
 
     def load_search_manifest(self, search_hash_: str) -> Dict[str, object]:
         """The specification document of a stored search."""
-        with self._search_manifest_path(search_hash_).open("r", encoding="utf-8") as handle:
-            return json.load(handle)
+        return self._read_document(self._search_manifest_path(search_hash_))
 
     def save_search_state(self, search_hash_: str, payload: Dict[str, object]) -> None:
         """Atomically checkpoint a search's sampler/loop state (last write wins).
@@ -817,11 +674,8 @@ class ExperimentStore:
         rename, so a SIGKILL mid-write leaves the previous checkpoint intact,
         never a torn one.
         """
-        document = {"schema": SCHEMA_VERSION, "search_hash": search_hash_, **payload}
-        atomic_publish(
-            self._search_state_path(search_hash_),
-            lambda handle: handle.write(json.dumps(document, indent=2).encode("utf-8")),
-            durable=True,
+        self._write_document(
+            self._search_state_path(search_hash_), {"search_hash": search_hash_, **payload}
         )
 
     def load_search_state(self, search_hash_: str) -> Optional[Dict[str, object]]:
@@ -829,14 +683,7 @@ class ExperimentStore:
         path = self._search_state_path(search_hash_)
         if not path.exists():
             return None
-        with path.open("r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        schema = int(payload.get("schema", 0))
-        if schema > SCHEMA_VERSION:
-            raise ValueError(
-                f"search state written by a newer schema ({schema} > {SCHEMA_VERSION})"
-            )
-        return payload
+        return self._read_document(path)
 
     def append_search_iteration(
         self, search_hash_: str, payload: Dict[str, object]
@@ -862,80 +709,8 @@ class ExperimentStore:
         )
 
     # ------------------------------------------------------------------ #
-    # Aggregation — what results/tables/figures consume
+    # Campaign results — what tables/figures consume
     # ------------------------------------------------------------------ #
-
-    def aggregate(
-        self,
-        config_hashes: Optional[Sequence[str]] = None,
-        since: Optional[Dict[str, int]] = None,
-    ) -> AggregateBatch:
-        """Scan run outcomes incrementally, filtered to a config-hash set.
-
-        ``config_hashes`` restricts the scan to those campaigns (the search
-        loop passes exactly the hashes of the iteration it just executed);
-        ``None`` scans every log in the store.  ``since`` maps config hash ->
-        byte offset already consumed (the ``cursor`` of a previous batch):
-        only complete lines appended past the offset are parsed, so polling a
-        growing store costs the new bytes, not a full re-read.  A torn tail
-        line (a writer crashed or is mid-append) is *not* consumed — its
-        offset stays before the tear, and the next call picks the line up
-        once its newline lands.
-        """
-        runs_dir = self.root / "runs"
-        if config_hashes is None:
-            hashes = (
-                sorted(path.stem for path in runs_dir.glob("*.jsonl"))
-                if runs_dir.exists()
-                else []
-            )
-        else:
-            hashes = list(config_hashes)
-        since = since or {}
-        outcomes: Dict[str, Dict[int, RunOutcome]] = {}
-        cursor: Dict[str, int] = {}
-        for config_hash_ in hashes:
-            payloads, offset = self._scan_outcome_lines(
-                self._runs_path(config_hash_), since.get(config_hash_, 0)
-            )
-            by_index = outcomes.setdefault(config_hash_, {})
-            for payload in payloads:
-                outcome = RunOutcome.from_json_dict(payload)
-                by_index[outcome.run_index] = outcome
-            cursor[config_hash_] = offset
-        return AggregateBatch(outcomes=outcomes, cursor=cursor)
-
-    @staticmethod
-    def _scan_outcome_lines(
-        path: Path, offset: int
-    ) -> Tuple[List[Dict[str, object]], int]:
-        """Parse complete JSONL lines from ``offset``; return the new offset.
-
-        The returned offset always sits just past the last byte consumed, and
-        only newline-terminated lines are consumed — a torn tail is left for
-        the next scan rather than being half-parsed (or skipped forever).
-        """
-        if not path.exists():
-            return [], offset
-        payloads: List[Dict[str, object]] = []
-        with path.open("rb") as handle:
-            handle.seek(offset)
-            chunk = handle.read()
-        end = chunk.rfind(b"\n")
-        if end < 0:
-            return [], offset
-        for raw in chunk[: end + 1].splitlines():
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                payloads.append(json.loads(line.decode("utf-8")))
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                # An interior torn line (a writer crashed mid-append before a
-                # later writer healed the log with a fresh newline) carries no
-                # recoverable record; skip it like _scan_jsonl does.
-                continue
-        return payloads, offset + end + 1
 
     def campaign_result(
         self, config: "CampaignConfig", allow_partial: bool = False

@@ -397,16 +397,19 @@ def _base_config(args: argparse.Namespace, suffix: str):
         )
     fusion = _parse_fusion(args.fusion)
     vector_label = vector.name.title() if vector is not None else attacker.value.title()
-    return CampaignConfig(
-        campaign_id=f"{args.scenario}-{vector_label}-{suffix}",
-        scenario_id=args.scenario,
-        attacker=attacker,
-        vector=vector,
-        n_runs=args.runs,
-        seed=args.seed,
-        predictor=predictor,
-        fusion=fusion,
-    )
+    try:
+        return CampaignConfig(
+            campaign_id=f"{args.scenario}-{vector_label}-{suffix}",
+            scenario_id=args.scenario,
+            attacker=attacker,
+            vector=vector,
+            n_runs=args.runs,
+            seed=args.seed,
+            predictor=predictor,
+            fusion=fusion,
+        )
+    except ValueError as error:
+        raise SystemExit(str(error)) from None
 
 
 # ---------------------------------------------------------------------- #
@@ -436,10 +439,13 @@ def _run_table2(args: argparse.Namespace) -> None:
 
     predictor = _parse_choice(PredictorKind, args.predictor, "predictor")
     fusion = _parse_fusion(args.fusion)
-    configs = [
-        *standard_campaigns(n_runs=args.runs, seed=args.seed, predictor=predictor),
-        baseline_random_campaign(n_runs=args.runs, seed=args.seed),
-    ]
+    try:
+        configs = [
+            *standard_campaigns(n_runs=args.runs, seed=args.seed, predictor=predictor),
+            baseline_random_campaign(n_runs=args.runs, seed=args.seed),
+        ]
+    except ValueError as error:
+        raise SystemExit(str(error)) from None
     if fusion is not None:
         configs = [dataclasses.replace(config, fusion=fusion) for config in configs]
     print(
@@ -605,7 +611,11 @@ def _loss_curve_report(train_loss: List[float], validation_loss: List[float]) ->
 
 
 def _run_train(args: argparse.Namespace) -> None:
-    from repro.core.training import train_and_register_predictor, training_spec_hash
+    from repro.core.training import (
+        check_training_spec,
+        train_and_register_predictor,
+        training_spec_hash,
+    )
     from repro.experiments.campaign import (
         CampaignConfig,
         oracle_spec_hash,
@@ -615,6 +625,10 @@ def _run_train(args: argparse.Namespace) -> None:
 
     _check_scenario(args.scenario)
     vector = _parse_vector(args.vector)
+    try:
+        check_training_spec(args.seed, args.repeats, args.epochs, args.learning_rate)
+    except ValueError as error:
+        raise SystemExit(str(error)) from None
     store = ExperimentStore(args.store)
     delta_grid, k_grid = training_grid_for(args.scenario)
     spec_hash = training_spec_hash(
@@ -686,7 +700,10 @@ def _run_resume(args: argparse.Namespace) -> None:
         raise SystemExit(f"no experiment store at {args.store!r} (directory not found)")
     fusion = _parse_fusion(args.fusion)
     store = ExperimentStore(args.store)
-    worklist = store.incomplete_campaigns()
+    try:
+        worklist = store.incomplete_campaigns()
+    except ValueError as error:  # an unreadable manifest (newer schema, bad seed)
+        raise SystemExit(f"cannot resume {args.store}: {error}") from None
     if fusion is not None:
         worklist = [
             (config, missing)

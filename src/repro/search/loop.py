@@ -6,7 +6,7 @@ attack-discovery system: each iteration it asks an
 assignments, expands them into campaigns (one per point, exactly like the
 sweep engine), executes them through the ordinary runtime — serial or
 parallel executors, scalar or vectorized batch engine — scores the stored
-outcomes with an :class:`~repro.search.objectives.Objective`, and feeds the
+run records with an :class:`~repro.search.objectives.Objective`, and feeds the
 scores back so the next proposal moves toward the attack-success boundary.
 
 Durability mirrors the model registry's content-addressed discipline.  A
@@ -46,15 +46,10 @@ from repro.experiments.campaign import (
     resolve_store,
     run_campaigns,
 )
-from repro.experiments.store import (
-    ExperimentStore,
-    OutcomeSummary,
-    RunOutcome,
-    config_hash,
-)
+from repro.experiments.store import ExperimentStore, config_hash
 from repro.runtime import ExecutorLike, resolve_executor
 from repro.runtime.cache import encode_key
-from repro.search.objectives import Objective, build_objective
+from repro.search.objectives import AttackSuccessRate, Objective, build_objective
 from repro.search.samplers import AdaptiveSampler, build_search_sampler
 from repro.sim.sweeps import Assignment, Choice, ParameterSpace, Uniform, expand_campaigns
 
@@ -127,6 +122,8 @@ class SearchSpec:
     def __post_init__(self) -> None:
         if self.batch_points < 1:
             raise ValueError("batch_points must be positive")
+        if self.seed < 0:
+            raise ValueError(f"search seed must be non-negative, got {self.seed}")
         if self.budget_runs < self.base.n_runs:
             raise ValueError(
                 f"budget_runs={self.budget_runs} cannot fund a single point "
@@ -185,7 +182,8 @@ class SearchPoint:
     config_hash: str
     n_runs: int
     score: float
-    summary: OutcomeSummary
+    #: The point's attack-success rate, whatever the search's objective.
+    success_rate: float
 
 
 @dataclass
@@ -281,16 +279,11 @@ class FalsificationLoop:
         assignments: Sequence[Assignment],
         configs: Sequence[CampaignConfig],
     ) -> List[SearchPoint]:
-        hashes = [config_hash(config) for config in configs]
-        # Filtered aggregation: only this iteration's logs are scanned, not
-        # the whole store — the incremental-query contract of aggregate().
-        batch = self.store.aggregate(config_hashes=hashes)
+        # Only this iteration's logs are read, not the whole store.
         points: List[SearchPoint] = []
-        for index, (assignment, config, hash_) in enumerate(
-            zip(assignments, configs, hashes)
-        ):
-            by_index = batch.outcomes.get(hash_, {})
-            outcomes: List[RunOutcome] = [by_index[i] for i in sorted(by_index)]
+        for index, (assignment, config) in enumerate(zip(assignments, configs)):
+            hash_ = config_hash(config)
+            records = self.store.load_records(hash_, with_traces=False)
             points.append(
                 SearchPoint(
                     iteration=iteration,
@@ -298,9 +291,9 @@ class FalsificationLoop:
                     assignment=dict(assignment),
                     campaign_id=config.campaign_id,
                     config_hash=hash_,
-                    n_runs=len(outcomes),
-                    score=float(objective.score(outcomes)),
-                    summary=batch.summary(hash_),
+                    n_runs=len(records),
+                    score=float(objective.score(records)),
+                    success_rate=AttackSuccessRate().score(records),
                 )
             )
         return points
@@ -417,7 +410,7 @@ class FalsificationLoop:
                                 "config_hash": point.config_hash,
                                 "n_runs": point.n_runs,
                                 "score": point.score,
-                                "success_rate": point.summary.success_rate,
+                                "success_rate": point.success_rate,
                             }
                             for point in points
                         ],

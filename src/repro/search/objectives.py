@@ -1,10 +1,11 @@
-"""Falsification objectives: score a campaign's stored outcomes.
+"""Falsification objectives: score a campaign's stored runs.
 
-An objective condenses one sweep point's runs (the :class:`RunOutcome` rows
-the store's incremental :meth:`~repro.experiments.store.ExperimentStore.aggregate`
-returns) into a single scalar in ``[0, 1]`` — higher means *closer to
-falsification*, so every sampler maximizes.  Built-ins (the
-:data:`OBJECTIVES` registry behind ``--objective``):
+An objective condenses one sweep point's runs (the
+:class:`~repro.experiments.store.RunRecord` objects
+:meth:`~repro.experiments.store.ExperimentStore.load_records` returns, the
+same records tables and resume read) into a single scalar in ``[0, 1]`` —
+higher means *closer to falsification*, so every sampler maximizes.
+Built-ins (the :data:`OBJECTIVES` registry behind ``--objective``):
 
 * ``attack_success`` (default) — the fraction of runs that produced the
   hazard their vector aims for (the shared
@@ -24,7 +25,8 @@ from typing import List, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from repro.experiments.store import RunOutcome
+from repro.experiments.metrics import attack_succeeded
+from repro.experiments.store import RunRecord
 from repro.runtime.registry import Registry
 
 __all__ = [
@@ -40,12 +42,12 @@ __all__ = [
 
 @runtime_checkable
 class Objective(Protocol):
-    """Scores one sweep point's outcomes; higher = closer to falsification."""
+    """Scores one sweep point's runs; higher = closer to falsification."""
 
     #: Registry name (recorded in search manifests and reports).
     name: str
 
-    def score(self, outcomes: Sequence[RunOutcome]) -> float:
+    def score(self, records: Sequence[RunRecord]) -> float:
         ...
 
 
@@ -54,10 +56,10 @@ class AttackSuccessRate:
 
     name = "attack_success"
 
-    def score(self, outcomes: Sequence[RunOutcome]) -> float:
-        if not outcomes:
+    def score(self, records: Sequence[RunRecord]) -> float:
+        if not records:
             return 0.0
-        return sum(o.success for o in outcomes) / len(outcomes)
+        return sum(attack_succeeded(r.result) for r in records) / len(records)
 
 
 class TimeToViolation:
@@ -76,14 +78,14 @@ class TimeToViolation:
             raise ValueError("horizon_s must be positive")
         self.horizon_s = float(horizon_s)
 
-    def score(self, outcomes: Sequence[RunOutcome]) -> float:
-        if not outcomes:
+    def score(self, records: Sequence[RunRecord]) -> float:
+        if not records:
             return 0.0
         total = 0.0
-        for outcome in outcomes:
-            if outcome.success:
-                total += 1.0 - min(outcome.duration_s, self.horizon_s) / self.horizon_s
-        return total / len(outcomes)
+        for record in records:
+            if attack_succeeded(record.result):
+                total += 1.0 - min(record.duration_s, self.horizon_s) / self.horizon_s
+        return total / len(records)
 
 
 class MinDeltaMargin:
@@ -103,15 +105,15 @@ class MinDeltaMargin:
             raise ValueError("scale_m must be positive")
         self.scale_m = float(scale_m)
 
-    def score(self, outcomes: Sequence[RunOutcome]) -> float:
-        if not outcomes:
+    def score(self, records: Sequence[RunRecord]) -> float:
+        if not records:
             return 0.0
         total = 0.0
-        for outcome in outcomes:
-            delta = outcome.min_true_delta_m
+        for record in records:
+            delta = record.result.min_true_delta_m
             if np.isfinite(delta):
                 total += 1.0 - min(max(delta, 0.0), self.scale_m) / self.scale_m
-        return total / len(outcomes)
+        return total / len(records)
 
 
 #: Objective name -> factory(**options); the ``--objective`` registry.

@@ -45,43 +45,49 @@ class TestObstaclePredictor:
     def predictor(self, road):
         return ObstaclePredictor(road)
 
+    @staticmethod
+    def lead(predictor, *obstacles):
+        return predictor.lead_index(predictor.rows(obstacles))
+
     def test_in_lane_vehicle_is_in_path(self, predictor):
-        assert predictor.currently_in_path(obstacle(30, 0.0))
+        assert self.lead(predictor, obstacle(30, 0.0)) == 0
 
     def test_parked_vehicle_not_in_path(self, predictor):
-        assert not predictor.currently_in_path(obstacle(30, -3.5))
+        assert self.lead(predictor, obstacle(30, -3.5)) is None
 
     def test_crossing_pedestrian_predicted_in_path(self, predictor):
-        ped = obstacle(40, -3.0, lateral_velocity=1.4, kind=ActorKind.PEDESTRIAN)
-        assert not predictor.currently_in_path(ped)
-        assert predictor.predicted_in_path(ped)
+        standing = obstacle(40, -3.0, kind=ActorKind.PEDESTRIAN)
+        assert self.lead(predictor, standing) is None  # not in the lane now
+        crossing = obstacle(40, -3.0, lateral_velocity=1.4, kind=ActorKind.PEDESTRIAN)
+        assert self.lead(predictor, crossing) == 0
 
     def test_small_lateral_velocity_ignored(self, predictor):
         ped = obstacle(40, -3.0, lateral_velocity=0.3, kind=ActorKind.PEDESTRIAN)
-        assert not predictor.predicted_in_path(ped)
+        assert self.lead(predictor, ped) is None
 
     def test_close_range_prediction_disabled(self, predictor):
         ped = obstacle(5.0, -3.0, lateral_velocity=1.4, kind=ActorKind.PEDESTRIAN)
-        assert not predictor.predicted_in_path(ped)
+        assert self.lead(predictor, ped) is None
 
     def test_nearest_in_path_selection(self, predictor):
         near_out_of_lane = obstacle(15, 3.5, obstacle_id="a", actor_id=1)
         far_in_lane = obstacle(40, 0.0, obstacle_id="b", actor_id=2)
-        assert predictor.nearest_in_path([near_out_of_lane, far_in_lane]).obstacle_id == "b"
+        assert self.lead(predictor, near_out_of_lane, far_in_lane) == 1
 
     def test_nearest_in_path_none_when_clear(self, predictor):
-        assert predictor.nearest_in_path([obstacle(30, 3.5)]) is None
+        assert self.lead(predictor, obstacle(30, 3.5)) is None
 
     def test_bumper_gap_subtracts_half_length(self, predictor):
         vehicle = obstacle(30, 0.0)
-        assert predictor.bumper_gap(vehicle) < vehicle.distance_m
+        assert predictor.gap(vehicle.kind, vehicle.distance_m) < vehicle.distance_m
 
     def test_pedestrians_near_path(self, predictor):
         ped = obstacle(30, -2.6, kind=ActorKind.PEDESTRIAN)
-        found = predictor.pedestrians_near_path([ped], max_distance_m=45.0, caution_margin_m=1.6)
-        assert found == [ped]
-        none_found = predictor.pedestrians_near_path([ped], max_distance_m=20.0, caution_margin_m=1.6)
-        assert none_found == []
+        fields = (ped.kind, ped.distance_m, ped.lateral_m)
+        assert predictor.near_path_pedestrian(*fields, max_distance_m=45.0, caution_margin_m=1.6)
+        assert not predictor.near_path_pedestrian(
+            *fields, max_distance_m=20.0, caution_margin_m=1.6
+        )
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
@@ -116,7 +122,7 @@ class TestLongitudinalPlanner:
         near = obstacle(25, 0.0, speed=5.0, obstacle_id="near", actor_id=2)
         decision = planner.plan(world(ego_speed=12.5, obstacles=[far, near]))
         assert decision.lead_obstacle is near
-        gap = planner.predictor.bumper_gap(near)
+        gap = planner.predictor.gap(near.kind, near.distance_m)
         assert decision.perceived_delta_m == planner.safety_model.safety_potential(gap, 12.5)
 
     def test_ignores_parked_vehicle_in_parking_lane(self, planner):
@@ -159,7 +165,7 @@ class TestLongitudinalPlanner:
     def test_perceived_delta_matches_safety_model(self, planner):
         lead = obstacle(30, 0.0, speed=5.0)
         decision = planner.plan(world(ego_speed=10.0, obstacles=[lead]))
-        gap = planner.predictor.bumper_gap(lead)
+        gap = planner.predictor.gap(lead.kind, lead.distance_m)
         expected = planner.safety_model.safety_potential(gap, 10.0)
         assert decision.perceived_delta_m == pytest.approx(expected)
 

@@ -243,6 +243,20 @@ class TestModelRegistry:
         assert len(hashes) == 3
         assert sorted(store.model_hashes()) == sorted(hashes)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [dict(epochs=0), dict(repeats=0), dict(learning_rate=0.0), dict(seed=-1),
+         dict(train_seed=-1)],
+        ids=lambda bad: next(iter(bad)),
+    )
+    def test_untrainable_spec_fails_before_collecting(self, tmp_path, bad):
+        options = dict(seed=17, repeats=1, epochs=4, store=ExperimentStore(tmp_path))
+        with pytest.raises(ValueError):
+            train_and_register_predictor(
+                _SCENARIO, _VECTOR, _DELTAS, _KS, **{**options, **bad}
+            )
+        assert not list(tmp_path.iterdir())
+
     def test_unknown_spec_resolves_to_none(self, tmp_path):
         store = ExperimentStore(tmp_path)
         spec_hash = training_spec_hash(_SCENARIO, _VECTOR, _DELTAS, _KS)

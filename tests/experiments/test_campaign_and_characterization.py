@@ -50,6 +50,12 @@ class TestCampaignConfig:
                 n_runs=0,
             )
 
+    def test_non_negative_seed_required(self):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            CampaignConfig(
+                campaign_id="x", scenario_id="DS-1", attacker=AttackerKind.NONE, seed=-5
+            )
+
     def test_camera_rate_must_match_perception_frame_period(self):
         with pytest.raises(ValueError, match="camera_rate_hz=10 is not supported"):
             CampaignConfig(

@@ -4,8 +4,8 @@
   arbitrary seeds, scenarios, float oddities (NaN, inf), events, and traces;
 * concurrency: many writer processes appending to the *same* campaign log
   never corrupt or interleave records (flock-guarded single-write appends);
-* hygiene: torn tail lines are tolerated, unknown schemas are rejected,
-  and queries filter across campaigns.
+* hygiene: torn tail lines are tolerated, every record kind written by a
+  newer schema is rejected, and queries filter across campaigns.
 """
 
 import json
@@ -177,13 +177,12 @@ class TestRoundTrip:
         assert len(loaded) == 1
         assert records_equal(example_record, loaded[0])
 
-    def test_newer_schema_is_rejected(self, example_record):
-        payload = example_record.to_json_dict()
-        payload["schema"] = SCHEMA_VERSION + 1
+    def test_newer_schema_is_rejected(self, tmp_path, example_record):
+        store = ExperimentStore(tmp_path)
+        store.append(example_record)
+        _bump_schema(tmp_path / "runs" / f"{example_record.config_hash}.jsonl")
         with pytest.raises(ValueError, match="newer schema"):
-            RunRecord.from_json_dict(
-                payload, np.empty(0), np.empty(0), np.empty(0)
-            )
+            store.load_records(example_record.config_hash)
 
 
 @pytest.fixture
@@ -513,113 +512,119 @@ class TestConsumers:
 
 
 # --------------------------------------------------------------------- #
-# Incremental aggregation
+# Schema checks — one per record kind
 # --------------------------------------------------------------------- #
 
 
-class TestAggregate:
-    """The incremental/filtered outcome query behind the search loop."""
+def _bump_schema(path) -> None:
+    """Rewrite a stored document or log as if a newer store had written it."""
+    if path.suffix == ".jsonl":
+        lines = [json.loads(line) for line in path.read_text().splitlines() if line]
+    else:
+        lines = [json.loads(path.read_text())]
+    for payload in lines:
+        payload["schema"] = SCHEMA_VERSION + 1
+    if path.suffix == ".jsonl":
+        path.write_text("".join(json.dumps(payload) + "\n" for payload in lines))
+    else:
+        path.write_text(json.dumps(lines[0], indent=2))
 
-    HASH_A = "e" * 64
-    HASH_B = "f" * 64
 
-    def _fill(self, store: ExperimentStore, config_hash_: str, indices) -> None:
-        for run_index in indices:
-            store.append(_make_record(config_hash_, run_index=run_index, salt=3))
+_HASH = "a" * 64
 
-    def test_full_scan_covers_every_campaign(self, tmp_path):
+
+def _campaign_manifest(store):
+    from repro.experiments.campaign import AttackerKind, CampaignConfig
+
+    config = CampaignConfig(
+        campaign_id="schema", scenario_id="DS-1", attacker=AttackerKind.NONE, n_runs=1
+    )
+    return store.root / "manifests" / f"{store.write_manifest(config)}.json"
+
+
+def _model_registry(store):
+    store.publish_model(_HASH, lambda staging: None, {"scenario_id": "DS-2"})
+    return store.model_dir(_HASH) / "registry.json"
+
+
+def _model_index(store):
+    store.register_model_spec(_HASH, _HASH)
+    return store.root / "models" / "index" / f"{_HASH}.json"
+
+
+def _search_manifest(store):
+    store.write_search_manifest(_HASH, {"spec": {}})
+    return store.search_dir(_HASH) / "manifest.json"
+
+
+def _search_state(store):
+    store.save_search_state(_HASH, {"phase": "observed"})
+    return store.search_dir(_HASH) / "state.json"
+
+
+def _run_line(store):
+    store.append(_make_record(_HASH, run_index=0, salt=0))
+    return store.root / "runs" / f"{_HASH}.jsonl"
+
+
+def _dataset_line(store):
+    store.append_dataset_point(_HASH, 0, [[1.0]], [1.0])
+    return store.root / "datasets" / f"{_HASH}.jsonl"
+
+
+def _iteration_line(store):
+    store.append_search_iteration(_HASH, {"iteration": 0})
+    return store.search_dir(_HASH) / "iterations.jsonl"
+
+
+def _dataset_manifest(store):
+    store.write_dataset_manifest(_HASH, {"n_points": 1})
+    return store.root / "manifests" / "datasets" / f"{_HASH}.json"
+
+
+#: (record kind, writer returning the written path, readers that must reject it)
+_RECORD_KINDS = [
+    ("run line", _run_line,
+     [lambda s: s.load_records(_HASH), lambda s: s.run_indices(_HASH)]),
+    ("dataset line", _dataset_line,
+     [lambda s: s.load_dataset_points(_HASH), lambda s: s.dataset_point_indices(_HASH)]),
+    ("iteration line", _iteration_line, [lambda s: s.load_search_iterations(_HASH)]),
+    ("campaign manifest", _campaign_manifest,
+     [lambda s: s.manifests(), lambda s: s.campaign_results(allow_partial=True),
+      lambda s: s.incomplete_campaigns()]),
+    ("dataset manifest", _dataset_manifest, [lambda s: s.load_dataset_manifest(_HASH)]),
+    ("model registry", _model_registry, [lambda s: s.load_model_metadata(_HASH)]),
+    ("model index", _model_index, [lambda s: s.resolve_model_spec(_HASH)]),
+    ("search manifest", _search_manifest, [lambda s: s.load_search_manifest(_HASH)]),
+    ("search state", _search_state, [lambda s: s.load_search_state(_HASH)]),
+]
+
+
+class TestSchemaVersion:
+    @pytest.mark.parametrize(
+        "write, readers", [kind[1:] for kind in _RECORD_KINDS],
+        ids=[kind[0] for kind in _RECORD_KINDS],
+    )
+    def test_newer_schema_is_rejected(self, tmp_path, write, readers):
         store = ExperimentStore(tmp_path)
-        self._fill(store, self.HASH_A, range(3))
-        self._fill(store, self.HASH_B, range(5))
-        batch = store.aggregate()
-        assert sorted(batch.outcomes) == [self.HASH_A, self.HASH_B]
-        assert batch.summary(self.HASH_A).n_runs == 3
-        assert batch.summary(self.HASH_B).n_runs == 5
-        summaries = batch.summaries()
-        assert summaries[self.HASH_B].launched == 0
-        assert summaries[self.HASH_B].successes == 0
-        assert np.isfinite(summaries[self.HASH_B].min_min_delta_m)
+        path = write(store)
+        for read in readers:
+            read(store)  # the current schema reads back
+        _bump_schema(path)
+        for read in readers:
+            with pytest.raises(ValueError, match="newer schema"):
+                read(store)
 
-    def test_hash_filter_reads_only_requested_logs(self, tmp_path):
-        store = ExperimentStore(tmp_path)
-        self._fill(store, self.HASH_A, range(2))
-        self._fill(store, self.HASH_B, range(2))
-        batch = store.aggregate(config_hashes=[self.HASH_A])
-        assert list(batch.outcomes) == [self.HASH_A]
-        assert list(batch.cursor) == [self.HASH_A]
-        # Requesting a hash with no log yet is not an error: zero outcomes,
-        # cursor at zero, so a later incremental call starts from the top.
-        empty = store.aggregate(config_hashes=["9" * 64])
-        assert empty.outcomes == {"9" * 64: {}}
-        assert empty.cursor == {"9" * 64: 0}
-        assert empty.summary("9" * 64).n_runs == 0
-
-    def test_incremental_cursor_reads_only_new_lines(self, tmp_path):
-        store = ExperimentStore(tmp_path)
-        self._fill(store, self.HASH_A, range(3))
-        first = store.aggregate(config_hashes=[self.HASH_A])
-        assert first.summary(self.HASH_A).n_runs == 3
-
-        self._fill(store, self.HASH_A, range(3, 5))
-        second = store.aggregate(config_hashes=[self.HASH_A], since=first.cursor)
-        # Only the two appended lines were parsed...
-        assert sorted(second.outcomes[self.HASH_A]) == [3, 4]
-        # ...and merging yields the same state as a fresh full scan.
-        first.merge(second)
-        full = store.aggregate(config_hashes=[self.HASH_A])
-        assert sorted(first.outcomes[self.HASH_A]) == [0, 1, 2, 3, 4]
-        assert first.cursor == full.cursor
-        assert first.summary(self.HASH_A) == full.summary(self.HASH_A)
-
-    def test_cursor_does_not_consume_torn_tail(self, tmp_path):
-        store = ExperimentStore(tmp_path)
-        self._fill(store, self.HASH_A, range(2))
-        path = tmp_path / "runs" / f"{self.HASH_A}.jsonl"
-        intact_size = path.stat().st_size
-        with path.open("a", encoding="utf-8") as handle:
-            handle.write('{"run_index": 9, "truncat')  # crash mid-write
-        batch = store.aggregate(config_hashes=[self.HASH_A])
-        assert sorted(batch.outcomes[self.HASH_A]) == [0, 1]
-        # The cursor stops at the last newline, so once the writer recovers
-        # (fresh line after the torn tail) the record is picked up.
-        assert batch.cursor[self.HASH_A] == intact_size
-        store.append(_make_record(self.HASH_A, run_index=9, salt=3))
-        later = store.aggregate(config_hashes=[self.HASH_A], since=batch.cursor)
-        assert sorted(later.outcomes[self.HASH_A]) == [9]
-
-    def test_reappended_index_last_write_wins(self, tmp_path):
-        store = ExperimentStore(tmp_path)
-        store.append(_make_record(self.HASH_A, run_index=0, salt=1))
-        store.append(_make_record(self.HASH_A, run_index=0, salt=2))
-        batch = store.aggregate(config_hashes=[self.HASH_A])
-        assert batch.summary(self.HASH_A).n_runs == 1
-        expected = _make_record(self.HASH_A, run_index=0, salt=2)
-        outcome = batch.outcomes[self.HASH_A][0]
-        assert outcome.min_true_delta_m == expected.result.min_true_delta_m
-
-    def test_outcome_success_follows_the_shared_rule(self, tmp_path):
-        from dataclasses import replace
-
-        from repro.core.attack_vectors import AttackVector
-
-        store = ExperimentStore(tmp_path)
-        base = _make_record(self.HASH_A, run_index=0, salt=1)
-        move_in = replace(
-            base,
-            run_index=0,
-            result=replace(
-                base.result, vector=AttackVector.MOVE_IN, emergency_braking=True
-            ),
-        )
-        crash = replace(
-            base,
-            run_index=1,
-            result=replace(
-                base.result, run_index=1, vector=AttackVector.DISAPPEAR, accident=True
-            ),
-        )
-        store.append(move_in)
-        store.append(crash)
-        summary = store.aggregate(config_hashes=[self.HASH_A]).summary(self.HASH_A)
-        assert summary.successes == 2
-        assert summary.success_rate == 1.0
+    @pytest.mark.parametrize(
+        "write", [kind[1] for kind in _RECORD_KINDS],
+        ids=[kind[0] for kind in _RECORD_KINDS],
+    )
+    def test_every_record_starts_with_its_schema(self, tmp_path, write):
+        # Documents are indent-2 JSON and log lines compact JSON, both with
+        # ``schema`` first: the byte layout existing stores were written in.
+        path = write(ExperimentStore(tmp_path))
+        if path.suffix == ".jsonl":
+            expected = f'{{"schema":{SCHEMA_VERSION},'
+        else:
+            expected = f'{{\n  "schema": {SCHEMA_VERSION},\n'
+        assert path.read_text().startswith(expected)

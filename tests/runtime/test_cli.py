@@ -233,6 +233,28 @@ class TestCli:
         )
         assert sum(1 for _ in store.iter_records(scenario_id="DS-1")) == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "--scenario", "DS-1", "--attacker", "none", "--seed", "-5"],
+             "seed must be non-negative, got -5"),
+            (["search", "--scenario", "DS-1", "--attacker", "none", "--search-seed", "-1"],
+             "search seed must be non-negative, got -1"),
+        ],
+        ids=["run", "search"],
+    )
+    def test_negative_seed_exits_before_the_store(self, tmp_path, argv, message):
+        # SeedSequence rejects negative entropy: a manifest written first
+        # would poison the store for every later resume.
+        store = tmp_path / "store"
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro.runtime.cli", *argv, "--store", str(store)],
+            capture_output=True, text=True, env=_SUBPROCESS_ENV,
+        )
+        assert completed.returncode == 1
+        assert completed.stderr.splitlines() == [message]
+        assert not store.exists()
+
 
 class TestTable2Cli:
     def test_predictor_flag_reaches_every_robotack_campaign(self, monkeypatch):
@@ -510,6 +532,31 @@ class TestTrainCli:
             main(["train", "--scenario", "DS-99", "--vector", "disappear",
                   "--store", "/unused"])
 
+    def test_zero_epochs_exits_before_collecting(self, tmp_path):
+        store = tmp_path / "store"
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro.runtime.cli", "train", "--scenario", "DS-2",
+             "--vector", "disappear", "--epochs", "0", "--store", str(store)],
+            capture_output=True, text=True, env=_SUBPROCESS_ENV,
+        )
+        assert completed.returncode == 1
+        assert completed.stderr.splitlines() == ["epochs must be at least 1, got 0"]
+        assert not list(store.glob("datasets/*.jsonl"))
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--repeats", "0"], "repeats must be at least 1"),
+            (["--learning-rate", "0"], "learning_rate must be positive"),
+            (["--seed", "-1"], "seed must be non-negative"),
+        ],
+        ids=["repeats", "learning-rate", "seed"],
+    )
+    def test_untrainable_spec_exits_with_error(self, tmp_path, flags, message):
+        with pytest.raises(SystemExit, match=message):
+            main(self._ARGS + flags + ["--store", str(tmp_path)])
+        assert not list(tmp_path.iterdir())
+
     def test_unknown_vector_exits_with_error(self):
         with pytest.raises(SystemExit):
             main(["train", "--scenario", "DS-2", "--vector", "teleport",
@@ -576,6 +623,23 @@ class TestResumeCli:
         code = main(["resume", "--store", str(tmp_path)])
         assert code == 0
         assert "Nothing to resume" in capsys.readouterr().out
+
+    def test_resume_of_newer_schema_store_is_an_error(self, tmp_path):
+        import json
+
+        from repro.experiments.campaign import AttackerKind, CampaignConfig
+        from repro.experiments.store import SCHEMA_VERSION, ExperimentStore
+
+        store = ExperimentStore(tmp_path)
+        config = CampaignConfig(
+            campaign_id="future", scenario_id="DS-1", attacker=AttackerKind.NONE, n_runs=1
+        )
+        path = tmp_path / "manifests" / f"{store.write_manifest(config)}.json"
+        payload = json.loads(path.read_text())
+        payload["schema"] = SCHEMA_VERSION + 1
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SystemExit, match="cannot resume .*newer schema"):
+            main(["resume", "--store", str(tmp_path)])
 
     def test_resume_of_missing_store_path_is_an_error(self, tmp_path):
         # A typo'd path must not report "every campaign is complete".

@@ -135,7 +135,7 @@ class TestBudgetAndTarget:
             "const_one_for_tests",
             lambda: type("ConstOne", (), {
                 "name": "const_one_for_tests",
-                "score": staticmethod(lambda outcomes: 1.0),
+                "score": staticmethod(lambda records: 1.0),
             })(),
             description="test objective scoring every point 1.0",
             overwrite=True,
@@ -164,6 +164,8 @@ class TestBudgetAndTarget:
             _spec(batch_points=0)
         with pytest.raises(ValueError):
             _spec(target_score=1.5)
+        with pytest.raises(ValueError, match="non-negative"):
+            _spec(seed=-1)
         with pytest.raises(ValueError):
             FalsificationLoop(_spec(), store=None)
 
