@@ -173,33 +173,31 @@ class CameraMitmAttackerBase:
         own_view = self.perception.process(observed, ego_speed_mps=ego_speed_mps)
         return self.frame_to_deliver(observed, own_view.world_estimates, ego_speed_mps)
 
-    def frame_for_replica(self, frame: CameraFrame, tracks=None) -> CameraFrame:
+    def frame_for_replica(self, frame: CameraFrame) -> CameraFrame:
         """First half of a frame: count it and return what the replica observes.
 
         While an attack runs this is the perturbed frame, which is also what
-        the ADS sees, so the reconstruction mirrors the victim's tracker.
-        ``tracks`` answers the target-track lookup (``track_for_actor``); it
-        defaults to the replica's own tracker, here still as the previous
-        frame left it.
+        the ADS sees, so the reconstruction mirrors the victim's tracker.  The
+        perturbation reads the replica's target track as the previous frame
+        left it.
         """
         self._frame_count += 1
         if not self._attack_active:
             return frame
-        return self._continue_attack(frame, tracks)
+        return self._continue_attack(frame)
 
     def frame_to_deliver(
         self,
         observed: CameraFrame,
         estimates: Sequence[WorldObjectEstimate],
         ego_speed_mps: float,
-        tracks=None,
     ) -> CameraFrame:
         """Second half of a frame: the frame the ADS sees, given the replica's
         world estimates for ``observed``.
 
         When no attack is running this decides whether to launch one; a launch
         perturbs the frame with the target track as the replica left it after
-        this frame (``tracks`` as in :meth:`frame_for_replica`).
+        this frame.
         """
         if self._attack_active or self.episode_over:
             return observed
@@ -208,7 +206,7 @@ class CameraMitmAttackerBase:
             return observed
         vector, k_frames, target, features, predicted = launch
         self._begin_attack(vector, k_frames, target, features, predicted)
-        return self._continue_attack(observed, tracks)
+        return self._continue_attack(observed)
 
     # ------------------------------------------------------------------ #
     # Episode management
@@ -240,12 +238,12 @@ class CameraMitmAttackerBase:
         self._attack_active = True
         self._remaining_frames = max(1, k_frames)
 
-    def _continue_attack(self, frame: CameraFrame, tracks=None) -> CameraFrame:
-        if tracks is None:
-            tracks = self.perception.tracker
+    def _continue_attack(self, frame: CameraFrame) -> CameraFrame:
         target_track = None
         if self.record.target_actor_id is not None:
-            target_track = tracks.track_for_actor(self.record.target_actor_id)
+            target_track = self.perception.tracker.track_for_actor(
+                self.record.target_actor_id
+            )
         delivered = self.trajectory_hijacker.perturb_frame(frame, target_track)
         self._remaining_frames -= 1
         self.record.frames_perturbed = self.trajectory_hijacker.frames_perturbed

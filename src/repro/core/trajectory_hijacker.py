@@ -179,10 +179,9 @@ class TrajectoryHijacker:
 
         ``attacker_track`` is the malware's own tracker state for the target
         (paper's ``s_hat_{t-1}``); it constrains the shift so the association
-        survives.  Only its ``bbox`` and ``consecutive_misses`` are read, so
-        the batch engine's replica port can answer it too.  When the target is
-        not visible in the frame, the frame is returned unchanged (the
-        perturbation budget is still consumed by the caller).
+        survives.  Only its ``bbox`` and ``consecutive_misses`` are read.
+        When the target is not visible in the frame, the frame is returned
+        unchanged (the perturbation budget is still consumed by the caller).
         """
         if self._vector is None or self._target_actor_id is None:
             return frame

@@ -6,8 +6,9 @@ Fig. 1:
 * a simulated YOLOv3-class object detector with calibrated Gaussian
   bounding-box noise and exponential misdetection bursts
   (:mod:`repro.perception.detection`);
-* per-object Kalman-filter trackers ("F" in Fig. 1)
-  (:mod:`repro.perception.kalman`, :mod:`repro.perception.tracker`);
+* per-object constant-velocity Kalman trackers ("F" in Fig. 1), whose states
+  are rows of a pooled filter (:mod:`repro.perception.kalman`,
+  :mod:`repro.perception.tracker`);
 * Hungarian matching of detections to trackers ("M" in Fig. 1)
   (:mod:`repro.perception.hungarian`);
 * the multi-object tracker that ties them together
@@ -16,12 +17,18 @@ Fig. 1:
   (:mod:`repro.perception.transforms`);
 * camera/LiDAR sensor fusion (:mod:`repro.perception.fusion`);
 * and the full perception system facade (:mod:`repro.perception.pipeline`).
+
+The detector, tracker, transform and fusion stages are each implemented once,
+on plain-float rows.  The methods the scalar pipeline calls — the detector's
+``detect``, the tracker's ``step``, the transform's ``transform`` and a fusion
+policy's ``step`` — are adapters over those cores, which the batch simulation
+engine calls directly.
 """
 
 from repro.perception.detection import Detection, DetectorNoiseModel, SimulatedDetector
 from repro.perception.fusion import FusedObstacle, FusionConfig, SensorFusion
 from repro.perception.hungarian import hungarian_assignment
-from repro.perception.kalman import BoundingBoxKalmanFilter, KalmanFilter
+from repro.perception.kalman import KalmanFilter, KalmanPool
 from repro.perception.mot import MultiObjectTracker, TrackerConfig
 from repro.perception.pipeline import PerceptionConfig, PerceptionOutput, PerceptionSystem
 from repro.perception.tracker import ObjectTrack
@@ -35,8 +42,8 @@ __all__ = [
     "FusionConfig",
     "SensorFusion",
     "hungarian_assignment",
-    "BoundingBoxKalmanFilter",
     "KalmanFilter",
+    "KalmanPool",
     "MultiObjectTracker",
     "TrackerConfig",
     "PerceptionConfig",

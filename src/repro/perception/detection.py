@@ -35,7 +35,11 @@ __all__ = [
     "DetectorConfig",
     "DetectorDegradation",
     "SimulatedDetector",
+    "frame_rows",
 ]
+
+#: Enum attribute lookups are costly per object per frame.
+_VEHICLE = ActorKind.VEHICLE
 
 
 @dataclass(frozen=True)
@@ -197,12 +201,24 @@ class DetectorDegradation:
         )
 
 
+def frame_rows(frame: CameraFrame) -> List[tuple]:
+    """A camera frame as rendered rows, the detector core's input: one
+    ``(distance, lateral, actor_id, kind, cx, cy, w, h, object_height,
+    object_width)`` tuple per object, in frame order."""
+    return [(obj.distance_m, obj.lateral_m, obj.actor_id, obj.kind, obj.bbox.cx,
+             obj.bbox.cy, obj.bbox.width, obj.bbox.height, obj.object_height_m,
+             obj.object_width_m)
+            for obj in frame.objects]
+
+
 class SimulatedDetector:
     """Statistical stand-in for the YOLOv3 object detector.
 
     The detector is stateful: each visible object carries a misdetection-burst
     counter so that misdetections are *continuous* runs of frames, matching the
-    characterization of paper Fig. 5a-b.
+    characterization of paper Fig. 5a-b.  :meth:`detect_rows` is the detector,
+    over rendered rows (:func:`frame_rows`); :meth:`detect` is its adapter
+    from and to the camera and detection dataclasses.
     """
 
     def __init__(self, config: DetectorConfig | None = None, rng: np.random.Generator | None = None):
@@ -217,46 +233,49 @@ class SimulatedDetector:
 
     def detect(self, frame: CameraFrame) -> List[Detection]:
         """Run the detector on one camera frame."""
-        detections: List[Detection] = []
-        visible_ids = set()
-        for obj in frame.objects:
-            visible_ids.add(obj.actor_id)
-            noise = self.config.noise_for(obj.kind)
-            if obj.bbox.height < self.config.min_bbox_height_px:
-                continue
-            if self._in_misdetection_burst(obj.actor_id, noise):
-                continue
-            detections.append(self._noisy_detection(obj.actor_id, obj.kind, obj.bbox, noise))
-        # Forget burst state for objects that left the field of view so the
-        # state does not grow unboundedly over a long drive.
-        for actor_id in list(self._burst_remaining):
-            if actor_id not in visible_ids:
-                del self._burst_remaining[actor_id]
+        detections = []
+        for cx, cy, w, h, kind, actor_id, confidence in self.detect_rows(frame_rows(frame)):
+            confidence = 0.3 if 0.3 > confidence else 1.0 if confidence > 1.0 else confidence
+            detections.append(Detection(kind=kind, bbox=BoundingBox(cx=cx, cy=cy, width=w, height=h),
+                                        confidence=confidence, actor_id=actor_id))
         return detections
 
-    def _in_misdetection_burst(self, actor_id: int, noise: DetectorNoiseModel) -> bool:
-        remaining = self._burst_remaining.get(actor_id, 0)
-        if remaining > 0:
-            self._burst_remaining[actor_id] = remaining - 1
-            return True
-        if self._rng.random() < noise.misdetection_start_probability:
-            burst_length = 1 + int(self._rng.exponential(1.0 / noise.burst_rate))
-            # The current frame consumes one frame of the burst.
-            self._burst_remaining[actor_id] = max(0, burst_length - 1)
-            return True
-        return False
-
-    def _noisy_detection(
-        self, actor_id: int, kind: ActorKind, bbox: BoundingBox, noise: DetectorNoiseModel
-    ) -> Detection:
-        dx = self._rng.normal(noise.center_noise_mu_x, noise.center_noise_sigma_x) * bbox.width
-        dy = self._rng.normal(noise.center_noise_mu_y, noise.center_noise_sigma_y) * bbox.height
-        size_jitter = float(np.clip(self._rng.normal(1.0, 0.03), 0.85, 1.15))
-        noisy_bbox = BoundingBox(
-            cx=bbox.cx + dx,
-            cy=bbox.cy + dy,
-            width=bbox.width * size_jitter,
-            height=bbox.height * size_jitter,
-        )
-        confidence = float(np.clip(self._rng.normal(0.85, 0.08), 0.3, 1.0))
-        return Detection(kind=kind, bbox=noisy_bbox, confidence=confidence, actor_id=actor_id)
+    def detect_rows(self, objects: List[tuple]) -> List[tuple]:
+        """Run the detector on one frame of rendered rows: one ``(cx, cy, w,
+        h, kind, actor_id, confidence)`` row per reported object, in frame
+        order (the raw confidence draw; :meth:`detect` clips it)."""
+        config = self.config
+        vehicle_noise = config.vehicle_noise
+        pedestrian_noise = config.pedestrian_noise
+        min_bbox_h = config.min_bbox_height_px
+        rng = self._rng
+        burst = self._burst_remaining
+        detections = []
+        visible = set()
+        for _distance, _lateral, actor_id, kind, cx, cy, w, h, _oh, _ow in objects:
+            visible.add(actor_id)
+            if h < min_bbox_h:
+                continue
+            remaining = burst.get(actor_id, 0)
+            if remaining > 0:
+                burst[actor_id] = remaining - 1
+                continue
+            noise = vehicle_noise if kind is _VEHICLE else pedestrian_noise
+            if rng.random() < noise.misdetection_start_probability:
+                burst_length = 1 + int(rng.exponential(1.0 / noise.burst_rate))
+                # The current frame consumes one frame of the burst.
+                burst[actor_id] = burst_length - 1 if burst_length > 1 else 0
+                continue
+            dx = rng.normal(noise.center_noise_mu_x, noise.center_noise_sigma_x) * w
+            dy = rng.normal(noise.center_noise_mu_y, noise.center_noise_sigma_y) * h
+            size_jitter = rng.normal(1.0, 0.03)
+            size_jitter = 0.85 if 0.85 > size_jitter else 1.15 if size_jitter > 1.15 else size_jitter
+            detections.append((float(cx + dx), float(cy + dy), float(w * size_jitter),
+                               float(h * size_jitter), kind, actor_id,
+                               rng.normal(0.85, 0.08)))
+        # Forget burst state for objects that left the field of view so the
+        # state does not grow unboundedly over a long drive.
+        if burst:
+            for actor_id in [aid for aid in burst if aid not in visible]:
+                del burst[actor_id]
+        return detections

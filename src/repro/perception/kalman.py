@@ -7,18 +7,20 @@ exploits (paper §III-B: noise injected within one standard deviation of the
 modelled Gaussian cannot be distinguished from sensor noise, so the filter
 tracks it).
 
-:class:`KalmanFilter` is a generic linear filter; :class:`BoundingBoxKalmanFilter`
-specializes it to the constant-velocity bounding-box state used by the
-multi-object tracker.
+:class:`KalmanFilter` is a generic linear filter, kept as the reference.
+:class:`KalmanPool` is the constant-velocity bounding-box filter the
+multi-object tracker runs: every track's state is one row of pooled arrays,
+so predict and update run over many tracks — of one tracker or of every lane
+of a batch — in one stacked call each.
 """
 
 from __future__ import annotations
 
+from typing import List, Sequence
+
 import numpy as np
 
-from repro.geometry import BoundingBox
-
-__all__ = ["KalmanFilter", "BoundingBoxKalmanFilter"]
+__all__ = ["KalmanFilter", "KalmanPool"]
 
 
 class KalmanFilter:
@@ -91,62 +93,110 @@ class KalmanFilter:
         return self.observation @ self.state
 
 
-class BoundingBoxKalmanFilter:
-    """Constant-velocity Kalman filter over an image-plane bounding box.
+# Constant-velocity bounding-box model shared by every pooled track.  State
+# ``[cx, cy, w, h, vx, vy]`` (``vx, vy`` are pixel velocities of the box
+# centre per frame); measurements ``[cx, cy, w, h]``.  F_T/H_T are kept as .T
+# views so the BLAS paths match KalmanFilter's ``A @ B.T`` expressions.
+F = np.eye(6)
+F[0, 4] = 1.0
+F[1, 5] = 1.0
+_F_T = F.T
+H = np.zeros((4, 6))
+H[0, 0] = H[1, 1] = H[2, 2] = H[3, 3] = 1.0
+_H_T = H.T
+Q = np.diag([1.0, 1.0, 0.5, 0.5, 2.0, 2.0])
+R = np.eye(4) * 10.0
+P0 = np.diag([10.0, 10.0, 10.0, 10.0, 100.0, 100.0])
+_I6 = np.eye(6)
 
-    State vector: ``[cx, cy, w, h, vx, vy]`` where ``vx, vy`` are the pixel
-    velocities of the box centre per frame.  Measurements are ``[cx, cy, w, h]``.
+
+class KalmanPool:
+    """Structure-of-arrays storage for many bounding-box tracks' Kalman state.
+
+    A track holds a *row* (its handle) in the pooled ``(cap, 6)`` state and
+    ``(cap, 6, 6)`` covariance arrays; predict/update operate on arbitrary row
+    subsets in one stacked ``np.matmul`` call each.  The stacked algebra uses
+    the same operation order, ``.T`` views and Joseph-form update as
+    :class:`KalmanFilter`, and NumPy evaluates a stacked matmul as the same
+    dot products per stack element, so every row evolves exactly as a
+    :class:`KalmanFilter` built from ``F``, ``H``, ``Q``, ``R`` and ``P0``.
+    The tracker helpers take :class:`~repro.perception.mot.MultiObjectTracker`
+    objects whose tracks all live in this pool.
     """
 
-    STATE_DIM = 6
-    MEASUREMENT_DIM = 4
+    def __init__(self, capacity: int = 128):
+        capacity = max(8, capacity)
+        self.states = np.zeros((capacity, 6))
+        self.covs = np.zeros((capacity, 6, 6))
+        self._free = list(range(capacity - 1, -1, -1))
 
-    def __init__(
-        self,
-        initial_bbox: BoundingBox,
-        process_noise_scale: float = 1.0,
-        measurement_noise_scale: float = 10.0,
-    ):
-        transition = np.eye(self.STATE_DIM)
-        transition[0, 4] = 1.0
-        transition[1, 5] = 1.0
-        observation = np.zeros((self.MEASUREMENT_DIM, self.STATE_DIM))
-        observation[0, 0] = observation[1, 1] = observation[2, 2] = observation[3, 3] = 1.0
-        process_noise = np.diag([1.0, 1.0, 0.5, 0.5, 2.0, 2.0]) * process_noise_scale
-        measurement_noise = np.eye(self.MEASUREMENT_DIM) * measurement_noise_scale
-        initial_state = np.array(
-            [initial_bbox.cx, initial_bbox.cy, initial_bbox.width, initial_bbox.height, 0.0, 0.0]
+    def alloc(self, cx: float, cy: float, w: float, h: float) -> int:
+        """A fresh row at rest on the box ``(cx, cy, w, h)``."""
+        if not self._free:
+            self._grow()
+        row = self._free.pop()
+        self.states[row] = (cx, cy, w, h, 0.0, 0.0)
+        self.covs[row] = P0
+        return row
+
+    def free(self, row: int) -> None:
+        self._free.append(row)
+
+    def _grow(self) -> None:
+        old = self.states.shape[0]
+        states = np.zeros((old * 2, 6))
+        states[:old] = self.states
+        covs = np.zeros((old * 2, 6, 6))
+        covs[:old] = self.covs
+        self.states = states
+        self.covs = covs
+        self._free.extend(range(old * 2 - 1, old - 1, -1))
+
+    def predict(self, idx: np.ndarray) -> np.ndarray:
+        """Stacked constant-velocity predict; returns the new states."""
+        states = self.states[idx]
+        covs = self.covs[idx]
+        new_states = np.matmul(F, states[..., None])[..., 0]
+        self.states[idx] = new_states
+        self.covs[idx] = np.matmul(np.matmul(F, covs), _F_T) + Q
+        return new_states
+
+    def update_rows(self, rows: List[int], measurements: List[tuple]) -> None:
+        """One stacked measurement update (Joseph form, symmetrized) of
+        ``rows`` with their ``(cx, cy, w, h)`` measurements."""
+        if not rows:
+            return
+        idx = np.array(rows, dtype=np.intp)
+        states = self.states[idx]
+        covs = self.covs[idx]
+        innovation = np.array(measurements) - states[:, :4]
+        pht = np.matmul(covs, _H_T)
+        innovation_cov = np.matmul(np.matmul(H, covs), _H_T) + R
+        gain = np.linalg.solve(
+            innovation_cov.transpose(0, 2, 1), pht.transpose(0, 2, 1)
+        ).transpose(0, 2, 1)
+        states = states + np.matmul(gain, innovation[..., None])[..., 0]
+        i_kh = _I6 - np.matmul(gain, H)
+        covs = np.matmul(np.matmul(i_kh, covs), i_kh.transpose(0, 2, 1)) + np.matmul(
+            np.matmul(gain, R), gain.transpose(0, 2, 1)
         )
-        initial_covariance = np.diag([10.0, 10.0, 10.0, 10.0, 100.0, 100.0])
-        self._kf = KalmanFilter(
-            transition=transition,
-            observation=observation,
-            process_noise=process_noise,
-            measurement_noise=measurement_noise,
-            initial_state=initial_state,
-            initial_covariance=initial_covariance,
-        )
+        self.covs[idx] = 0.5 * (covs + covs.transpose(0, 2, 1))
+        self.states[idx] = states
 
-    def predict(self) -> BoundingBox:
-        """Advance the filter one frame and return the predicted box."""
-        state = self._kf.predict()
-        return self._state_to_bbox(state)
-
-    def update(self, bbox: BoundingBox) -> BoundingBox:
-        """Incorporate a measured box and return the filtered box."""
-        self._kf.update(np.array([bbox.cx, bbox.cy, bbox.width, bbox.height]))
-        return self.current_bbox()
-
-    def current_bbox(self) -> BoundingBox:
-        """The current filtered box estimate."""
-        return self._state_to_bbox(self._kf.state)
-
-    def velocity_px_per_frame(self) -> tuple[float, float]:
-        """Estimated pixel velocity of the box centre, per frame."""
-        return (float(self._kf.state[4]), float(self._kf.state[5]))
-
-    @staticmethod
-    def _state_to_bbox(state: np.ndarray) -> BoundingBox:
-        width = max(float(state[2]), 1.0)
-        height = max(float(state[3]), 1.0)
-        return BoundingBox(cx=float(state[0]), cy=float(state[1]), width=width, height=height)
+    def predict_tracks(self, trackers: Sequence) -> None:
+        """One stacked predict over every track of ``trackers``; each track
+        ages a frame and keeps its predicted box (size floored at 1 px) for
+        association."""
+        refs = [track for tracker in trackers for track in tracker.tracks.values()]
+        if not refs:
+            return
+        rows = np.array([track.row for track in refs], dtype=np.intp)
+        states = self.predict(rows).tolist()
+        for track, state in zip(refs, states):
+            track.age_frames += 1
+            track.pred_cx = state[0]
+            track.pred_cy = state[1]
+            w = state[2]
+            h = state[3]
+            track.pred_w = w if w > 1.0 else 1.0
+            track.pred_h = h if h > 1.0 else 1.0

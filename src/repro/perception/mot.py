@@ -9,6 +9,14 @@ Every frame the tracker:
 3. updates matched tracks, marks unmatched tracks as missed, and spawns new
    tracks for unmatched detections,
 4. retires tracks that have been missed for too many consecutive frames.
+
+Steps 2-4 are one row-level core, :meth:`MultiObjectTracker.track_rows`, over
+detection rows; it queues the matched tracks' Kalman updates instead of
+applying them, so the batch engine can predict and update the tracks of many
+trackers sharing one :class:`~repro.perception.kalman.KalmanPool` in one
+stacked call each.  :meth:`MultiObjectTracker.step` is the adapter from
+:class:`~repro.perception.detection.Detection` objects that runs all four
+steps for one tracker.
 """
 
 from __future__ import annotations
@@ -19,9 +27,9 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.geometry import iou
 from repro.perception.detection import Detection
 from repro.perception.hungarian import hungarian_assignment
+from repro.perception.kalman import KalmanPool
 from repro.perception.tracker import ObjectTrack
 
 __all__ = ["TrackerConfig", "MultiObjectTracker"]
@@ -55,42 +63,170 @@ class TrackerConfig:
             raise ValueError("min_hits_to_confirm must be at least 1")
 
 
+def _overlap(track: ObjectTrack, geom: tuple) -> float:
+    """IoU of a track's predicted box and a detection, whose ``geom`` is
+    (x0, x1, y0, y1, area, cx, cy, w)."""
+    pw = track.pred_w
+    ph = track.pred_h
+    px0 = track.pred_cx - pw / 2.0
+    px1 = track.pred_cx + pw / 2.0
+    py0 = track.pred_cy - ph / 2.0
+    py1 = track.pred_cy + ph / 2.0
+    dx0, dx1, dy0, dy1 = geom[0], geom[1], geom[2], geom[3]
+    overlap_w = (px1 if px1 < dx1 else dx1) - (px0 if px0 > dx0 else dx0)
+    overlap_h = (py1 if py1 < dy1 else dy1) - (py0 if py0 > dy0 else dy0)
+    if overlap_w <= 0.0 or overlap_h <= 0.0:
+        inter = 0.0
+    else:
+        inter = overlap_w * overlap_h
+    union = pw * ph + geom[4] - inter
+    return 0.0 if union <= 0.0 else inter / union
+
+
+def _distance(track: ObjectTrack, geom: tuple) -> float:
+    """Centre distance of a track's predicted box and a detection, in mean
+    box widths."""
+    mean_width = (track.pred_w + geom[7]) / 2.0
+    if mean_width < 1.0:
+        mean_width = 1.0
+    return np.hypot(track.pred_cx - geom[5], track.pred_cy - geom[6]) / mean_width
+
+
+def _pair_cost(track: ObjectTrack, geom: tuple) -> float:
+    """Association cost: prefers high-IoU pairs but still orders
+    non-overlapping candidates by proximity."""
+    return (1.0 - _overlap(track, geom)) + 0.05 * min(_distance(track, geom), 10.0)
+
+
 class MultiObjectTracker:
-    """Tracking-by-detection over image-plane bounding boxes."""
+    """Tracking-by-detection over image-plane bounding boxes.
+
+    The tracks keep their Kalman state in ``pool``: the tracker's own, until
+    the batch engine points every lane's tracker at one shared pool.
+    """
 
     def __init__(self, config: TrackerConfig | None = None):
         self.config = config or TrackerConfig()
+        self.pool = KalmanPool(capacity=8)
         self.tracks: Dict[int, ObjectTrack] = {}
+        #: The confirmed tracks observed this frame or missed only this one:
+        #: the camera evidence the image-to-world transform converts.
+        self.observed: List[ObjectTrack] = []
         self._next_track_id = itertools.count(1)
 
     def reset(self) -> None:
-        """Drop all tracks."""
+        """Drop all tracks, returning their Kalman rows to the pool."""
+        for track in self.tracks.values():
+            self.pool.free(track.row)
         self.tracks.clear()
+        self.observed = []
 
     def step(self, detections: List[Detection]) -> List[ObjectTrack]:
         """Process one frame of detections and return the live confirmed tracks."""
-        track_ids = list(self.tracks)
-        predicted_boxes = {tid: self.tracks[tid].predict() for tid in track_ids}
-
-        matched_track_ids, matched_detection_idx = self._associate(
-            track_ids, predicted_boxes, detections
+        pool = self.pool
+        pool.predict_tracks((self,))
+        rows: List[int] = []
+        measurements: List[tuple] = []
+        self.track_rows(
+            [(d.bbox.cx, d.bbox.cy, d.bbox.width, d.bbox.height, d.kind, d.actor_id)
+             for d in detections],
+            rows, measurements,
         )
-
-        for tid, det_idx in zip(matched_track_ids, matched_detection_idx):
-            self.tracks[tid].update(detections[det_idx])
-
-        unmatched_tracks = set(track_ids) - set(matched_track_ids)
-        for tid in unmatched_tracks:
-            self.tracks[tid].mark_missed()
-
-        matched_detections = set(matched_detection_idx)
-        for det_idx, detection in enumerate(detections):
-            if det_idx not in matched_detections:
-                track_id = next(self._next_track_id)
-                self.tracks[track_id] = ObjectTrack(track_id, detection)
-
-        self._retire_stale_tracks()
+        pool.update_rows(rows, measurements)
         return self.confirmed_tracks()
+
+    def track_rows(self, detections: List[tuple], upd_rows: List[int],
+                   upd_z: List[tuple]) -> None:
+        """Association and track lifecycle for one frame of detection rows
+        ``(cx, cy, w, h, kind, actor_id, ...)``, after the tracks' predict.
+
+        Matched tracks' Kalman updates are queued (their pool rows on
+        ``upd_rows``, their ``(cx, cy, w, h)`` measurements on ``upd_z``) for
+        :meth:`KalmanPool.update_rows`; new tracks start on their detection.
+        """
+        config = self.config
+        tracks = self.tracks
+        track_list = list(tracks.values())
+        n_tracks = len(track_list)
+        n_dets = len(detections)
+        matched_tracks: List[ObjectTrack] = []
+        matched_det_idx: List[int] = []
+        if n_tracks and n_dets:
+            det_geom = []
+            for det in detections:
+                dcx, dcy, dw, dh = det[0], det[1], det[2], det[3]
+                det_geom.append((dcx - dw / 2.0, dcx + dw / 2.0,
+                                 dcy - dh / 2.0, dcy + dh / 2.0,
+                                 dw * dh, dcx, dcy, dw))
+            # The Hungarian solve is only needed when the matrix is at least
+            # 2x2.  A 1x1 matrix always yields the pair (0, 0), and a single
+            # row (or column) reduces to a first-wins argmin — exactly the
+            # tie-break the strict ``<`` in the solver's delta update uses,
+            # and the one ``min`` keeps — so the common 1-track/1-detection
+            # frame skips the cost matrix entirely.  Acceptability is then
+            # checked lazily per returned pair (the boolean is identical; only
+            # unselected pairs skip it).
+            if n_tracks == 1 and n_dets == 1:
+                pairs = ((0, 0),)
+            elif n_tracks == 1 or n_dets == 1:
+                costs = [_pair_cost(track, geom) for track in track_list for geom in det_geom]
+                best = min(range(len(costs)), key=costs.__getitem__)
+                pairs = ((0, best),) if n_tracks == 1 else ((best, 0),)
+            else:
+                cost = np.empty((n_tracks, n_dets))
+                for r, track in enumerate(track_list):
+                    for c in range(n_dets):
+                        cost[r, c] = _pair_cost(track, det_geom[c])
+                pairs = hungarian_assignment(cost)
+            min_iou = config.min_iou_for_match
+            cd_gate = config.center_distance_gate
+            for r, c in pairs:
+                track = track_list[r]
+                geom = det_geom[c]
+                if not 0.4 <= geom[7] / track.pred_w <= 2.5:
+                    continue
+                if _overlap(track, geom) < min_iou and _distance(track, geom) > cd_gate:
+                    continue
+                matched_tracks.append(track)
+                matched_det_idx.append(c)
+
+        # Every existing track misses this frame unless it is matched below.
+        for track in track_list:
+            track.consecutive_misses += 1
+        for track, c in zip(matched_tracks, matched_det_idx):
+            det = detections[c]
+            track.kind = det[4]
+            track.actor_id = det[5]
+            track.hits += 1
+            track.consecutive_misses = 0
+            upd_rows.append(track.row)
+            upd_z.append((det[0], det[1], det[2], det[3]))
+
+        matched_cols = set(matched_det_idx)
+        for c, det in enumerate(detections):
+            if c in matched_cols:
+                continue
+            tid = next(self._next_track_id)
+            tracks[tid] = ObjectTrack(tid, det[4], det[5], self.pool,
+                                      det[0], det[1], det[2], det[3])
+
+        # Only tracks that were actually observed this frame (or missed a
+        # single frame) count as camera evidence downstream; coasting Kalman
+        # predictions are kept for re-association but are not world
+        # measurements, otherwise a vanished object would keep "existing" for
+        # the whole track-retirement window.
+        max_misses = config.max_consecutive_misses
+        min_hits = config.min_hits_to_confirm
+        stale = []
+        observed = []
+        for tid, track in tracks.items():
+            if track.consecutive_misses > max_misses:
+                stale.append(tid)
+            elif track.hits >= min_hits and track.consecutive_misses <= 1:
+                observed.append(track)
+        for tid in stale:
+            self.pool.free(tracks.pop(tid).row)
+        self.observed = observed
 
     def confirmed_tracks(self) -> List[ObjectTrack]:
         """Tracks with enough supporting detections to be reported downstream."""
@@ -106,49 +242,3 @@ class MultiObjectTracker:
             if track.actor_id == actor_id:
                 return track
         return None
-
-    def _associate(
-        self,
-        track_ids: List[int],
-        predicted_boxes: Dict[int, object],
-        detections: List[Detection],
-    ) -> tuple[List[int], List[int]]:
-        if not track_ids or not detections:
-            return [], []
-        cost = np.ones((len(track_ids), len(detections)))
-        acceptable = np.zeros((len(track_ids), len(detections)), dtype=bool)
-        for row, tid in enumerate(track_ids):
-            predicted = predicted_boxes[tid]
-            for col, detection in enumerate(detections):
-                overlap = iou(predicted, detection.bbox)
-                center_distance = np.hypot(
-                    predicted.cx - detection.bbox.cx, predicted.cy - detection.bbox.cy
-                )
-                mean_width = max(1.0, (predicted.width + detection.bbox.width) / 2.0)
-                normalized_distance = center_distance / mean_width
-                # The Hungarian cost prefers high-IoU pairs but still orders
-                # non-overlapping candidates by proximity.
-                cost[row, col] = (1.0 - overlap) + 0.05 * min(normalized_distance, 10.0)
-                width_ratio = detection.bbox.width / max(predicted.width, 1.0)
-                size_consistent = 0.4 <= width_ratio <= 2.5
-                acceptable[row, col] = size_consistent and (
-                    overlap >= self.config.min_iou_for_match
-                    or normalized_distance <= self.config.center_distance_gate
-                )
-        pairs = hungarian_assignment(cost)
-        matched_tracks: List[int] = []
-        matched_detections: List[int] = []
-        for row, col in pairs:
-            if acceptable[row, col]:
-                matched_tracks.append(track_ids[row])
-                matched_detections.append(col)
-        return matched_tracks, matched_detections
-
-    def _retire_stale_tracks(self) -> None:
-        stale = [
-            tid
-            for tid, track in self.tracks.items()
-            if track.consecutive_misses > self.config.max_consecutive_misses
-        ]
-        for tid in stale:
-            del self.tracks[tid]

@@ -16,7 +16,7 @@ Two configurations are used in the reproduction:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -101,13 +101,8 @@ class PerceptionSystem:
         """Run the pipeline on one camera frame (and optional LiDAR scan)."""
         detections = self.detector.detect(camera_frame)
         tracks = self.tracker.step(detections)
-        # Only tracks that were actually observed this frame (or missed a single
-        # frame) count as camera evidence downstream; coasting Kalman
-        # predictions are kept for re-association but are not world
-        # measurements, otherwise a vanished object would keep "existing" for
-        # the whole track-retirement window.
-        observed_tracks = [t for t in tracks if t.consecutive_misses <= 1]
-        world_estimates = self.transform.transform(observed_tracks)
+        # Coasting tracks are not camera evidence (see MultiObjectTracker.observed).
+        world_estimates = self.transform.transform(self.tracker.observed)
         obstacles = self.fusion.step(
             camera_estimates=world_estimates,
             lidar_scan=lidar_scan,

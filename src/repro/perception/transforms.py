@@ -12,7 +12,8 @@ differences, mirroring how the paper's perception derives object trajectories
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from operator import itemgetter
+from typing import Dict, List
 
 from repro.geometry import CameraProjection
 from repro.perception.tracker import ObjectTrack
@@ -25,6 +26,10 @@ NOMINAL_HEIGHT_M = {
     ActorKind.VEHICLE: 1.6,
     ActorKind.PEDESTRIAN: 1.7,
 }
+#: Enum attribute and enum-keyed dict lookups are costly per track per frame.
+_VEHICLE = ActorKind.VEHICLE
+_NOMINAL_VEHICLE = NOMINAL_HEIGHT_M[_VEHICLE]
+_first = itemgetter(0)
 
 
 @dataclass(frozen=True)
@@ -48,18 +53,13 @@ class WorldObjectEstimate:
     age_frames: int
 
 
-@dataclass
-class _TrackHistory:
-    distance_m: float
-    lateral_m: float
-    velocity_mps: float = 0.0
-    lateral_velocity_mps: float = 0.0
-    acceleration_mps2: float = 0.0
-    initialized: bool = False
-
-
 class ImageToWorldTransform:
-    """Stateful conversion of image tracks into road-frame object estimates."""
+    """Stateful conversion of image tracks into road-frame object estimates.
+
+    :meth:`estimate_rows` is the transform, producing the estimate rows
+    :mod:`repro.perception.fusion` consumes; :meth:`transform` is its adapter
+    to :class:`WorldObjectEstimate` objects.
+    """
 
     def __init__(
         self,
@@ -74,7 +74,9 @@ class ImageToWorldTransform:
         self.projection = projection or CameraProjection()
         self.frame_dt_s = frame_dt_s
         self.velocity_smoothing = velocity_smoothing
-        self._history: Dict[int, _TrackHistory] = {}
+        #: Per track id: [distance, lateral, velocity, lateral velocity,
+        #: acceleration] as of the track's last estimate.
+        self._history: Dict[int, List[float]] = {}
 
     def reset(self) -> None:
         """Drop all per-track history."""
@@ -82,58 +84,66 @@ class ImageToWorldTransform:
 
     def transform(self, tracks: List[ObjectTrack]) -> List[WorldObjectEstimate]:
         """Convert the current set of image tracks into world estimates."""
-        estimates: List[WorldObjectEstimate] = []
-        live_track_ids = set()
+        return [
+            WorldObjectEstimate(track_id, actor_id, kind, distance, lateral, velocity,
+                                acceleration, lateral_velocity, age_frames)
+            for (distance, lateral, velocity, lateral_velocity, track_id, actor_id, kind,
+                 acceleration, age_frames) in self.estimate_rows(tracks)
+        ]
+
+    def estimate_rows(self, tracks: List[ObjectTrack]) -> List[tuple]:
+        """Distance-sorted estimate rows ``(distance, lateral, velocity,
+        lateral_velocity, track_id, actor_id, kind, acceleration,
+        age_frames)`` of ``tracks``, from their current filtered boxes.
+
+        Distance inverts the pinhole projection of the box height at the
+        class's nominal height, lateral offset that of the box centre;
+        velocities are smoothed finite differences against the track's
+        previous estimate.  History of tracks not passed is dropped.
+        """
+        intrinsics = self.projection.intrinsics
+        focal = intrinsics.focal_px
+        image_cx = intrinsics.image_cx
+        min_d = self.projection.MIN_DISTANCE_M
+        frame_dt = self.frame_dt_s
+        alpha = self.velocity_smoothing
+        om_alpha = 1 - alpha
+        history = self._history
+        estimates = []
         for track in tracks:
-            live_track_ids.add(track.track_id)
-            estimate = self._transform_track(track)
-            if estimate is not None:
-                estimates.append(estimate)
-        for track_id in list(self._history):
-            if track_id not in live_track_ids:
-                del self._history[track_id]
-        estimates.sort(key=lambda e: e.distance_m)
+            cx, _cy, _w, h, _vx, _vy = track.pool.states[track.row].tolist()
+            kind = track.kind
+            nominal = _NOMINAL_VEHICLE if kind is _VEHICLE else NOMINAL_HEIGHT_M[kind]
+            # The box height is floored at 1 px, as ObjectTrack.bbox floors it.
+            distance = focal * nominal / (h if h > 1.0 else 1.0)
+            d = distance if distance > min_d else min_d
+            lateral = (image_cx - cx) * d / focal
+            record = history.get(track.track_id)
+            if record is None:
+                history[track.track_id] = [distance, lateral, 0.0, 0.0, 0.0]
+                velocity = 0.0
+                lateral_velocity = 0.0
+                acceleration = 0.0
+            else:
+                raw_v = (distance - record[0]) / frame_dt
+                raw_lv = (lateral - record[1]) / frame_dt
+                velocity = om_alpha * record[2] + alpha * raw_v
+                lateral_velocity = om_alpha * record[3] + alpha * raw_lv
+                raw_a = (velocity - record[2]) / frame_dt
+                acceleration = om_alpha * record[4] + alpha * raw_a
+                record[0] = distance
+                record[1] = lateral
+                record[2] = velocity
+                record[3] = lateral_velocity
+                record[4] = acceleration
+            estimates.append((distance, lateral, velocity, lateral_velocity,
+                              track.track_id, track.actor_id, kind,
+                              acceleration, track.age_frames))
+        # Every estimate has a history entry, so only a larger history can
+        # hold tracks that were not passed.
+        if len(history) > len(estimates):
+            live = {track.track_id for track in tracks}
+            for track_id in [tid for tid in history if tid not in live]:
+                del history[track_id]
+        estimates.sort(key=_first)
         return estimates
-
-    def _transform_track(self, track: ObjectTrack) -> Optional[WorldObjectEstimate]:
-        bbox = track.bbox
-        nominal_height = NOMINAL_HEIGHT_M[track.kind]
-        if bbox.height <= 0:
-            return None
-        distance = self.projection.inverse_distance(bbox, nominal_height)
-        lateral = self.projection.inverse_lateral(bbox, distance)
-
-        history = self._history.get(track.track_id)
-        if history is None or not history.initialized:
-            history = _TrackHistory(distance_m=distance, lateral_m=lateral, initialized=True)
-            self._history[track.track_id] = history
-            velocity = 0.0
-            lateral_velocity = 0.0
-            acceleration = 0.0
-        else:
-            alpha = self.velocity_smoothing
-            raw_velocity = (distance - history.distance_m) / self.frame_dt_s
-            raw_lateral_velocity = (lateral - history.lateral_m) / self.frame_dt_s
-            velocity = (1 - alpha) * history.velocity_mps + alpha * raw_velocity
-            lateral_velocity = (
-                (1 - alpha) * history.lateral_velocity_mps + alpha * raw_lateral_velocity
-            )
-            raw_acceleration = (velocity - history.velocity_mps) / self.frame_dt_s
-            acceleration = (1 - alpha) * history.acceleration_mps2 + alpha * raw_acceleration
-            history.distance_m = distance
-            history.lateral_m = lateral
-            history.velocity_mps = velocity
-            history.lateral_velocity_mps = lateral_velocity
-            history.acceleration_mps2 = acceleration
-
-        return WorldObjectEstimate(
-            track_id=track.track_id,
-            actor_id=track.actor_id,
-            kind=track.kind,
-            distance_m=distance,
-            lateral_m=lateral,
-            relative_longitudinal_velocity_mps=velocity,
-            relative_longitudinal_acceleration_mps2=acceleration,
-            lateral_velocity_mps=lateral_velocity,
-            age_frames=track.age_frames,
-        )

@@ -3,14 +3,15 @@
 ``BatchSimulator`` advances N independently-seeded runs ("lanes") in lockstep
 within one process.  The expensive numerical kernel — the per-track Kalman
 predict/update of the multi-object tracker — is batched across *all* live
-tracks of *all* lanes into stacked ``(M, 6)`` state / ``(M, 6, 6)`` covariance
-arrays, while the cheap-but-branchy per-lane logic (sensor rendering, detector
-noise, association, fusion, planning) runs as straight-line Python over plain
-floats.  The scalar :class:`~repro.sim.simulator.Simulator` remains the
-reference path; the batch engine is validated against it bit-for-bit by the
-equivalence suite (``tests/sim/test_batch_equivalence.py``), and the stages
-both engines share are pinned by the golden digests
-(``tests/sim/test_golden_traces.py``).
+tracks of *all* lanes: every lane's tracker keeps its tracks in one shared
+:class:`~repro.perception.kalman.KalmanPool`, which predicts and updates them
+in one stacked call each.  The cheap-but-branchy per-lane logic (sensor
+rendering, detector noise, association, fusion, planning) runs as
+straight-line Python over plain floats.  The scalar
+:class:`~repro.sim.simulator.Simulator` remains the reference path; the batch
+engine is validated against it bit-for-bit by the equivalence suite
+(``tests/sim/test_batch_equivalence.py``), and the stages both engines share
+are pinned by the golden digests (``tests/sim/test_golden_traces.py``).
 
 Determinism contract
 --------------------
@@ -23,9 +24,7 @@ final state) for any lane set, by construction:
   so the LiDAR/GPS streams are seeded identically.
 * **Per-consumer streams** — every stochastic consumer (detector, LiDAR, GPS,
   attacker) owns its own ``np.random.Generator``, so reordering *across*
-  consumers cannot change any draw.  The detector's runtime generator is taken
-  from the supplied agent (``ads.perception.detector._rng``) and consumed with
-  scalar calls in the exact scalar order (its draw count is data-dependent).
+  consumers cannot change any draw.
 * **Buffered sensor noise** — the LiDAR/GPS generators are consumed by one
   bulk ``Generator.normal(loc, scale, size=n)`` draw per lane at construction.
   NumPy's Generator produces bit-identical values for a size-``n`` vector draw
@@ -35,38 +34,34 @@ final state) for any lane set, by construction:
   buffers are ``array("d")`` (8 bytes a value; indexing yields the same
   Python float a list would hold), and the GPS one keeps only the speed
   draws, the one GPS value the victim reads.
-* **Batched Kalman algebra** — the stacked predict/update uses ``np.matmul``
-  broadcasting with the same left-associated operation order, the same ``.T``
-  views, and the same Joseph-form + symmetrization expressions as the scalar
-  ``KalmanFilter``; NumPy evaluates a stacked matmul as the identical sequence
-  of dot products per stack element, so the results are bit-identical.
-* **Per-lane ports** — camera projection, detection noise, IoU/Hungarian
-  association and the image-to-world transform are literal ports of the
+* **Shared victim stages** — each lane calls its victim agent's own objects
+  on the plain-float rows it carries: the detector's ``detect_rows``, the
+  tracker's ``track_rows``, the transform's ``estimate_rows``, the fusion
+  policy's ``fuse`` (:class:`RowFusionPolicy`), ``ads.planner.plan_rows`` and
+  ``ads.actuate`` — the code the scalar ``AdsAgent.step`` runs through its
+  dataclass adapters.
+* **World-side ports** — camera rendering, LiDAR and GPS sensing, actor
+  kinematics and the ground-truth safety potential are literal ports of the
   scalar code with identical evaluation order (including float
-  left-associativity), as are the world-side sensors, kinematics and
-  ground-truth safety potential.
-* **Shared victim stages** — fusion, planning, PID trim and actuation
-  smoothing are not ported: each lane calls its victim agent's own objects,
-  ``ads.perception.fusion.fuse`` (:class:`RowFusionPolicy`),
-  ``ads.planner.plan_rows`` and ``ads.actuate``, on the plain-float rows the
-  lane already carries — the same code the scalar ``AdsAgent.step`` runs
-  through its dataclass adapters.
+  left-associativity).
 
 Restrictions (the scalar path has none of these):
 
 * every lane shares one :class:`SimulationConfig` (lockstep needs one ``dt``);
 * the victim's camera perception must be fresh — a detector, tracker or
   transform that carries state from an earlier run is rejected (call
-  ``ads.reset()`` first), because the camera-stage ports start empty.
+  ``ads.reset()`` first): a lane moves its tracker onto the shared Kalman
+  pool, which cannot take over another pool's rows.  When the run ends the
+  tracker returns its rows to the pool.
 
 Reference-engine lanes
 ----------------------
 
-A ported lane calls its fusion policy's row-level core, which is what
-``step`` runs only while it is the shared :meth:`RowFusionPolicy.step`
-adapter (every built-in keeps it, as does a subclass that only overrides
-``fuse`` or the blend weights).  A lane whose policy has its own ``step`` — a
-third-party ``FUSION_POLICIES`` entry, say — runs on the reference
+A lane calls its fusion policy's row-level core, which is what ``step`` runs
+only while it is the shared :meth:`RowFusionPolicy.step` adapter (every
+built-in keeps it, as does a subclass that only overrides ``fuse`` or the
+blend weights).  A lane whose policy has its own ``step`` — a third-party
+``FUSION_POLICIES`` entry, say — runs on the reference
 :class:`~repro.sim.simulator.Simulator` instead, from the same
 :class:`BatchRunSpec`; its result takes its place in spec order.
 
@@ -75,12 +70,11 @@ Attackers
 
 RoboTack and its baselines (:class:`CameraMitmAttackerBase` with the stock
 frame hook and a fresh, stock :class:`PerceptionSystem` replica) run their
-camera-only replica on the batch engine too: the lane gets a second
-:class:`_CameraPerception` (detector, tracker and image-to-world ports; the
-replica's fusion stage is dropped because the attacker reads only world
-estimates), whose tracks share the Kalman pool with the victims' tracks.  The
-attacker's frame hook is called in its two halves around the replica step,
-in the scalar order:
+camera-only replica in lockstep too: the lane calls the replica's own
+detector, tracker and transform cores (its fusion stage is skipped because
+the attacker reads only world estimates), and the replica's tracker joins the
+shared pool.  The attacker's frame hook is called in its two halves around
+the replica step, in the scalar order:
 
 * before the stacked predict, :meth:`~CameraMitmAttackerBase.frame_for_replica`
   picks the frame the replica observes; a running attack perturbs it with the
@@ -104,7 +98,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 import numpy as np
 
@@ -112,16 +106,12 @@ from repro.ads.safety import SafetyModel
 from repro.core.robotack import CameraMitmAttackerBase
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.vec import Vec2
-from repro.perception.detection import SimulatedDetector
+from repro.perception.detection import SimulatedDetector, frame_rows
 from repro.perception.fusion import RowFusionPolicy
-from repro.perception.hungarian import hungarian_assignment
+from repro.perception.kalman import KalmanPool
 from repro.perception.mot import MultiObjectTracker
 from repro.perception.pipeline import PerceptionSystem
-from repro.perception.transforms import (
-    NOMINAL_HEIGHT_M,
-    ImageToWorldTransform,
-    WorldObjectEstimate,
-)
+from repro.perception.transforms import ImageToWorldTransform
 from repro.sensors.camera import CameraFrame, CameraObject, CameraSensor
 from repro.sensors.gps_imu import GpsImuSensor
 from repro.sensors.lidar import LidarSensor
@@ -140,130 +130,6 @@ __all__ = ["BatchRunSpec", "BatchSimulator"]
 _first = itemgetter(0)
 #: Enum attribute and enum-keyed dict lookups are costly per object per step.
 _VEHICLE = ActorKind.VEHICLE
-
-# --------------------------------------------------------------------------- #
-# Batched Kalman filter (constant matrices shared by every track)
-# --------------------------------------------------------------------------- #
-# These mirror BoundingBoxKalmanFilter exactly; _F_T/_H_T are kept as .T views
-# so the BLAS paths match the scalar filter's ``A @ B.T`` expressions.
-
-_F = np.eye(6)
-_F[0, 4] = 1.0
-_F[1, 5] = 1.0
-_F_T = _F.T
-_H = np.zeros((4, 6))
-_H[0, 0] = _H[1, 1] = _H[2, 2] = _H[3, 3] = 1.0
-_H_T = _H.T
-_Q = np.diag([1.0, 1.0, 0.5, 0.5, 2.0, 2.0])
-_R = np.eye(4) * 10.0
-_P0 = np.diag([10.0, 10.0, 10.0, 10.0, 100.0, 100.0])
-_I6 = np.eye(6)
-
-
-class _KalmanPool:
-    """Structure-of-arrays storage for every live track's Kalman state.
-
-    A track holds a *row* (its handle) in the pooled ``(cap, 6)`` state and
-    ``(cap, 6, 6)`` covariance arrays; predict/update operate on arbitrary row
-    subsets in one stacked ``np.matmul`` call each.
-    """
-
-    def __init__(self, capacity: int = 128):
-        capacity = max(8, capacity)
-        self.states = np.zeros((capacity, 6))
-        self.covs = np.zeros((capacity, 6, 6))
-        self._free = list(range(capacity - 1, -1, -1))
-
-    def alloc(self, cx: float, cy: float, w: float, h: float) -> int:
-        if not self._free:
-            self._grow()
-        row = self._free.pop()
-        state = self.states[row]
-        state[0] = cx
-        state[1] = cy
-        state[2] = w
-        state[3] = h
-        state[4] = 0.0
-        state[5] = 0.0
-        self.covs[row] = _P0
-        return row
-
-    def free(self, row: int) -> None:
-        self._free.append(row)
-
-    def _grow(self) -> None:
-        old = self.states.shape[0]
-        states = np.zeros((old * 2, 6))
-        states[:old] = self.states
-        covs = np.zeros((old * 2, 6, 6))
-        covs[:old] = self.covs
-        self.states = states
-        self.covs = covs
-        self._free.extend(range(old * 2 - 1, old - 1, -1))
-
-    def predict(self, idx: np.ndarray) -> np.ndarray:
-        """Stacked constant-velocity predict; returns the new states."""
-        states = self.states[idx]
-        covs = self.covs[idx]
-        new_states = np.matmul(_F, states[..., None])[..., 0]
-        self.states[idx] = new_states
-        self.covs[idx] = np.matmul(np.matmul(_F, covs), _F_T) + _Q
-        return new_states
-
-    def update(self, idx: np.ndarray, measurements: np.ndarray) -> None:
-        """Stacked measurement update (Joseph form, symmetrized)."""
-        states = self.states[idx]
-        covs = self.covs[idx]
-        innovation = measurements - states[:, :4]
-        pht = np.matmul(covs, _H_T)
-        innovation_cov = np.matmul(np.matmul(_H, covs), _H_T) + _R
-        gain = np.linalg.solve(
-            innovation_cov.transpose(0, 2, 1), pht.transpose(0, 2, 1)
-        ).transpose(0, 2, 1)
-        states = states + np.matmul(gain, innovation[..., None])[..., 0]
-        i_kh = _I6 - np.matmul(gain, _H)
-        covs = np.matmul(np.matmul(i_kh, covs), i_kh.transpose(0, 2, 1)) + np.matmul(
-            np.matmul(gain, _R), gain.transpose(0, 2, 1)
-        )
-        self.covs[idx] = 0.5 * (covs + covs.transpose(0, 2, 1))
-        self.states[idx] = states
-
-    def predict_tracks(self, cameras: Sequence["_CameraPerception"]) -> None:
-        """One stacked predict over every track of ``cameras``; each track
-        keeps its predicted box (size floored at 1 px) for association."""
-        refs = [track for camera in cameras for track in camera.tracks.values()]
-        if not refs:
-            return
-        rows = np.array([track.row for track in refs], dtype=np.intp)
-        states = self.predict(rows).tolist()
-        for track, state in zip(refs, states):
-            track.pred_cx = state[0]
-            track.pred_cy = state[1]
-            w = state[2]
-            h = state[3]
-            track.pred_w = w if w > 1.0 else 1.0
-            track.pred_h = h if h > 1.0 else 1.0
-
-    def update_rows(self, rows: List[int], measurements: List[tuple]) -> None:
-        if rows:
-            self.update(np.array(rows, dtype=np.intp), np.array(measurements))
-
-    def refresh_observed(self, cameras: Sequence["_CameraPerception"]) -> None:
-        """Copy the filtered boxes of each camera's observed tracks out of the
-        pool (one stacked gather), for the image-to-world transform."""
-        refs = [track for camera in cameras for track in camera.observed]
-        if not refs:
-            return
-        rows = np.array([track.row for track in refs], dtype=np.intp)
-        states = self.states[rows].tolist()
-        for track, state in zip(refs, states):
-            track.cx = state[0]
-            track.cy = state[1]
-            w = state[2]
-            h = state[3]
-            track.w = w if w > 1.0 else 1.0
-            track.h = h if h > 1.0 else 1.0
-
 
 # --------------------------------------------------------------------------- #
 # Plain-float ports of the world-side state
@@ -358,375 +224,6 @@ class _LaneActor:
         self.vy = self.route.vy
 
 
-class _Track:
-    """Tracker bookkeeping for one pooled Kalman row."""
-
-    __slots__ = ("track_id", "kind", "actor_id", "row", "born", "hits", "misses",
-                 "pred_cx", "pred_cy", "pred_w", "pred_h", "cx", "cy", "w", "h")
-
-    def __init__(self, track_id, kind, actor_id, row, born, cx, cy, w, h):
-        self.track_id = track_id
-        self.kind = kind
-        self.actor_id = actor_id
-        self.row = row
-        #: Tracker frame the track was spawned on (``ObjectTrack.age_frames``
-        #: is one more than the frames since).
-        self.born = born
-        self.hits = 1
-        self.misses = 0
-        self.pred_cx = cx
-        self.pred_cy = cy
-        self.pred_w = w if w > 1.0 else 1.0
-        self.pred_h = h if h > 1.0 else 1.0
-        self.cx = cx
-        self.cy = cy
-        self.w = self.pred_w
-        self.h = self.pred_h
-
-
-class _TrackView:
-    """A replica track as the trajectory hijacker reads an ``ObjectTrack``:
-    its current filtered box and its miss streak."""
-
-    __slots__ = ("bbox", "consecutive_misses")
-
-    def __init__(self, bbox: BoundingBox, consecutive_misses: int):
-        self.bbox = bbox
-        self.consecutive_misses = consecutive_misses
-
-
-# --------------------------------------------------------------------------- #
-# Camera perception: detector, tracker and image-to-world ports
-# --------------------------------------------------------------------------- #
-
-
-class _CameraPerception:
-    """Plain-float ports of a :class:`PerceptionSystem`'s camera stages.
-
-    Detection, association plus track lifecycle, and the image-to-world
-    transform of one pipeline; its tracks keep their Kalman state in the
-    simulator's shared :class:`_KalmanPool`, which predicts and updates them
-    in stacked calls.  Every lane has one for its victim, and an attacked lane
-    may have a second one for the attacker's camera-only replica.
-    """
-
-    # Slots keep the per-lane working set small on wide batches.
-    __slots__ = ("pool", "det_rng", "vnoise", "pnoise", "min_bbox_h", "burst",
-                 "min_iou", "cd_gate", "max_misses", "min_hits", "tracks",
-                 "next_tid", "frames", "observed", "frame_dt", "tf_alpha",
-                 "tf_om_alpha", "tf_focal", "tf_img_cx", "tf_min_d", "tf_hist",
-                 "nominal_v", "nominal_p")
-
-    def __init__(self, perception: PerceptionSystem, pool: _KalmanPool):
-        self.pool = pool
-
-        # --- detector (shares the owner's runtime generator; scalar draws) ---
-        det_cfg = perception.detector.config
-        self.det_rng = perception.detector._rng
-        vn = det_cfg.vehicle_noise
-        pn = det_cfg.pedestrian_noise
-        self.vnoise = (vn.center_noise_mu_x, vn.center_noise_sigma_x,
-                       vn.center_noise_mu_y, vn.center_noise_sigma_y,
-                       vn.misdetection_start_probability, 1.0 / vn.burst_rate)
-        self.pnoise = (pn.center_noise_mu_x, pn.center_noise_sigma_x,
-                       pn.center_noise_mu_y, pn.center_noise_sigma_y,
-                       pn.misdetection_start_probability, 1.0 / pn.burst_rate)
-        self.min_bbox_h = det_cfg.min_bbox_height_px
-        self.burst: Dict[int, int] = {}
-
-        # --- tracker ---
-        t_cfg = perception.tracker.config
-        self.min_iou = t_cfg.min_iou_for_match
-        self.cd_gate = t_cfg.center_distance_gate
-        self.max_misses = t_cfg.max_consecutive_misses
-        self.min_hits = t_cfg.min_hits_to_confirm
-        self.tracks: Dict[int, _Track] = {}
-        self.next_tid = 1
-        self.frames = 0
-        self.observed: List[_Track] = []
-
-        # --- image-to-world transform ---
-        transform = perception.transform
-        proj = transform.projection
-        self.frame_dt = transform.frame_dt_s
-        self.tf_alpha = transform.velocity_smoothing
-        self.tf_om_alpha = 1 - transform.velocity_smoothing
-        self.tf_focal = proj.intrinsics.focal_px
-        self.tf_img_cx = proj.intrinsics.image_cx
-        self.tf_min_d = proj.MIN_DISTANCE_M
-        self.tf_hist: Dict[int, List[float]] = {}
-        self.nominal_v = NOMINAL_HEIGHT_M[ActorKind.VEHICLE]
-        self.nominal_p = NOMINAL_HEIGHT_M[ActorKind.PEDESTRIAN]
-
-    def release(self) -> None:
-        """Return every track's Kalman row to the pool."""
-        for track in self.tracks.values():
-            self.pool.free(track.row)
-        self.tracks.clear()
-        self.observed = []
-
-    def detect(self, camera_objects: List[tuple]) -> List[tuple]:
-        """Detector port over rendered rows (see ``_Lane._render_objects``):
-        (cx, cy, w, h, kind, aid) detections, scalar RNG call order."""
-        rng = self.det_rng
-        burst = self.burst
-        min_bbox_h = self.min_bbox_h
-        detections = []
-        visible = set()
-        for _distance, _lateral, actor_id, kind, cx, cy, w, h, _oh, _ow in camera_objects:
-            visible.add(actor_id)
-            noise = self.vnoise if kind is _VEHICLE else self.pnoise
-            if h < min_bbox_h:
-                continue
-            remaining = burst.get(actor_id, 0)
-            if remaining > 0:
-                burst[actor_id] = remaining - 1
-                continue
-            if rng.random() < noise[4]:
-                burst_length = 1 + int(rng.exponential(noise[5]))
-                burst[actor_id] = burst_length - 1 if burst_length > 1 else 0
-                continue
-            dx = rng.normal(noise[0], noise[1]) * w
-            dy = rng.normal(noise[2], noise[3]) * h
-            size_jitter = rng.normal(1.0, 0.03)
-            if size_jitter < 0.85:
-                size_jitter = 0.85
-            elif size_jitter > 1.15:
-                size_jitter = 1.15
-            size_jitter = float(size_jitter)
-            # Confidence is drawn (to keep the stream aligned) but unused.
-            rng.normal(0.85, 0.08)
-            detections.append((float(cx + dx), float(cy + dy),
-                               float(w * size_jitter), float(h * size_jitter),
-                               kind, actor_id))
-        if burst:
-            for actor_id in [aid for aid in burst if aid not in visible]:
-                del burst[actor_id]
-        return detections
-
-    def _pair_cost(self, track: "_Track", geom: tuple) -> float:
-        """Association cost for one (track, detection) pair — scalar-exact."""
-        dx0, dx1, dy0, dy1, d_area, dcx, dcy, dw = geom
-        pcx = track.pred_cx
-        pcy = track.pred_cy
-        pw = track.pred_w
-        ph = track.pred_h
-        px0 = pcx - pw / 2.0
-        px1 = pcx + pw / 2.0
-        py0 = pcy - ph / 2.0
-        py1 = pcy + ph / 2.0
-        overlap_w = (px1 if px1 < dx1 else dx1) - (px0 if px0 > dx0 else dx0)
-        overlap_h = (py1 if py1 < dy1 else dy1) - (py0 if py0 > dy0 else dy0)
-        if overlap_w <= 0.0 or overlap_h <= 0.0:
-            inter = 0.0
-        else:
-            inter = overlap_w * overlap_h
-        union = pw * ph + d_area - inter
-        overlap = 0.0 if union <= 0.0 else inter / union
-        mean_width = (pw + dw) / 2.0
-        if mean_width < 1.0:
-            mean_width = 1.0
-        normalized = np.hypot(pcx - dcx, pcy - dcy) / mean_width
-        return (1.0 - overlap) + 0.05 * min(normalized, 10.0)
-
-    def track_step(self, detections: List[tuple],
-                   upd_rows: List[int], upd_z: List[tuple]) -> None:
-        """MOT association + lifecycle; Kalman updates are deferred to the pool."""
-        self.frames += 1
-        tracks = self.tracks
-        track_list = list(tracks.values())
-        n_tracks = len(track_list)
-        n_dets = len(detections)
-        matched_tracks: List[_Track] = []
-        matched_det_idx: List[int] = []
-        if n_tracks and n_dets:
-            det_geom = []
-            for det in detections:
-                dcx, dcy, dw, dh = det[0], det[1], det[2], det[3]
-                det_geom.append((dcx - dw / 2.0, dcx + dw / 2.0,
-                                 dcy - dh / 2.0, dcy + dh / 2.0,
-                                 dw * dh, dcx, dcy, dw))
-            # The Hungarian solve is only needed when the matrix is at least
-            # 2x2.  A 1x1 matrix always yields the pair (0, 0), and a single
-            # row (or column) reduces to a first-wins argmin — exactly the
-            # tie-break the strict ``<`` in the solver's delta update uses —
-            # so the common 1-track/1-detection frame skips the cost matrix
-            # entirely.  Acceptability is then checked lazily per returned
-            # pair (the boolean is identical; only unselected pairs skip it).
-            if n_tracks == 1 and n_dets == 1:
-                pairs = ((0, 0),)
-            elif n_tracks == 1:
-                best_c = 0
-                best = self._pair_cost(track_list[0], det_geom[0])
-                for c in range(1, n_dets):
-                    value = self._pair_cost(track_list[0], det_geom[c])
-                    if value < best:
-                        best = value
-                        best_c = c
-                pairs = ((0, best_c),)
-            elif n_dets == 1:
-                best_r = 0
-                best = self._pair_cost(track_list[0], det_geom[0])
-                for r in range(1, n_tracks):
-                    value = self._pair_cost(track_list[r], det_geom[0])
-                    if value < best:
-                        best = value
-                        best_r = r
-                pairs = ((best_r, 0),)
-            else:
-                cost = np.empty((n_tracks, n_dets))
-                for r, track in enumerate(track_list):
-                    for c in range(n_dets):
-                        cost[r, c] = self._pair_cost(track, det_geom[c])
-                pairs = hungarian_assignment(cost)
-            min_iou = self.min_iou
-            cd_gate = self.cd_gate
-            for r, c in pairs:
-                track = track_list[r]
-                pw = track.pred_w
-                pw_floor = pw if pw > 1.0 else 1.0
-                dx0, dx1, dy0, dy1, d_area, dcx, dcy, dw = det_geom[c]
-                width_ratio = dw / pw_floor
-                if not 0.4 <= width_ratio <= 2.5:
-                    continue
-                pcx = track.pred_cx
-                pcy = track.pred_cy
-                ph = track.pred_h
-                px0 = pcx - pw / 2.0
-                px1 = pcx + pw / 2.0
-                py0 = pcy - ph / 2.0
-                py1 = pcy + ph / 2.0
-                overlap_w = (px1 if px1 < dx1 else dx1) - (px0 if px0 > dx0 else dx0)
-                overlap_h = (py1 if py1 < dy1 else dy1) - (py0 if py0 > dy0 else dy0)
-                if overlap_w <= 0.0 or overlap_h <= 0.0:
-                    inter = 0.0
-                else:
-                    inter = overlap_w * overlap_h
-                union = pw * ph + d_area - inter
-                overlap = 0.0 if union <= 0.0 else inter / union
-                if overlap < min_iou:
-                    mean_width = (pw + dw) / 2.0
-                    if mean_width < 1.0:
-                        mean_width = 1.0
-                    if np.hypot(pcx - dcx, pcy - dcy) / mean_width > cd_gate:
-                        continue
-                matched_tracks.append(track)
-                matched_det_idx.append(c)
-
-        # Every existing track misses this frame unless it is matched below.
-        for track in track_list:
-            track.misses += 1
-        for track, c in zip(matched_tracks, matched_det_idx):
-            det = detections[c]
-            track.kind = det[4]
-            track.actor_id = det[5]
-            track.hits += 1
-            track.misses = 0
-            upd_rows.append(track.row)
-            upd_z.append((det[0], det[1], det[2], det[3]))
-
-        matched_cols = set(matched_det_idx)
-        for c, det in enumerate(detections):
-            if c in matched_cols:
-                continue
-            tid = self.next_tid
-            self.next_tid += 1
-            row = self.pool.alloc(det[0], det[1], det[2], det[3])
-            tracks[tid] = _Track(tid, det[4], det[5], row, self.frames,
-                                 det[0], det[1], det[2], det[3])
-
-        max_misses = self.max_misses
-        min_hits = self.min_hits
-        stale = []
-        observed = []
-        for tid, track in tracks.items():
-            if track.misses > max_misses:
-                stale.append(tid)
-            elif track.hits >= min_hits and track.misses <= 1:
-                observed.append(track)
-        for tid in stale:
-            self.pool.free(tracks.pop(tid).row)
-        self.observed = observed
-
-    def transform(self) -> List[tuple]:
-        """Image-to-world estimates of the observed tracks as distance-sorted
-        estimate rows (:mod:`repro.perception.fusion`): (distance, lateral,
-        rel_velocity, lateral_velocity, track_id, actor_id, kind,
-        rel_acceleration, age_frames)."""
-        frames = self.frames + 1
-        history = self.tf_hist
-        frame_dt = self.frame_dt
-        alpha = self.tf_alpha
-        om_alpha = self.tf_om_alpha
-        estimates = []
-        for track in self.observed:
-            height_px = track.h
-            nominal = self.nominal_v if track.kind is _VEHICLE else self.nominal_p
-            if height_px <= 0:
-                continue
-            distance = self.tf_focal * nominal / height_px
-            d = distance if distance > self.tf_min_d else self.tf_min_d
-            lateral = (self.tf_img_cx - track.cx) * d / self.tf_focal
-            record = history.get(track.track_id)
-            if record is None:
-                history[track.track_id] = [distance, lateral, 0.0, 0.0, 0.0]
-                velocity = 0.0
-                lateral_velocity = 0.0
-                acceleration = 0.0
-            else:
-                raw_v = (distance - record[0]) / frame_dt
-                raw_lv = (lateral - record[1]) / frame_dt
-                velocity = om_alpha * record[2] + alpha * raw_v
-                lateral_velocity = om_alpha * record[3] + alpha * raw_lv
-                raw_a = (velocity - record[2]) / frame_dt
-                acceleration = om_alpha * record[4] + alpha * raw_a
-                record[0] = distance
-                record[1] = lateral
-                record[2] = velocity
-                record[3] = lateral_velocity
-                record[4] = acceleration
-            estimates.append((distance, lateral, velocity, lateral_velocity,
-                              track.track_id, track.actor_id, track.kind,
-                              acceleration, frames - track.born))
-        # Every estimate has a history entry, so only a larger history can
-        # hold tracks that are no longer observed.
-        if len(history) > len(estimates):
-            live = {track.track_id for track in self.observed}
-            for tid in [tid for tid in history if tid not in live]:
-                del history[tid]
-        estimates.sort(key=_first)
-        return estimates
-
-    def world_estimates(self) -> List[WorldObjectEstimate]:
-        """:meth:`transform` as the scalar pipeline's ``world_estimates``."""
-        return [
-            WorldObjectEstimate(
-                track_id=track_id,
-                actor_id=actor_id,
-                kind=kind,
-                distance_m=distance,
-                lateral_m=lateral,
-                relative_longitudinal_velocity_mps=velocity,
-                relative_longitudinal_acceleration_mps2=acceleration,
-                lateral_velocity_mps=lateral_velocity,
-                age_frames=age_frames,
-            )
-            for (distance, lateral, velocity, lateral_velocity, track_id,
-                 actor_id, kind, acceleration, age_frames) in self.transform()
-        ]
-
-    def track_for_actor(self, actor_id: int) -> Optional[_TrackView]:
-        """``MultiObjectTracker.track_for_actor`` over the pooled state: the
-        box is whatever the pool holds for the track right now."""
-        for track in self.tracks.values():
-            if track.actor_id == actor_id:
-                cx, cy, w, h = self.pool.states[track.row, :4].tolist()
-                box = BoundingBox(cx=cx, cy=cy, width=w if w > 1.0 else 1.0,
-                                  height=h if h > 1.0 else 1.0)
-                return _TrackView(box, track.misses)
-        return None
-
-
 def _batched_replica(attacker: Optional[CameraAttacker]) -> Optional[PerceptionSystem]:
     """The attacker's replica when the batch engine can run it in lockstep.
 
@@ -743,17 +240,9 @@ def _batched_replica(attacker: Optional[CameraAttacker]) -> Optional[PerceptionS
              and type(replica.detector) is SimulatedDetector
              and type(replica.tracker) is MultiObjectTracker
              and type(replica.transform) is ImageToWorldTransform)
-    # An attacker that has already seen frames carries replica state the port
-    # does not start from.
+    # An attacker that has already seen frames carries replica tracks, whose
+    # Kalman rows cannot move to the shared pool.
     return replica if stock and attacker._frame_count == 0 else None
-
-
-def _frame_objects(frame: CameraFrame) -> List[tuple]:
-    """A camera frame as rendered rows, the detector port's input."""
-    return [(obj.distance_m, obj.lateral_m, obj.actor_id, obj.kind, obj.bbox.cx,
-             obj.bbox.cy, obj.bbox.width, obj.bbox.height, obj.object_height_m,
-             obj.object_width_m)
-            for obj in frame.objects]
 
 
 @dataclass
@@ -768,7 +257,7 @@ class BatchRunSpec:
 
 def _shares_row_core(spec: BatchRunSpec) -> bool:
     """Whether the lane's fusion ``step`` is the shared adapter over the
-    row-level ``fuse`` core that a ported lane calls directly."""
+    row-level ``fuse`` core that a batch lane calls directly."""
     step = spec.ads.perception.fusion.step
     return getattr(step, "__func__", None) is RowFusionPolicy.step
 
@@ -782,25 +271,26 @@ class _Lane:
     """All state of one simulated run, held as plain floats.
 
     The constructor replicates ``Simulator.__init__``'s RNG draws and extracts
-    every parameter the ported camera and world stages need from the supplied
-    agent; fusion, planning and actuation run on the agent's own objects.  The
-    per-step work is split into ``pre_step`` (sensors → attack → detection →
-    association; feeds the shared Kalman pool) and ``post_step`` (transform →
-    fusion → planning → actuation → world advance), with the batched Kalman
+    every parameter the ported world stages need from the scenario; perception,
+    planning and actuation run on the agent's own objects.  The per-step work
+    is split into ``pre_step`` (sensors → attack → detection → association;
+    feeds the shared Kalman pool) and ``post_step`` (transform → fusion →
+    planning → actuation → world advance), with the batched Kalman
     predict/update running between them in :meth:`BatchSimulator.run`.  A lane
     with a batched replica also runs ``observe`` before the predict and
     ``replica_step`` before the victim's ``pre_step``.
     """
 
-    def __init__(self, spec: BatchRunSpec, config: SimulationConfig, pool: _KalmanPool):
+    def __init__(self, spec: BatchRunSpec, config: SimulationConfig, pool: KalmanPool):
         scenario = spec.scenario
         ads = spec.ads
         rng = spec.rng if spec.rng is not None else np.random.default_rng()
         sensor_seeds = rng.integers(0, 2**31 - 1, size=2)
 
         perception = ads.perception
-        # The camera-stage ports start empty; a victim whose detector, tracker
-        # or transform carries state would silently diverge from the scalar run.
+        # The victim's tracker moves onto the shared pool, which cannot take
+        # over rows of another pool; burst state or transform history means
+        # the agent was not reset either.
         if (perception.detector._burst_remaining or perception.tracker.tracks
                 or perception.transform._history):
             raise ValueError(
@@ -813,11 +303,16 @@ class _Lane:
         self.lidar_due = [config.lidar_due(step) for step in range(self.max_steps)]
 
         # --- camera perception: the victim's, and the attacker's replica ---
-        self.camera = _CameraPerception(perception, pool)
+        self.tracker = perception.tracker
+        self.tracker.pool = pool
+        self.detect_rows = perception.detector.detect_rows
+        self.track_rows = self.tracker.track_rows
+        self.estimate_rows = perception.transform.estimate_rows
         self.frame_dt = perception.config.frame_dt_s
         self.attacker = spec.attacker
-        replica = _batched_replica(spec.attacker)
-        self.replica = _CameraPerception(replica, pool) if replica is not None else None
+        self.replica = _batched_replica(spec.attacker)
+        if self.replica is not None:
+            self.replica.tracker.pool = pool
         #: A batched attacker whose episode is over: no longer called.
         self.attacker_done = False
         self.frame: Optional[CameraFrame] = None
@@ -1002,20 +497,19 @@ class _Lane:
         rendered = self._sense()
         self.clean_objects = rendered
         self.frame = self._camera_frame(rendered)
-        self.observed_frame = self.attacker.frame_for_replica(self.frame, self.replica)
+        self.observed_frame = self.attacker.frame_for_replica(self.frame)
         if self.attacker.episode_over:
             self._stop_replica()
 
     def replica_step(self, upd_rows: List[int], upd_z: List[tuple]) -> None:
         """Batched replica: detection and association on the observed frame."""
         observed = self.observed_frame
-        objects = (self.clean_objects if observed is self.frame
-                   else _frame_objects(observed))
+        objects = self.clean_objects if observed is self.frame else frame_rows(observed)
         replica = self.replica
-        replica.track_step(replica.detect(objects), upd_rows, upd_z)
+        replica.tracker.track_rows(replica.detector.detect_rows(objects), upd_rows, upd_z)
 
     def _stop_replica(self) -> None:
-        self.replica.release()
+        self.replica.tracker.reset()
         self.replica = None
         self.attacker_done = True
 
@@ -1027,17 +521,18 @@ class _Lane:
             # Batched replica: deliver, given its estimates from this frame.
             self.observed_frame = None
             delivered = observed
-            if self.replica is not None:
+            replica = self.replica
+            if replica is not None:
                 attacker = self.attacker
-                estimates = () if attacker.attack_active else self.replica.world_estimates()
-                delivered = attacker.frame_to_deliver(
-                    observed, estimates, self.gps_speed, self.replica
+                estimates = () if attacker.attack_active else replica.transform.transform(
+                    replica.tracker.observed
                 )
+                delivered = attacker.frame_to_deliver(observed, estimates, self.gps_speed)
                 if attacker.episode_over:
                     self._stop_replica()
             self._log_attack()
             camera_objects = (self.clean_objects if delivered is self.frame
-                              else _frame_objects(delivered))
+                              else frame_rows(delivered))
         else:
             rendered = self._sense()
             if self.attacker is None or self.attacker_done:
@@ -1047,8 +542,8 @@ class _Lane:
                     self._camera_frame(rendered), ego_speed_mps=self.gps_speed, dt=self.dt
                 )
                 self._log_attack()
-                camera_objects = _frame_objects(delivered)
-        self.camera.track_step(self.camera.detect(camera_objects), upd_rows, upd_z)
+                camera_objects = frame_rows(delivered)
+        self.track_rows(self.detect_rows(camera_objects), upd_rows, upd_z)
 
     def _log_attack(self) -> None:
         active = bool(self.attacker.attack_active)
@@ -1069,7 +564,7 @@ class _Lane:
     def post_step(self) -> None:
         ego_speed = self.gps_speed
         obstacles = self.fusion.fuse(
-            self.camera.transform(), self.last_lidar, ego_speed, self.frame_dt
+            self.estimate_rows(self.tracker.observed), self.last_lidar, ego_speed, self.frame_dt
         )
         desired, emergency, perceived, _lead, target_speed = self.planner.plan_rows(
             obstacles, ego_speed
@@ -1194,7 +689,7 @@ class _Lane:
             self.events.record(SimulationEvent(
                 kind=EventKind.ATTACK_ENDED, time_s=self.time_s, step_index=self.step
             ))
-        self.camera.release()
+        self.tracker.reset()
         if self.replica is not None:
             self._stop_replica()
         self.done = True
@@ -1243,12 +738,11 @@ class BatchSimulator:
     Each step runs these phases: (0) lanes with a batched replica sense, and
     their attackers pick the frame the replica observes; (A) one stacked
     Kalman predict over every live victim and replica track of every active
-    lane; (R) the replicas' detection and association, one stacked update of
-    their tracks, and a stacked gather of the boxes a launch decision reads;
-    (B) per-lane sensing, attack, detection, and association (collecting
-    matched measurements); (C) one stacked Kalman update plus a stacked gather
-    of the observed track states; (D) per-lane world-estimation, fusion,
-    planning, actuation, and world advance.  Lanes that halt (collision) or
+    lane; (R) the replicas' detection and association, and one stacked update
+    of their tracks; (B) per-lane sensing, attack, detection, and association
+    (collecting matched measurements); (C) one stacked Kalman update of the
+    victims' tracks; (D) per-lane world-estimation, fusion, planning,
+    actuation, and world advance.  Lanes that halt (collision) or
     exhaust their duration drop out of the active set; the loop ends when no
     lane is active.  Reference-engine lanes (see the module docstring) run on
     their own :class:`Simulator` after the loop.
@@ -1259,7 +753,7 @@ class BatchSimulator:
         if not specs:
             raise ValueError("BatchSimulator needs at least one run spec")
         self.config = config or SimulationConfig()
-        self._pool = _KalmanPool()
+        self._pool = KalmanPool()
         # Both kinds of lane draw their sensor seeds on construction, so
         # building them in spec order keeps every generator's draw order.
         self._lanes: List[_Lane | Simulator] = [
@@ -1282,8 +776,8 @@ class BatchSimulator:
             split = [lane for lane in split if lane.replica is not None]
 
             # Phase A: stacked predict for every live track.
-            victims = [lane.camera for lane in active]
-            pool.predict_tracks(victims + [lane.replica for lane in split])
+            pool.predict_tracks([lane.tracker for lane in active]
+                                + [lane.replica.tracker for lane in split])
 
             # Phase R: the replicas' detection, association and update; a
             # launch decision in phase B reads this frame's updated tracks.
@@ -1293,8 +787,6 @@ class BatchSimulator:
                 for lane in split:
                     lane.replica_step(rep_rows, rep_z)
                 pool.update_rows(rep_rows, rep_z)
-                pool.refresh_observed([lane.replica for lane in split
-                                       if not lane.attacker.attack_active])
 
             # Phase B: per-lane sensing/attack/detection/association.
             upd_rows: List[int] = []
@@ -1302,9 +794,8 @@ class BatchSimulator:
             for lane in active:
                 lane.pre_step(upd_rows, upd_z)
 
-            # Phase C: stacked update, then refresh the observed boxes.
+            # Phase C: stacked update.
             pool.update_rows(upd_rows, upd_z)
-            pool.refresh_observed(victims)
 
             # Phase D: per-lane estimation/fusion/planning/actuation/world.
             for lane in active:

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import typing
 import warnings
 from dataclasses import dataclass, field
@@ -103,6 +104,8 @@ class Uniform:
     grid_points: int = 5
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.low) and math.isfinite(self.high)):
+            raise ValueError(f"Uniform needs finite bounds, got [{self.low}, {self.high}]")
         if not self.high > self.low:
             raise ValueError(f"Uniform needs high > low, got [{self.low}, {self.high}]")
         if self.grid_points < 2:
@@ -125,6 +128,9 @@ class Choice:
     def __post_init__(self) -> None:
         if not self.values:
             raise ValueError("Choice needs at least one value")
+        for value in self.values:
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"Choice values must be finite, got {value!r}")
 
     def value_at(self, unit: float) -> object:
         index = min(int(unit * len(self.values)), len(self.values) - 1)

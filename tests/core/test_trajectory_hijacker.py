@@ -6,7 +6,7 @@ from repro.core.attack_vectors import AttackVector
 from repro.core.trajectory_hijacker import TrajectoryHijacker, TrajectoryHijackerConfig
 from repro.geometry import CameraProjection, iou
 from repro.perception.detection import Detection
-from repro.perception.tracker import ObjectTrack
+from repro.perception.mot import MultiObjectTracker
 from repro.sensors.camera import CameraFrame, CameraObject
 from repro.sim.actors import ActorKind
 from repro.sim.road import Road
@@ -156,15 +156,17 @@ class TestAssociationConstraint:
         hijacker = TrajectoryHijacker(road)
         hijacker.begin(AttackVector.MOVE_OUT, 1, 0.0, ActorKind.VEHICLE)
         obj = camera_object(distance=25.0, lateral=0.0)
-        track = ObjectTrack(1, Detection(ActorKind.VEHICLE, obj.bbox, 0.9, 1))
+        tracker = MultiObjectTracker()
+        tracker.step([Detection(ActorKind.VEHICLE, obj.bbox, 0.9, 1)])
+        track = tracker.track_for_actor(1)
         frame = frame_with([obj])
         for _ in range(30):
             out = hijacker.perturb_frame(frame, track)
             shifted = out.object_for_actor(1)
             assert iou(shifted.bbox, track.bbox) >= hijacker.config.association_min_iou
             # The malware's own tracker mirrors the victim's and follows the fake.
-            track.predict()
-            track.update(Detection(ActorKind.VEHICLE, shifted.bbox, 0.9, 1))
+            tracker.step([Detection(ActorKind.VEHICLE, shifted.bbox, 0.9, 1)])
+            assert list(tracker.tracks.values()) == [track]
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import BoundingBox
-from repro.perception.kalman import BoundingBoxKalmanFilter, KalmanFilter
+from repro.perception.detection import Detection
+from repro.perception.kalman import H, P0, F, KalmanFilter, KalmanPool, Q, R
+from repro.perception.mot import MultiObjectTracker
+from repro.sim.actors import ActorKind
 
 
 def make_1d_constant_velocity_filter(q=0.01, r=1.0):
@@ -99,46 +102,104 @@ class TestKalmanFilter:
         assert kf.predicted_measurement()[0] == pytest.approx(kf.state[0])
 
 
-class TestBoundingBoxKalmanFilter:
+def _pooled_track(box):
+    """A tracker holding one track started on ``box``."""
+    tracker = MultiObjectTracker()
+    tracker.step([Detection(ActorKind.VEHICLE, box, 0.9, 1)])
+    (track,) = tracker.tracks.values()
+    return tracker, track
+
+
+def _predict(tracker):
+    tracker.pool.predict_tracks((tracker,))
+
+
+def _update(tracker, track, box):
+    tracker.pool.update_rows([track.row], [(box.cx, box.cy, box.width, box.height)])
+
+
+def _velocity(tracker, track):
+    vx, vy = tracker.pool.states[track.row, 4:].tolist()
+    return vx, vy
+
+
+class TestPooledBoxFilter:
+    """The constant-velocity box filter every track runs, on tracks built by
+    a MultiObjectTracker (predict and update driven through its pool)."""
+
     def test_initial_state_matches_first_box(self):
-        box = BoundingBox(100, 50, 40, 30)
-        kf = BoundingBoxKalmanFilter(box)
-        current = kf.current_bbox()
+        _, track = _pooled_track(BoundingBox(100, 50, 40, 30))
+        current = track.bbox
         assert current.cx == pytest.approx(100)
         assert current.height == pytest.approx(30)
 
     def test_tracks_moving_box(self):
-        kf = BoundingBoxKalmanFilter(BoundingBox(100, 50, 40, 30))
+        tracker, track = _pooled_track(BoundingBox(100, 50, 40, 30))
         for step in range(1, 40):
-            kf.predict()
-            kf.update(BoundingBox(100 + 3 * step, 50, 40, 30))
-        vx, vy = kf.velocity_px_per_frame()
+            _predict(tracker)
+            _update(tracker, track, BoundingBox(100 + 3 * step, 50, 40, 30))
+        vx, vy = _velocity(tracker, track)
         assert vx == pytest.approx(3.0, abs=0.5)
         assert abs(vy) < 0.5
 
     def test_prediction_extrapolates_motion(self):
-        kf = BoundingBoxKalmanFilter(BoundingBox(0, 0, 10, 10))
+        tracker, track = _pooled_track(BoundingBox(0, 0, 10, 10))
         for step in range(1, 30):
-            kf.predict()
-            kf.update(BoundingBox(2.0 * step, 0, 10, 10))
-        predicted = kf.predict()
-        assert predicted.cx > kf.current_bbox().cx - 1e-6
+            _predict(tracker)
+            _update(tracker, track, BoundingBox(2.0 * step, 0, 10, 10))
+        current = track.bbox
+        _predict(tracker)
+        assert track.pred_cx > current.cx - 1e-6
 
     def test_box_dimensions_never_collapse(self):
-        kf = BoundingBoxKalmanFilter(BoundingBox(0, 0, 5, 5))
+        tracker, track = _pooled_track(BoundingBox(0, 0, 5, 5))
         for _ in range(10):
-            kf.predict()
-            kf.update(BoundingBox(0, 0, 0.5, 0.5))
-        box = kf.current_bbox()
+            _predict(tracker)
+            _update(tracker, track, BoundingBox(0, 0, 0.5, 0.5))
+        box = track.bbox
         assert box.width >= 1.0 and box.height >= 1.0
 
     @given(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
     @settings(max_examples=25, deadline=None)
     def test_velocity_estimate_matches_constant_motion(self, vx, vy):
-        kf = BoundingBoxKalmanFilter(BoundingBox(500, 500, 60, 60))
+        tracker, track = _pooled_track(BoundingBox(500, 500, 60, 60))
         for step in range(1, 50):
-            kf.predict()
-            kf.update(BoundingBox(500 + vx * step, 500 + vy * step, 60, 60))
-        estimated_vx, estimated_vy = kf.velocity_px_per_frame()
+            _predict(tracker)
+            _update(tracker, track, BoundingBox(500 + vx * step, 500 + vy * step, 60, 60))
+        estimated_vx, estimated_vy = _velocity(tracker, track)
         assert estimated_vx == pytest.approx(vx, abs=0.4)
         assert estimated_vy == pytest.approx(vy, abs=0.4)
+
+
+class TestKalmanPoolMatchesReference:
+    def test_rows_equal_one_reference_filter_each(self):
+        """Stacked predicts and partial updates over rows of different ages,
+        across a pool growth, leave every row's state and covariance exactly
+        equal to a KalmanFilter of its own built from the same matrices."""
+        rng = np.random.default_rng(11)
+        pool = KalmanPool(capacity=8)
+        capacity = pool.states.shape[0]
+        reference = {}
+        for step in range(400):
+            if len(reference) < 13 and rng.random() < 0.2:
+                box = rng.uniform(5.0, 500.0, size=4)
+                row = pool.alloc(*box)
+                reference[row] = KalmanFilter(F, H, Q, R, np.append(box, [0.0, 0.0]), P0)
+            if len(reference) > 3 and rng.random() < 0.03:
+                row = list(reference)[int(rng.integers(len(reference)))]
+                pool.free(row)
+                del reference[row]
+            rows = list(reference)
+            rng.shuffle(rows)
+            pool.predict(np.array(rows, dtype=np.intp))
+            updated = [row for row in rows if rng.random() < 0.6]
+            measurements = [tuple(rng.uniform(5.0, 500.0, size=4)) for _ in updated]
+            pool.update_rows(updated, measurements)
+            for row in rows:
+                reference[row].predict()
+            for row, z in zip(updated, measurements):
+                reference[row].update(np.array(z))
+            for row, kf in reference.items():
+                assert np.array_equal(pool.states[row], kf.state), (step, row)
+                assert np.array_equal(pool.covs[row], kf.covariance), (step, row)
+        assert pool.states.shape[0] > capacity

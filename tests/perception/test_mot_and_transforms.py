@@ -6,7 +6,6 @@ import pytest
 from repro.geometry import BoundingBox, CameraProjection
 from repro.perception.detection import Detection
 from repro.perception.mot import MultiObjectTracker, TrackerConfig
-from repro.perception.tracker import ObjectTrack
 from repro.perception.transforms import ImageToWorldTransform
 from repro.sim.actors import ActorKind
 
@@ -17,16 +16,20 @@ def det(cx, cy=500.0, w=60.0, h=45.0, kind=ActorKind.VEHICLE, actor_id=1, confid
 
 class TestObjectTrack:
     def test_initial_state(self):
-        track = ObjectTrack(1, det(100))
+        tracker = MultiObjectTracker()
+        tracker.step([det(100)])
+        (track,) = tracker.tracks.values()
         assert track.hits == 1
         assert track.consecutive_misses == 0
         assert not track.is_confirmed(min_hits=2)
 
     def test_update_confirms_and_resets_misses(self):
-        track = ObjectTrack(1, det(100))
-        track.predict()
-        track.mark_missed()
-        track.update(det(102))
+        tracker = MultiObjectTracker()
+        tracker.step([det(100)])
+        (track,) = tracker.tracks.values()
+        tracker.step([])
+        assert track.consecutive_misses == 1
+        tracker.step([det(102)])
         assert track.hits == 2
         assert track.consecutive_misses == 0
         assert track.is_confirmed(min_hits=2)

@@ -370,6 +370,21 @@ class TestSweepCli:
         ]
         assert not store.exists()
 
+    @pytest.mark.parametrize("axis", ["simulation.max_duration_s=nan",
+                                      "variation.lead_gap_offset_m=0:inf"])
+    def test_non_finite_axis_exits_before_the_store(self, tmp_path, axis):
+        # A NaN or infinite axis would be written into every point's manifest
+        # and then crash (or silently corrupt) every run, here and on resume.
+        store = tmp_path / "store"
+        with pytest.raises(SystemExit, match="finite"):
+            main(
+                [
+                    "sweep", "--scenario", "DS-1", "--store", str(store),
+                    "--n", "1", "--runs", "1", "--param", axis,
+                ]
+            )
+        assert not store.exists()
+
     def test_subcommand_flags_reach_the_sweep(self, capsys):
         code = main(
             [
@@ -379,6 +394,23 @@ class TestSweepCli:
         )
         assert code == 0
         assert "Sweep of 7 points" in capsys.readouterr().out
+
+
+class TestSearchCli:
+    @pytest.mark.parametrize("axis", ["simulation.max_duration_s=nan",
+                                      "variation.lead_gap_offset_m=0:inf"])
+    def test_non_finite_axis_exits_before_the_store(self, tmp_path, axis):
+        # As for sweeps: a search would also checkpoint its state first.
+        store = tmp_path / "store"
+        with pytest.raises(SystemExit, match="finite"):
+            main(
+                [
+                    "search", "--scenario", "DS-1", "--attacker", "none",
+                    "--store", str(store), "--budget", "2", "--batch-points", "1",
+                    "--runs", "1", "--param", axis,
+                ]
+            )
+        assert not store.exists()
 
 
 class TestFusionCli:
