@@ -1,4 +1,4 @@
-"""Paired scalar-vs-batch timing behind the batch engine's speed gates.
+"""Paired timing behind the batch engine's speed gates.
 
 The shared hosts these benchmarks run on change speed by up to ~1.6x within
 seconds, so a scalar time taken before a batch time can measure the host
@@ -8,13 +8,15 @@ batch sample with the mean of the two scalar samples around it, and take the
 median of the per-pair speedups: a slow stretch slows both halves of a pair
 and cancels in its ratio, a steady drift cancels between the two scalar
 samples, and a pair that straddles a sudden speed change is an outlier the
-median ignores.
+median ignores.  :func:`alternating_pairs` does the pairing for any two
+samplers; the lane-scaling gate uses it to pair N=256 batch samples with the
+N=64 samples around them.
 """
 
 from __future__ import annotations
 
 import time
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -24,7 +26,8 @@ from repro.sim.batch import BatchRunSpec, BatchSimulator
 from repro.sim.scenarios import build_scenario
 from repro.sim.simulator import Simulator
 
-#: Batch samples per gate, each paired with the scalar samples around it.
+#: Candidate samples per gate, each paired with the reference samples around
+#: it.
 PAIRS = 9
 #: The median per-pair batch speedup both gates demand at N=64.  The gates
 #: demand 5x the scalar loop as it ran before the detector, tracker and
@@ -80,19 +83,33 @@ def batch_seconds_per_run(width: int, fusion: Optional[FusionConfig] = None) -> 
     return elapsed / width
 
 
+def alternating_pairs(
+    reference: Callable[[], float], candidate: Callable[[], float], n_pairs: int
+) -> List[Tuple[float, float]]:
+    """``n_pairs`` (reference, candidate) samples taken alternately, starting
+    and ending with a reference sample; each candidate sample is paired with
+    the mean of the two reference samples around it."""
+    references = [reference()]
+    pairs = []
+    for _ in range(n_pairs):
+        sample = candidate()
+        references.append(reference())
+        pairs.append(((references[-2] + references[-1]) / 2, sample))
+    return pairs
+
+
 def paired_seconds_per_run(
     width: int, fusion: Optional[FusionConfig] = None
 ) -> List[Tuple[float, float]]:
     """``PAIRS`` (scalar, batch) seconds-per-run pairs from alternating samples."""
-    scalar = [scalar_seconds_per_run(SCALAR_RUNS, fusion)]
-    pairs = []
-    for _ in range(PAIRS):
-        batch = batch_seconds_per_run(width, fusion)
-        scalar.append(scalar_seconds_per_run(SCALAR_RUNS, fusion))
-        pairs.append(((scalar[-2] + scalar[-1]) / 2, batch))
-    return pairs
+    return alternating_pairs(
+        lambda: scalar_seconds_per_run(SCALAR_RUNS, fusion),
+        lambda: batch_seconds_per_run(width, fusion),
+        PAIRS,
+    )
 
 
 def speedups(pairs: List[Tuple[float, float]]) -> List[float]:
-    """Per-pair batch speedups over the scalar loop."""
-    return [scalar / batch for scalar, batch in pairs]
+    """Per-pair speedups of the candidate over the reference seconds per run
+    (of the batch over the scalar loop, for ``paired_seconds_per_run``)."""
+    return [reference / candidate for reference, candidate in pairs]

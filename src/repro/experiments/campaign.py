@@ -620,7 +620,9 @@ def run_single_experiment(
 #: The simulation engine campaigns, sweeps and searches run on by default.
 DEFAULT_ENGINE = "batch"
 #: Most lanes per :class:`~repro.sim.batch.BatchSimulator` when
-#: ``engine="batch"``: a default 30-run campaign is one chunk.
+#: ``engine="batch"``: the work item and the durable chunk.  A default 30-run
+#: campaign is one chunk; a wider chunk would still step in lockstep groups of
+#: at most :data:`~repro.sim.batch.LOCKSTEP_LANES`.
 DEFAULT_BATCH_SIZE = 32
 
 
@@ -778,8 +780,9 @@ def run_campaign(
 
     ``engine`` selects the simulation engine: ``"batch"`` (the default: the
     vectorized :class:`~repro.sim.batch.BatchSimulator`, up to ``batch_size``
-    lockstep runs per work item, narrowed so every worker of ``executor``
-    gets one) or ``"scalar"`` (the reference
+    runs per work item, narrowed so every worker of ``executor`` gets one,
+    advancing in lockstep groups of at most
+    :data:`~repro.sim.batch.LOCKSTEP_LANES`) or ``"scalar"`` (the reference
     :class:`~repro.sim.simulator.Simulator`, one run per work item).  Both
     produce bit-identical results, so the engine deliberately does not enter
     the cache key or the store's config hash — a batch campaign resumes a

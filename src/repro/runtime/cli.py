@@ -26,8 +26,9 @@ subcommand:
 
 A flag means the same thing on every subcommand that takes it: ``--jobs``
 fans runs out over worker processes, ``--engine`` picks the simulation engine
-(the default ``batch`` advances up to ``--batch-size`` runs in lockstep,
-split across ``--jobs``; ``scalar`` is the reference; both give
+(the default ``batch`` simulates chunks of up to ``--batch-size`` runs, split
+across ``--jobs``, each chunk's runs advancing in lockstep groups of at most
+``repro.sim.batch.LOCKSTEP_LANES``; ``scalar`` is the reference; both give
 bit-identical results), ``--store``
 durably records every run, and ``--fusion`` selects the fusion-policy victim
 variant (late, camera_only, lidar_only, consistency_gated); on ``resume`` it
@@ -123,14 +124,15 @@ def _add_execution_args(parser: argparse.ArgumentParser, *, engine: bool = True)
         from repro.experiments.campaign import DEFAULT_BATCH_SIZE, DEFAULT_ENGINE
 
         group.add_argument("--engine", default=DEFAULT_ENGINE, choices=("scalar", "batch"),
-                           help="simulation engine: 'batch' advances up to "
-                           "--batch-size runs in lockstep per work item, "
+                           help="simulation engine: 'batch' simulates chunks "
+                           "of up to --batch-size runs in lockstep groups, "
                            "'scalar' steps one run at a time (bit-identical "
                            "results; default: %(default)s)")
         group.add_argument("--batch-size", type=int, default=DEFAULT_BATCH_SIZE,
-                           help="most lockstep runs per work item when --engine "
-                           "batch; a campaign's runs are split into at least "
-                           "--jobs chunks (default: %(default)s)")
+                           help="most runs per chunk when --engine batch: the "
+                           "work item and the unit a store checkpoints; a "
+                           "campaign's runs are split into at least --jobs "
+                           "chunks (default: %(default)s)")
 
 
 def _add_store_arg(parser: argparse.ArgumentParser, *, required: bool = True) -> None:

@@ -2,16 +2,24 @@
 
 ``BatchSimulator`` advances N independently-seeded runs ("lanes") in lockstep
 within one process.  The expensive numerical kernel — the per-track Kalman
-predict/update of the multi-object tracker — is batched across *all* live
-tracks of *all* lanes: every lane's tracker keeps its tracks in one shared
-:class:`~repro.perception.kalman.KalmanPool`, which predicts and updates them
-in one stacked call each.  The cheap-but-branchy per-lane logic (sensor
-rendering, detector noise, association, fusion, planning) runs as
-straight-line Python over plain floats.  The scalar
-:class:`~repro.sim.simulator.Simulator` remains the reference path; the batch
-engine is validated against it bit-for-bit by the equivalence suite
-(``tests/sim/test_batch_equivalence.py``), and the stages both engines share
-are pinned by the golden digests (``tests/sim/test_golden_traces.py``).
+predict/update of the multi-object tracker — is batched across the live
+tracks of every lane in a lockstep group: every lane's tracker keeps its
+tracks in one shared :class:`~repro.perception.kalman.KalmanPool`, which
+predicts and updates them in one stacked call each.  The cheap-but-branchy
+per-lane logic (sensor rendering, detector noise, association, fusion,
+planning) runs as straight-line Python over plain floats.
+
+A batch wider than :data:`LOCKSTEP_LANES` runs as consecutive lockstep groups
+of at most that many lanes, each stepped to completion before the next
+starts.  Each per-lane phase then sweeps a group whose state still fits in
+the core's cache, and past ~64 lanes the stacked Kalman calls gain nothing
+from more width (the constant's comment has the measured curve).  Lanes never
+read each other's state, so results do not depend on the group width.
+
+The scalar :class:`~repro.sim.simulator.Simulator` remains the reference
+path; the batch engine is validated against it bit-for-bit by the equivalence
+suite (``tests/sim/test_batch_equivalence.py``), and the stages both engines
+share are pinned by the golden digests (``tests/sim/test_golden_traces.py``).
 
 Determinism contract
 --------------------
@@ -52,7 +60,14 @@ Restrictions (the scalar path has none of these):
   transform that carries state from an earlier run is rejected (call
   ``ads.reset()`` first): a lane moves its tracker onto the shared Kalman
   pool, which cannot take over another pool's rows.  When the run ends the
-  tracker returns its rows to the pool.
+  tracker returns its rows to the pool;
+* no two specs may carry the same victim agent or the same attacker object:
+  two lanes would drive one tracker, planner and attack record.
+
+The last two are checked for every spec before any lane is built, so a
+rejected batch has drawn nothing from its specs' generators: once the
+offending agent is reset (or replaced), the same specs give the scalar
+engine's results.
 
 Reference-engine lanes
 ----------------------
@@ -130,6 +145,17 @@ __all__ = ["BatchRunSpec", "BatchSimulator"]
 _first = itemgetter(0)
 #: Enum attribute and enum-keyed dict lookups are costly per object per step.
 _VEHICLE = ActorKind.VEHICLE
+
+#: Most lanes one lockstep group advances together (see the module
+#: docstring).  Measured on one core of a 2-vCPU Xeon host with 2 MB of L2
+#: cache per core, as the median of 5 interleaved rounds, 256 benign DS-1
+#: lanes ran 35.8 / 40.0 / 47.7 / 44.0 / 31.0 runs/s in groups of
+#: 16 / 32 / 64 / 128 / 256 lanes; 64 attacked DS-2 Disappear lanes (neural
+#: oracle) ran 66.7 / 73.1 / 77.2 / 76.3 runs/s in groups of 8 / 16 / 32 / 64.
+#: Each group pays the stacked Kalman calls' per-step fixed cost (~85 us for
+#: one predict and one update, whatever their width): ~3% of a 64-lane step
+#: here, which bounds what grouping can cost a host with a larger cache.
+LOCKSTEP_LANES = 64
 
 # --------------------------------------------------------------------------- #
 # Plain-float ports of the world-side state
@@ -262,6 +288,32 @@ def _shares_row_core(spec: BatchRunSpec) -> bool:
     return getattr(step, "__func__", None) is RowFusionPolicy.step
 
 
+def _check_specs(specs: Sequence[BatchRunSpec]) -> None:
+    """Reject a batch the engine cannot run, before any lane is built."""
+    for role, field in (("victim agent", "ads"), ("attacker", "attacker")):
+        first_spec = {}
+        for index, spec in enumerate(specs):
+            obj = getattr(spec, field)
+            if obj is not None and first_spec.setdefault(id(obj), index) != index:
+                raise ValueError(
+                    f"BatchSimulator specs {first_spec[id(obj)]} and {index} share "
+                    f"one {role} object; every lane needs its own"
+                )
+    for index, spec in enumerate(specs):
+        # A batch lane moves the victim's tracker onto the shared pool, which
+        # cannot take over rows of another pool; burst state or transform
+        # history means the agent was not reset either.
+        perception = spec.ads.perception
+        if _shares_row_core(spec) and (
+                perception.detector._burst_remaining or perception.tracker.tracks
+                or perception.transform._history):
+            raise ValueError(
+                f"BatchSimulator needs a fresh victim agent: spec {index}'s camera "
+                "perception already holds state from an earlier run (call "
+                "ads.reset() first)"
+            )
+
+
 # --------------------------------------------------------------------------- #
 # One lane: the full per-run state and the scalar-equivalent step logic
 # --------------------------------------------------------------------------- #
@@ -276,9 +328,10 @@ class _Lane:
     is split into ``pre_step`` (sensors → attack → detection → association;
     feeds the shared Kalman pool) and ``post_step`` (transform → fusion →
     planning → actuation → world advance), with the batched Kalman
-    predict/update running between them in :meth:`BatchSimulator.run`.  A lane
-    with a batched replica also runs ``observe`` before the predict and
-    ``replica_step`` before the victim's ``pre_step``.
+    predict/update of its lockstep group running between them (see
+    :class:`BatchSimulator`).  A lane with a batched replica also runs
+    ``observe`` before the predict and ``replica_step`` before the victim's
+    ``pre_step``.
     """
 
     def __init__(self, spec: BatchRunSpec, config: SimulationConfig, pool: KalmanPool):
@@ -288,16 +341,6 @@ class _Lane:
         sensor_seeds = rng.integers(0, 2**31 - 1, size=2)
 
         perception = ads.perception
-        # The victim's tracker moves onto the shared pool, which cannot take
-        # over rows of another pool; burst state or transform history means
-        # the agent was not reset either.
-        if (perception.detector._burst_remaining or perception.tracker.tracks
-                or perception.transform._history):
-            raise ValueError(
-                "BatchSimulator needs a fresh victim agent: its camera perception "
-                "already holds state from an earlier run (call ads.reset() first)"
-            )
-
         self.dt = config.dt
         self.max_steps = min(config.max_steps, int(round(scenario.duration_s / self.dt)))
         self.lidar_due = [config.lidar_due(step) for step in range(self.max_steps)]
@@ -735,23 +778,30 @@ class _Lane:
 class BatchSimulator:
     """Advances N independently-seeded runs in lockstep within one process.
 
-    Each step runs these phases: (0) lanes with a batched replica sense, and
-    their attackers pick the frame the replica observes; (A) one stacked
-    Kalman predict over every live victim and replica track of every active
-    lane; (R) the replicas' detection and association, and one stacked update
-    of their tracks; (B) per-lane sensing, attack, detection, and association
+    The batched lanes run as consecutive lockstep groups of at most
+    :data:`LOCKSTEP_LANES` lanes in spec order; a group steps to completion
+    before the next starts, and every group shares the one Kalman pool, whose
+    rows a finished lane has already returned.  Each step of a group runs
+    these phases: (0) lanes with a batched replica sense, and their attackers
+    pick the frame the replica observes; (A) one stacked Kalman predict over
+    every live victim and replica track of the group's active lanes; (R) the
+    replicas' detection and association, and one stacked update of their
+    tracks; (B) per-lane sensing, attack, detection, and association
     (collecting matched measurements); (C) one stacked Kalman update of the
     victims' tracks; (D) per-lane world-estimation, fusion, planning,
-    actuation, and world advance.  Lanes that halt (collision) or
-    exhaust their duration drop out of the active set; the loop ends when no
-    lane is active.  Reference-engine lanes (see the module docstring) run on
-    their own :class:`Simulator` after the loop.
+    actuation, and world advance.  Lanes that halt (collision) or exhaust
+    their duration drop out of the active set; a group ends when no lane of
+    it is active.  Reference-engine lanes (see the module docstring) run on
+    their own :class:`Simulator` after the groups.  Every lane is built, and
+    draws its sensor seeds, in spec order on construction, and results come
+    back in spec order, so neither depends on the group width.
     """
 
     def __init__(self, specs: Sequence[BatchRunSpec],
                  config: SimulationConfig | None = None):
         if not specs:
             raise ValueError("BatchSimulator needs at least one run spec")
+        _check_specs(specs)
         self.config = config or SimulationConfig()
         self._pool = KalmanPool()
         # Both kinds of lane draw their sensor seeds on construction, so
@@ -765,9 +815,16 @@ class BatchSimulator:
 
     def run(self) -> List[SimulationResult]:
         """Execute all lanes to completion; results are in spec order."""
+        lanes = [lane for lane in self._lanes
+                 if isinstance(lane, _Lane) and not lane.done]
+        for start in range(0, len(lanes), LOCKSTEP_LANES):
+            self._run_group(lanes[start:start + LOCKSTEP_LANES])
+        return [lane.result() if isinstance(lane, _Lane) else lane.run()
+                for lane in self._lanes]
+
+    def _run_group(self, active: List[_Lane]) -> None:
+        """Step one lockstep group until every lane in it is done."""
         pool = self._pool
-        active = [lane for lane in self._lanes
-                  if isinstance(lane, _Lane) and not lane.done]
         split = [lane for lane in active if lane.replica is not None]
         while active:
             # Phase 0: the attacker picks the frame its replica observes.
@@ -802,5 +859,3 @@ class BatchSimulator:
                 lane.post_step()
             active = [lane for lane in active if not lane.done]
             split = [lane for lane in split if lane.replica is not None]
-        return [lane.result() if isinstance(lane, _Lane) else lane.run()
-                for lane in self._lanes]

@@ -11,6 +11,9 @@ full event details: the two engines run against independently built scenarios
 whose actors draw fresh ids from the module-global actor-id counter, so the
 ``actor_id`` recorded in COLLISION details legitimately differs between the
 two arms of one comparison.
+
+A batch wider than ``LOCKSTEP_LANES`` runs as consecutive lockstep groups; the
+multi-lane cases run at the default width and again with groups of 4 lanes.
 """
 
 import dataclasses
@@ -33,6 +36,7 @@ from repro.geometry import Vec2
 from repro.perception.detection import DetectorDegradation
 from repro.perception.fusion import FusionConfig, SensorFusion, list_fusion_policies
 from repro.sensors.camera import CameraSensor
+from repro.sim import batch as batch_module
 from repro.sim.batch import BatchRunSpec, BatchSimulator
 from repro.sim.config import SimulationConfig
 from repro.sim.events import EventKind
@@ -75,11 +79,49 @@ def _attacked_setup(scenario_id, fusion=None):
 _SETUPS = {"benign": _benign_setup, "attacked": _attacked_setup}
 
 
+class _DropLidarFusion(SensorFusion):
+    """A fusion policy with its own ``step`` (it drops the LiDAR scan), so a
+    batch runs its lane on the reference Simulator."""
+
+    def step(self, camera_estimates, lidar_scan, ego_speed_mps, frame_dt_s):
+        return super().step(camera_estimates, None, ego_speed_mps, frame_dt_s)
+
+
+@pytest.fixture(params=[None, 4], ids=["default_width", "width_4"])
+def lockstep_groups(request, monkeypatch):
+    """Run a test at the default ``LOCKSTEP_LANES`` and at 4 lanes per group;
+    returns the width of every lockstep group the batches then step."""
+    if request.param is not None:
+        monkeypatch.setattr(batch_module, "LOCKSTEP_LANES", request.param)
+    widths = []
+    run_group = BatchSimulator._run_group
+
+    def recorded(simulator, lanes):
+        widths.append(len(lanes))
+        return run_group(simulator, lanes)
+
+    monkeypatch.setattr(BatchSimulator, "_run_group", recorded)
+    return widths
+
+
+def _assert_grouped(widths, n_batched):
+    """The batched lanes ran as consecutive groups of at most LOCKSTEP_LANES."""
+    width = batch_module.LOCKSTEP_LANES
+    assert widths == [min(width, n_batched - start) for start in range(0, n_batched, width)]
+
+
+def _assert_pool_free(simulator):
+    """Every Kalman row is back in the batch's shared pool."""
+    pool = simulator._pool
+    assert sorted(pool._free) == list(range(pool.states.shape[0]))
+
+
 def _event_signature(result):
     return [(e.kind, e.step_index, e.time_s) for e in result.events.events]
 
 
 def _assert_bit_identical(scalar, batch):
+    assert scalar.scenario_id == batch.scenario_id
     assert scalar.events.true_delta_trace == batch.events.true_delta_trace
     assert scalar.events.perceived_delta_trace == batch.events.perceived_delta_trace
     assert scalar.events.ego_speed_trace == batch.events.ego_speed_trace
@@ -107,26 +149,35 @@ class TestScalarBatchEquivalence:
         ).run()[0]
         _assert_bit_identical(scalar, batch)
 
-    def test_multi_lane_lockstep_is_independent(self):
-        """All scenarios in one batch: lanes finish at different steps, and no
-        lane's presence perturbs any other lane's result."""
+    def test_multi_lane_lockstep_is_independent(self, lockstep_groups):
+        """All scenarios in one batch, with a custom-``step`` fusion lane on
+        the reference engine among them: lanes finish at different steps, no
+        lane's presence perturbs any other lane's result, and results come
+        back in spec order."""
         scenario_ids = list_scenario_ids()
-        scalars = []
-        for scenario_id in scenario_ids:
-            scenario, ads, attacker, rng = _benign_setup(scenario_id)
-            scalars.append(Simulator(scenario, ads, attacker=attacker, rng=rng).run())
-        specs = []
-        for scenario_id in scenario_ids:
-            scenario, ads, attacker, rng = _benign_setup(scenario_id)
-            specs.append(
-                BatchRunSpec(scenario=scenario, ads=ads, attacker=attacker, rng=rng)
-            )
-        batches = BatchSimulator(specs).run()
+
+        def setups():
+            for index, scenario_id in enumerate(scenario_ids):
+                yield _benign_setup(scenario_id)
+                if index == 1:
+                    scenario, ads, attacker, rng = _benign_setup("DS-1")
+                    ads.perception.fusion = _DropLidarFusion(ads.perception.config.fusion)
+                    yield scenario, ads, attacker, rng
+
+        scalars = [Simulator(scenario, ads, attacker=attacker, rng=rng).run()
+                   for scenario, ads, attacker, rng in setups()]
+        simulator = BatchSimulator([
+            BatchRunSpec(scenario=scenario, ads=ads, attacker=attacker, rng=rng)
+            for scenario, ads, attacker, rng in setups()
+        ])
+        batches = simulator.run()
         assert len(batches) == len(scalars)
         # Mixed durations force lanes to drop out of the lockstep loop early.
         assert len({result.steps_executed for result in batches}) > 1
         for scalar, batch in zip(scalars, batches):
             _assert_bit_identical(scalar, batch)
+        _assert_pool_free(simulator)
+        _assert_grouped(lockstep_groups, len(scenario_ids))
 
     def test_empty_batch_is_rejected(self):
         with pytest.raises(ValueError, match="at least one run spec"):
@@ -193,12 +244,7 @@ class TestScalarBatchEquivalence:
         policy has its own ``step`` (here: a SensorFusion subclass that drops
         the LiDAR scan) runs on the reference Simulator, in spec order among
         the ported lanes."""
-
-        class CustomFusion(SensorFusion):
-            def step(self, camera_estimates, lidar_scan, ego_speed_mps, frame_dt_s):
-                return super().step(camera_estimates, None, ego_speed_mps, frame_dt_s)
-
-        self._mixed_batch_matches_scalar(CustomFusion)
+        self._mixed_batch_matches_scalar(_DropLidarFusion)
 
     def test_protocol_only_fusion_policy_runs_on_a_reference_lane(self):
         """Same for a policy that implements just the FusionPolicy protocol."""
@@ -300,6 +346,47 @@ class TestFreshVictimAgent:
         batch = BatchSimulator([BatchRunSpec(scenario=scenario, ads=ads, rng=rng)]).run()[0]
         _assert_bit_identical(scalar, batch)
 
+    def test_rejected_batch_retries_after_reset(self):
+        """A batch rejected for a warmed agent has taken no draw from any
+        spec's generator: once that agent is reset, the same specs give every
+        lane its scalar result, the fresh lane before it included."""
+        scenario, ads, _, rng = _benign_setup("DS-1")
+        warm_scenario, warm_ads, warm_rng = self._warmed_setup(reset=False)
+        specs = [BatchRunSpec(scenario=scenario, ads=ads, rng=rng),
+                 BatchRunSpec(scenario=warm_scenario, ads=warm_ads, rng=warm_rng)]
+        with pytest.raises(ValueError, match="fresh victim agent") as rejected:
+            BatchSimulator(specs)
+        warm_ads.reset()
+        batch = BatchSimulator(specs).run()
+        scenario, ads, _, rng = _benign_setup("DS-1")
+        _assert_bit_identical(Simulator(scenario, ads, rng=rng).run(), batch[0])
+        scenario, ads, rng = self._warmed_setup(reset=True)
+        _assert_bit_identical(Simulator(scenario, ads, rng=rng).run(), batch[1])
+        assert "spec 1's camera perception" in str(rejected.value)
+
+
+class TestOneAgentAndAttackerPerLane:
+    """Two lanes that shared one agent or one attacker would drive one
+    tracker, planner or attack record, so such a batch is rejected."""
+
+    def test_shared_victim_agent_is_rejected(self):
+        setups = [_benign_setup(scenario_id) for scenario_id in ("DS-1", "DS-2", "DS-1")]
+        shared_ads = setups[0][1]
+        with pytest.raises(ValueError, match="specs 0 and 2 share one victim agent"):
+            BatchSimulator([
+                BatchRunSpec(scenario=scenario, ads=shared_ads if index == 2 else ads, rng=rng)
+                for index, (scenario, ads, _, rng) in enumerate(setups)
+            ])
+
+    def test_shared_attacker_is_rejected(self):
+        setups = [_attacked_setup(scenario_id) for scenario_id in ("DS-1", "DS-2")]
+        shared_attacker = setups[0][2]
+        with pytest.raises(ValueError, match="specs 0 and 1 share one attacker"):
+            BatchSimulator([
+                BatchRunSpec(scenario=scenario, ads=ads, attacker=shared_attacker, rng=rng)
+                for scenario, ads, _, rng in setups
+            ])
+
 
 # --------------------------------------------------------------------------- #
 # Attacked lanes: RoboTack, its ablations, and a protocol-only black box
@@ -363,11 +450,13 @@ def _run_both(lanes, wrap=None):
                            attacker=attacker, rng=setup.sim_rng).run()
         scalar.append((result, attacker, lookups))
     built = [_lane(config, index, wrap) for config, index in lanes]
-    results = BatchSimulator([
+    simulator = BatchSimulator([
         BatchRunSpec(scenario=setup.scenario, ads=setup.ads, attacker=attacker,
                      rng=setup.sim_rng)
         for setup, attacker, _ in built
-    ]).run()
+    ])
+    results = simulator.run()
+    _assert_pool_free(simulator)
     batch = [(result, attacker, lookups)
              for result, (_, attacker, lookups) in zip(results, built)]
     return scalar, batch
@@ -448,8 +537,10 @@ class TestAttackedScalarBatchEquivalence:
         _assert_attacked_identical(scalar, batch)
         assert _launched(batch)
 
-    def test_mixed_attacked_and_benign_lanes(self):
-        """Attacked and benign lanes in one batch, halting at different steps.
+    def test_mixed_attacked_and_benign_lanes(self, lockstep_groups):
+        """Attacked and benign lanes in one batch, halting at different steps;
+        with groups of 4 lanes, the groups split RoboTack, random, no-SH and
+        benign lanes.
 
         Covers both moments the perturbation reads the replica's target
         track: on the launch frame it sees this frame's updated tracks, on
@@ -463,6 +554,7 @@ class TestAttackedScalarBatchEquivalence:
                   for scenario_id in list_scenario_ids()]
         scalar, batch = _run_both(lanes)
         _assert_attacked_identical(scalar, batch)
+        _assert_grouped(lockstep_groups, len(lanes))
         assert len({result.steps_executed for result, _, _ in batch}) > 1
         launch_reads = later_reads = 0
         for _, attacker, lookups in batch:
@@ -498,8 +590,7 @@ class TestAttackedScalarBatchEquivalence:
         ])
         simulator.run()
         assert any(attacker.record.launched for _, attacker, _ in lanes)
-        pool = simulator._pool
-        assert sorted(pool._free) == list(range(pool.states.shape[0]))
+        _assert_pool_free(simulator)
 
     @pytest.mark.parametrize("variant", ["overridden_hook", "used_attacker"])
     def test_non_stock_attackers_fall_back_to_black_box(self, variant):
