@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.sim.actors import ActorSnapshot
+from repro.sim.actors import longitudinal_gap
 from repro.sim.road import Road
-from repro.sim.world import GroundTruthSnapshot
+from repro.sim.world import nearest_in_path
 
 __all__ = ["SafetyModel", "ground_truth_delta"]
 
@@ -59,33 +59,38 @@ class SafetyModel:
 
 
 def ground_truth_delta(
-    snapshot: GroundTruthSnapshot,
+    ground_truth,
     road: Road,
     safety_model: SafetyModel,
     target_actor_id: Optional[int] = None,
     lateral_margin: float = 0.3,
 ) -> float:
-    """Ground-truth safety potential of the ego vehicle at one snapshot.
+    """Ground-truth safety potential of the ego vehicle.
 
-    When ``target_actor_id`` is given, the safety potential is computed with
-    respect to that actor whenever it is ahead of the EV and inside (or
-    laterally overlapping) the ego lane; otherwise the nearest in-path actor is
-    used.  Returns ``inf`` when there is no relevant in-path object, matching
-    the convention that an unobstructed road has unbounded safety envelope.
+    ``ground_truth`` is the live :class:`~repro.sim.world.World` (both
+    simulation engines pass theirs every step) or a
+    :class:`~repro.sim.world.GroundTruthSnapshot`.  When ``target_actor_id``
+    is given, the safety potential is computed with respect to that actor
+    whenever it is ahead of the EV and inside (or laterally overlapping) the
+    ego lane; otherwise the nearest in-path actor is used.  Returns ``inf``
+    when there is no relevant in-path object, matching the convention that an
+    unobstructed road has unbounded safety envelope.
     """
-    ego = snapshot.ego
-    candidate: Optional[ActorSnapshot] = None
+    ego = ground_truth.ego
+    candidate = None
     if target_actor_id is not None:
-        actor = snapshot.actor_by_id(target_actor_id)
-        if actor is not None and actor.position.x > ego.position.x:
-            in_lane = road.in_ego_lane(
-                actor.position.y, margin=lateral_margin + actor.dimensions.width_m / 2.0
-            )
-            if in_lane:
-                candidate = actor
+        for actor in ground_truth.actors:
+            if actor.actor_id == target_actor_id:
+                if actor.x > ego.x:
+                    # Road.in_ego_lane(actor.y, margin)
+                    lane = road.ego_lane
+                    margin = lateral_margin + actor.width / 2.0
+                    if lane.y_min - margin <= actor.y <= lane.y_max + margin:
+                        candidate = actor
+                break
     if candidate is None:
-        candidate = snapshot.nearest_in_path_actor(road, lateral_margin=lateral_margin)
+        candidate = nearest_in_path(ground_truth, road, lateral_margin)
     if candidate is None:
         return float("inf")
-    gap = ego.longitudinal_gap_to(candidate)
-    return safety_model.safety_potential(gap, ego.speed)
+    # safety_model.safety_potential(gap, ego speed)
+    return longitudinal_gap(ego, candidate) - safety_model.stopping_distance(ego.vx)

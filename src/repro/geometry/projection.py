@@ -19,7 +19,7 @@ trajectory hijacker manipulates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.geometry.bbox import BoundingBox
 
@@ -34,20 +34,18 @@ class CameraIntrinsics:
     image_height: int = 1080
     focal_px: float = 1000.0
     camera_height_m: float = 1.5
+    #: The image centre, derived from the size (plain fields, not properties:
+    #: the camera reads them every simulated step).
+    image_cx: float = field(init=False, repr=False, compare=False)
+    image_cy: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.image_width <= 0 or self.image_height <= 0:
             raise ValueError("image dimensions must be positive")
         if self.focal_px <= 0:
             raise ValueError("focal length must be positive")
-
-    @property
-    def image_cx(self) -> float:
-        return self.image_width / 2.0
-
-    @property
-    def image_cy(self) -> float:
-        return self.image_height / 2.0
+        object.__setattr__(self, "image_cx", self.image_width / 2.0)
+        object.__setattr__(self, "image_cy", self.image_height / 2.0)
 
 
 class CameraProjection:

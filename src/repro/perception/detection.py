@@ -35,7 +35,6 @@ __all__ = [
     "DetectorConfig",
     "DetectorDegradation",
     "SimulatedDetector",
-    "frame_rows",
 ]
 
 #: Enum attribute lookups are costly per object per frame.
@@ -201,24 +200,15 @@ class DetectorDegradation:
         )
 
 
-def frame_rows(frame: CameraFrame) -> List[tuple]:
-    """A camera frame as rendered rows, the detector core's input: one
-    ``(distance, lateral, actor_id, kind, cx, cy, w, h, object_height,
-    object_width)`` tuple per object, in frame order."""
-    return [(obj.distance_m, obj.lateral_m, obj.actor_id, obj.kind, obj.bbox.cx,
-             obj.bbox.cy, obj.bbox.width, obj.bbox.height, obj.object_height_m,
-             obj.object_width_m)
-            for obj in frame.objects]
-
-
 class SimulatedDetector:
     """Statistical stand-in for the YOLOv3 object detector.
 
     The detector is stateful: each visible object carries a misdetection-burst
     counter so that misdetections are *continuous* runs of frames, matching the
     characterization of paper Fig. 5a-b.  :meth:`detect_rows` is the detector,
-    over rendered rows (:func:`frame_rows`); :meth:`detect` is its adapter
-    from and to the camera and detection dataclasses.
+    over the camera's rendered rows (:mod:`repro.sensors.camera`);
+    :meth:`detect` is its adapter from and to the camera and detection
+    dataclasses.
     """
 
     def __init__(self, config: DetectorConfig | None = None, rng: np.random.Generator | None = None):
@@ -234,7 +224,7 @@ class SimulatedDetector:
     def detect(self, frame: CameraFrame) -> List[Detection]:
         """Run the detector on one camera frame."""
         detections = []
-        for cx, cy, w, h, kind, actor_id, confidence in self.detect_rows(frame_rows(frame)):
+        for cx, cy, w, h, kind, actor_id, confidence in self.detect_rows(frame.rows()):
             confidence = 0.3 if 0.3 > confidence else 1.0 if confidence > 1.0 else confidence
             detections.append(Detection(kind=kind, bbox=BoundingBox(cx=cx, cy=cy, width=w, height=h),
                                         confidence=confidence, actor_id=actor_id))

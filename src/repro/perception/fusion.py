@@ -57,8 +57,9 @@ the same fusion code.  The rows are:
 * *estimate rows* ``(distance, lateral, rel_velocity, lateral_velocity,
   track_id, actor_id, kind, rel_acceleration, age_frames)`` — a
   :class:`WorldObjectEstimate` as a tuple;
-* *LiDAR rows* ``(distance, lateral, actor_id, kind, vx)`` — a
-  :class:`LidarDetection` as a tuple;
+* *LiDAR rows* ``(distance, lateral, actor_id, kind, vx)`` — what
+  ``LidarSensor.scan_rows`` renders and :meth:`LidarScan.rows` converts a
+  scan to;
 * *obstacle rows* ``(kind, distance, lateral, speed, lateral_velocity,
   obstacle_id, sources, actor_id)``, distance-sorted — a
   :class:`FusedObstacle` with the five fields the planner reads first.
@@ -253,13 +254,7 @@ class RowFusionPolicy:
              e.relative_longitudinal_acceleration_mps2, e.age_frames)
             for e in camera_estimates
         ]
-        lidar = None
-        if lidar_scan is not None:
-            lidar = [
-                (d.relative_position.x, d.relative_position.y, d.actor_id, d.kind,
-                 d.velocity.x)
-                for d in lidar_scan.detections
-            ]
+        lidar = None if lidar_scan is None else lidar_scan.rows()
         return [
             FusedObstacle(row[5], row[0], row[1], row[2], row[3], row[4], row[6], row[7])
             for row in self.fuse(estimates, lidar, ego_speed_mps, frame_dt_s)

@@ -2,8 +2,11 @@
 
 The paper's setup posts a 1920x1080 front camera at 15 Hz, a LiDAR at 10 Hz,
 and GPS/IMU at 12.5 Hz from the LGSVL simulator to Apollo.  Here each sensor
-reads the ground-truth world snapshot and produces measurements in its own
-frame:
+reads the ground truth — the live :class:`~repro.sim.world.World`, which both
+simulation engines pass every step, or a snapshot of it — and produces
+measurements in its own frame, through one plain-float core per sensor
+(``render_rows``, ``scan_rows``, ``read``) that its dataclass-building method
+(``capture``, ``scan``, ``measure``) wraps:
 
 * the camera projects objects ahead of the EV into image-plane bounding boxes
   (the representation the trajectory hijacker perturbs);

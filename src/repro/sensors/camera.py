@@ -5,18 +5,28 @@ image-plane bounding box per visible object.  The frame is the man-in-the-middle
 attack surface: RoboTack intercepts it on the camera's Ethernet link (paper
 §III-B) and mutates object boxes (or removes objects) before the ADS's object
 detector consumes it.
+
+The camera renders *rows*: one ``(distance, lateral, actor_id, kind, cx, cy,
+width, height, object_height, object_width)`` tuple per visible object, in
+frame order — the fields of :class:`CameraObject`, with the box unpacked.
+This module is the one place that builds or unpacks that layout:
+:meth:`CameraSensor.render_rows` renders it, :meth:`CameraFrame.from_rows` and
+:meth:`CameraFrame.rows` convert between it and a frame, and the detector's
+row core (``SimulatedDetector.detect_rows``) reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import List, Optional
+from operator import itemgetter
+from typing import List, Optional, Sequence
 
 from repro.geometry import BoundingBox, CameraIntrinsics, CameraProjection
-from repro.sim.actors import ActorKind, ActorSnapshot
-from repro.sim.world import GroundTruthSnapshot
+from repro.sim.actors import ActorKind
 
 __all__ = ["CameraObject", "CameraFrame", "CameraSensor"]
+
+_first = itemgetter(0)
 
 
 @dataclass(frozen=True)
@@ -44,6 +54,28 @@ class CameraFrame:
     time_s: float
     frame_index: int
     objects: tuple[CameraObject, ...] = field(default_factory=tuple)
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[tuple], time_s: float, frame_index: int) -> "CameraFrame":
+        """The frame of rendered rows (see the module docstring)."""
+        return cls(
+            time_s=time_s,
+            frame_index=frame_index,
+            objects=tuple(
+                CameraObject(actor_id=aid, kind=kind,
+                             bbox=BoundingBox(cx=cx, cy=cy, width=w, height=h),
+                             distance_m=distance, lateral_m=lateral,
+                             object_height_m=oh, object_width_m=ow)
+                for distance, lateral, aid, kind, cx, cy, w, h, oh, ow in rows
+            ),
+        )
+
+    def rows(self) -> List[tuple]:
+        """The frame's objects as rendered rows, in frame order."""
+        return [(obj.distance_m, obj.lateral_m, obj.actor_id, obj.kind, obj.bbox.cx,
+                 obj.bbox.cy, obj.bbox.width, obj.bbox.height, obj.object_height_m,
+                 obj.object_width_m)
+                for obj in self.objects]
 
     def object_for_actor(self, actor_id: int) -> Optional[CameraObject]:
         """The rendering of a specific actor, if visible in this frame."""
@@ -79,45 +111,49 @@ class CameraSensor:
         self.projection = CameraProjection(intrinsics)
         self.max_range_m = max_range_m
 
-    def capture(self, snapshot: GroundTruthSnapshot) -> CameraFrame:
-        """Render all visible actors into a camera frame."""
-        ego = snapshot.ego
-        camera_x = ego.position.x + ego.dimensions.length_m / 2.0
-        objects: List[CameraObject] = []
-        for actor in snapshot.actors:
-            rendered = self._render_actor(actor, camera_x, ego.position.y)
-            if rendered is not None:
-                objects.append(rendered)
-        objects.sort(key=lambda o: o.distance_m)
-        return CameraFrame(
-            time_s=snapshot.time_s,
-            frame_index=snapshot.step_index,
-            objects=tuple(objects),
+    def capture(self, ground_truth) -> CameraFrame:
+        """Render all visible actors of the ground truth (a live world or a
+        snapshot) into a camera frame."""
+        return CameraFrame.from_rows(
+            self.render_rows(ground_truth), ground_truth.time_s, ground_truth.step_index
         )
 
-    def _render_actor(
-        self, actor: ActorSnapshot, camera_x: float, ego_y: float
-    ) -> Optional[CameraObject]:
-        distance = actor.position.x - camera_x
-        if distance <= CameraProjection.MIN_DISTANCE_M or distance > self.max_range_m:
-            return None
-        lateral = actor.position.y - ego_y
-        if not self.projection.in_field_of_view(distance, lateral):
-            return None
-        # The camera sees the actor's cross-road extent: for vehicles ahead of
-        # the EV that is the vehicle width; height is the physical height.
-        bbox = self.projection.project(
-            distance_m=distance,
-            lateral_m=lateral,
-            object_width_m=actor.dimensions.width_m,
-            object_height_m=actor.dimensions.height_m,
-        )
-        return CameraObject(
-            actor_id=actor.actor_id,
-            kind=actor.kind,
-            bbox=bbox,
-            distance_m=distance,
-            lateral_m=lateral,
-            object_height_m=actor.dimensions.height_m,
-            object_width_m=actor.dimensions.width_m,
-        )
+    def render_rows(self, ground_truth) -> List[tuple]:
+        """Render the visible actors as rows, nearest first.
+
+        An actor is visible when it is more than the projection's minimum
+        distance and at most ``max_range_m`` ahead of the camera (at the ego
+        front bumper) and its centre projects inside the image.  The box is
+        :meth:`CameraProjection.project` of the actor's width and height (the
+        camera sees the cross-road extent of a vehicle ahead), written out over
+        plain floats: both simulation engines call this every step.
+        """
+        ego = ground_truth.ego
+        camera_x = ego.x + ego.length / 2.0
+        ego_y = ego.y
+        intrinsics = self.projection.intrinsics
+        focal = intrinsics.focal_px
+        image_cx = intrinsics.image_cx
+        image_cy = intrinsics.image_cy
+        image_w = intrinsics.image_width
+        camera_h = intrinsics.camera_height_m
+        min_distance = CameraProjection.MIN_DISTANCE_M
+        max_range = self.max_range_m
+        rows = []
+        for actor in ground_truth.actors:
+            distance = actor.x - camera_x
+            if distance <= min_distance or distance > max_range:
+                continue
+            lateral = actor.y - ego_y
+            # CameraProjection.in_field_of_view
+            if not 0.0 <= image_cx - lateral * focal / distance <= image_w:
+                continue
+            scale = focal / distance
+            height = actor.height
+            width = actor.width
+            rows.append((distance, lateral, actor.actor_id, actor.kind,
+                         image_cx - lateral * scale,
+                         image_cy + camera_h * scale - (height / 2.0) * scale,
+                         width * scale, height * scale, height, width))
+        rows.sort(key=_first)
+        return rows

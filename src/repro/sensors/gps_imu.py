@@ -9,11 +9,12 @@ the sensor exists to close the loop realistically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
 from repro.geometry import Vec2
-from repro.sim.world import GroundTruthSnapshot
+from repro.sensors.noise import GaussianNoise
 
 __all__ = ["EgoPoseEstimate", "GpsImuSensor"]
 
@@ -41,27 +42,37 @@ class GpsImuSensor:
             raise ValueError("noise levels must be non-negative")
         self.position_noise_m = position_noise_m
         self.speed_noise_mps = speed_noise_mps
-        self._rng = rng if rng is not None else np.random.default_rng()
+        self._noise = GaussianNoise(
+            rng if rng is not None else np.random.default_rng(),
+            (position_noise_m, position_noise_m, speed_noise_mps),
+        )
         self._last_speed: float | None = None
         self._last_time: float | None = None
 
-    def measure(self, snapshot: GroundTruthSnapshot) -> EgoPoseEstimate:
-        """Produce a pose estimate from the ground-truth snapshot."""
-        ego = snapshot.ego
-        position = Vec2(
-            ego.position.x + self._rng.normal(0.0, self.position_noise_m),
-            ego.position.y + self._rng.normal(0.0, self.position_noise_m),
-        )
-        speed = max(0.0, ego.speed + self._rng.normal(0.0, self.speed_noise_mps))
-        if self._last_speed is None or self._last_time is None or snapshot.time_s <= self._last_time:
+    def measure(self, ground_truth) -> EgoPoseEstimate:
+        """Produce a pose estimate of the ground truth (a live world or a
+        snapshot)."""
+        x, y, speed = self.read(ground_truth)
+        time_s = ground_truth.time_s
+        if self._last_speed is None or self._last_time is None or time_s <= self._last_time:
             acceleration = 0.0
         else:
-            acceleration = (speed - self._last_speed) / (snapshot.time_s - self._last_time)
+            acceleration = (speed - self._last_speed) / (time_s - self._last_time)
         self._last_speed = speed
-        self._last_time = snapshot.time_s
+        self._last_time = time_s
         return EgoPoseEstimate(
-            time_s=snapshot.time_s,
-            position=position,
+            time_s=time_s,
+            position=Vec2(x, y),
             speed_mps=speed,
             acceleration_mps2=acceleration,
         )
+
+    def read(self, ground_truth) -> Tuple[float, float, float]:
+        """The noisy ego ``(x, y, speed)``, speed clipped at zero; one draw
+        each, in that order."""
+        noise = self._noise
+        i = noise.take()
+        values = noise.values
+        ego = ground_truth.ego
+        speed = ego.vx + values[i + 2]
+        return ego.x + values[i], ego.y + values[i + 1], speed if speed > 0.0 else 0.0

@@ -16,15 +16,20 @@ reproduction:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import List, Optional
 
 import numpy as np
 
 from repro.geometry import Vec2
+from repro.sensors.noise import GaussianNoise
 from repro.sim.actors import ActorKind
-from repro.sim.world import GroundTruthSnapshot
 
 __all__ = ["LidarDetection", "LidarScan", "LidarSensor"]
+
+_first = itemgetter(0)
+#: Enum attribute lookups are costly per object per scan.
+_VEHICLE = ActorKind.VEHICLE
 
 
 @dataclass(frozen=True)
@@ -55,6 +60,13 @@ class LidarScan:
     frame_index: int
     detections: tuple[LidarDetection, ...] = field(default_factory=tuple)
 
+    def rows(self) -> List[tuple]:
+        """The scan as ``(distance, lateral, actor_id, kind, vx)`` rows, the
+        layout :meth:`LidarSensor.scan_rows` renders."""
+        return [(d.relative_position.x, d.relative_position.y, d.actor_id, d.kind,
+                 d.velocity.x)
+                for d in self.detections]
+
     def detection_for_actor(self, actor_id: int) -> Optional[LidarDetection]:
         """The detection of a specific actor, if present in this scan."""
         for det in self.detections:
@@ -80,34 +92,50 @@ class LidarSensor:
         self.vehicle_range_m = vehicle_range_m
         self.pedestrian_range_m = pedestrian_range_m
         self.position_noise_m = position_noise_m
-        self._rng = rng if rng is not None else np.random.default_rng()
+        self._noise = GaussianNoise(
+            rng if rng is not None else np.random.default_rng(),
+            (position_noise_m, position_noise_m),
+        )
 
     def effective_range(self, kind: ActorKind) -> float:
         """Detection range for a given object class."""
-        return self.vehicle_range_m if kind is ActorKind.VEHICLE else self.pedestrian_range_m
+        return self.vehicle_range_m if kind is _VEHICLE else self.pedestrian_range_m
 
-    def scan(self, snapshot: GroundTruthSnapshot) -> LidarScan:
-        """Produce one LiDAR scan from the ground-truth snapshot."""
-        ego = snapshot.ego
-        ego_front = ego.position.x + ego.dimensions.length_m / 2.0
-        detections: List[LidarDetection] = []
-        for actor in snapshot.actors:
-            distance = actor.position.x - ego_front
-            if distance <= 0.0 or distance > self.effective_range(actor.kind):
-                continue
-            noise_x = self._rng.normal(0.0, self.position_noise_m)
-            noise_y = self._rng.normal(0.0, self.position_noise_m)
-            detections.append(
-                LidarDetection(
-                    actor_id=actor.actor_id,
-                    kind=actor.kind,
-                    relative_position=Vec2(distance + noise_x, actor.position.y - ego.position.y + noise_y),
-                    velocity=actor.velocity,
-                )
-            )
-        detections.sort(key=lambda d: d.distance_m)
+    def scan(self, ground_truth) -> LidarScan:
+        """Produce one LiDAR scan of the ground truth (a live world or a
+        snapshot)."""
+        vy = {actor.actor_id: actor.vy for actor in ground_truth.actors}
         return LidarScan(
-            time_s=snapshot.time_s,
-            frame_index=snapshot.step_index,
-            detections=tuple(detections),
+            time_s=ground_truth.time_s,
+            frame_index=ground_truth.step_index,
+            detections=tuple(
+                LidarDetection(actor_id=actor_id, kind=kind,
+                               relative_position=Vec2(distance, lateral),
+                               velocity=Vec2(vx, vy[actor_id]))
+                for distance, lateral, actor_id, kind, vx in self.scan_rows(ground_truth)
+            ),
         )
+
+    def scan_rows(self, ground_truth) -> List[tuple]:
+        """One scan as ``(distance, lateral, actor_id, kind, vx)`` rows, the
+        fusion core's LiDAR input, nearest first.
+
+        Distance is from the ego front bumper; each detection in range takes
+        one ``(x, y)`` pair of position noise, in actor order.
+        """
+        ego = ground_truth.ego
+        ego_front = ego.x + ego.length / 2.0
+        ego_y = ego.y
+        noise = self._noise
+        rows = []
+        for actor in ground_truth.actors:
+            distance = actor.x - ego_front
+            kind = actor.kind
+            if distance <= 0.0 or distance > self.effective_range(kind):
+                continue
+            i = noise.take()
+            values = noise.values
+            rows.append((distance + values[i], actor.y - ego_y + values[i + 1],
+                         actor.actor_id, kind, actor.vx))
+        rows.sort(key=_first)
+        return rows

@@ -11,11 +11,21 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
+from typing import Optional
 
 from repro.geometry import Vec2
+from repro.sim.config import SimulationConfig
 from repro.sim.waypoints import WaypointRoute
 
-__all__ = ["ActorKind", "ActorDimensions", "ActorSnapshot", "ScriptedActor", "EgoVehicle"]
+__all__ = [
+    "ActorKind",
+    "ActorDimensions",
+    "ActorSnapshot",
+    "ScriptedActor",
+    "EgoVehicle",
+    "colliding_actor",
+    "longitudinal_gap",
+]
 
 _actor_id_counter = itertools.count(1)
 
@@ -54,7 +64,13 @@ class ActorDimensions:
 
 @dataclass(frozen=True)
 class ActorSnapshot:
-    """Ground-truth state of one actor at a simulation step."""
+    """Ground-truth state of one actor at a simulation step.
+
+    Besides the :class:`Vec2` fields it reads as the plain floats ``x``,
+    ``y``, ``vx``, ``vy``, ``length``, ``width`` and ``height``, the names
+    the live :class:`ScriptedActor` and :class:`EgoVehicle` carry too, so
+    the sensing, safety and collision code reads either.
+    """
 
     actor_id: int
     kind: ActorKind
@@ -64,26 +80,74 @@ class ActorSnapshot:
     is_ego: bool = False
 
     @property
+    def x(self) -> float:
+        return self.position.x
+
+    @property
+    def y(self) -> float:
+        return self.position.y
+
+    @property
+    def vx(self) -> float:
+        return self.velocity.x
+
+    @property
+    def vy(self) -> float:
+        return self.velocity.y
+
+    @property
+    def length(self) -> float:
+        return self.dimensions.length_m
+
+    @property
+    def width(self) -> float:
+        return self.dimensions.width_m
+
+    @property
+    def height(self) -> float:
+        return self.dimensions.height_m
+
+    @property
     def speed(self) -> float:
         return self.velocity.norm()
 
     def longitudinal_gap_to(self, other: "ActorSnapshot") -> float:
         """Bumper-to-bumper longitudinal gap to ``other`` (negative if overlapping)."""
-        center_gap = abs(other.position.x - self.position.x)
-        return center_gap - (self.dimensions.length_m + other.dimensions.length_m) / 2.0
-
-    def lateral_overlap_with(self, other: "ActorSnapshot", margin: float = 0.0) -> bool:
-        """Whether the two footprints overlap laterally (within ``margin``)."""
-        half_widths = (self.dimensions.width_m + other.dimensions.width_m) / 2.0
-        return abs(other.position.y - self.position.y) <= half_widths + margin
+        return longitudinal_gap(self, other)
 
     def overlaps(self, other: "ActorSnapshot") -> bool:
         """Whether the two rectangular footprints physically overlap."""
-        return self.longitudinal_gap_to(other) <= 0.0 and self.lateral_overlap_with(other)
+        return colliding_actor(self, (other,)) is not None
+
+
+def longitudinal_gap(a, b) -> float:
+    """Bumper-to-bumper longitudinal gap between two actors (negative if
+    their footprints overlap lengthwise); reads ``x`` and ``length``."""
+    return abs(b.x - a.x) - (a.length + b.length) / 2.0
+
+
+def colliding_actor(ego, actors) -> Optional[int]:
+    """Id of the first of ``actors`` whose rectangular footprint overlaps
+    ``ego``'s, or ``None``: the collision check both engines run after every
+    step.  Reads ``x``, ``y``, ``length`` and ``width`` of live actors and
+    snapshots alike."""
+    x = ego.x
+    y = ego.y
+    length = ego.length
+    width = ego.width
+    for actor in actors:
+        if (abs(actor.x - x) - (length + actor.length) / 2.0 <= 0.0
+                and abs(actor.y - y) <= (width + actor.width) / 2.0):
+            return actor.actor_id
+    return None
 
 
 class ScriptedActor:
-    """A non-ego actor (vehicle or pedestrian) that follows a waypoint route."""
+    """A non-ego actor (vehicle or pedestrian) that follows a waypoint route.
+
+    Its position and velocity are its route's: ``x``, ``y``, ``vx`` and ``vy``
+    read the current ``route``, which may be replaced at any time.
+    """
 
     def __init__(
         self,
@@ -99,8 +163,31 @@ class ScriptedActor:
             dimensions = (
                 ActorDimensions.sedan() if kind is ActorKind.VEHICLE else ActorDimensions.pedestrian()
             )
-        self.dimensions = dimensions
+        self._dimensions = dimensions
+        self.length = dimensions.length_m
+        self.width = dimensions.width_m
+        self.height = dimensions.height_m
         self.name = name or f"{kind.value}-{self.actor_id}"
+
+    @property
+    def dimensions(self) -> ActorDimensions:
+        return self._dimensions
+
+    @property
+    def x(self) -> float:
+        return self.route.x
+
+    @property
+    def y(self) -> float:
+        return self.route.y
+
+    @property
+    def vx(self) -> float:
+        return self.route.vx
+
+    @property
+    def vy(self) -> float:
+        return self.route.vy
 
     def step(self, dt: float) -> None:
         """Advance the actor along its route."""
@@ -113,7 +200,7 @@ class ScriptedActor:
             kind=self.kind,
             position=self.route.position,
             velocity=self.route.velocity,
-            dimensions=self.dimensions,
+            dimensions=self._dimensions,
             is_ego=False,
         )
 
@@ -123,56 +210,84 @@ class EgoVehicle:
 
     The EV keeps its lane (lateral position fixed); the paper's attacks and
     scenarios are longitudinal, and Apollo's planner in those scenarios is in
-    lane-keep mode.
+    lane-keep mode.  Its state is plain floats (``x``, ``y``, ``vx``; ``vy``
+    is always zero), with ``position`` and ``speed_mps`` as views.  The
+    acceleration limits default to :class:`SimulationConfig`'s; a simulator
+    sets them from its run's config.
     """
+
+    vy = 0.0
 
     def __init__(
         self,
         position: Vec2,
         speed_mps: float,
         dimensions: ActorDimensions | None = None,
-        max_accel_mps2: float = 2.0,
-        max_decel_mps2: float = 6.0,
+        max_accel_mps2: float = SimulationConfig.max_accel_mps2,
+        max_decel_mps2: float = SimulationConfig.max_decel_mps2,
     ):
         if speed_mps < 0:
             raise ValueError("initial speed must be non-negative")
         self.actor_id = next(_actor_id_counter)
         self.kind = ActorKind.VEHICLE
-        self.position = position
-        self.speed_mps = speed_mps
+        self.x = position.x
+        self.y = position.y
+        self.vx = speed_mps
         self.acceleration_mps2 = 0.0
-        self.dimensions = dimensions or ActorDimensions.sedan()
+        self._dimensions = dimensions or ActorDimensions.sedan()
+        self.length = self._dimensions.length_m
+        self.width = self._dimensions.width_m
+        self.height = self._dimensions.height_m
         self.max_accel_mps2 = max_accel_mps2
         self.max_decel_mps2 = max_decel_mps2
         self.name = "ego"
+
+    @property
+    def dimensions(self) -> ActorDimensions:
+        return self._dimensions
+
+    @property
+    def position(self) -> Vec2:
+        return Vec2(self.x, self.y)
+
+    @property
+    def speed_mps(self) -> float:
+        return self.vx
 
     def apply_control(self, acceleration_mps2: float, dt: float) -> None:
         """Apply a longitudinal acceleration command for one time step."""
         if dt <= 0:
             raise ValueError("dt must be positive")
-        accel = float(
-            min(max(acceleration_mps2, -self.max_decel_mps2), self.max_accel_mps2)
-        )
+        # min(max(command, -max_decel), max_accel), without the builtin calls
+        # (this runs once per simulated step on both engines).
+        accel = float(acceleration_mps2)
+        neg_decel = -self.max_decel_mps2
+        if neg_decel > accel:
+            accel = neg_decel
+        if self.max_accel_mps2 < accel:
+            accel = self.max_accel_mps2
         self.acceleration_mps2 = accel
-        new_speed = max(0.0, self.speed_mps + accel * dt)
+        speed = self.vx
+        new_speed = speed + accel * dt
+        if not new_speed > 0.0:
+            new_speed = 0.0
         # Trapezoidal position update keeps the kinematics consistent when the
         # speed clamps at zero.
-        avg_speed = (self.speed_mps + new_speed) / 2.0
-        self.position = Vec2(self.position.x + avg_speed * dt, self.position.y)
-        self.speed_mps = new_speed
+        self.x = self.x + (speed + new_speed) / 2.0 * dt
+        self.vx = new_speed
 
     def snapshot(self) -> ActorSnapshot:
         """Current ground-truth state."""
         return ActorSnapshot(
             actor_id=self.actor_id,
             kind=self.kind,
-            position=self.position,
-            velocity=Vec2(self.speed_mps, 0.0),
-            dimensions=self.dimensions,
+            position=Vec2(self.x, self.y),
+            velocity=Vec2(self.vx, 0.0),
+            dimensions=self._dimensions,
             is_ego=True,
         )
 
     @property
     def front_bumper_x(self) -> float:
         """Longitudinal coordinate of the front bumper."""
-        return self.position.x + self.dimensions.length_m / 2.0
+        return self.x + self.length / 2.0

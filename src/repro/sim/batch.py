@@ -27,35 +27,35 @@ Determinism contract
 The batch engine reproduces the scalar path *bit-identically* (traces, events,
 final state) for any lane set, by construction:
 
-* **Seeding** — each lane draws ``sensor_seeds = rng.integers(0, 2**31-1,
-  size=2)`` from its spec's generator, exactly as ``Simulator.__init__`` does,
-  so the LiDAR/GPS streams are seeded identically.
+* **Seeding** — every lane is a :class:`~repro.sim.simulator.Simulator`,
+  built from its spec, so it draws its LiDAR/GPS seeds from the spec's
+  generator exactly as the scalar engine does.
 * **Per-consumer streams** — every stochastic consumer (detector, LiDAR, GPS,
   attacker) owns its own ``np.random.Generator``, so reordering *across*
   consumers cannot change any draw.
-* **Buffered sensor noise** — the LiDAR/GPS generators are consumed by one
-  bulk ``Generator.normal(loc, scale, size=n)`` draw per lane at construction.
-  NumPy's Generator produces bit-identical values for a size-``n`` vector draw
-  and ``n`` sequential scalar draws with the same ``loc``/``scale`` (both walk
-  the same ziggurat stream), so buffering is exact.  When the GPS position and
-  speed sigmas differ the buffer falls back to sequential scalar draws.  The
-  buffers are ``array("d")`` (8 bytes a value; indexing yields the same
-  Python float a list would hold), and the GPS one keeps only the speed
-  draws, the one GPS value the victim reads.
+* **Shared world stages** — each lane drives its scenario's own
+  :class:`~repro.sim.world.World`, as the scalar loop does, through the same
+  plain-float code: ``World.step`` (ego kinematics and route advance), the
+  lane's sensors' row cores (``CameraSensor.render_rows``,
+  ``LidarSensor.scan_rows``, ``GpsImuSensor.read``, whose noise buffers the
+  sensors own), and a :class:`~repro.sim.simulator.RunRecorder` for the
+  ground-truth safety potential, the collision check and every event.
 * **Shared victim stages** — each lane calls its victim agent's own objects
   on the plain-float rows it carries: the detector's ``detect_rows``, the
   tracker's ``track_rows``, the transform's ``estimate_rows``, the fusion
   policy's ``fuse`` (:class:`RowFusionPolicy`), ``ads.planner.plan_rows`` and
   ``ads.actuate`` — the code the scalar ``AdsAgent.step`` runs through its
   dataclass adapters.
-* **World-side ports** — camera rendering, LiDAR and GPS sensing, actor
-  kinematics and the ground-truth safety potential are literal ports of the
-  scalar code with identical evaluation order (including float
-  left-associativity).
+
+So this module holds no simulation semantics of its own: only the lockstep
+loop, the lane's split of a step into two phases around the stacked Kalman
+calls, and the batched-replica hook below.
 
 Restrictions (the scalar path has none of these):
 
 * every lane shares one :class:`SimulationConfig` (lockstep needs one ``dt``);
+* no two specs may carry the same scenario: each lane drives its scenario's
+  world;
 * the victim's camera perception must be fresh — a detector, tracker or
   transform that carries state from an earlier run is rejected (call
   ``ads.reset()`` first): a lane moves its tracker onto the shared Kalman
@@ -64,7 +64,7 @@ Restrictions (the scalar path has none of these):
 * no two specs may carry the same victim agent or the same attacker object:
   two lanes would drive one tracker, planner and attack record.
 
-The last two are checked for every spec before any lane is built, so a
+The last three are checked for every spec before any lane is built, so a
 rejected batch has drawn nothing from its specs' generators: once the
 offending agent is reset (or replaced), the same specs give the scalar
 engine's results.
@@ -109,42 +109,27 @@ unchanged.
 
 from __future__ import annotations
 
-import math
-from array import array
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
 import numpy as np
 
-from repro.ads.safety import SafetyModel
 from repro.core.robotack import CameraMitmAttackerBase
-from repro.geometry.bbox import BoundingBox
-from repro.geometry.vec import Vec2
-from repro.perception.detection import SimulatedDetector, frame_rows
+from repro.perception.detection import SimulatedDetector
 from repro.perception.fusion import RowFusionPolicy
 from repro.perception.kalman import KalmanPool
 from repro.perception.mot import MultiObjectTracker
 from repro.perception.pipeline import PerceptionSystem
 from repro.perception.transforms import ImageToWorldTransform
-from repro.sensors.camera import CameraFrame, CameraObject, CameraSensor
-from repro.sensors.gps_imu import GpsImuSensor
-from repro.sensors.lidar import LidarSensor
-from repro.sim.actors import ActorKind, ActorSnapshot
+from repro.sensors.camera import CameraFrame
 from repro.sim.config import SimulationConfig
-from repro.sim.events import EventKind, EventLog, SimulationEvent
 from repro.sim.scenarios import DrivingScenario
-from repro.sim.simulator import CameraAttacker, SimulationResult, Simulator
-from repro.sim.world import GroundTruthSnapshot
+from repro.sim.simulator import CameraAttacker, RunRecorder, SimulationResult, Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from repro.ads.agent import AdsAgent
 
 __all__ = ["BatchRunSpec", "BatchSimulator"]
-
-_first = itemgetter(0)
-#: Enum attribute and enum-keyed dict lookups are costly per object per step.
-_VEHICLE = ActorKind.VEHICLE
 
 #: Most lanes one lockstep group advances together (see the module
 #: docstring).  Measured on one core of a 2-vCPU Xeon host with 2 MB of L2
@@ -156,99 +141,6 @@ _VEHICLE = ActorKind.VEHICLE
 #: one predict and one update, whatever their width): ~3% of a 64-lane step
 #: here, which bounds what grouping can cost a host with a larger cache.
 LOCKSTEP_LANES = 64
-
-# --------------------------------------------------------------------------- #
-# Plain-float ports of the world-side state
-# --------------------------------------------------------------------------- #
-
-
-class _FastRoute:
-    """Plain-float port of :meth:`WaypointRoute.advance` (bit-identical)."""
-
-    __slots__ = ("xs", "ys", "speeds", "holds", "n", "seg", "px", "py", "vx", "vy", "hold")
-
-    def __init__(self, route):
-        waypoints = route.waypoints
-        self.xs = [w.position.x for w in waypoints]
-        self.ys = [w.position.y for w in waypoints]
-        self.speeds = [w.speed_mps for w in waypoints]
-        self.holds = [w.hold_s for w in waypoints]
-        self.n = len(waypoints)
-        self.seg = route._segment_index
-        self.px = route._position.x
-        self.py = route._position.y
-        self.vx = route._velocity.x
-        self.vy = route._velocity.y
-        self.hold = route._hold_remaining_s
-
-    def advance(self, dt: float) -> None:
-        remaining = dt
-        while remaining > 1e-12:
-            if self.hold > 0.0:
-                waited = self.hold if self.hold < remaining else remaining
-                self.hold -= waited
-                remaining -= waited
-                self.vx = 0.0
-                self.vy = 0.0
-                continue
-            if self.seg >= self.n - 1:
-                self.vx = 0.0
-                self.vy = 0.0
-                return
-            target = self.seg + 1
-            dx = self.xs[target] - self.px
-            dy = self.ys[target] - self.py
-            distance = math.hypot(dx, dy)
-            speed = self.speeds[target]
-            if speed <= 0.0 or distance <= 1e-9:
-                self.px = self.xs[target]
-                self.py = self.ys[target]
-                self.seg = target
-                self.hold = self.holds[target]
-                self.vx = 0.0
-                self.vy = 0.0
-                continue
-            time_to_target = distance / speed
-            ux = dx / distance
-            uy = dy / distance
-            self.vx = ux * speed
-            self.vy = uy * speed
-            if time_to_target <= remaining:
-                self.px = self.xs[target]
-                self.py = self.ys[target]
-                remaining -= time_to_target
-                self.seg = target
-                self.hold = self.holds[target]
-            else:
-                travel = speed * remaining
-                self.px = self.px + ux * travel
-                self.py = self.py + uy * travel
-                remaining = 0.0
-        if self.seg >= self.n - 1 and self.hold <= 0.0:
-            self.vx = 0.0
-            self.vy = 0.0
-
-
-class _LaneActor:
-    """Plain-float scripted-actor state driven by a :class:`_FastRoute`."""
-
-    __slots__ = ("actor_id", "kind", "dims", "length", "width", "height", "half_w",
-                 "route", "x", "y", "vx", "vy")
-
-    def __init__(self, actor):
-        self.actor_id = actor.actor_id
-        self.kind = actor.kind
-        self.dims = actor.dimensions
-        self.length = actor.dimensions.length_m
-        self.width = actor.dimensions.width_m
-        self.height = actor.dimensions.height_m
-        self.half_w = self.width / 2.0
-        self.route = _FastRoute(actor.route)
-        self.x = self.route.px
-        self.y = self.route.py
-        self.vx = self.route.vx
-        self.vy = self.route.vy
-
 
 def _batched_replica(attacker: Optional[CameraAttacker]) -> Optional[PerceptionSystem]:
     """The attacker's replica when the batch engine can run it in lockstep.
@@ -290,7 +182,8 @@ def _shares_row_core(spec: BatchRunSpec) -> bool:
 
 def _check_specs(specs: Sequence[BatchRunSpec]) -> None:
     """Reject a batch the engine cannot run, before any lane is built."""
-    for role, field in (("victim agent", "ads"), ("attacker", "attacker")):
+    for role, field in (("victim agent", "ads"), ("attacker", "attacker"),
+                        ("scenario", "scenario")):
         first_spec = {}
         for index, spec in enumerate(specs):
             obj = getattr(spec, field)
@@ -315,35 +208,35 @@ def _check_specs(specs: Sequence[BatchRunSpec]) -> None:
 
 
 # --------------------------------------------------------------------------- #
-# One lane: the full per-run state and the scalar-equivalent step logic
+# One lane: a Simulator's run, split into the lockstep phases
 # --------------------------------------------------------------------------- #
 
 
 class _Lane:
-    """All state of one simulated run, held as plain floats.
+    """One batched run: its :class:`Simulator`'s world, sensors and run
+    recorder, stepped in two halves.
 
-    The constructor replicates ``Simulator.__init__``'s RNG draws and extracts
-    every parameter the ported world stages need from the scenario; perception,
-    planning and actuation run on the agent's own objects.  The per-step work
-    is split into ``pre_step`` (sensors → attack → detection → association;
-    feeds the shared Kalman pool) and ``post_step`` (transform → fusion →
-    planning → actuation → world advance), with the batched Kalman
-    predict/update of its lockstep group running between them (see
-    :class:`BatchSimulator`).  A lane with a batched replica also runs
-    ``observe`` before the predict and ``replica_step`` before the victim's
-    ``pre_step``.
+    ``pre_step`` (sensors -> attack -> detection -> association) feeds the
+    shared Kalman pool, and ``post_step`` (transform -> fusion -> planning ->
+    actuation -> world step -> collision check) runs after the batched Kalman
+    predict/update of its lockstep group (see :class:`BatchSimulator`).  A
+    lane with a batched replica also runs ``observe`` before the predict and
+    ``replica_step`` before the victim's ``pre_step``.
     """
 
-    def __init__(self, spec: BatchRunSpec, config: SimulationConfig, pool: KalmanPool):
-        scenario = spec.scenario
-        ads = spec.ads
-        rng = spec.rng if spec.rng is not None else np.random.default_rng()
-        sensor_seeds = rng.integers(0, 2**31 - 1, size=2)
-
+    def __init__(self, sim: Simulator, pool: KalmanPool, lidar_due: Sequence[bool]):
+        ads = sim.ads
         perception = ads.perception
-        self.dt = config.dt
-        self.max_steps = min(config.max_steps, int(round(scenario.duration_s / self.dt)))
-        self.lidar_due = [config.lidar_due(step) for step in range(self.max_steps)]
+        self.world = sim.scenario.world
+        self.dt = sim.config.dt
+        self.max_steps = sim.max_steps
+        #: The batch's LiDAR schedule, at least ``max_steps`` long.
+        self.lidar_due = lidar_due
+        self.loop_step = 0
+        self.camera = sim.camera
+        self.lidar = sim.lidar
+        self.gps = sim.gps_imu
+        self.recorder = RunRecorder(sim)
 
         # --- camera perception: the victim's, and the attacker's replica ---
         self.tracker = perception.tracker
@@ -352,8 +245,8 @@ class _Lane:
         self.track_rows = self.tracker.track_rows
         self.estimate_rows = perception.transform.estimate_rows
         self.frame_dt = perception.config.frame_dt_s
-        self.attacker = spec.attacker
-        self.replica = _batched_replica(spec.attacker)
+        self.attacker = sim.attacker
+        self.replica = _batched_replica(sim.attacker)
         if self.replica is not None:
             self.replica.tracker.pool = pool
         #: A batched attacker whose episode is over: no longer called.
@@ -367,171 +260,31 @@ class _Lane:
         self.ads = ads
         self.fusion = perception.fusion
         self.planner = ads.planner
-
-        # --- road ---
-        ego_lane = ads.road.ego_lane
-        self.lane_lo = ego_lane.y_min
-        self.lane_hi = ego_lane.y_max
-
-        # --- world state ---
-        world = scenario.world
-        ego = world.ego
-        self.ego_id = ego.actor_id
-        self.ego_dims = ego.dimensions
-        self.ego_len = ego.dimensions.length_m
-        self.ego_w = ego.dimensions.width_m
-        self.ego_half_len = self.ego_len / 2.0
-        self.ego_max_accel = ego.max_accel_mps2
-        self.ego_max_decel = ego.max_decel_mps2
-        self.ego_x = ego.position.x
-        self.ego_y = ego.position.y
-        self.ego_speed = ego.speed_mps
-        self.actors = [_LaneActor(actor) for actor in world.actors]
-        self.time_s = world.time_s
-        self.step = world.step_index
-        self.loop_step = 0
-
-        # --- camera constants (stateless; mirrors Simulator's CameraSensor()) ---
-        camera = CameraSensor()
-        intr = camera.projection.intrinsics
-        self.cam_max_range = camera.max_range_m
-        self.cam_min_d = camera.projection.MIN_DISTANCE_M
-        self.focal = intr.focal_px
-        self.img_cx = intr.image_cx
-        self.img_cy = intr.image_cy
-        self.img_w = intr.image_width
-        self.cam_h = intr.camera_height_m
-
-        # --- buffered sensor noise (bulk draws; see module docstring) ---
-        lidar = LidarSensor(rng=np.random.default_rng(int(sensor_seeds[0])))
-        gps = GpsImuSensor(rng=np.random.default_rng(int(sensor_seeds[1])))
-        self.lidar_v_range = lidar.vehicle_range_m
-        self.lidar_p_range = lidar.pedestrian_range_m
-        n_scans = sum(1 for due in self.lidar_due if due)
-        n_draws = 2 * len(self.actors) * n_scans
-        self.lidar_noise = array("d", lidar._rng.normal(
-            0.0, lidar.position_noise_m, size=n_draws
-        ).tobytes())
-        self.lidar_cursor = 0
-        # Only the speed noise (every third GPS draw, after x and y) is read.
-        if gps.position_noise_m == gps.speed_noise_mps:
-            self.gps_noise = array("d", gps._rng.normal(
-                0.0, gps.speed_noise_mps, size=3 * self.max_steps
-            )[2::3].tobytes())
-        else:  # pragma: no cover - non-default sensor config
-            sigmas = (gps.position_noise_m, gps.position_noise_m, gps.speed_noise_mps)
-            self.gps_noise = array("d", [
-                float(gps._rng.normal(0.0, sigmas[i % 3]))
-                for i in range(3 * self.max_steps)
-            ][2::3])
-
-        # --- run bookkeeping ---
-        sim_safety = SafetyModel(comfortable_decel_mps2=config.comfortable_decel_mps2)
-        self.sim_reaction = sim_safety.reaction_time_s
-        self.sim_comfort = sim_safety.comfortable_decel_mps2
-        self.scenario_id = scenario.scenario_id
-        self.scenario_target_id = scenario.target_actor_id
-        self.events = EventLog()
-        self.attack_was_active = False
-        self.emergency_was_active = False
-        self.halted = False
-        self.done = False
         self.last_lidar: Optional[List[tuple]] = None
         self.gps_speed = 0.0
 
-        # Mirror the scalar pre-loop collision check: actors spawned already
-        # overlapping halt at step 0 instead of running the full duration.
-        hit = self._check_collision()
-        if hit is not None:
-            self._halt(hit, float("inf"))
-        elif self.max_steps == 0:
+        self.result: Optional[SimulationResult] = None
+        self.done = False
+        # Actors spawned already overlapping halt at step 0.
+        if self.recorder.halt_on_collision(float("inf")) or self.max_steps == 0:
             self._finish()
-
-    # ------------------------------------------------------------------ #
-    # Sensors (ports of CameraSensor.capture / LidarSensor.scan / GpsImu)
-    # ------------------------------------------------------------------ #
-
-    def _render_objects(self) -> List[tuple]:
-        """Camera render: (distance, lateral, aid, kind, cx, cy, w, h, oh, ow)."""
-        camera_x = self.ego_x + self.ego_half_len
-        ego_y = self.ego_y
-        min_d = self.cam_min_d
-        focal = self.focal
-        objects = []
-        for actor in self.actors:
-            distance = actor.x - camera_x
-            if distance <= min_d or distance > self.cam_max_range:
-                continue
-            lateral = actor.y - ego_y
-            cx_fov = self.img_cx - lateral * focal / distance
-            if not 0.0 <= cx_fov <= self.img_w:
-                continue
-            d = distance if distance > min_d else min_d
-            scale = focal / d
-            width_px = actor.width * scale
-            height_px = actor.height * scale
-            cx = self.img_cx - lateral * scale
-            ground_y = self.img_cy + self.cam_h * scale
-            cy = ground_y - (actor.height / 2.0) * scale
-            objects.append((distance, lateral, actor.actor_id, actor.kind,
-                            cx, cy, width_px, height_px, actor.height, actor.width))
-        objects.sort(key=_first)
-        return objects
-
-    def _scan(self) -> None:
-        """LiDAR scan into ``last_lidar``: (distance, lateral, aid, kind, vx)."""
-        ego_front = self.ego_x + self.ego_half_len
-        ego_y = self.ego_y
-        noise = self.lidar_noise
-        cursor = self.lidar_cursor
-        detections = []
-        for actor in self.actors:
-            distance = actor.x - ego_front
-            max_range = (
-                self.lidar_v_range if actor.kind is _VEHICLE else self.lidar_p_range
-            )
-            if distance <= 0.0 or distance > max_range:
-                continue
-            noise_x = noise[cursor]
-            noise_y = noise[cursor + 1]
-            cursor += 2
-            detections.append((distance + noise_x, actor.y - ego_y + noise_y,
-                               actor.actor_id, actor.kind, actor.vx))
-        self.lidar_cursor = cursor
-        detections.sort(key=_first)
-        self.last_lidar = detections
 
     # ------------------------------------------------------------------ #
     # pre_step: sensing -> attack -> detection -> association
     # ------------------------------------------------------------------ #
 
     def _sense(self) -> List[tuple]:
-        """Camera, LiDAR (when due) and GPS; returns the rendered objects."""
-        rendered = self._render_objects()
+        """Camera, LiDAR (when due) and GPS; returns the rendered rows."""
+        world = self.world
+        rendered = self.camera.render_rows(world)
         if self.lidar_due[self.loop_step]:
-            self._scan()
-        gps = self.ego_speed + self.gps_noise[self.loop_step]
-        self.gps_speed = gps if gps > 0.0 else 0.0
+            self.last_lidar = self.lidar.scan_rows(world)
+        self.gps_speed = self.gps.read(world)[2]
         return rendered
 
     def _camera_frame(self, rendered: List[tuple]) -> CameraFrame:
-        """The rendered objects as the scalar camera's :class:`CameraFrame`."""
-        return CameraFrame(
-            time_s=self.time_s,
-            frame_index=self.step,
-            objects=tuple(
-                CameraObject(
-                    actor_id=obj[2],
-                    kind=obj[3],
-                    bbox=BoundingBox(cx=obj[4], cy=obj[5], width=obj[6], height=obj[7]),
-                    distance_m=obj[0],
-                    lateral_m=obj[1],
-                    object_height_m=obj[8],
-                    object_width_m=obj[9],
-                )
-                for obj in rendered
-            ),
-        )
+        """The rendered rows as the scalar camera's :class:`CameraFrame`."""
+        return CameraFrame.from_rows(rendered, self.world.time_s, self.world.step_index)
 
     def observe(self) -> None:
         """Batched replica, before the predict: sense, and let the attacker
@@ -547,7 +300,7 @@ class _Lane:
     def replica_step(self, upd_rows: List[int], upd_z: List[tuple]) -> None:
         """Batched replica: detection and association on the observed frame."""
         observed = self.observed_frame
-        objects = self.clean_objects if observed is self.frame else frame_rows(observed)
+        objects = self.clean_objects if observed is self.frame else observed.rows()
         replica = self.replica
         replica.tracker.track_rows(replica.detector.detect_rows(objects), upd_rows, upd_z)
 
@@ -573,9 +326,9 @@ class _Lane:
                 delivered = attacker.frame_to_deliver(observed, estimates, self.gps_speed)
                 if attacker.episode_over:
                     self._stop_replica()
-            self._log_attack()
+            self.recorder.log_attack()
             camera_objects = (self.clean_objects if delivered is self.frame
-                              else frame_rows(delivered))
+                              else delivered.rows())
         else:
             rendered = self._sense()
             if self.attacker is None or self.attacker_done:
@@ -584,21 +337,9 @@ class _Lane:
                 delivered = self.attacker.process_frame(
                     self._camera_frame(rendered), ego_speed_mps=self.gps_speed, dt=self.dt
                 )
-                self._log_attack()
-                camera_objects = frame_rows(delivered)
+                self.recorder.log_attack()
+                camera_objects = delivered.rows()
         self.track_rows(self.detect_rows(camera_objects), upd_rows, upd_z)
-
-    def _log_attack(self) -> None:
-        active = bool(self.attacker.attack_active)
-        if active and not self.attack_was_active:
-            self.events.record(SimulationEvent(
-                kind=EventKind.ATTACK_STARTED, time_s=self.time_s, step_index=self.step
-            ))
-        elif not active and self.attack_was_active:
-            self.events.record(SimulationEvent(
-                kind=EventKind.ATTACK_ENDED, time_s=self.time_s, step_index=self.step
-            ))
-        self.attack_was_active = active
 
     # ------------------------------------------------------------------ #
     # post_step: transform -> fusion -> planning -> actuation -> world
@@ -613,161 +354,19 @@ class _Lane:
             obstacles, ego_speed
         )
         acceleration = self.ads.actuate(desired, emergency, target_speed, ego_speed, self.dt)
-
-        # --- events + traces (pre-step time/step, like the scalar loop) ---
-        if emergency and not self.emergency_was_active:
-            self.events.record(SimulationEvent(
-                kind=EventKind.EMERGENCY_BRAKE,
-                time_s=self.time_s,
-                step_index=self.step,
-                details={"perceived_delta_m": perceived},
-            ))
-        self.emergency_was_active = emergency
-        self.events.record_step(
-            true_delta=self._true_delta(),
-            perceived_delta=perceived,
-            ego_speed=self.ego_speed,
-        )
-
-        # --- world advance (EgoVehicle.apply_control + route advance) ---
-        dt = self.dt
-        accel = acceleration
-        neg_decel = -self.ego_max_decel
-        if neg_decel > accel:
-            accel = neg_decel
-        if self.ego_max_accel < accel:
-            accel = self.ego_max_accel
-        new_speed = self.ego_speed + accel * dt
-        if not new_speed > 0.0:
-            new_speed = 0.0
-        average = (self.ego_speed + new_speed) / 2.0
-        self.ego_x = self.ego_x + average * dt
-        self.ego_speed = new_speed
-        for actor in self.actors:
-            route = actor.route
-            route.advance(dt)
-            actor.x = route.px
-            actor.y = route.py
-            actor.vx = route.vx
-            actor.vy = route.vy
-        self.time_s += dt
-        self.step += 1
+        recorder = self.recorder
+        recorder.record_step(emergency, perceived)
+        self.world.step(self.dt, acceleration)
         self.loop_step += 1
-
-        hit = self._check_collision()
-        if hit is not None:
-            self._halt(hit, perceived)
-        elif self.loop_step >= self.max_steps:
+        if recorder.halt_on_collision(perceived) or self.loop_step >= self.max_steps:
             self._finish()
 
-    # ------------------------------------------------------------------ #
-    # Ground truth, collision, halt, result
-    # ------------------------------------------------------------------ #
-
-    def _current_target_id(self) -> Optional[int]:
-        if self.attacker is not None and self.attacker.target_actor_id is not None:
-            return self.attacker.target_actor_id
-        return self.scenario_target_id
-
-    def _true_delta(self) -> float:
-        """Port of ``ground_truth_delta`` over the lane's plain-float state."""
-        target_id = self._current_target_id()
-        candidate = None
-        if target_id is not None:
-            for actor in self.actors:
-                if actor.actor_id == target_id:
-                    if actor.x > self.ego_x:
-                        margin = 0.3 + actor.half_w
-                        if self.lane_lo - margin <= actor.y <= self.lane_hi + margin:
-                            candidate = actor
-                    break
-        if candidate is None:
-            ego_front = self.ego_x + self.ego_half_len
-            best_x = 0.0
-            for actor in self.actors:
-                if actor.x > ego_front:
-                    margin = 0.3 + actor.half_w
-                    if self.lane_lo - margin <= actor.y <= self.lane_hi + margin:
-                        if candidate is None or actor.x < best_x:
-                            candidate = actor
-                            best_x = actor.x
-        if candidate is None:
-            return float("inf")
-        gap = abs(candidate.x - self.ego_x) - (self.ego_len + candidate.length) / 2.0
-        sp = self.ego_speed
-        if not sp > 0.0:
-            sp = 0.0
-        return gap - (sp * self.sim_reaction + sp * sp / (2.0 * self.sim_comfort))
-
-    def _check_collision(self) -> Optional[int]:
-        ego_x = self.ego_x
-        ego_y = self.ego_y
-        for actor in self.actors:
-            if abs(actor.x - ego_x) - (self.ego_len + actor.length) / 2.0 <= 0.0:
-                if abs(actor.y - ego_y) <= (self.ego_w + actor.width) / 2.0:
-                    return actor.actor_id
-        return None
-
-    def _halt(self, collision_actor: int, perceived: float) -> None:
-        """Collision halt: impact trace entry + COLLISION/SIMULATION_HALTED."""
-        self.events.record_step(
-            true_delta=self._true_delta(),
-            perceived_delta=perceived,
-            ego_speed=self.ego_speed,
-        )
-        self.events.record(SimulationEvent(
-            kind=EventKind.COLLISION,
-            time_s=self.time_s,
-            step_index=self.step,
-            details={"actor_id": float(collision_actor)},
-        ))
-        self.events.record(SimulationEvent(
-            kind=EventKind.SIMULATION_HALTED, time_s=self.time_s, step_index=self.step
-        ))
-        self.halted = True
-        self._finish()
-
     def _finish(self) -> None:
-        if self.attack_was_active:
-            self.events.record(SimulationEvent(
-                kind=EventKind.ATTACK_ENDED, time_s=self.time_s, step_index=self.step
-            ))
+        self.result = self.recorder.finish()
         self.tracker.reset()
         if self.replica is not None:
             self._stop_replica()
         self.done = True
-
-    def result(self) -> SimulationResult:
-        ego = ActorSnapshot(
-            actor_id=self.ego_id,
-            kind=ActorKind.VEHICLE,
-            position=Vec2(self.ego_x, self.ego_y),
-            velocity=Vec2(self.ego_speed, 0.0),
-            dimensions=self.ego_dims,
-            is_ego=True,
-        )
-        actors = tuple(
-            ActorSnapshot(
-                actor_id=actor.actor_id,
-                kind=actor.kind,
-                position=Vec2(actor.x, actor.y),
-                velocity=Vec2(actor.vx, actor.vy),
-                dimensions=actor.dims,
-            )
-            for actor in self.actors
-        )
-        snapshot = GroundTruthSnapshot(
-            time_s=self.time_s, step_index=self.step, ego=ego, actors=actors
-        )
-        return SimulationResult(
-            scenario_id=self.scenario_id,
-            events=self.events,
-            steps_executed=self.step,
-            duration_s=self.time_s,
-            halted_on_collision=self.halted,
-            final_snapshot=snapshot,
-            target_actor_id=self._current_target_id(),
-        )
 
 
 # --------------------------------------------------------------------------- #
@@ -804,13 +403,16 @@ class BatchSimulator:
         _check_specs(specs)
         self.config = config or SimulationConfig()
         self._pool = KalmanPool()
-        # Both kinds of lane draw their sensor seeds on construction, so
-        # building them in spec order keeps every generator's draw order.
+        # Every lane is a Simulator, which draws its sensor seeds on
+        # construction, so building them in spec order keeps every
+        # generator's draw order.
+        sims = [Simulator(spec.scenario, spec.ads, config=self.config,
+                          attacker=spec.attacker, rng=spec.rng) for spec in specs]
+        batched = [_shares_row_core(spec) for spec in specs]
+        steps = max((sim.max_steps for sim, b in zip(sims, batched) if b), default=0)
+        lidar_due = [self.config.lidar_due(step) for step in range(steps)]
         self._lanes: List[_Lane | Simulator] = [
-            _Lane(spec, self.config, self._pool) if _shares_row_core(spec)
-            else Simulator(spec.scenario, spec.ads, config=self.config,
-                           attacker=spec.attacker, rng=spec.rng)
-            for spec in specs
+            _Lane(sim, self._pool, lidar_due) if b else sim for sim, b in zip(sims, batched)
         ]
 
     def run(self) -> List[SimulationResult]:
@@ -819,7 +421,7 @@ class BatchSimulator:
                  if isinstance(lane, _Lane) and not lane.done]
         for start in range(0, len(lanes), LOCKSTEP_LANES):
             self._run_group(lanes[start:start + LOCKSTEP_LANES])
-        return [lane.result() if isinstance(lane, _Lane) else lane.run()
+        return [lane.result if isinstance(lane, _Lane) else lane.run()
                 for lane in self._lanes]
 
     def _run_group(self, active: List[_Lane]) -> None:

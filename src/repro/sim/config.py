@@ -1,11 +1,13 @@
 """Simulation configuration.
 
 The defaults mirror the experimental setup of paper §V: the camera runs at
-15 Hz (one simulation step per camera frame), LiDAR at 10 Hz, the road is
-Borregas-Avenue-like with a 50 kph limit, and the LGSVL limitation that halts
-simulations when two actors come within 4 m of each other is emulated by the
-``halt_gap_m`` parameter (which is also the paper's accident threshold for the
-safety potential).
+15 Hz (one simulation step per camera frame), LiDAR at 10 Hz, and the road is
+Borregas-Avenue-like with a 50 kph limit.  LGSVL halts a simulation when two
+actors come within 4 m of each other; here a run halts only when the ego's
+footprint overlaps another actor's, and ``halt_gap_m`` is the 4 m accident
+threshold on the safety potential that the paper derives from that limit.
+The ego's acceleration limits (``max_decel_mps2``, ``max_accel_mps2``) are
+the run's: both simulation engines set them on the ego vehicle.
 """
 
 from __future__ import annotations
@@ -25,15 +27,19 @@ class SimulationConfig:
     lidar_rate_hz: float = 10.0
     #: Maximum simulated duration of a run, in seconds.
     max_duration_s: float = 40.0
-    #: Bumper-to-bumper gap below which the simulation halts (LGSVL limitation
-    #: discussed under paper Definition 5); also the accident threshold on the
-    #: safety potential (delta < 4 m counts as an accident).
+    #: Accident threshold on the safety potential: a run that collides, or
+    #: whose ground-truth delta from the attack's start falls below it,
+    #: counts as an accident (the 4 m LGSVL halt gap discussed under paper
+    #: Definition 5).  It does not halt a run: both engines halt only when
+    #: footprints overlap.
     halt_gap_m: float = 4.0
     #: Comfortable deceleration used for the stopping-distance definition.
     comfortable_decel_mps2: float = 3.0
-    #: Maximum (emergency) deceleration of the ego vehicle.
+    #: Maximum (emergency) deceleration of the ego vehicle; the ego clamps the
+    #: ADS command to it.
     max_decel_mps2: float = 6.0
-    #: Maximum acceleration of the ego vehicle.
+    #: Maximum acceleration of the ego vehicle; the ego clamps the ADS
+    #: command to it.
     max_accel_mps2: float = 2.0
 
     def __post_init__(self) -> None:

@@ -26,18 +26,17 @@ class Lane:
     name: str
     center_y: float
     width: float = 3.5
+    #: Lateral bounds, derived from the centre line and width (plain fields,
+    #: not properties: the ground-truth safety potential reads them every
+    #: simulated step).
+    y_min: float = field(init=False, repr=False, compare=False)
+    y_max: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.width <= 0:
             raise ValueError("lane width must be positive")
-
-    @property
-    def y_min(self) -> float:
-        return self.center_y - self.width / 2.0
-
-    @property
-    def y_max(self) -> float:
-        return self.center_y + self.width / 2.0
+        object.__setattr__(self, "y_min", self.center_y - self.width / 2.0)
+        object.__setattr__(self, "y_max", self.center_y + self.width / 2.0)
 
     def contains_lateral(self, y: float, margin: float = 0.0) -> bool:
         """Whether lateral coordinate ``y`` lies within the lane (plus margin)."""

@@ -2,7 +2,7 @@
 
 Each step (one camera frame at 15 Hz) the simulator:
 
-1. captures the ground truth and renders the sensor measurements,
+1. renders the sensor measurements from the live world,
 2. lets the (optional) man-in-the-middle attacker observe and perturb the
    camera frame — the attack surface of paper §III-B,
 3. runs the victim ADS on the (possibly perturbed) sensors,
@@ -12,7 +12,9 @@ Each step (one camera frame at 15 Hz) the simulator:
    evaluation harness.
 
 The loop halts early on a physical collision, mirroring how the LGSVL
-simulator stops when actors come too close.
+simulator stops when actors come too close.  The batch engine
+(:mod:`repro.sim.batch`) runs the same world, sensor and bookkeeping code —
+:class:`RunRecorder` keeps every event and trace — on its lanes.
 """
 
 from __future__ import annotations
@@ -29,12 +31,13 @@ from repro.sensors.lidar import LidarScan, LidarSensor
 from repro.sim.config import SimulationConfig
 from repro.sim.events import EventKind, EventLog, SimulationEvent
 from repro.sim.scenarios import DrivingScenario
+from repro.sim.actors import colliding_actor
 from repro.sim.world import GroundTruthSnapshot
 
 if TYPE_CHECKING:  # pragma: no cover - imported for type hints only
-    from repro.ads.agent import AdsAgent, AdsDecision
+    from repro.ads.agent import AdsAgent
 
-__all__ = ["CameraAttacker", "SimulationResult", "Simulator"]
+__all__ = ["CameraAttacker", "RunRecorder", "SimulationResult", "Simulator"]
 
 
 class CameraAttacker(Protocol):
@@ -98,7 +101,11 @@ class SimulationResult:
 
 
 class Simulator:
-    """Runs one driving scenario against the ADS, optionally under attack."""
+    """Runs one driving scenario against the ADS, optionally under attack.
+
+    The simulator drives its scenario's own :class:`~repro.sim.world.World`;
+    the run's config sets the ego vehicle's acceleration limits.
+    """
 
     def __init__(
         self,
@@ -120,189 +127,135 @@ class Simulator:
         self.safety_model = SafetyModel(
             comfortable_decel_mps2=self.config.comfortable_decel_mps2
         )
+        ego = scenario.world.ego
+        ego.max_accel_mps2 = self.config.max_accel_mps2
+        ego.max_decel_mps2 = self.config.max_decel_mps2
+
+    @property
+    def max_steps(self) -> int:
+        """Steps in a run that does not halt: the scenario's duration, capped
+        by the config's."""
+        return min(self.config.max_steps,
+                   int(round(self.scenario.duration_s / self.config.dt)))
 
     def run(self) -> SimulationResult:
         """Execute the scenario until its duration elapses or a collision halts it."""
         world = self.scenario.world
-        events = EventLog()
         dt = self.config.dt
-        max_steps = min(
-            self.config.max_steps, int(round(self.scenario.duration_s / dt))
-        )
-        attack_was_active = False
-        emergency_was_active = False
-        halted = False
+        lidar_due = self.config.lidar_due
+        recorder = RunRecorder(self)
+        # Actors spawned already overlapping halt at step 0 instead of driving
+        # the ego through them for the full duration.
+        steps = 0 if recorder.halt_on_collision(float("inf")) else self.max_steps
         last_lidar_scan: Optional[LidarScan] = None
-        # One snapshot per step: built here for step 0, then refreshed once
-        # after each world.step and reused for collision checking, the next
-        # iteration's sensing, and the final result.  (Snapshotting is the
-        # single most expensive bookkeeping call in the loop.)
-        snapshot = world.snapshot()
-        collision_actor = self._check_collision(snapshot)
-        if collision_actor is not None:
-            # Actors spawned already overlapping: halt at step 0 instead of
-            # driving the ego through them for the full duration.
-            self._record_collision_halt(
-                events, snapshot, collision_actor, perceived_delta=float("inf")
-            )
-            halted = True
-            max_steps = 0
-
-        for step in range(max_steps):
-            camera_frame = self.camera.capture(snapshot)
-            if self.config.lidar_due(step):
-                last_lidar_scan = self.lidar.scan(snapshot)
-            ego_pose = self.gps_imu.measure(snapshot)
+        for step in range(steps):
+            camera_frame = self.camera.capture(world)
+            if lidar_due(step):
+                last_lidar_scan = self.lidar.scan(world)
+            ego_pose = self.gps_imu.measure(world)
 
             delivered_frame = camera_frame
             if self.attacker is not None:
                 delivered_frame = self.attacker.process_frame(
                     camera_frame, ego_speed_mps=ego_pose.speed_mps, dt=dt
                 )
-                attack_was_active = self._log_attack_transitions(
-                    events, snapshot, attack_was_active
-                )
+                recorder.log_attack()
 
             decision = self.ads.step(delivered_frame, last_lidar_scan, ego_pose, dt)
-            emergency_was_active = self._log_emergency_transitions(
-                events, snapshot, decision, emergency_was_active
-            )
-
-            target_id = self._current_target_id()
-            true_delta = ground_truth_delta(
-                snapshot, self.scenario.road, self.safety_model, target_actor_id=target_id
-            )
-            events.record_step(
-                true_delta=true_delta,
-                perceived_delta=decision.perceived_delta_m,
-                ego_speed=snapshot.ego.speed,
-            )
-
+            recorder.record_step(decision.emergency_brake, decision.perceived_delta_m)
             world.step(dt, ego_acceleration_mps2=decision.acceleration_mps2)
-
-            snapshot = world.snapshot()
-            collision_actor = self._check_collision(snapshot)
-            if collision_actor is not None:
-                # The impact snapshot still gets a trace entry (so the Fig-6
-                # traces and min_true_delta_from_attack include the value at
-                # impact); on a collision halt the traces are therefore one
-                # entry longer than steps_executed.
-                self._record_collision_halt(
-                    events, snapshot, collision_actor,
-                    perceived_delta=decision.perceived_delta_m,
-                )
-                halted = True
+            if recorder.halt_on_collision(decision.perceived_delta_m):
                 break
+        return recorder.finish()
 
-        if attack_was_active:
-            # The run ended (duration elapsed or collision halt) while the
-            # attack was still active: close the interval so attack-duration
-            # consumers never see an open one.
-            events.record(
-                SimulationEvent(
-                    kind=EventKind.ATTACK_ENDED,
-                    time_s=snapshot.time_s,
-                    step_index=snapshot.step_index,
-                )
-            )
 
-        return SimulationResult(
-            scenario_id=self.scenario.scenario_id,
-            events=events,
-            steps_executed=world.step_index,
-            duration_s=world.time_s,
-            halted_on_collision=halted,
-            final_snapshot=snapshot,
-            target_actor_id=self._current_target_id(),
-        )
+class RunRecorder:
+    """The events and traces of one run, read off its live world.
 
-    # ------------------------------------------------------------------ #
-    # Helpers
-    # ------------------------------------------------------------------ #
+    Both engines keep their bookkeeping through it, at the same points of a
+    step: :meth:`log_attack` after the attacker saw the frame,
+    :meth:`record_step` once the ADS has decided (before the world advances),
+    :meth:`halt_on_collision` after every world step (and once before the
+    first), and :meth:`finish` when the run ends.
+    """
 
-    def _current_target_id(self) -> Optional[int]:
+    def __init__(self, simulator: Simulator):
+        scenario = simulator.scenario
+        self.world = scenario.world
+        self.road = scenario.road
+        self.scenario_id = scenario.scenario_id
+        self.scenario_target_id = scenario.target_actor_id
+        self.attacker = simulator.attacker
+        self.safety_model = simulator.safety_model
+        self.events = EventLog()
+        self.attack_was_active = False
+        self.emergency_was_active = False
+        self.halted = False
+
+    def target_id(self) -> Optional[int]:
+        """The attacker's target while it has one, else the scenario's."""
         if self.attacker is not None and self.attacker.target_actor_id is not None:
             return self.attacker.target_actor_id
-        return self.scenario.target_actor_id
+        return self.scenario_target_id
 
-    def _log_attack_transitions(
-        self, events: EventLog, snapshot: GroundTruthSnapshot, attack_was_active: bool
-    ) -> bool:
-        active = bool(self.attacker is not None and self.attacker.attack_active)
-        if active and not attack_was_active:
-            events.record(
-                SimulationEvent(
-                    kind=EventKind.ATTACK_STARTED,
-                    time_s=snapshot.time_s,
-                    step_index=snapshot.step_index,
-                )
-            )
-        elif not active and attack_was_active:
-            events.record(
-                SimulationEvent(
-                    kind=EventKind.ATTACK_ENDED,
-                    time_s=snapshot.time_s,
-                    step_index=snapshot.step_index,
-                )
-            )
-        return active
+    def _event(self, kind: EventKind, **details: float) -> None:
+        self.events.record(SimulationEvent(
+            kind=kind, time_s=self.world.time_s, step_index=self.world.step_index,
+            details=details,
+        ))
 
-    @staticmethod
-    def _log_emergency_transitions(
-        events: EventLog,
-        snapshot: GroundTruthSnapshot,
-        decision: "AdsDecision",
-        emergency_was_active: bool,
-    ) -> bool:
-        if decision.emergency_brake and not emergency_was_active:
-            events.record(
-                SimulationEvent(
-                    kind=EventKind.EMERGENCY_BRAKE,
-                    time_s=snapshot.time_s,
-                    step_index=snapshot.step_index,
-                    details={"perceived_delta_m": decision.perceived_delta_m},
-                )
-            )
-        return decision.emergency_brake
+    def log_attack(self) -> None:
+        """Log an attack start or end when the attacker's state flipped."""
+        active = bool(self.attacker.attack_active)
+        if active and not self.attack_was_active:
+            self._event(EventKind.ATTACK_STARTED)
+        elif not active and self.attack_was_active:
+            self._event(EventKind.ATTACK_ENDED)
+        self.attack_was_active = active
 
-    def _record_collision_halt(
-        self,
-        events: EventLog,
-        snapshot: GroundTruthSnapshot,
-        collision_actor: int,
-        perceived_delta: float,
-    ) -> None:
-        """Record the impact snapshot's trace entry and the halt events."""
-        true_delta = ground_truth_delta(
-            snapshot,
-            self.scenario.road,
-            self.safety_model,
-            target_actor_id=self._current_target_id(),
-        )
-        events.record_step(
-            true_delta=true_delta,
+    def record_step(self, emergency: bool, perceived_delta: float) -> None:
+        """Log an emergency-brake onset and append the step's trace entry."""
+        if emergency and not self.emergency_was_active:
+            self._event(EventKind.EMERGENCY_BRAKE, perceived_delta_m=perceived_delta)
+        self.emergency_was_active = emergency
+        self._trace(perceived_delta)
+
+    def _trace(self, perceived_delta: float) -> None:
+        world = self.world
+        self.events.record_step(
+            true_delta=ground_truth_delta(world, self.road, self.safety_model,
+                                          self.target_id()),
             perceived_delta=perceived_delta,
-            ego_speed=snapshot.ego.speed,
-        )
-        events.record(
-            SimulationEvent(
-                kind=EventKind.COLLISION,
-                time_s=snapshot.time_s,
-                step_index=snapshot.step_index,
-                details={"actor_id": float(collision_actor)},
-            )
-        )
-        events.record(
-            SimulationEvent(
-                kind=EventKind.SIMULATION_HALTED,
-                time_s=snapshot.time_s,
-                step_index=snapshot.step_index,
-            )
+            ego_speed=world.ego.vx,
         )
 
-    def _check_collision(self, snapshot: GroundTruthSnapshot) -> Optional[int]:
-        ego = snapshot.ego
-        for actor in snapshot.actors:
-            if ego.overlaps(actor):
-                return actor.actor_id
-        return None
+    def halt_on_collision(self, perceived_delta: float) -> bool:
+        """On a collision, halt: the impact state still gets a trace entry
+        (so the Fig-6 traces and ``min_true_delta_from_attack`` include the
+        value at impact, and the traces are one entry longer than the steps),
+        then COLLISION and SIMULATION_HALTED are logged."""
+        world = self.world
+        actor_id = colliding_actor(world.ego, world.actors)
+        if actor_id is None:
+            return False
+        self._trace(perceived_delta)
+        self._event(EventKind.COLLISION, actor_id=float(actor_id))
+        self._event(EventKind.SIMULATION_HALTED)
+        self.halted = True
+        return True
+
+    def finish(self) -> SimulationResult:
+        """End the run: close an attack still active (so attack-duration
+        consumers never see an open interval) and capture the result."""
+        if self.attack_was_active:
+            self._event(EventKind.ATTACK_ENDED)
+        world = self.world
+        return SimulationResult(
+            scenario_id=self.scenario_id,
+            events=self.events,
+            steps_executed=world.step_index,
+            duration_s=world.time_s,
+            halted_on_collision=self.halted,
+            final_snapshot=world.snapshot(),
+            target_actor_id=self.target_id(),
+        )

@@ -9,6 +9,7 @@ walks and then stands still).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Sequence
 
@@ -39,38 +40,57 @@ class WaypointRoute:
     actor moves in a straight line at that waypoint's speed, then waits for the
     waypoint's hold time before continuing.  After the last waypoint the actor
     remains stationary at its final position.
+
+    The state is plain floats — ``x``, ``y``, ``vx``, ``vy`` — which both
+    simulation engines read on the live world every step; ``position`` and
+    ``velocity`` are their :class:`Vec2` views.
     """
+
+    __slots__ = ("waypoints", "_xs", "_ys", "_speeds", "_holds", "_last", "_segment_index",
+                 "_hold_remaining_s", "x", "y", "vx", "vy")
 
     def __init__(self, waypoints: Sequence[Waypoint]):
         if len(waypoints) < 1:
             raise ValueError("a route needs at least one waypoint")
         self.waypoints: List[Waypoint] = list(waypoints)
+        self._xs = [w.position.x for w in self.waypoints]
+        self._ys = [w.position.y for w in self.waypoints]
+        self._speeds = [w.speed_mps for w in self.waypoints]
+        self._holds = [w.hold_s for w in self.waypoints]
+        #: Index of the final waypoint.
+        self._last = len(self.waypoints) - 1
         self._segment_index = 0
-        self._position = self.waypoints[0].position
-        self._velocity = Vec2.zero()
-        self._hold_remaining_s = self.waypoints[0].hold_s
+        self.x = self._xs[0]
+        self.y = self._ys[0]
+        self.vx = 0.0
+        self.vy = 0.0
+        self._hold_remaining_s = self._holds[0]
         # An actor that starts moving immediately (no initial hold) already has
         # its cruising velocity at t=0, matching how LGSVL scenarios spawn
         # actors at speed.
-        if self._hold_remaining_s <= 0.0 and len(self.waypoints) > 1:
-            first_target = self.waypoints[1]
-            direction = (first_target.position - self._position).normalized()
-            self._velocity = direction * first_target.speed_mps
+        if self._hold_remaining_s <= 0.0 and self._last > 0:
+            dx = self._xs[1] - self.x
+            dy = self._ys[1] - self.y
+            distance = math.hypot(dx, dy)
+            if distance != 0.0:
+                speed = self._speeds[1]
+                self.vx = dx / distance * speed
+                self.vy = dy / distance * speed
 
     @property
     def position(self) -> Vec2:
         """Current position of the actor on the route."""
-        return self._position
+        return Vec2(self.x, self.y)
 
     @property
     def velocity(self) -> Vec2:
         """Current velocity of the actor on the route."""
-        return self._velocity
+        return Vec2(self.vx, self.vy)
 
     @property
     def finished(self) -> bool:
         """Whether the actor has reached the final waypoint."""
-        return self._segment_index >= len(self.waypoints) - 1 and self._hold_remaining_s <= 0.0
+        return self._segment_index >= self._last and self._hold_remaining_s <= 0.0
 
     def advance(self, dt: float) -> None:
         """Advance the actor along the route by ``dt`` seconds."""
@@ -82,35 +102,46 @@ class WaypointRoute:
                 waited = min(self._hold_remaining_s, remaining)
                 self._hold_remaining_s -= waited
                 remaining -= waited
-                self._velocity = Vec2.zero()
+                self.vx = 0.0
+                self.vy = 0.0
                 continue
-            if self._segment_index >= len(self.waypoints) - 1:
-                self._velocity = Vec2.zero()
+            if self._segment_index >= self._last:
+                self.vx = 0.0
+                self.vy = 0.0
                 return
-            target = self.waypoints[self._segment_index + 1]
-            to_target = target.position - self._position
-            distance = to_target.norm()
-            speed = target.speed_mps
+            target = self._segment_index + 1
+            dx = self._xs[target] - self.x
+            dy = self._ys[target] - self.y
+            distance = math.hypot(dx, dy)
+            speed = self._speeds[target]
             if speed <= 0.0 or distance <= 1e-9:
                 # Zero-speed segment: snap to the target and continue.
-                self._position = target.position
-                self._segment_index += 1
-                self._hold_remaining_s = target.hold_s
-                self._velocity = Vec2.zero()
+                self.x = self._xs[target]
+                self.y = self._ys[target]
+                self._segment_index = target
+                self._hold_remaining_s = self._holds[target]
+                self.vx = 0.0
+                self.vy = 0.0
                 continue
             time_to_target = distance / speed
-            direction = to_target.normalized()
-            self._velocity = direction * speed
+            ux = dx / distance
+            uy = dy / distance
+            self.vx = ux * speed
+            self.vy = uy * speed
             if time_to_target <= remaining:
-                self._position = target.position
+                self.x = self._xs[target]
+                self.y = self._ys[target]
                 remaining -= time_to_target
-                self._segment_index += 1
-                self._hold_remaining_s = target.hold_s
+                self._segment_index = target
+                self._hold_remaining_s = self._holds[target]
             else:
-                self._position = self._position + direction * (speed * remaining)
+                travel = speed * remaining
+                self.x = self.x + ux * travel
+                self.y = self.y + uy * travel
                 remaining = 0.0
-        if self.finished:
-            self._velocity = Vec2.zero()
+        if self._segment_index >= self._last and self._hold_remaining_s <= 0.0:
+            self.vx = 0.0
+            self.vy = 0.0
 
     @staticmethod
     def stationary(position: Vec2) -> "WaypointRoute":

@@ -1,8 +1,15 @@
 """Ground-truth world state container.
 
-The :class:`World` owns the ego vehicle and all scripted actors, advances them
-each simulation step, and produces immutable ground-truth snapshots consumed by
-the sensor models and by the safety/metrics monitors.
+The :class:`World` owns the ego vehicle and all scripted actors and advances
+them each simulation step.  Both simulation engines read the live world: the
+sensor models, the ground-truth safety potential and the collision check
+(:func:`~repro.sim.actors.colliding_actor`) take any *ground truth* — an
+object with ``ego`` and ``actors`` whose members carry the plain-float names
+of :class:`~repro.sim.actors.ActorSnapshot` (``x``, ``y``, ``vx``, ``vy``,
+``length``, ``width``, ``height``) and, for the sensors, ``time_s`` and
+``step_index``.  A :class:`World` is one; so is the immutable
+:class:`GroundTruthSnapshot` that :meth:`World.snapshot` captures for
+results, tests and offline analysis.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from typing import List, Optional, Sequence
 from repro.sim.actors import ActorKind, ActorSnapshot, EgoVehicle, ScriptedActor
 from repro.sim.road import Road
 
-__all__ = ["GroundTruthSnapshot", "World"]
+__all__ = ["GroundTruthSnapshot", "World", "nearest_in_path"]
 
 
 @dataclass(frozen=True)
@@ -32,21 +39,30 @@ class GroundTruthSnapshot:
                 return actor
         return None
 
-    def actors_ahead_of_ego(self) -> List[ActorSnapshot]:
-        """Non-ego actors that are longitudinally ahead of the ego front bumper."""
-        ego_front = self.ego.position.x + self.ego.dimensions.length_m / 2.0
-        return [a for a in self.actors if a.position.x > ego_front]
-
     def nearest_in_path_actor(self, road: Road, lateral_margin: float = 0.2) -> Optional[ActorSnapshot]:
         """The closest actor ahead whose footprint overlaps the ego lane."""
-        candidates = [
-            a
-            for a in self.actors_ahead_of_ego()
-            if road.in_ego_lane(a.position.y, margin=lateral_margin + a.dimensions.width_m / 2.0)
-        ]
-        if not candidates:
-            return None
-        return min(candidates, key=lambda a: a.position.x)
+        return nearest_in_path(self, road, lateral_margin)
+
+
+def nearest_in_path(ground_truth, road: Road, lateral_margin: float):
+    """The closest actor ahead of the ego front bumper whose footprint
+    overlaps the ego lane widened by ``lateral_margin``, or ``None``; ties go
+    to the actor listed first."""
+    ego = ground_truth.ego
+    ego_front = ego.x + ego.length / 2.0
+    lane = road.ego_lane
+    lane_lo = lane.y_min
+    lane_hi = lane.y_max
+    nearest = None
+    nearest_x = 0.0
+    for actor in ground_truth.actors:
+        x = actor.x
+        if x > ego_front and (nearest is None or x < nearest_x):
+            margin = lateral_margin + actor.width / 2.0
+            if lane_lo - margin <= actor.y <= lane_hi + margin:
+                nearest = actor
+                nearest_x = x
+    return nearest
 
 
 class World:
@@ -60,12 +76,10 @@ class World:
         self.step_index = 0
 
     def step(self, dt: float, ego_acceleration_mps2: float) -> None:
-        """Advance the world by one time step."""
-        if dt <= 0:
-            raise ValueError("dt must be positive")
+        """Advance the world by one time step (``dt`` must be positive)."""
         self.ego.apply_control(ego_acceleration_mps2, dt)
         for actor in self.actors:
-            actor.step(dt)
+            actor.route.advance(dt)
         self.time_s += dt
         self.step_index += 1
 

@@ -6,6 +6,7 @@ import pytest
 from repro.sensors.camera import CameraSensor
 from repro.sensors.gps_imu import GpsImuSensor
 from repro.sensors.lidar import LidarSensor
+from repro.sensors.noise import _CHUNK_GROUPS
 from repro.sim.actors import ActorKind
 from repro.sim.scenarios import ScenarioVariation, build_scenario
 
@@ -112,3 +113,33 @@ class TestGpsImuSensor:
     def test_invalid_noise_rejected(self):
         with pytest.raises(ValueError):
             GpsImuSensor(position_noise_m=-0.1)
+
+
+class TestBufferedNoise:
+    """The LiDAR and GPS/IMU draw their noise a chunk at a time; the values
+    are the generator's sequential ``normal`` draws, across a refill."""
+
+    DRAWS = 2 * _CHUNK_GROUPS + 3  # measurements, crossing two refills
+
+    def test_lidar_matches_sequential_draws(self, ds1_snapshot):
+        lidar = LidarSensor(position_noise_m=0.08, rng=np.random.default_rng(5))
+        reference = np.random.default_rng(5)
+        ego, actor = ds1_snapshot.ego, ds1_snapshot.actors[0]
+        distance = actor.x - (ego.x + ego.length / 2.0)
+        lateral = actor.y - ego.y
+        for _ in range(self.DRAWS):
+            (row,) = lidar.scan_rows(ds1_snapshot)
+            assert row[:2] == (distance + reference.normal(0.0, 0.08),
+                               lateral + reference.normal(0.0, 0.08))
+
+    @pytest.mark.parametrize("speed_noise", [0.05, 0.2], ids=["equal", "unequal"])
+    def test_gps_matches_sequential_draws(self, ds1_snapshot, speed_noise):
+        gps = GpsImuSensor(position_noise_m=0.05, speed_noise_mps=speed_noise,
+                           rng=np.random.default_rng(6))
+        reference = np.random.default_rng(6)
+        ego = ds1_snapshot.ego
+        for _ in range(self.DRAWS):
+            pose = gps.measure(ds1_snapshot)
+            assert pose.position.x == ego.x + reference.normal(0.0, 0.05)
+            assert pose.position.y == ego.y + reference.normal(0.0, 0.05)
+            assert pose.speed_mps == ego.vx + reference.normal(0.0, speed_noise)

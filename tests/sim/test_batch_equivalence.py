@@ -366,8 +366,8 @@ class TestFreshVictimAgent:
 
 
 class TestOneAgentAndAttackerPerLane:
-    """Two lanes that shared one agent or one attacker would drive one
-    tracker, planner or attack record, so such a batch is rejected."""
+    """Two lanes that shared one agent, attacker or scenario would drive one
+    tracker, planner, attack record or world, so such a batch is rejected."""
 
     def test_shared_victim_agent_is_rejected(self):
         setups = [_benign_setup(scenario_id) for scenario_id in ("DS-1", "DS-2", "DS-1")]
@@ -376,6 +376,16 @@ class TestOneAgentAndAttackerPerLane:
             BatchSimulator([
                 BatchRunSpec(scenario=scenario, ads=shared_ads if index == 2 else ads, rng=rng)
                 for index, (scenario, ads, _, rng) in enumerate(setups)
+            ])
+
+    def test_shared_scenario_is_rejected(self):
+        """Each lane drives its scenario's own world."""
+        setups = [_benign_setup("DS-1") for _ in range(2)]
+        shared_scenario = setups[0][0]
+        with pytest.raises(ValueError, match="specs 0 and 1 share one scenario"):
+            BatchSimulator([
+                BatchRunSpec(scenario=shared_scenario, ads=ads, rng=rng)
+                for _, ads, _, rng in setups
             ])
 
     def test_shared_attacker_is_rejected(self):

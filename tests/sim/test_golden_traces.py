@@ -13,12 +13,15 @@ speed) with every value rounded to 1e-6.  Three sets are pinned:
   with the kinematic oracle on the six Table II pairs plus DS-6/DS-7
   Disappear, and the DS-5 random baseline.
 
-Any refactor that perturbs simulation semantics — sensor seeding, actor
-kinematics, fusion, the planner, the attacker, the step loop's snapshot
-discipline — fails these loudly instead of silently shifting every campaign
-statistic.  Both engines share one fusion and planning implementation, so
-the scalar-vs-batch equivalence suite cannot catch drift in those stages;
-these digests do.
+Any refactor that perturbs simulation semantics — sensor seeding and noise,
+camera rendering, actor and ego kinematics, the ground-truth safety
+potential, the collision check, perception, fusion, the planner, the
+attacker, the step loop's event bookkeeping — fails these loudly instead of
+silently shifting every campaign statistic.  Both engines share one
+implementation of every stage, the world side (``World.step``, the sensors'
+cores, ``ground_truth_delta`` and the ``RunRecorder``) as well as perception,
+fusion and planning, so the scalar-vs-batch equivalence suite cannot catch
+drift in any of them; these digests do.
 
 If a change *intentionally* alters simulation semantics, regenerate the
 digests with ``GoldenDigest.of`` on the runs below and say so in the commit

@@ -1,9 +1,13 @@
 """Tests for scenario builders, the world container, and event logging."""
 
+import numpy as np
 import pytest
 
 from repro.ads.safety import SafetyModel, ground_truth_delta
-from repro.sim.actors import ActorKind
+from repro.sensors.camera import CameraSensor
+from repro.sensors.gps_imu import GpsImuSensor
+from repro.sensors.lidar import LidarSensor
+from repro.sim.actors import ActorKind, colliding_actor
 from repro.sim.events import EventKind, EventLog, SimulationEvent
 from repro.sim.scenarios import ScenarioVariation, build_scenario, list_scenario_ids
 from repro.utils.units import kph_to_mps
@@ -129,6 +133,35 @@ class TestWorld:
         assert after.time_s > before.time_s
         assert after.step_index == before.step_index + 1
         assert after.ego.position.x > before.ego.position.x
+
+    @pytest.mark.parametrize("scenario_id", list_scenario_ids())
+    def test_live_world_reads_like_its_snapshot(self, scenario_id):
+        """Both engines sense, score and collision-check the live world;
+        the public methods take a snapshot.  At every step of a drive that
+        speeds up through the scenario (and into some of its actors), both
+        give the same values."""
+        scenario = build_scenario(scenario_id)
+        world, road, safety = scenario.world, scenario.road, SafetyModel()
+        camera = CameraSensor()
+        lidars = [LidarSensor(rng=np.random.default_rng(3)) for _ in range(2)]
+        gpses = [GpsImuSensor(rng=np.random.default_rng(4)) for _ in range(2)]
+        collisions = 0
+        for step in range(200):
+            snapshot = world.snapshot()
+            assert camera.render_rows(world) == camera.capture(snapshot).rows()
+            assert lidars[0].scan_rows(world) == lidars[1].scan(snapshot).rows()
+            x, y, speed = gpses[0].read(world)
+            pose = gpses[1].measure(snapshot)
+            assert (x, y, speed) == (pose.position.x, pose.position.y, pose.speed_mps)
+            for target in (None, scenario.target_actor_id):
+                assert ground_truth_delta(world, road, safety, target) == ground_truth_delta(
+                    snapshot, road, safety, target)
+            hit = next((a.actor_id for a in snapshot.actors if snapshot.ego.overlaps(a)), None)
+            assert colliding_actor(world.ego, world.actors) == hit
+            collisions += hit is not None
+            world.step(1.0 / 15.0, ego_acceleration_mps2=1.0)
+        if scenario_id in ("DS-1", "DS-5", "DS-6"):
+            assert collisions  # the drive runs into a vehicle ahead
 
     def test_invalid_dt_rejected(self):
         world = build_scenario("DS-1").world

@@ -8,7 +8,8 @@ Pins the three loop-level guarantees (in both engines where applicable):
   traces are exactly one entry longer than ``steps_executed`` and
   ``min_true_delta_from_attack`` sees the value at impact;
 * a run that ends (duration elapsed or collision halt) while an attack is
-  still active closes the interval with a final ``ATTACK_ENDED`` event.
+  still active closes the interval with a final ``ATTACK_ENDED`` event;
+* the run's ``SimulationConfig`` sets the ego's acceleration limits.
 """
 
 import numpy as np
@@ -17,6 +18,7 @@ import pytest
 from repro.experiments.campaign import build_ads_agent
 from repro.geometry import Vec2
 from repro.sim.batch import BatchRunSpec, BatchSimulator
+from repro.sim.config import SimulationConfig
 from repro.sim.events import EventKind
 from repro.sim.scenarios import build_scenario
 from repro.sim.simulator import Simulator
@@ -131,3 +133,55 @@ class TestOpenAttackIntervalClosed:
         )
         assert started.step_index < ended.step_index
         assert ended.step_index == result.steps_executed
+
+
+def _parked_ahead_scenario():
+    """A stationary vehicle 30 m ahead: the planner brakes at its 6 m/s^2."""
+    scenario = build_scenario("DS-1")
+    ego = scenario.world.ego
+    _move_target(scenario, ego.position.x + 30.0, ego.position.y)
+    return scenario
+
+
+class TestEgoLimitsFromConfig:
+    """``simulation.max_decel_mps2`` / ``max_accel_mps2`` bound the ego on
+    both engines (the ego once clamped with its own defaults, 6 and 2)."""
+
+    CASES = {
+        # The planner brakes at 6 m/s^2 for the parked car; capped at 3 the
+        # ego no longer stops in time.
+        "decel": (_parked_ahead_scenario, SimulationConfig(max_decel_mps2=3.0)),
+        # The planner accelerates at up to 1.2 m/s^2 after the pedestrian.
+        "accel": (lambda: build_scenario("DS-2"), SimulationConfig(max_accel_mps2=0.5)),
+    }
+
+    @staticmethod
+    def _run(make_scenario, config, engine):
+        scenario = make_scenario()
+        ads = build_ads_agent(scenario, np.random.default_rng(_ADS_SEED))
+        rng = np.random.default_rng(_SIM_SEED)
+        if engine == "scalar":
+            return Simulator(scenario, ads, config=config, rng=rng).run()
+        return BatchSimulator(
+            [BatchRunSpec(scenario=scenario, ads=ads, rng=rng)], config=config
+        ).run()[0]
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_config_limits_bind_on_both_engines(self, case):
+        make_scenario, limits = self.CASES[case]
+        default = self._run(make_scenario, SimulationConfig(), "scalar")
+        scalar = self._run(make_scenario, limits, "scalar")
+        batch = self._run(make_scenario, limits, "batch")
+        # Every step's speed change stays inside the configured limits...
+        changes = np.diff(scalar.events.ego_speed_trace) / limits.dt
+        assert changes.min() >= -limits.max_decel_mps2 - 1e-9
+        assert changes.max() <= limits.max_accel_mps2 + 1e-9
+        # ...which the planner asked to exceed, so the run differs...
+        assert scalar.events.ego_speed_trace != default.events.ego_speed_trace
+        # ...and the engines agree bit for bit.
+        assert scalar.events.true_delta_trace == batch.events.true_delta_trace
+        assert scalar.events.perceived_delta_trace == batch.events.perceived_delta_trace
+        assert scalar.events.ego_speed_trace == batch.events.ego_speed_trace
+        assert _kinds(scalar) == _kinds(batch)
+        assert scalar.final_snapshot.ego.position == batch.final_snapshot.ego.position
+        assert scalar.final_snapshot.ego.velocity == batch.final_snapshot.ego.velocity
