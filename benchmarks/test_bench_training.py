@@ -4,9 +4,11 @@ Times the same scripted-attack collection grid through the
 :class:`~repro.runtime.executor.SerialExecutor` and a 4-worker
 :class:`~repro.runtime.executor.ParallelExecutor`, asserts the assembled
 datasets are bit-identical (the training pipeline's core invariant), and
-records the wall-clock speedup.  The >= 2x speedup assertion only applies
-where the hardware can deliver it (>= 4 usable CPUs); on smaller machines the
-speedup is still measured and printed.
+records the wall-clock speedup.  Collection runs its grid points as lockstep
+batch lanes: the serial arm runs the 36 points as two chunks (32 + 4 lanes)
+in one process, the parallel arm as four 9-lane chunks, one per worker.  The
+>= 2x speedup assertion only applies where the hardware can deliver it (>= 4
+usable CPUs); on smaller machines the speedup is still measured and printed.
 """
 
 from __future__ import annotations

@@ -18,17 +18,21 @@ the label:
 The collected dataset is used to train the 100-100-50 ReLU network with Adam
 on an L2 loss with a 60/40 train/validation split, exactly as in the paper.
 
-Collection is the last expensive serial hot path of the reproduction, and it
-is embarrassingly parallel: every ``(delta_inject, k)`` grid point's scenario
-variation and RNG seeds are pre-drawn in grid order from the root seed's
-single stream (cheap, no simulation) and shipped with the job, so
-:func:`collect_safety_dataset` fans the grid out over the
-:mod:`repro.runtime` executors (``executor=``) with bit-identical
-serial/parallel dataset assembly — and datasets identical to the historical
-serial implementation, keeping trained oracle weights stable across the
-refactor.  With a ``store=`` the collected sample
-batches stream into the :class:`~repro.experiments.store.ExperimentStore` as
-dataset records, and an interrupted collection resumes by skipping the grid
+Every ``(delta_inject, k)`` grid point's scenario variation and RNG seeds are
+pre-drawn in grid order from the root seed's single stream (cheap, no
+simulation) and shipped with the point's job.  :func:`collect_safety_dataset`
+cuts the pending jobs, in grid order, into chunks by the campaign runner's
+rule (:func:`~repro.runtime.executor.chunked`), runs each chunk as the lanes
+of one :class:`~repro.sim.batch.BatchSimulator`, and spreads the chunks over
+the :mod:`repro.runtime` executors (``executor=``).  The batch engine is
+bit-identical to the reference :class:`~repro.sim.simulator.Simulator` and
+the dataset is assembled in grid order, so it depends on neither the backend
+nor the chunking; the golden dataset digests in
+``tests/core/test_training_pipeline.py`` were pinned on the reference loop,
+and trained oracle weights stay stable artifacts.  With a ``store=`` each
+chunk's sample batches stream into the
+:class:`~repro.experiments.store.ExperimentStore` as dataset records as the
+chunk lands, and an interrupted collection resumes by skipping the grid
 points already on disk.  :func:`train_and_register_predictor` chains
 collection, training, and persistence into the content-addressed model
 registry (dataset hash + training config), which is what the
@@ -56,11 +60,11 @@ from repro.nn import Adam, FeedForwardNetwork, TrainingResult, train_network
 from repro.perception.pipeline import PerceptionConfig
 from repro.perception.transforms import WorldObjectEstimate
 from repro.runtime.cache import encode_key
-from repro.runtime.executor import ExecutorLike, resolve_executor
+from repro.runtime.executor import ExecutorLike, chunked, resolve_executor
 from repro.sim.config import SimulationConfig
 from repro.sim.road import Road
-from repro.sim.scenarios import ScenarioVariation, build_scenario
-from repro.sim.simulator import SimulationResult, Simulator
+from repro.sim.scenarios import DrivingScenario, ScenarioVariation, build_scenario
+from repro.sim.simulator import SimulationResult
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only (store imports nothing here)
     from repro.experiments.store import ExperimentStore
@@ -222,13 +226,12 @@ def expand_training_grid(
 
 @dataclass(frozen=True)
 class _GridPointJob:
-    """One self-contained collection work unit (picklable for the executors).
+    """One grid point of a collection: what its batch lane is built from.
 
     The variation and the three per-component seeds are pre-drawn in the
-    parent process, in grid order, from the single root RNG stream — exactly
-    the draws the historical serial loop made — so the assembled dataset is
-    bit-identical whichever backend runs the jobs *and* to datasets collected
-    before the fan-out existed (trained oracle weights are stable artifacts).
+    parent process, in grid order, from the single root RNG stream, so a
+    point's samples do not depend on which chunk, lane or worker process
+    runs it (chunks of jobs are pickled to process workers).
     """
 
     point_index: int
@@ -267,20 +270,11 @@ def _expand_jobs(
     return jobs
 
 
-def _collect_grid_point(
-    scenario_id: str,
-    vector: AttackVector,
-    simulation_config: SimulationConfig,
-    job: _GridPointJob,
-) -> Tuple[int, List[List[float]], List[float]]:
-    """Simulate one scripted-attack grid point (the parallel work unit).
-
-    Returns the point's sample rows; both lists are empty when the scripted
-    attack never fired.
-    """
-    point_index = job.point_index
-    delta_inject = job.delta_inject_m
-    k_frames = job.k_frames
+def _build_grid_point(
+    scenario_id: str, vector: AttackVector, job: _GridPointJob
+) -> Tuple[DrivingScenario, AdsAgent, ScriptedAttacker, np.random.Generator]:
+    """One grid point's scenario, victim agent, scripted attacker and
+    simulator generator, built from the job's pre-drawn variation and seeds."""
     scenario = build_scenario(scenario_id, job.variation)
     # Degraded-sensing scenarios (e.g. DS-7's fog) must train under the
     # same detector the campaign evaluates with, or the oracle is
@@ -302,28 +296,56 @@ def _collect_grid_point(
     attacker = ScriptedAttacker(
         road=scenario.road,
         vector=vector,
-        delta_inject_m=delta_inject,
-        k_frames=k_frames,
+        delta_inject_m=job.delta_inject_m,
+        k_frames=job.k_frames,
         config=attacker_config,
         rng=np.random.default_rng(job.attacker_seed),
     )
-    simulator = Simulator(
-        scenario,
-        ads,
-        config=simulation_config,
-        attacker=attacker,
-        rng=np.random.default_rng(job.simulator_seed),
-    )
-    result = simulator.run()
-    label = _label_for_run(vector, result, attacker, k_frames)
+    return scenario, ads, attacker, np.random.default_rng(job.simulator_seed)
+
+
+def _point_samples(
+    vector: AttackVector,
+    job: _GridPointJob,
+    result: SimulationResult,
+    attacker: ScriptedAttacker,
+) -> Tuple[int, List[List[float]], List[float]]:
+    """A finished grid point's sample rows; both lists are empty when the
+    scripted attack never fired."""
+    label = _label_for_run(vector, result, attacker, job.k_frames)
     features = attacker.record.features_at_launch
     if label is None or features is None:
-        return point_index, [], []
+        return job.point_index, [], []
     return (
-        point_index,
-        [[float(value) for value in features.as_array(k_frames)]],
+        job.point_index,
+        [[float(value) for value in features.as_array(job.k_frames)]],
         [float(label)],
     )
+
+
+def _collect_chunk(
+    scenario_id: str,
+    vector: AttackVector,
+    simulation_config: SimulationConfig,
+    jobs: Sequence[_GridPointJob],
+) -> List[Tuple[int, List[List[float]], List[float]]]:
+    """Simulate a chunk of grid points as the lanes of one batch (the work
+    item); returns every point's sample rows in chunk order."""
+    # sim.batch imports repro.core, so it cannot be imported at module level.
+    from repro.sim.batch import BatchRunSpec, BatchSimulator
+
+    lanes = [_build_grid_point(scenario_id, vector, job) for job in jobs]
+    results = BatchSimulator(
+        [
+            BatchRunSpec(scenario=scenario, ads=ads, attacker=attacker, rng=rng)
+            for scenario, ads, attacker, rng in lanes
+        ],
+        config=simulation_config,
+    ).run()
+    return [
+        _point_samples(vector, job, result, attacker)
+        for job, (_, _, attacker, _), result in zip(jobs, lanes, results)
+    ]
 
 
 def collection_hash_for(
@@ -370,14 +392,20 @@ def collect_safety_dataset(
     Each ``(delta_inject, k)`` grid point is simulated ``repeats`` times with
     independently randomized scenario variations.  Every grid point's
     variation and seeds are pre-drawn in grid order from the root seed's
-    single RNG stream, so the assembled dataset is bit-identical whichever
-    ``executor`` fans the points out — and identical to the historical serial
-    implementation (trained oracle weights are stable artifacts).  With a
-    ``store=`` (an :class:`~repro.experiments.store.ExperimentStore` or its
-    root path) each point's sample batch is durably recorded as it completes
-    and already-stored points are skipped on restart — an interrupted
-    collection resumes instead of recomputing.
+    single RNG stream, and the pending points run in grid-order chunks of at
+    most :data:`~repro.sim.batch.DEFAULT_BATCH_SIZE` lockstep batch lanes,
+    narrowed so every worker of ``executor`` gets a chunk.  The assembled
+    dataset is bit-identical whichever ``executor`` runs the chunks, and to
+    the reference scalar loop (trained oracle weights are stable artifacts).
+    With a ``store=`` (an :class:`~repro.experiments.store.ExperimentStore`
+    or its root path) each point's sample batch is durably recorded as its
+    chunk lands and already-stored points are skipped on restart — an
+    interrupted collection loses at most the chunks in flight and resumes
+    instead of recomputing.
     """
+    # sim.batch imports repro.core, so it cannot be imported at module level.
+    from repro.sim.batch import DEFAULT_BATCH_SIZE
+
     grid = _expand_jobs(delta_inject_values, k_values, seed, repeats)
     simulation_config = simulation_config or SimulationConfig()
     resolved_store = _resolve_store(store)
@@ -404,21 +432,21 @@ def collect_safety_dataset(
     else:
         collection_hash_ = None
         pending = grid
-    worker = functools.partial(
-        _collect_grid_point, scenario_id, vector, simulation_config
-    )
+    worker = functools.partial(_collect_chunk, scenario_id, vector, simulation_config)
     resolved = resolve_executor(executor)
     try:
-        # Streaming fan-out: each completed point is checkpointed (store path)
-        # or staged (in-memory path) as it lands, so a killed collection loses
-        # at most the points in flight.
-        for _, (point_index, input_rows, target_rows) in resolved.imap(worker, pending):
-            if resolved_store is not None:
-                resolved_store.append_dataset_point(
-                    collection_hash_, point_index, input_rows, target_rows
-                )
-            else:
-                collected[point_index] = (input_rows, target_rows)
+        # Streaming fan-out: each completed chunk's points are checkpointed
+        # (store path) or staged (in-memory path) as the chunk lands, so a
+        # killed collection loses at most the chunks in flight.
+        chunks = chunked(pending, DEFAULT_BATCH_SIZE, resolved)
+        for _, points in resolved.imap(worker, chunks):
+            for point_index, input_rows, target_rows in points:
+                if resolved_store is not None:
+                    resolved_store.append_dataset_point(
+                        collection_hash_, point_index, input_rows, target_rows
+                    )
+                else:
+                    collected[point_index] = (input_rows, target_rows)
     finally:
         if resolved is not executor:
             resolved.close()

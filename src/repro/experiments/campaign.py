@@ -23,7 +23,6 @@ from __future__ import annotations
 import dataclasses
 import enum
 import functools
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -54,8 +53,9 @@ from repro.perception.detection import DetectorDegradation
 from repro.perception.fusion import DEFAULT_FUSION_POLICY, FusionConfig
 from repro.perception.pipeline import PerceptionConfig
 from repro.sim.actors import ActorKind
-from repro.runtime import Executor, ExecutorLike, resolve_executor
+from repro.runtime import ExecutorLike, chunked, resolve_executor
 from repro.runtime.cache import encode_key
+from repro.sim.batch import DEFAULT_BATCH_SIZE, BatchRunSpec, BatchSimulator
 from repro.sim.config import SimulationConfig
 from repro.sim.scenarios import DrivingScenario, ScenarioVariation, build_scenario
 from repro.sim.simulator import SimulationResult, Simulator
@@ -619,11 +619,6 @@ def run_single_experiment(
 
 #: The simulation engine campaigns, sweeps and searches run on by default.
 DEFAULT_ENGINE = "batch"
-#: Most lanes per :class:`~repro.sim.batch.BatchSimulator` when
-#: ``engine="batch"``: the work item and the durable chunk.  A default 30-run
-#: campaign is one chunk; a wider chunk would still step in lockstep groups of
-#: at most :data:`~repro.sim.batch.LOCKSTEP_LANES`.
-DEFAULT_BATCH_SIZE = 32
 
 
 def _validate_engine(engine: str, batch_size: int) -> None:
@@ -631,16 +626,6 @@ def _validate_engine(engine: str, batch_size: int) -> None:
         raise ValueError(f"unknown engine {engine!r}: expected 'scalar' or 'batch'")
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
-
-
-def _chunked(
-    indices: Sequence[int], batch_size: int, executor: Executor
-) -> List[List[int]]:
-    """Lockstep chunks of ``indices``, ``min(batch_size, ceil(n / workers))``
-    wide, so every worker of ``executor`` gets a chunk when there are enough
-    runs."""
-    width = min(batch_size, math.ceil(len(indices) / executor.workers))
-    return [list(indices[start:start + width]) for start in range(0, len(indices), width)]
 
 
 def _run_batch_chunk(
@@ -655,8 +640,6 @@ def _run_batch_chunk(
     produces are interchangeable with ``run_single_experiment_record`` output
     — same cache keys, same store layout, same statistics.
     """
-    from repro.sim.batch import BatchRunSpec, BatchSimulator
-
     setups = [
         _build_run_setup(config, run_index, predictor=predictor)
         for run_index in run_indices
@@ -734,7 +717,7 @@ def _run_campaign_checkpointed(
             predictor = _prepare_predictor(config, store=store, executor=resolved)
             if engine == "batch":
                 worker = functools.partial(_run_batch_chunk, config, predictor=predictor)
-                chunks = _chunked(pending, batch_size, resolved)
+                chunks = chunked(pending, batch_size, resolved)
                 for _, records in resolved.imap(worker, chunks):
                     for record in records:
                         store.append(record)
@@ -803,7 +786,7 @@ def run_campaign(
         if engine == "batch":
             record_chunks = resolved.map(
                 functools.partial(_run_batch_chunk, config, predictor=predictor),
-                _chunked(range(config.n_runs), batch_size, resolved),
+                chunked(range(config.n_runs), batch_size, resolved),
             )
             runs = [record.result for chunk in record_chunks for record in chunk]
         else:

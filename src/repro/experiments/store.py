@@ -39,14 +39,14 @@ Store layout::
 
 The *dataset* records are the second record kind: the safety-hijacker
 training pipeline streams each ``(delta_inject, k)`` grid point's collected
-sample batch into ``datasets/<collection_hash>.jsonl`` as it completes, so an
-interrupted collection resumes by skipping the stored point indices — the
-same crash/resume discipline as campaign runs.  The *model registry* is
-content-addressed: a trained predictor lives under the SHA-256 of its
-(dataset content hash, training config) pair, and ``models/index/`` maps the
-hash of the *specification* (scenario, vector, grids, seeds, epochs) to that
-model so campaign processes can load a pretrained oracle without ever
-touching the dataset.
+sample batch into ``datasets/<collection_hash>.jsonl`` as its batch chunk
+completes, so an interrupted collection resumes by skipping the stored point
+indices — the same crash/resume discipline as campaign runs.  The *model
+registry* is content-addressed: a trained predictor lives under the SHA-256
+of its (dataset content hash, training config) pair, and ``models/index/``
+maps the hash of the *specification* (scenario, vector, grids, seeds, epochs)
+to that model so campaign processes can load a pretrained oracle without
+ever touching the dataset.
 
 Every consumer reads stored runs as :class:`RunRecord` objects through one
 load/query API (:meth:`ExperimentStore.load_records`,

@@ -27,6 +27,7 @@ from repro.runtime.executor import (
     ParallelExecutor,
     SerialExecutor,
     available_cpus,
+    chunked,
     resolve_executor,
 )
 from repro.runtime.registry import Registry, RegistryError
@@ -39,6 +40,7 @@ __all__ = [
     "ParallelExecutor",
     "SerialExecutor",
     "available_cpus",
+    "chunked",
     "resolve_executor",
     "Registry",
     "RegistryError",

@@ -279,10 +279,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="collect, train, and persist the safety-hijacker oracle",
         description=(
             "Run the end-to-end training pipeline for one (scenario, vector) "
-            "pair: fan the scripted-attack collection grid out over worker "
-            "processes (resumable via the store's dataset records), train the "
-            "paper's 100-100-50 oracle, and publish it into the store's "
-            "content-addressed model registry for later campaigns to load."
+            "pair: run the scripted-attack collection grid as lockstep batch "
+            "chunks spread over worker processes (resumable via the store's "
+            "dataset records), train the paper's 100-100-50 oracle, and "
+            "publish it into the store's content-addressed model registry for "
+            "later campaigns to load."
         ),
     )
     _add_campaign_args(train, ("scenario", "vector", "seed"), seed=7, vector_required=True)

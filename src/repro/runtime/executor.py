@@ -16,6 +16,7 @@ Worker functions must be picklable (module-level callables or
 from __future__ import annotations
 
 import abc
+import math
 import multiprocessing
 import os
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -41,6 +42,7 @@ __all__ = [
     "ExecutorLike",
     "resolve_executor",
     "available_cpus",
+    "chunked",
 ]
 
 T = TypeVar("T")
@@ -91,6 +93,16 @@ class Executor(abc.ABC):
 
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
+
+
+def chunked(items: Sequence[T], max_size: int, executor: Executor) -> List[List[T]]:
+    """Consecutive chunks of ``items``, ``min(max_size, ceil(n / workers))``
+    wide, so every worker of ``executor`` gets a chunk when there are enough
+    items."""
+    if not items:
+        return []
+    width = min(max_size, math.ceil(len(items) / executor.workers))
+    return [list(items[start:start + width]) for start in range(0, len(items), width)]
 
 
 class SerialExecutor(Executor):

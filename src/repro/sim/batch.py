@@ -83,9 +83,10 @@ blend weights).  A lane whose policy has its own ``step`` — a third-party
 Attackers
 ---------
 
-RoboTack and its baselines (:class:`CameraMitmAttackerBase` with the stock
-frame hook and a fresh, stock :class:`PerceptionSystem` replica) run their
-camera-only replica in lockstep too: the lane calls the replica's own
+RoboTack, its baselines and the scripted attacker that collects the oracle's
+training data (:class:`CameraMitmAttackerBase` with the stock frame hook and
+a fresh, stock :class:`PerceptionSystem` replica) run their camera-only
+replica in lockstep too: the lane calls the replica's own
 detector, tracker and transform cores (its fusion stage is skipped because
 the attacker reads only world estimates), and the replica's tracker joins the
 shared pool.  The attacker's frame hook is called in its two halves around
@@ -141,6 +142,12 @@ __all__ = ["BatchRunSpec", "BatchSimulator"]
 #: one predict and one update, whatever their width): ~3% of a 64-lane step
 #: here, which bounds what grouping can cost a host with a larger cache.
 LOCKSTEP_LANES = 64
+#: Most lanes per :class:`BatchSimulator` in the campaign runner and the
+#: oracle's dataset collection: the work item and the durable chunk.  A
+#: default 30-run campaign is one chunk; a wider chunk would still step in
+#: lockstep groups of at most :data:`LOCKSTEP_LANES`.
+DEFAULT_BATCH_SIZE = 32
+
 
 def _batched_replica(attacker: Optional[CameraAttacker]) -> Optional[PerceptionSystem]:
     """The attacker's replica when the batch engine can run it in lockstep.

@@ -1,7 +1,9 @@
 """Tests for the parallel, store-backed oracle training pipeline.
 
-Covers the pipeline's three contracts:
+Covers the pipeline's contracts:
 
+* collected datasets match golden digests pinned on the scalar reference
+  loop, before collection moved to the batch engine;
 * serial, parallel, and store-assembled dataset collection are bit-identical
   (per-point seeding + grid-order assembly);
 * an interrupted collection resumes from the store's dataset records and
@@ -70,6 +72,31 @@ class TestGridExpansion:
             expand_training_grid((1.0,), (1,), repeats=0)
 
 
+#: ``dataset_content_hash`` of ``collect_safety_dataset(..., seed=17,
+#: repeats=1)``, computed on the scalar ``Simulator`` loop before collection
+#: ran on the batch engine.  The last grid's -100 m trigger never fires, so
+#: that dataset holds one sample.
+_GOLDEN_DATASETS = {
+    "DS-2-Disappear": ("DS-2", AttackVector.DISAPPEAR, (55.0, 30.0), (10, 28),
+                       "056ab587795de474d78557505d7ee4a0383468146085f45563026a95dacb7a3a"),
+    "DS-1-Move_Out": ("DS-1", AttackVector.MOVE_OUT, (28.0, 12.0), (30, 58),
+                      "5bc4e53faec269372c1bf382a9d9a1fcd8270d6afff59321581995061848a444"),
+    "DS-3-Move_In": ("DS-3", AttackVector.MOVE_IN, (20.0, 0.0), (12, 55),
+                     "b561fbd90bc1dfcc2cdd069e970c17f941866b36c1d1f34eb31d5722ca4d4bac"),
+    "DS-7-Disappear": ("DS-7", AttackVector.DISAPPEAR, (45.0, 22.0), (10, 28),
+                       "55fd99113ce704f81c1a9f0c6caba3b0985026e0eaba47fc6aa9b107ff9887aa"),
+    "DS-2-Disappear-unreached": ("DS-2", AttackVector.DISAPPEAR, (55.0, -100.0), (10,),
+                                 "b9b0112c3852f377063ef1b41722229111b4ecc3a66d1aaeec96d598615a3c65"),
+}
+
+
+@pytest.mark.parametrize("case", list(_GOLDEN_DATASETS))
+def test_collected_dataset_matches_golden_digest(case):
+    scenario_id, vector, deltas, ks, digest = _GOLDEN_DATASETS[case]
+    dataset = collect_safety_dataset(scenario_id, vector, deltas, ks, seed=17, repeats=1)
+    assert dataset_content_hash(dataset) == digest
+
+
 class TestParallelCollection:
     def test_parallel_collection_bit_identical_to_serial(self):
         serial = _collect()
@@ -101,8 +128,14 @@ class TestParallelCollection:
     def test_interrupted_collection_resumes_bit_identical(self, tmp_path):
         clean = _collect()
         store = ExperimentStore(tmp_path)
-        with pytest.raises(InjectedFault):
-            _collect(store=store, executor=FaultInjectingExecutor(2))
+        # Work items are chunks: two workers split the 4 points into two
+        # 2-point chunks, and the fault lands after the first one.
+        executor = FaultInjectingExecutor(1, inner=ParallelExecutor(max_workers=2))
+        try:
+            with pytest.raises(InjectedFault):
+                _collect(store=store, executor=executor)
+        finally:
+            executor.close()
         collection_hash_ = collection_hash_for(
             _SCENARIO, _VECTOR, _DELTAS, _KS, seed=17, repeats=1
         )
@@ -111,8 +144,11 @@ class TestParallelCollection:
 
         resumed = _collect(store=store)
         assert_datasets_identical(resumed, clean)
-        # The resume recomputed only the missing points; all are now stored.
+        # The resume recomputed only the missing points; all are now stored,
+        # each appended once.
         assert store.dataset_point_indices(collection_hash_) == set(range(4))
+        (log,) = tmp_path.glob("datasets/*.jsonl")
+        assert len(log.read_text().splitlines()) == 4
 
     def test_completed_collection_runs_nothing_on_reload(self, tmp_path):
         store = ExperimentStore(tmp_path)

@@ -11,6 +11,7 @@ from repro.runtime.executor import (
     ParallelExecutor,
     SerialExecutor,
     available_cpus,
+    chunked,
     resolve_executor,
 )
 
@@ -142,6 +143,23 @@ class TestParallelExecutor:
 
 def _pid(_: int) -> int:
     return os.getpid()
+
+
+class TestChunked:
+    def test_chunks_are_consecutive_and_at_most_max_size(self):
+        assert chunked(range(10), 4, SerialExecutor()) == [
+            [0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
+        assert chunked(range(10), 32, SerialExecutor()) == [list(range(10))]
+
+    def test_chunks_narrow_so_every_worker_gets_one(self):
+        executor = ParallelExecutor(max_workers=4)  # no pool until a map
+        assert chunked(range(10), 32, executor) == [
+            [0, 1, 2], [3, 4, 5], [6, 7, 8], [9]]
+        assert chunked(range(10), 2, executor) == [[0, 1], [2, 3], [4, 5], [6, 7], [8, 9]]
+        assert chunked(range(2), 32, FaultInjectingExecutor(1, inner=executor)) == [[0], [1]]
+
+    def test_empty_input(self):
+        assert chunked([], 32, SerialExecutor()) == []
 
 
 class TestResolveExecutor:

@@ -23,6 +23,7 @@ import pytest
 
 from repro.core.attack_vectors import AttackVector
 from repro.core.safety_hijacker import KinematicSafetyPredictor
+from repro.core.training import _build_grid_point, _expand_jobs, _point_samples
 from repro.experiments.campaign import (
     AttackerKind,
     CampaignConfig,
@@ -520,6 +521,55 @@ class _ProtocolOnlyAttacker:
         return self.inner.record
 
 
+#: The oracle's training-collection lanes (scripted attacks), as
+#: (scenario, vector, delta_inject, k).  Each is the first point of its
+#: golden collection grid in ``tests/core/test_training_pipeline.py``.  A
+#: 200 m trigger is above any reachable delta, so the attack launches on the
+#: first matched target; a -100 m trigger is never reached.
+_SCRIPTED_CASES = {
+    "DS-2-Disappear": ("DS-2", AttackVector.DISAPPEAR, 55.0, 10),
+    "DS-1-Move_Out": ("DS-1", AttackVector.MOVE_OUT, 28.0, 30),
+    "DS-3-Move_In": ("DS-3", AttackVector.MOVE_IN, 20.0, 12),
+    "DS-7-Disappear-degraded": ("DS-7", AttackVector.DISAPPEAR, 45.0, 10),
+    "DS-3-Move_In-trigger_200m": ("DS-3", AttackVector.MOVE_IN, 200.0, 12),
+    "DS-2-Disappear-trigger_-100m": ("DS-2", AttackVector.DISAPPEAR, -100.0, 10),
+}
+_COLLECTION_SEED = 17
+
+
+def _scripted_lane(case):
+    """One collection grid point, built by the training module's own per-job
+    setup (same constructors, same seeds); logs the target lookups and every
+    scenario-matcher verdict with the frame it was made on."""
+    scenario_id, vector, delta_inject, k_frames = _SCRIPTED_CASES[case]
+    (job,) = _expand_jobs((delta_inject,), (k_frames,), _COLLECTION_SEED, repeats=1)
+    scenario, ads, attacker, rng = _build_grid_point(scenario_id, vector, job)
+    lookups = _log_target_lookups(attacker)
+    matches = []
+    match = attacker.scenario_matcher.match
+
+    def logged(estimate):
+        verdict = match(estimate)
+        matches.append((attacker._frame_count, verdict))
+        return verdict
+
+    attacker.scenario_matcher.match = logged
+    return job, scenario, ads, attacker, rng, lookups, matches
+
+
+@pytest.fixture(scope="module")
+def scripted_batch():
+    """Every scripted-attack case as the lanes of one batch, by case name."""
+    lanes = [_scripted_lane(case) for case in _SCRIPTED_CASES]
+    simulator = BatchSimulator([
+        BatchRunSpec(scenario=scenario, ads=ads, attacker=attacker, rng=rng)
+        for _, scenario, ads, attacker, rng, _, _ in lanes
+    ])
+    results = simulator.run()
+    _assert_pool_free(simulator)
+    return dict(zip(_SCRIPTED_CASES, zip(results, lanes)))
+
+
 class TestAttackedScalarBatchEquivalence:
     """RoboTack and its baselines on the batch engine: traces, events, the
     attack record and every target-track lookup of the trajectory hijacker
@@ -627,3 +677,35 @@ class TestAttackedScalarBatchEquivalence:
         if variant == "overridden_hook":
             for result, attacker, _ in batch:
                 assert attacker.frames_seen == result.steps_executed
+
+    @pytest.mark.parametrize("case", list(_SCRIPTED_CASES))
+    def test_scripted_attack_lane_matches_scalar(self, scripted_batch, case):
+        """A training-collection lane, run alone on the scalar loop, matches
+        its lane in the batch of all cases: traces, events, attack record,
+        target lookups, matcher verdicts and the collected sample."""
+        vector = _SCRIPTED_CASES[case][1]
+        job, scenario, ads, attacker, rng, lookups, matches = _scripted_lane(case)
+        if case.startswith("DS-7"):  # the fog detector reaches the attacker
+            assert scenario.detector_config is not None
+            assert attacker.config.perception.detector == scenario.detector_config
+        result = Simulator(scenario, ads, attacker=attacker, rng=rng).run()
+        b_result, (_, _, _, b_attacker, _, b_lookups, b_matches) = scripted_batch[case]
+        _assert_attacked_identical([(result, attacker, lookups)],
+                                   [(b_result, b_attacker, b_lookups)])
+        assert matches == b_matches
+        # What the collected sample reads: the label and the launch features.
+        samples = _point_samples(vector, job, b_result, b_attacker)
+        assert repr(_point_samples(vector, job, result, attacker)) == repr(samples)
+        record = b_attacker.record
+        for field in ("start_frame", "features_at_launch", "frames_perturbed",
+                      "shift_frames_k_prime"):
+            assert repr(getattr(attacker.record, field)) == repr(getattr(record, field))
+
+        matched = [frame for frame, verdict in b_matches if verdict is vector]
+        assert matched, "the target must reach the scenario matcher"
+        if case.endswith("_-100m"):
+            assert not record.launched and samples[1:] == ([], [])
+        else:
+            assert record.launched and record.frames_perturbed and samples[2]
+        if case.endswith("_200m"):
+            assert record.start_frame == matched[0]
