@@ -10,10 +10,14 @@ Pins the three loop-level guarantees (in both engines where applicable):
 * a run that ends (duration elapsed or collision halt) while an attack is
   still active closes the interval with a final ``ATTACK_ENDED`` event;
 * the run's ``SimulationConfig`` sets the ego's acceleration limits.
+
+Each run here is also pinned as a :class:`GoldenDigest` computed by the
+scalar loop (``GOLDEN_LOOP``), which both engines must match.
 """
 
 import numpy as np
 import pytest
+from test_golden_traces import GoldenDigest
 
 from repro.experiments.campaign import build_ads_agent
 from repro.geometry import Vec2
@@ -71,6 +75,55 @@ def _kinds(result):
     return [(event.kind, event.step_index) for event in result.events.events]
 
 
+#: The runs below per case, computed by the scalar loop.
+GOLDEN_LOOP = {
+    "impact": GoldenDigest(
+        steps=7, min_delta_m=-22.544, final_speed_mps=10.765,
+        events=(("emergency_brake", 2), ("collision", 7), ("simulation_halted", 7)),
+        traces_sha256="6258659104674341a2cf89da8e61af4fb15388d9896e4ce9772f042bbb70705b",
+    ),
+    "open_attack": GoldenDigest(
+        steps=525, min_delta_m=9.821, final_speed_mps=6.95,
+        events=(("attack_started", 0), ("attack_ended", 525)),
+        traces_sha256="98cca44a4ef235054d6f45a07453c0bc17b9c9fa2fce654c6bd3b2ad69dadd19",
+    ),
+    ("accel", "default"): GoldenDigest(
+        steps=375, min_delta_m=12.536, final_speed_mps=12.579,
+        events=(),
+        traces_sha256="c11e245b9300bf9d18de010caaad62a1eff34dc028f7e024c4e781733c3b8884",
+    ),
+    ("accel", "limits"): GoldenDigest(
+        steps=375, min_delta_m=12.536, final_speed_mps=12.572,
+        events=(),
+        traces_sha256="ef6046c95e171e228b3f2b5c5ae50207f216f86eb966ea09c02370087d7d93f9",
+    ),
+    ("decel", "default"): GoldenDigest(
+        steps=525, min_delta_m=-2.544, final_speed_mps=0.0,
+        events=(
+            ("emergency_brake", 2),
+            ("emergency_brake", 68),
+            ("emergency_brake", 110),
+            ("emergency_brake", 129),
+            ("emergency_brake", 151),
+            ("emergency_brake", 176),
+            ("emergency_brake", 201),
+            ("emergency_brake", 230),
+        ),
+        traces_sha256="5687495bf1f7d677783e129af732646c1cb0172aa9298d9ef8e8dc2d63febbce",
+    ),
+    ("decel", "limits"): GoldenDigest(
+        steps=46, min_delta_m=-2.544, final_speed_mps=3.721,
+        events=(("emergency_brake", 2), ("collision", 46), ("simulation_halted", 46)),
+        traces_sha256="c41b22ed1008fa4b474e1e1c9f1f1fee715192b9c733ee586472371e56dfcd6a",
+    ),
+}
+
+
+def _assert_golden(result, key):
+    digest = GoldenDigest.of(result)
+    assert digest == GOLDEN_LOOP[key], f"{key}: expected {GOLDEN_LOOP[key]}, got {digest}"
+
+
 class TestSpawnOverlapHalt:
     def test_scalar_halts_at_step_zero(self):
         scenario = _overlap_scenario()
@@ -95,6 +148,7 @@ class TestCollisionStepTraceEntry:
             result = BatchSimulator(
                 [BatchRunSpec(scenario=scenario, ads=ads, rng=rng)]
             ).run()[0]
+        _assert_golden(result, "impact")
         assert result.halted_on_collision
         assert result.steps_executed > 0
         # One trace entry per pre-step snapshot plus one for the impact
@@ -120,6 +174,7 @@ class TestOpenAttackIntervalClosed:
             result = BatchSimulator(
                 [BatchRunSpec(scenario=scenario, ads=ads, attacker=attacker, rng=rng)]
             ).run()[0]
+        _assert_golden(result, "open_attack")
         kinds = [event.kind for event in result.events.events]
         assert kinds.count(EventKind.ATTACK_STARTED) == 1
         assert kinds.count(EventKind.ATTACK_ENDED) == 1
@@ -172,6 +227,9 @@ class TestEgoLimitsFromConfig:
         default = self._run(make_scenario, SimulationConfig(), "scalar")
         scalar = self._run(make_scenario, limits, "scalar")
         batch = self._run(make_scenario, limits, "batch")
+        _assert_golden(default, (case, "default"))
+        _assert_golden(scalar, (case, "limits"))
+        _assert_golden(batch, (case, "limits"))
         # Every step's speed change stays inside the configured limits...
         changes = np.diff(scalar.events.ego_speed_trace) / limits.dt
         assert changes.min() >= -limits.max_decel_mps2 - 1e-9
