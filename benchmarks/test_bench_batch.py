@@ -1,18 +1,19 @@
-"""Micro-benchmark: scalar vs. vectorized batch simulation throughput.
+"""Micro-benchmark: one-lane vs. wide lockstep batch simulation throughput.
 
-Times the reference :class:`~repro.sim.simulator.Simulator` against the
-lockstep :class:`~repro.sim.batch.BatchSimulator` on identically-seeded DS-1
-runs, printing runs/sec at every batch width N in {1, 16, 64, 256} so the
-perf trajectory is recorded in BENCH output.  The within-process speedup
-comes from amortizing the per-step interpreter overhead (stacked Kalman
-algebra, one lockstep loop) across lanes and is orthogonal to ``--jobs``
-process fan-out: campaigns compose both (``engine="batch"`` + ``--jobs``).
+Times one-lane runs (:meth:`~repro.sim.simulator.Simulator.run`) against
+wide lockstep :class:`~repro.sim.batch.BatchSimulator` batches on
+identically-seeded DS-1 runs, printing runs/sec at every batch width N in
+{1, 16, 64, 256} so the perf trajectory is recorded in BENCH output.  The
+within-process speedup comes from amortizing the per-step interpreter
+overhead (stacked Kalman algebra, one lockstep loop) across lanes and is
+orthogonal to ``--jobs`` process fan-out: campaigns compose both
+(``--batch-size`` + ``--jobs``).
 
 Two gates, both on medians of alternating sample pairs
 (:mod:`benchmarks.engine_speed`), so a host that changes speed mid-test does
 not decide them:
 
-* at N=64, the speedup over the scalar loop is at least ``MIN_SPEEDUP``
+* at N=64, the speedup over one-lane runs is at least ``MIN_SPEEDUP``
   (``engine_speed`` records how that bound was derived);
 * per-run throughput does not fall from N=64 to N=256: each N=256 sample is
   paired with the mean of the N=64 samples around it, and the median ratio
@@ -64,8 +65,8 @@ def test_bench_batch_engine_throughput():
     )
     wide_ratios = speedups(wide_pairs)
     wide_ratio = statistics.median(wide_ratios)
-    scalar_per_run = statistics.median(scalar for scalar, _ in pairs)
-    print(f"\nscalar    : {1.0 / scalar_per_run:8.1f} runs/sec")
+    one_lane_per_run = statistics.median(one_lane for one_lane, _ in pairs)
+    print(f"\none-lane  : {1.0 / one_lane_per_run:8.1f} runs/sec")
 
     for width in _WIDTHS:
         if width == _GATED_WIDTH:
@@ -74,11 +75,11 @@ def test_bench_batch_engine_throughput():
             note = f", median of {len(pairs)} pairs"
         elif width == _WIDE_WIDTH:
             per_run = statistics.median(wide for _, wide in wide_pairs)
-            speedup = scalar_per_run / per_run
+            speedup = one_lane_per_run / per_run
             note = f", median of {len(wide_pairs)} samples"
         else:
             per_run = batch_seconds_per_run(width)
-            speedup = scalar_per_run / per_run
+            speedup = one_lane_per_run / per_run
             note = ""
         print(
             f"batch N={width:<4d}: {1.0 / per_run:8.1f} runs/sec "
@@ -91,7 +92,7 @@ def test_bench_batch_engine_throughput():
     failures = []
     if gated_speedup < MIN_SPEEDUP:
         failures.append(
-            f"expected >= {MIN_SPEEDUP}x runs/sec over the scalar loop at "
+            f"expected >= {MIN_SPEEDUP}x runs/sec over one-lane runs at "
             f"N={_GATED_WIDTH}, measured {gated_speedup:.2f}x"
         )
     if wide_ratio < MIN_WIDE_RATIO:

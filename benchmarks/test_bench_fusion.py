@@ -4,14 +4,14 @@ The fusion-policy refactor routed every batch lane's fusion step through
 ``_fuse_impl`` (bound per lane from the agent's policy) and widened the
 per-frame estimate tuples to carry track/actor identity for the new policy
 ports.  This benchmark pins that the default ``late`` policy still clears
-the batch engine's runs/sec bound over the scalar loop at N=64 — the
+the batch engine's runs/sec bound over one-lane runs at N=64 — the
 refactor must be free on the hot path — and records the throughput of the
 other built-in policies for the BENCH output.
 
 The bound (``MIN_SPEEDUP``) gates the median speedup over alternating
-scalar/batch sample pairs (:mod:`benchmarks.engine_speed`).  Like the other benchmarks,
-``REPRO_BENCH_STRICT=0`` demotes the assertion to a recorded metric for
-noisy shared runners.
+one-lane/batch sample pairs (:mod:`benchmarks.engine_speed`).  Like the other
+benchmarks, ``REPRO_BENCH_STRICT=0`` demotes the assertion to a recorded
+metric for noisy shared runners.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ def test_bench_fusion_policy_throughput():
     pairs = paired_seconds_per_run(_WIDTH, FusionConfig(policy="late"))
     ratios = speedups(pairs)
     late_speedup = statistics.median(ratios)
-    scalar_per_run = statistics.median(scalar for scalar, _ in pairs)
-    print(f"\nscalar late          : {1.0 / scalar_per_run:8.1f} runs/sec")
+    one_lane_per_run = statistics.median(one_lane for one_lane, _ in pairs)
+    print(f"\none-lane late        : {1.0 / one_lane_per_run:8.1f} runs/sec")
 
     for policy in list_fusion_policies():
         if policy == "late":
@@ -45,10 +45,10 @@ def test_bench_fusion_policy_throughput():
             speedup = late_speedup
         else:
             per_run = batch_seconds_per_run(_WIDTH, FusionConfig(policy=policy))
-            speedup = scalar_per_run / per_run
+            speedup = one_lane_per_run / per_run
         print(
             f"batch {policy:<15s}: {1.0 / per_run:8.1f} runs/sec "
-            f"(vs scalar late {speedup:.2f}x)"
+            f"(vs one-lane late {speedup:.2f}x)"
         )
     print("late per-pair speedups: " + " ".join(f"{r:.2f}" for r in ratios))
 
@@ -56,8 +56,8 @@ def test_bench_fusion_policy_throughput():
     strict = os.environ.get("REPRO_BENCH_STRICT", "1") != "0"
     if strict:
         assert late_speedup >= MIN_SPEEDUP, (
-            f"late-policy batch engine regressed below {MIN_SPEEDUP}x the "
-            f"scalar loop at N={_WIDTH}: measured {late_speedup:.2f}x"
+            f"late-policy batch engine regressed below {MIN_SPEEDUP}x "
+            f"one-lane runs at N={_WIDTH}: measured {late_speedup:.2f}x"
         )
     elif late_speedup < MIN_SPEEDUP:
         pytest.skip(

@@ -32,9 +32,16 @@ def test_bench_perception_pipeline_step(benchmark):
     camera, lidar = CameraSensor(), LidarSensor(rng=np.random.default_rng(0))
     system = PerceptionSystem(rng=np.random.default_rng(1))
     snapshot = scenario.world.snapshot()
-    frame, scan = camera.capture(snapshot), lidar.scan(snapshot)
+    frame, lidar_rows = camera.capture(snapshot), lidar.scan(snapshot).rows()
 
-    benchmark(system.process, frame, scan, 12.5)
+    def pipeline_step():
+        """Detect, track, transform and fuse one frame, as a hand-driven loop
+        does (``examples/pedestrian_crossing_attack.py``)."""
+        system.tracker.step(system.detector.detect(frame))
+        estimates = system.transform.estimate_rows(system.tracker.observed)
+        return system.fusion.fuse(estimates, lidar_rows, 12.5, system.config.frame_dt_s)
+
+    benchmark(pipeline_step)
 
 
 def test_bench_hungarian_assignment_10x10(benchmark):

@@ -76,11 +76,7 @@ def _search(sampler: str, store_root: Path) -> SearchResult:
         ),
     )
     clear_caches()
-    # The batch engine is bit-identical to the scalar loop, so the searches
-    # (and the gate) are the same; it only runs them faster.
-    loop = FalsificationLoop(
-        spec, ExperimentStore(store_root), executor=BENCH_JOBS, engine="batch"
-    )
+    loop = FalsificationLoop(spec, ExperimentStore(store_root), executor=BENCH_JOBS)
     return loop.run()
 
 

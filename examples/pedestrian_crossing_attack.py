@@ -4,7 +4,9 @@
 This example mirrors the attack walk-through of paper §III-E / Fig. 3: it runs
 the simulation loop manually so it can print, for the interesting frames, what
 the world actually looks like, what the ADS believes, and what the malware is
-doing.
+doing.  Each frame the victim ADS runs the same row-level stages a simulation
+lane calls (see ``repro.sim.simulator``): detection, tracking, the
+image-to-world transform, fusion, planning and actuation.
 
 Run with:  python examples/pedestrian_crossing_attack.py
 """
@@ -22,6 +24,21 @@ from repro.sensors.gps_imu import GpsImuSensor
 from repro.sensors.lidar import LidarSensor
 from repro.sim.config import SimulationConfig
 from repro.sim.scenarios import ScenarioVariation, build_scenario
+
+
+def ads_decide(ads, frame, lidar_rows, ego_speed, dt):
+    """One perceive-plan-act cycle of the victim ADS: returns the smoothed
+    acceleration, the emergency-brake flag and the perceived safety potential."""
+    perception = ads.perception
+    perception.tracker.step(perception.detector.detect(frame))
+    estimates = perception.transform.estimate_rows(perception.tracker.observed)
+    obstacles = perception.fusion.fuse(
+        estimates, lidar_rows, ego_speed, perception.config.frame_dt_s
+    )
+    desired, emergency, perceived, _lead, target_speed = ads.planner.plan_rows(
+        obstacles, ego_speed
+    )
+    return ads.actuate(desired, emergency, target_speed, ego_speed, dt), emergency, perceived
 
 
 def main() -> None:
@@ -45,7 +62,7 @@ def main() -> None:
     gps = GpsImuSensor(rng=np.random.default_rng(4))
     safety = SafetyModel()
     world = scenario.world
-    last_scan = None
+    last_scan = None  # LiDAR rows of the latest scan
 
     print("frame |  ego x   v  | ped lateral | true δ | perceived δ | attack | EB")
     print("-" * 78)
@@ -53,11 +70,13 @@ def main() -> None:
         snapshot = world.snapshot()
         frame = camera.capture(snapshot)
         if config.lidar_due(step):
-            last_scan = lidar.scan(snapshot)
+            last_scan = lidar.scan(snapshot).rows()
         pose = gps.measure(snapshot)
 
         delivered = attacker.process_frame(frame, pose.speed_mps, config.dt)
-        decision = ads.step(delivered, last_scan, pose, config.dt)
+        acceleration, emergency, perceived_delta = ads_decide(
+            ads, delivered, last_scan, pose.speed_mps, config.dt
+        )
 
         true_delta = ground_truth_delta(
             snapshot, scenario.road, safety, target_actor_id=scenario.target_actor_id
@@ -65,20 +84,18 @@ def main() -> None:
         pedestrian = snapshot.actor_by_id(scenario.target_actor_id)
         attacking = attacker.attack_active
 
-        if step % 15 == 0 or attacking or decision.emergency_brake:
+        if step % 15 == 0 or attacking or emergency:
             perceived = (
-                f"{decision.perceived_delta_m:7.1f}"
-                if decision.perceived_delta_m != float("inf")
-                else "  clear"
+                f"{perceived_delta:7.1f}" if perceived_delta != float("inf") else "  clear"
             )
             true_text = f"{true_delta:6.1f}" if true_delta != float("inf") else " clear"
             print(
                 f"{step:5d} | {snapshot.ego.position.x:6.1f} {snapshot.ego.speed:4.1f} | "
                 f"{pedestrian.position.y:11.2f} | {true_text} | {perceived:>11s} | "
-                f"{'ACTIVE' if attacking else '      '} | {'EB' if decision.emergency_brake else ''}"
+                f"{'ACTIVE' if attacking else '      '} | {'EB' if emergency else ''}"
             )
 
-        world.step(config.dt, decision.acceleration_mps2)
+        world.step(config.dt, acceleration)
         collision = any(world.snapshot().ego.overlaps(actor) for actor in world.snapshot().actors)
         if collision:
             print(f"{step:5d} | COLLISION with the pedestrian — simulation halted")

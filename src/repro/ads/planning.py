@@ -1,7 +1,7 @@
 """The longitudinal planner: cruise, car-following, and emergency braking.
 
-The planner consumes the world model and produces a desired longitudinal
-acceleration.  Behaviourally it reproduces the Apollo reactions that the
+The planner consumes the fused obstacle rows and produces a desired
+longitudinal acceleration.  Behaviourally it reproduces the Apollo reactions that the
 paper's attacks exploit:
 
 * with no relevant obstacle, accelerate to and hold the cruise speed
@@ -23,12 +23,10 @@ from typing import Optional, Sequence, Tuple
 
 from repro.ads.prediction import ObstaclePredictor, PredictionConfig
 from repro.ads.safety import SafetyModel
-from repro.ads.world_model import WorldModel
-from repro.perception.fusion import FusedObstacle
 from repro.sim.road import Road
 from repro.utils.units import kph_to_mps
 
-__all__ = ["PlannerConfig", "PlanningDecision", "LongitudinalPlanner"]
+__all__ = ["PlannerConfig", "LongitudinalPlanner"]
 
 
 @dataclass(frozen=True)
@@ -76,28 +74,11 @@ class PlannerConfig:
             raise ValueError("max deceleration must be at least the comfortable deceleration")
 
 
-@dataclass(frozen=True)
-class PlanningDecision:
-    """Output of one planning cycle."""
-
-    #: Desired longitudinal acceleration before actuation smoothing.
-    desired_acceleration_mps2: float
-    #: Whether the planner escalated to emergency braking this cycle.
-    emergency_brake: bool
-    #: Perceived safety potential w.r.t. the lead in-path obstacle (inf if none).
-    perceived_delta_m: float
-    #: The obstacle the planner is reacting to, if any.
-    lead_obstacle: Optional[FusedObstacle]
-    #: Target speed after caution rules.
-    target_speed_mps: float
-
-
 class LongitudinalPlanner:
     """IDM-style longitudinal planning with emergency-braking escalation.
 
     :meth:`plan_rows` is the planner, on the obstacle rows of
-    :mod:`repro.perception.fusion`; :meth:`plan` adapts a :class:`WorldModel`
-    to it.  The batch simulation engine calls :meth:`plan_rows` directly.
+    :mod:`repro.perception.fusion`.
     """
 
     def __init__(self, road: Road, config: PlannerConfig | None = None):
@@ -113,20 +94,6 @@ class LongitudinalPlanner:
         """Clear the lost-lead coasting state for a fresh run."""
         self._cycles_since_lead_lost = 10_000
 
-    def plan(self, world: WorldModel) -> PlanningDecision:
-        """Produce the desired acceleration for the current world model."""
-        obstacles = world.obstacles
-        desired, emergency, perceived_delta, lead, target_speed = self.plan_rows(
-            self.predictor.rows(obstacles), world.ego.speed_mps
-        )
-        return PlanningDecision(
-            desired_acceleration_mps2=desired,
-            emergency_brake=emergency,
-            perceived_delta_m=perceived_delta,
-            lead_obstacle=None if lead is None else obstacles[lead],
-            target_speed_mps=target_speed,
-        )
-
     def plan_rows(
         self, obstacles: Sequence[tuple], ego_speed: float
     ) -> Tuple[float, bool, float, Optional[int], float]:
@@ -137,7 +104,7 @@ class LongitudinalPlanner:
         potential — inf without a lead, index of the lead row or ``None``,
         target speed).  Clamps are written as conditional expressions with
         ``min``/``max``'s first-argument-wins semantics; they run once per
-        lane-step on the batch engine.
+        lane-step.
         """
         cfg = self.config
         predictor = self.predictor

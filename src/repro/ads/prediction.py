@@ -15,9 +15,8 @@ membership and therefore the planner's reaction (paper §III-C attack vectors).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
-from repro.perception.fusion import FusedObstacle
 from repro.sim.actors import ActorKind
 from repro.sim.road import Road
 
@@ -70,8 +69,7 @@ class ObstaclePredictor:
 
     The row-level methods (:meth:`lead_index`, :meth:`near_path_pedestrian`,
     :meth:`gap`) take obstacle rows or an obstacle's fields as plain values —
-    the obstacle rows of :mod:`repro.perception.fusion`; :meth:`rows` turns
-    :class:`FusedObstacle` objects into such rows.
+    the obstacle rows of :mod:`repro.perception.fusion`.
     The ego lane is read from ``road`` once, at construction.
     """
 
@@ -148,12 +146,3 @@ class ObstaclePredictor:
             return False
         margin = caution_margin_m + _PEDESTRIAN_HALF_WIDTH
         return self._lane_min - margin <= lateral <= self._lane_max + margin
-
-    @staticmethod
-    def rows(obstacles: Sequence[FusedObstacle]) -> List[tuple]:
-        """Fused obstacles as obstacle rows (their five planning fields)."""
-        return [
-            (o.kind, o.distance_m, o.lateral_m, o.longitudinal_speed_mps,
-             o.lateral_velocity_mps)
-            for o in obstacles
-        ]

@@ -170,8 +170,10 @@ class CameraMitmAttackerBase:
         observed = self.frame_for_replica(frame)
         if self.episode_over:
             return observed
-        own_view = self.perception.process(observed, ego_speed_mps=ego_speed_mps)
-        return self.frame_to_deliver(observed, own_view.world_estimates, ego_speed_mps)
+        replica = self.perception
+        replica.tracker.step(replica.detector.detect(observed))
+        estimates = replica.transform.transform(replica.tracker.observed)
+        return self.frame_to_deliver(observed, estimates, ego_speed_mps)
 
     def frame_for_replica(self, frame: CameraFrame) -> CameraFrame:
         """First half of a frame: count it and return what the replica observes.

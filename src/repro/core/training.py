@@ -24,11 +24,10 @@ simulation) and shipped with the point's job.  :func:`collect_safety_dataset`
 cuts the pending jobs, in grid order, into chunks by the campaign runner's
 rule (:func:`~repro.runtime.executor.chunked`), runs each chunk as the lanes
 of one :class:`~repro.sim.batch.BatchSimulator`, and spreads the chunks over
-the :mod:`repro.runtime` executors (``executor=``).  The batch engine is
-bit-identical to the reference :class:`~repro.sim.simulator.Simulator` and
-the dataset is assembled in grid order, so it depends on neither the backend
-nor the chunking; the golden dataset digests in
-``tests/core/test_training_pipeline.py`` were pinned on the reference loop,
+the :mod:`repro.runtime` executors (``executor=``).  A lane's result does
+not depend on the other lanes of its batch and the dataset is assembled in
+grid order, so it depends on neither the executor nor the chunking; the
+golden dataset digests in ``tests/core/test_training_pipeline.py`` pin it,
 and trained oracle weights stay stable artifacts.  With a ``store=`` each
 chunk's sample batches stream into the
 :class:`~repro.experiments.store.ExperimentStore` as dataset records as the
@@ -61,6 +60,7 @@ from repro.perception.pipeline import PerceptionConfig
 from repro.perception.transforms import WorldObjectEstimate
 from repro.runtime.cache import encode_key
 from repro.runtime.executor import ExecutorLike, chunked, resolve_executor
+from repro.sim.batch import DEFAULT_BATCH_SIZE, BatchRunSpec, BatchSimulator
 from repro.sim.config import SimulationConfig
 from repro.sim.road import Road
 from repro.sim.scenarios import DrivingScenario, ScenarioVariation, build_scenario
@@ -331,9 +331,6 @@ def _collect_chunk(
 ) -> List[Tuple[int, List[List[float]], List[float]]]:
     """Simulate a chunk of grid points as the lanes of one batch (the work
     item); returns every point's sample rows in chunk order."""
-    # sim.batch imports repro.core, so it cannot be imported at module level.
-    from repro.sim.batch import BatchRunSpec, BatchSimulator
-
     lanes = [_build_grid_point(scenario_id, vector, job) for job in jobs]
     results = BatchSimulator(
         [
@@ -395,17 +392,14 @@ def collect_safety_dataset(
     single RNG stream, and the pending points run in grid-order chunks of at
     most :data:`~repro.sim.batch.DEFAULT_BATCH_SIZE` lockstep batch lanes,
     narrowed so every worker of ``executor`` gets a chunk.  The assembled
-    dataset is bit-identical whichever ``executor`` runs the chunks, and to
-    the reference scalar loop (trained oracle weights are stable artifacts).
+    dataset is bit-identical whichever ``executor`` runs the chunks (trained
+    oracle weights are stable artifacts).
     With a ``store=`` (an :class:`~repro.experiments.store.ExperimentStore`
     or its root path) each point's sample batch is durably recorded as its
     chunk lands and already-stored points are skipped on restart — an
     interrupted collection loses at most the chunks in flight and resumes
     instead of recomputing.
     """
-    # sim.batch imports repro.core, so it cannot be imported at module level.
-    from repro.sim.batch import DEFAULT_BATCH_SIZE
-
     grid = _expand_jobs(delta_inject_values, k_values, seed, repeats)
     simulation_config = simulation_config or SimulationConfig()
     resolved_store = _resolve_store(store)

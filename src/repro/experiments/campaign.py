@@ -58,7 +58,7 @@ from repro.runtime.cache import encode_key
 from repro.sim.batch import DEFAULT_BATCH_SIZE, BatchRunSpec, BatchSimulator
 from repro.sim.config import SimulationConfig
 from repro.sim.scenarios import DrivingScenario, ScenarioVariation, build_scenario
-from repro.sim.simulator import SimulationResult, Simulator
+from repro.sim.simulator import SimulationResult
 
 __all__ = [
     "AttackerKind",
@@ -496,8 +496,8 @@ def _build_run_setup(
 
     The draw order on ``rng`` (ads seed, attacker seed, simulator seed — the
     attacker seed is drawn even for :attr:`AttackerKind.NONE`) is the
-    determinism contract shared by the scalar and batch engines; changing it
-    changes every stored trace.
+    determinism contract of every stored run; changing it changes every
+    stored trace.
     """
     run_seed = int(np.random.SeedSequence([config.seed, run_index]).generate_state(1)[0])
     rng = np.random.default_rng(run_seed)
@@ -537,19 +537,12 @@ def run_single_experiment_record(
 ) -> RunRecord:
     """Execute one seeded run and flatten it into a durable :class:`RunRecord`.
 
+    The run is a one-lane chunk of the campaign runner's path.
     ``predictor`` lets the campaign runner pre-train the safety-potential
     oracle in the parent process and ship it to worker processes; when omitted
     (direct calls), the per-process predictor cache is consulted as before.
     """
-    setup = _build_run_setup(config, run_index, predictor=predictor)
-    simulator = Simulator(
-        setup.scenario,
-        setup.ads,
-        config=config.simulation,
-        attacker=setup.attacker,
-        rng=setup.sim_rng,
-    )
-    return _record_from_result(config, setup, simulator.run())
+    return _run_batch_chunk(config, [run_index], predictor=predictor)[0]
 
 
 def _record_from_result(
@@ -617,15 +610,11 @@ def run_single_experiment(
     return run_single_experiment_record(config, run_index, predictor=predictor).result
 
 
-#: The simulation engine campaigns, sweeps and searches run on by default.
-DEFAULT_ENGINE = "batch"
-
-
-def _validate_engine(engine: str, batch_size: int) -> None:
-    if engine not in ("scalar", "batch"):
-        raise ValueError(f"unknown engine {engine!r}: expected 'scalar' or 'batch'")
-    if batch_size < 1:
-        raise ValueError("batch_size must be at least 1")
+def _check_engine(engine: str) -> None:
+    """``run_campaign`` and ``FalsificationLoop`` still take an ``engine``
+    keyword, which names the one engine."""
+    if engine != "batch":
+        raise ValueError(f"unknown engine {engine!r}: the only engine is 'batch'")
 
 
 def _run_batch_chunk(
@@ -635,10 +624,9 @@ def _run_batch_chunk(
 ) -> List[RunRecord]:
     """Execute a chunk of runs in lockstep on one :class:`BatchSimulator`.
 
-    Because every run is independently seeded by :func:`_build_run_setup` and
-    the batch engine is bit-identical to the scalar path, the records this
-    produces are interchangeable with ``run_single_experiment_record`` output
-    — same cache keys, same store layout, same statistics.
+    Every run is independently seeded by :func:`_build_run_setup`, and a
+    lane's result does not depend on the other lanes of its batch, so the
+    records do not depend on how the runs were chunked.
     """
     setups = [
         _build_run_setup(config, run_index, predictor=predictor)
@@ -689,21 +677,18 @@ def _run_campaign_checkpointed(
     config: CampaignConfig,
     store: ExperimentStore,
     executor: ExecutorLike,
-    engine: str = DEFAULT_ENGINE,
     batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> CampaignResult:
     """Stream a campaign's runs into the store, skipping already-stored ones.
 
-    Each run record is appended to the store *as it completes* (order-tagged
-    streaming over :meth:`Executor.imap`), so a killed campaign loses at most
-    the runs in flight.  On restart, the stored (config-hash, run-index)
-    pairs are skipped, and because every run is independently seeded from
-    ``(campaign_seed, run_index)``, the merged statistics are bit-identical
-    to an uninterrupted serial campaign.  With ``engine="batch"`` (the
-    default) the pending indices are chunked onto lockstep
-    :class:`BatchSimulator` lanes, so a crash loses at most the chunks in
-    flight; resuming a campaign with a different engine or chunk size is safe
-    because records only depend on the per-run seed.
+    The pending indices are chunked onto lockstep :class:`BatchSimulator`
+    lanes, and each chunk's records are appended to the store *as the chunk
+    completes* (order-tagged streaming over :meth:`Executor.imap`), so a
+    killed campaign loses at most the chunks in flight.  On restart, the
+    stored (config-hash, run-index) pairs are skipped, and because every run
+    is independently seeded from ``(campaign_seed, run_index)``, the merged
+    statistics are bit-identical to an uninterrupted serial campaign;
+    resuming with a different chunk size is safe for the same reason.
     """
     store.write_manifest(config)
     done = store.run_indices(config_hash(config))
@@ -715,17 +700,10 @@ def _run_campaign_checkpointed(
             # published (train-once/deploy-many); a registry miss trains it
             # here, fanning the dataset collection out over the same pool.
             predictor = _prepare_predictor(config, store=store, executor=resolved)
-            if engine == "batch":
-                worker = functools.partial(_run_batch_chunk, config, predictor=predictor)
-                chunks = chunked(pending, batch_size, resolved)
-                for _, records in resolved.imap(worker, chunks):
-                    for record in records:
-                        store.append(record)
-            else:
-                worker = functools.partial(
-                    run_single_experiment_record, config, predictor=predictor
-                )
-                for _, record in resolved.imap(worker, pending):
+            worker = functools.partial(_run_batch_chunk, config, predictor=predictor)
+            chunks = chunked(pending, batch_size, resolved)
+            for _, records in resolved.imap(worker, chunks):
+                for record in records:
                     store.append(record)
         finally:
             if resolved is not executor:
@@ -744,7 +722,7 @@ def run_campaign(
     use_cache: bool = True,
     executor: ExecutorLike = None,
     store: StoreLike = None,
-    engine: str = DEFAULT_ENGINE,
+    engine: str = "batch",
     batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> CampaignResult:
     """Execute all runs of a campaign, optionally fanning out over processes.
@@ -761,21 +739,20 @@ def run_campaign(
     skipped, and the in-process memo is bypassed — the store *is* the
     durable record.
 
-    ``engine`` selects the simulation engine: ``"batch"`` (the default: the
-    vectorized :class:`~repro.sim.batch.BatchSimulator`, up to ``batch_size``
-    runs per work item, narrowed so every worker of ``executor`` gets one,
-    advancing in lockstep groups of at most
-    :data:`~repro.sim.batch.LOCKSTEP_LANES`) or ``"scalar"`` (the reference
-    :class:`~repro.sim.simulator.Simulator`, one run per work item).  Both
-    produce bit-identical results, so the engine deliberately does not enter
-    the cache key or the store's config hash — a batch campaign resumes a
-    scalar one and vice versa.
+    The runs are simulated on :class:`~repro.sim.batch.BatchSimulator` lanes,
+    up to ``batch_size`` runs per work item, narrowed so every worker of
+    ``executor`` gets one, advancing in lockstep groups of at most
+    :data:`~repro.sim.batch.LOCKSTEP_LANES`.  Results do not depend on the
+    chunking, so ``batch_size`` does not enter the cache key or the store's
+    config hash.  ``engine`` accepts only ``"batch"``.
     """
-    _validate_engine(engine, batch_size)
+    _check_engine(engine)
+    if batch_size < 1:
+        raise ValueError("batch_size must be at least 1")
     resolved_store = resolve_store(store)
     if resolved_store is not None:
         return _run_campaign_checkpointed(
-            config, resolved_store, executor, engine=engine, batch_size=batch_size
+            config, resolved_store, executor, batch_size=batch_size
         )
     key = encode_key(config.cache_key())
     if use_cache and key in _CAMPAIGN_CACHE:
@@ -783,19 +760,11 @@ def run_campaign(
     predictor = _prepare_predictor(config)
     resolved = resolve_executor(executor)
     try:
-        if engine == "batch":
-            record_chunks = resolved.map(
-                functools.partial(_run_batch_chunk, config, predictor=predictor),
-                chunked(range(config.n_runs), batch_size, resolved),
-            )
-            runs = [record.result for chunk in record_chunks for record in chunk]
-        else:
-            runs = list(
-                resolved.map(
-                    functools.partial(run_single_experiment, config, predictor=predictor),
-                    range(config.n_runs),
-                )
-            )
+        record_chunks = resolved.map(
+            functools.partial(_run_batch_chunk, config, predictor=predictor),
+            chunked(range(config.n_runs), batch_size, resolved),
+        )
+        runs = [record.result for chunk in record_chunks for record in chunk]
     finally:
         if resolved is not executor:
             # We created this executor; release its workers even when a run fails.
@@ -817,7 +786,6 @@ def run_campaigns(
     use_cache: bool = True,
     executor: ExecutorLike = None,
     store: StoreLike = None,
-    engine: str = DEFAULT_ENGINE,
     batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> List[CampaignResult]:
     """Execute several campaigns, sharing one executor (and its worker pool)."""
@@ -830,7 +798,6 @@ def run_campaigns(
                 use_cache=use_cache,
                 executor=resolved,
                 store=resolved_store,
-                engine=engine,
                 batch_size=batch_size,
             )
             for config in configs

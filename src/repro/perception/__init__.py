@@ -19,18 +19,18 @@ Fig. 1:
 * and the full perception system facade (:mod:`repro.perception.pipeline`).
 
 The detector, tracker, transform and fusion stages are each implemented once,
-on plain-float rows.  The methods the scalar pipeline calls — the detector's
-``detect``, the tracker's ``step``, the transform's ``transform`` and a fusion
-policy's ``step`` — are adapters over those cores, which the batch simulation
-engine calls directly.
+on plain-float rows, which the simulation lanes call directly.  The
+detector's ``detect``, the tracker's ``step`` and the transform's
+``transform`` adapt those cores to the perception dataclasses, for an
+attacker's black-box replica and for hand-driven loops.
 """
 
 from repro.perception.detection import Detection, DetectorNoiseModel, SimulatedDetector
-from repro.perception.fusion import FusedObstacle, FusionConfig, SensorFusion
+from repro.perception.fusion import FusionConfig, SensorFusion
 from repro.perception.hungarian import hungarian_assignment
 from repro.perception.kalman import KalmanFilter, KalmanPool
 from repro.perception.mot import MultiObjectTracker, TrackerConfig
-from repro.perception.pipeline import PerceptionConfig, PerceptionOutput, PerceptionSystem
+from repro.perception.pipeline import PerceptionConfig, PerceptionSystem
 from repro.perception.tracker import ObjectTrack
 from repro.perception.transforms import ImageToWorldTransform, WorldObjectEstimate
 
@@ -38,7 +38,6 @@ __all__ = [
     "Detection",
     "DetectorNoiseModel",
     "SimulatedDetector",
-    "FusedObstacle",
     "FusionConfig",
     "SensorFusion",
     "hungarian_assignment",
@@ -47,7 +46,6 @@ __all__ = [
     "MultiObjectTracker",
     "TrackerConfig",
     "PerceptionConfig",
-    "PerceptionOutput",
     "PerceptionSystem",
     "ObjectTrack",
     "ImageToWorldTransform",

@@ -24,18 +24,17 @@ longer attack window — than hijacking a pedestrian seen only by the camera.
 Fusion policies
 ---------------
 
-The fusion stage is pluggable: a *fusion policy* is anything with the
-``reset()`` / ``step(camera_estimates, lidar_scan, ego_speed_mps,
-frame_dt_s) -> List[FusedObstacle]`` interface, registered by name in
-:data:`FUSION_POLICIES` and selected through ``FusionConfig.policy``.  Four
-built-ins ship as first-class victim variants for defense evaluation:
+The fusion stage is pluggable: a *fusion policy* is a
+:class:`RowFusionPolicy` — anything with its ``reset()`` and
+``fuse(estimates, lidar, ego_speed_mps, frame_dt_s)`` — registered by name
+in :data:`FUSION_POLICIES` and selected through ``FusionConfig.policy``.
+Four built-ins ship as first-class victim variants for defense evaluation:
 
 * ``late`` — the confidence-weighted camera/LiDAR fusion described above
   (:class:`SensorFusion`); the default victim, bit-identical to the
   pre-registry behaviour;
 * ``camera_only`` — the camera estimates pass straight through
-  (:class:`CameraOnlyFusion`); the pipeline RoboTack runs internally to
-  reconstruct world state;
+  (:class:`CameraOnlyFusion`);
 * ``lidar_only`` — obstacles come from LiDAR returns alone
   (:class:`LidarOnlyFusion`); immune to camera perturbation but blind to
   camera-only objects (distant pedestrians) and classification-poor;
@@ -44,42 +43,37 @@ built-ins ship as first-class victim variants for defense evaluation:
   a sparse-fusion-style defense whose arbitration is itself an attack
   surface (perturb one modality, exploit the gate).
 
-Row-level core
---------------
+Rows
+----
 
-The built-ins derive from :class:`RowFusionPolicy`: each implements its logic
-once, as :meth:`~RowFusionPolicy.fuse` over plain-float rows, and shares one
-``step`` adapter that converts the dataclasses to rows and the output rows to
-:class:`FusedObstacle`.  The batch simulation engine, which already carries
-rows, calls ``fuse`` on each victim's own policy object, so both engines run
-the same fusion code.  The rows are:
+Each policy implements its logic once, as :meth:`~RowFusionPolicy.fuse`
+over plain-float rows, which every simulation lane calls on its victim's
+own policy object.  The rows are:
 
 * *estimate rows* ``(distance, lateral, rel_velocity, lateral_velocity,
-  track_id, actor_id, kind, rel_acceleration, age_frames)`` — a
-  :class:`WorldObjectEstimate` as a tuple;
+  track_id, actor_id, kind, rel_acceleration, age_frames)`` — what
+  ``ImageToWorldTransform.estimate_rows`` renders;
 * *LiDAR rows* ``(distance, lateral, actor_id, kind, vx)`` — what
   ``LidarSensor.scan_rows`` renders and :meth:`LidarScan.rows` converts a
   scan to;
 * *obstacle rows* ``(kind, distance, lateral, speed, lateral_velocity,
-  obstacle_id, sources, actor_id)``, distance-sorted — a
-  :class:`FusedObstacle` with the five fields the planner reads first.
+  obstacle_id, sources, actor_id)``, distance-sorted — the five fields the
+  planner reads first, then the obstacle's id, the sensors that currently
+  support it (``"camera"``, ``"lidar"``) and the simulated actor's id (for
+  metrics only).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Dict, List, Optional, Protocol, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.perception.transforms import WorldObjectEstimate
 from repro.runtime.registry import Registry
-from repro.sensors.lidar import LidarScan
 from repro.sim.actors import ActorKind
 
 __all__ = [
     "FusionConfig",
-    "FusedObstacle",
-    "FusionPolicy",
     "RowFusionPolicy",
     "SensorFusion",
     "CameraOnlyFusion",
@@ -185,26 +179,6 @@ class FusionConfig:
             )
 
 
-@dataclass(frozen=True)
-class FusedObstacle:
-    """One obstacle in the ADS world model."""
-
-    obstacle_id: str
-    kind: ActorKind
-    #: Longitudinal distance from the ego front bumper to the obstacle centre.
-    distance_m: float
-    #: Lateral offset relative to the ego centreline (positive left).
-    lateral_m: float
-    #: Absolute longitudinal speed of the obstacle (m/s, ego direction).
-    longitudinal_speed_mps: float
-    #: Rate of change of the lateral offset (m/s).
-    lateral_velocity_mps: float
-    #: Which sensors currently support this obstacle ("camera", "lidar").
-    sources: tuple[str, ...]
-    #: Bookkeeping id of the underlying simulated actor (for metrics only).
-    actor_id: Optional[int] = None
-
-
 _CAMERA = ("camera",)
 _LIDAR = ("lidar",)
 _CAMERA_LIDAR = ("camera", "lidar")
@@ -212,13 +186,11 @@ _distance = itemgetter(1)
 
 
 class RowFusionPolicy:
-    """A fusion policy implemented once, on plain-float rows.
+    """A fusion policy implemented once, on plain-float rows: the fusion
+    contract.
 
     Subclasses implement :meth:`fuse` (see the module docstring for the row
-    layouts) and keep per-object state in ``_tracks``; :meth:`step` is the
-    one adapter from the perception dataclasses.  The batch engine calls
-    ``fuse`` directly only while ``step`` is this adapter; a lane whose policy
-    has its own ``step`` runs on the reference Simulator.
+    layouts) and keep per-object state in ``_tracks``.
     """
 
     def __init__(self, config: FusionConfig | None = None):
@@ -239,26 +211,6 @@ class RowFusionPolicy:
         """Fuse one frame of estimate rows with the latest LiDAR rows (or
         ``None`` before the first scan) into distance-sorted obstacle rows."""
         raise NotImplementedError
-
-    def step(
-        self,
-        camera_estimates: List[WorldObjectEstimate],
-        lidar_scan: Optional[LidarScan],
-        ego_speed_mps: float,
-        frame_dt_s: float,
-    ) -> List[FusedObstacle]:
-        """Fuse one frame of camera estimates with the latest LiDAR scan."""
-        estimates = [
-            (e.distance_m, e.lateral_m, e.relative_longitudinal_velocity_mps,
-             e.lateral_velocity_mps, e.track_id, e.actor_id, e.kind,
-             e.relative_longitudinal_acceleration_mps2, e.age_frames)
-            for e in camera_estimates
-        ]
-        lidar = None if lidar_scan is None else lidar_scan.rows()
-        return [
-            FusedObstacle(row[5], row[0], row[1], row[2], row[3], row[4], row[6], row[7])
-            for row in self.fuse(estimates, lidar, ego_speed_mps, frame_dt_s)
-        ]
 
 
 def _update_lateral_velocity(track, lateral: float, keep: int, alpha: float,
@@ -508,9 +460,7 @@ class CameraOnlyFusion(RowFusionPolicy):
 
     One obstacle per camera estimate, in estimate order (already
     distance-sorted by the transform stage), with the ego-relative velocity
-    re-absolutized.  This is the reconstruction pipeline RoboTack runs inside
-    the attacked process, so it sits on the attacked golden-trace path.
-    Stateless: ``_tracks`` stays empty.
+    re-absolutized.  Stateless: ``_tracks`` stays empty.
     """
 
     def fuse(self, estimates, lidar, ego_speed_mps, frame_dt_s):
@@ -603,29 +553,9 @@ class LidarOnlyFusion(RowFusionPolicy):
         return obstacles
 
 
-class FusionPolicy(Protocol):
-    """Structural interface every fusion policy satisfies."""
-
-    config: FusionConfig
-
-    def reset(self) -> None: ...
-
-    def step(
-        self,
-        camera_estimates: List[WorldObjectEstimate],
-        lidar_scan: Optional[LidarScan],
-        ego_speed_mps: float,
-        frame_dt_s: float,
-    ) -> List[FusedObstacle]: ...
-
-
-#: Registry of fusion-policy factories (``FusionConfig -> FusionPolicy``).
-#: Third-party policies register here and become sweepable/CLI-selectable on
-#: both engines.  The batch engine calls :meth:`RowFusionPolicy.fuse` directly
-#: for the built-ins and any :class:`RowFusionPolicy` whose ``step`` is still
-#: the shared adapter; a lane with any other policy runs on the reference
-#: Simulator inside the batch.
-FUSION_POLICIES: Registry[Callable[[FusionConfig], "FusionPolicy"]] = Registry(
+#: Registry of fusion-policy factories (``FusionConfig -> RowFusionPolicy``).
+#: Third-party policies register here and become sweepable/CLI-selectable.
+FUSION_POLICIES: Registry[Callable[[FusionConfig], RowFusionPolicy]] = Registry(
     "fusion policy"
 )
 
@@ -651,12 +581,13 @@ FUSION_POLICIES.register(
 )
 
 
-def build_fusion_policy(
-    name: str, config: FusionConfig | None = None
-) -> "FusionPolicy":
+def build_fusion_policy(name: str, config: FusionConfig | None = None) -> RowFusionPolicy:
     """Instantiate the registered fusion policy ``name`` with ``config``."""
-    factory = FUSION_POLICIES.get(name)
-    return factory(config or FusionConfig())
+    policy = FUSION_POLICIES.get(name)(config or FusionConfig())
+    if not callable(getattr(policy, "fuse", None)):
+        raise ValueError(f"fusion policy {name!r} has no fuse(estimates, lidar, "
+                         "ego_speed_mps, frame_dt_s) method")
+    return policy
 
 
 def list_fusion_policies() -> List[str]:

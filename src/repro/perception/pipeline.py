@@ -2,7 +2,9 @@
 
 ``PerceptionSystem`` wires together the simulated detector, the multi-object
 tracker, the image-to-world transformation, and a registry-selected fusion
-policy — the pipeline labelled "Perception System" in paper Fig. 1.
+policy — the pipeline labelled "Perception System" in paper Fig. 1.  A
+simulation lane calls each stage's row-level core on the rows it carries
+(see :mod:`repro.sim.simulator`).
 
 Two configurations are used in the reproduction:
 
@@ -10,25 +12,22 @@ Two configurations are used in the reproduction:
   ``PerceptionConfig.fusion.policy`` (``late`` by default);
 * **RoboTack** runs a camera-only instance
   (``FusionConfig(policy="camera_only")``) to reconstruct its own approximate
-  world state from the tapped camera feed (paper §III-D, Phase 2).
+  world state from the tapped camera feed (paper §III-D, Phase 2); it reads
+  the transform's world estimates, so its fusion stage never runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
-from repro.perception.detection import Detection, DetectorConfig, SimulatedDetector
-from repro.perception.fusion import FusedObstacle, FusionConfig, build_fusion_policy
+from repro.perception.detection import DetectorConfig, SimulatedDetector
+from repro.perception.fusion import FusionConfig, build_fusion_policy
 from repro.perception.mot import MultiObjectTracker, TrackerConfig
-from repro.perception.tracker import ObjectTrack
-from repro.perception.transforms import ImageToWorldTransform, WorldObjectEstimate
-from repro.sensors.camera import CameraFrame
-from repro.sensors.lidar import LidarScan
+from repro.perception.transforms import ImageToWorldTransform
 
-__all__ = ["PerceptionConfig", "PerceptionOutput", "PerceptionSystem"]
+__all__ = ["PerceptionConfig", "PerceptionSystem"]
 
 
 @dataclass(frozen=True)
@@ -39,36 +38,6 @@ class PerceptionConfig:
     tracker: TrackerConfig = field(default_factory=TrackerConfig)
     fusion: FusionConfig = field(default_factory=FusionConfig)
     frame_dt_s: float = 1.0 / 15.0
-
-
-@dataclass(frozen=True)
-class PerceptionOutput:
-    """Everything the perception system produces for one camera frame."""
-
-    time_s: float
-    frame_index: int
-    detections: tuple[Detection, ...]
-    tracks: tuple[ObjectTrack, ...]
-    world_estimates: tuple[WorldObjectEstimate, ...]
-    obstacles: tuple[FusedObstacle, ...]
-
-    def nearest_obstacle(self) -> Optional[FusedObstacle]:
-        """The closest registered obstacle, if any."""
-        return self.obstacles[0] if self.obstacles else None
-
-    def estimate_for_actor(self, actor_id: int) -> Optional[WorldObjectEstimate]:
-        """Bookkeeping lookup of the camera estimate for a given actor."""
-        for estimate in self.world_estimates:
-            if estimate.actor_id == actor_id:
-                return estimate
-        return None
-
-    def obstacle_for_actor(self, actor_id: int) -> Optional[FusedObstacle]:
-        """Bookkeeping lookup of the fused obstacle for a given actor."""
-        for obstacle in self.obstacles:
-            if obstacle.actor_id == actor_id:
-                return obstacle
-        return None
 
 
 class PerceptionSystem:
@@ -91,29 +60,3 @@ class PerceptionSystem:
         self.tracker.reset()
         self.transform.reset()
         self.fusion.reset()
-
-    def process(
-        self,
-        camera_frame: CameraFrame,
-        lidar_scan: Optional[LidarScan] = None,
-        ego_speed_mps: float = 0.0,
-    ) -> PerceptionOutput:
-        """Run the pipeline on one camera frame (and optional LiDAR scan)."""
-        detections = self.detector.detect(camera_frame)
-        tracks = self.tracker.step(detections)
-        # Coasting tracks are not camera evidence (see MultiObjectTracker.observed).
-        world_estimates = self.transform.transform(self.tracker.observed)
-        obstacles = self.fusion.step(
-            camera_estimates=world_estimates,
-            lidar_scan=lidar_scan,
-            ego_speed_mps=ego_speed_mps,
-            frame_dt_s=self.config.frame_dt_s,
-        )
-        return PerceptionOutput(
-            time_s=camera_frame.time_s,
-            frame_index=camera_frame.frame_index,
-            detections=tuple(detections),
-            tracks=tuple(tracks),
-            world_estimates=tuple(world_estimates),
-            obstacles=tuple(obstacles),
-        )

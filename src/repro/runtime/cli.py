@@ -25,14 +25,13 @@ subcommand:
 * ``scenarios`` prints the registered scenario catalog.
 
 A flag means the same thing on every subcommand that takes it: ``--jobs``
-fans runs out over worker processes, ``--engine`` picks the simulation engine
-(the default ``batch`` simulates chunks of up to ``--batch-size`` runs, split
-across ``--jobs``, each chunk's runs advancing in lockstep groups of at most
-``repro.sim.batch.LOCKSTEP_LANES``; ``scalar`` is the reference; both give
-bit-identical results), ``--store``
-durably records every run, and ``--fusion`` selects the fusion-policy victim
-variant (late, camera_only, lidar_only, consistency_gated); on ``resume`` it
-filters the store's incomplete campaigns instead.
+fans runs out over worker processes, ``--batch-size`` caps the runs of one
+chunk (the work item: chunks are split across ``--jobs``, and each chunk's
+runs advance in lockstep groups of at most ``repro.sim.batch.LOCKSTEP_LANES``;
+results do not depend on the chunking), ``--store`` durably records every
+run, and ``--fusion`` selects the fusion-policy victim variant (late,
+camera_only, lidar_only, consistency_gated); on ``resume`` it filters the
+store's incomplete campaigns instead.
 
 Examples::
 
@@ -112,24 +111,19 @@ def _add_campaign_args(
                            help="root seed (default: %(default)s)")
 
 
-def _add_execution_args(parser: argparse.ArgumentParser, *, engine: bool = True) -> None:
-    """Declare ``--jobs`` and, unless ``engine=False``, ``--engine`` / ``--batch-size``.
+def _add_execution_args(parser: argparse.ArgumentParser, *, batch_size: bool = True) -> None:
+    """Declare ``--jobs`` and, unless ``batch_size=False``, ``--batch-size``.
 
-    The engine defaults are the library's own (``run_campaign``'s).
+    The chunk default is the library's own (``run_campaign``'s).
     """
     group = parser.add_argument_group("execution")
     group.add_argument("--jobs", type=int, default=0,
                        help="worker processes (0/1 = serial, -1 = all CPUs)")
-    if engine:
-        from repro.experiments.campaign import DEFAULT_BATCH_SIZE, DEFAULT_ENGINE
+    if batch_size:
+        from repro.experiments.campaign import DEFAULT_BATCH_SIZE
 
-        group.add_argument("--engine", default=DEFAULT_ENGINE, choices=("scalar", "batch"),
-                           help="simulation engine: 'batch' simulates chunks "
-                           "of up to --batch-size runs in lockstep groups, "
-                           "'scalar' steps one run at a time (bit-identical "
-                           "results; default: %(default)s)")
         group.add_argument("--batch-size", type=int, default=DEFAULT_BATCH_SIZE,
-                           help="most runs per chunk when --engine batch: the "
+                           help="most runs per chunk, simulated in lockstep: the "
                            "work item and the unit a store checkpoints; a "
                            "campaign's runs are split into at least --jobs "
                            "chunks (default: %(default)s)")
@@ -293,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="training epochs")
     train.add_argument("--learning-rate", type=float, default=1e-3,
                        help="Adam learning rate")
-    _add_execution_args(train, engine=False)
+    _add_execution_args(train, batch_size=False)
     _add_store_arg(train)
     train.add_argument(
         "--force",
@@ -311,7 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
             "bit-identical to campaigns that were never interrupted.  With "
             "--fusion, only campaigns whose effective fusion policy matches "
             "are resumed (stored configs without a fusion override count as "
-            "'late'); records are engine-independent, so any --engine is safe."
+            "'late'); records do not depend on the chunking, so any "
+            "--batch-size is safe."
         ),
     )
     _add_campaign_args(resume, ("fusion",))
@@ -459,7 +454,6 @@ def _run_table2(args: argparse.Namespace) -> None:
         configs,
         executor=args.jobs,
         store=args.store,
-        engine=args.engine,
         batch_size=args.batch_size,
     )
     print("\n=== Table II (reproduced) ===")
@@ -486,7 +480,6 @@ def _run_single_campaign(args: argparse.Namespace) -> None:
         config,
         executor=args.jobs,
         store=args.store,
-        engine=args.engine,
         batch_size=args.batch_size,
     )
     print(summarize_campaign(result).format_row())
@@ -518,7 +511,6 @@ def _run_sweep(args: argparse.Namespace) -> None:
         configs,
         executor=args.jobs,
         store=args.store,
-        engine=args.engine,
         batch_size=args.batch_size,
     )
     for result in results:
@@ -565,7 +557,6 @@ def _run_search(args: argparse.Namespace) -> None:
             spec,
             ExperimentStore(args.store),
             executor=args.jobs,
-            engine=args.engine,
             batch_size=args.batch_size,
         )
     except ValueError as error:
@@ -733,7 +724,6 @@ def _run_resume(args: argparse.Namespace) -> None:
                 config,
                 executor=executor,
                 store=store,
-                engine=args.engine,
                 batch_size=args.batch_size,
             )
             print(summarize_campaign(result).format_row())

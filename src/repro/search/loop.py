@@ -5,7 +5,7 @@ attack-discovery system: each iteration it asks an
 :class:`~repro.search.samplers.AdaptiveSampler` for a batch of parameter
 assignments, expands them into campaigns (one per point, exactly like the
 sweep engine), executes them through the ordinary runtime — serial or
-parallel executors, scalar or vectorized batch engine — scores the stored
+parallel executors over lockstep batch-simulator lanes — scores the stored
 run records with an :class:`~repro.search.objectives.Objective`, and feeds the
 scores back so the next proposal moves toward the attack-success boundary.
 
@@ -40,9 +40,9 @@ import numpy as np
 
 from repro.experiments.campaign import (
     DEFAULT_BATCH_SIZE,
-    DEFAULT_ENGINE,
     CampaignConfig,
     StoreLike,
+    _check_engine,
     resolve_store,
     run_campaigns,
 )
@@ -131,6 +131,16 @@ class SearchSpec:
             )
         if self.target_score is not None and not 0.0 <= self.target_score <= 1.0:
             raise ValueError("target_score must lie in [0, 1]")
+        # Every proposal lies inside the axes: check each axis's bounds and
+        # choices against the base now, before a search writes its store.
+        for path in self.space:
+            axis = self.space.spec(path)
+            values = (axis.low, axis.high) if isinstance(axis, Uniform) else axis.values
+            for value in values:
+                try:
+                    expand_campaigns(self.base, [{path: value}])
+                except ValueError as error:
+                    raise ValueError(f"search axis {path} at {value!r}: {error}") from None
 
     def to_json_dict(self) -> Dict[str, object]:
         """The manifest payload (provenance; resume keys off the hash)."""
@@ -207,11 +217,12 @@ class SearchResult:
 class FalsificationLoop:
     """Drive one search spec to completion against an experiment store.
 
-    ``executor`` / ``engine`` / ``batch_size`` pass straight through to
+    ``executor`` / ``batch_size`` pass straight through to
     :func:`~repro.experiments.campaign.run_campaigns`, so a search fans out
     over worker processes and lockstep batch-simulator lanes exactly like a
-    sweep does.  Construction is cheap; :meth:`run` does the work and may be
-    called again after an interruption (it reloads the checkpoint).
+    sweep does; ``engine`` accepts only ``"batch"``.  Construction is cheap;
+    :meth:`run` does the work and may be called again after an interruption
+    (it reloads the checkpoint).
     """
 
     def __init__(
@@ -219,9 +230,10 @@ class FalsificationLoop:
         spec: SearchSpec,
         store: StoreLike,
         executor: ExecutorLike = None,
-        engine: str = DEFAULT_ENGINE,
+        engine: str = "batch",
         batch_size: int = DEFAULT_BATCH_SIZE,
     ):
+        _check_engine(engine)
         resolved = resolve_store(store)
         if resolved is None:
             raise ValueError(
@@ -231,7 +243,6 @@ class FalsificationLoop:
         self.spec = spec
         self.store: ExperimentStore = resolved
         self.executor = executor
-        self.engine = engine
         self.batch_size = batch_size
         self.search_hash = search_spec_hash(spec)
         self._elite_frac = float(
@@ -370,7 +381,6 @@ class FalsificationLoop:
                     use_cache=False,
                     executor=executor,
                     store=self.store,
-                    engine=self.engine,
                     batch_size=self.batch_size,
                 )
                 points = self._score_points(objective, iteration, assignments, configs)
@@ -458,12 +468,9 @@ def run_falsification_search(
     spec: SearchSpec,
     store: StoreLike,
     executor: ExecutorLike = None,
-    engine: str = DEFAULT_ENGINE,
     batch_size: int = DEFAULT_BATCH_SIZE,
     max_iterations: Optional[int] = None,
 ) -> SearchResult:
     """One-call convenience wrapper around :class:`FalsificationLoop`."""
-    loop = FalsificationLoop(
-        spec, store, executor=executor, engine=engine, batch_size=batch_size
-    )
+    loop = FalsificationLoop(spec, store, executor=executor, batch_size=batch_size)
     return loop.run(max_iterations=max_iterations)

@@ -10,9 +10,11 @@ deterministic, seedable 2-D road-frame simulator.  It provides:
   (:mod:`repro.sim.scenarios`),
 * collision / emergency-braking event bookkeeping (:mod:`repro.sim.events`),
 * the simulation loop that wires sensors, the ADS, and an optional
-  man-in-the-middle attacker together (:mod:`repro.sim.simulator`),
-* and a vectorized engine that advances many independently-seeded runs in
-  lockstep with bit-identical results (:mod:`repro.sim.batch`).
+  man-in-the-middle attacker together, one run per lane
+  (:mod:`repro.sim.simulator`),
+* and a batch engine that steps many independently-seeded lanes through that
+  loop in lockstep, each with the result it gets alone
+  (:mod:`repro.sim.batch`).
 """
 
 from repro.sim.actors import ActorKind, ActorSnapshot, EgoVehicle, ScriptedActor

@@ -7,12 +7,13 @@ actors come within 4 m of each other; here a run halts only when the ego's
 footprint overlaps another actor's, and ``halt_gap_m`` is the 4 m accident
 threshold on the safety potential that the paper derives from that limit.
 The ego's acceleration limits (``max_decel_mps2``, ``max_accel_mps2``) are
-the run's: both simulation engines set them on the ego vehicle.
+the run's: the simulator sets them on the ego vehicle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 __all__ = ["SimulationConfig"]
 
@@ -30,7 +31,7 @@ class SimulationConfig:
     #: Accident threshold on the safety potential: a run that collides, or
     #: whose ground-truth delta from the attack's start falls below it,
     #: counts as an accident (the 4 m LGSVL halt gap discussed under paper
-    #: Definition 5).  It does not halt a run: both engines halt only when
+    #: Definition 5).  It does not halt a run: a run halts only when
     #: footprints overlap.
     halt_gap_m: float = 4.0
     #: Comfortable deceleration used for the stopping-distance definition.
@@ -43,6 +44,10 @@ class SimulationConfig:
     max_accel_mps2: float = 2.0
 
     def __post_init__(self) -> None:
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{field.name} must be finite, got {value!r}")
         if self.camera_rate_hz <= 0 or self.lidar_rate_hz <= 0:
             raise ValueError("sensor rates must be positive")
         if self.max_duration_s <= 0:
@@ -53,6 +58,8 @@ class SimulationConfig:
             raise ValueError("decelerations must be positive")
         if self.max_decel_mps2 < self.comfortable_decel_mps2:
             raise ValueError("max deceleration must be at least the comfortable deceleration")
+        if self.max_accel_mps2 <= 0:
+            raise ValueError("max_accel_mps2 must be positive")
 
     @property
     def dt(self) -> float:

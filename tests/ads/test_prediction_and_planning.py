@@ -1,16 +1,15 @@
-"""Tests for obstacle prediction, the longitudinal planner, and the ADS agent."""
+"""Tests for obstacle prediction, the longitudinal planner, and the ADS agent.
+
+Obstacles are the fusion stage's obstacle rows (see
+:mod:`repro.perception.fusion`), which the planner's row core reads.
+"""
 
 import numpy as np
 import pytest
 
 from repro.ads.planning import LongitudinalPlanner, PlannerConfig
 from repro.ads.prediction import ObstaclePredictor, PredictionConfig
-from repro.ads.world_model import WorldModel
-from repro.geometry import Vec2
-from repro.perception.fusion import FusedObstacle
-from repro.sensors.gps_imu import EgoPoseEstimate
 from repro.sim.actors import ActorKind
-from repro.sim.road import Road
 from repro.utils.units import kph_to_mps
 
 
@@ -23,21 +22,16 @@ def obstacle(
     obstacle_id="obs-1",
     actor_id=1,
 ):
-    return FusedObstacle(
-        obstacle_id=obstacle_id,
-        kind=kind,
-        distance_m=distance,
-        lateral_m=lateral,
-        longitudinal_speed_mps=speed,
-        lateral_velocity_mps=lateral_velocity,
-        sources=("camera", "lidar"),
-        actor_id=actor_id,
-    )
+    """An obstacle row: (kind, distance, lateral, speed, lateral velocity,
+    obstacle id, sources, actor id)."""
+    return (kind, distance, lateral, speed, lateral_velocity, obstacle_id,
+            ("camera", "lidar"), actor_id)
 
 
-def world(ego_speed, obstacles=()):
-    ego = EgoPoseEstimate(time_s=0.0, position=Vec2(0, 0), speed_mps=ego_speed, acceleration_mps2=0.0)
-    return WorldModel(time_s=0.0, ego=ego, obstacles=tuple(obstacles))
+def plan(planner, ego_speed, obstacles=()):
+    """(desired acceleration, emergency brake, perceived delta, lead row
+    index, target speed) for one planning cycle."""
+    return planner.plan_rows(list(obstacles), ego_speed)
 
 
 class TestObstaclePredictor:
@@ -47,7 +41,7 @@ class TestObstaclePredictor:
 
     @staticmethod
     def lead(predictor, *obstacles):
-        return predictor.lead_index(predictor.rows(obstacles))
+        return predictor.lead_index(list(obstacles))
 
     def test_in_lane_vehicle_is_in_path(self, predictor):
         assert self.lead(predictor, obstacle(30, 0.0)) == 0
@@ -78,12 +72,12 @@ class TestObstaclePredictor:
         assert self.lead(predictor, obstacle(30, 3.5)) is None
 
     def test_bumper_gap_subtracts_half_length(self, predictor):
-        vehicle = obstacle(30, 0.0)
-        assert predictor.gap(vehicle.kind, vehicle.distance_m) < vehicle.distance_m
+        kind, distance = obstacle(30, 0.0)[:2]
+        assert predictor.gap(kind, distance) < distance
 
     def test_pedestrians_near_path(self, predictor):
         ped = obstacle(30, -2.6, kind=ActorKind.PEDESTRIAN)
-        fields = (ped.kind, ped.distance_m, ped.lateral_m)
+        fields = ped[:3]
         assert predictor.near_path_pedestrian(*fields, max_distance_m=45.0, caution_margin_m=1.6)
         assert not predictor.near_path_pedestrian(
             *fields, max_distance_m=20.0, caution_margin_m=1.6
@@ -100,74 +94,73 @@ class TestLongitudinalPlanner:
         return LongitudinalPlanner(road, PlannerConfig())
 
     def test_accelerates_on_clear_road_below_cruise(self, planner):
-        decision = planner.plan(world(ego_speed=8.0))
-        assert decision.desired_acceleration_mps2 > 0
-        assert not decision.emergency_brake
-        assert decision.perceived_delta_m == float("inf")
+        desired, emergency, perceived, _, _ = plan(planner, ego_speed=8.0)
+        assert desired > 0
+        assert not emergency
+        assert perceived == float("inf")
 
     def test_holds_speed_at_cruise(self, planner):
-        decision = planner.plan(world(ego_speed=kph_to_mps(45.0)))
-        assert abs(decision.desired_acceleration_mps2) < 0.2
+        desired = plan(planner, ego_speed=kph_to_mps(45.0))[0]
+        assert abs(desired) < 0.2
 
     def test_brakes_for_slow_lead_vehicle(self, planner):
-        decision = planner.plan(world(ego_speed=12.5, obstacles=[obstacle(25, 0.0, speed=5.0)]))
-        assert decision.desired_acceleration_mps2 < 0
-        assert decision.lead_obstacle is not None
+        desired, _, _, lead, _ = plan(planner, 12.5, [obstacle(25, 0.0, speed=5.0)])
+        assert desired < 0
+        assert lead is not None
 
     def test_lead_is_nearest_in_path_obstacle_on_unsorted_input(self, planner):
-        # ``plan`` accepts any WorldModel, not only fusion's distance-sorted
-        # output: the lead must be the nearest relevant obstacle, not the
-        # first one listed.
+        # ``plan_rows`` accepts rows in any order, not only fusion's
+        # distance-sorted output: the lead must be the nearest relevant
+        # obstacle, not the first one listed.
         far = obstacle(45, 0.0, speed=5.0, obstacle_id="far", actor_id=1)
         near = obstacle(25, 0.0, speed=5.0, obstacle_id="near", actor_id=2)
-        decision = planner.plan(world(ego_speed=12.5, obstacles=[far, near]))
-        assert decision.lead_obstacle is near
-        gap = planner.predictor.gap(near.kind, near.distance_m)
-        assert decision.perceived_delta_m == planner.safety_model.safety_potential(gap, 12.5)
+        obstacles = [far, near]
+        _, _, perceived, lead, _ = plan(planner, 12.5, obstacles)
+        assert obstacles[lead] is near
+        gap = planner.predictor.gap(near[0], near[1])
+        assert perceived == planner.safety_model.safety_potential(gap, 12.5)
 
     def test_ignores_parked_vehicle_in_parking_lane(self, planner):
-        decision = planner.plan(world(ego_speed=12.5, obstacles=[obstacle(40, -3.5, speed=0.0)]))
-        assert decision.lead_obstacle is None
+        lead = plan(planner, 12.5, [obstacle(40, -3.5, speed=0.0)])[3]
+        assert lead is None
 
     def test_emergency_brake_for_suddenly_close_stopped_obstacle(self, planner):
-        decision = planner.plan(world(ego_speed=12.5, obstacles=[obstacle(16, 0.0, speed=0.0)]))
-        assert decision.emergency_brake
-        assert decision.desired_acceleration_mps2 == pytest.approx(-PlannerConfig().max_decel_mps2)
+        desired, emergency, _, _, _ = plan(planner, 12.5, [obstacle(16, 0.0, speed=0.0)])
+        assert emergency
+        assert desired == pytest.approx(-PlannerConfig().max_decel_mps2)
 
     def test_no_emergency_brake_when_obstacle_faster(self, planner):
-        decision = planner.plan(world(ego_speed=10.0, obstacles=[obstacle(12, 0.0, speed=15.0)]))
-        assert not decision.emergency_brake
+        emergency = plan(planner, 10.0, [obstacle(12, 0.0, speed=15.0)])[1]
+        assert not emergency
 
     def test_pedestrian_caution_caps_target_speed(self, planner):
         ped = obstacle(30, -2.6, kind=ActorKind.PEDESTRIAN)
-        decision = planner.plan(world(ego_speed=12.5, obstacles=[ped]))
-        assert decision.target_speed_mps == pytest.approx(kph_to_mps(35.0))
+        target_speed = plan(planner, 12.5, [ped])[4]
+        assert target_speed == pytest.approx(kph_to_mps(35.0))
 
     def test_lost_lead_triggers_coasting(self, planner):
         # Establish a lead obstacle, then make it vanish: the planner should
         # not accelerate for the coasting hold period.
-        planner.plan(world(ego_speed=8.0, obstacles=[obstacle(20, 0.0, speed=7.0)]))
-        after_loss = planner.plan(world(ego_speed=8.0))
-        assert after_loss.desired_acceleration_mps2 <= 0.0
+        plan(planner, 8.0, [obstacle(20, 0.0, speed=7.0)])
+        assert plan(planner, 8.0)[0] <= 0.0
 
     def test_coasting_expires(self, planner):
-        planner.plan(world(ego_speed=8.0, obstacles=[obstacle(20, 0.0, speed=7.0)]))
+        plan(planner, 8.0, [obstacle(20, 0.0, speed=7.0)])
         for _ in range(PlannerConfig().lost_lead_coast_frames + 1):
-            decision = planner.plan(world(ego_speed=8.0))
-        assert decision.desired_acceleration_mps2 > 0.0
+            desired = plan(planner, 8.0)[0]
+        assert desired > 0.0
 
     def test_reset_clears_coasting_state(self, planner):
-        planner.plan(world(ego_speed=8.0, obstacles=[obstacle(20, 0.0, speed=7.0)]))
+        plan(planner, 8.0, [obstacle(20, 0.0, speed=7.0)])
         planner.reset()
-        decision = planner.plan(world(ego_speed=8.0))
-        assert decision.desired_acceleration_mps2 > 0.0
+        assert plan(planner, 8.0)[0] > 0.0
 
     def test_perceived_delta_matches_safety_model(self, planner):
         lead = obstacle(30, 0.0, speed=5.0)
-        decision = planner.plan(world(ego_speed=10.0, obstacles=[lead]))
-        gap = planner.predictor.gap(lead.kind, lead.distance_m)
+        perceived = plan(planner, 10.0, [lead])[2]
+        gap = planner.predictor.gap(lead[0], lead[1])
         expected = planner.safety_model.safety_potential(gap, 10.0)
-        assert decision.perceived_delta_m == pytest.approx(expected)
+        assert perceived == pytest.approx(expected)
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
@@ -176,50 +169,31 @@ class TestLongitudinalPlanner:
             PlannerConfig(comfortable_decel_mps2=5.0, max_decel_mps2=4.0)
 
 
-class TestWorldModel:
-    def test_obstacles_ahead_sorted_and_filtered(self):
-        model = world(
-            10.0,
-            obstacles=[
-                obstacle(50, 0.0, obstacle_id="far", actor_id=1),
-                obstacle(20, 0.0, obstacle_id="near", actor_id=2),
-                obstacle(-5, 0.0, obstacle_id="behind", actor_id=3),
-            ],
-        )
-        ahead = model.obstacles_ahead()
-        assert [o.obstacle_id for o in ahead] == ["near", "far"]
-        assert model.nearest_obstacle().obstacle_id == "near"
-        assert model.obstacle_count() == 3
-
-    def test_obstacle_for_actor(self):
-        model = world(10.0, obstacles=[obstacle(20, 0.0, actor_id=7)])
-        assert model.obstacle_for_actor(7) is not None
-        assert model.obstacle_for_actor(8) is None
-
-    def test_max_distance_filter(self):
-        model = world(10.0, obstacles=[obstacle(20, 0.0), obstacle(90, 0.0, obstacle_id="x", actor_id=2)])
-        assert len(model.obstacles_ahead(max_distance_m=50.0)) == 1
-
-
 class TestAdsAgentIntegration:
     def test_agent_decision_has_consistent_fields(self, nominal_ds1, ads_factory):
+        """Ten perceive-plan-act cycles through the agent's row cores, as a
+        simulation lane runs them."""
         from repro.sensors.camera import CameraSensor
         from repro.sensors.gps_imu import GpsImuSensor
         from repro.sensors.lidar import LidarSensor
 
         agent = ads_factory(nominal_ds1)
+        perception = agent.perception
         camera, lidar = CameraSensor(), LidarSensor(rng=np.random.default_rng(0))
         gps = GpsImuSensor(rng=np.random.default_rng(1))
-        decision = None
+        dt = 1.0 / 15.0
         for _ in range(10):
             snapshot = nominal_ds1.world.snapshot()
-            decision = agent.step(
-                camera.capture(snapshot), lidar.scan(snapshot), gps.measure(snapshot), 1.0 / 15.0
-            )
-            nominal_ds1.world.step(1.0 / 15.0, decision.acceleration_mps2)
-        assert decision.perception is not None
-        assert decision.world_model.obstacle_count() >= 1
-        assert -6.0 <= decision.acceleration_mps2 <= 2.0
+            speed = gps.measure(snapshot).speed_mps
+            perception.tracker.step(perception.detector.detect(camera.capture(snapshot)))
+            estimates = perception.transform.estimate_rows(perception.tracker.observed)
+            obstacles = perception.fusion.fuse(estimates, lidar.scan(snapshot).rows(), speed, dt)
+            desired, emergency, _, _, target_speed = agent.planner.plan_rows(obstacles, speed)
+            acceleration = agent.actuate(desired, emergency, target_speed, speed, dt)
+            nominal_ds1.world.step(dt, acceleration)
+        assert estimates
+        assert len(obstacles) >= 1
+        assert -6.0 <= acceleration <= 2.0
 
     def test_agent_reset(self, nominal_ds1, ads_factory):
         agent = ads_factory(nominal_ds1)

@@ -107,14 +107,16 @@ class TestRoboTack:
         drive_with_attacker(scenario, attacker, n_frames=350)
         assert attacker.episode_over
         replica_calls = []
-        attacker.perception.process = lambda *args, **kwargs: replica_calls.append(args)
+        attacker.perception.detector.detect = lambda *args: replica_calls.append(args)
         camera = CameraSensor()
         frame = camera.capture(scenario.world.snapshot())
         assert attacker.process_frame(frame, ego_speed_mps=12.5, dt=FRAME_DT) is frame
         assert replica_calls == []
 
     def test_split_hook_composes_to_process_frame(self):
-        """frame_for_replica -> replica -> frame_to_deliver is process_frame."""
+        """frame_for_replica -> replica -> frame_to_deliver is process_frame,
+        with the replica stepped on its row cores as a simulation lane steps
+        it."""
         delivered = {}
         for mode in ("whole", "split"):
             scenario = build_scenario("DS-1", ScenarioVariation.nominal())
@@ -127,9 +129,15 @@ class TestRoboTack:
                     out = attacker.process_frame(frame, ego_speed_mps=12.5, dt=FRAME_DT)
                 else:
                     observed = attacker.frame_for_replica(frame)
-                    estimates = attacker.perception.process(
-                        observed, ego_speed_mps=12.5
-                    ).world_estimates
+                    tracker = attacker.perception.tracker
+                    tracker.pool.predict_tracks((tracker,))
+                    rows, measurements = [], []
+                    tracker.track_rows(
+                        attacker.perception.detector.detect_rows(observed.rows()),
+                        rows, measurements,
+                    )
+                    tracker.pool.update_rows(rows, measurements)
+                    estimates = attacker.perception.transform.transform(tracker.observed)
                     out = attacker.frame_to_deliver(observed, estimates, 12.5)
                 frames.append(tuple((o.kind, o.bbox) for o in out.objects))
                 scenario.world.step(FRAME_DT, ego_acceleration_mps2=0.0)

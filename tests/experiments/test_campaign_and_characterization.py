@@ -284,37 +284,35 @@ class TestBatchEngine:
             assert a.halted_on_collision == b.halted_on_collision
 
     def test_batch_campaign_matches_scalar_campaign(self):
+        """One run per chunk and the default chunking give the same runs."""
         config = self._config()
-        scalar = run_campaign(config, use_cache=False, engine="scalar")
-        batch = run_campaign(config, use_cache=False, engine="batch", batch_size=2)
-        assert batch.n_runs == scalar.n_runs == config.n_runs
+        one_lane = run_campaign(config, use_cache=False, batch_size=1)
+        batch = run_campaign(config, use_cache=False)
+        assert batch.n_runs == one_lane.n_runs == config.n_runs
         assert all(
-            _results_equal(a, b) for a, b in zip(scalar.runs, batch.runs)
+            _results_equal(a, b) for a, b in zip(one_lane.runs, batch.runs)
         )
 
     def test_scalar_store_resumes_under_batch_engine(self, tmp_path):
-        """Records are engine-independent, so a partially scalar-filled store
-        is finished by the batch engine with identical merged results."""
+        """Records do not depend on the chunking, so a store partly filled
+        by ``run_single_experiment_record`` is finished by 3-run chunks with
+        identical merged results."""
         config = self._config(campaign_id="batch-resume-ds3", n_runs=4)
         store = ExperimentStore(tmp_path / "mixed")
         store.write_manifest(config)
         store.append(run_single_experiment_record(config, 2))
-        mixed = run_campaign(config, store=store, engine="batch", batch_size=3)
-        full = run_campaign(
-            config, store=tmp_path / "batch-only", engine="batch", batch_size=3
-        )
+        mixed = run_campaign(config, store=store, batch_size=3)
+        full = run_campaign(config, store=tmp_path / "batch-only", batch_size=3)
         assert mixed.n_runs == full.n_runs == config.n_runs
         assert all(_results_equal(a, b) for a, b in zip(mixed.runs, full.runs))
 
-    def test_default_engine_runs_a_custom_step_fusion_policy(self):
-        """A registered policy with its own ``step`` runs on reference-engine
-        lanes of the default batch engine: identical to ``engine="scalar"``."""
+    def test_default_engine_runs_a_custom_fuse_fusion_policy(self):
+        """A registered policy with its own ``fuse`` runs in every lane: the
+        default chunking and one run per chunk agree."""
 
         class NearestOnly(SensorFusion):
-            def step(self, camera_estimates, lidar_scan, ego_speed_mps, frame_dt_s):
-                return super().step(
-                    camera_estimates, lidar_scan, ego_speed_mps, frame_dt_s
-                )[:1]
+            def fuse(self, estimates, lidar, ego_speed_mps, frame_dt_s):
+                return super().fuse(estimates, lidar, ego_speed_mps, frame_dt_s)[:1]
 
         FUSION_POLICIES.register("nearest_only", NearestOnly)
         try:
@@ -324,11 +322,11 @@ class TestBatchEngine:
                 fusion=FusionConfig(policy="nearest_only"),
             )
             default = run_campaign(config, use_cache=False)
-            scalar = run_campaign(config, use_cache=False, engine="scalar")
+            one_lane = run_campaign(config, use_cache=False, batch_size=1)
         finally:
             FUSION_POLICIES.unregister("nearest_only")
-        assert default.n_runs == scalar.n_runs == 3
-        assert all(_results_equal(a, b) for a, b in zip(default.runs, scalar.runs))
+        assert default.n_runs == one_lane.n_runs == 3
+        assert all(_results_equal(a, b) for a, b in zip(default.runs, one_lane.runs))
 
     def test_default_engine_splits_runs_across_workers(self):
         """A default 30-run campaign is one chunk serially, and is split so
@@ -358,13 +356,14 @@ class TestBatchEngine:
         assert sorted(sum(parallel_executor.items, [])) == list(range(30))
         assert all(_results_equal(a, b) for a, b in zip(serial.runs, parallel.runs))
 
-    def test_unknown_engine_rejected(self):
+    @pytest.mark.parametrize("engine", ["vectorized", "scalar"])
+    def test_unknown_engine_rejected(self, engine):
         with pytest.raises(ValueError, match="unknown engine"):
-            run_campaign(self._config(), engine="vectorized")
+            run_campaign(self._config(), engine=engine)
 
     def test_non_positive_batch_size_rejected(self):
         with pytest.raises(ValueError, match="batch_size"):
-            run_campaign(self._config(), engine="batch", batch_size=0)
+            run_campaign(self._config(), batch_size=0)
 
 
 class TestPredictorTraining:

@@ -444,9 +444,9 @@ class TestConsumers:
         )
         store = ExperimentStore(tmp_path)
         with pytest.raises(InjectedFault):
-            # Scalar: one run per work item, so the fault leaves one run stored.
+            # One run per work item, so the fault leaves one run stored.
             run_campaign(
-                config, store=store, executor=FaultInjectingExecutor(1), engine="scalar"
+                config, store=store, executor=FaultInjectingExecutor(1), batch_size=1
             )
 
         # Rates over 1 of 3 runs would be silently wrong statistics.

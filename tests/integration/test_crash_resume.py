@@ -8,8 +8,8 @@ skips exactly the (config-hash, run-index) pairs already on disk.
 
 The crash is simulated with :class:`FaultInjectingExecutor`, which completes
 a fixed number of work items (checkpointing them) and then dies.  A work item
-is one run on the scalar engine and one chunk of lockstep runs on the default
-batch engine, so the per-run checkpoint tests pin ``engine="scalar"``.
+is one chunk of lockstep runs, so the per-run checkpoint tests pin
+``batch_size=1``: one run per work item.
 """
 
 import math
@@ -70,12 +70,12 @@ def assert_campaigns_identical(a: CampaignResult, b: CampaignResult) -> None:
 class TestCrashResume:
     def test_interrupted_then_resumed_is_bit_identical_to_clean_serial(self, tmp_path):
         config = _config()
-        clean = run_campaign(config, use_cache=False, engine="scalar")
+        clean = run_campaign(config, use_cache=False, batch_size=1)
 
         store = ExperimentStore(tmp_path)
         with pytest.raises(InjectedFault):
             run_campaign(
-                config, store=store, executor=FaultInjectingExecutor(2), engine="scalar"
+                config, store=store, executor=FaultInjectingExecutor(2), batch_size=1
             )
 
         # The crash checkpointed exactly the completed runs...
@@ -93,14 +93,14 @@ class TestCrashResume:
         # An out-of-order parallel crash leaves an arbitrary subset of run
         # indices behind; order-tagged checkpointing makes the merge exact.
         config = _config(n_runs=6, seed=29)
-        clean = run_campaign(config, use_cache=False, engine="scalar")
+        clean = run_campaign(config, use_cache=False, batch_size=1)
 
         store = ExperimentStore(tmp_path)
         with ParallelExecutor(max_workers=2) as inner:
             with pytest.raises(InjectedFault):
                 run_campaign(
                     config, store=store, executor=FaultInjectingExecutor(3, inner),
-                    engine="scalar",
+                    batch_size=1,
                 )
         done = store.run_indices(config_hash(config))
         assert len(done) == 3
@@ -113,7 +113,7 @@ class TestCrashResume:
         # On the default batch engine a work item is a chunk of lockstep runs:
         # a fault after the first chunk leaves exactly that chunk's indices.
         config = _config(n_runs=5, seed=17)
-        clean = run_campaign(config, use_cache=False, engine="scalar")
+        clean = run_campaign(config, use_cache=False, batch_size=1)
 
         store = ExperimentStore(tmp_path)
         with pytest.raises(InjectedFault):

@@ -1,4 +1,9 @@
-"""Tests for camera/LiDAR fusion and the full perception pipeline."""
+"""Tests for camera/LiDAR fusion and the full perception pipeline.
+
+Fusion policies are driven through their row-level ``fuse`` (the rows are
+documented in :mod:`repro.perception.fusion`); the obstacle rows' fields are
+read through the index constants below.
+"""
 
 import numpy as np
 import pytest
@@ -10,37 +15,31 @@ from repro.perception.fusion import (
     ConsistencyGatedFusion,
     FusionConfig,
     LidarOnlyFusion,
-    RowFusionPolicy,
     SensorFusion,
     build_fusion_policy,
     list_fusion_policies,
 )
 from repro.perception.pipeline import PerceptionConfig, PerceptionSystem
-from repro.perception.transforms import WorldObjectEstimate
 from repro.sensors.camera import CameraSensor
 from repro.sensors.lidar import LidarDetection, LidarScan, LidarSensor
 from repro.sim.actors import ActorKind
 from repro.sim.scenarios import ScenarioVariation, build_scenario
 
 FRAME_DT = 1.0 / 15.0
+#: Fields of an obstacle row.
+KIND, DISTANCE, LATERAL, SPEED, LATERAL_VELOCITY, OBSTACLE_ID, SOURCES, ACTOR_ID = range(8)
 
 
 def camera_estimate(distance, lateral, kind=ActorKind.VEHICLE, track_id=1, actor_id=1, v_rel=0.0):
-    return WorldObjectEstimate(
-        track_id=track_id,
-        actor_id=actor_id,
-        kind=kind,
-        distance_m=distance,
-        lateral_m=lateral,
-        relative_longitudinal_velocity_mps=v_rel,
-        relative_longitudinal_acceleration_mps2=0.0,
-        lateral_velocity_mps=0.0,
-        age_frames=5,
-    )
+    """An estimate row: (distance, lateral, relative velocity, lateral
+    velocity, track id, actor id, kind, relative acceleration, age)."""
+    return (distance, lateral, v_rel, 0.0, track_id, actor_id, kind, 0.0, 5)
 
 
 def lidar_scan(step, detections):
-    return LidarScan(time_s=step * FRAME_DT, frame_index=step, detections=tuple(detections))
+    """The LiDAR rows of a scan of ``detections``."""
+    return LidarScan(time_s=step * FRAME_DT, frame_index=step,
+                     detections=tuple(detections)).rows()
 
 
 def lidar_detection(distance, lateral, kind=ActorKind.VEHICLE, actor_id=1, speed=5.0):
@@ -57,20 +56,20 @@ class TestRegistration:
         fusion = SensorFusion()
         obstacles = []
         for step in range(4):
-            obstacles = fusion.step(
+            obstacles = fusion.fuse(
                 [camera_estimate(30.0, 0.0)],
                 lidar_scan(step, [lidar_detection(30.0, 0.0)]),
                 ego_speed_mps=10.0,
                 frame_dt_s=FRAME_DT,
             )
         assert len(obstacles) == 1
-        assert set(obstacles[0].sources) == {"camera", "lidar"}
+        assert set(obstacles[0][SOURCES]) == {"camera", "lidar"}
 
     def test_camera_only_registration_is_delayed(self):
         config = FusionConfig(camera_only_registration_frames=8)
         fusion = SensorFusion(config)
         for step in range(5):
-            obstacles = fusion.step(
+            obstacles = fusion.fuse(
                 [camera_estimate(50.0, 0.0, kind=ActorKind.PEDESTRIAN)],
                 None,
                 ego_speed_mps=10.0,
@@ -78,7 +77,7 @@ class TestRegistration:
             )
         assert obstacles == []
         for step in range(5, 12):
-            obstacles = fusion.step(
+            obstacles = fusion.fuse(
                 [camera_estimate(50.0, 0.0, kind=ActorKind.PEDESTRIAN)],
                 None,
                 ego_speed_mps=10.0,
@@ -91,7 +90,7 @@ class TestRegistration:
         fusion = SensorFusion(config)
         obstacles = []
         for step in range(25):
-            obstacles = fusion.step(
+            obstacles = fusion.fuse(
                 [], lidar_scan(step, [lidar_detection(25.0, 0.0)]), 10.0, FRAME_DT
             )
         assert obstacles == []
@@ -101,39 +100,39 @@ class TestLateralBlending:
     def test_fused_lateral_between_camera_and_lidar(self):
         fusion = SensorFusion(FusionConfig(camera_weight=0.65))
         for step in range(6):
-            obstacles = fusion.step(
+            obstacles = fusion.fuse(
                 [camera_estimate(30.0, 2.0)],
                 lidar_scan(step, [lidar_detection(30.0, 0.0)]),
                 10.0,
                 FRAME_DT,
             )
-        assert 0.5 < obstacles[0].lateral_m < 2.0
+        assert 0.5 < obstacles[0][LATERAL] < 2.0
 
     def test_camera_only_lateral_passes_through(self):
         fusion = SensorFusion()
         obstacles = []
         for step in range(12):
-            obstacles = fusion.step(
+            obstacles = fusion.fuse(
                 [camera_estimate(40.0, -2.5, kind=ActorKind.PEDESTRIAN)], None, 10.0, FRAME_DT
             )
-        assert obstacles[0].lateral_m == pytest.approx(-2.5, abs=0.01)
+        assert obstacles[0][LATERAL] == pytest.approx(-2.5, abs=0.01)
 
     def test_distance_is_lidar_dominated(self):
         fusion = SensorFusion(FusionConfig(camera_distance_weight=0.25))
         for step in range(6):
-            obstacles = fusion.step(
+            obstacles = fusion.fuse(
                 [camera_estimate(26.0, 0.0)],
                 lidar_scan(step, [lidar_detection(30.0, 0.0)]),
                 10.0,
                 FRAME_DT,
             )
-        assert obstacles[0].distance_m == pytest.approx(29.0, abs=0.3)
+        assert obstacles[0][DISTANCE] == pytest.approx(29.0, abs=0.3)
 
 
 class TestDropBehaviour:
     def _register_fused_track(self, fusion):
         for step in range(6):
-            obstacles = fusion.step(
+            obstacles = fusion.fuse(
                 [camera_estimate(25.0, 0.0)],
                 lidar_scan(step, [lidar_detection(25.0, 0.0)]),
                 10.0,
@@ -146,7 +145,7 @@ class TestDropBehaviour:
         fusion = SensorFusion()
         step = self._register_fused_track(fusion)
         for offset in range(5):
-            obstacles = fusion.step(
+            obstacles = fusion.fuse(
                 [], lidar_scan(step + offset, [lidar_detection(25.0, 0.0)]), 10.0, FRAME_DT
             )
         assert len(obstacles) == 1
@@ -156,7 +155,7 @@ class TestDropBehaviour:
         fusion = SensorFusion(config)
         step = self._register_fused_track(fusion)
         for offset in range(config.lidar_backed_timeout_frames + 3):
-            obstacles = fusion.step(
+            obstacles = fusion.fuse(
                 [], lidar_scan(step + offset, [lidar_detection(25.0, 0.0)]), 10.0, FRAME_DT
             )
         assert obstacles == []
@@ -165,23 +164,23 @@ class TestDropBehaviour:
         config = FusionConfig(camera_only_timeout_frames=10)
         fusion = SensorFusion(config)
         for _ in range(12):
-            fusion.step([camera_estimate(40.0, 0.0, kind=ActorKind.PEDESTRIAN)], None, 10.0, FRAME_DT)
+            fusion.fuse([camera_estimate(40.0, 0.0, kind=ActorKind.PEDESTRIAN)], None, 10.0, FRAME_DT)
         for _ in range(config.camera_only_timeout_frames + 2):
-            obstacles = fusion.step([], None, 10.0, FRAME_DT)
+            obstacles = fusion.fuse([], None, 10.0, FRAME_DT)
         assert obstacles == []
 
     def test_reset_clears_state(self):
         fusion = SensorFusion()
         self._register_fused_track(fusion)
         fusion.reset()
-        assert fusion.step([], None, 10.0, FRAME_DT) == []
+        assert fusion.fuse([], None, 10.0, FRAME_DT) == []
 
 
 class TestAssociation:
     def test_one_lane_apart_objects_stay_separate(self):
         fusion = SensorFusion()
         for step in range(8):
-            obstacles = fusion.step(
+            obstacles = fusion.fuse(
                 [camera_estimate(30.0, 0.0, track_id=1, actor_id=1)],
                 lidar_scan(
                     step,
@@ -195,14 +194,14 @@ class TestAssociation:
             )
         # The in-lane fused obstacle keeps the in-lane lateral position; the
         # oncoming vehicle one lane over does not contaminate it.
-        in_lane = [o for o in obstacles if abs(o.lateral_m) < 1.0]
+        in_lane = [o for o in obstacles if abs(o[LATERAL]) < 1.0]
         assert len(in_lane) == 1
-        assert in_lane[0].longitudinal_speed_mps > 0
+        assert in_lane[0][SPEED] > 0
 
     def test_new_camera_track_reassociates_with_existing_object(self):
         fusion = SensorFusion()
         for step in range(6):
-            fusion.step(
+            fusion.fuse(
                 [camera_estimate(30.0, 0.0, track_id=1)],
                 lidar_scan(step, [lidar_detection(30.0, 0.0)]),
                 10.0,
@@ -210,7 +209,7 @@ class TestAssociation:
             )
         # The camera track id changes (e.g. after a misdetection burst); the
         # evidence must flow into the same fused track instead of duplicating.
-        obstacles = fusion.step(
+        obstacles = fusion.fuse(
             [camera_estimate(30.0, 0.2, track_id=9)],
             lidar_scan(7, [lidar_detection(30.0, 0.0)]),
             10.0,
@@ -302,12 +301,33 @@ class TestPolicyRegistry:
         with pytest.raises(Exception, match="unknown fusion policy"):
             build_fusion_policy("ekf")
 
+    def test_policy_without_fuse_is_rejected(self):
+        """``fuse`` is the fusion contract: a registered factory whose
+        policy has none fails at build time, in one line."""
+
+        class StepOnly:
+            def __init__(self, config):
+                self.config = config
+
+            def reset(self):
+                pass
+
+            def step(self, camera_estimates, lidar_scan, ego_speed_mps, frame_dt_s):
+                return []
+
+        FUSION_POLICIES.register("step_only", StepOnly)
+        try:
+            with pytest.raises(ValueError, match="fusion policy 'step_only' has no fuse"):
+                build_fusion_policy("step_only")
+        finally:
+            FUSION_POLICIES.unregister("step_only")
+
 
 class TestConsistencyGatedFusion:
     def _run(self, fusion, camera_lateral, lidar_lateral, steps=6):
         obstacles = []
         for step in range(steps):
-            obstacles = fusion.step(
+            obstacles = fusion.fuse(
                 [camera_estimate(30.0, camera_lateral)],
                 lidar_scan(step, [lidar_detection(30.0, lidar_lateral)]),
                 10.0,
@@ -319,8 +339,8 @@ class TestConsistencyGatedFusion:
         config = FusionConfig(policy="consistency_gated")
         gated = self._run(ConsistencyGatedFusion(config), 0.4, 0.2)
         late = self._run(SensorFusion(FusionConfig()), 0.4, 0.2)
-        assert gated[0].lateral_m == pytest.approx(late[0].lateral_m)
-        assert gated[0].distance_m == pytest.approx(late[0].distance_m)
+        assert gated[0][LATERAL] == pytest.approx(late[0][LATERAL])
+        assert gated[0][DISTANCE] == pytest.approx(late[0][DISTANCE])
 
     def test_disagreeing_camera_is_down_weighted(self):
         # Camera claims the object slid 2 m laterally; LiDAR disagrees (still
@@ -329,25 +349,25 @@ class TestConsistencyGatedFusion:
         config = FusionConfig(policy="consistency_gated", consistency_gate_m=1.2)
         gated = self._run(ConsistencyGatedFusion(config), 2.0, 0.0)
         late = self._run(SensorFusion(FusionConfig()), 2.0, 0.0)
-        assert abs(gated[0].lateral_m) < abs(late[0].lateral_m)
-        assert abs(gated[0].lateral_m) < 0.5 * abs(late[0].lateral_m)
+        assert abs(gated[0][LATERAL]) < abs(late[0][LATERAL])
+        assert abs(gated[0][LATERAL]) < 0.5 * abs(late[0][LATERAL])
 
 
 class TestCameraOnlyFusion:
     def test_passes_camera_estimates_through(self):
         fusion = CameraOnlyFusion()
-        obstacles = fusion.step(
+        obstacles = fusion.fuse(
             [camera_estimate(40.0, -1.5, v_rel=-3.0)], None, ego_speed_mps=10.0, frame_dt_s=FRAME_DT
         )
         assert len(obstacles) == 1
-        assert obstacles[0].sources == ("camera",)
-        assert obstacles[0].distance_m == pytest.approx(40.0)
-        assert obstacles[0].lateral_m == pytest.approx(-1.5)
-        assert obstacles[0].longitudinal_speed_mps == pytest.approx(7.0)
+        assert obstacles[0][SOURCES] == ("camera",)
+        assert obstacles[0][DISTANCE] == pytest.approx(40.0)
+        assert obstacles[0][LATERAL] == pytest.approx(-1.5)
+        assert obstacles[0][SPEED] == pytest.approx(7.0)
 
     def test_ignores_lidar_scan(self):
         fusion = CameraOnlyFusion()
-        obstacles = fusion.step(
+        obstacles = fusion.fuse(
             [], lidar_scan(0, [lidar_detection(20.0, 0.0)]), 10.0, FRAME_DT
         )
         assert obstacles == []
@@ -359,67 +379,40 @@ class TestLidarOnlyFusion:
         fusion = LidarOnlyFusion(config)
         obstacles = []
         for step in range(config.fused_registration_frames + 2):
-            obstacles = fusion.step(
+            obstacles = fusion.fuse(
                 [], lidar_scan(step, [lidar_detection(25.0, 0.5)]), 10.0, FRAME_DT
             )
         assert len(obstacles) == 1
-        assert obstacles[0].sources == ("lidar",)
-        assert obstacles[0].distance_m == pytest.approx(25.0)
+        assert obstacles[0][SOURCES] == ("lidar",)
+        assert obstacles[0][DISTANCE] == pytest.approx(25.0)
 
     def test_ignores_camera_estimates(self):
         fusion = LidarOnlyFusion()
         obstacles = []
         for _ in range(12):
-            obstacles = fusion.step([camera_estimate(30.0, 0.0)], None, 10.0, FRAME_DT)
+            obstacles = fusion.fuse([camera_estimate(30.0, 0.0)], None, 10.0, FRAME_DT)
         assert obstacles == []
 
     def test_track_dropped_after_timeout(self):
         config = FusionConfig(policy="lidar_only", lidar_only_timeout_scans=4)
         fusion = LidarOnlyFusion(config)
         for step in range(6):
-            fusion.step([], lidar_scan(step, [lidar_detection(25.0, 0.0)]), 10.0, FRAME_DT)
+            fusion.fuse([], lidar_scan(step, [lidar_detection(25.0, 0.0)]), 10.0, FRAME_DT)
         obstacles = []
         for step in range(6, 6 + config.lidar_only_timeout_scans + 2):
-            obstacles = fusion.step([], lidar_scan(step, []), 10.0, FRAME_DT)
+            obstacles = fusion.fuse([], lidar_scan(step, []), 10.0, FRAME_DT)
         assert obstacles == []
 
     def test_reset_clears_tracks(self):
         fusion = LidarOnlyFusion()
         for step in range(8):
-            fusion.step([], lidar_scan(step, [lidar_detection(25.0, 0.0)]), 10.0, FRAME_DT)
+            fusion.fuse([], lidar_scan(step, [lidar_detection(25.0, 0.0)]), 10.0, FRAME_DT)
         fusion.reset()
-        assert fusion.step([], None, 10.0, FRAME_DT) == []
+        assert fusion.fuse([], None, 10.0, FRAME_DT) == []
 
 
 class TestRowCore:
-    """``step`` is one shared adapter over each policy's row-level ``fuse``."""
-
-    @pytest.mark.parametrize("policy", list_fusion_policies())
-    def test_step_wraps_fuse_rows(self, policy):
-        via_step = build_fusion_policy(policy)
-        via_rows = build_fusion_policy(policy)
-        assert type(via_step).step is RowFusionPolicy.step
-        for step in range(12):
-            estimates = [camera_estimate(40.0 - step, 0.1 * step, kind=ActorKind.PEDESTRIAN,
-                                         track_id=3, actor_id=5, v_rel=-1.0)]
-            scan = lidar_scan(step, [lidar_detection(25.0 - step, -0.2, actor_id=6)])
-            obstacles = via_step.step(estimates, scan, 10.0, FRAME_DT)
-            rows = via_rows.fuse(
-                [(e.distance_m, e.lateral_m, e.relative_longitudinal_velocity_mps,
-                  e.lateral_velocity_mps, e.track_id, e.actor_id, e.kind,
-                  e.relative_longitudinal_acceleration_mps2, e.age_frames)
-                 for e in estimates],
-                [(d.distance_m, d.lateral_m, d.actor_id, d.kind, d.velocity.x)
-                 for d in scan.detections],
-                10.0,
-                FRAME_DT,
-            )
-            assert [
-                (o.kind, o.distance_m, o.lateral_m, o.longitudinal_speed_mps,
-                 o.lateral_velocity_mps, o.obstacle_id, o.sources, o.actor_id)
-                for o in obstacles
-            ] == rows
-        assert obstacles
+    """Each policy's row-level ``fuse`` returns distance-sorted obstacle rows."""
 
     def test_rows_are_distance_sorted_with_ids_and_sources(self):
         fusion = SensorFusion()
@@ -438,22 +431,33 @@ class TestRowCore:
         ]
 
 
+def process(system, camera_frame, lidar_rows, ego_speed_mps):
+    """One frame through the pipeline's row cores, as a simulation lane runs
+    them: detect, track, transform, fuse.  Returns (estimate rows, obstacle
+    rows)."""
+    system.tracker.step(system.detector.detect(camera_frame))
+    estimates = system.transform.estimate_rows(system.tracker.observed)
+    return estimates, system.fusion.fuse(estimates, lidar_rows, ego_speed_mps,
+                                         system.config.frame_dt_s)
+
+
 class TestPerceptionSystem:
     def test_full_pipeline_detects_lead_vehicle(self):
         scenario = build_scenario("DS-1", ScenarioVariation.nominal())
         camera = CameraSensor()
         lidar = LidarSensor(rng=np.random.default_rng(0))
         system = PerceptionSystem(rng=np.random.default_rng(1))
-        output = None
+        obstacles = []
         for _ in range(8):
             snapshot = scenario.world.snapshot()
-            output = system.process(camera.capture(snapshot), lidar.scan(snapshot), ego_speed_mps=12.5)
+            _, obstacles = process(system, camera.capture(snapshot),
+                                   lidar.scan(snapshot).rows(), ego_speed_mps=12.5)
             scenario.world.step(FRAME_DT, 0.0)
-        assert output.obstacles
-        lead = output.obstacles[0]
-        assert lead.kind is ActorKind.VEHICLE
-        assert lead.distance_m == pytest.approx(58.0, abs=6.0)
-        assert abs(lead.lateral_m) < 1.0
+        assert obstacles
+        lead = obstacles[0]
+        assert lead[KIND] is ActorKind.VEHICLE
+        assert lead[DISTANCE] == pytest.approx(58.0, abs=6.0)
+        assert abs(lead[LATERAL]) < 1.0
 
     def test_camera_only_mode_uses_camera_only_policy(self):
         config = PerceptionConfig(fusion=FusionConfig(policy="camera_only"))
@@ -462,13 +466,13 @@ class TestPerceptionSystem:
         assert type(system.fusion) is CameraOnlyFusion
         scenario = build_scenario("DS-1", ScenarioVariation.nominal())
         camera = CameraSensor()
-        output = None
+        obstacles = []
         for _ in range(6):
             snapshot = scenario.world.snapshot()
-            output = system.process(camera.capture(snapshot), None, ego_speed_mps=12.5)
+            _, obstacles = process(system, camera.capture(snapshot), None, ego_speed_mps=12.5)
             scenario.world.step(FRAME_DT, 0.0)
-        assert output.obstacles
-        assert output.obstacles[0].sources == ("camera",)
+        assert obstacles
+        assert obstacles[0][SOURCES] == ("camera",)
 
     def test_perception_config_resolves_policy_from_fusion(self):
         assert PerceptionConfig().fusion.policy == "late"
@@ -484,29 +488,30 @@ class TestPerceptionSystem:
         lidar = LidarSensor(rng=np.random.default_rng(4))
         target_id = scenario.target_actor_id
         found = False
-        output = None
+        estimates = obstacles = []
         # Individual frames can fall inside a misdetection burst and obstacle
         # registration takes a few frames, so look for a frame where both the
-        # camera estimate and the fused obstacle exist.
+        # camera estimate and the fused obstacle carry the target's actor id.
         for _ in range(25):
             snapshot = scenario.world.snapshot()
-            output = system.process(camera.capture(snapshot), lidar.scan(snapshot), 12.5)
+            estimates, obstacles = process(system, camera.capture(snapshot),
+                                           lidar.scan(snapshot).rows(), 12.5)
             scenario.world.step(FRAME_DT, 0.0)
             if (
-                output.estimate_for_actor(target_id) is not None
-                and output.obstacle_for_actor(target_id) is not None
+                any(row[5] == target_id for row in estimates)
+                and any(row[ACTOR_ID] == target_id for row in obstacles)
             ):
                 found = True
                 break
         assert found
-        assert output.nearest_obstacle() is not None
-        assert output.estimate_for_actor(10**9) is None
+        assert obstacles
+        assert not any(row[5] == 10**9 for row in estimates)
 
     def test_reset_restores_clean_state(self):
         system = PerceptionSystem(rng=np.random.default_rng(5))
         scenario = build_scenario("DS-1", ScenarioVariation.nominal())
         camera = CameraSensor()
         for _ in range(5):
-            system.process(camera.capture(scenario.world.snapshot()), None, 12.5)
+            process(system, camera.capture(scenario.world.snapshot()), None, 12.5)
         system.reset()
         assert system.tracker.tracks == {}

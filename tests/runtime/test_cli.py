@@ -13,7 +13,6 @@ import pytest
 import repro
 from repro.experiments.campaign import (
     DEFAULT_BATCH_SIZE,
-    DEFAULT_ENGINE,
     clear_caches,
     run_campaign,
 )
@@ -30,8 +29,8 @@ _SUBPROCESS_ENV = {
     ),
 }
 
-#: The engine flags' defaults: the library's own.
-_ENGINE = dict(engine=DEFAULT_ENGINE, batch_size=DEFAULT_BATCH_SIZE)
+#: The chunk flag's default: the library's own.
+_ENGINE = dict(batch_size=DEFAULT_BATCH_SIZE)
 
 #: Minimal argv per subcommand and the defaults it must parse to.
 _DEFAULTS = {
@@ -121,10 +120,9 @@ class TestParserStructure:
             main(["run", "--help"])
         help_text = " ".join(capsys.readouterr().out.split())
         signature = inspect.signature(run_campaign).parameters
-        assert signature["engine"].default == DEFAULT_ENGINE == "batch"
         assert signature["batch_size"].default == DEFAULT_BATCH_SIZE
-        assert f"default: {DEFAULT_ENGINE})" in help_text
         assert f"default: {DEFAULT_BATCH_SIZE})" in help_text
+        assert "--engine" not in help_text
         assert "split into at least --jobs chunks" in help_text
 
     def test_bare_invocation_prints_usage_and_exits_2(self, capsys):
@@ -175,11 +173,11 @@ class TestCli:
             main(["run", "--scenario", "DS-1", "--vector", "teleport", "--runs", "1"])
 
     def test_single_campaign_with_batch_engine(self, tmp_path, capsys):
-        """--engine batch composes with --store and records every run."""
+        """--batch-size composes with --store and records every run."""
         code = main(
             [
                 "run", "--scenario", "DS-3", "--attacker", "none", "--runs", "3",
-                "--seed", "3", "--engine", "batch", "--batch-size", "2",
+                "--seed", "3", "--batch-size", "2",
                 "--store", str(tmp_path / "runs"),
             ]
         )
@@ -192,20 +190,22 @@ class TestCli:
         assert store.incomplete_campaigns() == []
 
     def test_invalid_engine_exits_with_error(self):
-        with pytest.raises(SystemExit):
-            main(["run", "--scenario", "DS-1", "--runs", "1", "--engine", "vectorized"])
+        """There is one engine, so ``--engine`` is an unknown flag."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--scenario", "DS-1", "--runs", "1", "--engine", "batch"])
+        assert exit_info.value.code == 2
 
     def test_non_positive_batch_size_exits_with_error(self):
         with pytest.raises(SystemExit):
             main(
                 ["run", "--scenario", "DS-1", "--attacker", "none", "--runs", "1",
-                 "--engine", "batch", "--batch-size", "0"]
+                 "--batch-size", "0"]
             )
 
     def test_parser_defaults(self):
         args = build_parser().parse_args(["run", "--scenario", "DS-1"])
         assert args.runs == 10
-        assert args.engine == DEFAULT_ENGINE == "batch"
+        assert not hasattr(args, "engine")
         assert args.batch_size == DEFAULT_BATCH_SIZE
         assert args.jobs == 0
         assert args.scenario == "DS-1"
@@ -396,7 +396,49 @@ class TestSweepCli:
         assert "Sweep of 7 points" in capsys.readouterr().out
 
 
+    def test_non_positive_max_accel_axis_exits_before_the_store(self, tmp_path):
+        # An ego that cannot accelerate once recorded hazard-free campaigns.
+        store = tmp_path / "store"
+        completed = subprocess.run(
+            [
+                sys.executable, "-m", "repro.runtime.cli", "sweep",
+                "--scenario", "DS-1", "--attacker", "none", "--runs", "2",
+                "--sampler", "grid", "--param", "simulation.max_accel_mps2=-2:0:2",
+                "--store", str(store),
+            ],
+            capture_output=True, text=True, env=_SUBPROCESS_ENV,
+        )
+        assert completed.returncode == 1
+        assert completed.stderr.splitlines() == ["max_accel_mps2 must be positive"]
+        assert not store.exists()
+
+
 class TestSearchCli:
+    @pytest.mark.parametrize("axis, message", [
+        ("simulation.max_duration_s=-2:0",
+         "search axis simulation.max_duration_s at -2.0: max_duration_s must be positive"),
+        ("simulation.max_accel_mps2=-2:0",
+         "search axis simulation.max_accel_mps2 at -2.0: max_accel_mps2 must be positive"),
+        ("fusion.camera_weight=0.5,1.5",
+         "search axis fusion.camera_weight at 1.5: camera_weight must be in [0, 1], got 1.5"),
+    ])
+    def test_invalid_axis_bound_exits_before_the_store(self, tmp_path, axis, message):
+        # A search checkpoints its manifest and state before its first
+        # iteration, so every axis bound and choice is checked first.
+        store = tmp_path / "store"
+        completed = subprocess.run(
+            [
+                sys.executable, "-m", "repro.runtime.cli", "search",
+                "--scenario", "DS-1", "--attacker", "none", "--runs", "1",
+                "--budget", "2", "--batch-points", "2", "--param", axis,
+                "--store", str(store),
+            ],
+            capture_output=True, text=True, env=_SUBPROCESS_ENV,
+        )
+        assert completed.returncode == 1
+        assert completed.stderr.splitlines() == [message]
+        assert not store.exists()
+
     @pytest.mark.parametrize("axis", ["simulation.max_duration_s=nan",
                                       "variation.lead_gap_offset_m=0:inf"])
     def test_non_finite_axis_exits_before_the_store(self, tmp_path, axis):
@@ -432,7 +474,7 @@ class TestFusionCli:
         code = main(
             [
                 "run", "--scenario", "DS-1", "--attacker", "none", "--runs", "2",
-                "--seed", "3", "--fusion", "consistency_gated", "--engine", "batch",
+                "--seed", "3", "--fusion", "consistency_gated", "--batch-size", "1",
             ]
         )
         assert code == 0
@@ -503,9 +545,9 @@ class TestFusionCli:
         )
         store = ExperimentStore(tmp_path)
         with pytest.raises(InjectedFault):
-            # Scalar: one run per work item, so the fault leaves a gap to resume.
+            # One run per work item, so the fault leaves a gap to resume.
             run_campaign(
-                config, store=store, executor=FaultInjectingExecutor(1), engine="scalar"
+                config, store=store, executor=FaultInjectingExecutor(1), batch_size=1
             )
 
         # A filter on a different policy matches nothing and resumes nothing.
@@ -639,9 +681,9 @@ class TestResumeCli:
         )
         store = ExperimentStore(tmp_path)
         with pytest.raises(InjectedFault):
-            # Scalar: one run per work item, so the fault leaves one run stored.
+            # One run per work item, so the fault leaves one run stored.
             run_campaign(
-                config, store=store, executor=FaultInjectingExecutor(1), engine="scalar"
+                config, store=store, executor=FaultInjectingExecutor(1), batch_size=1
             )
         assert store.run_indices(config_hash(config)) == {0}
 

@@ -169,6 +169,12 @@ class TestBudgetAndTarget:
         with pytest.raises(ValueError):
             FalsificationLoop(_spec(), store=None)
 
+    @pytest.mark.parametrize("engine", ["scalar", "vectorized"])
+    def test_engine_other_than_batch_is_rejected(self, tmp_path, engine):
+        FalsificationLoop(_spec(), ExperimentStore(tmp_path), engine="batch")
+        with pytest.raises(ValueError, match="unknown engine"):
+            FalsificationLoop(_spec(), ExperimentStore(tmp_path), engine=engine)
+
 
 class TestCrashResume:
     def test_faulted_search_resumes_bit_identically(self, tmp_path):

@@ -1,19 +1,23 @@
-"""Batch-engine golden lanes: every lane the engines were compared on, pinned.
+"""Batch golden lanes: the lockstep loop's results, pinned lane by lane.
 
-The vectorized :class:`~repro.sim.batch.BatchSimulator` is a drop-in
-campaign engine because it reproduces the scalar
-:class:`~repro.sim.simulator.Simulator` loop *bit for bit*: same traces, same
-events, same halt behaviour, for every scenario and with or without an
-attacker in the loop.  Each case below ran on both engines and compared them;
-its reference is now pinned instead, as a :class:`GoldenDigest` (see
-``test_golden_traces``) computed by the scalar loop.  For attacked lanes a
+The repository once had two simulation engines, a scalar step loop and the
+vectorized :class:`~repro.sim.batch.BatchSimulator`, and these cases held
+them bit-identical: same traces, same events, same halt behaviour, for every
+scenario and with or without an attacker in the loop.  The scalar loop is
+gone (:meth:`Simulator.run <repro.sim.simulator.Simulator.run>` now steps a
+one-lane batch), and each case's reference is the :class:`GoldenDigest` (see
+``test_golden_traces``) the scalar loop computed.  For attacked lanes a
 SHA-256 also pins everything else the comparison read: the attack record's
 signature, every target-track lookup of the trajectory hijacker and, for the
 scripted collection lanes, every scenario-matcher verdict and the collected
-sample.  Both engines are checked against the pins.
+sample.
 
 Benign lanes with the nominal variation and seeds 1/2 are the golden runs
 themselves, so they read ``GOLDEN`` and ``GOLDEN_POLICIES``.
+
+:class:`TestWidthIndependence` is the exact contract: the same specs at
+group widths 1, 3, 4 and 64, and one at a time through ``Simulator.run``,
+give bitwise-equal traces, events and attack records.
 
 Nothing pinned here may carry an actor id: actors draw fresh ids from a
 module-global counter, so ids depend on what ran before in the process.  The
@@ -105,21 +109,26 @@ class _CameraDistrustingFusion(SensorFusion):
         return (0.2, 0.05)
 
 
+def _record_group_widths(monkeypatch):
+    """Record the width of every lockstep group the batches step."""
+    widths = []
+    run_lockstep = batch_module.run_lockstep
+
+    def recorded(lanes, pool):
+        widths.append(len(lanes))
+        return run_lockstep(lanes, pool)
+
+    monkeypatch.setattr(batch_module, "run_lockstep", recorded)
+    return widths
+
+
 @pytest.fixture(params=[None, 4], ids=["default_width", "width_4"])
 def lockstep_groups(request, monkeypatch):
     """Run a test at the default ``LOCKSTEP_LANES`` and at 4 lanes per group;
     returns the width of every lockstep group the batches then step."""
     if request.param is not None:
         monkeypatch.setattr(batch_module, "LOCKSTEP_LANES", request.param)
-    widths = []
-    run_group = BatchSimulator._run_group
-
-    def recorded(simulator, lanes):
-        widths.append(len(lanes))
-        return run_group(simulator, lanes)
-
-    monkeypatch.setattr(BatchSimulator, "_run_group", recorded)
-    return widths
+    return _record_group_widths(monkeypatch)
 
 
 def _assert_grouped(widths, n_batched):
@@ -130,7 +139,10 @@ def _assert_grouped(widths, n_batched):
 
 def _assert_pool_free(simulator):
     """Every Kalman row is back in the batch's shared pool."""
-    pool = simulator._pool
+    _assert_free(simulator._pool)
+
+
+def _assert_free(pool):
     assert sorted(pool._free) == list(range(pool.states.shape[0]))
 
 
@@ -139,21 +151,14 @@ def _assert_golden(result, expected, label):
     assert digest == expected, f"{label}: expected {expected}, got {digest}"
 
 
-def _run_scalar(scenario, ads, attacker, rng, config=None):
-    return Simulator(scenario, ads, config=config, attacker=attacker, rng=rng).run()
-
-
 def _run_batch(scenario, ads, attacker, rng, config=None):
     return BatchSimulator(
         [BatchRunSpec(scenario=scenario, ads=ads, attacker=attacker, rng=rng)], config=config
     ).run()[0]
 
 
-_ENGINES = {"scalar": _run_scalar, "batch": _run_batch}
-
-
 # --------------------------------------------------------------------------- #
-# Pinned references (computed by the scalar loop)
+# Pinned references (computed by the scalar loop before it was removed)
 # --------------------------------------------------------------------------- #
 
 #: Single random-attacker lanes (``_attacked_setup``, late fusion) per scenario.
@@ -225,11 +230,6 @@ GOLDEN_CUSTOM_FUSION = {
         steps=525, min_delta_m=11.469, final_speed_mps=6.888,
         events=(("attack_started", 381), ("attack_ended", 423)),
         traces_sha256="4d4b795b8ea3b4fe2ac0fa1dc77a31a265c23a87634393a8b0dc5a202f5b5ee2",
-    ),
-    ("protocol_only", "attacked"): GoldenDigest(
-        steps=150, min_delta_m=-26.278, final_speed_mps=12.495,
-        events=(("collision", 150), ("simulation_halted", 150)),
-        traces_sha256="8e8f8bce13288132ee0f89685ea7f87762d85688dcc8c33d6d506fe4658f9ac7",
     ),
     ("camera_distrusting", "attacked"): GoldenDigest(
         steps=525, min_delta_m=9.345, final_speed_mps=6.928,
@@ -599,9 +599,7 @@ class TestScalarBatchEquivalence:
     @pytest.mark.parametrize("mode", sorted(_SETUPS))
     def test_single_lane_matches_scalar(self, scenario_id, mode):
         expected = (GOLDEN if mode == "benign" else GOLDEN_RANDOM)[scenario_id]
-        for engine, run in _ENGINES.items():
-            result = run(*_SETUPS[mode](scenario_id))
-            _assert_golden(result, expected, f"{scenario_id}/{mode}/{engine}")
+        _assert_golden(_run_batch(*_SETUPS[mode](scenario_id)), expected, scenario_id)
 
     def test_multi_lane_lockstep_is_independent(self, lockstep_groups):
         """All scenarios in one batch, with a custom-``fuse`` lane among
@@ -632,8 +630,6 @@ class TestScalarBatchEquivalence:
             _assert_golden(result, digest, f"lane {index}")
         _assert_pool_free(simulator)
         _assert_grouped(lockstep_groups, len(lanes))
-        for setup, digest in zip(setups(), expected):
-            _assert_golden(_run_scalar(*setup), digest, "scalar")
 
     def test_empty_batch_is_rejected(self):
         with pytest.raises(ValueError, match="at least one run spec"):
@@ -645,28 +641,25 @@ class TestScalarBatchEquivalence:
         """Every non-default fusion policy matches its golden run (the
         default ``late`` policy is covered by every other test here)."""
         fusion = FusionConfig(policy=policy)
-        for engine, run in _ENGINES.items():
-            result = run(*_benign_setup(scenario_id, fusion=fusion))
-            _assert_golden(result, GOLDEN_POLICIES[(policy, scenario_id)],
-                           f"{scenario_id}/{policy}/{engine}")
+        _assert_golden(_run_batch(*_benign_setup(scenario_id, fusion=fusion)),
+                       GOLDEN_POLICIES[(policy, scenario_id)], f"{scenario_id}/{policy}")
 
     @pytest.mark.parametrize("policy", [p for p in list_fusion_policies() if p != "late"])
     def test_non_default_policies_match_scalar_under_attack(self, policy):
         """Same gate with the random attacker in the loop (DS-2 hosts the
         pedestrian variant of the perception stack)."""
         fusion = FusionConfig(policy=policy)
-        for engine, run in _ENGINES.items():
-            result = run(*_attacked_setup("DS-2", fusion=fusion))
-            _assert_golden(result, GOLDEN_RANDOM_POLICIES[policy], f"{policy}/{engine}")
+        _assert_golden(_run_batch(*_attacked_setup("DS-2", fusion=fusion)),
+                       GOLDEN_RANDOM_POLICIES[policy], policy)
 
-    @staticmethod
-    def _mixed_batch_matches_scalar(name, policy_type):
-        """A batch of late-fusion lanes around one ``policy_type`` victim
-        (attacked DS-1) matches the pins, and that victim's run differs from
-        a late-fusion one, so its own policy really ran."""
-        lanes = [("DS-1", "benign", None), ("DS-1", "attacked", policy_type),
+    def test_custom_fuse_fusion_policy_runs_in_its_lane(self):
+        """A batch of late-fusion lanes around one victim with its own
+        ``fuse`` (attacked DS-1, a SensorFusion subclass that drops the LiDAR
+        scan) matches the pins, and that victim's run differs from a
+        late-fusion one, so its own policy really ran."""
+        lanes = [("DS-1", "benign", None), ("DS-1", "attacked", _DropLidarFusion),
                  ("DS-2", "attacked", None)]
-        expected = [GOLDEN["DS-1"], GOLDEN_CUSTOM_FUSION[(name, "attacked")],
+        expected = [GOLDEN["DS-1"], GOLDEN_CUSTOM_FUSION[("drop_lidar", "attacked")],
                     GOLDEN_RANDOM["DS-2"]]
 
         def setups():
@@ -683,44 +676,16 @@ class TestScalarBatchEquivalence:
         assert len(batch) == len(expected)
         for index, (result, digest) in enumerate(zip(batch, expected)):
             _assert_golden(result, digest, f"lane {index}")
-        for setup, digest in zip(setups(), expected):
-            _assert_golden(_run_scalar(*setup), digest, "scalar")
         assert expected[1] != GOLDEN_RANDOM["DS-1"]
-
-    def test_custom_step_fusion_policy_runs_on_a_reference_lane(self):
-        """A policy with its own ``step`` (a SensorFusion subclass that drops
-        the LiDAR scan) runs on the reference Simulator, in spec order among
-        the ported lanes, and gives the custom-``fuse`` policy's results."""
-
-        class StepDropLidar(SensorFusion):
-            def step(self, camera_estimates, lidar_scan, ego_speed_mps, frame_dt_s):
-                return super().step(camera_estimates, None, ego_speed_mps, frame_dt_s)
-
-        self._mixed_batch_matches_scalar("drop_lidar", StepDropLidar)
-
-    def test_protocol_only_fusion_policy_runs_on_a_reference_lane(self):
-        """Same for a policy that implements just the FusionPolicy protocol."""
-
-        class ProtocolOnly:
-            config = FusionConfig()
-
-            def reset(self):
-                pass
-
-            def step(self, camera_estimates, lidar_scan, ego_speed_mps, frame_dt_s):
-                return []
-
-        self._mixed_batch_matches_scalar("protocol_only", ProtocolOnly)
 
     @pytest.mark.parametrize("mode", sorted(_SETUPS))
     def test_blend_weight_subclass_matches_scalar(self, mode):
         """A built-in subclass that only overrides the blend weights runs
         through the same core, and differs from ``late``."""
         expected = GOLDEN_CUSTOM_FUSION[("camera_distrusting", mode)]
-        for engine, run in _ENGINES.items():
-            scenario, ads, attacker, rng = _SETUPS[mode]("DS-1")
-            ads.perception.fusion = _CameraDistrustingFusion(ads.perception.config.fusion)
-            _assert_golden(run(scenario, ads, attacker, rng), expected, engine)
+        scenario, ads, attacker, rng = _SETUPS[mode]("DS-1")
+        ads.perception.fusion = _CameraDistrustingFusion(ads.perception.config.fusion)
+        _assert_golden(_run_batch(scenario, ads, attacker, rng), expected, mode)
         assert expected != (GOLDEN if mode == "benign" else GOLDEN_RANDOM)["DS-1"]
 
     def test_spawn_overlap_halts_batch_lane_at_step_zero(self):
@@ -779,9 +744,13 @@ class TestFreshVictimAgent:
             BatchSimulator([BatchRunSpec(scenario=scenario, ads=ads, rng=rng)])
 
     def test_reset_agent_matches_scalar(self):
-        for engine, run in _ENGINES.items():
-            scenario, ads, rng = self._warmed_setup(reset=True)
-            _assert_golden(run(scenario, ads, None, rng), GOLDEN_RESET_AGENT, engine)
+        scenario, ads, rng = self._warmed_setup(reset=True)
+        _assert_golden(_run_batch(scenario, ads, None, rng), GOLDEN_RESET_AGENT, "reset")
+
+    def test_warmed_agent_is_rejected_by_a_lone_run(self):
+        scenario, ads, rng = self._warmed_setup(reset=False)
+        with pytest.raises(ValueError, match="Simulator needs a fresh victim agent"):
+            Simulator(scenario, ads, rng=rng).run()
 
     def test_rejected_batch_retries_after_reset(self):
         """A batch rejected for a warmed agent has taken no draw from any
@@ -892,15 +861,9 @@ def _lane(config, run_index, wrap=None):
     return setup, attacker, lookups
 
 
-def _run_both(lanes, wrap=None):
-    """Each (config, run index) alone on the scalar engine, then all of them
-    as the lanes of one batch; returns (result, attacker, lookups) per lane."""
-    scalar = []
-    for config, index in lanes:
-        setup, attacker, lookups = _lane(config, index, wrap)
-        result = Simulator(setup.scenario, setup.ads, config=config.simulation,
-                           attacker=attacker, rng=setup.sim_rng).run()
-        scalar.append((result, attacker, lookups))
+def _run_lanes(lanes, wrap=None):
+    """Every (config, run index) as the lanes of one batch; returns (result,
+    attacker, lookups) per lane."""
     built = [_lane(config, index, wrap) for config, index in lanes]
     simulator = BatchSimulator([
         BatchRunSpec(scenario=setup.scenario, ads=setup.ads, attacker=attacker,
@@ -909,9 +872,8 @@ def _run_both(lanes, wrap=None):
     ])
     results = simulator.run()
     _assert_pool_free(simulator)
-    batch = [(result, attacker, lookups)
-             for result, (_, attacker, lookups) in zip(results, built)]
-    return scalar, batch
+    return [(result, attacker, lookups)
+            for result, (_, attacker, lookups) in zip(results, built)]
 
 
 def _record_signature(attacker):
@@ -942,11 +904,10 @@ def _assert_lanes_golden(runs, keys):
         assert _attack_sha256(attacker, lookups) == attack, key
 
 
-def _assert_both_golden(lanes, wrap=None, keys=None):
-    """Run ``lanes`` on both engines; each lane matches its pin."""
+def _assert_batch_golden(lanes, wrap=None, keys=None):
+    """Run ``lanes`` as one batch; each lane matches its pin."""
     keys = keys or [(_label(config), index) for config, index in lanes]
-    scalar, batch = _run_both(lanes, wrap)
-    _assert_lanes_golden(scalar, keys)
+    batch = _run_lanes(lanes, wrap)
     _assert_lanes_golden(batch, keys)
     return batch
 
@@ -1045,20 +1006,20 @@ class TestAttackedScalarBatchEquivalence:
     @pytest.mark.parametrize("scenario_id, vector", _TABLE2_PAIRS)
     def test_robotack_table2_pairs(self, scenario_id, vector):
         config = _campaign(scenario_id, AttackerKind.ROBOTACK, vector)
-        batch = _assert_both_golden([(config, index) for index in range(_ATTACKED_RUNS)])
+        batch = _assert_batch_golden([(config, index) for index in range(_ATTACKED_RUNS)])
         assert _launched(batch)
 
     def test_robotack_without_safety_hijacker(self):
         lanes = [(_campaign("DS-1", AttackerKind.ROBOTACK_NO_SH, AttackVector.DISAPPEAR), 0),
                  (_campaign("DS-2", AttackerKind.ROBOTACK_NO_SH, AttackVector.MOVE_OUT), 0),
                  (_campaign("DS-3", AttackerKind.ROBOTACK_NO_SH, AttackVector.MOVE_IN), 0)]
-        batch = _assert_both_golden(lanes)
+        batch = _assert_batch_golden(lanes)
         assert _launched(batch)
 
     def test_degraded_detector_move_in(self):
         degradation = DetectorDegradation(sigma_scale=6, misdetection_scale=4)
         config = _campaign("DS-3", AttackerKind.ROBOTACK, AttackVector.MOVE_IN, degradation)
-        batch = _assert_both_golden([(config, index) for index in range(_ATTACKED_RUNS)])
+        batch = _assert_batch_golden([(config, index) for index in range(_ATTACKED_RUNS)])
         assert _launched(batch)
 
     def test_mixed_attacked_and_benign_lanes(self, lockstep_groups):
@@ -1076,7 +1037,7 @@ class TestAttackedScalarBatchEquivalence:
                   (_campaign("DS-2", AttackerKind.ROBOTACK_NO_SH, AttackVector.DISAPPEAR), 1)]
         lanes += [(_campaign(scenario_id, AttackerKind.NONE), 0)
                   for scenario_id in list_scenario_ids()]
-        batch = _assert_both_golden(lanes)
+        batch = _assert_batch_golden(lanes)
         _assert_grouped(lockstep_groups, len(lanes))
         assert len({result.steps_executed for result, _, _ in batch}) > 1
         launch_reads = later_reads = 0
@@ -1093,19 +1054,19 @@ class TestAttackedScalarBatchEquivalence:
     def test_protocol_only_attacker_runs_as_a_black_box(self):
         """A black box gives the batched replica's results."""
         config = _campaign("DS-2", AttackerKind.ROBOTACK, AttackVector.DISAPPEAR)
-        batch = _assert_both_golden([(config, index) for index in range(2)],
+        batch = _assert_batch_golden([(config, index) for index in range(2)],
                                     wrap=_ProtocolOnlyAttacker)
         assert _launched(batch)
         for result, attacker, _ in batch:
             assert attacker.frames_seen == result.steps_executed
 
     def test_stock_replica_runs_in_the_batch_port(self):
-        """A RoboTack lane never calls its scalar replica pipeline on the
-        batch engine, and every Kalman row is back in the pool at the end."""
+        """A RoboTack lane never calls its black-box frame hook, and every
+        Kalman row is back in the pool at the end."""
         lanes = [_lane(_campaign("DS-3", AttackerKind.ROBOTACK, AttackVector.MOVE_IN), index)
                  for index in range(_ATTACKED_RUNS)]
         for _, attacker, _ in lanes:
-            attacker.perception.process = None  # any call would raise
+            attacker.process_frame = None  # any call would raise
         simulator = BatchSimulator([
             BatchRunSpec(scenario=setup.scenario, ads=setup.ads, attacker=attacker,
                          rng=setup.sim_rng)
@@ -1138,7 +1099,7 @@ class TestAttackedScalarBatchEquivalence:
             return attacker
 
         label = _label(config) + ("/used_attacker" if variant == "used_attacker" else "")
-        batch = _assert_both_golden([(config, index) for index in range(2)], wrap=wrap,
+        batch = _assert_batch_golden([(config, index) for index in range(2)], wrap=wrap,
                                     keys=[(label, index) for index in range(2)])
         if variant == "overridden_hook":
             for result, attacker, _ in batch:
@@ -1146,20 +1107,16 @@ class TestAttackedScalarBatchEquivalence:
 
     @pytest.mark.parametrize("case", list(_SCRIPTED_CASES))
     def test_scripted_attack_lane_matches_scalar(self, scripted_batch, case):
-        """A training-collection lane, run alone on the scalar loop and in
-        the batch of all cases, matches its pin: traces, events, attack
-        record, target lookups, matcher verdicts and the collected sample."""
+        """A training-collection lane, in the batch of all cases, matches its
+        pin: traces, events, attack record, target lookups, matcher verdicts
+        and the collected sample."""
         vector = _SCRIPTED_CASES[case][1]
         digest, attack = GOLDEN_SCRIPTED[case]
-        job, scenario, ads, attacker, rng, lookups, matches = _scripted_lane(case)
+        b_result, (job, scenario, _, b_attacker, _, b_lookups, b_matches) = scripted_batch[case]
         if case.startswith("DS-7"):  # the fog detector reaches the attacker
             assert scenario.detector_config is not None
-            assert attacker.config.perception.detector == scenario.detector_config
-        result = Simulator(scenario, ads, attacker=attacker, rng=rng).run()
-        _assert_golden(result, digest, f"{case}/scalar")
-        assert _scripted_sha256(case, job, result, attacker, lookups, matches) == attack
-        b_result, (_, _, _, b_attacker, _, b_lookups, b_matches) = scripted_batch[case]
-        _assert_golden(b_result, digest, f"{case}/batch")
+            assert b_attacker.config.perception.detector == scenario.detector_config
+        _assert_golden(b_result, digest, case)
         assert _scripted_sha256(case, job, b_result, b_attacker, b_lookups, b_matches) == attack
 
         samples = _point_samples(vector, job, b_result, b_attacker)
@@ -1172,3 +1129,88 @@ class TestAttackedScalarBatchEquivalence:
             assert record.launched and record.frames_perturbed and samples[2]
         if case.endswith("_200m"):
             assert record.start_frame == matched[0]
+
+
+# --------------------------------------------------------------------------- #
+# Width independence: the exact contract
+# --------------------------------------------------------------------------- #
+
+
+def _width_specs():
+    """One fresh spec per lane kind: benign (DS-1 and the shorter DS-3),
+    RoboTack, random, no-SH, scripted, a black-box attacker and a
+    custom-``fuse`` victim."""
+    specs = []
+    for config, index, wrap in (
+        (_campaign("DS-1", AttackerKind.NONE), 0, None),
+        (_campaign("DS-2", AttackerKind.ROBOTACK, AttackVector.DISAPPEAR), 0, None),
+        (_campaign("DS-5", AttackerKind.RANDOM), 1, None),
+        (_campaign("DS-2", AttackerKind.ROBOTACK_NO_SH, AttackVector.DISAPPEAR), 1, None),
+        (_campaign("DS-2", AttackerKind.ROBOTACK, AttackVector.DISAPPEAR), 1,
+         _ProtocolOnlyAttacker),
+        (_campaign("DS-3", AttackerKind.NONE), 0, None),
+    ):
+        setup, attacker, _ = _lane(config, index, wrap)
+        specs.append(BatchRunSpec(scenario=setup.scenario, ads=setup.ads,
+                                  attacker=attacker, rng=setup.sim_rng))
+    _, scenario, ads, attacker, rng, _, _ = _scripted_lane("DS-3-Move_In")
+    specs.append(BatchRunSpec(scenario=scenario, ads=ads, attacker=attacker, rng=rng))
+    scenario, ads, attacker, rng = _attacked_setup("DS-1")
+    ads.perception.fusion = _DropLidarFusion()
+    specs.append(BatchRunSpec(scenario=scenario, ads=ads, attacker=attacker, rng=rng))
+    return specs
+
+
+def _exact(spec, result):
+    """Everything a lane produced, exactly, with actor ids replaced by the
+    actor's index in its world (ids differ between separately built
+    scenarios)."""
+    index = {actor.actor_id: n for n, actor in enumerate(spec.scenario.world.actors)}
+    events = result.events
+    attacker = getattr(spec.attacker, "inner", spec.attacker)
+    record = None
+    if attacker is not None:
+        record = dataclasses.replace(
+            attacker.record, target_actor_id=index.get(attacker.record.target_actor_id)
+        )
+    return (
+        list(events.true_delta_trace), list(events.perceived_delta_trace),
+        list(events.ego_speed_trace),
+        [(e.kind, e.step_index, e.time_s,
+          {key: index[int(value)] if key == "actor_id" else value
+           for key, value in e.details.items()})
+         for e in events.events],
+        result.steps_executed, result.duration_s, result.halted_on_collision,
+        result.final_snapshot.ego.position, result.final_snapshot.ego.velocity,
+        repr(record),
+    )
+
+
+class TestWidthIndependence:
+    """The same specs give bitwise-equal results whatever the group width,
+    and one at a time through ``Simulator.run``."""
+
+    @pytest.fixture(scope="class")
+    def alone(self):
+        """Each spec through ``Simulator.run``; every Kalman row is free."""
+        runs = []
+        for spec in _width_specs():
+            simulator = Simulator(spec.scenario, spec.ads, attacker=spec.attacker,
+                                  rng=spec.rng)
+            runs.append(_exact(spec, simulator.run()))
+            _assert_free(simulator.tracker.pool)
+        return runs
+
+    @pytest.mark.parametrize("width", [1, 3, 4, 64])
+    def test_group_width_does_not_change_any_lane(self, alone, width, monkeypatch):
+        monkeypatch.setattr(batch_module, "LOCKSTEP_LANES", width)
+        widths = _record_group_widths(monkeypatch)
+        specs = _width_specs()
+        simulator = BatchSimulator(specs)
+        results = simulator.run()
+        _assert_grouped(widths, len(specs))
+        _assert_pool_free(simulator)
+        assert [_exact(spec, result) for spec, result in zip(specs, results)] == alone
+        assert len({result.steps_executed for result in results}) > 1
+        assert sum(getattr(spec.attacker, "record", None) is not None
+                   and spec.attacker.record.launched for spec in specs) >= 3

@@ -1,6 +1,6 @@
 """Golden-trace determinism tests for the scenario catalog.
 
-Fixed-seed runs on the scalar :class:`Simulator`, each pinned to a compact
+Fixed-seed runs through :meth:`Simulator.run`, each pinned to a compact
 digest: steps executed, the recorded event kinds and step indices, the
 rounded minimum ground-truth safety potential, the rounded final ego speed,
 and a SHA-256 of the run's three traces (ground-truth δ, perceived δ, ego
@@ -17,11 +17,12 @@ Any refactor that perturbs simulation semantics — sensor seeding and noise,
 camera rendering, actor and ego kinematics, the ground-truth safety
 potential, the collision check, perception, fusion, the planner, the
 attacker, the step loop's event bookkeeping — fails these loudly instead of
-silently shifting every campaign statistic.  Both engines share one
-implementation of every stage, the world side (``World.step``, the sensors'
-cores, ``ground_truth_delta`` and the ``RunRecorder``) as well as perception,
-fusion and planning, so the scalar-vs-batch equivalence suite cannot catch
-drift in any of them; these digests do.
+silently shifting every campaign statistic.  There is one step loop, and a
+run alone and a batch lane share every stage of it, so these digests (with
+the batch golden lanes of ``test_batch_equivalence``) are what define "same
+behaviour"; ``GoldenDigest`` is the fingerprint both files pin.  The digests
+were computed by the scalar step loop the repository had before
+``Simulator.run`` became a one-lane batch, and still hold.
 
 If a change *intentionally* alters simulation semantics, regenerate the
 digests with ``GoldenDigest.of`` on the runs below and say so in the commit

@@ -83,3 +83,19 @@ class TestSimulationConfig:
 
     def test_accident_threshold_default(self):
         assert SimulationConfig().halt_gap_m == 4.0
+
+    @pytest.mark.parametrize("value", [0.0, -2.0])
+    def test_non_positive_max_accel_rejected(self, value):
+        # An ego that cannot accelerate only brakes: every run would read as
+        # a hazard-free campaign.
+        with pytest.raises(ValueError, match="max_accel_mps2 must be positive"):
+            SimulationConfig(max_accel_mps2=value)
+
+    @pytest.mark.parametrize("field", [
+        "camera_rate_hz", "lidar_rate_hz", "max_duration_s", "halt_gap_m",
+        "comfortable_decel_mps2", "max_decel_mps2", "max_accel_mps2",
+    ])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SimulationConfig(**{field: value})

@@ -1,6 +1,7 @@
 """Regression tests for the simulation-loop bookkeeping fixes.
 
-Pins the three loop-level guarantees (in both engines where applicable):
+Pins the loop-level guarantees, for a run alone (``Simulator.run``) and as
+a batch lane where applicable:
 
 * a scenario whose actors spawn already overlapping halts at step 0 instead
   of driving the ego through them for the full duration;
@@ -11,8 +12,9 @@ Pins the three loop-level guarantees (in both engines where applicable):
   still active closes the interval with a final ``ATTACK_ENDED`` event;
 * the run's ``SimulationConfig`` sets the ego's acceleration limits.
 
-Each run here is also pinned as a :class:`GoldenDigest` computed by the
-scalar loop (``GOLDEN_LOOP``), which both engines must match.
+Each run here is also pinned as a :class:`GoldenDigest` (``GOLDEN_LOOP``),
+computed by the scalar step loop this repository had before
+``Simulator.run`` became a one-lane batch.
 """
 
 import numpy as np
@@ -125,7 +127,7 @@ def _assert_golden(result, key):
 
 
 class TestSpawnOverlapHalt:
-    def test_scalar_halts_at_step_zero(self):
+    def test_simulator_halts_at_step_zero(self):
         scenario = _overlap_scenario()
         ads = build_ads_agent(scenario, np.random.default_rng(_ADS_SEED))
         result = Simulator(scenario, ads, rng=np.random.default_rng(_SIM_SEED)).run()
@@ -137,12 +139,12 @@ class TestSpawnOverlapHalt:
 
 
 class TestCollisionStepTraceEntry:
-    @pytest.mark.parametrize("engine", ["scalar", "batch"])
+    @pytest.mark.parametrize("engine", ["simulator", "batch"])
     def test_impact_snapshot_is_traced(self, engine):
         scenario = _imminent_collision_scenario()
         ads = build_ads_agent(scenario, np.random.default_rng(_ADS_SEED))
         rng = np.random.default_rng(_SIM_SEED)
-        if engine == "scalar":
+        if engine == "simulator":
             result = Simulator(scenario, ads, rng=rng).run()
         else:
             result = BatchSimulator(
@@ -162,13 +164,13 @@ class TestCollisionStepTraceEntry:
 
 
 class TestOpenAttackIntervalClosed:
-    @pytest.mark.parametrize("engine", ["scalar", "batch"])
+    @pytest.mark.parametrize("engine", ["simulator", "batch"])
     def test_run_end_closes_active_attack(self, engine):
         scenario = build_scenario("DS-1")
         ads = build_ads_agent(scenario, np.random.default_rng(_ADS_SEED))
         attacker = _AlwaysOnAttacker()
         rng = np.random.default_rng(_SIM_SEED)
-        if engine == "scalar":
+        if engine == "simulator":
             result = Simulator(scenario, ads, attacker=attacker, rng=rng).run()
         else:
             result = BatchSimulator(
@@ -199,8 +201,9 @@ def _parked_ahead_scenario():
 
 
 class TestEgoLimitsFromConfig:
-    """``simulation.max_decel_mps2`` / ``max_accel_mps2`` bound the ego on
-    both engines (the ego once clamped with its own defaults, 6 and 2)."""
+    """``simulation.max_decel_mps2`` / ``max_accel_mps2`` bound the ego, run
+    alone and as a batch lane (the ego once clamped with its own defaults, 6
+    and 2)."""
 
     CASES = {
         # The planner brakes at 6 m/s^2 for the parked car; capped at 3 the
@@ -215,31 +218,31 @@ class TestEgoLimitsFromConfig:
         scenario = make_scenario()
         ads = build_ads_agent(scenario, np.random.default_rng(_ADS_SEED))
         rng = np.random.default_rng(_SIM_SEED)
-        if engine == "scalar":
+        if engine == "simulator":
             return Simulator(scenario, ads, config=config, rng=rng).run()
         return BatchSimulator(
             [BatchRunSpec(scenario=scenario, ads=ads, rng=rng)], config=config
         ).run()[0]
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_config_limits_bind_on_both_engines(self, case):
+    def test_config_limits_bind_alone_and_in_a_batch(self, case):
         make_scenario, limits = self.CASES[case]
-        default = self._run(make_scenario, SimulationConfig(), "scalar")
-        scalar = self._run(make_scenario, limits, "scalar")
+        default = self._run(make_scenario, SimulationConfig(), "simulator")
+        alone = self._run(make_scenario, limits, "simulator")
         batch = self._run(make_scenario, limits, "batch")
         _assert_golden(default, (case, "default"))
-        _assert_golden(scalar, (case, "limits"))
+        _assert_golden(alone, (case, "limits"))
         _assert_golden(batch, (case, "limits"))
         # Every step's speed change stays inside the configured limits...
-        changes = np.diff(scalar.events.ego_speed_trace) / limits.dt
+        changes = np.diff(alone.events.ego_speed_trace) / limits.dt
         assert changes.min() >= -limits.max_decel_mps2 - 1e-9
         assert changes.max() <= limits.max_accel_mps2 + 1e-9
         # ...which the planner asked to exceed, so the run differs...
-        assert scalar.events.ego_speed_trace != default.events.ego_speed_trace
-        # ...and the engines agree bit for bit.
-        assert scalar.events.true_delta_trace == batch.events.true_delta_trace
-        assert scalar.events.perceived_delta_trace == batch.events.perceived_delta_trace
-        assert scalar.events.ego_speed_trace == batch.events.ego_speed_trace
-        assert _kinds(scalar) == _kinds(batch)
-        assert scalar.final_snapshot.ego.position == batch.final_snapshot.ego.position
-        assert scalar.final_snapshot.ego.velocity == batch.final_snapshot.ego.velocity
+        assert alone.events.ego_speed_trace != default.events.ego_speed_trace
+        # ...and the lone run and the batch lane agree bit for bit.
+        assert alone.events.true_delta_trace == batch.events.true_delta_trace
+        assert alone.events.perceived_delta_trace == batch.events.perceived_delta_trace
+        assert alone.events.ego_speed_trace == batch.events.ego_speed_trace
+        assert _kinds(alone) == _kinds(batch)
+        assert alone.final_snapshot.ego.position == batch.final_snapshot.ego.position
+        assert alone.final_snapshot.ego.velocity == batch.final_snapshot.ego.velocity
