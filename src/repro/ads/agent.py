@@ -6,18 +6,26 @@ LiDAR fusion) on plain-float rows, asks its planner for a longitudinal
 acceleration, the emergency-braking flag and the perceived safety potential
 that the evaluation harness records (paper §VI reads both directly from
 Apollo), and smooths the acceleration through :meth:`AdsAgent.actuate`.
+:func:`build_ads_agent` builds the victim a scenario prescribes, for
+campaigns and for the oracle's training collection alike.
 """
 
 from __future__ import annotations
+
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from repro.ads.pid import ActuationSmoother, PIDController
 from repro.ads.planning import LongitudinalPlanner, PlannerConfig
+from repro.perception.fusion import FusionConfig
 from repro.perception.pipeline import PerceptionConfig, PerceptionSystem
 from repro.sim.road import Road
 
-__all__ = ["AdsAgent"]
+if TYPE_CHECKING:  # pragma: no cover - type hints only
+    from repro.sim.scenarios import DrivingScenario
+
+__all__ = ["AdsAgent", "build_ads_agent"]
 
 
 class AdsAgent:
@@ -69,3 +77,31 @@ class AdsAgent:
             max_accel = config.max_accel_mps2
             desired_accel = float(max_accel if max_accel < trimmed else trimmed)
         return self.smoother.smooth(desired_accel, dt, emergency)
+
+
+def build_ads_agent(
+    scenario: "DrivingScenario",
+    rng: np.random.Generator,
+    fusion: Optional[FusionConfig] = None,
+) -> AdsAgent:
+    """Construct the victim ADS agent for a scenario.
+
+    Scenarios that model degraded sensing (e.g. DS-7's fog) carry a detector
+    override, which is threaded into the agent's perception pipeline here.
+    ``fusion`` selects a fusion-policy victim variant; when ``None`` the
+    scenario's own ``fusion_config`` (usually ``None`` → the late default)
+    applies.
+    """
+    fusion_config = fusion if fusion is not None else scenario.fusion_config
+    perception_kwargs = {}
+    if scenario.detector_config is not None:
+        perception_kwargs["detector"] = scenario.detector_config
+    if fusion_config is not None:
+        perception_kwargs["fusion"] = fusion_config
+    perception_config = PerceptionConfig(**perception_kwargs) if perception_kwargs else None
+    return AdsAgent(
+        road=scenario.road,
+        planner_config=PlannerConfig(cruise_speed_mps=scenario.cruise_speed_mps),
+        perception_config=perception_config,
+        rng=rng,
+    )

@@ -21,8 +21,9 @@ frames so that its tracker state mirrors the victim's tracker state — the
 One attack episode is mounted per run.  Once it is over nothing reads the
 reconstruction any more, so the attacker stops running it.  The per-frame hook
 is split around the reconstruction step (:meth:`frame_for_replica`, then
-:meth:`frame_to_deliver`), which lets the batch engine run the replicas of
-many runs in lockstep.
+:meth:`frame_to_deliver`): that split is what a simulation lane calls, so the
+replicas of many runs step in lockstep.  :meth:`process_frame` composes the
+two halves around the replica's own step, for loops driven by hand.
 """
 
 from __future__ import annotations
@@ -121,7 +122,9 @@ class CameraMitmAttackerBase:
 
     Owns the camera-only reconstruction pipeline and the trajectory hijacker,
     and implements the per-frame bookkeeping; subclasses only decide *whether*
-    and *how long* to attack via :meth:`_maybe_launch`.
+    and *how long* to attack via :meth:`_maybe_launch`.  Every attacker a
+    simulation lane runs is one: the lane calls the split frame hook around
+    its own step of :attr:`perception`, the replica.
     """
 
     def __init__(
@@ -143,7 +146,7 @@ class CameraMitmAttackerBase:
         self._frame_count = 0
 
     # ------------------------------------------------------------------ #
-    # CameraAttacker protocol
+    # The frame hook and the state a simulation lane logs
     # ------------------------------------------------------------------ #
 
     @property
@@ -166,7 +169,11 @@ class CameraMitmAttackerBase:
     def process_frame(
         self, frame: CameraFrame, ego_speed_mps: float, dt: float
     ) -> CameraFrame:
-        """Observe the clean frame, maybe perturb it, and return what the ADS sees."""
+        """Observe the clean frame, maybe perturb it, and return what the ADS sees.
+
+        The split hook around one step of the replica, for loops driven by
+        hand; a simulation lane calls the two halves itself.
+        """
         observed = self.frame_for_replica(frame)
         if self.episode_over:
             return observed

@@ -49,14 +49,12 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.ads.agent import AdsAgent
-from repro.ads.planning import PlannerConfig
+from repro.ads.agent import AdsAgent, build_ads_agent
 from repro.core.attack_vectors import AttackVector
 from repro.core.robotack import CameraMitmAttackerBase, RoboTackConfig
 from repro.core.safety_hijacker import AttackFeatures, NeuralSafetyPredictor
 from repro.core.scenario_matcher import ScenarioMatcher
 from repro.nn import Adam, FeedForwardNetwork, TrainingResult, train_network
-from repro.perception.pipeline import PerceptionConfig
 from repro.perception.transforms import WorldObjectEstimate
 from repro.runtime.cache import encode_key
 from repro.runtime.executor import ExecutorLike, chunked, resolve_executor
@@ -276,20 +274,10 @@ def _build_grid_point(
     """One grid point's scenario, victim agent, scripted attacker and
     simulator generator, built from the job's pre-drawn variation and seeds."""
     scenario = build_scenario(scenario_id, job.variation)
-    # Degraded-sensing scenarios (e.g. DS-7's fog) must train under the
-    # same detector the campaign evaluates with, or the oracle is
-    # calibrated for clean sensing it will never see.
-    perception_config = (
-        PerceptionConfig(detector=scenario.detector_config)
-        if scenario.detector_config is not None
-        else None
-    )
-    ads = AdsAgent(
-        road=scenario.road,
-        planner_config=PlannerConfig(cruise_speed_mps=scenario.cruise_speed_mps),
-        perception_config=perception_config,
-        rng=np.random.default_rng(job.ads_seed),
-    )
+    # The campaign's own victim: a scenario's degraded detector (e.g. DS-7's
+    # fog) or fusion policy must hold in training too, or the oracle is
+    # calibrated for a victim it will never attack.
+    ads = build_ads_agent(scenario, np.random.default_rng(job.ads_seed))
     # The attacker's own reconstruction and stealth bounds must track the
     # scenario's (possibly degraded) detector, exactly as at evaluation time.
     attacker_config = RoboTackConfig.for_detector((vector,), scenario.detector_config)

@@ -29,8 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.ads.agent import AdsAgent
-from repro.ads.planning import PlannerConfig
+from repro.ads.agent import AdsAgent, build_ads_agent
 from repro.core.attack_vectors import AttackVector
 from repro.core.baselines import RandomAttacker, RoboTackWithoutSafetyHijacker
 from repro.core.robotack import CameraMitmAttackerBase, RoboTack, RoboTackConfig
@@ -41,10 +40,8 @@ from repro.core.safety_hijacker import (
     SafetyPredictor,
 )
 from repro.core.training import (
-    collect_safety_dataset,
     load_registered_predictor,
     train_and_register_predictor,
-    train_neural_safety_predictor,
     training_spec_hash,
 )
 from repro.experiments.results import CampaignResult, RunResult
@@ -65,6 +62,7 @@ __all__ = [
     "PredictorKind",
     "CampaignConfig",
     "StoreLike",
+    "build_ads_agent",
     "run_single_experiment",
     "run_single_experiment_record",
     "run_campaign",
@@ -175,6 +173,8 @@ class CampaignConfig:
         if self.seed < 0:
             # SeedSequence rejects negative entropy, so no run could start.
             raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if self.training_epochs < 1:
+            raise ValueError(f"training_epochs must be at least 1, got {self.training_epochs}")
         if self.attacker in (AttackerKind.ROBOTACK, AttackerKind.ROBOTACK_NO_SH) and self.vector is None:
             raise ValueError("RoboTack campaigns must pin an attack vector")
         if self.simulation.dt != PerceptionConfig.frame_dt_s:
@@ -271,56 +271,6 @@ class CampaignConfig:
         )
 
 
-def build_ads_agent(
-    scenario: DrivingScenario,
-    rng: np.random.Generator,
-    fusion: Optional[FusionConfig] = None,
-) -> AdsAgent:
-    """Construct the victim ADS agent for a scenario.
-
-    Scenarios that model degraded sensing (e.g. DS-7's fog) carry a detector
-    override, which is threaded into the agent's perception pipeline here.
-    ``fusion`` selects a fusion-policy victim variant; when ``None`` the
-    scenario's own ``fusion_config`` (usually ``None`` → the late default)
-    applies.
-    """
-    fusion_config = fusion if fusion is not None else scenario.fusion_config
-    perception_kwargs = {}
-    if scenario.detector_config is not None:
-        perception_kwargs["detector"] = scenario.detector_config
-    if fusion_config is not None:
-        perception_kwargs["fusion"] = fusion_config
-    perception_config = PerceptionConfig(**perception_kwargs) if perception_kwargs else None
-    return AdsAgent(
-        road=scenario.road,
-        planner_config=PlannerConfig(cruise_speed_mps=scenario.cruise_speed_mps),
-        perception_config=perception_config,
-        rng=rng,
-    )
-
-
-def _train_predictor(
-    scenario_id: str,
-    vector: AttackVector,
-    kind: PredictorKind,
-    seed: int,
-    training_epochs: int,
-) -> SafetyPredictor:
-    if kind is PredictorKind.KINEMATIC:
-        return KinematicSafetyPredictor(vector)
-    delta_grid, k_grid = training_grid_for(scenario_id)
-    dataset = collect_safety_dataset(
-        scenario_id=scenario_id,
-        vector=vector,
-        delta_inject_values=delta_grid,
-        k_values=k_grid,
-        seed=seed,
-        repeats=2,
-    )
-    predictor, _ = train_neural_safety_predictor(dataset, epochs=training_epochs, seed=seed)
-    return predictor
-
-
 def oracle_spec_hash(
     scenario_id: str,
     vector: AttackVector,
@@ -391,6 +341,9 @@ def get_or_train_predictor(
     With a ``store=``, the store's model registry is consulted first (and a
     freshly trained oracle is published back into it); the dataset collection
     behind a training miss fans out over ``executor`` and is itself resumable.
+    Without one, a neural oracle goes through the same pipeline in-process,
+    unpersisted; either way the training spec is checked before anything is
+    simulated.
     """
     resolved_store = resolve_store(store)
     if resolved_store is not None and kind is PredictorKind.NEURAL:
@@ -401,9 +354,14 @@ def get_or_train_predictor(
     # epochs must never shadow this one.
     key = encode_key((scenario_id, vector, kind, seed, training_epochs))
     if key not in _PREDICTOR_CACHE:
-        _PREDICTOR_CACHE[key] = _train_predictor(
-            scenario_id, vector, kind, seed, training_epochs
-        )
+        if kind is PredictorKind.KINEMATIC:
+            _PREDICTOR_CACHE[key] = KinematicSafetyPredictor(vector)
+        else:
+            delta_grid, k_grid = training_grid_for(scenario_id)
+            _PREDICTOR_CACHE[key] = train_and_register_predictor(
+                scenario_id, vector, delta_grid, k_grid,
+                seed=seed, repeats=2, epochs=training_epochs,
+            ).predictor
     return _PREDICTOR_CACHE[key]
 
 

@@ -21,8 +21,9 @@ Fig. 1:
 The detector, tracker, transform and fusion stages are each implemented once,
 on plain-float rows, which the simulation lanes call directly.  The
 detector's ``detect``, the tracker's ``step`` and the transform's
-``transform`` adapt those cores to the perception dataclasses, for an
-attacker's black-box replica and for hand-driven loops.
+``transform`` adapt those cores to the perception dataclasses for
+hand-driven loops, such as an attacker's ``process_frame``; a simulation
+lane calls only ``transform``, to hand its attacker world estimates.
 """
 
 from repro.perception.detection import Detection, DetectorNoiseModel, SimulatedDetector

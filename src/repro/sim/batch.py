@@ -10,7 +10,9 @@ lockstep group: every lane's tracker keeps its tracks in one shared
 :class:`~repro.perception.kalman.KalmanPool`, which predicts and updates them
 in one stacked call each.  The cheap-but-branchy per-lane logic (sensor
 rendering, detector noise, association, fusion, planning) runs as
-straight-line Python over plain floats.
+straight-line Python over plain floats.  An attacked lane runs its
+attacker's camera-only replica the same way, in the same stacked calls; the
+perception stages' dataclass adapters serve loops driven by hand.
 
 A batch wider than :data:`LOCKSTEP_LANES` runs as consecutive lockstep groups
 of at most that many lanes, each stepped to completion before the next
@@ -46,11 +48,14 @@ Restrictions:
   world;
 * no two specs may carry the same victim agent or the same attacker object:
   two lanes would drive one tracker, planner and attack record;
-* the victim's camera perception must be fresh, as for a lone run.
+* the victim agent and the attacker must be fresh, and the attacker a
+  ``CameraMitmAttackerBase``, as for a lone run
+  (:func:`~repro.sim.simulator.check_fresh`).
 
 These are checked for every spec before any lane is built, so a rejected
 batch has drawn nothing from its specs' generators: once the offending agent
-is reset (or replaced), the same specs give the same results.
+is reset (or the agent or attacker replaced), the same specs give the same
+results.
 """
 
 from __future__ import annotations
@@ -63,16 +68,11 @@ import numpy as np
 from repro.perception.kalman import KalmanPool
 from repro.sim.config import SimulationConfig
 from repro.sim.scenarios import DrivingScenario
-from repro.sim.simulator import (
-    CameraAttacker,
-    SimulationResult,
-    Simulator,
-    holds_run_state,
-    run_lockstep,
-)
+from repro.sim.simulator import SimulationResult, Simulator, check_fresh, run_lockstep
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from repro.ads.agent import AdsAgent
+    from repro.core.robotack import CameraMitmAttackerBase
 
 __all__ = ["BatchRunSpec", "BatchSimulator"]
 
@@ -99,7 +99,7 @@ class BatchRunSpec:
 
     scenario: DrivingScenario
     ads: "AdsAgent"
-    attacker: Optional[CameraAttacker] = None
+    attacker: Optional["CameraMitmAttackerBase"] = None
     rng: Optional[np.random.Generator] = None
 
 
@@ -116,12 +116,7 @@ def _check_specs(specs: Sequence[BatchRunSpec]) -> None:
                     f"one {role} object; every lane needs its own"
                 )
     for index, spec in enumerate(specs):
-        if holds_run_state(spec.ads):
-            raise ValueError(
-                f"BatchSimulator needs a fresh victim agent: spec {index}'s camera "
-                "perception already holds state from an earlier run (call "
-                "ads.reset() first)"
-            )
+        check_fresh(spec.ads, spec.attacker, "BatchSimulator", f"spec {index}'s")
 
 
 class BatchSimulator:

@@ -38,7 +38,8 @@ independent runs can be generated from seeds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 import numpy as np
@@ -97,6 +98,19 @@ class ScenarioVariation:
     pedestrian_delay_s: float = 0.0
     pedestrian_speed_scale: float = 1.0
     npc_seed: int = 0
+
+    def __post_init__(self) -> None:
+        # Sweeps and manifests carry any value: reject what no scenario
+        # builder can build before anything runs or is stored.
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{spec.name} must be finite, got {value!r}")
+        for name in ("ego_speed_scale", "pedestrian_speed_scale", "pedestrian_delay_s",
+                     "npc_seed"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"{name} must be non-negative, got {value!r}")
 
     @staticmethod
     def sample(rng: np.random.Generator) -> "ScenarioVariation":

@@ -33,7 +33,10 @@ carries: the sensors' row cores (``CameraSensor.render_rows``,
 ``detect_rows``, the tracker's ``track_rows``, the transform's
 ``estimate_rows``, the fusion policy's ``fuse``, ``ads.planner.plan_rows``
 and ``ads.actuate``; ``World.step`` advances the world and a
-:class:`RunRecorder` keeps every event and trace.
+:class:`RunRecorder` keeps every event and trace.  The perception stages'
+dataclass adapters (the detector's ``detect``, the tracker's ``step``, the
+transform's ``transform``) serve loops driven by hand; the lane calls only
+``transform``, to hand its attacker the replica's world estimates.
 
 The victim's camera perception must be fresh: a detector, tracker or
 transform that carries state from an earlier run is rejected (call
@@ -44,14 +47,12 @@ the tracker returns its rows to the pool.
 Attackers
 ---------
 
-RoboTack, its baselines and the scripted attacker that collects the oracle's
-training data (:class:`~repro.core.robotack.CameraMitmAttackerBase` with the
-stock frame hook and a fresh, stock
-:class:`~repro.perception.pipeline.PerceptionSystem` replica) run their
-camera-only replica in lockstep too: the lane calls the replica's own
-detector, tracker and transform cores, and the replica's tracker joins the
-pool.  The attacker's frame hook is called in its two halves around the
-replica step:
+A lane's attacker is a :class:`~repro.core.robotack.CameraMitmAttackerBase`
+(RoboTack, its baselines, or the oracle's scripted collection attacker), and
+its ``perception`` is the lane's camera-only *replica*: the lane calls the
+replica's own detector, tracker and transform cores, and the replica's
+tracker joins the pool.  The attacker's split frame hook, the lane's one
+attacker contract, is called in its two halves around the replica step:
 
 * before the stacked predict,
   :meth:`~repro.core.robotack.CameraMitmAttackerBase.frame_for_replica` picks
@@ -65,24 +66,21 @@ replica step:
 Once the attacker's episode is over
 (:attr:`~repro.core.robotack.CameraMitmAttackerBase.episode_over`) the
 replica's Kalman rows are freed and the attacker is no longer called: it
-would pass every frame through unchanged.  Any other attacker — one that
-implements only the :class:`CameraAttacker` protocol — is invoked as a black
-box on real :class:`~repro.sensors.camera.CameraFrame` objects every frame.
+would pass every frame through unchanged.  Like the victim, the attacker
+must be fresh: :func:`check_fresh` rejects one that has seen frames, and any
+other kind of attacker, before a run draws any seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Protocol, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 import numpy as np
 
 from repro.ads.safety import SafetyModel, ground_truth_delta
-from repro.perception.detection import SimulatedDetector
 from repro.perception.kalman import KalmanPool
-from repro.perception.mot import MultiObjectTracker
 from repro.perception.pipeline import PerceptionSystem
-from repro.perception.transforms import ImageToWorldTransform
 from repro.sensors.camera import CameraFrame, CameraSensor
 from repro.sensors.gps_imu import GpsImuSensor
 from repro.sensors.lidar import LidarSensor
@@ -94,33 +92,9 @@ from repro.sim.world import GroundTruthSnapshot
 
 if TYPE_CHECKING:  # pragma: no cover - imported for type hints only
     from repro.ads.agent import AdsAgent
+    from repro.core.robotack import CameraMitmAttackerBase
 
-__all__ = ["CameraAttacker", "RunRecorder", "SimulationResult", "Simulator"]
-
-
-class CameraAttacker(Protocol):
-    """Interface of a man-in-the-middle attacker on the camera link.
-
-    ``process_frame`` receives the clean camera frame and returns the frame the
-    ADS will see (possibly perturbed).  The attacker reports its state through
-    the three properties so the simulator can log attack start/end events.
-    """
-
-    def process_frame(
-        self, frame: CameraFrame, ego_speed_mps: float, dt: float
-    ) -> CameraFrame:
-        """Observe the clean frame and return the (possibly perturbed) frame."""
-        ...
-
-    @property
-    def attack_active(self) -> bool:
-        """Whether a perturbation is being applied this frame."""
-        ...
-
-    @property
-    def target_actor_id(self) -> Optional[int]:
-        """The actor whose trajectory is being hijacked, if any."""
-        ...
+__all__ = ["RunRecorder", "SimulationResult", "Simulator"]
 
 
 @dataclass
@@ -158,36 +132,40 @@ class SimulationResult:
         return self.min_true_delta_from_attack() < accident_delta_m
 
 
-def _batched_replica(attacker: Optional[CameraAttacker]) -> Optional[PerceptionSystem]:
-    """The attacker's replica when the lane can run it in lockstep.
+def holds_run_state(perception: PerceptionSystem) -> bool:
+    """Whether camera perception holds state from an earlier run: tracks
+    (whose Kalman rows live in another pool), or the burst state or
+    transform history a reset clears."""
+    return bool(perception.detector._burst_remaining or perception.tracker.tracks
+                or perception.transform._history)
 
-    That needs the stock frame hook of ``CameraMitmAttackerBase`` and a fresh
-    replica built from the stock stages; anything else stays a black box.
-    """
+
+def check_fresh(ads: "AdsAgent", attacker: Optional["CameraMitmAttackerBase"],
+                engine: str, whose: str) -> None:
+    """Reject a run the loop cannot start, with a one-line ``ValueError``: a
+    victim agent or an attacker that holds state from an earlier run, or an
+    attacker that is not a ``CameraMitmAttackerBase``.  ``engine`` and
+    ``whose`` name the run in the message ("Simulator", "its")."""
     # repro.core imports this module, so it cannot be imported at module level.
     from repro.core.robotack import CameraMitmAttackerBase
 
+    if holds_run_state(ads.perception):
+        raise ValueError(
+            f"{engine} needs a fresh victim agent: {whose} camera perception already "
+            "holds state from an earlier run (call ads.reset() first)"
+        )
+    if attacker is None:
+        return
     if not isinstance(attacker, CameraMitmAttackerBase):
-        return None
-    if type(attacker).process_frame is not CameraMitmAttackerBase.process_frame:
-        return None
-    replica = attacker.perception
-    stock = (type(replica) is PerceptionSystem
-             and type(replica.detector) is SimulatedDetector
-             and type(replica.tracker) is MultiObjectTracker
-             and type(replica.transform) is ImageToWorldTransform)
-    # An attacker that has already seen frames carries replica tracks, whose
-    # Kalman rows cannot move to the loop's pool.
-    return replica if stock and attacker._frame_count == 0 else None
-
-
-def holds_run_state(ads: "AdsAgent") -> bool:
-    """Whether the agent's camera perception holds state from an earlier run:
-    tracks (whose Kalman rows live in another pool), or the burst state or
-    transform history an ``ads.reset()`` clears."""
-    perception = ads.perception
-    return bool(perception.detector._burst_remaining or perception.tracker.tracks
-                or perception.transform._history)
+        raise ValueError(
+            f"{engine} runs CameraMitmAttackerBase attackers only: {whose} attacker "
+            f"is a {type(attacker).__name__}"
+        )
+    if attacker._frame_count or holds_run_state(attacker.perception):
+        raise ValueError(
+            f"{engine} needs a fresh attacker: {whose} attacker has already seen "
+            "frames (build a new one)"
+        )
 
 
 class Simulator:
@@ -197,7 +175,7 @@ class Simulator:
     the run's config sets the ego vehicle's acceleration limits.  It is a
     lane of the lockstep loop (see the module docstring): :meth:`run` steps
     it alone, and :class:`~repro.sim.batch.BatchSimulator` steps many
-    together.  Construction draws the LiDAR and GPS seeds from ``rng``.
+    together.  :meth:`start` draws the LiDAR and GPS seeds from ``rng``.
     """
 
     # Every lane step reads these.  With an instance dict, CPython 3.11 keeps
@@ -205,12 +183,12 @@ class Simulator:
     # every attribute, and each instance built before the first lane starts
     # uses some of that room; a batch builds all its lanes first.
     __slots__ = (
-        "scenario", "ads", "config", "attacker", "camera", "lidar", "gps_imu",
+        "scenario", "ads", "config", "attacker", "rng",
         # set by start()
-        "world", "dt", "step_limit", "lidar_due", "loop_step", "recorder",
-        "tracker", "detect_rows", "estimate_rows", "frame_dt", "replica",
-        "attacker_done", "frame", "clean_objects", "observed_frame", "fusion",
-        "planner", "last_lidar", "gps_speed", "result",
+        "camera", "lidar", "gps_imu", "world", "dt", "step_limit", "lidar_due",
+        "loop_step", "recorder", "tracker", "detect_rows", "estimate_rows",
+        "frame_dt", "replica", "frame", "clean_objects", "observed_frame",
+        "fusion", "planner", "last_lidar", "gps_speed", "result",
     )
 
     def __init__(
@@ -218,18 +196,14 @@ class Simulator:
         scenario: DrivingScenario,
         ads: "AdsAgent",
         config: SimulationConfig | None = None,
-        attacker: Optional[CameraAttacker] = None,
+        attacker: Optional["CameraMitmAttackerBase"] = None,
         rng: np.random.Generator | None = None,
     ):
         self.scenario = scenario
         self.ads = ads
         self.config = config or SimulationConfig()
         self.attacker = attacker
-        rng = rng if rng is not None else np.random.default_rng()
-        sensor_seeds = rng.integers(0, 2**31 - 1, size=2)
-        self.camera = CameraSensor()
-        self.lidar = LidarSensor(rng=np.random.default_rng(int(sensor_seeds[0])))
-        self.gps_imu = GpsImuSensor(rng=np.random.default_rng(int(sensor_seeds[1])))
+        self.rng = rng if rng is not None else np.random.default_rng()
         ego = scenario.world.ego
         ego.max_accel_mps2 = self.config.max_accel_mps2
         ego.max_decel_mps2 = self.config.max_decel_mps2
@@ -244,11 +218,7 @@ class Simulator:
     def run(self) -> SimulationResult:
         """Execute the scenario until its duration elapses or a collision
         halts it: one lane, stepped by :func:`run_lockstep` on its own pool."""
-        if holds_run_state(self.ads):
-            raise ValueError(
-                "Simulator needs a fresh victim agent: its camera perception already "
-                "holds state from an earlier run (call ads.reset() first)"
-            )
+        check_fresh(self.ads, self.attacker, "Simulator", "its")
         pool = KalmanPool()
         self.start(pool, [self.config.lidar_due(step) for step in range(self.max_steps)])
         if self.result is None:
@@ -266,11 +236,16 @@ class Simulator:
         ``pre_step`` (sensors -> attack -> detection -> association) feeds
         the pool, and ``post_step`` (transform -> fusion -> planning ->
         actuation -> world step -> collision check) runs after the stacked
-        Kalman predict/update of its group (see :func:`run_lockstep`).  A
-        lane with a batched replica also runs ``observe`` before the predict
-        and ``replica_step`` before the victim's ``pre_step``.  The lane's
-        ``result`` is ``None`` until it is done.
+        Kalman predict/update of its group (see :func:`run_lockstep`).  An
+        attacked lane also runs ``observe`` before the predict and
+        ``replica_step`` before the victim's ``pre_step``, until its
+        attacker's episode is over.  The lane's ``result`` is ``None`` until
+        it is done.
         """
+        sensor_seeds = self.rng.integers(0, 2**31 - 1, size=2)
+        self.camera = CameraSensor()
+        self.lidar = LidarSensor(rng=np.random.default_rng(int(sensor_seeds[0])))
+        self.gps_imu = GpsImuSensor(rng=np.random.default_rng(int(sensor_seeds[1])))
         ads = self.ads
         perception = ads.perception
         self.world = self.scenario.world
@@ -286,11 +261,10 @@ class Simulator:
         self.detect_rows = perception.detector.detect_rows
         self.estimate_rows = perception.transform.estimate_rows
         self.frame_dt = perception.config.frame_dt_s
-        self.replica = _batched_replica(self.attacker)
+        #: The attacker's replica, until its episode is over.
+        self.replica = None if self.attacker is None else self.attacker.perception
         if self.replica is not None:
             self.replica.tracker.pool = pool
-        #: A batched attacker whose episode is over: no longer called.
-        self.attacker_done = False
         self.frame: Optional[CameraFrame] = None
         self.clean_objects: List[tuple] = []
         #: The frame the replica observed this step (set by ``observe``).
@@ -319,23 +293,21 @@ class Simulator:
         self.gps_speed = self.gps_imu.read(world)[2]
         return rendered
 
-    def _camera_frame(self, rendered: List[tuple]) -> CameraFrame:
-        """The rendered rows as the camera's :class:`CameraFrame`."""
-        return CameraFrame.from_rows(rendered, self.world.time_s, self.world.step_index)
-
     def observe(self) -> None:
-        """Batched replica, before the predict: sense, and let the attacker
+        """Attacked lane, before the predict: sense, and let the attacker
         pick the frame its replica observes (a running attack perturbs it
         with the target track as the previous frame left it)."""
         rendered = self._sense()
         self.clean_objects = rendered
-        self.frame = self._camera_frame(rendered)
+        world = self.world
+        self.frame = CameraFrame.from_rows(rendered, world.time_s, world.step_index)
         self.observed_frame = self.attacker.frame_for_replica(self.frame)
         if self.attacker.episode_over:
             self._stop_replica()
 
     def replica_step(self, upd_rows: List[int], upd_z: List[tuple]) -> None:
-        """Batched replica: detection and association on the observed frame."""
+        """Attacked lane: the replica's detection and association on the
+        observed frame."""
         observed = self.observed_frame
         objects = self.clean_objects if observed is self.frame else observed.rows()
         replica = self.replica
@@ -344,14 +316,16 @@ class Simulator:
     def _stop_replica(self) -> None:
         self.replica.tracker.reset()
         self.replica = None
-        self.attacker_done = True
 
     def pre_step(self, upd_rows: List[int], upd_z: List[tuple]) -> None:
         """Sensing (unless ``observe`` did it) -> attack -> victim detection
         -> association."""
         observed = self.observed_frame
-        if observed is not None:
-            # Batched replica: deliver, given its estimates from this frame.
+        if observed is None:
+            # No attacker, or its episode is over: the clean frame.
+            camera_objects = self._sense()
+        else:
+            # Deliver, given the replica's estimates from this frame.
             self.observed_frame = None
             delivered = observed
             replica = self.replica
@@ -366,16 +340,6 @@ class Simulator:
             self.recorder.log_attack()
             camera_objects = (self.clean_objects if delivered is self.frame
                               else delivered.rows())
-        else:
-            rendered = self._sense()
-            if self.attacker is None or self.attacker_done:
-                camera_objects = rendered
-            else:
-                delivered = self.attacker.process_frame(
-                    self._camera_frame(rendered), ego_speed_mps=self.gps_speed, dt=self.dt
-                )
-                self.recorder.log_attack()
-                camera_objects = delivered.rows()
         self.tracker.track_rows(self.detect_rows(camera_objects), upd_rows, upd_z)
 
     # post_step: transform -> fusion -> planning -> actuation -> world
@@ -406,8 +370,8 @@ class Simulator:
 def run_lockstep(lanes: Sequence[Simulator], pool: KalmanPool) -> None:
     """Step started lanes that share ``pool`` in lockstep until all are done.
 
-    Each step runs these phases: (0) lanes with a batched replica sense, and
-    their attackers pick the frame the replica observes; (A) one stacked
+    Each step runs these phases: (0) attacked lanes sense, and their
+    attackers pick the frame the replica observes; (A) one stacked
     Kalman predict over every live victim and replica track of the active
     lanes; (R) the replicas' detection and association, and one stacked
     update of their tracks; (B) per-lane sensing, attack, detection, and
@@ -417,23 +381,23 @@ def run_lockstep(lanes: Sequence[Simulator], pool: KalmanPool) -> None:
     exhaust their duration drop out of the active set.
     """
     active = list(lanes)
-    split = [lane for lane in active if lane.replica is not None]
+    attacked = [lane for lane in active if lane.replica is not None]
     while active:
         # Phase 0: the attacker picks the frame its replica observes.
-        for lane in split:
+        for lane in attacked:
             lane.observe()
-        split = [lane for lane in split if lane.replica is not None]
+        attacked = [lane for lane in attacked if lane.replica is not None]
 
         # Phase A: stacked predict for every live track.
         pool.predict_tracks([lane.tracker for lane in active]
-                            + [lane.replica.tracker for lane in split])
+                            + [lane.replica.tracker for lane in attacked])
 
         # Phase R: the replicas' detection, association and update; a
         # launch decision in phase B reads this frame's updated tracks.
-        if split:
+        if attacked:
             rep_rows: List[int] = []
             rep_z: List[tuple] = []
-            for lane in split:
+            for lane in attacked:
                 lane.replica_step(rep_rows, rep_z)
             pool.update_rows(rep_rows, rep_z)
 
@@ -450,7 +414,7 @@ def run_lockstep(lanes: Sequence[Simulator], pool: KalmanPool) -> None:
         for lane in active:
             lane.post_step()
         active = [lane for lane in active if lane.result is None]
-        split = [lane for lane in split if lane.replica is not None]
+        attacked = [lane for lane in attacked if lane.replica is not None]
 
 
 class RunRecorder:

@@ -12,7 +12,8 @@ Covers the pipeline's contracts:
   reloads to bit-identical predictions, and campaign processes resolve it by
   training-spec hash instead of retraining.
 
-Plus the `_label_for_run` frame-0 clamp regression.
+Plus the `_label_for_run` frame-0 clamp regression, and that a collection
+lane's victim is the one the scenario's campaigns attack.
 """
 
 from types import SimpleNamespace
@@ -21,9 +22,11 @@ import numpy as np
 import pytest
 
 from repro.core.attack_vectors import AttackVector
-from repro.core.safety_hijacker import NeuralSafetyPredictor
+from repro.core.safety_hijacker import KinematicSafetyPredictor, NeuralSafetyPredictor
 from repro.core.training import (
     _CLEAR_ROAD_DELTA_M,
+    _build_grid_point,
+    _expand_jobs,
     _label_for_run,
     collect_safety_dataset,
     collection_hash_for,
@@ -33,8 +36,12 @@ from repro.core.training import (
     train_and_register_predictor,
     training_spec_hash,
 )
+from repro.experiments.campaign import AttackerKind, CampaignConfig, _build_run_setup
 from repro.experiments.store import ExperimentStore
+from repro.perception.fusion import CameraOnlyFusion, FusionConfig
 from repro.runtime import FaultInjectingExecutor, InjectedFault, ParallelExecutor
+from repro.sim import scenarios as scenarios_module
+from repro.sim.scenarios import build_scenario, register_scenario
 
 _SCENARIO = "DS-2"
 _VECTOR = AttackVector.DISAPPEAR
@@ -95,6 +102,33 @@ def test_collected_dataset_matches_golden_digest(case):
     scenario_id, vector, deltas, ks, digest = _GOLDEN_DATASETS[case]
     dataset = collect_safety_dataset(scenario_id, vector, deltas, ks, seed=17, repeats=1)
     assert dataset_content_hash(dataset) == digest
+
+
+class TestCollectionVictim:
+    def test_grid_point_victim_is_the_campaign_victim(self):
+        """A scenario's own fusion policy holds for the oracle's collection
+        lanes as for its campaigns (the collection once built a late-fusion
+        victim for every scenario)."""
+
+        @register_scenario("TEST-CAMERA-ONLY", description="DS-2, camera-only victim")
+        def _build(variation):
+            scenario = build_scenario("DS-2", variation)
+            scenario.fusion_config = FusionConfig(policy="camera_only")
+            return scenario
+
+        try:
+            (job,) = _expand_jobs((55.0,), (10,), 17, repeats=1)
+            _, ads, _, _ = _build_grid_point("TEST-CAMERA-ONLY", _VECTOR, job)
+            config = CampaignConfig("x", "TEST-CAMERA-ONLY", AttackerKind.ROBOTACK,
+                                    vector=_VECTOR, n_runs=1)
+            campaign_ads = _build_run_setup(
+                config, 0, predictor=KinematicSafetyPredictor(_VECTOR)
+            ).ads
+        finally:
+            scenarios_module._SCENARIOS.unregister("TEST-CAMERA-ONLY")
+        assert type(ads.perception.fusion) is CameraOnlyFusion
+        assert type(campaign_ads.perception.fusion) is CameraOnlyFusion
+        assert ads.perception.config == campaign_ads.perception.config
 
 
 class TestParallelCollection:

@@ -56,6 +56,15 @@ class TestCampaignConfig:
                 campaign_id="x", scenario_id="DS-1", attacker=AttackerKind.NONE, seed=-5
             )
 
+    @pytest.mark.parametrize("epochs", [0, -3])
+    def test_positive_training_epochs_required(self, epochs):
+        # A zero-epoch oracle once failed only after its whole collection ran.
+        with pytest.raises(ValueError, match="training_epochs must be at least 1"):
+            CampaignConfig(
+                campaign_id="x", scenario_id="DS-2", attacker=AttackerKind.ROBOTACK,
+                vector=AttackVector.DISAPPEAR, training_epochs=epochs,
+            )
+
     def test_camera_rate_must_match_perception_frame_period(self):
         with pytest.raises(ValueError, match="camera_rate_hz=10 is not supported"):
             CampaignConfig(
@@ -372,6 +381,18 @@ class TestPredictorTraining:
             "DS-1", AttackVector.DISAPPEAR, kind=PredictorKind.KINEMATIC
         )
         assert isinstance(predictor, KinematicSafetyPredictor)
+
+    def test_zero_epochs_fail_before_any_simulation_without_a_store(self, monkeypatch):
+        """A store-less neural oracle checks its training spec before it
+        collects, as a store-backed one does."""
+        from repro.sim.batch import BatchSimulator
+
+        def forbidden(self):  # pragma: no cover - must not run
+            raise AssertionError("an untrainable spec must not simulate")
+
+        monkeypatch.setattr(BatchSimulator, "run", forbidden)
+        with pytest.raises(ValueError, match="epochs must be at least 1, got 0"):
+            get_or_train_predictor("DS-2", AttackVector.DISAPPEAR, training_epochs=0)
 
     def test_collect_dataset_and_train_small(self):
         dataset = collect_safety_dataset(

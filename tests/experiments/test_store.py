@@ -33,6 +33,8 @@ from repro.sim.scenarios import ScenarioVariation
 # --------------------------------------------------------------------- #
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
+#: What ``ScenarioVariation`` accepts for its speed scales and delay.
+non_negative_floats = st.floats(min_value=0.0, allow_infinity=False, width=64)
 measure_floats = st.floats(allow_nan=True, allow_infinity=True, width=64)
 
 
@@ -87,11 +89,11 @@ def run_records(draw):
         run_index=run_index,
         seed=draw(st.integers(min_value=0, max_value=2**63 - 1)),
         variation=ScenarioVariation(
-            ego_speed_scale=draw(finite_floats),
+            ego_speed_scale=draw(non_negative_floats),
             lead_gap_offset_m=draw(finite_floats),
             lead_speed_offset_mps=draw(finite_floats),
-            pedestrian_delay_s=draw(finite_floats),
-            pedestrian_speed_scale=draw(finite_floats),
+            pedestrian_delay_s=draw(non_negative_floats),
+            pedestrian_speed_scale=draw(non_negative_floats),
             npc_seed=draw(st.integers(min_value=0, max_value=2**31 - 1)),
         ),
         result=draw(run_results(run_index)),

@@ -412,6 +412,25 @@ class TestSweepCli:
         assert completed.stderr.splitlines() == ["max_accel_mps2 must be positive"]
         assert not store.exists()
 
+    def test_unbuildable_variation_axis_exits_before_the_store(self, tmp_path):
+        # A negative ego speed scale once wrote the sweep's manifests, then
+        # crashed building the first run's ego.
+        store = tmp_path / "store"
+        completed = subprocess.run(
+            [
+                sys.executable, "-m", "repro.runtime.cli", "sweep",
+                "--scenario", "DS-1", "--attacker", "none", "--runs", "1",
+                "--sampler", "grid", "--param", "variation.ego_speed_scale=-1:0:2",
+                "--store", str(store),
+            ],
+            capture_output=True, text=True, env=_SUBPROCESS_ENV,
+        )
+        assert completed.returncode == 1
+        assert completed.stderr.splitlines() == [
+            "ego_speed_scale must be non-negative, got -1.0"
+        ]
+        assert not store.exists()
+
 
 class TestSearchCli:
     @pytest.mark.parametrize("axis, message", [
@@ -421,6 +440,11 @@ class TestSearchCli:
          "search axis simulation.max_accel_mps2 at -2.0: max_accel_mps2 must be positive"),
         ("fusion.camera_weight=0.5,1.5",
          "search axis fusion.camera_weight at 1.5: camera_weight must be in [0, 1], got 1.5"),
+        ("variation.npc_seed=-1:3",
+         "search axis variation.npc_seed at -1.0: npc_seed must be non-negative, got -1"),
+        ("variation.pedestrian_speed_scale=-0.5,1.0",
+         "search axis variation.pedestrian_speed_scale at -0.5: "
+         "pedestrian_speed_scale must be non-negative, got -0.5"),
     ])
     def test_invalid_axis_bound_exits_before_the_store(self, tmp_path, axis, message):
         # A search checkpoints its manifest and state before its first

@@ -517,27 +517,6 @@ GOLDEN_LANES = {
         ),
         None,
     ),
-    ("DS-2/robotack/DISAPPEAR/used_attacker", 0): (
-        GoldenDigest(
-            steps=375, min_delta_m=5.394, final_speed_mps=12.598,
-            events=(("attack_started", 17), ("attack_ended", 37)),
-            traces_sha256="7e88a0eae67b915d7361561816697c56a3d92c0bfd9322bd8c361dd2518cbad7",
-        ),
-        "f5c5b8fe84444be7c08c40d10933d9c60e0f3e54308b7bc4b4df58d4b57fdd0f",
-    ),
-    ("DS-2/robotack/DISAPPEAR/used_attacker", 1): (
-        GoldenDigest(
-            steps=375, min_delta_m=2.721, final_speed_mps=12.667,
-            events=(
-                ("attack_started", 15),
-                ("attack_ended", 44),
-                ("emergency_brake", 60),
-                ("emergency_brake", 62),
-            ),
-            traces_sha256="47080a6b97b1b4704bf6f1cab1319dd59cb0a707a58492e13f80cd8413009b49",
-        ),
-        "a5414fb5b7d3b109409d21055561968150ed94c5194ac1ff8a58d163cd155471",
-    ),
 }
 
 #: Scripted collection lanes per case: the digest and the SHA-256 of the
@@ -803,7 +782,7 @@ class TestOneAgentAndAttackerPerLane:
 
 
 # --------------------------------------------------------------------------- #
-# Attacked lanes: RoboTack, its ablations, and a protocol-only black box
+# Attacked lanes: RoboTack, its ablations, and a hook-overriding subclass
 # --------------------------------------------------------------------------- #
 
 #: The six (scenario, vector) pairs of paper Table II.
@@ -879,8 +858,7 @@ def _run_lanes(lanes, wrap=None):
 def _record_signature(attacker):
     # Actor ids come from a module-global counter (see the module docstring),
     # so the target is compared by kind, not id.
-    record = getattr(attacker, "inner", attacker).record
-    return repr(dataclasses.replace(record, target_actor_id=None))
+    return repr(dataclasses.replace(attacker.record, target_actor_id=None))
 
 
 def _attack_sha256(attacker, lookups, *extra):
@@ -918,15 +896,14 @@ def _launched(lanes):
 
 
 class _ProtocolOnlyAttacker:
-    """Implements only the ``CameraAttacker`` protocol: a black box that
-    passes every frame through to an inner attacker and reports its state."""
+    """Not a ``CameraMitmAttackerBase``: a wrapper that passes whole frames
+    through to an inner attacker's ``process_frame`` and reports its state.
+    The loop has no black-box path, so it rejects this attacker."""
 
     def __init__(self, inner):
         self.inner = inner
-        self.frames_seen = 0
 
     def process_frame(self, frame, ego_speed_mps, dt):
-        self.frames_seen += 1
         return self.inner.process_frame(frame, ego_speed_mps=ego_speed_mps, dt=dt)
 
     @property
@@ -937,9 +914,34 @@ class _ProtocolOnlyAttacker:
     def target_actor_id(self):
         return self.inner.target_actor_id
 
-    @property
-    def record(self):
-        return self.inner.record
+
+def _override_frame_to_deliver(attacker):
+    """``attacker`` as an instance of a subclass that overrides
+    ``frame_to_deliver``, counts its calls and defers to the stock hook."""
+
+    class Hooked(type(attacker)):
+        def frame_to_deliver(self, observed, estimates, ego_speed_mps):
+            self.deliveries = getattr(self, "deliveries", 0) + 1
+            return super().frame_to_deliver(observed, estimates, ego_speed_mps)
+
+    attacker.__class__ = Hooked
+    return attacker
+
+
+def _used_attacker(attacker):
+    """``attacker`` after five DS-2 frames driven through it by hand."""
+    frame = CameraSensor().capture(build_scenario("DS-2").world.snapshot())
+    for _ in range(5):
+        attacker.process_frame(frame, ego_speed_mps=10.0, dt=1.0 / 15.0)
+    return attacker
+
+
+#: Attackers the loop cannot run, per case: how one is made from a fresh
+#: attacker, and the start of the message that rejects it.
+_UNRUNNABLE_ATTACKERS = {
+    "not_a_mitm_attacker": (_ProtocolOnlyAttacker, "runs CameraMitmAttackerBase attackers only"),
+    "used_attacker": (_used_attacker, "needs a fresh attacker"),
+}
 
 
 #: The oracle's training-collection lanes (scripted attacks), as
@@ -1051,18 +1053,10 @@ class TestAttackedScalarBatchEquivalence:
                     later_reads += frame_index > launch_frame
         assert launch_reads and later_reads
 
-    def test_protocol_only_attacker_runs_as_a_black_box(self):
-        """A black box gives the batched replica's results."""
-        config = _campaign("DS-2", AttackerKind.ROBOTACK, AttackVector.DISAPPEAR)
-        batch = _assert_batch_golden([(config, index) for index in range(2)],
-                                    wrap=_ProtocolOnlyAttacker)
-        assert _launched(batch)
-        for result, attacker, _ in batch:
-            assert attacker.frames_seen == result.steps_executed
-
     def test_stock_replica_runs_in_the_batch_port(self):
-        """A RoboTack lane never calls its black-box frame hook, and every
-        Kalman row is back in the pool at the end."""
+        """A RoboTack lane never calls the attacker's whole-frame hook
+        (``process_frame``), and every Kalman row is back in the pool at the
+        end."""
         lanes = [_lane(_campaign("DS-3", AttackerKind.ROBOTACK, AttackVector.MOVE_IN), index)
                  for index in range(_ATTACKED_RUNS)]
         for _, attacker, _ in lanes:
@@ -1076,34 +1070,16 @@ class TestAttackedScalarBatchEquivalence:
         assert any(attacker.record.launched for _, attacker, _ in lanes)
         _assert_pool_free(simulator)
 
-    @pytest.mark.parametrize("variant", ["overridden_hook", "used_attacker"])
-    def test_non_stock_attackers_fall_back_to_black_box(self, variant):
-        """A subclass that overrides the frame hook, or an attacker whose
-        replica already holds state, runs as a black box on every frame; an
-        overridden hook that defers to the stock one gives the stock
-        results."""
+    def test_hook_overriding_subclass_runs_in_lockstep(self):
+        """A subclass that overrides ``frame_to_deliver`` and defers to the
+        stock hook gives the stock results; the lane calls its hook every
+        frame until the episode is over, and then no more."""
         config = _campaign("DS-2", AttackerKind.ROBOTACK, AttackVector.DISAPPEAR)
-
-        def wrap(attacker):
-            if variant == "overridden_hook":
-                class Hooked(type(attacker)):
-                    def process_frame(self, frame, ego_speed_mps, dt):
-                        self.frames_seen = getattr(self, "frames_seen", 0) + 1
-                        return super().process_frame(frame, ego_speed_mps, dt)
-                attacker.__class__ = Hooked
-            else:
-                scenario = build_scenario("DS-2")
-                frame = CameraSensor().capture(scenario.world.snapshot())
-                for _ in range(5):
-                    attacker.process_frame(frame, ego_speed_mps=10.0, dt=1.0 / 15.0)
-            return attacker
-
-        label = _label(config) + ("/used_attacker" if variant == "used_attacker" else "")
-        batch = _assert_batch_golden([(config, index) for index in range(2)], wrap=wrap,
-                                    keys=[(label, index) for index in range(2)])
-        if variant == "overridden_hook":
-            for result, attacker, _ in batch:
-                assert attacker.frames_seen == result.steps_executed
+        batch = _assert_batch_golden([(config, index) for index in range(2)],
+                                    wrap=_override_frame_to_deliver)
+        assert len(_launched(batch)) == 2
+        for result, attacker, _ in batch:
+            assert attacker.record.start_frame <= attacker.deliveries < result.steps_executed
 
     @pytest.mark.parametrize("case", list(_SCRIPTED_CASES))
     def test_scripted_attack_lane_matches_scalar(self, scripted_batch, case):
@@ -1131,6 +1107,60 @@ class TestAttackedScalarBatchEquivalence:
             assert record.start_frame == matched[0]
 
 
+class TestFreshAttacker:
+    """Every attacked lane calls its attacker's split frame hook around its
+    replica, so a lone run and a batch reject, with one line and before any
+    lane starts, an attacker that is not a ``CameraMitmAttackerBase`` and one
+    that has already seen frames."""
+
+    _CONFIG = _campaign("DS-2", AttackerKind.ROBOTACK, AttackVector.DISAPPEAR)
+
+    def _assert_pinned(self, result, attacker, lookups, index):
+        digest, attack = GOLDEN_LANES[(_label(self._CONFIG), index)]
+        _assert_golden(result, digest, f"retried lane {index}")
+        assert _attack_sha256(attacker, lookups) == attack
+
+    @pytest.mark.parametrize("case", sorted(_UNRUNNABLE_ATTACKERS))
+    def test_batch_rejects_before_building_any_lane(self, case):
+        """The rejected batch drew nothing from its specs' generators: with a
+        fresh attacker, the same specs give both pinned lanes."""
+        make, message = _UNRUNNABLE_ATTACKERS[case]
+        lanes = [_lane(self._CONFIG, index) for index in range(2)]
+        specs = [BatchRunSpec(scenario=setup.scenario, ads=setup.ads, attacker=attacker,
+                              rng=setup.sim_rng) for setup, attacker, _ in lanes]
+        specs[1].attacker = make(specs[1].attacker)
+        with pytest.raises(ValueError) as rejected:
+            BatchSimulator(specs)
+        assert str(rejected.value).startswith(f"BatchSimulator {message}: spec 1's attacker")
+        assert "\n" not in str(rejected.value)
+
+        _, fresh, fresh_lookups = _lane(self._CONFIG, 1)
+        specs[1].attacker = fresh
+        simulator = BatchSimulator(specs)
+        results = simulator.run()
+        _assert_pool_free(simulator)
+        self._assert_pinned(results[0], lanes[0][1], lanes[0][2], 0)
+        self._assert_pinned(results[1], fresh, fresh_lookups, 1)
+
+    @pytest.mark.parametrize("case", sorted(_UNRUNNABLE_ATTACKERS))
+    def test_lone_run_rejects_before_starting(self, case):
+        """The rejected run drew nothing from its generator: with a fresh
+        attacker, the same scenario, agent and generator give the pinned
+        lane."""
+        make, message = _UNRUNNABLE_ATTACKERS[case]
+        setup, attacker, _ = _lane(self._CONFIG, 1)
+        with pytest.raises(ValueError) as rejected:
+            Simulator(setup.scenario, setup.ads, attacker=make(attacker),
+                      rng=setup.sim_rng).run()
+        assert str(rejected.value).startswith(f"Simulator {message}: its attacker")
+        assert "\n" not in str(rejected.value)
+
+        _, fresh, lookups = _lane(self._CONFIG, 1)
+        simulator = Simulator(setup.scenario, setup.ads, attacker=fresh, rng=setup.sim_rng)
+        self._assert_pinned(simulator.run(), fresh, lookups, 1)
+        _assert_free(simulator.tracker.pool)
+
+
 # --------------------------------------------------------------------------- #
 # Width independence: the exact contract
 # --------------------------------------------------------------------------- #
@@ -1138,8 +1168,8 @@ class TestAttackedScalarBatchEquivalence:
 
 def _width_specs():
     """One fresh spec per lane kind: benign (DS-1 and the shorter DS-3),
-    RoboTack, random, no-SH, scripted, a black-box attacker and a
-    custom-``fuse`` victim."""
+    RoboTack, random, no-SH, scripted, a hook-overriding attacker subclass
+    and a custom-``fuse`` victim."""
     specs = []
     for config, index, wrap in (
         (_campaign("DS-1", AttackerKind.NONE), 0, None),
@@ -1147,7 +1177,7 @@ def _width_specs():
         (_campaign("DS-5", AttackerKind.RANDOM), 1, None),
         (_campaign("DS-2", AttackerKind.ROBOTACK_NO_SH, AttackVector.DISAPPEAR), 1, None),
         (_campaign("DS-2", AttackerKind.ROBOTACK, AttackVector.DISAPPEAR), 1,
-         _ProtocolOnlyAttacker),
+         _override_frame_to_deliver),
         (_campaign("DS-3", AttackerKind.NONE), 0, None),
     ):
         setup, attacker, _ = _lane(config, index, wrap)
@@ -1167,7 +1197,7 @@ def _exact(spec, result):
     scenarios)."""
     index = {actor.actor_id: n for n, actor in enumerate(spec.scenario.world.actors)}
     events = result.events
-    attacker = getattr(spec.attacker, "inner", spec.attacker)
+    attacker = spec.attacker
     record = None
     if attacker is not None:
         record = dataclasses.replace(
@@ -1212,5 +1242,5 @@ class TestWidthIndependence:
         _assert_pool_free(simulator)
         assert [_exact(spec, result) for spec, result in zip(specs, results)] == alone
         assert len({result.steps_executed for result in results}) > 1
-        assert sum(getattr(spec.attacker, "record", None) is not None
-                   and spec.attacker.record.launched for spec in specs) >= 3
+        assert sum(spec.attacker is not None and spec.attacker.record.launched
+                   for spec in specs) >= 3

@@ -122,6 +122,24 @@ class TestScenarioVariation:
             nominal.metadata["initial_gap_m"] + 5.0
         )
 
+    @pytest.mark.parametrize("field, value", [
+        ("ego_speed_scale", -1.0), ("pedestrian_speed_scale", -0.5),
+        ("pedestrian_delay_s", -0.5), ("npc_seed", -1),
+    ])
+    def test_negative_speed_scale_delay_or_seed_rejected(self, field, value):
+        # Each once reached a scenario builder, which crashed on it.
+        with pytest.raises(ValueError, match=f"^{field} must be non-negative, got "):
+            ScenarioVariation(**{field: value})
+
+    @pytest.mark.parametrize("field", ["ego_speed_scale", "lead_gap_offset_m",
+                                       "lead_speed_offset_mps", "pedestrian_delay_s",
+                                       "pedestrian_speed_scale"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_field_rejected(self, field, value):
+        # A NaN ego speed scale once built an ego driving at NaN m/s.
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            ScenarioVariation(**{field: value})
+
 
 class TestWorld:
     def test_step_advances_time_and_actors(self):

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 from test_golden_traces import GoldenDigest
 
+from repro.core.robotack import CameraMitmAttackerBase
 from repro.experiments.campaign import build_ads_agent
 from repro.geometry import Vec2
 from repro.sim.batch import BatchRunSpec, BatchSimulator
@@ -60,17 +61,17 @@ def _imminent_collision_scenario():
     return scenario
 
 
-class _AlwaysOnAttacker:
-    """Minimal CameraAttacker whose attack never ends on its own."""
+class _AlwaysOnAttacker(CameraMitmAttackerBase):
+    """An attacker whose attack starts on the first frame and never ends on
+    its own; it delivers every frame unchanged."""
 
-    target_actor_id = None
-
-    def __init__(self):
-        self.attack_active = False
-
-    def process_frame(self, frame, ego_speed_mps, dt):
-        self.attack_active = True
+    def frame_for_replica(self, frame):
+        self._frame_count += 1
+        self._attack_active = True
         return frame
+
+    def frame_to_deliver(self, observed, estimates, ego_speed_mps):
+        return observed
 
 
 def _kinds(result):
@@ -168,7 +169,7 @@ class TestOpenAttackIntervalClosed:
     def test_run_end_closes_active_attack(self, engine):
         scenario = build_scenario("DS-1")
         ads = build_ads_agent(scenario, np.random.default_rng(_ADS_SEED))
-        attacker = _AlwaysOnAttacker()
+        attacker = _AlwaysOnAttacker(scenario.road, rng=np.random.default_rng(0))
         rng = np.random.default_rng(_SIM_SEED)
         if engine == "simulator":
             result = Simulator(scenario, ads, attacker=attacker, rng=rng).run()
