@@ -30,8 +30,8 @@ from repro.sim.simulator import Simulator
 #: Candidate samples per gate, each paired with the reference samples around
 #: it.
 PAIRS = 9
-#: The median per-pair batch speedup over one-lane runs both gates demand at
-#: N=64.  The gates demand 5x the scalar step loop as it ran before the
+#: The median per-pair batch speedup over one-lane runs the gate demands at
+#: N=64.  The gate demands 5x the scalar step loop as it ran before the
 #: engines shared camera perception.  Each later change that sped the
 #: reference up divides the bound by its speedup, measured as the median of
 #: at least 16 alternating before/after CPU-time pairs of the reference's 12-run
@@ -67,9 +67,9 @@ def ds1_setups(
     return setups
 
 
-def one_lane_seconds_per_run(n: int, fusion: Optional[FusionConfig] = None) -> float:
+def one_lane_seconds_per_run(n: int) -> float:
     """Wall seconds per run of n runs, each alone through ``Simulator.run``."""
-    setups = ds1_setups(n, fusion)
+    setups = ds1_setups(n)
     start = time.perf_counter()
     for scenario, ads, rng in setups:
         Simulator(scenario, ads, rng=rng).run()
@@ -104,14 +104,12 @@ def alternating_pairs(
     return pairs
 
 
-def paired_seconds_per_run(
-    width: int, fusion: Optional[FusionConfig] = None
-) -> List[Tuple[float, float]]:
+def paired_seconds_per_run(width: int) -> List[Tuple[float, float]]:
     """``PAIRS`` (one-lane, batch) seconds-per-run pairs from alternating
     samples."""
     return alternating_pairs(
-        lambda: one_lane_seconds_per_run(ONE_LANE_RUNS, fusion),
-        lambda: batch_seconds_per_run(width, fusion),
+        lambda: one_lane_seconds_per_run(ONE_LANE_RUNS),
+        lambda: batch_seconds_per_run(width),
         PAIRS,
     )
 

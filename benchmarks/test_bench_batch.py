@@ -3,7 +3,8 @@
 Times one-lane runs (:meth:`~repro.sim.simulator.Simulator.run`) against
 wide lockstep :class:`~repro.sim.batch.BatchSimulator` batches on
 identically-seeded DS-1 runs, printing runs/sec at every batch width N in
-{1, 16, 64, 256} so the perf trajectory is recorded in BENCH output.  The
+{1, 16, 64, 256} so the perf trajectory is recorded in BENCH output, and
+at N=64 for every other built-in fusion-policy victim (ungated).  The
 within-process speedup comes from amortizing the per-step interpreter
 overhead (stacked Kalman algebra, one lockstep loop) across lanes and is
 orthogonal to ``--jobs`` process fan-out: campaigns compose both
@@ -14,7 +15,9 @@ Two gates, both on medians of alternating sample pairs
 not decide them:
 
 * at N=64, the speedup over one-lane runs is at least ``MIN_SPEEDUP``
-  (``engine_speed`` records how that bound was derived);
+  (``engine_speed`` records how that bound was derived).  DS-1's victim
+  runs the default ``late`` fusion policy, so this is also the late
+  policy's gate;
 * per-run throughput does not fall from N=64 to N=256: each N=256 sample is
   paired with the mean of the N=64 samples around it, and the median ratio
   of their runs/sec is at least ``MIN_WIDE_RATIO``.  These samples also give
@@ -39,6 +42,7 @@ from benchmarks.engine_speed import (
     paired_seconds_per_run,
     speedups,
 )
+from repro.perception.fusion import DEFAULT_FUSION_POLICY, FusionConfig, list_fusion_policies
 
 _WIDTHS = (1, 16, 64, 256)
 _GATED_WIDTH = 64
@@ -85,6 +89,13 @@ def test_bench_batch_engine_throughput():
             f"batch N={width:<4d}: {1.0 / per_run:8.1f} runs/sec "
             f"(speedup {speedup:.2f}x{note})"
         )
+    for policy in list_fusion_policies():
+        if policy != DEFAULT_FUSION_POLICY:
+            per_run = batch_seconds_per_run(_GATED_WIDTH, FusionConfig(policy=policy))
+            print(
+                f"batch N={_GATED_WIDTH} {policy:<17s}: {1.0 / per_run:8.1f} runs/sec "
+                f"(vs one-lane late {one_lane_per_run / per_run:.2f}x)"
+            )
     print("per-pair speedups at N=64: " + " ".join(f"{r:.2f}" for r in ratios))
     print(f"per-pair N={_WIDE_WIDTH}/N={_GATED_WIDTH} runs/sec: "
           + " ".join(f"{r:.2f}" for r in wide_ratios))

@@ -21,22 +21,28 @@ on an L2 loss with a 60/40 train/validation split, exactly as in the paper.
 Every ``(delta_inject, k)`` grid point's scenario variation and RNG seeds are
 pre-drawn in grid order from the root seed's single stream (cheap, no
 simulation) and shipped with the point's job.  :func:`collect_safety_dataset`
-cuts the pending jobs, in grid order, into chunks by the campaign runner's
-rule (:func:`~repro.runtime.executor.chunked`), runs each chunk as the lanes
-of one :class:`~repro.sim.batch.BatchSimulator`, and spreads the chunks over
-the :mod:`repro.runtime` executors (``executor=``).  A lane's result does
-not depend on the other lanes of its batch and the dataset is assembled in
-grid order, so it depends on neither the executor nor the chunking; the
-golden dataset digests in ``tests/core/test_training_pipeline.py`` pin it,
-and trained oracle weights stay stable artifacts.  With a ``store=`` each
-chunk's sample batches stream into the
-:class:`~repro.experiments.store.ExperimentStore` as dataset records as the
-chunk lands, and an interrupted collection resumes by skipping the grid
-points already on disk.  :func:`train_and_register_predictor` chains
-collection, training, and persistence into the content-addressed model
-registry (dataset hash + training config), which is what the
-``repro-campaign train`` subcommand and the campaign runner's pretrained-oracle
-loading are built on.
+has one body, with or without a store, the campaign runner's: it cuts the
+pending jobs, in grid order, into chunks
+(:func:`~repro.runtime.executor.chunked`), runs each chunk as the lanes of
+one :class:`~repro.sim.batch.BatchSimulator`, and streams the chunks back
+over the :mod:`repro.runtime` executors (``executor=``,
+:meth:`~repro.runtime.executor.Executor.imap`).  A lane's result does not
+depend on the other lanes of its batch and the dataset is assembled in grid
+order, so it depends on neither the executor nor the chunking; the golden
+dataset digests in ``tests/core/test_training_pipeline.py`` pin it, and
+trained oracle weights stay stable artifacts.  A ``store=`` only adds the
+collection's manifest, the grid points already on disk (skipped, so an
+interrupted collection resumes) and an append per point as its chunk lands
+into the :class:`~repro.experiments.store.ExperimentStore`'s dataset
+records.  :func:`train_and_register_predictor` chains collection, training,
+and persistence into the content-addressed model registry (dataset hash +
+training config), which is what the ``repro-campaign train`` subcommand and
+the campaign runner's pretrained-oracle loading are built on.
+
+The collection's victim is ``build_ads_agent(scenario)``'s, the scenario's
+own detector and fusion policy, so an oracle is per scenario and vector: a
+campaign that overrides its victim's fusion or detector degradation attacks
+with it as a transfer attack.
 """
 
 from __future__ import annotations
@@ -57,7 +63,7 @@ from repro.core.scenario_matcher import ScenarioMatcher
 from repro.nn import Adam, FeedForwardNetwork, TrainingResult, train_network
 from repro.perception.transforms import WorldObjectEstimate
 from repro.runtime.cache import encode_key
-from repro.runtime.executor import ExecutorLike, chunked, resolve_executor
+from repro.runtime.executor import ExecutorLike, chunked, executor_scope
 from repro.sim.batch import DEFAULT_BATCH_SIZE, BatchRunSpec, BatchSimulator
 from repro.sim.config import SimulationConfig
 from repro.sim.road import Road
@@ -65,7 +71,7 @@ from repro.sim.scenarios import DrivingScenario, ScenarioVariation, build_scenar
 from repro.sim.simulator import SimulationResult
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only (store imports nothing here)
-    from repro.experiments.store import ExperimentStore
+    from repro.experiments.store import StoreLike
 
 __all__ = [
     "ScriptedAttacker",
@@ -370,7 +376,7 @@ def collect_safety_dataset(
     repeats: int = 1,
     simulation_config: SimulationConfig | None = None,
     executor: ExecutorLike = None,
-    store: "ExperimentStore | str | Path | None" = None,
+    store: "StoreLike" = None,
 ) -> SafetyDataset:
     """Run the scripted-attack simulations and assemble the training dataset.
 
@@ -383,14 +389,18 @@ def collect_safety_dataset(
     dataset is bit-identical whichever ``executor`` runs the chunks (trained
     oracle weights are stable artifacts).
     With a ``store=`` (an :class:`~repro.experiments.store.ExperimentStore`
-    or its root path) each point's sample batch is durably recorded as its
-    chunk lands and already-stored points are skipped on restart — an
-    interrupted collection loses at most the chunks in flight and resumes
-    instead of recomputing.
+    or its root path) the points stored by an earlier attempt are loaded and
+    skipped, and each new point's sample batch is durably recorded as its
+    chunk lands — an interrupted collection loses at most the chunks in
+    flight and resumes instead of recomputing.  Floats survive the store's
+    JSON round-trip bit-exactly, so a resumed dataset is the uninterrupted
+    one.
     """
+    from repro.experiments.store import resolve_store  # experiments imports us
+
     grid = _expand_jobs(delta_inject_values, k_values, seed, repeats)
     simulation_config = simulation_config or SimulationConfig()
-    resolved_store = _resolve_store(store)
+    resolved_store = resolve_store(store)
     collected: Dict[int, Tuple[List[List[float]], List[float]]] = {}
     if resolved_store is not None:
         collection_hash_ = collection_hash_for(
@@ -409,17 +419,10 @@ def collect_safety_dataset(
                 "n_points": len(grid),
             },
         )
-        done = resolved_store.dataset_point_indices(collection_hash_)
-        pending = [job for job in grid if job.point_index not in done]
-    else:
-        collection_hash_ = None
-        pending = grid
+        collected = resolved_store.load_dataset_points(collection_hash_)
+    pending = [job for job in grid if job.point_index not in collected]
     worker = functools.partial(_collect_chunk, scenario_id, vector, simulation_config)
-    resolved = resolve_executor(executor)
-    try:
-        # Streaming fan-out: each completed chunk's points are checkpointed
-        # (store path) or staged (in-memory path) as the chunk lands, so a
-        # killed collection loses at most the chunks in flight.
+    with executor_scope(executor) as resolved:
         chunks = chunked(pending, DEFAULT_BATCH_SIZE, resolved)
         for _, points in resolved.imap(worker, chunks):
             for point_index, input_rows, target_rows in points:
@@ -427,25 +430,13 @@ def collect_safety_dataset(
                     resolved_store.append_dataset_point(
                         collection_hash_, point_index, input_rows, target_rows
                     )
-                else:
-                    collected[point_index] = (input_rows, target_rows)
-    finally:
-        if resolved is not executor:
-            resolved.close()
-    if resolved_store is not None:
-        collected = resolved_store.load_dataset_points(collection_hash_)
-        missing = [job.point_index for job in grid if job.point_index not in collected]
-        if missing:  # pragma: no cover - store invariant
-            raise RuntimeError(
-                f"collection {collection_hash_[:12]} is missing grid points "
-                f"{missing} after the fan-out completed"
-            )
+                collected[point_index] = (input_rows, target_rows)
     inputs: List[List[float]] = []
     targets: List[float] = []
     # Assembly order is the grid order, never the completion order — the
     # invariant behind bit-identical serial/parallel/resumed datasets.
     for job in grid:
-        point_inputs, point_targets = collected.get(job.point_index, ([], []))
+        point_inputs, point_targets = collected[job.point_index]
         inputs.extend(point_inputs)
         targets.extend(point_targets)
     if not inputs:
@@ -459,17 +450,6 @@ def collect_safety_dataset(
         inputs=np.asarray(inputs, dtype=float),
         targets=np.asarray(targets, dtype=float).reshape(-1, 1),
     )
-
-
-def _resolve_store(store: "ExperimentStore | str | Path | None"):
-    """Coerce a store spec to a store (lazy import: experiments imports us)."""
-    if store is None:
-        return None
-    from repro.experiments.store import ExperimentStore
-
-    if isinstance(store, ExperimentStore):
-        return store
-    return ExperimentStore(store)
 
 
 def train_neural_safety_predictor(
@@ -633,7 +613,7 @@ def train_and_register_predictor(
     train_seed: Optional[int] = None,
     simulation_config: SimulationConfig | None = None,
     executor: ExecutorLike = None,
-    store: "ExperimentStore | str | Path | None" = None,
+    store: "StoreLike" = None,
 ) -> OracleArtifact:
     """Collect (parallel, resumable), train, and persist the neural oracle.
 
@@ -645,9 +625,11 @@ def train_and_register_predictor(
     ``sha256(dataset_hash + training config)`` and indexed by its spec hash
     for lookup by campaign processes.
     """
+    from repro.experiments.store import resolve_store  # experiments imports us
+
     check_training_spec(seed, repeats, epochs, learning_rate, train_seed)
     train_seed = train_seed if train_seed is not None else seed
-    resolved_store = _resolve_store(store)
+    resolved_store = resolve_store(store)
     dataset = collect_safety_dataset(
         scenario_id=scenario_id,
         vector=vector,
@@ -713,14 +695,16 @@ def train_and_register_predictor(
 
 
 def load_registered_predictor(
-    store: "ExperimentStore | str | Path", spec_hash: str
+    store: "StoreLike", spec_hash: str
 ) -> Optional[NeuralSafetyPredictor]:
     """Load the pretrained oracle registered for a training spec, if any.
 
     Returns ``None`` when the spec was never trained into this store (or its
     model directory is gone), which callers treat as "train it now".
     """
-    resolved_store = _resolve_store(store)
+    from repro.experiments.store import resolve_store  # experiments imports us
+
+    resolved_store = resolve_store(store)
     model_hash = resolved_store.resolve_model_spec(spec_hash)
     if model_hash is None or not resolved_store.has_model(model_hash):
         return None

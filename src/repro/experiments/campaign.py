@@ -11,11 +11,18 @@ Every run is seeded from ``SeedSequence([campaign_seed, run_index])`` and
 shares no state with its siblings, so campaigns fan out over the
 :mod:`repro.runtime` executors: ``run_campaign(config, executor=4)`` runs on
 four worker processes and produces *element-wise identical* results to the
-serial path.  Safety-hijacker predictors are trained once per
-(scenario, vector) pair in the parent process and shipped to the workers.
+serial path.  :func:`run_campaign` has one body, with or without a store:
+the pending run indices are cut into lockstep batch chunks
+(:func:`~repro.runtime.executor.chunked`), the chunks stream back through
+:meth:`~repro.runtime.executor.Executor.imap`, and every record goes to one
+sink.  A store (``store=``) only adds the campaign manifest, the skip set of
+already-stored runs and an append per record.  Safety-hijacker predictors
+are trained once per (scenario, vector) pair in the parent process (their
+dataset collection fans out over the campaign's executor) and shipped to the
+workers.
 Predictors and store-less campaign results are memoized per process; what
-outlives the process is the experiment store (``store=``): its run records
-and model registry are the one persistence path.
+outlives the process is the experiment store: its run records and model
+registry are the one persistence path.
 """
 
 from __future__ import annotations
@@ -24,8 +31,7 @@ import dataclasses
 import enum
 import functools
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,12 +51,18 @@ from repro.core.training import (
     training_spec_hash,
 )
 from repro.experiments.results import CampaignResult, RunResult
-from repro.experiments.store import ExperimentStore, RunRecord, config_hash
+from repro.experiments.store import (
+    ExperimentStore,
+    RunRecord,
+    StoreLike,
+    config_hash,
+    resolve_store,
+)
 from repro.perception.detection import DetectorDegradation
 from repro.perception.fusion import DEFAULT_FUSION_POLICY, FusionConfig
 from repro.perception.pipeline import PerceptionConfig
 from repro.sim.actors import ActorKind
-from repro.runtime import ExecutorLike, chunked, resolve_executor
+from repro.runtime import ExecutorLike, chunked, executor_scope
 from repro.runtime.cache import encode_key
 from repro.sim.batch import DEFAULT_BATCH_SIZE, BatchRunSpec, BatchSimulator
 from repro.sim.config import SimulationConfig
@@ -61,7 +73,6 @@ __all__ = [
     "AttackerKind",
     "PredictorKind",
     "CampaignConfig",
-    "StoreLike",
     "build_ads_agent",
     "run_single_experiment",
     "run_single_experiment_record",
@@ -72,17 +83,6 @@ __all__ = [
     "oracle_spec_hash",
     "clear_caches",
 ]
-
-#: Anything the ``store=`` knobs accept: a store instance or its root path.
-StoreLike = Union[ExperimentStore, str, Path, None]
-
-
-def resolve_store(store: StoreLike) -> Optional[ExperimentStore]:
-    """Coerce a store spec (instance, root path, or ``None``) to a store."""
-    if store is None or isinstance(store, ExperimentStore):
-        return store
-    return ExperimentStore(store)
-
 
 class AttackerKind(enum.Enum):
     """Which attacker (if any) is installed on the camera link."""
@@ -282,6 +282,13 @@ def oracle_spec_hash(
     The defaults are the ones :func:`run_campaign` resolves: the collection
     seed of :func:`get_or_train_predictor` and the config's default epochs.
     A model trained under any other spec is registered but never auto-loaded.
+
+    The hash covers (scenario, vector, seed, epochs) and the scenario's
+    training grid, not the campaign's victim: every campaign of a scenario
+    and vector shares one oracle, collected against the victim
+    ``build_ads_agent`` builds for the scenario itself.  A campaign's
+    ``fusion`` or ``detector_degradation`` override therefore does not change
+    it (see :func:`get_or_train_predictor`).
     """
     delta_grid, k_grid = training_grid_for(scenario_id)
     return training_spec_hash(
@@ -339,11 +346,18 @@ def get_or_train_predictor(
     """Return the safety-potential oracle for a scenario/vector, training it if needed.
 
     With a ``store=``, the store's model registry is consulted first (and a
-    freshly trained oracle is published back into it); the dataset collection
-    behind a training miss fans out over ``executor`` and is itself resumable.
-    Without one, a neural oracle goes through the same pipeline in-process,
-    unpersisted; either way the training spec is checked before anything is
-    simulated.
+    freshly trained oracle is published back into it), and the dataset
+    collection behind a training miss is itself resumable.  Without one, a
+    neural oracle goes through the same pipeline in-process, unpersisted.
+    Either way the collection fans out over ``executor``, and the training
+    spec is checked before anything is simulated.
+
+    Oracles are per (scenario, vector, seed, epochs), and the collection's
+    victim is ``build_ads_agent(scenario)``'s: the scenario's own detector and
+    fusion policy.  A campaign that overrides its victim's ``fusion`` or
+    ``detector_degradation`` is attacked with that scenario-default oracle, a
+    transfer attack, while the attacker's replica, stealth bound and K_max
+    follow the campaign's (possibly degraded) detector.
     """
     resolved_store = resolve_store(store)
     if resolved_store is not None and kind is PredictorKind.NEURAL:
@@ -360,7 +374,7 @@ def get_or_train_predictor(
             delta_grid, k_grid = training_grid_for(scenario_id)
             _PREDICTOR_CACHE[key] = train_and_register_predictor(
                 scenario_id, vector, delta_grid, k_grid,
-                seed=seed, repeats=2, epochs=training_epochs,
+                seed=seed, repeats=2, epochs=training_epochs, executor=executor,
             ).predictor
     return _PREDICTOR_CACHE[key]
 
@@ -568,11 +582,14 @@ def run_single_experiment(
     return run_single_experiment_record(config, run_index, predictor=predictor).result
 
 
-def _check_engine(engine: str) -> None:
-    """``run_campaign`` and ``FalsificationLoop`` still take an ``engine``
-    keyword, which names the one engine."""
+def _check_run_options(engine: str, batch_size: int) -> None:
+    """Check the ``engine`` and ``batch_size`` arguments of ``run_campaign``
+    and ``FalsificationLoop`` before either writes or simulates anything;
+    ``engine`` accepts only the one engine, ``"batch"``."""
     if engine != "batch":
         raise ValueError(f"unknown engine {engine!r}: the only engine is 'batch'")
+    if batch_size < 1:
+        raise ValueError("batch_size must be at least 1")
 
 
 def _run_batch_chunk(
@@ -606,75 +623,6 @@ def _run_batch_chunk(
     ]
 
 
-def _prepare_predictor(
-    config: CampaignConfig,
-    store: Optional[ExperimentStore] = None,
-    executor: ExecutorLike = None,
-) -> Optional[SafetyPredictor]:
-    """Train (or fetch) the predictor a RoboTack campaign needs, in-process.
-
-    Doing this *before* fanning runs out guarantees (a) workers never train
-    redundant copies and (b) serial and parallel campaigns use the exact same
-    oracle weights — the invariant behind bit-identical campaign statistics.
-    With a ``store``, a pretrained oracle is loaded from its model registry
-    instead of being retrained per process.
-    """
-    if config.attacker is not AttackerKind.ROBOTACK:
-        return None
-    return get_or_train_predictor(
-        config.scenario_id,
-        config.vector,
-        kind=config.predictor,
-        training_epochs=config.training_epochs,
-        store=store,
-        executor=executor,
-    )
-
-
-def _run_campaign_checkpointed(
-    config: CampaignConfig,
-    store: ExperimentStore,
-    executor: ExecutorLike,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-) -> CampaignResult:
-    """Stream a campaign's runs into the store, skipping already-stored ones.
-
-    The pending indices are chunked onto lockstep :class:`BatchSimulator`
-    lanes, and each chunk's records are appended to the store *as the chunk
-    completes* (order-tagged streaming over :meth:`Executor.imap`), so a
-    killed campaign loses at most the chunks in flight.  On restart, the
-    stored (config-hash, run-index) pairs are skipped, and because every run
-    is independently seeded from ``(campaign_seed, run_index)``, the merged
-    statistics are bit-identical to an uninterrupted serial campaign;
-    resuming with a different chunk size is safe for the same reason.
-    """
-    store.write_manifest(config)
-    done = store.run_indices(config_hash(config))
-    pending = [index for index in range(config.n_runs) if index not in done]
-    if pending:
-        resolved = resolve_executor(executor)
-        try:
-            # The oracle comes from the store's model registry when one is
-            # published (train-once/deploy-many); a registry miss trains it
-            # here, fanning the dataset collection out over the same pool.
-            predictor = _prepare_predictor(config, store=store, executor=resolved)
-            worker = functools.partial(_run_batch_chunk, config, predictor=predictor)
-            chunks = chunked(pending, batch_size, resolved)
-            for _, records in resolved.imap(worker, chunks):
-                for record in records:
-                    store.append(record)
-        finally:
-            if resolved is not executor:
-                resolved.close()
-    campaign = store.campaign_result(config, allow_partial=True)
-    if campaign.n_runs != config.n_runs:  # pragma: no cover - store invariant
-        raise RuntimeError(
-            f"campaign {config.campaign_id!r} has {campaign.n_runs} stored runs, "
-            f"expected {config.n_runs}"
-        )
-    return campaign
-
-
 def run_campaign(
     config: CampaignConfig,
     use_cache: bool = True,
@@ -691,50 +639,69 @@ def run_campaign(
     across campaigns.  With ``use_cache`` (the default) a store-less
     campaign's result is memoized for the rest of the process.
 
-    ``store`` (an :class:`~repro.experiments.store.ExperimentStore` or its
-    root path) switches the campaign to the durable, resumable path: every
-    run is checkpointed to the store as it completes, already-stored runs are
-    skipped, and the in-process memo is bypassed — the store *is* the
-    durable record.
-
     The runs are simulated on :class:`~repro.sim.batch.BatchSimulator` lanes,
     up to ``batch_size`` runs per work item, narrowed so every worker of
     ``executor`` gets one, advancing in lockstep groups of at most
-    :data:`~repro.sim.batch.LOCKSTEP_LANES`.  Results do not depend on the
-    chunking, so ``batch_size`` does not enter the cache key or the store's
-    config hash.  ``engine`` accepts only ``"batch"``.
+    :data:`~repro.sim.batch.LOCKSTEP_LANES`; the work items stream back
+    through :meth:`~repro.runtime.executor.Executor.imap`.  Results do not
+    depend on the chunking, so ``batch_size`` does not enter the cache key or
+    the store's config hash.  ``engine`` accepts only ``"batch"``.
+
+    ``store`` (an :class:`~repro.experiments.store.ExperimentStore` or its
+    root path) makes the campaign durable and resumable: its manifest is
+    written first, already-stored runs are skipped, every record is appended
+    as its chunk completes (a killed campaign loses at most the chunks in
+    flight), and the result is read back from the store.  Every run is
+    seeded from ``(campaign_seed, run_index)``, so a resumed campaign, also
+    one resumed with another chunk size, returns the statistics of an
+    uninterrupted serial one.  The in-process memo is bypassed: the store
+    *is* the durable record.
     """
-    _check_engine(engine)
-    if batch_size < 1:
-        raise ValueError("batch_size must be at least 1")
+    _check_run_options(engine, batch_size)
     resolved_store = resolve_store(store)
-    if resolved_store is not None:
-        return _run_campaign_checkpointed(
-            config, resolved_store, executor, batch_size=batch_size
-        )
     key = encode_key(config.cache_key())
-    if use_cache and key in _CAMPAIGN_CACHE:
+    memoize = use_cache and resolved_store is None
+    if memoize and key in _CAMPAIGN_CACHE:
         return _CAMPAIGN_CACHE[key]
-    predictor = _prepare_predictor(config)
-    resolved = resolve_executor(executor)
-    try:
-        record_chunks = resolved.map(
-            functools.partial(_run_batch_chunk, config, predictor=predictor),
-            chunked(range(config.n_runs), batch_size, resolved),
-        )
-        runs = [record.result for chunk in record_chunks for record in chunk]
-    finally:
-        if resolved is not executor:
-            # We created this executor; release its workers even when a run fails.
-            resolved.close()
+    pending: Sequence[int] = range(config.n_runs)
+    if resolved_store is not None:
+        resolved_store.write_manifest(config)
+        done = resolved_store.run_indices(config_hash(config))
+        pending = [index for index in pending if index not in done]
+    runs: Dict[int, RunResult] = {}
+    if pending:
+        with executor_scope(executor) as resolved:
+            # The oracle is prepared once, before the fan-out, so workers never
+            # train copies and serial and parallel campaigns use the same
+            # weights.  A store's registry supplies a published one; a miss
+            # trains it, collecting its dataset on this executor.
+            predictor = None
+            if config.attacker is AttackerKind.ROBOTACK:
+                predictor = get_or_train_predictor(
+                    config.scenario_id,
+                    config.vector,
+                    kind=config.predictor,
+                    training_epochs=config.training_epochs,
+                    store=resolved_store,
+                    executor=resolved,
+                )
+            worker = functools.partial(_run_batch_chunk, config, predictor=predictor)
+            for _, records in resolved.imap(worker, chunked(pending, batch_size, resolved)):
+                for record in records:
+                    if resolved_store is not None:
+                        resolved_store.append(record)
+                    else:
+                        runs[record.run_index] = record.result
+    if resolved_store is not None:
+        return resolved_store.campaign_result(config)
     campaign = CampaignResult(
         campaign_id=config.campaign_id,
         scenario_id=config.scenario_id,
         attacker_kind=config.attacker.value,
         vector=config.vector,
-        runs=runs,
+        runs=[runs[index] for index in range(config.n_runs)],
     )
-    if use_cache:
+    if memoize:
         _CAMPAIGN_CACHE[key] = campaign
     return campaign
 
@@ -748,8 +715,7 @@ def run_campaigns(
 ) -> List[CampaignResult]:
     """Execute several campaigns, sharing one executor (and its worker pool)."""
     resolved_store = resolve_store(store)
-    resolved = resolve_executor(executor)
-    try:
+    with executor_scope(executor) as resolved:
         return [
             run_campaign(
                 config,
@@ -760,9 +726,6 @@ def run_campaigns(
             )
             for config in configs
         ]
-    finally:
-        if resolved is not executor:
-            resolved.close()
 
 
 def standard_campaigns(

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.geometry import Vec2, iou
 from repro.perception.detection import DetectorConfig, SimulatedDetector
-from repro.runtime import ExecutorLike, resolve_executor
+from repro.runtime import ExecutorLike, executor_scope
 from repro.sensors.camera import CameraSensor
 from repro.sim.actors import ActorDimensions, ActorKind, EgoVehicle, ScriptedActor
 from repro.sim.road import Road
@@ -197,13 +197,9 @@ def characterize_detector_ensemble(
     """
     if not seeds:
         raise ValueError("at least one seed is required")
-    resolved = resolve_executor(executor)
-    try:
+    with executor_scope(executor) as resolved:
         reports = resolved.map(
             functools.partial(_characterize_with_seed, duration_s, frame_rate_hz),
             [int(seed) for seed in seeds],
         )
-    finally:
-        if resolved is not executor:
-            resolved.close()
     return CharacterizationEnsemble(reports=tuple(reports))

@@ -16,10 +16,9 @@ import numpy as np
 from repro.core.attack_vectors import AttackVector
 from repro.core.safety_hijacker import NeuralSafetyPredictor, SafetyPredictor
 from repro.core.training import SafetyDataset
-from repro.experiments.campaign import CampaignConfig, run_campaigns
+from repro.experiments.campaign import CampaignConfig
 from repro.experiments.results import CampaignResult, RunResult
 from repro.experiments.store import ExperimentStore
-from repro.runtime import ExecutorLike
 from repro.sim.actors import ActorKind
 from repro.utils.stats import BoxplotStats, boxplot_stats
 
@@ -28,10 +27,8 @@ __all__ = [
     "Fig7Panel",
     "Fig8Data",
     "fig6_panels",
-    "fig6_panels_from_configs",
     "fig6_panels_from_store",
     "fig7_panels",
-    "fig7_panels_from_configs",
     "fig7_panels_from_store",
     "fig8_data",
 ]
@@ -101,22 +98,6 @@ def fig6_panels(
     return panels
 
 
-def fig6_panels_from_configs(
-    with_sh: Sequence[CampaignConfig],
-    without_sh: Sequence[CampaignConfig],
-    executor: ExecutorLike = None,
-    use_cache: bool = True,
-) -> List[Fig6Panel]:
-    """Execute the paired campaigns (optionally in parallel) and build Fig. 6.
-
-    ``executor`` is shared across all campaigns of both arms, so one worker
-    pool serves the entire figure.
-    """
-    configs = list(with_sh) + list(without_sh)
-    results = run_campaigns(configs, use_cache=use_cache, executor=executor)
-    return fig6_panels(results[: len(with_sh)], results[len(with_sh):])
-
-
 def fig6_panels_from_store(
     store: ExperimentStore,
     with_sh: Sequence[CampaignConfig],
@@ -161,15 +142,6 @@ def fig7_panels(campaigns: Sequence[CampaignResult]) -> List[Fig7Panel]:
             )
         )
     return panels
-
-
-def fig7_panels_from_configs(
-    configs: Sequence[CampaignConfig],
-    executor: ExecutorLike = None,
-    use_cache: bool = True,
-) -> List[Fig7Panel]:
-    """Execute the campaigns (optionally in parallel) and build Fig. 7."""
-    return fig7_panels(run_campaigns(configs, use_cache=use_cache, executor=executor))
 
 
 def fig7_panels_from_store(

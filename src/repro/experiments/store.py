@@ -99,6 +99,8 @@ if TYPE_CHECKING:  # pragma: no cover - type hints only (campaign imports us)
 __all__ = [
     "RunRecord",
     "ExperimentStore",
+    "StoreLike",
+    "resolve_store",
     "config_hash",
     "records_equal",
 ]
@@ -786,3 +788,14 @@ class ExperimentStore:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"ExperimentStore({str(self.root)!r})"
+
+
+#: Anything the ``store=`` knobs accept: a store instance or its root path.
+StoreLike = Union[ExperimentStore, str, Path, None]
+
+
+def resolve_store(store: StoreLike) -> Optional[ExperimentStore]:
+    """Coerce a store spec (instance, root path, or ``None``) to a store."""
+    if store is None or isinstance(store, ExperimentStore):
+        return store
+    return ExperimentStore(store)

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.attack_vectors import AttackVector
 from repro.core.scenario_matcher import ScenarioMatcher
-from repro.experiments.campaign import CampaignConfig, run_campaigns
+from repro.experiments.campaign import CampaignConfig
 from repro.experiments.metrics import (
     CampaignSummary,
     attack_succeeded,
@@ -32,7 +32,6 @@ from repro.experiments.metrics import (
 from repro.experiments.results import CampaignResult, RunResult
 from repro.experiments.store import ExperimentStore
 from repro.perception.transforms import WorldObjectEstimate
-from repro.runtime import ExecutorLike
 from repro.sim.actors import ActorKind
 from repro.sim.road import Road
 
@@ -42,7 +41,6 @@ __all__ = [
     "FusionDefenseRow",
     "table1_rows",
     "table2_rows",
-    "table2_from_configs",
     "table2_from_store",
     "fusion_defense_rows",
     "fusion_defense_from_store",
@@ -140,19 +138,6 @@ def table2_rows(campaigns: Sequence[CampaignResult]) -> List[Table2Row]:
             )
         )
     return rows
-
-
-def table2_from_configs(
-    configs: Sequence[CampaignConfig],
-    executor: ExecutorLike = None,
-    use_cache: bool = True,
-) -> List[Table2Row]:
-    """Execute the campaigns (optionally in parallel) and build Table II rows.
-
-    One executor (and thus one worker pool) is shared across every campaign in
-    ``configs`` — the parallel path for regenerating the whole table.
-    """
-    return table2_rows(run_campaigns(configs, use_cache=use_cache, executor=executor))
 
 
 def table2_from_store(

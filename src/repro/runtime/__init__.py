@@ -2,10 +2,13 @@
 
 This package is the infrastructure layer underneath the experiment harness:
 
-* :mod:`repro.runtime.executor` — the :class:`Executor` abstraction with a
-  :class:`SerialExecutor` (in-process ``map``) and a
+* :mod:`repro.runtime.executor` — the :class:`Executor` abstraction, whose
+  one fan-out is the index-tagged streaming ``imap``, with a
+  :class:`SerialExecutor` (in-process, one item after another) and a
   :class:`ParallelExecutor` (a :class:`concurrent.futures.ProcessPoolExecutor`
-  fan-out) that produce *identical* results for seeded workloads;
+  fan-out) that produce *identical* results for seeded workloads, and
+  :func:`executor_scope`, which closes an executor only if the call that
+  resolved it created it;
 * :mod:`repro.runtime.cache` — :func:`~repro.runtime.cache.encode_key`,
   the canonical key encoding every content hash derives from, and
   :func:`~repro.runtime.cache.atomic_publish`, temp-file + rename writes;
@@ -28,6 +31,7 @@ from repro.runtime.executor import (
     SerialExecutor,
     available_cpus,
     chunked,
+    executor_scope,
     resolve_executor,
 )
 from repro.runtime.registry import Registry, RegistryError
@@ -41,6 +45,7 @@ __all__ = [
     "SerialExecutor",
     "available_cpus",
     "chunked",
+    "executor_scope",
     "resolve_executor",
     "Registry",
     "RegistryError",

@@ -687,7 +687,7 @@ def _run_resume(args: argparse.Namespace) -> None:
     from repro.experiments.campaign import run_campaign
     from repro.experiments.metrics import summarize_campaign
     from repro.experiments.store import ExperimentStore
-    from repro.runtime.executor import resolve_executor
+    from repro.runtime.executor import executor_scope
 
     if not Path(args.store).expanduser().is_dir():
         # A mistyped path must not masquerade as "every campaign complete".
@@ -713,8 +713,7 @@ def _run_resume(args: argparse.Namespace) -> None:
     if not worklist:
         print(f"Nothing to resume: every campaign in {args.store} is complete.")
         return
-    executor = resolve_executor(args.jobs)
-    try:
+    with executor_scope(args.jobs) as executor:
         for config, missing in worklist:
             print(
                 f"Resuming {config.campaign_id}: "
@@ -727,8 +726,6 @@ def _run_resume(args: argparse.Namespace) -> None:
                 batch_size=args.batch_size,
             )
             print(summarize_campaign(result).format_row())
-    finally:
-        executor.close()
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -8,6 +8,12 @@ processes while guaranteeing that :class:`SerialExecutor` and
 :class:`ParallelExecutor` produce *element-wise identical* results — the
 ordering and seeding of work items never depend on the execution backend.
 
+:meth:`Executor.imap` is the one fan-out an executor implements: it streams
+``(input_index, result)`` pairs as work items complete, and
+:meth:`Executor.map` is built on it.  :func:`executor_scope` resolves an
+``executor=`` argument for the length of one call and closes the executor
+only if that call created it.
+
 Worker functions must be picklable (module-level callables or
 ``functools.partial`` of them) because :class:`ParallelExecutor` is backed by
 :class:`concurrent.futures.ProcessPoolExecutor`.
@@ -16,6 +22,7 @@ Worker functions must be picklable (module-level callables or
 from __future__ import annotations
 
 import abc
+import contextlib
 import math
 import multiprocessing
 import os
@@ -41,6 +48,7 @@ __all__ = [
     "InjectedFault",
     "ExecutorLike",
     "resolve_executor",
+    "executor_scope",
     "available_cpus",
     "chunked",
 ]
@@ -62,23 +70,23 @@ def available_cpus() -> int:
 
 
 class Executor(abc.ABC):
-    """Maps a function over work items, preserving input order."""
+    """Fans a function out over work items."""
 
     @abc.abstractmethod
-    def map(self, fn: Callable[[T], R], items: Iterable[T]) -> List[R]:
-        """Apply ``fn`` to every item and return the results in input order."""
-
     def imap(self, fn: Callable[[T], R], items: Iterable[T]) -> Iterator[Tuple[int, R]]:
         """Apply ``fn`` to every item, yielding ``(input_index, result)`` pairs.
 
         Results stream back *as they complete* — the order of the yielded
         pairs is backend-dependent, but every pair is tagged with the index of
         its input item, so consumers that checkpoint or reassemble by index
-        (the resumable campaign runner) are backend-independent.  The default
-        implementation falls back to :meth:`map` (no streaming); Serial and
-        Parallel executors override it with genuinely incremental versions.
+        (the campaign runner, the oracle's dataset collection) are
+        backend-independent.
         """
-        yield from enumerate(self.map(fn, items))
+
+    def map(self, fn: Callable[[T], R], items: Iterable[T]) -> List[R]:
+        """Apply ``fn`` to every item and return the results in input order."""
+        results = dict(self.imap(fn, items))
+        return [results[index] for index in range(len(results))]
 
     @property
     def workers(self) -> int:
@@ -108,9 +116,6 @@ def chunked(items: Sequence[T], max_size: int, executor: Executor) -> List[List[
 class SerialExecutor(Executor):
     """Runs every work item in-process, one after another."""
 
-    def map(self, fn: Callable[[T], R], items: Iterable[T]) -> List[R]:
-        return [fn(item) for item in items]
-
     def imap(self, fn: Callable[[T], R], items: Iterable[T]) -> Iterator[Tuple[int, R]]:
         for index, item in enumerate(items):
             yield index, fn(item)
@@ -122,9 +127,10 @@ class SerialExecutor(Executor):
 class ParallelExecutor(Executor):
     """Fans work items out over a pool of worker processes.
 
-    The pool is created lazily on the first :meth:`map` call and reused until
-    :meth:`close`, so one executor can serve many campaigns without paying the
-    process start-up cost each time.  Results come back in input order, and
+    Every work item is one pool task.  The pool is created lazily on the
+    first fan-out of two or more items and reused until :meth:`close`, so one
+    executor can serve many campaigns without paying the process start-up
+    cost each time.  Results come back tagged with their input index, and
     per-item seeding is the caller's responsibility (the campaign runner seeds
     each run from ``(root_seed, run_index)``), which is what makes parallel
     output bit-identical to serial output.
@@ -137,17 +143,10 @@ class ParallelExecutor(Executor):
     modules from scratch.
     """
 
-    def __init__(
-        self,
-        max_workers: Optional[int] = None,
-        chunksize: Optional[int] = None,
-    ):
+    def __init__(self, max_workers: Optional[int] = None):
         if max_workers is not None and max_workers < 1:
             raise ValueError("max_workers must be at least 1")
         self.max_workers = max_workers or available_cpus()
-        if chunksize is not None and chunksize < 1:
-            raise ValueError("chunksize must be at least 1")
-        self._chunksize = chunksize
         self._pool: Optional[ProcessPoolExecutor] = None
 
     @property
@@ -168,29 +167,12 @@ class ParallelExecutor(Executor):
             )
         return self._pool
 
-    def _chunksize_for(self, n_items: int) -> int:
-        if self._chunksize is not None:
-            return self._chunksize
-        # Two chunks per worker balances load against pickling overhead.
-        return max(1, n_items // (self.max_workers * 2) or 1)
-
-    def map(self, fn: Callable[[T], R], items: Iterable[T]) -> List[R]:
-        materialized: Sequence[T] = list(items)
-        if not materialized:
-            return []
-        if len(materialized) == 1:
-            # A single item never amortizes pool start-up; run it inline.
-            return [fn(materialized[0])]
-        pool = self._ensure_pool()
-        return list(
-            pool.map(fn, materialized, chunksize=self._chunksize_for(len(materialized)))
-        )
-
     def imap(self, fn: Callable[[T], R], items: Iterable[T]) -> Iterator[Tuple[int, R]]:
         materialized: Sequence[T] = list(items)
         if not materialized:
             return
         if len(materialized) == 1:
+            # A single item never amortizes pool start-up; run it inline.
             yield 0, fn(materialized[0])
             return
         pool = self._ensure_pool()
@@ -243,10 +225,6 @@ class FaultInjectingExecutor(Executor):
     def workers(self) -> int:
         return self.inner.workers
 
-    def map(self, fn: Callable[[T], R], items: Iterable[T]) -> List[R]:
-        pairs = sorted(self.imap(fn, items))
-        return [result for _, result in pairs]
-
     def imap(self, fn: Callable[[T], R], items: Iterable[T]) -> Iterator[Tuple[int, R]]:
         for pair in self.inner.imap(fn, items):
             if self.completed >= self.fail_after:
@@ -289,3 +267,19 @@ def resolve_executor(spec: ExecutorLike = None) -> Executor:
     if spec <= 1:
         return SerialExecutor()
     return ParallelExecutor(spec)
+
+
+@contextlib.contextmanager
+def executor_scope(spec: ExecutorLike = None) -> Iterator[Executor]:
+    """Resolve ``spec`` (see :func:`resolve_executor`) for a ``with`` block.
+
+    An executor the block resolved from ``None`` or a worker count is closed
+    when the block exits, also when it raises; an :class:`Executor` the caller
+    passed in stays open, so one worker pool can serve many calls.
+    """
+    executor = resolve_executor(spec)
+    try:
+        yield executor
+    finally:
+        if executor is not spec:
+            executor.close()

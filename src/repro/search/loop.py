@@ -41,13 +41,11 @@ import numpy as np
 from repro.experiments.campaign import (
     DEFAULT_BATCH_SIZE,
     CampaignConfig,
-    StoreLike,
-    _check_engine,
-    resolve_store,
+    _check_run_options,
     run_campaigns,
 )
-from repro.experiments.store import ExperimentStore, config_hash
-from repro.runtime import ExecutorLike, resolve_executor
+from repro.experiments.store import ExperimentStore, StoreLike, config_hash, resolve_store
+from repro.runtime import ExecutorLike, executor_scope
 from repro.runtime.cache import encode_key
 from repro.search.objectives import AttackSuccessRate, Objective, build_objective
 from repro.search.samplers import AdaptiveSampler, build_search_sampler
@@ -220,7 +218,8 @@ class FalsificationLoop:
     ``executor`` / ``batch_size`` pass straight through to
     :func:`~repro.experiments.campaign.run_campaigns`, so a search fans out
     over worker processes and lockstep batch-simulator lanes exactly like a
-    sweep does; ``engine`` accepts only ``"batch"``.  Construction is cheap;
+    sweep does; ``engine`` accepts only ``"batch"``, and both are checked
+    here, before :meth:`run` writes anything.  Construction is cheap;
     :meth:`run` does the work and may be called again after an interruption
     (it reloads the checkpoint).
     """
@@ -233,7 +232,7 @@ class FalsificationLoop:
         engine: str = "batch",
         batch_size: int = DEFAULT_BATCH_SIZE,
     ):
-        _check_engine(engine)
+        _check_run_options(engine, batch_size)
         resolved = resolve_store(store)
         if resolved is None:
             raise ValueError(
@@ -347,8 +346,7 @@ class FalsificationLoop:
         all_points: List[SearchPoint] = []
         last_iteration_points: List[SearchPoint] = []
         iterations_this_call = 0
-        executor = resolve_executor(self.executor)
-        try:
+        with executor_scope(self.executor) as executor:
             while True:
                 if reached_target and pending is None:
                     break
@@ -438,9 +436,6 @@ class FalsificationLoop:
                 all_points.extend(points)
                 last_iteration_points = points
                 iterations_this_call += 1
-        finally:
-            if executor is not self.executor:
-                executor.close()
 
         elite_front: List[SearchPoint] = []
         if last_iteration_points:

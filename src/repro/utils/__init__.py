@@ -1,12 +1,11 @@
 """General utilities shared by the simulation, perception, and attack code.
 
-The utilities are deliberately small and dependency-free: seeded random number
-helpers (:mod:`repro.utils.rng`), distribution fitting and summary statistics
-used by the evaluation harness (:mod:`repro.utils.stats`), and unit conversion
-helpers (:mod:`repro.utils.units`).
+The utilities are deliberately small and dependency-free: distribution
+fitting and summary statistics used by the evaluation harness
+(:mod:`repro.utils.stats`), and unit conversion helpers
+(:mod:`repro.utils.units`).
 """
 
-from repro.utils.rng import SeedSequenceFactory, make_rng, spawn_rngs
 from repro.utils.stats import (
     BoxplotStats,
     ExponentialFit,
@@ -19,9 +18,6 @@ from repro.utils.stats import (
 from repro.utils.units import kph_to_mps, mps_to_kph
 
 __all__ = [
-    "SeedSequenceFactory",
-    "make_rng",
-    "spawn_rngs",
     "BoxplotStats",
     "ExponentialFit",
     "NormalFit",

@@ -342,9 +342,9 @@ class TestBatchEngine:
         that each of two workers gets one; the results are the same."""
 
         class Recording:
-            def map(self, fn, items):
+            def imap(self, fn, items):
                 self.items = list(items)
-                return super().map(fn, self.items)
+                return super().imap(fn, self.items)
 
         class RecordingSerial(Recording, SerialExecutor):
             pass
@@ -393,6 +393,40 @@ class TestPredictorTraining:
         monkeypatch.setattr(BatchSimulator, "run", forbidden)
         with pytest.raises(ValueError, match="epochs must be at least 1, got 0"):
             get_or_train_predictor("DS-2", AttackVector.DISAPPEAR, training_epochs=0)
+
+    def test_storeless_oracle_collects_on_the_callers_executor(self):
+        """Without a store, a RoboTack campaign and ``get_or_train_predictor``
+        both collect the oracle's dataset on the executor they were given."""
+        from repro.experiments.campaign import clear_caches
+
+        class RecordingSerial(SerialExecutor):
+            def __init__(self):
+                self.calls = []
+
+            def imap(self, fn, items):
+                items = list(items)
+                self.calls.append((fn.func.__name__, len(items)))
+                return super().imap(fn, items)
+
+        config = CampaignConfig(
+            campaign_id="storeless-oracle", scenario_id="DS-2",
+            attacker=AttackerKind.ROBOTACK, vector=AttackVector.DISAPPEAR,
+            n_runs=1, training_epochs=1,
+            simulation=SimulationConfig(max_duration_s=1.0),
+        )
+        campaign_executor, oracle_executor = RecordingSerial(), RecordingSerial()
+        clear_caches()
+        try:
+            run_campaign(config, use_cache=False, executor=campaign_executor)
+            clear_caches()
+            get_or_train_predictor(
+                "DS-2", AttackVector.DISAPPEAR, training_epochs=1, executor=oracle_executor
+            )
+        finally:
+            clear_caches()
+        # DS-2's 48 grid points are two chunks (32 + 16 lanes) serially.
+        assert campaign_executor.calls == [("_collect_chunk", 2), ("_run_batch_chunk", 1)]
+        assert oracle_executor.calls == [("_collect_chunk", 2)]
 
     def test_collect_dataset_and_train_small(self):
         dataset = collect_safety_dataset(

@@ -5,13 +5,13 @@ import os
 import pytest
 
 from repro.runtime.executor import (
-    Executor,
     FaultInjectingExecutor,
     InjectedFault,
     ParallelExecutor,
     SerialExecutor,
     available_cpus,
     chunked,
+    executor_scope,
     resolve_executor,
 )
 
@@ -58,13 +58,6 @@ class TestImapStreaming:
     def test_parallel_imap_empty(self):
         with ParallelExecutor(max_workers=2) as executor:
             assert list(executor.imap(_square, [])) == []
-
-    def test_default_imap_falls_back_to_map(self):
-        class MapOnly(Executor):
-            def map(self, fn, items):
-                return [fn(item) for item in items]
-
-        assert list(MapOnly().imap(_square, [2, 3])) == [(0, 4), (1, 9)]
 
 
 class TestFaultInjectingExecutor:
@@ -137,8 +130,6 @@ class TestParallelExecutor:
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
             ParallelExecutor(max_workers=0)
-        with pytest.raises(ValueError):
-            ParallelExecutor(max_workers=2, chunksize=0)
 
 
 def _pid(_: int) -> int:
@@ -160,6 +151,34 @@ class TestChunked:
 
     def test_empty_input(self):
         assert chunked([], 32, SerialExecutor()) == []
+
+
+class TestExecutorScope:
+    """An executor is closed by the call that resolved it, and only by it."""
+
+    def test_resolved_executor_is_closed_on_exit(self):
+        with executor_scope(2) as executor:
+            assert executor.map(_square, range(4)) == [0, 1, 4, 9]
+            assert executor._pool is not None
+        assert executor._pool is None
+
+    def test_resolved_executor_is_closed_when_the_block_raises(self):
+        with pytest.raises(ZeroDivisionError):
+            with executor_scope(2) as executor:
+                executor.map(_square, range(4))
+                1 / 0
+        assert executor._pool is None
+
+    def test_callers_executor_stays_open(self):
+        with ParallelExecutor(max_workers=2) as caller:
+            with executor_scope(caller) as executor:
+                assert executor is caller
+                executor.map(_square, range(4))
+            assert caller._pool is not None
+
+    def test_none_scopes_a_serial_executor(self):
+        with executor_scope() as executor:
+            assert isinstance(executor, SerialExecutor)
 
 
 class TestResolveExecutor:

@@ -175,6 +175,14 @@ class TestBudgetAndTarget:
         with pytest.raises(ValueError, match="unknown engine"):
             FalsificationLoop(_spec(), ExperimentStore(tmp_path), engine=engine)
 
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_non_positive_batch_size_is_rejected_before_any_write(self, tmp_path, batch_size):
+        # Checked in run(), it wrote the search manifest and a "proposed"
+        # checkpoint with the sampler RNG advanced before failing.
+        with pytest.raises(ValueError, match="batch_size must be at least 1"):
+            FalsificationLoop(_spec(), ExperimentStore(tmp_path), batch_size=batch_size)
+        assert not (tmp_path / "searches").exists()
+
 
 class TestCrashResume:
     def test_faulted_search_resumes_bit_identically(self, tmp_path):
