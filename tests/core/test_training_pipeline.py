@@ -39,7 +39,12 @@ from repro.core.training import (
 from repro.experiments.campaign import AttackerKind, CampaignConfig, _build_run_setup
 from repro.experiments.store import ExperimentStore
 from repro.perception.fusion import CameraOnlyFusion, FusionConfig
-from repro.runtime import FaultInjectingExecutor, InjectedFault, ParallelExecutor
+from repro.runtime import (
+    FaultInjectingExecutor,
+    InjectedFault,
+    ParallelExecutor,
+    SerialExecutor,
+)
 from repro.sim import scenarios as scenarios_module
 from repro.sim.scenarios import build_scenario, register_scenario
 
@@ -137,6 +142,20 @@ class TestParallelCollection:
         with ParallelExecutor(max_workers=2) as executor:
             parallel = _collect(executor=executor)
         assert_datasets_identical(serial, parallel)
+
+    @pytest.mark.parametrize("stored", [False, True], ids=["storeless", "stored"])
+    def test_out_of_order_chunks_assemble_in_grid_order(self, tmp_path, stored):
+        class LastFirst(SerialExecutor):
+            """Two workers' worth of chunks, completed last to first."""
+
+            workers = 2
+
+            def imap(self, fn, items):
+                return reversed(list(super().imap(fn, items)))
+
+        serial = _collect()
+        reordered = _collect(executor=LastFirst(), store=tmp_path if stored else None)
+        assert_datasets_identical(serial, reordered)
 
     def test_store_assembled_dataset_bit_identical_to_serial(self, tmp_path):
         serial = _collect()

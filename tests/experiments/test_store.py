@@ -10,6 +10,7 @@
 
 import json
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from repro.experiments.store import (
     ExperimentStore,
     RunRecord,
     records_equal,
+    resolve_store,
 )
 from repro.runtime import ParallelExecutor
 from repro.sim.actors import ActorKind
@@ -393,6 +395,23 @@ class TestQueries:
         assert store.manifests() == {}
         assert store.incomplete_campaigns() == []
         assert store.campaign_results() == []
+
+
+class TestResolveStore:
+    """The one resolver behind every ``store=`` argument."""
+
+    def test_none_means_no_store(self):
+        assert resolve_store(None) is None
+
+    def test_store_instances_pass_through(self, tmp_path):
+        store = ExperimentStore(tmp_path)
+        assert resolve_store(store) is store
+
+    @pytest.mark.parametrize("as_root", [str, Path], ids=["str", "path"])
+    def test_root_paths_open_a_store(self, tmp_path, as_root):
+        store = resolve_store(as_root(tmp_path / "store"))
+        assert isinstance(store, ExperimentStore)
+        assert store.root == tmp_path / "store"
 
 
 class TestConsumers:

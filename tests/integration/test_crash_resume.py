@@ -12,6 +12,7 @@ is one chunk of lockstep runs, so the per-run checkpoint tests pin
 ``batch_size=1``: one run per work item.
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -65,6 +66,28 @@ def assert_campaigns_identical(a: CampaignResult, b: CampaignResult) -> None:
     assert a.accident_rate == b.accident_rate
     assert a.min_delta_values() == b.min_delta_values()
     assert a.median_planned_k() == b.median_planned_k()
+
+
+
+def _typed(value):
+    """A value with its exact Python type; NaN compares equal to NaN."""
+    if isinstance(value, float) and math.isnan(value):
+        return float, "nan"
+    return type(value), value
+
+
+def assert_same_values_and_types(a: CampaignResult, b: CampaignResult) -> None:
+    assert type(a) is type(b) and type(a.runs) is type(b.runs)
+    assert len(a.runs) == len(b.runs)
+    for name in CampaignResult.__dataclass_fields__:
+        if name != "runs":
+            assert _typed(getattr(a, name)) == _typed(getattr(b, name)), name
+    for left, right in zip(a.runs, b.runs):
+        assert type(left) is type(right)
+        for field in dataclasses.fields(left):
+            assert _typed(getattr(left, field.name)) == _typed(
+                getattr(right, field.name)
+            ), (left.run_index, field.name)
 
 
 class TestCrashResume:
@@ -143,3 +166,23 @@ class TestCrashResume:
         plain = run_campaign(config, use_cache=False)
         stored = run_campaign(config, store=ExperimentStore(tmp_path))
         assert_campaigns_identical(plain, stored)
+
+    def test_storeless_stored_and_resumed_results_match_in_values_and_types(
+        self, tmp_path
+    ):
+        # A store adds a manifest, a skip set and an append per run, and its
+        # result is read back from disk; none of that may change a field's
+        # value or Python type.
+        config = _config(n_runs=4, seed=5)
+        plain = run_campaign(config, use_cache=False, batch_size=2)
+        stored = run_campaign(config, store=tmp_path / "stored", batch_size=2)
+        with pytest.raises(InjectedFault):
+            run_campaign(
+                config,
+                store=tmp_path / "resumed",
+                batch_size=2,
+                executor=FaultInjectingExecutor(1),
+            )
+        resumed = run_campaign(config, store=tmp_path / "resumed", batch_size=3)
+        assert_same_values_and_types(plain, stored)
+        assert_same_values_and_types(plain, resumed)

@@ -5,6 +5,7 @@ import os
 import pytest
 
 from repro.runtime.executor import (
+    Executor,
     FaultInjectingExecutor,
     InjectedFault,
     ParallelExecutor,
@@ -58,6 +59,35 @@ class TestImapStreaming:
     def test_parallel_imap_empty(self):
         with ParallelExecutor(max_workers=2) as executor:
             assert list(executor.imap(_square, [])) == []
+
+
+class TestMapOnImap:
+    """``imap`` is the one fan-out an executor implements; ``map`` is built on it."""
+
+    def test_executor_without_imap_cannot_be_built(self):
+        class Bare(Executor):
+            pass
+
+        with pytest.raises(TypeError):
+            Bare()
+
+    def test_imap_only_executor_is_complete(self):
+        class ImapOnly(Executor):
+            def imap(self, fn, items):
+                return ((index, fn(item)) for index, item in enumerate(items))
+
+        with ImapOnly() as executor:
+            assert executor.map(_square, [3, 1, 2]) == [9, 1, 4]
+            assert executor.map(_square, []) == []
+            assert executor.workers == 1
+
+    def test_map_reassembles_an_out_of_order_stream(self):
+        class LastFirst(Executor):
+            def imap(self, fn, items):
+                pairs = [(index, fn(item)) for index, item in enumerate(items)]
+                return iter(pairs[::-1])
+
+        assert LastFirst().map(_square, [3, 1, 2]) == [9, 1, 4]
 
 
 class TestFaultInjectingExecutor:

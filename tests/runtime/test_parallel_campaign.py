@@ -18,8 +18,11 @@ from repro.experiments.campaign import (
     run_campaign,
     run_campaigns,
 )
+from repro.core.training import collect_safety_dataset
+from repro.experiments.characterization import characterize_detector_ensemble
 from repro.experiments.results import RunResult
 from repro.runtime import ParallelExecutor, SerialExecutor
+from repro.sim.config import SimulationConfig
 
 
 def assert_runs_identical(a: RunResult, b: RunResult) -> None:
@@ -110,3 +113,99 @@ class TestCampaignCaching:
         parallel = run_campaign(self._config(), executor=2)
         cached = run_campaign(self._config())
         assert cached is parallel
+
+
+class LastFirstExecutor(SerialExecutor):
+    """Completes its work items last to first, as a worker pool may, claims
+    ``workers`` so that campaigns cut several chunks, and records its fan-outs
+    and whether it was closed."""
+
+    def __init__(self, workers: int = 3):
+        self._workers = workers
+        self.fanouts = 0
+        self.closed = False
+
+    @property
+    def workers(self) -> int:
+        return self._workers
+
+    def imap(self, fn, items):
+        self.fanouts += 1
+        return reversed(list(super().imap(fn, items)))
+
+    def close(self) -> None:
+        self.closed = True
+
+
+def _short_config(n_runs: int = 5) -> CampaignConfig:
+    return CampaignConfig(
+        campaign_id="one-path-ds1",
+        scenario_id="DS-1",
+        attacker=AttackerKind.NONE,
+        n_runs=n_runs,
+        seed=19,
+        simulation=SimulationConfig(max_duration_s=1.5),
+    )
+
+
+class TestOneRunPath:
+    """Chunks stream back through ``imap`` in completion order, and a
+    campaign is assembled by run index, with or without a store."""
+
+    @pytest.mark.parametrize("stored", [False, True], ids=["storeless", "stored"])
+    def test_out_of_order_chunks_give_the_serial_campaign(self, tmp_path, stored):
+        config = _short_config()
+        serial = run_campaign(config, use_cache=False)
+        executor = LastFirstExecutor(workers=3)  # chunks [0, 1], [2, 3], [4]
+        reordered = run_campaign(
+            config, use_cache=False, executor=executor, store=tmp_path if stored else None
+        )
+        assert executor.fanouts == 1
+        assert [run.run_index for run in reordered.runs] == list(range(config.n_runs))
+        for left, right in zip(serial.runs, reordered.runs):
+            assert_runs_identical(left, right)
+
+
+def _run_campaign_on(executor, tmp_path):
+    run_campaign(_short_config(n_runs=2), use_cache=False, executor=executor)
+
+
+def _run_campaigns_on(executor, tmp_path):
+    run_campaigns([_short_config(n_runs=2)], use_cache=False, executor=executor)
+
+
+def _store_campaign_on(executor, tmp_path):
+    run_campaign(_short_config(n_runs=2), executor=executor, store=tmp_path)
+
+
+def _collect_dataset_on(executor, tmp_path):
+    collect_safety_dataset(
+        "DS-2", AttackVector.DISAPPEAR, (42.0,), (12, 24), seed=3, executor=executor
+    )
+
+
+def _characterize_on(executor, tmp_path):
+    characterize_detector_ensemble([1, 2], duration_s=1.0, executor=executor)
+
+
+class TestCallersExecutorStaysOpen:
+    """An entry point closes only an executor it resolved itself, so one
+    executor (and its worker pool) can serve many calls."""
+
+    @pytest.mark.parametrize(
+        "entry_point",
+        [
+            _run_campaign_on,
+            _run_campaigns_on,
+            _store_campaign_on,
+            _collect_dataset_on,
+            _characterize_on,
+        ],
+        ids=["run_campaign", "run_campaigns", "stored_campaign", "collection",
+             "characterization"],
+    )
+    def test_entry_point_leaves_the_executor_open(self, tmp_path, entry_point):
+        executor = LastFirstExecutor(workers=2)
+        entry_point(executor, tmp_path)
+        assert executor.fanouts >= 1
+        assert not executor.closed

@@ -28,7 +28,7 @@ from repro.experiments.campaign import (
 )
 from repro.experiments.store import ExperimentStore, config_hash
 from repro.experiments.tables import search_report_from_store
-from repro.runtime import FaultInjectingExecutor, InjectedFault
+from repro.runtime import FaultInjectingExecutor, InjectedFault, SerialExecutor
 from repro.search import FalsificationLoop, SearchSpec, search_spec_hash
 from repro.search.loop import axes_from_json, axes_to_json
 from repro.search.objectives import OBJECTIVES
@@ -182,6 +182,25 @@ class TestBudgetAndTarget:
         with pytest.raises(ValueError, match="batch_size must be at least 1"):
             FalsificationLoop(_spec(), ExperimentStore(tmp_path), batch_size=batch_size)
         assert not (tmp_path / "searches").exists()
+
+    def test_callers_executor_stays_open(self, tmp_path):
+        class RecordingSerial(SerialExecutor):
+            fanouts = 0
+            closed = False
+
+            def imap(self, fn, items):
+                self.fanouts += 1
+                return super().imap(fn, items)
+
+            def close(self):
+                self.closed = True
+
+        executor = RecordingSerial()
+        FalsificationLoop(
+            _spec(budget_runs=4, batch_points=2), ExperimentStore(tmp_path), executor=executor
+        ).run()
+        assert executor.fanouts >= 1
+        assert not executor.closed
 
 
 class TestCrashResume:
