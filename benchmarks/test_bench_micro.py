@@ -76,18 +76,19 @@ def test_bench_robotack_frame_processing(benchmark):
 
 
 def test_bench_world_snapshot_ds5(benchmark):
-    """The per-step ground-truth snapshot (the call the step loop now makes once)."""
+    """A ground-truth snapshot of the world: a run takes one, for its result
+    (the step loop itself reads the live world)."""
     scenario = build_scenario("DS-5", ScenarioVariation.nominal())
     benchmark(scenario.world.snapshot)
 
 
 def test_bench_simulation_step_loop(benchmark):
-    """Guards the step-loop optimisation: one ``world.snapshot`` per step.
+    """Guards the per-step cost of the step loop.
 
     A short fixed-length DS-1 run (60 steps, no attacker) dominated by the
-    per-step loop body; regressions here mean someone re-introduced redundant
-    snapshotting (the loop used to build three snapshots per step) or another
-    per-step cost.
+    per-step loop body, which reads the live world (a run takes one
+    ``world.snapshot``, for its result); regressions here mean someone added
+    a per-step cost, such as snapshotting the world each step.
     """
     from repro.sim.config import SimulationConfig
 

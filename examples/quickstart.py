@@ -28,8 +28,8 @@ def run_once(attacked: bool, seed: int = 7):
     attacker = None
     if attacked:
         # The first call trains the paper's neural safety-potential oracle from
-        # scripted attack simulations (takes roughly a minute); it is cached
-        # for the rest of the process.
+        # scripted attack simulations (about a second); it is cached for the
+        # rest of the process.
         predictor = get_or_train_predictor(
             "DS-2", AttackVector.DISAPPEAR, kind=PredictorKind.NEURAL
         )

@@ -108,12 +108,11 @@ class RoboTackConfig:
         recalibrate the attacker through this single factory so training-time
         and evaluation-time attackers can never drift apart.
         """
-        if detector_config is None:
-            return cls(allowed_vectors=tuple(allowed_vectors))
+        detector = detector_config or DetectorConfig()
         return cls(
             allowed_vectors=tuple(allowed_vectors),
-            hijacker=TrajectoryHijackerConfig(detector=detector_config),
-            perception=_camera_only(detector_config),
+            hijacker=TrajectoryHijackerConfig(detector=detector),
+            perception=_camera_only(detector),
         )
 
 

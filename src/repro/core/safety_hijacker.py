@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.core.attack_vectors import AttackVector
 from repro.nn import FeedForwardNetwork
+from repro.perception.detection import DetectorConfig
 from repro.sim.actors import ActorKind
 
 __all__ = [
@@ -39,6 +40,7 @@ __all__ = [
     "NeuralSafetyPredictor",
     "SafetyHijackerConfig",
     "SafetyHijacker",
+    "k_max_frames_for",
 ]
 
 
@@ -234,11 +236,21 @@ def _default_launch_thresholds() -> Dict[AttackVector, float]:
     }
 
 
-def _default_k_max() -> Dict[ActorKind, int]:
-    # The stealth bound Kmax is the 99th percentile of the characterized
-    # continuous-misdetection distribution (paper Fig. 5a-b): about 31 frames
-    # for pedestrians and 59 frames for vehicles.
-    return {ActorKind.PEDESTRIAN: 31, ActorKind.VEHICLE: 59}
+def k_max_frames_for(detector_config: DetectorConfig | None = None) -> Dict[ActorKind, int]:
+    """The stealth bound Kmax per target kind, for a detector (the default
+    one when ``None``).
+
+    Kmax is the 99th percentile of the detector's continuous-misdetection
+    bursts (paper Fig. 5a-b): 31 frames for pedestrians and 59 for vehicles
+    with the default detector.  A degraded detector has longer bursts, so the
+    attacker may hide behind a correspondingly longer window without
+    tripping the intrusion detector.
+    """
+    detector = detector_config or DetectorConfig()
+    return {
+        kind: int(round(detector.noise_for(kind).misdetection_burst_p99_frames))
+        for kind in (ActorKind.PEDESTRIAN, ActorKind.VEHICLE)
+    }
 
 
 @dataclass(frozen=True)
@@ -248,7 +260,7 @@ class SafetyHijackerConfig:
     launch_threshold_m: Dict[AttackVector, float] = field(
         default_factory=_default_launch_thresholds
     )
-    k_max_frames: Dict[ActorKind, int] = field(default_factory=_default_k_max)
+    k_max_frames: Dict[ActorKind, int] = field(default_factory=k_max_frames_for)
     #: Smallest attack window worth launching.
     k_min_frames: int = 12
     #: How the minimal attack window is located: ``"scan"`` evaluates a coarse

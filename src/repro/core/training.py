@@ -185,7 +185,7 @@ def _label_for_run(
         # window).  If it never appears (the window was too short to complete
         # the shift), the attack had no effect and the label saturates at the
         # clear-road value.
-        trace = result.events.perceived_delta_trace
+        trace = result.perceived_delta_trace
         window = trace[start_step : start_step + k_frames + 15]
         if not window:
             return None
@@ -197,7 +197,7 @@ def _label_for_run(
     # the label is the minimum ground-truth safety potential over the attack
     # window (plus a short settling margin, since the closest approach can fall
     # a few frames after the final perturbed frame).
-    trace = result.events.true_delta_trace
+    trace = result.true_delta_trace
     if not trace:
         return None
     window = trace[start_step : start_step + k_frames + 15]

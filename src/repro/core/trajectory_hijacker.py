@@ -120,11 +120,6 @@ class TrajectoryHijacker:
         """Total number of frames perturbed so far in this episode."""
         return self._frames_perturbed
 
-    @property
-    def fake_lateral_m(self) -> float:
-        """Current lateral position of the fake trajectory."""
-        return self._fake_lateral_m
-
     def begin(
         self, vector: AttackVector, target_actor_id: int, target_lateral_m: float, target_kind: ActorKind
     ) -> None:

@@ -44,6 +44,7 @@ from repro.core.safety_hijacker import (
     SafetyHijacker,
     SafetyHijackerConfig,
     SafetyPredictor,
+    k_max_frames_for,
 )
 from repro.core.training import (
     load_registered_predictor,
@@ -61,7 +62,6 @@ from repro.experiments.store import (
 from repro.perception.detection import DetectorDegradation
 from repro.perception.fusion import DEFAULT_FUSION_POLICY, FusionConfig
 from repro.perception.pipeline import PerceptionConfig
-from repro.sim.actors import ActorKind
 from repro.runtime import ExecutorLike, chunked, executor_scope
 from repro.runtime.cache import encode_key
 from repro.sim.batch import DEFAULT_BATCH_SIZE, BatchRunSpec, BatchSimulator
@@ -339,7 +339,7 @@ def get_or_train_predictor(
     vector: AttackVector,
     kind: PredictorKind = PredictorKind.NEURAL,
     seed: int = 7,
-    training_epochs: int = 120,
+    training_epochs: int = CampaignConfig.training_epochs,
     store: StoreLike = None,
     executor: ExecutorLike = None,
 ) -> SafetyPredictor:
@@ -351,6 +351,9 @@ def get_or_train_predictor(
     neural oracle goes through the same pipeline in-process, unpersisted.
     Either way the collection fans out over ``executor``, and the training
     spec is checked before anything is simulated.
+
+    The defaults are the spec a default campaign looks up
+    (:func:`oracle_spec_hash`), so they train the oracle its attacks use.
 
     Oracles are per (scenario, vector, seed, epochs), and the collection's
     victim is ``build_ads_agent(scenario)``'s: the scenario's own detector and
@@ -379,27 +382,6 @@ def get_or_train_predictor(
     return _PREDICTOR_CACHE[key]
 
 
-def _safety_hijacker_for(
-    scenario: DrivingScenario, predictor: SafetyPredictor
-) -> SafetyHijacker:
-    """A safety hijacker whose stealth bound Kmax follows the scenario's detector.
-
-    Kmax is the 99th percentile of the continuous-misdetection bursts; a
-    degraded detector has longer bursts, so the attacker may hide behind a
-    correspondingly longer window without tripping the intrusion detector.
-    """
-    if scenario.detector_config is None:
-        return SafetyHijacker(predictor)
-    detector = scenario.detector_config
-    k_max = {
-        ActorKind.PEDESTRIAN: int(
-            round(detector.pedestrian_noise.misdetection_burst_p99_frames)
-        ),
-        ActorKind.VEHICLE: int(round(detector.vehicle_noise.misdetection_burst_p99_frames)),
-    }
-    return SafetyHijacker(predictor, SafetyHijackerConfig(k_max_frames=k_max))
-
-
 def _build_attacker(
     config: CampaignConfig,
     scenario: DrivingScenario,
@@ -410,7 +392,7 @@ def _build_attacker(
         return None
     allowed = (config.vector,) if config.vector is not None else tuple(AttackVector)
     # Scenarios with a degraded detector (e.g. DS-7's fog) recalibrate the
-    # attacker's reconstruction and stealth bounds through the shared factory.
+    # attacker's reconstruction, stealth bounds and Kmax from that detector.
     attack_config = RoboTackConfig.for_detector(allowed, scenario.detector_config)
     if config.attacker is AttackerKind.ROBOTACK:
         if predictor is None:
@@ -420,7 +402,9 @@ def _build_attacker(
                 kind=config.predictor,
                 training_epochs=config.training_epochs,
             )
-        hijacker = _safety_hijacker_for(scenario, predictor)
+        hijacker = SafetyHijacker(predictor, SafetyHijackerConfig(
+            k_max_frames=k_max_frames_for(scenario.detector_config)
+        ))
         return RoboTack(scenario.road, hijacker, attack_config, rng=rng)
     if config.attacker is AttackerKind.ROBOTACK_NO_SH:
         return RoboTackWithoutSafetyHijacker(scenario.road, attack_config, rng=rng)
@@ -437,7 +421,7 @@ def _true_delta_at_attack_end(
 ) -> float:
     if attacker is None or not attacker.record.launched or attacker.record.start_frame is None:
         return float("nan")
-    trace = result.events.true_delta_trace
+    trace = result.true_delta_trace
     if not trace:
         return float("nan")
     index = min(
@@ -552,7 +536,7 @@ def _record_from_result(
     )
     events = tuple(
         (event.kind.value, event.step_index, event.time_s, dict(event.details))
-        for event in result.events.events
+        for event in result.events
     )
     return RunRecord(
         config_hash=config_hash(config),
@@ -565,11 +549,9 @@ def _record_from_result(
         duration_s=result.duration_s,
         halted_on_collision=result.halted_on_collision,
         events=events,
-        true_delta_trace=np.asarray(result.events.true_delta_trace, dtype=np.float64),
-        perceived_delta_trace=np.asarray(
-            result.events.perceived_delta_trace, dtype=np.float64
-        ),
-        ego_speed_trace=np.asarray(result.events.ego_speed_trace, dtype=np.float64),
+        true_delta_trace=np.asarray(result.true_delta_trace, dtype=np.float64),
+        perceived_delta_trace=np.asarray(result.perceived_delta_trace, dtype=np.float64),
+        ego_speed_trace=np.asarray(result.ego_speed_trace, dtype=np.float64),
     )
 
 

@@ -75,10 +75,6 @@ class CampaignResult:
         return sum(1 for r in self.runs if r.accident)
 
     @property
-    def collision_count(self) -> int:
-        return sum(1 for r in self.runs if r.collision)
-
-    @property
     def emergency_braking_rate(self) -> float:
         return self.emergency_braking_count / self.n_runs if self.n_runs else 0.0
 

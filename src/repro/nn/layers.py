@@ -7,7 +7,7 @@ gradients so optimizers can update them in place.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
@@ -132,8 +132,3 @@ class Dropout(Layer):
         if self._mask is None:
             raise RuntimeError("backward called before forward")
         return grad_output * self._mask
-
-
-def layers_with_parameters(layers: List[Layer]) -> List[Layer]:
-    """Return the subset of ``layers`` that have trainable parameters."""
-    return [layer for layer in layers if layer.parameters()]

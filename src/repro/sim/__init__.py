@@ -8,7 +8,8 @@ deterministic, seedable 2-D road-frame simulator.  It provides:
   :mod:`repro.sim.waypoints`),
 * the five driving scenarios DS-1 ... DS-5 from paper §V-C
   (:mod:`repro.sim.scenarios`),
-* collision / emergency-braking event bookkeeping (:mod:`repro.sim.events`),
+* the events a run logs: emergency braking, collisions, attack start/end
+  (:mod:`repro.sim.events`),
 * the simulation loop that wires sensors, the ADS, and an optional
   man-in-the-middle attacker together, one run per lane
   (:mod:`repro.sim.simulator`),
@@ -19,7 +20,7 @@ deterministic, seedable 2-D road-frame simulator.  It provides:
 
 from repro.sim.actors import ActorKind, ActorSnapshot, EgoVehicle, ScriptedActor
 from repro.sim.config import SimulationConfig
-from repro.sim.events import EventLog, SimulationEvent
+from repro.sim.events import SimulationEvent
 from repro.sim.road import Lane, Road
 from repro.sim.scenarios import (
     DrivingScenario,
@@ -54,7 +55,6 @@ __all__ = [
     "EgoVehicle",
     "ScriptedActor",
     "SimulationConfig",
-    "EventLog",
     "SimulationEvent",
     "Lane",
     "Road",

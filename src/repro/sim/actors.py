@@ -286,8 +286,3 @@ class EgoVehicle:
             dimensions=self._dimensions,
             is_ego=True,
         )
-
-    @property
-    def front_bumper_x(self) -> float:
-        """Longitudinal coordinate of the front bumper."""
-        return self.x + self.length / 2.0

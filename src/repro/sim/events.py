@@ -1,4 +1,4 @@
-"""Simulation event bookkeeping.
+"""The events of a simulation run.
 
 The evaluation in the paper counts two kinds of safety hazards per run:
 
@@ -6,17 +6,19 @@ The evaluation in the paper counts two kinds of safety hazards per run:
 * **accidents** -- a ground-truth safety potential below 4 m between the start
   of the attack and the end of the run (paper §VI-D), or a physical collision.
 
-The :class:`EventLog` records those events together with the per-step safety
-potential traces needed to regenerate Fig. 6.
+A lane (:class:`~repro.sim.simulator.Simulator`) logs these events, together
+with the per-step safety-potential traces needed to regenerate Fig. 6,
+straight into its :class:`~repro.sim.simulator.SimulationResult`, which
+answers the hazard queries.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict
 
-__all__ = ["EventKind", "SimulationEvent", "EventLog"]
+__all__ = ["EventKind", "SimulationEvent"]
 
 
 class EventKind(enum.Enum):
@@ -37,65 +39,3 @@ class SimulationEvent:
     time_s: float
     step_index: int
     details: Dict[str, float] = field(default_factory=dict)
-
-
-class EventLog:
-    """Collects events and per-step safety traces for one simulation run."""
-
-    def __init__(self) -> None:
-        self.events: List[SimulationEvent] = []
-        #: Ground-truth safety potential (to the attack target when known,
-        #: otherwise to the nearest in-path actor) per step.
-        self.true_delta_trace: List[float] = []
-        #: Safety potential as perceived by the ADS per step.
-        self.perceived_delta_trace: List[float] = []
-        #: Ego speed per step.
-        self.ego_speed_trace: List[float] = []
-
-    def record(self, event: SimulationEvent) -> None:
-        """Append an event."""
-        self.events.append(event)
-
-    def record_step(
-        self, true_delta: float, perceived_delta: float, ego_speed: float
-    ) -> None:
-        """Append one step of the safety traces."""
-        self.true_delta_trace.append(float(true_delta))
-        self.perceived_delta_trace.append(float(perceived_delta))
-        self.ego_speed_trace.append(float(ego_speed))
-
-    def events_of_kind(self, kind: EventKind) -> List[SimulationEvent]:
-        """All events of the given kind, in time order."""
-        return [e for e in self.events if e.kind is kind]
-
-    def has_event(self, kind: EventKind) -> bool:
-        """Whether at least one event of the given kind was recorded."""
-        return any(e.kind is kind for e in self.events)
-
-    def first_event(self, kind: EventKind) -> Optional[SimulationEvent]:
-        """The earliest event of the given kind, if any."""
-        matches = self.events_of_kind(kind)
-        return matches[0] if matches else None
-
-    @property
-    def emergency_braking_occurred(self) -> bool:
-        return self.has_event(EventKind.EMERGENCY_BRAKE)
-
-    @property
-    def collision_occurred(self) -> bool:
-        return self.has_event(EventKind.COLLISION)
-
-    @property
-    def attack_start_step(self) -> Optional[int]:
-        event = self.first_event(EventKind.ATTACK_STARTED)
-        return event.step_index if event else None
-
-    def min_true_delta_after(self, step_index: int) -> float:
-        """Minimum ground-truth safety potential from ``step_index`` onwards.
-
-        This is the quantity plotted in Fig. 6 ("minimum safety potential of
-        the EV measured from the start time of the attack to the end of the
-        driving scenario").  Returns ``inf`` when the trace is empty.
-        """
-        tail = self.true_delta_trace[max(0, step_index):]
-        return min(tail) if tail else float("inf")

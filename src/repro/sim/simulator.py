@@ -7,9 +7,9 @@ Each step (one camera frame at 15 Hz) a run:
    camera frame — the attack surface of paper §III-B,
 3. runs the victim ADS on the (possibly perturbed) sensors,
 4. applies the ADS actuation to the ego vehicle and advances all actors,
-5. records safety events: emergency braking, collisions, attack start/end,
-   and the ground-truth / perceived safety-potential traces used by the
-   evaluation harness.
+5. records the run: the safety events (emergency braking, collisions,
+   attack start/end) and the ground-truth / perceived safety-potential and
+   ego-speed traces the evaluation harness scores.
 
 The loop halts early on a physical collision, mirroring how the LGSVL
 simulator stops when actors come too close.
@@ -32,8 +32,10 @@ carries: the sensors' row cores (``CameraSensor.render_rows``,
 ``LidarSensor.scan_rows``, ``GpsImuSensor.read``), the detector's
 ``detect_rows``, the tracker's ``track_rows``, the transform's
 ``estimate_rows``, the fusion policy's ``fuse``, ``ads.planner.plan_rows``
-and ``ads.actuate``; ``World.step`` advances the world and a
-:class:`RunRecorder` keeps every event and trace.  The perception stages'
+and ``ads.actuate``; ``World.step`` advances the world.  The lane keeps the
+run record itself: it logs each event and appends each step's trace entry
+straight into the lists its :class:`SimulationResult` owns, and the result
+answers the paper's hazard queries from them.  The perception stages'
 dataclass adapters (the detector's ``detect``, the tracker's ``step``, the
 transform's ``transform``) serve loops driven by hand; the lane calls only
 ``transform``, to hand its attacker the replica's world estimates.
@@ -85,7 +87,7 @@ from repro.sensors.camera import CameraFrame, CameraSensor
 from repro.sensors.gps_imu import GpsImuSensor
 from repro.sensors.lidar import LidarSensor
 from repro.sim.config import SimulationConfig
-from repro.sim.events import EventKind, EventLog, SimulationEvent
+from repro.sim.events import EventKind, SimulationEvent
 from repro.sim.scenarios import DrivingScenario
 from repro.sim.actors import colliding_actor
 from repro.sim.world import GroundTruthSnapshot
@@ -94,36 +96,57 @@ if TYPE_CHECKING:  # pragma: no cover - imported for type hints only
     from repro.ads.agent import AdsAgent
     from repro.core.robotack import CameraMitmAttackerBase
 
-__all__ = ["RunRecorder", "SimulationResult", "Simulator"]
+__all__ = ["SimulationResult", "Simulator"]
 
 
 @dataclass
 class SimulationResult:
-    """Everything recorded during one simulation run."""
+    """Everything recorded during one simulation run.
+
+    The traces hold one entry per step, taken once the ADS has decided and
+    before the world advances; a run halted by a collision appends one more,
+    the impact state, so its traces are one entry longer than its steps.
+    """
 
     scenario_id: str
-    events: EventLog
+    #: The run's events, in recording order.
+    events: List[SimulationEvent]
+    #: Ground-truth safety potential per step, to the attack target when
+    #: known, otherwise to the nearest in-path actor.
+    true_delta_trace: List[float]
+    #: Safety potential as perceived by the ADS per step.
+    perceived_delta_trace: List[float]
+    #: Ego speed per step.
+    ego_speed_trace: List[float]
     steps_executed: int
     duration_s: float
     halted_on_collision: bool
     final_snapshot: GroundTruthSnapshot
     target_actor_id: Optional[int]
 
+    def first_event(self, kind: EventKind) -> Optional[SimulationEvent]:
+        """The earliest event of the given kind, if any."""
+        return next((event for event in self.events if event.kind is kind), None)
+
     @property
     def emergency_braking_occurred(self) -> bool:
-        return self.events.emergency_braking_occurred
+        return self.first_event(EventKind.EMERGENCY_BRAKE) is not None
 
     @property
     def collision_occurred(self) -> bool:
-        return self.events.collision_occurred
+        return self.first_event(EventKind.COLLISION) is not None
 
     def min_true_delta_from_attack(self) -> float:
         """Minimum ground-truth δ from the attack start to the end of the run.
 
-        Falls back to the whole-run minimum when no attack was launched.
+        This is the quantity plotted in Fig. 6 ("minimum safety potential of
+        the EV measured from the start time of the attack to the end of the
+        driving scenario").  Falls back to the whole-run minimum when no
+        attack was launched, and is ``inf`` when the trace is empty.
         """
-        start = self.events.attack_start_step
-        return self.events.min_true_delta_after(start if start is not None else 0)
+        start = self.first_event(EventKind.ATTACK_STARTED)
+        tail = self.true_delta_trace[start.step_index if start is not None else 0:]
+        return min(tail) if tail else float("inf")
 
     def accident_occurred(self, accident_delta_m: float = 4.0) -> bool:
         """Paper §VI-D accident criterion: min ground-truth δ below 4 m."""
@@ -186,9 +209,12 @@ class Simulator:
         "scenario", "ads", "config", "attacker", "rng",
         # set by start()
         "camera", "lidar", "gps_imu", "world", "dt", "step_limit", "lidar_due",
-        "loop_step", "recorder", "tracker", "detect_rows", "estimate_rows",
+        "loop_step", "tracker", "detect_rows", "estimate_rows",
         "frame_dt", "replica", "frame", "clean_objects", "observed_frame",
         "fusion", "planner", "last_lidar", "gps_speed", "result",
+        # the run record, which the result takes over
+        "safety_model", "events", "true_delta_trace", "perceived_delta_trace",
+        "ego_speed_trace", "attack_was_active", "emergency_was_active",
     )
 
     def __init__(
@@ -253,7 +279,17 @@ class Simulator:
         self.step_limit = self.max_steps
         self.lidar_due = lidar_due
         self.loop_step = 0
-        self.recorder = RunRecorder(self)
+
+        # --- the run record ---
+        self.safety_model = SafetyModel(
+            comfortable_decel_mps2=self.config.comfortable_decel_mps2
+        )
+        self.events: List[SimulationEvent] = []
+        self.true_delta_trace: List[float] = []
+        self.perceived_delta_trace: List[float] = []
+        self.ego_speed_trace: List[float] = []
+        self.attack_was_active = False
+        self.emergency_was_active = False
 
         # --- camera perception: the victim's, and the attacker's replica ---
         self.tracker = perception.tracker
@@ -279,8 +315,9 @@ class Simulator:
         self.result: Optional[SimulationResult] = None
         # Actors spawned already overlapping halt at step 0 instead of driving
         # the ego through them for the full duration.
-        if self.recorder.halt_on_collision(float("inf")) or self.step_limit == 0:
-            self._finish()
+        halted = self._halt_on_collision(float("inf"))
+        if halted or self.step_limit == 0:
+            self._finish(halted)
 
     # pre_step: sensing -> attack -> detection -> association
 
@@ -337,7 +374,7 @@ class Simulator:
                 delivered = attacker.frame_to_deliver(observed, estimates, self.gps_speed)
                 if attacker.episode_over:
                     self._stop_replica()
-            self.recorder.log_attack()
+            self._log_attack()
             camera_objects = (self.clean_objects if delivered is self.frame
                               else delivered.rows())
         self.tracker.track_rows(self.detect_rows(camera_objects), upd_rows, upd_z)
@@ -353,15 +390,85 @@ class Simulator:
             obstacles, ego_speed
         )
         acceleration = self.ads.actuate(desired, emergency, target_speed, ego_speed, self.dt)
-        recorder = self.recorder
-        recorder.record_step(emergency, perceived)
+        if emergency and not self.emergency_was_active:
+            self._event(EventKind.EMERGENCY_BRAKE, perceived_delta_m=perceived)
+        self.emergency_was_active = emergency
+        self._trace(perceived)
         self.world.step(self.dt, acceleration)
         self.loop_step += 1
-        if recorder.halt_on_collision(perceived) or self.loop_step >= self.step_limit:
-            self._finish()
+        halted = self._halt_on_collision(perceived)
+        if halted or self.loop_step >= self.step_limit:
+            self._finish(halted)
 
-    def _finish(self) -> None:
-        self.result = self.recorder.finish()
+    # The run record, read off the live world at fixed points of a step: an
+    # attack flip after the attacker saw the frame, an emergency-brake onset
+    # and the step's trace entry once the ADS has decided (before the world
+    # advances), a collision after every world step (and once before the
+    # first), and the result when the run ends.
+
+    def _target_id(self) -> Optional[int]:
+        """The attacker's target while it has one, else the scenario's."""
+        attacker = self.attacker
+        if attacker is not None and attacker.target_actor_id is not None:
+            return attacker.target_actor_id
+        return self.scenario.target_actor_id
+
+    def _event(self, kind: EventKind, **details: float) -> None:
+        world = self.world
+        self.events.append(SimulationEvent(
+            kind=kind, time_s=world.time_s, step_index=world.step_index, details=details,
+        ))
+
+    def _log_attack(self) -> None:
+        """Log an attack start or end when the attacker's state flipped."""
+        active = bool(self.attacker.attack_active)
+        if active and not self.attack_was_active:
+            self._event(EventKind.ATTACK_STARTED)
+        elif not active and self.attack_was_active:
+            self._event(EventKind.ATTACK_ENDED)
+        self.attack_was_active = active
+
+    def _trace(self, perceived_delta: float) -> None:
+        """Append the step's ground-truth δ, perceived δ and ego speed."""
+        world = self.world
+        self.true_delta_trace.append(float(ground_truth_delta(
+            world, self.scenario.road, self.safety_model, self._target_id()
+        )))
+        self.perceived_delta_trace.append(float(perceived_delta))
+        self.ego_speed_trace.append(float(world.ego.vx))
+
+    def _halt_on_collision(self, perceived_delta: float) -> bool:
+        """On a collision, halt: the impact state still gets a trace entry
+        (so the Fig-6 traces and ``min_true_delta_from_attack`` include the
+        value at impact), then COLLISION and SIMULATION_HALTED are logged."""
+        world = self.world
+        actor_id = colliding_actor(world.ego, world.actors)
+        if actor_id is None:
+            return False
+        self._trace(perceived_delta)
+        self._event(EventKind.COLLISION, actor_id=float(actor_id))
+        self._event(EventKind.SIMULATION_HALTED)
+        return True
+
+    def _finish(self, halted: bool) -> None:
+        """End the run: close an attack still active (so attack-duration
+        consumers never see an open interval), capture the result, and free
+        the lane's Kalman rows."""
+        if self.attack_was_active:
+            self._event(EventKind.ATTACK_ENDED)
+        world = self.world
+        self.result = SimulationResult(
+            scenario_id=self.scenario.scenario_id,
+            events=self.events,
+            true_delta_trace=self.true_delta_trace,
+            perceived_delta_trace=self.perceived_delta_trace,
+            ego_speed_trace=self.ego_speed_trace,
+            steps_executed=world.step_index,
+            duration_s=world.time_s,
+            halted_on_collision=halted,
+            final_snapshot=world.snapshot(),
+            target_actor_id=self._target_id(),
+        )
         self.tracker.reset()
         if self.replica is not None:
             self._stop_replica()
@@ -415,97 +522,3 @@ def run_lockstep(lanes: Sequence[Simulator], pool: KalmanPool) -> None:
             lane.post_step()
         active = [lane for lane in active if lane.result is None]
         attacked = [lane for lane in attacked if lane.replica is not None]
-
-
-class RunRecorder:
-    """The events and traces of one run, read off its live world.
-
-    A lane keeps its bookkeeping through it, at fixed points of a step:
-    :meth:`log_attack` after the attacker saw the frame, :meth:`record_step`
-    once the ADS has decided (before the world advances),
-    :meth:`halt_on_collision` after every world step (and once before the
-    first), and :meth:`finish` when the run ends.
-    """
-
-    def __init__(self, simulator: Simulator):
-        scenario = simulator.scenario
-        self.world = scenario.world
-        self.road = scenario.road
-        self.scenario_id = scenario.scenario_id
-        self.scenario_target_id = scenario.target_actor_id
-        self.attacker = simulator.attacker
-        self.safety_model = SafetyModel(
-            comfortable_decel_mps2=simulator.config.comfortable_decel_mps2
-        )
-        self.events = EventLog()
-        self.attack_was_active = False
-        self.emergency_was_active = False
-        self.halted = False
-
-    def target_id(self) -> Optional[int]:
-        """The attacker's target while it has one, else the scenario's."""
-        if self.attacker is not None and self.attacker.target_actor_id is not None:
-            return self.attacker.target_actor_id
-        return self.scenario_target_id
-
-    def _event(self, kind: EventKind, **details: float) -> None:
-        self.events.record(SimulationEvent(
-            kind=kind, time_s=self.world.time_s, step_index=self.world.step_index,
-            details=details,
-        ))
-
-    def log_attack(self) -> None:
-        """Log an attack start or end when the attacker's state flipped."""
-        active = bool(self.attacker.attack_active)
-        if active and not self.attack_was_active:
-            self._event(EventKind.ATTACK_STARTED)
-        elif not active and self.attack_was_active:
-            self._event(EventKind.ATTACK_ENDED)
-        self.attack_was_active = active
-
-    def record_step(self, emergency: bool, perceived_delta: float) -> None:
-        """Log an emergency-brake onset and append the step's trace entry."""
-        if emergency and not self.emergency_was_active:
-            self._event(EventKind.EMERGENCY_BRAKE, perceived_delta_m=perceived_delta)
-        self.emergency_was_active = emergency
-        self._trace(perceived_delta)
-
-    def _trace(self, perceived_delta: float) -> None:
-        world = self.world
-        self.events.record_step(
-            true_delta=ground_truth_delta(world, self.road, self.safety_model,
-                                          self.target_id()),
-            perceived_delta=perceived_delta,
-            ego_speed=world.ego.vx,
-        )
-
-    def halt_on_collision(self, perceived_delta: float) -> bool:
-        """On a collision, halt: the impact state still gets a trace entry
-        (so the Fig-6 traces and ``min_true_delta_from_attack`` include the
-        value at impact, and the traces are one entry longer than the steps),
-        then COLLISION and SIMULATION_HALTED are logged."""
-        world = self.world
-        actor_id = colliding_actor(world.ego, world.actors)
-        if actor_id is None:
-            return False
-        self._trace(perceived_delta)
-        self._event(EventKind.COLLISION, actor_id=float(actor_id))
-        self._event(EventKind.SIMULATION_HALTED)
-        self.halted = True
-        return True
-
-    def finish(self) -> SimulationResult:
-        """End the run: close an attack still active (so attack-duration
-        consumers never see an open interval) and capture the result."""
-        if self.attack_was_active:
-            self._event(EventKind.ATTACK_ENDED)
-        world = self.world
-        return SimulationResult(
-            scenario_id=self.scenario_id,
-            events=self.events,
-            steps_executed=world.step_index,
-            duration_s=world.time_s,
-            halted_on_collision=self.halted,
-            final_snapshot=world.snapshot(),
-            target_actor_id=self.target_id(),
-        )

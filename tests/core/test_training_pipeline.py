@@ -238,9 +238,7 @@ class TestLabelForRunClamp:
         # Rising trace: the minimum lives at the start; the old -1 slice start
         # read [last element] instead (trace[-1:] when k+15 >= len).
         trace = [float(value) for value in range(10, 40)]
-        result = SimpleNamespace(
-            events=SimpleNamespace(true_delta_trace=trace, perceived_delta_trace=[])
-        )
+        result = SimpleNamespace(true_delta_trace=trace, perceived_delta_trace=[])
         label = _label_for_run(AttackVector.DISAPPEAR, result, self._attacker(0), 20)
         assert label == 10.0
 
@@ -248,40 +246,30 @@ class TestLabelForRunClamp:
         # With a short window the old trace[-1 : k+14] slice was *empty* and
         # the run was silently dropped from the dataset.
         trace = [30.0, 29.0, 28.0, 27.0] + [26.0] * 40
-        result = SimpleNamespace(
-            events=SimpleNamespace(true_delta_trace=trace, perceived_delta_trace=[])
-        )
+        result = SimpleNamespace(true_delta_trace=trace, perceived_delta_trace=[])
         label = _label_for_run(AttackVector.DISAPPEAR, result, self._attacker(0), 5)
         assert label == 26.0
 
     def test_move_in_frame_zero_uses_first_finite_perceived_delta(self):
         trace = [float(_CLEAR_ROAD_DELTA_M)] * 3 + [12.5] + [11.0] * 30
-        result = SimpleNamespace(
-            events=SimpleNamespace(true_delta_trace=[], perceived_delta_trace=trace)
-        )
+        result = SimpleNamespace(true_delta_trace=[], perceived_delta_trace=trace)
         label = _label_for_run(AttackVector.MOVE_IN, result, self._attacker(0), 10)
         assert label == 12.5
 
     def test_move_in_label_saturates_when_shift_never_completes(self):
         trace = [float(_CLEAR_ROAD_DELTA_M)] * 40
-        result = SimpleNamespace(
-            events=SimpleNamespace(true_delta_trace=[], perceived_delta_trace=trace)
-        )
+        result = SimpleNamespace(true_delta_trace=[], perceived_delta_trace=trace)
         label = _label_for_run(AttackVector.MOVE_IN, result, self._attacker(5), 4)
         assert label == _CLEAR_ROAD_DELTA_M
 
     def test_later_frames_unchanged(self):
         trace = [50.0, 40.0, 30.0, 20.0, 10.0] + [45.0] * 40
-        result = SimpleNamespace(
-            events=SimpleNamespace(true_delta_trace=trace, perceived_delta_trace=[])
-        )
+        result = SimpleNamespace(true_delta_trace=trace, perceived_delta_trace=[])
         label = _label_for_run(AttackVector.DISAPPEAR, result, self._attacker(3), 2)
         assert label == 10.0
 
     def test_unlaunched_attack_has_no_label(self):
-        result = SimpleNamespace(
-            events=SimpleNamespace(true_delta_trace=[1.0], perceived_delta_trace=[1.0])
-        )
+        result = SimpleNamespace(true_delta_trace=[1.0], perceived_delta_trace=[1.0])
         attacker = SimpleNamespace(record=SimpleNamespace(launched=False, start_frame=None))
         assert _label_for_run(AttackVector.DISAPPEAR, result, attacker, 5) is None
 

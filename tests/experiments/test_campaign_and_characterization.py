@@ -547,6 +547,15 @@ class TestStoreBackedPredictor:
         assert len(campaign_module._PREDICTOR_CACHE) == 1
         clear_caches()
 
+    def test_default_arguments_train_the_oracle_a_default_campaign_looks_up(self, tmp_path):
+        from repro.experiments.campaign import oracle_spec_hash
+
+        store = ExperimentStore(tmp_path)
+        get_or_train_predictor("DS-2", AttackVector.DISAPPEAR, store=store)
+        model_hash = store.resolve_model_spec(oracle_spec_hash("DS-2", AttackVector.DISAPPEAR))
+        assert model_hash is not None
+        assert store.model_hashes() == [model_hash]
+
     def test_kinematic_predictor_ignores_the_store(self, tmp_path):
         from repro.experiments.store import ExperimentStore
 

@@ -56,12 +56,12 @@ class TestGoldenRuns:
     def test_ds4_ev_slows_near_pedestrian(self):
         result, _, _ = run_scenario("DS-4")
         # The caution rule caps the speed near the walking pedestrian (paper: 35 kph).
-        assert min(result.events.ego_speed_trace) < 11.0
+        assert min(result.ego_speed_trace) < 11.0
 
     def test_traces_recorded_every_step(self):
         result, _, _ = run_scenario("DS-1")
-        assert len(result.events.true_delta_trace) == result.steps_executed
-        assert len(result.events.ego_speed_trace) == result.steps_executed
+        assert len(result.true_delta_trace) == result.steps_executed
+        assert len(result.ego_speed_trace) == result.steps_executed
 
 
 class TestScriptedAttacks:
@@ -79,7 +79,7 @@ class TestScriptedAttacks:
         assert attacker.record.launched
         assert result.accident_occurred()
         assert result.min_true_delta_from_attack() < 4.0
-        assert result.events.has_event(EventKind.ATTACK_STARTED)
+        assert result.first_event(EventKind.ATTACK_STARTED) is not None
 
     def test_move_in_attack_on_parked_vehicle_forces_emergency_braking(self):
         def attacker_factory(scenario):
@@ -124,8 +124,8 @@ class TestScriptedAttacks:
             )
 
         result, attacker, _ = run_scenario("DS-2", attacker_factory)
-        started = result.events.first_event(EventKind.ATTACK_STARTED)
-        ended = result.events.first_event(EventKind.ATTACK_ENDED)
+        started = result.first_event(EventKind.ATTACK_STARTED)
+        ended = result.first_event(EventKind.ATTACK_ENDED)
         if attacker.record.launched and ended is not None:
             assert started.step_index < ended.step_index
             assert (ended.step_index - started.step_index) == pytest.approx(20, abs=3)

@@ -683,8 +683,8 @@ class TestScalarBatchEquivalence:
         ).run()[0]
         assert result.halted_on_collision
         assert result.steps_executed == 0
-        assert len(result.events.true_delta_trace) == 1
-        kinds = [(e.kind, e.step_index) for e in result.events.events]
+        assert len(result.true_delta_trace) == 1
+        kinds = [(e.kind, e.step_index) for e in result.events]
         assert (EventKind.COLLISION, 0) in kinds
         assert (EventKind.SIMULATION_HALTED, 0) in kinds
 
@@ -1196,7 +1196,6 @@ def _exact(spec, result):
     actor's index in its world (ids differ between separately built
     scenarios)."""
     index = {actor.actor_id: n for n, actor in enumerate(spec.scenario.world.actors)}
-    events = result.events
     attacker = spec.attacker
     record = None
     if attacker is not None:
@@ -1204,12 +1203,12 @@ def _exact(spec, result):
             attacker.record, target_actor_id=index.get(attacker.record.target_actor_id)
         )
     return (
-        list(events.true_delta_trace), list(events.perceived_delta_trace),
-        list(events.ego_speed_trace),
+        list(result.true_delta_trace), list(result.perceived_delta_trace),
+        list(result.ego_speed_trace),
         [(e.kind, e.step_index, e.time_s,
           {key: index[int(value)] if key == "actor_id" else value
            for key, value in e.details.items()})
-         for e in events.events],
+         for e in result.events],
         result.steps_executed, result.duration_s, result.halted_on_collision,
         result.final_snapshot.ego.position, result.final_snapshot.ego.velocity,
         repr(record),

@@ -61,9 +61,8 @@ _ATTACK_SEED = 1
 def _traces_sha256(result: SimulationResult) -> str:
     """SHA-256 of the three traces, each value rounded to 1e-6."""
     digest = hashlib.sha256()
-    events = result.events
-    for trace in (events.true_delta_trace, events.perceived_delta_trace,
-                  events.ego_speed_trace):
+    for trace in (result.true_delta_trace, result.perceived_delta_trace,
+                  result.ego_speed_trace):
         digest.update(",".join(f"{value:.6f}" for value in trace).encode())
         digest.update(b";")
     return digest.hexdigest()
@@ -90,10 +89,10 @@ class GoldenDigest:
         return GoldenDigest(
             steps=result.steps_executed,
             events=tuple(
-                (event.kind.value, event.step_index) for event in result.events.events
+                (event.kind.value, event.step_index) for event in result.events
             ),
-            min_delta_m=round(min(result.events.true_delta_trace), 3),
-            final_speed_mps=round(result.events.ego_speed_trace[-1], 3),
+            min_delta_m=round(min(result.true_delta_trace), 3),
+            final_speed_mps=round(result.ego_speed_trace[-1], 3),
             traces_sha256=_traces_sha256(result),
         )
 
@@ -408,5 +407,5 @@ def test_attacked_golden_digest(campaign_id):
 def test_golden_run_is_bitwise_repeatable(scenario_id):
     first = _golden_run(scenario_id)
     second = _golden_run(scenario_id)
-    assert first.events.true_delta_trace == second.events.true_delta_trace
-    assert first.events.ego_speed_trace == second.events.ego_speed_trace
+    assert first.true_delta_trace == second.true_delta_trace
+    assert first.ego_speed_trace == second.ego_speed_trace

@@ -101,6 +101,24 @@ class TestDs7FogCrossing:
             == scenario.detector_config.min_bbox_height_px
         )
 
+    @pytest.mark.parametrize("scenario_id, pedestrian, vehicle",
+                             [("DS-7", 39, 74), ("DS-2", 31, 59)])
+    def test_robotack_kmax_follows_the_scenario_detector(self, scenario_id, pedestrian, vehicle):
+        """Kmax is the p99 misdetection burst of the run's detector: the fog
+        detector's bursts are 1.25x the default's 31/59 frames."""
+        from repro.core.attack_vectors import AttackVector
+        from repro.experiments.campaign import PredictorKind, _build_run_setup
+
+        config = CampaignConfig(
+            campaign_id=f"kmax-{scenario_id}", scenario_id=scenario_id,
+            attacker=AttackerKind.ROBOTACK, vector=AttackVector.DISAPPEAR,
+            predictor=PredictorKind.KINEMATIC, n_runs=1,
+        )
+        attacker = _build_run_setup(config, 0).attacker
+        assert attacker.safety_hijacker.config.k_max_frames == {
+            ActorKind.PEDESTRIAN: pedestrian, ActorKind.VEHICLE: vehicle,
+        }
+
 
 class TestAllScenariosRunEndToEnd:
     @pytest.mark.parametrize("scenario_id", list_scenario_ids())

@@ -1,4 +1,4 @@
-"""Tests for scenario builders, the world container, and event logging."""
+"""Tests for scenario builders, the world container, and a run's record."""
 
 import numpy as np
 import pytest
@@ -8,8 +8,9 @@ from repro.sensors.camera import CameraSensor
 from repro.sensors.gps_imu import GpsImuSensor
 from repro.sensors.lidar import LidarSensor
 from repro.sim.actors import ActorKind, colliding_actor
-from repro.sim.events import EventKind, EventLog, SimulationEvent
+from repro.sim.events import EventKind, SimulationEvent
 from repro.sim.scenarios import ScenarioVariation, build_scenario, list_scenario_ids
+from repro.sim.simulator import SimulationResult
 from repro.utils.units import kph_to_mps
 
 
@@ -226,26 +227,48 @@ class TestGroundTruthDelta:
         assert delta == pytest.approx(gap - SafetyModel().stopping_distance(snapshot.ego.speed))
 
 
-class TestEventLog:
-    def test_record_and_query(self):
-        log = EventLog()
-        log.record(SimulationEvent(EventKind.EMERGENCY_BRAKE, 1.0, 15))
-        assert log.emergency_braking_occurred
-        assert not log.collision_occurred
-        assert log.first_event(EventKind.EMERGENCY_BRAKE).step_index == 15
+def _result(events=(), true_delta_trace=()):
+    """A run's result holding only the given events and ground-truth δ trace."""
+    trace = list(true_delta_trace)
+    return SimulationResult(
+        scenario_id="DS-1",
+        events=list(events),
+        true_delta_trace=trace,
+        perceived_delta_trace=list(trace),
+        ego_speed_trace=[10.0] * len(trace),
+        steps_executed=len(trace),
+        duration_s=len(trace) / 15.0,
+        halted_on_collision=False,
+        final_snapshot=build_scenario("DS-1", ScenarioVariation.nominal()).world.snapshot(),
+        target_actor_id=None,
+    )
 
-    def test_attack_start_step(self):
-        log = EventLog()
-        assert log.attack_start_step is None
-        log.record(SimulationEvent(EventKind.ATTACK_STARTED, 2.0, 30))
-        assert log.attack_start_step == 30
 
-    def test_min_true_delta_after(self):
-        log = EventLog()
-        for delta in [10.0, 8.0, 3.0, 6.0]:
-            log.record_step(true_delta=delta, perceived_delta=delta, ego_speed=10.0)
-        assert log.min_true_delta_after(0) == 3.0
-        assert log.min_true_delta_after(3) == 6.0
+class TestSimulationResult:
+    def test_first_event_and_hazard_flags(self):
+        result = _result([SimulationEvent(EventKind.EMERGENCY_BRAKE, 1.0, 15),
+                          SimulationEvent(EventKind.EMERGENCY_BRAKE, 2.0, 30)])
+        assert result.emergency_braking_occurred
+        assert not result.collision_occurred
+        assert result.first_event(EventKind.EMERGENCY_BRAKE).step_index == 15
+        assert result.first_event(EventKind.COLLISION) is None
+        collided = _result([SimulationEvent(EventKind.COLLISION, 3.0, 45, {"actor_id": 1.0})],
+                           [10.0, 9.0])
+        assert collided.collision_occurred
+        assert not collided.emergency_braking_occurred
+        # A collision is an accident whatever the δ trace reads.
+        assert collided.accident_occurred()
+
+    def test_min_true_delta_from_attack_start(self):
+        result = _result([SimulationEvent(EventKind.ATTACK_STARTED, 0.2, 3)],
+                         [10.0, 8.0, 3.0, 6.0])
+        assert result.min_true_delta_from_attack() == 6.0
+        assert not result.accident_occurred()
+
+    def test_min_true_delta_over_the_whole_run_without_an_attack(self):
+        result = _result((), [10.0, 8.0, 3.0, 6.0])
+        assert result.min_true_delta_from_attack() == 3.0
+        assert result.accident_occurred()
 
     def test_min_true_delta_of_empty_trace(self):
-        assert EventLog().min_true_delta_after(0) == float("inf")
+        assert _result().min_true_delta_from_attack() == float("inf")

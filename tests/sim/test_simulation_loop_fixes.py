@@ -75,7 +75,7 @@ class _AlwaysOnAttacker(CameraMitmAttackerBase):
 
 
 def _kinds(result):
-    return [(event.kind, event.step_index) for event in result.events.events]
+    return [(event.kind, event.step_index) for event in result.events]
 
 
 #: The runs below per case, computed by the scalar loop.
@@ -134,7 +134,7 @@ class TestSpawnOverlapHalt:
         result = Simulator(scenario, ads, rng=np.random.default_rng(_SIM_SEED)).run()
         assert result.halted_on_collision
         assert result.steps_executed == 0
-        assert len(result.events.true_delta_trace) == 1
+        assert len(result.true_delta_trace) == 1
         assert (EventKind.COLLISION, 0) in _kinds(result)
         assert (EventKind.SIMULATION_HALTED, 0) in _kinds(result)
 
@@ -156,12 +156,12 @@ class TestCollisionStepTraceEntry:
         assert result.steps_executed > 0
         # One trace entry per pre-step snapshot plus one for the impact
         # snapshot the loop previously dropped on the floor.
-        assert len(result.events.true_delta_trace) == result.steps_executed + 1
-        assert len(result.events.perceived_delta_trace) == result.steps_executed + 1
-        assert len(result.events.ego_speed_trace) == result.steps_executed + 1
+        assert len(result.true_delta_trace) == result.steps_executed + 1
+        assert len(result.perceived_delta_trace) == result.steps_executed + 1
+        assert len(result.ego_speed_trace) == result.steps_executed + 1
         assert (EventKind.COLLISION, result.steps_executed) in _kinds(result)
         # The impact entry reflects the braking ego at the moment of contact.
-        assert result.events.ego_speed_trace[-1] < result.events.ego_speed_trace[0]
+        assert result.ego_speed_trace[-1] < result.ego_speed_trace[0]
 
 
 class TestOpenAttackIntervalClosed:
@@ -178,16 +178,16 @@ class TestOpenAttackIntervalClosed:
                 [BatchRunSpec(scenario=scenario, ads=ads, attacker=attacker, rng=rng)]
             ).run()[0]
         _assert_golden(result, "open_attack")
-        kinds = [event.kind for event in result.events.events]
+        kinds = [event.kind for event in result.events]
         assert kinds.count(EventKind.ATTACK_STARTED) == 1
         assert kinds.count(EventKind.ATTACK_ENDED) == 1
         # Started and ended are properly ordered and the interval is closed at
         # the final snapshot, not left dangling.
         started = next(
-            e for e in result.events.events if e.kind is EventKind.ATTACK_STARTED
+            e for e in result.events if e.kind is EventKind.ATTACK_STARTED
         )
         ended = next(
-            e for e in result.events.events if e.kind is EventKind.ATTACK_ENDED
+            e for e in result.events if e.kind is EventKind.ATTACK_ENDED
         )
         assert started.step_index < ended.step_index
         assert ended.step_index == result.steps_executed
@@ -235,15 +235,15 @@ class TestEgoLimitsFromConfig:
         _assert_golden(alone, (case, "limits"))
         _assert_golden(batch, (case, "limits"))
         # Every step's speed change stays inside the configured limits...
-        changes = np.diff(alone.events.ego_speed_trace) / limits.dt
+        changes = np.diff(alone.ego_speed_trace) / limits.dt
         assert changes.min() >= -limits.max_decel_mps2 - 1e-9
         assert changes.max() <= limits.max_accel_mps2 + 1e-9
         # ...which the planner asked to exceed, so the run differs...
-        assert alone.events.ego_speed_trace != default.events.ego_speed_trace
+        assert alone.ego_speed_trace != default.ego_speed_trace
         # ...and the lone run and the batch lane agree bit for bit.
-        assert alone.events.true_delta_trace == batch.events.true_delta_trace
-        assert alone.events.perceived_delta_trace == batch.events.perceived_delta_trace
-        assert alone.events.ego_speed_trace == batch.events.ego_speed_trace
+        assert alone.true_delta_trace == batch.true_delta_trace
+        assert alone.perceived_delta_trace == batch.perceived_delta_trace
+        assert alone.ego_speed_trace == batch.ego_speed_trace
         assert _kinds(alone) == _kinds(batch)
         assert alone.final_snapshot.ego.position == batch.final_snapshot.ego.position
         assert alone.final_snapshot.ego.velocity == batch.final_snapshot.ego.velocity
