@@ -32,12 +32,12 @@ def test_bench_perception_pipeline_step(benchmark):
     camera, lidar = CameraSensor(), LidarSensor(rng=np.random.default_rng(0))
     system = PerceptionSystem(rng=np.random.default_rng(1))
     snapshot = scenario.world.snapshot()
-    frame, lidar_rows = camera.capture(snapshot), lidar.scan(snapshot).rows()
+    camera_rows, lidar_rows = camera.render_rows(snapshot), lidar.scan_rows(snapshot)
 
     def pipeline_step():
         """Detect, track, transform and fuse one frame, as a hand-driven loop
         does (``examples/pedestrian_crossing_attack.py``)."""
-        system.tracker.step(system.detector.detect(frame))
+        system.tracker.step(system.detector.detect_rows(camera_rows))
         estimates = system.transform.estimate_rows(system.tracker.observed)
         return system.fusion.fuse(estimates, lidar_rows, 12.5, system.config.frame_dt_s)
 
@@ -70,9 +70,9 @@ def test_bench_robotack_frame_processing(benchmark):
         rng=np.random.default_rng(5),
     )
     camera = CameraSensor()
-    frame = camera.capture(scenario.world.snapshot())
+    camera_rows = camera.render_rows(scenario.world.snapshot())
 
-    benchmark(attacker.process_frame, frame, 12.5, 1.0 / 15.0)
+    benchmark(attacker.process_frame, camera_rows, 12.5)
 
 
 def test_bench_world_snapshot_ds5(benchmark):

@@ -4,9 +4,11 @@
 This example mirrors the attack walk-through of paper §III-E / Fig. 3: it runs
 the simulation loop manually so it can print, for the interesting frames, what
 the world actually looks like, what the ADS believes, and what the malware is
-doing.  Each frame the victim ADS runs the same row-level stages a simulation
-lane calls (see ``repro.sim.simulator``): detection, tracking, the
-image-to-world transform, fusion, planning and actuation.
+doing.  Each frame the sensors render their rows, the attacker's
+``process_frame`` rewrites the camera's rows, and the victim ADS runs the
+same row-level stages a simulation lane calls (see ``repro.sim.simulator``):
+detection, tracking, the image-to-world transform, fusion, planning and
+actuation.
 
 Run with:  python examples/pedestrian_crossing_attack.py
 """
@@ -26,11 +28,11 @@ from repro.sim.config import SimulationConfig
 from repro.sim.scenarios import ScenarioVariation, build_scenario
 
 
-def ads_decide(ads, frame, lidar_rows, ego_speed, dt):
+def ads_decide(ads, camera_rows, lidar_rows, ego_speed, dt):
     """One perceive-plan-act cycle of the victim ADS: returns the smoothed
     acceleration, the emergency-brake flag and the perceived safety potential."""
     perception = ads.perception
-    perception.tracker.step(perception.detector.detect(frame))
+    perception.tracker.step(perception.detector.detect_rows(camera_rows))
     estimates = perception.transform.estimate_rows(perception.tracker.observed)
     obstacles = perception.fusion.fuse(
         estimates, lidar_rows, ego_speed, perception.config.frame_dt_s
@@ -68,14 +70,14 @@ def main() -> None:
     print("-" * 78)
     for step in range(int(scenario.duration_s * config.camera_rate_hz)):
         snapshot = world.snapshot()
-        frame = camera.capture(snapshot)
+        camera_rows = camera.render_rows(snapshot)
         if config.lidar_due(step):
-            last_scan = lidar.scan(snapshot).rows()
-        pose = gps.measure(snapshot)
+            last_scan = lidar.scan_rows(snapshot)
+        _x, _y, ego_speed = gps.read(snapshot)
 
-        delivered = attacker.process_frame(frame, pose.speed_mps, config.dt)
+        delivered = attacker.process_frame(camera_rows, ego_speed)
         acceleration, emergency, perceived_delta = ads_decide(
-            ads, delivered, last_scan, pose.speed_mps, config.dt
+            ads, delivered, last_scan, ego_speed, config.dt
         )
 
         true_delta = ground_truth_delta(

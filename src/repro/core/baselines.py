@@ -20,7 +20,6 @@ from repro.core.attack_vectors import AttackVector
 from repro.core.robotack import CameraMitmAttackerBase, RoboTackConfig
 from repro.core.safety_hijacker import AttackFeatures
 from repro.core.scenario_matcher import ScenarioMatcher
-from repro.perception.transforms import WorldObjectEstimate
 from repro.sim.road import Road
 
 __all__ = ["RandomAttacker", "RoboTackWithoutSafetyHijacker"]
@@ -68,13 +67,14 @@ class RandomAttacker(CameraMitmAttackerBase):
         return self._attack_completed or self._fizzled
 
     def _maybe_launch(
-        self, estimates: Sequence[WorldObjectEstimate], ego_speed_mps: float
-    ) -> Optional[tuple[AttackVector, int, WorldObjectEstimate, Optional[AttackFeatures], float]]:
+        self, estimates: Sequence[tuple], ego_speed_mps: float
+    ) -> Optional[tuple[AttackVector, int, tuple, Optional[AttackFeatures], float]]:
         if self._frame_count < self._start_frame or self._fizzled:
             return None
-        candidates = [e for e in estimates if e.distance_m > 0]
+        # Estimate rows ahead (positive distance), of the chosen actor if any.
+        candidates = [e for e in estimates if e[0] > 0]
         if self._chosen_actor_id is not None:
-            candidates = [e for e in candidates if e.actor_id == self._chosen_actor_id]
+            candidates = [e for e in candidates if e[5] == self._chosen_actor_id]
             if not candidates:
                 # The pre-selected actor is not in view at the chosen time: the
                 # random attack fires into nothing (one episode per run).
@@ -108,8 +108,8 @@ class RoboTackWithoutSafetyHijacker(CameraMitmAttackerBase):
         )
 
     def _maybe_launch(
-        self, estimates: Sequence[WorldObjectEstimate], ego_speed_mps: float
-    ) -> Optional[tuple[AttackVector, int, WorldObjectEstimate, Optional[AttackFeatures], float]]:
+        self, estimates: Sequence[tuple], ego_speed_mps: float
+    ) -> Optional[tuple[AttackVector, int, tuple, Optional[AttackFeatures], float]]:
         if self._frame_count < self._start_frame:
             return None
         target = self._closest_target(estimates)

@@ -18,6 +18,15 @@ While an attack is active the malware's own perception consumes the *perturbed*
 frames so that its tracker state mirrors the victim's tracker state — the
 ``s_hat_{t-1}`` used by the association constraint of paper Eq. (4).
 
+The attacker works on the rows the simulation lane already carries.  A
+camera frame is the camera's rendered rows, ``(distance, lateral, actor_id,
+kind, cx, cy, w, h, object_height, object_width)`` per visible object
+(:mod:`repro.sensors.camera`); the attacker delivers rows in the same layout,
+and the victim's detector reads them.  Its world state ``S_hat_t`` is the
+replica's estimate rows, ``(distance, lateral, rel_velocity,
+lateral_velocity, track_id, actor_id, kind, rel_acceleration, age_frames)``
+(``ImageToWorldTransform.estimate_rows``); the target is one of them.
+
 One attack episode is mounted per run.  Once it is over nothing reads the
 reconstruction any more, so the attacker stops running it.  The per-frame hook
 is split around the reconstruction step (:meth:`frame_for_replica`, then
@@ -29,7 +38,8 @@ two halves around the replica's own step, for loops driven by hand.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from operator import itemgetter
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -41,8 +51,6 @@ from repro.core.trajectory_hijacker import TrajectoryHijacker, TrajectoryHijacke
 from repro.perception.detection import DetectorConfig
 from repro.perception.fusion import FusionConfig
 from repro.perception.pipeline import PerceptionConfig, PerceptionSystem
-from repro.perception.transforms import WorldObjectEstimate
-from repro.sensors.camera import CameraFrame
 from repro.sim.actors import ActorKind
 from repro.sim.road import Road
 
@@ -50,6 +58,7 @@ __all__ = ["AttackRecord", "RoboTackConfig", "CameraMitmAttackerBase", "RoboTack
 
 #: Nominal half-lengths used to convert centre distance into a bumper gap.
 _HALF_LENGTH_M = {ActorKind.VEHICLE: 2.3, ActorKind.PEDESTRIAN: 0.25}
+_first = itemgetter(0)
 
 
 @dataclass
@@ -165,23 +174,21 @@ class CameraMitmAttackerBase:
         """
         return self._attack_completed
 
-    def process_frame(
-        self, frame: CameraFrame, ego_speed_mps: float, dt: float
-    ) -> CameraFrame:
+    def process_frame(self, frame: List[tuple], ego_speed_mps: float) -> List[tuple]:
         """Observe the clean frame, maybe perturb it, and return what the ADS sees.
 
-        The split hook around one step of the replica, for loops driven by
-        hand; a simulation lane calls the two halves itself.
+        The split hook around one step of the replica's row cores, for loops
+        driven by hand; a simulation lane calls the two halves itself.
         """
         observed = self.frame_for_replica(frame)
         if self.episode_over:
             return observed
         replica = self.perception
-        replica.tracker.step(replica.detector.detect(observed))
-        estimates = replica.transform.transform(replica.tracker.observed)
+        replica.tracker.step(replica.detector.detect_rows(observed))
+        estimates = replica.transform.estimate_rows(replica.tracker.observed)
         return self.frame_to_deliver(observed, estimates, ego_speed_mps)
 
-    def frame_for_replica(self, frame: CameraFrame) -> CameraFrame:
+    def frame_for_replica(self, frame: List[tuple]) -> List[tuple]:
         """First half of a frame: count it and return what the replica observes.
 
         While an attack runs this is the perturbed frame, which is also what
@@ -196,12 +203,12 @@ class CameraMitmAttackerBase:
 
     def frame_to_deliver(
         self,
-        observed: CameraFrame,
-        estimates: Sequence[WorldObjectEstimate],
+        observed: List[tuple],
+        estimates: Sequence[tuple],
         ego_speed_mps: float,
-    ) -> CameraFrame:
+    ) -> List[tuple]:
         """Second half of a frame: the frame the ADS sees, given the replica's
-        world estimates for ``observed``.
+        estimate rows for ``observed``.
 
         When no attack is running this decides whether to launch one; a launch
         perturbs the frame with the target track as the replica left it after
@@ -224,14 +231,15 @@ class CameraMitmAttackerBase:
         self,
         vector: AttackVector,
         k_frames: int,
-        target: WorldObjectEstimate,
+        target: tuple,
         features: Optional[AttackFeatures],
         predicted_delta: float,
     ) -> None:
+        _distance, lateral, _v, _lv, _tid, actor_id, kind, _a, _age = target
         self.record = AttackRecord(
             vector=vector,
-            target_actor_id=target.actor_id,
-            target_kind=target.kind,
+            target_actor_id=actor_id,
+            target_kind=kind,
             start_frame=self._frame_count,
             planned_k_frames=k_frames,
             predicted_delta_m=predicted_delta,
@@ -239,14 +247,14 @@ class CameraMitmAttackerBase:
         )
         self.trajectory_hijacker.begin(
             vector=vector,
-            target_actor_id=target.actor_id,
-            target_lateral_m=target.lateral_m,
-            target_kind=target.kind,
+            target_actor_id=actor_id,
+            target_lateral_m=lateral,
+            target_kind=kind,
         )
         self._attack_active = True
         self._remaining_frames = max(1, k_frames)
 
-    def _continue_attack(self, frame: CameraFrame) -> CameraFrame:
+    def _continue_attack(self, frame: List[tuple]) -> List[tuple]:
         target_track = None
         if self.record.target_actor_id is not None:
             target_track = self.perception.tracker.track_for_actor(
@@ -266,29 +274,30 @@ class CameraMitmAttackerBase:
     # Target/feature extraction shared by subclasses
     # ------------------------------------------------------------------ #
 
-    def _closest_target(
-        self, estimates: Sequence[WorldObjectEstimate]
-    ) -> Optional[WorldObjectEstimate]:
-        ahead = [e for e in estimates if e.distance_m > 0]
+    def _closest_target(self, estimates: Sequence[tuple]) -> Optional[tuple]:
+        """The estimate row of the nearest object ahead (positive distance),
+        if any."""
+        ahead = [e for e in estimates if e[0] > 0]
         if not ahead:
             return None
-        return min(ahead, key=lambda e: e.distance_m)
+        return min(ahead, key=_first)
 
-    def _features_for(
-        self, estimate: WorldObjectEstimate, ego_speed_mps: float
-    ) -> AttackFeatures:
-        gap = estimate.distance_m - _HALF_LENGTH_M[estimate.kind]
+    def _features_for(self, estimate: tuple, ego_speed_mps: float) -> AttackFeatures:
+        distance, _lateral, velocity, _lv, _tid, _aid, kind, acceleration, _age = estimate
+        gap = distance - _HALF_LENGTH_M[kind]
         delta = self.safety_model.safety_potential(gap, ego_speed_mps)
         return AttackFeatures(
             delta_m=delta,
-            relative_velocity_mps=estimate.relative_longitudinal_velocity_mps,
-            relative_acceleration_mps2=estimate.relative_longitudinal_acceleration_mps2,
+            relative_velocity_mps=velocity,
+            relative_acceleration_mps2=acceleration,
         )
 
     def _maybe_launch(
-        self, estimates: Sequence[WorldObjectEstimate], ego_speed_mps: float
-    ) -> Optional[tuple[AttackVector, int, WorldObjectEstimate, Optional[AttackFeatures], float]]:
-        """Subclasses decide whether to start an attack this frame."""
+        self, estimates: Sequence[tuple], ego_speed_mps: float
+    ) -> Optional[tuple[AttackVector, int, tuple, Optional[AttackFeatures], float]]:
+        """Subclasses decide whether to start an attack this frame: ``None``,
+        or ``(vector, k_frames, target estimate row, features, predicted
+        delta)``."""
         raise NotImplementedError
 
 
@@ -310,8 +319,8 @@ class RoboTack(CameraMitmAttackerBase):
         self._consecutive_attack_recommendations = 0
 
     def _maybe_launch(
-        self, estimates: Sequence[WorldObjectEstimate], ego_speed_mps: float
-    ) -> Optional[tuple[AttackVector, int, WorldObjectEstimate, Optional[AttackFeatures], float]]:
+        self, estimates: Sequence[tuple], ego_speed_mps: float
+    ) -> Optional[tuple[AttackVector, int, tuple, Optional[AttackFeatures], float]]:
         target = self._closest_target(estimates)
         if target is None:
             self._consecutive_attack_recommendations = 0
@@ -320,8 +329,9 @@ class RoboTack(CameraMitmAttackerBase):
         if vector is None:
             self._consecutive_attack_recommendations = 0
             return None
+        kind = target[6]
         features = self._features_for(target, ego_speed_mps)
-        decision: AttackDecision = self.safety_hijacker.decide(features, vector, target.kind)
+        decision: AttackDecision = self.safety_hijacker.decide(features, vector, kind)
         if not decision.attack:
             self._consecutive_attack_recommendations = 0
             return None

@@ -2,7 +2,10 @@
 
 The matcher is deliberately a rule-based system so that it runs in negligible
 time and evades resource-usage-based detection.  Given the malware's own
-estimate of the target object (the object closest to the EV), it classifies
+estimate of the target object (the object closest to the EV) — its estimate
+row ``(distance, lateral, rel_velocity, lateral_velocity, track_id,
+actor_id, kind, rel_acceleration, age_frames)``, as
+``ImageToWorldTransform.estimate_rows`` renders it — it classifies
 the object's trajectory (moving into the ego lane, keeping, or moving out) and
 its current lane membership, and looks up the compatible attack vectors:
 
@@ -26,7 +29,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.core.attack_vectors import AttackVector
-from repro.perception.transforms import WorldObjectEstimate
 from repro.sim.actors import ActorKind
 from repro.sim.road import Road
 
@@ -71,21 +73,22 @@ class ScenarioMatcher:
         self.config = config or ScenarioMatcherConfig()
         self.allowed_vectors = tuple(allowed_vectors) if allowed_vectors else tuple(AttackVector)
 
-    def classify_trajectory(self, estimate: WorldObjectEstimate) -> TrajectoryClass:
+    def classify_trajectory(self, estimate: tuple) -> TrajectoryClass:
         """Classify the target's lateral motion relative to the ego lane."""
-        lateral_speed = estimate.lateral_velocity_mps
+        _distance, lateral, _v, lateral_speed, _tid, _aid, _kind, _a, _age = estimate
         if abs(lateral_speed) < self.config.keep_lateral_speed_mps:
             return TrajectoryClass.KEEP
-        moving_towards_lane_center = (estimate.lateral_m > 0) == (lateral_speed < 0)
+        moving_towards_lane_center = (lateral > 0) == (lateral_speed < 0)
         return TrajectoryClass.MOVING_IN if moving_towards_lane_center else TrajectoryClass.MOVING_OUT
 
-    def in_ego_lane(self, estimate: WorldObjectEstimate) -> bool:
+    def in_ego_lane(self, estimate: tuple) -> bool:
         """Whether the target currently overlaps the ego lane."""
-        half_width = 0.95 if estimate.kind is ActorKind.VEHICLE else 0.25
+        _distance, lateral, _v, _lv, _tid, _aid, kind, _a, _age = estimate
+        half_width = 0.95 if kind is ActorKind.VEHICLE else 0.25
         margin = self.config.lane_membership_margin_m + half_width
-        return self.road.in_ego_lane(estimate.lateral_m, margin=margin)
+        return self.road.in_ego_lane(lateral, margin=margin)
 
-    def candidate_vectors(self, estimate: WorldObjectEstimate) -> tuple[AttackVector, ...]:
+    def candidate_vectors(self, estimate: tuple) -> tuple[AttackVector, ...]:
         """The attack vectors permitted by Table I for the target's state."""
         trajectory = self.classify_trajectory(estimate)
         in_lane = self.in_ego_lane(estimate)
@@ -101,9 +104,11 @@ class ScenarioMatcher:
             return (AttackVector.MOVE_IN,)
         return ()
 
-    def match(self, estimate: WorldObjectEstimate) -> Optional[AttackVector]:
-        """Select the attack vector for the target, or ``None`` if no rule applies."""
-        if estimate.distance_m <= 0 or estimate.distance_m > self.config.max_target_distance_m:
+    def match(self, estimate: tuple) -> Optional[AttackVector]:
+        """Select the attack vector for the target's estimate row, or ``None``
+        if no rule applies."""
+        distance, _lateral, _v, _lv, _tid, _aid, kind, _a, _age = estimate
+        if distance <= 0 or distance > self.config.max_target_distance_m:
             return None
         candidates = [v for v in self.candidate_vectors(estimate) if v in self.allowed_vectors]
         if not candidates:
@@ -114,7 +119,7 @@ class ScenarioMatcher:
         # (short attack windows suffice), Move_Out for vehicles (paper §IV-A).
         preferred = (
             AttackVector.DISAPPEAR
-            if estimate.kind is ActorKind.PEDESTRIAN
+            if kind is ActorKind.PEDESTRIAN
             else AttackVector.MOVE_OUT
         )
         return preferred if preferred in candidates else candidates[0]

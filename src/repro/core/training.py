@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
@@ -61,7 +62,6 @@ from repro.core.robotack import CameraMitmAttackerBase, RoboTackConfig
 from repro.core.safety_hijacker import AttackFeatures, NeuralSafetyPredictor
 from repro.core.scenario_matcher import ScenarioMatcher
 from repro.nn import Adam, FeedForwardNetwork, TrainingResult, train_network
-from repro.perception.transforms import WorldObjectEstimate
 from repro.runtime.cache import encode_key
 from repro.runtime.executor import ExecutorLike, chunked, executor_scope
 from repro.sim.batch import DEFAULT_BATCH_SIZE, BatchRunSpec, BatchSimulator
@@ -119,8 +119,8 @@ class ScriptedAttacker(CameraMitmAttackerBase):
         )
 
     def _maybe_launch(
-        self, estimates: Sequence[WorldObjectEstimate], ego_speed_mps: float
-    ) -> Optional[tuple[AttackVector, int, WorldObjectEstimate, Optional[AttackFeatures], float]]:
+        self, estimates: Sequence[tuple], ego_speed_mps: float
+    ) -> Optional[tuple[AttackVector, int, tuple, Optional[AttackFeatures], float]]:
         target = self._closest_target(estimates)
         if target is None:
             return None
@@ -597,8 +597,8 @@ def check_training_spec(
         raise ValueError(f"repeats must be at least 1, got {repeats}")
     if epochs < 1:
         raise ValueError(f"epochs must be at least 1, got {epochs}")
-    if not learning_rate > 0:
-        raise ValueError(f"learning_rate must be positive, got {learning_rate}")
+    if not 0 < learning_rate < math.inf:
+        raise ValueError(f"learning_rate must be positive and finite, got {learning_rate}")
 
 
 def train_and_register_predictor(

@@ -27,8 +27,9 @@ Stealth constraints (paper Eq. 4):
   rest of the attack window.
 
 In the paper the box motion is realized by optimizing an adversarial pixel
-patch (Jia et al.); the substrate here operates directly at the bounding-box
-level of the intercepted camera frame, which exercises the identical
+patch (Jia et al.); the substrate here rewrites the bounding boxes of the
+intercepted camera frame, the camera's rendered rows
+(:mod:`repro.sensors.camera`), directly, which exercises the identical
 downstream code path (tracker, fusion, planner) — see DESIGN.md for the
 substitution rationale.
 """
@@ -36,13 +37,12 @@ substitution rationale.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import List, Optional
 
 from repro.core.attack_vectors import AttackVector
 from repro.geometry import BoundingBox, CameraProjection, iou
 from repro.perception.detection import DetectorConfig
 from repro.perception.tracker import ObjectTrack
-from repro.sensors.camera import CameraFrame, CameraObject
 from repro.sim.actors import ActorKind
 from repro.sim.road import Road
 
@@ -168,17 +168,21 @@ class TrajectoryHijacker:
     # ------------------------------------------------------------------ #
 
     def perturb_frame(
-        self, frame: CameraFrame, attacker_track: Optional[ObjectTrack]
-    ) -> CameraFrame:
-        """Apply the perturbation for the active episode to one camera frame.
+        self, frame: List[tuple], attacker_track: Optional[ObjectTrack]
+    ) -> List[tuple]:
+        """Apply the perturbation for the active episode to one camera frame,
+        the camera's rendered rows (:mod:`repro.sensors.camera`).
 
         ``attacker_track`` is the malware's own tracker state for the target
         (paper's ``s_hat_{t-1}``); it constrains the shift so the association
         survives.  Only its ``bbox`` and ``consecutive_misses`` are read.
-        When the target is not visible in the frame, the frame is returned
-        unchanged (the perturbation budget is still consumed by the caller).
+        A perturbed frame is a new list: ``frame`` is never edited.  With no
+        episode active, or when the target is not visible in the frame,
+        ``frame`` itself is returned (the perturbation budget is still
+        consumed by the caller).
         """
-        if self._vector is None or self._target_actor_id is None:
+        target_id = self._target_actor_id
+        if self._vector is None or target_id is None:
             return frame
         self._frames_perturbed += 1
 
@@ -190,33 +194,29 @@ class TrajectoryHijacker:
                     self._shift_frames += 1
                 else:
                     self._shift_complete = True
-            return frame.without_actor(self._target_actor_id)
+            return [row for row in frame if row[2] != target_id]
 
-        target_object = frame.object_for_actor(self._target_actor_id)
-        if target_object is None:
+        for index, target in enumerate(frame):
+            if target[2] == target_id:
+                break
+        else:
             return frame
 
-        self._advance_fake_trajectory(target_object, attacker_track)
+        self._advance_fake_trajectory(target, attacker_track)
 
-        offset_m = self._fake_lateral_m - target_object.lateral_m
-        pixel_shift = self.projection.lateral_shift_to_pixels(
-            offset_m, target_object.distance_m
-        )
-        shifted = CameraObject(
-            actor_id=target_object.actor_id,
-            kind=target_object.kind,
-            bbox=target_object.bbox.translated(pixel_shift, 0.0),
-            distance_m=target_object.distance_m,
-            lateral_m=self._fake_lateral_m,
-            object_height_m=target_object.object_height_m,
-            object_width_m=target_object.object_width_m,
-        )
-        return frame.with_replaced_object(shifted)
+        distance, lateral, actor_id, kind, cx, cy, width, height, object_h, object_w = target
+        fake_lateral = self._fake_lateral_m
+        pixel_shift = self.projection.lateral_shift_to_pixels(fake_lateral - lateral, distance)
+        delivered = list(frame)
+        delivered[index] = (distance, fake_lateral, actor_id, kind, cx + pixel_shift, cy,
+                            width, height, object_h, object_w)
+        return delivered
 
     def _advance_fake_trajectory(
-        self, target_object: CameraObject, attacker_track: Optional[ObjectTrack]
+        self, target: tuple, attacker_track: Optional[ObjectTrack]
     ) -> None:
-        """Move the fake lateral trajectory one stealth-bounded step towards Ω."""
+        """Move the fake lateral trajectory one stealth-bounded step towards Ω;
+        ``target`` is the target's camera row."""
         if self._shift_complete:
             return
         remaining = self._goal_lateral_m - self._fake_lateral_m
@@ -224,40 +224,38 @@ class TrajectoryHijacker:
             self._shift_complete = True
             return
         direction = 1.0 if remaining > 0 else -1.0
-        step_m = direction * min(abs(remaining), self._stealth_bound_m(target_object))
-        step_m = self._respect_association(step_m, target_object, attacker_track)
+        step_m = direction * min(abs(remaining), self._stealth_bound_m(target))
+        step_m = self._respect_association(step_m, target, attacker_track)
         self._fake_lateral_m += step_m
         self._shift_frames += 1
         if abs(self._goal_lateral_m - self._fake_lateral_m) < 1e-6:
             self._shift_complete = True
 
-    def _stealth_bound_m(self, target_object: CameraObject) -> float:
+    def _stealth_bound_m(self, target: tuple) -> float:
         """Per-frame displacement bound: one sigma of the detector centre noise."""
-        noise = self.config.detector.noise_for(target_object.kind)
-        bound_px = (
-            abs(noise.center_noise_mu_x) + noise.center_noise_sigma_x
-        ) * target_object.bbox.width
-        return abs(
-            self.projection.pixels_to_lateral_shift(bound_px, target_object.distance_m)
-        )
+        distance, _lateral, _actor_id, kind, _cx, _cy, width, _h, _oh, _ow = target
+        noise = self.config.detector.noise_for(kind)
+        bound_px = (abs(noise.center_noise_mu_x) + noise.center_noise_sigma_x) * width
+        return abs(self.projection.pixels_to_lateral_shift(bound_px, distance))
 
     def _respect_association(
         self,
         step_m: float,
-        target_object: CameraObject,
+        target: tuple,
         attacker_track: Optional[ObjectTrack],
     ) -> float:
         """Shrink the step until the shifted box still matches the tracker box."""
         if attacker_track is None:
             return step_m
+        distance, lateral, _actor_id, _kind, cx, cy, width, height, _oh, _ow = target
         predicted_box: BoundingBox = attacker_track.bbox
         candidate_step = step_m
         for _ in range(4):
             candidate_lateral = self._fake_lateral_m + candidate_step
             pixel_shift = self.projection.lateral_shift_to_pixels(
-                candidate_lateral - target_object.lateral_m, target_object.distance_m
+                candidate_lateral - lateral, distance
             )
-            shifted_box = target_object.bbox.translated(pixel_shift, 0.0)
+            shifted_box = BoundingBox(cx + pixel_shift, cy, width, height)
             if iou(shifted_box, predicted_box) >= self.config.association_min_iou:
                 return candidate_step
             candidate_step *= 0.5

@@ -20,7 +20,7 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.geometry import Vec2, iou
+from repro.geometry import BoundingBox, Vec2, iou
 from repro.perception.detection import DetectorConfig, SimulatedDetector
 from repro.runtime import ExecutorLike, executor_scope
 from repro.sensors.camera import CameraSensor
@@ -131,21 +131,23 @@ def characterize_detector(
     actor_kinds: Dict[int, ActorKind] = {}
 
     for _ in range(n_frames):
-        snapshot = world.snapshot()
-        frame = camera.capture(snapshot)
-        detections = {d.actor_id: d for d in detector.detect(frame)}
-        for obj in frame.objects:
-            actor_kinds[obj.actor_id] = obj.kind
-            frames_observed[obj.kind] += 1
-            detection = detections.get(obj.actor_id)
-            detected = detection is not None and iou(detection.bbox, obj.bbox) >= _MISDETECTION_IOU
+        rows = camera.render_rows(world)
+        # Actor id -> its detected box (cx, cy, w, h).
+        detected_boxes = {det[5]: det[:4] for det in detector.detect_rows(rows)}
+        for _distance, _lateral, actor_id, kind, cx, cy, w, h, _oh, _ow in rows:
+            actor_kinds[actor_id] = kind
+            frames_observed[kind] += 1
+            box = detected_boxes.get(actor_id)
+            detected = box is not None and iou(
+                BoundingBox(*box), BoundingBox(cx, cy, w, h)
+            ) >= _MISDETECTION_IOU
             if detected:
-                if obj.actor_id in current_burst:
-                    burst_lengths[obj.kind].append(current_burst.pop(obj.actor_id))
-                errors_x[obj.kind].append((detection.bbox.cx - obj.bbox.cx) / obj.bbox.width)
-                errors_y[obj.kind].append((detection.bbox.cy - obj.bbox.cy) / obj.bbox.height)
+                if actor_id in current_burst:
+                    burst_lengths[kind].append(current_burst.pop(actor_id))
+                errors_x[kind].append((box[0] - cx) / w)
+                errors_y[kind].append((box[1] - cy) / h)
             else:
-                current_burst[obj.actor_id] = current_burst.get(obj.actor_id, 0) + 1
+                current_burst[actor_id] = current_burst.get(actor_id, 0) + 1
         # The EV cruises at constant speed for the characterization drive.
         world.step(dt, ego_acceleration_mps2=0.0)
 

@@ -31,7 +31,6 @@ from repro.experiments.metrics import (
 )
 from repro.experiments.results import CampaignResult, RunResult
 from repro.experiments.store import ExperimentStore
-from repro.perception.transforms import WorldObjectEstimate
 from repro.sim.actors import ActorKind
 from repro.sim.road import Road
 
@@ -73,20 +72,6 @@ class Table2Row:
     crash_rate: Optional[float]
 
 
-def _estimate(kind: ActorKind, lateral_m: float, lateral_velocity_mps: float) -> WorldObjectEstimate:
-    return WorldObjectEstimate(
-        track_id=1,
-        actor_id=1,
-        kind=kind,
-        distance_m=30.0,
-        lateral_m=lateral_m,
-        relative_longitudinal_velocity_mps=-2.0,
-        relative_longitudinal_acceleration_mps2=0.0,
-        lateral_velocity_mps=lateral_velocity_mps,
-        age_frames=10,
-    )
-
-
 def table1_rows(road: Road | None = None) -> List[Table1Row]:
     """Regenerate the scenario-matching map of paper Table I."""
     road = road or Road()
@@ -108,7 +93,10 @@ def table1_rows(road: Road | None = None) -> List[Table1Row]:
             else:
                 towards_center = -1.0 if lateral >= 0 else 1.0
                 lateral_velocity = towards_center if velocity_sign < 0 else -towards_center
-            estimate = _estimate(ActorKind.VEHICLE, lateral, lateral_velocity)
+            # An estimate row (distance, lateral, rel_velocity,
+            # lateral_velocity, track_id, actor_id, kind, rel_acceleration,
+            # age_frames) of a vehicle 30 m ahead.
+            estimate = (30.0, lateral, -2.0, lateral_velocity, 1, 1, ActorKind.VEHICLE, 0.0, 10)
             vectors = matcher.candidate_vectors(estimate)
             rows.append(
                 Table1Row(

@@ -19,24 +19,24 @@ Fig. 1:
 * and the full perception system facade (:mod:`repro.perception.pipeline`).
 
 The detector, tracker, transform and fusion stages are each implemented once,
-on plain-float rows, which the simulation lanes call directly.  The
-detector's ``detect``, the tracker's ``step`` and the transform's
-``transform`` adapt those cores to the perception dataclasses for
-hand-driven loops, such as an attacker's ``process_frame``; a simulation
-lane calls only ``transform``, to hand its attacker world estimates.
+on plain-float rows, which every simulation lane calls directly: the
+detector reads the camera's rendered rows (on an attacked run, the rows the
+attacker delivers) and the transform's estimate rows are what fusion fuses
+and what the attacker reads.  The tracker's ``step`` runs predict,
+association and update for one tracker on the detector's rows, for loops
+driven by hand, such as an attacker's ``process_frame``.
 """
 
-from repro.perception.detection import Detection, DetectorNoiseModel, SimulatedDetector
+from repro.perception.detection import DetectorNoiseModel, SimulatedDetector
 from repro.perception.fusion import FusionConfig, SensorFusion
 from repro.perception.hungarian import hungarian_assignment
 from repro.perception.kalman import KalmanFilter, KalmanPool
 from repro.perception.mot import MultiObjectTracker, TrackerConfig
 from repro.perception.pipeline import PerceptionConfig, PerceptionSystem
 from repro.perception.tracker import ObjectTrack
-from repro.perception.transforms import ImageToWorldTransform, WorldObjectEstimate
+from repro.perception.transforms import ImageToWorldTransform
 
 __all__ = [
-    "Detection",
     "DetectorNoiseModel",
     "SimulatedDetector",
     "FusionConfig",
@@ -50,5 +50,4 @@ __all__ = [
     "PerceptionSystem",
     "ObjectTrack",
     "ImageToWorldTransform",
-    "WorldObjectEstimate",
 ]

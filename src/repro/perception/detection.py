@@ -25,12 +25,9 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.geometry import BoundingBox
-from repro.sensors.camera import CameraFrame
 from repro.sim.actors import ActorKind
 
 __all__ = [
-    "Detection",
     "DetectorNoiseModel",
     "DetectorConfig",
     "DetectorDegradation",
@@ -39,21 +36,6 @@ __all__ = [
 
 #: Enum attribute lookups are costly per object per frame.
 _VEHICLE = ActorKind.VEHICLE
-
-
-@dataclass(frozen=True)
-class Detection:
-    """One detector output: a class label, a bounding box, and a confidence.
-
-    ``actor_id`` records which simulated actor generated the detection.  It is
-    simulation bookkeeping used by the noise model and the metrics; the
-    perception pipeline's association logic never reads it.
-    """
-
-    kind: ActorKind
-    bbox: BoundingBox
-    confidence: float
-    actor_id: int
 
 
 @dataclass(frozen=True)
@@ -206,9 +188,8 @@ class SimulatedDetector:
     The detector is stateful: each visible object carries a misdetection-burst
     counter so that misdetections are *continuous* runs of frames, matching the
     characterization of paper Fig. 5a-b.  :meth:`detect_rows` is the detector,
-    over the camera's rendered rows (:mod:`repro.sensors.camera`);
-    :meth:`detect` is its adapter from and to the camera and detection
-    dataclasses.
+    over the camera's rendered rows (:mod:`repro.sensors.camera`): on an
+    attacked run, the rows the attacker delivers.
     """
 
     def __init__(self, config: DetectorConfig | None = None, rng: np.random.Generator | None = None):
@@ -221,19 +202,11 @@ class SimulatedDetector:
         """Clear all per-object burst state."""
         self._burst_remaining.clear()
 
-    def detect(self, frame: CameraFrame) -> List[Detection]:
-        """Run the detector on one camera frame."""
-        detections = []
-        for cx, cy, w, h, kind, actor_id, confidence in self.detect_rows(frame.rows()):
-            confidence = 0.3 if 0.3 > confidence else 1.0 if confidence > 1.0 else confidence
-            detections.append(Detection(kind=kind, bbox=BoundingBox(cx=cx, cy=cy, width=w, height=h),
-                                        confidence=confidence, actor_id=actor_id))
-        return detections
-
     def detect_rows(self, objects: List[tuple]) -> List[tuple]:
         """Run the detector on one frame of rendered rows: one ``(cx, cy, w,
         h, kind, actor_id, confidence)`` row per reported object, in frame
-        order (the raw confidence draw; :meth:`detect` clips it)."""
+        order.  ``confidence`` is the raw draw: no stage reads it, but it
+        keeps the detector's random stream."""
         config = self.config
         vehicle_noise = config.vehicle_noise
         pedestrian_noise = config.pedestrian_noise

@@ -52,10 +52,10 @@ own policy object.  The rows are:
 
 * *estimate rows* ``(distance, lateral, rel_velocity, lateral_velocity,
   track_id, actor_id, kind, rel_acceleration, age_frames)`` — what
-  ``ImageToWorldTransform.estimate_rows`` renders;
+  ``ImageToWorldTransform.estimate_rows`` renders, and also the attacker's
+  world state (:mod:`repro.core.robotack`);
 * *LiDAR rows* ``(distance, lateral, actor_id, kind, vx)`` — what
-  ``LidarSensor.scan_rows`` renders and :meth:`LidarScan.rows` converts a
-  scan to;
+  ``LidarSensor.scan_rows`` renders;
 * *obstacle rows* ``(kind, distance, lateral, speed, lateral_velocity,
   obstacle_id, sources, actor_id)``, distance-sorted — the five fields the
   planner reads first, then the obstacle's id, the sensors that currently

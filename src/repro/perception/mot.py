@@ -14,9 +14,8 @@ Steps 2-4 are one row-level core, :meth:`MultiObjectTracker.track_rows`, over
 detection rows; it queues the matched tracks' Kalman updates instead of
 applying them, so the batch engine can predict and update the tracks of many
 trackers sharing one :class:`~repro.perception.kalman.KalmanPool` in one
-stacked call each.  :meth:`MultiObjectTracker.step` is the adapter from
-:class:`~repro.perception.detection.Detection` objects that runs all four
-steps for one tracker.
+stacked call each.  :meth:`MultiObjectTracker.step` runs all four steps for
+one tracker, on the detector's rows, for loops driven by hand.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.perception.detection import Detection
 from repro.perception.hungarian import hungarian_assignment
 from repro.perception.kalman import KalmanPool
 from repro.perception.tracker import ObjectTrack
@@ -121,17 +119,16 @@ class MultiObjectTracker:
         self.tracks.clear()
         self.observed = []
 
-    def step(self, detections: List[Detection]) -> List[ObjectTrack]:
-        """Process one frame of detections and return the live confirmed tracks."""
+    def step(self, detections: List[tuple]) -> List[ObjectTrack]:
+        """Predict, associate and update for one frame of detection rows
+        ``(cx, cy, w, h, kind, actor_id, ...)`` (what
+        ``SimulatedDetector.detect_rows`` returns), and return the live
+        confirmed tracks."""
         pool = self.pool
         pool.predict_tracks((self,))
         rows: List[int] = []
         measurements: List[tuple] = []
-        self.track_rows(
-            [(d.bbox.cx, d.bbox.cy, d.bbox.width, d.bbox.height, d.kind, d.actor_id)
-             for d in detections],
-            rows, measurements,
-        )
+        self.track_rows(detections, rows, measurements)
         pool.update_rows(rows, measurements)
         return self.confirmed_tracks()
 

@@ -13,7 +13,7 @@ Two configurations are used in the reproduction:
 * **RoboTack** runs a camera-only instance
   (``FusionConfig(policy="camera_only")``) to reconstruct its own approximate
   world state from the tapped camera feed (paper §III-D, Phase 2); it reads
-  the transform's world estimates, so its fusion stage never runs.
+  the transform's estimate rows, so its fusion stage never runs.
 """
 
 from __future__ import annotations

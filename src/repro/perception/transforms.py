@@ -11,7 +11,6 @@ differences, mirroring how the paper's perception derives object trajectories
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Dict, List
 
@@ -19,7 +18,7 @@ from repro.geometry import CameraProjection
 from repro.perception.tracker import ObjectTrack
 from repro.sim.actors import ActorKind
 
-__all__ = ["WorldObjectEstimate", "ImageToWorldTransform"]
+__all__ = ["ImageToWorldTransform"]
 
 #: Nominal physical heights used to invert the projection, per object class.
 NOMINAL_HEIGHT_M = {
@@ -32,33 +31,12 @@ _NOMINAL_VEHICLE = NOMINAL_HEIGHT_M[_VEHICLE]
 _first = itemgetter(0)
 
 
-@dataclass(frozen=True)
-class WorldObjectEstimate:
-    """Road-frame estimate of one tracked object, relative to the ego camera."""
-
-    track_id: int
-    actor_id: int
-    kind: ActorKind
-    #: Longitudinal distance from the camera (ego front bumper) to the object.
-    distance_m: float
-    #: Lateral offset of the object relative to the ego centreline (positive left).
-    lateral_m: float
-    #: Rate of change of the distance (negative when closing).
-    relative_longitudinal_velocity_mps: float
-    #: Rate of change of the relative longitudinal velocity.
-    relative_longitudinal_acceleration_mps2: float
-    #: Rate of change of the lateral offset.
-    lateral_velocity_mps: float
-    #: Number of frames this object has been tracked.
-    age_frames: int
-
-
 class ImageToWorldTransform:
     """Stateful conversion of image tracks into road-frame object estimates.
 
-    :meth:`estimate_rows` is the transform, producing the estimate rows
-    :mod:`repro.perception.fusion` consumes; :meth:`transform` is its adapter
-    to :class:`WorldObjectEstimate` objects.
+    :meth:`estimate_rows` is the transform.  Its estimate rows are what
+    :mod:`repro.perception.fusion` fuses and what the attacker's scenario
+    matcher and safety hijacker read (:mod:`repro.core.robotack`).
     """
 
     def __init__(
@@ -81,15 +59,6 @@ class ImageToWorldTransform:
     def reset(self) -> None:
         """Drop all per-track history."""
         self._history.clear()
-
-    def transform(self, tracks: List[ObjectTrack]) -> List[WorldObjectEstimate]:
-        """Convert the current set of image tracks into world estimates."""
-        return [
-            WorldObjectEstimate(track_id, actor_id, kind, distance, lateral, velocity,
-                                acceleration, lateral_velocity, age_frames)
-            for (distance, lateral, velocity, lateral_velocity, track_id, actor_id, kind,
-                 acceleration, age_frames) in self.estimate_rows(tracks)
-        ]
 
     def estimate_rows(self, tracks: List[ObjectTrack]) -> List[tuple]:
         """Distance-sorted estimate rows ``(distance, lateral, velocity,

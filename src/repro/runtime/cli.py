@@ -736,6 +736,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         raise SystemExit("--jobs must be -1 (all CPUs), 0/1 (serial), or a worker count")
     if getattr(args, "batch_size", 1) < 1:
         raise SystemExit("--batch-size must be a positive number of lockstep runs")
+    max_iterations = getattr(args, "max_iterations", None)
+    if max_iterations is not None and max_iterations < 1:
+        raise SystemExit("--max-iterations must be a positive number of search iterations")
     args.handler(args)
     return 0
 

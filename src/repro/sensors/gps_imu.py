@@ -8,25 +8,13 @@ the sensor exists to close the loop realistically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
-from repro.geometry import Vec2
 from repro.sensors.noise import GaussianNoise
 
-__all__ = ["EgoPoseEstimate", "GpsImuSensor"]
-
-
-@dataclass(frozen=True)
-class EgoPoseEstimate:
-    """Estimated ego pose and kinematics."""
-
-    time_s: float
-    position: Vec2
-    speed_mps: float
-    acceleration_mps2: float
+__all__ = ["GpsImuSensor"]
 
 
 class GpsImuSensor:
@@ -46,30 +34,10 @@ class GpsImuSensor:
             rng if rng is not None else np.random.default_rng(),
             (position_noise_m, position_noise_m, speed_noise_mps),
         )
-        self._last_speed: float | None = None
-        self._last_time: float | None = None
-
-    def measure(self, ground_truth) -> EgoPoseEstimate:
-        """Produce a pose estimate of the ground truth (a live world or a
-        snapshot)."""
-        x, y, speed = self.read(ground_truth)
-        time_s = ground_truth.time_s
-        if self._last_speed is None or self._last_time is None or time_s <= self._last_time:
-            acceleration = 0.0
-        else:
-            acceleration = (speed - self._last_speed) / (time_s - self._last_time)
-        self._last_speed = speed
-        self._last_time = time_s
-        return EgoPoseEstimate(
-            time_s=time_s,
-            position=Vec2(x, y),
-            speed_mps=speed,
-            acceleration_mps2=acceleration,
-        )
 
     def read(self, ground_truth) -> Tuple[float, float, float]:
-        """The noisy ego ``(x, y, speed)``, speed clipped at zero; one draw
-        each, in that order."""
+        """The noisy ego ``(x, y, speed)`` of the ground truth (a live world
+        or a snapshot), speed clipped at zero; one draw each, in that order."""
         noise = self._noise
         i = noise.take()
         values = noise.values

@@ -11,8 +11,8 @@ lockstep group: every lane's tracker keeps its tracks in one shared
 in one stacked call each.  The cheap-but-branchy per-lane logic (sensor
 rendering, detector noise, association, fusion, planning) runs as
 straight-line Python over plain floats.  An attacked lane runs its
-attacker's camera-only replica the same way, in the same stacked calls; the
-perception stages' dataclass adapters serve loops driven by hand.
+attacker's camera-only replica the same way, in the same stacked calls, and
+its attacker reads and rewrites the camera rows the lane carries.
 
 A batch wider than :data:`LOCKSTEP_LANES` runs as consecutive lockstep groups
 of at most that many lanes, each stepped to completion before the next

@@ -4,7 +4,8 @@ Each step (one camera frame at 15 Hz) a run:
 
 1. renders the sensor measurements from the live world,
 2. lets the (optional) man-in-the-middle attacker observe and perturb the
-   camera frame — the attack surface of paper §III-B,
+   camera frame (the camera's rendered rows) — the attack surface of paper
+   §III-B,
 3. runs the victim ADS on the (possibly perturbed) sensors,
 4. applies the ADS actuation to the ego vehicle and advances all actors,
 5. records the run: the safety events (emergency braking, collisions,
@@ -35,10 +36,7 @@ carries: the sensors' row cores (``CameraSensor.render_rows``,
 and ``ads.actuate``; ``World.step`` advances the world.  The lane keeps the
 run record itself: it logs each event and appends each step's trace entry
 straight into the lists its :class:`SimulationResult` owns, and the result
-answers the paper's hazard queries from them.  The perception stages'
-dataclass adapters (the detector's ``detect``, the tracker's ``step``, the
-transform's ``transform``) serve loops driven by hand; the lane calls only
-``transform``, to hand its attacker the replica's world estimates.
+answers the paper's hazard queries from them.
 
 The victim's camera perception must be fresh: a detector, tracker or
 transform that carries state from an earlier run is rejected (call
@@ -53,8 +51,11 @@ A lane's attacker is a :class:`~repro.core.robotack.CameraMitmAttackerBase`
 (RoboTack, its baselines, or the oracle's scripted collection attacker), and
 its ``perception`` is the lane's camera-only *replica*: the lane calls the
 replica's own detector, tracker and transform cores, and the replica's
-tracker joins the pool.  The attacker's split frame hook, the lane's one
-attacker contract, is called in its two halves around the replica step:
+tracker joins the pool.  The attacker works on the rows the lane carries:
+its frame is the camera's rendered rows and its world state the replica's
+estimate rows, and the rows it delivers are what the victim's detector
+reads.  The attacker's split frame hook, the lane's one attacker contract,
+is called in its two halves around the replica step:
 
 * before the stacked predict,
   :meth:`~repro.core.robotack.CameraMitmAttackerBase.frame_for_replica` picks
@@ -62,7 +63,7 @@ attacker contract, is called in its two halves around the replica step:
   replica's target track as the previous frame left it;
 * after the replicas' stacked update,
   :meth:`~repro.core.robotack.CameraMitmAttackerBase.frame_to_deliver`
-  decides on a launch from this frame's world estimates, and a launch reads
+  decides on a launch from this frame's estimate rows, and a launch reads
   this frame's updated target track.
 
 Once the attacker's episode is over
@@ -83,7 +84,7 @@ import numpy as np
 from repro.ads.safety import SafetyModel, ground_truth_delta
 from repro.perception.kalman import KalmanPool
 from repro.perception.pipeline import PerceptionSystem
-from repro.sensors.camera import CameraFrame, CameraSensor
+from repro.sensors.camera import CameraSensor
 from repro.sensors.gps_imu import GpsImuSensor
 from repro.sensors.lidar import LidarSensor
 from repro.sim.config import SimulationConfig
@@ -210,7 +211,7 @@ class Simulator:
         # set by start()
         "camera", "lidar", "gps_imu", "world", "dt", "step_limit", "lidar_due",
         "loop_step", "tracker", "detect_rows", "estimate_rows",
-        "frame_dt", "replica", "frame", "clean_objects", "observed_frame",
+        "frame_dt", "replica", "observed_frame",
         "fusion", "planner", "last_lidar", "gps_speed", "result",
         # the run record, which the result takes over
         "safety_model", "events", "true_delta_trace", "perceived_delta_trace",
@@ -301,10 +302,8 @@ class Simulator:
         self.replica = None if self.attacker is None else self.attacker.perception
         if self.replica is not None:
             self.replica.tracker.pool = pool
-        self.frame: Optional[CameraFrame] = None
-        self.clean_objects: List[tuple] = []
-        #: The frame the replica observed this step (set by ``observe``).
-        self.observed_frame: Optional[CameraFrame] = None
+        #: The camera rows the replica observed this step (set by ``observe``).
+        self.observed_frame: Optional[List[tuple]] = None
 
         # --- the victim's own fusion, planner, PID trim and smoother ---
         self.fusion = perception.fusion
@@ -332,23 +331,18 @@ class Simulator:
 
     def observe(self) -> None:
         """Attacked lane, before the predict: sense, and let the attacker
-        pick the frame its replica observes (a running attack perturbs it
+        pick the rows its replica observes (a running attack perturbs them
         with the target track as the previous frame left it)."""
-        rendered = self._sense()
-        self.clean_objects = rendered
-        world = self.world
-        self.frame = CameraFrame.from_rows(rendered, world.time_s, world.step_index)
-        self.observed_frame = self.attacker.frame_for_replica(self.frame)
+        self.observed_frame = self.attacker.frame_for_replica(self._sense())
         if self.attacker.episode_over:
             self._stop_replica()
 
     def replica_step(self, upd_rows: List[int], upd_z: List[tuple]) -> None:
         """Attacked lane: the replica's detection and association on the
-        observed frame."""
-        observed = self.observed_frame
-        objects = self.clean_objects if observed is self.frame else observed.rows()
+        observed rows."""
         replica = self.replica
-        replica.tracker.track_rows(replica.detector.detect_rows(objects), upd_rows, upd_z)
+        replica.tracker.track_rows(replica.detector.detect_rows(self.observed_frame),
+                                   upd_rows, upd_z)
 
     def _stop_replica(self) -> None:
         self.replica.tracker.reset()
@@ -357,26 +351,24 @@ class Simulator:
     def pre_step(self, upd_rows: List[int], upd_z: List[tuple]) -> None:
         """Sensing (unless ``observe`` did it) -> attack -> victim detection
         -> association."""
-        observed = self.observed_frame
-        if observed is None:
+        camera_objects = self.observed_frame
+        if camera_objects is None:
             # No attacker, or its episode is over: the clean frame.
             camera_objects = self._sense()
         else:
             # Deliver, given the replica's estimates from this frame.
             self.observed_frame = None
-            delivered = observed
             replica = self.replica
             if replica is not None:
                 attacker = self.attacker
-                estimates = () if attacker.attack_active else replica.transform.transform(
+                estimates = () if attacker.attack_active else replica.transform.estimate_rows(
                     replica.tracker.observed
                 )
-                delivered = attacker.frame_to_deliver(observed, estimates, self.gps_speed)
+                camera_objects = attacker.frame_to_deliver(camera_objects, estimates,
+                                                           self.gps_speed)
                 if attacker.episode_over:
                     self._stop_replica()
             self._log_attack()
-            camera_objects = (self.clean_objects if delivered is self.frame
-                              else delivered.rows())
         self.tracker.track_rows(self.detect_rows(camera_objects), upd_rows, upd_z)
 
     # post_step: transform -> fusion -> planning -> actuation -> world

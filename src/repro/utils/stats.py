@@ -14,6 +14,7 @@ plus boxplot summaries used for Fig. 6 / Fig. 7 style results.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
@@ -70,12 +71,15 @@ class NormalFit:
     n_samples: int
 
     def percentile(self, q: float) -> float:
-        """Return the ``q``-th percentile (``q`` in [0, 100])."""
+        """Return the ``q``-th percentile (``q`` in [0, 100]): ``-inf`` at 0
+        and ``inf`` at 100."""
         if not 0.0 <= q <= 100.0:
             raise ValueError(f"q must be in [0, 100], got {q}")
-        from scipy.stats import norm
-
-        return float(norm.ppf(q / 100.0, loc=self.mu, scale=self.sigma))
+        if q == 0.0:
+            return float("-inf")
+        if q == 100.0:
+            return float("inf")
+        return NormalDist(self.mu, self.sigma).inv_cdf(q / 100.0)
 
     def pdf(self, x: np.ndarray) -> np.ndarray:
         """Evaluate the fitted density at ``x``."""

@@ -184,10 +184,10 @@ class TestAdsAgentIntegration:
         dt = 1.0 / 15.0
         for _ in range(10):
             snapshot = nominal_ds1.world.snapshot()
-            speed = gps.measure(snapshot).speed_mps
-            perception.tracker.step(perception.detector.detect(camera.capture(snapshot)))
+            _x, _y, speed = gps.read(snapshot)
+            perception.tracker.step(perception.detector.detect_rows(camera.render_rows(snapshot)))
             estimates = perception.transform.estimate_rows(perception.tracker.observed)
-            obstacles = perception.fusion.fuse(estimates, lidar.scan(snapshot).rows(), speed, dt)
+            obstacles = perception.fusion.fuse(estimates, lidar.scan_rows(snapshot), speed, dt)
             desired, emergency, _, _, target_speed = agent.planner.plan_rows(obstacles, speed)
             acceleration = agent.actuate(desired, emergency, target_speed, speed, dt)
             nominal_ds1.world.step(dt, acceleration)

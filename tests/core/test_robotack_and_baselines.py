@@ -47,14 +47,18 @@ class _NeverAttackPredictor:
         return 1000.0
 
 
+#: Fields of a camera row (``CameraSensor.render_rows``).
+ACTOR_ID, KIND, CX, CY, W, H = 2, 3, 4, 5, 6, 7
+
+
 def drive_with_attacker(scenario, attacker, n_frames=260, ego_speed=12.5):
     """Feed clean camera frames of a constant-speed drive to the attacker."""
     camera = CameraSensor()
     delivered_frames = []
     for _ in range(n_frames):
         snapshot = scenario.world.snapshot()
-        frame = camera.capture(snapshot)
-        delivered_frames.append(attacker.process_frame(frame, ego_speed_mps=ego_speed, dt=FRAME_DT))
+        frame = camera.render_rows(snapshot)
+        delivered_frames.append(attacker.process_frame(frame, ego_speed_mps=ego_speed))
         scenario.world.step(FRAME_DT, ego_acceleration_mps2=0.0)
     return delivered_frames
 
@@ -91,7 +95,7 @@ class TestRoboTack:
         # During the attack the delivered frames omit the target.
         start = attacker.record.start_frame - 1
         attacked_frame = frames[start]
-        assert attacked_frame.object_for_actor(scenario.target_actor_id) is None
+        assert not any(row[ACTOR_ID] == scenario.target_actor_id for row in attacked_frame)
 
     def test_single_episode_per_run(self):
         scenario = build_scenario("DS-1", ScenarioVariation.nominal())
@@ -107,10 +111,10 @@ class TestRoboTack:
         drive_with_attacker(scenario, attacker, n_frames=350)
         assert attacker.episode_over
         replica_calls = []
-        attacker.perception.detector.detect = lambda *args: replica_calls.append(args)
+        attacker.perception.detector.detect_rows = lambda *args: replica_calls.append(args)
         camera = CameraSensor()
-        frame = camera.capture(scenario.world.snapshot())
-        assert attacker.process_frame(frame, ego_speed_mps=12.5, dt=FRAME_DT) is frame
+        frame = camera.render_rows(scenario.world.snapshot())
+        assert attacker.process_frame(frame, ego_speed_mps=12.5) is frame
         assert replica_calls == []
 
     def test_split_hook_composes_to_process_frame(self):
@@ -124,22 +128,22 @@ class TestRoboTack:
             camera = CameraSensor()
             frames = []
             for _ in range(260):
-                frame = camera.capture(scenario.world.snapshot())
+                frame = camera.render_rows(scenario.world.snapshot())
                 if mode == "whole":
-                    out = attacker.process_frame(frame, ego_speed_mps=12.5, dt=FRAME_DT)
+                    out = attacker.process_frame(frame, ego_speed_mps=12.5)
                 else:
                     observed = attacker.frame_for_replica(frame)
                     tracker = attacker.perception.tracker
                     tracker.pool.predict_tracks((tracker,))
                     rows, measurements = [], []
                     tracker.track_rows(
-                        attacker.perception.detector.detect_rows(observed.rows()),
+                        attacker.perception.detector.detect_rows(observed),
                         rows, measurements,
                     )
                     tracker.pool.update_rows(rows, measurements)
-                    estimates = attacker.perception.transform.transform(tracker.observed)
+                    estimates = attacker.perception.transform.estimate_rows(tracker.observed)
                     out = attacker.frame_to_deliver(observed, estimates, 12.5)
-                frames.append(tuple((o.kind, o.bbox) for o in out.objects))
+                frames.append(tuple((row[KIND], row[CX], row[CY], row[W], row[H]) for row in out))
                 scenario.world.step(FRAME_DT, ego_acceleration_mps2=0.0)
             assert attacker.record.launched
             delivered[mode] = frames

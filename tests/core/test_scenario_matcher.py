@@ -4,22 +4,13 @@ import pytest
 
 from repro.core.attack_vectors import AttackVector
 from repro.core.scenario_matcher import ScenarioMatcher, ScenarioMatcherConfig, TrajectoryClass
-from repro.perception.transforms import WorldObjectEstimate
 from repro.sim.actors import ActorKind
 
 
 def estimate(lateral, lateral_velocity=0.0, kind=ActorKind.VEHICLE, distance=30.0):
-    return WorldObjectEstimate(
-        track_id=1,
-        actor_id=1,
-        kind=kind,
-        distance_m=distance,
-        lateral_m=lateral,
-        relative_longitudinal_velocity_mps=-3.0,
-        relative_longitudinal_acceleration_mps2=0.0,
-        lateral_velocity_mps=lateral_velocity,
-        age_frames=10,
-    )
+    """An estimate row: (distance, lateral, relative velocity, lateral
+    velocity, track id, actor id, kind, relative acceleration, age)."""
+    return (distance, lateral, -3.0, lateral_velocity, 1, 1, kind, 0.0, 10)
 
 
 class TestAttackVector:

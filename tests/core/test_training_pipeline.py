@@ -334,6 +334,17 @@ class TestModelRegistry:
             )
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("learning_rate", [float("inf"), float("nan")], ids=["inf", "nan"])
+    def test_non_finite_learning_rate_fails_before_collecting(self, tmp_path, learning_rate):
+        # An infinite rate once trained and registered an oracle whose
+        # second-epoch loss and predictions were NaN.
+        with pytest.raises(ValueError, match="learning_rate must be positive and finite"):
+            train_and_register_predictor(
+                _SCENARIO, _VECTOR, _DELTAS, _KS, seed=17, repeats=1, epochs=2,
+                learning_rate=learning_rate, store=ExperimentStore(tmp_path),
+            )
+        assert not list(tmp_path.iterdir())
+
     def test_unknown_spec_resolves_to_none(self, tmp_path):
         store = ExperimentStore(tmp_path)
         spec_hash = training_spec_hash(_SCENARIO, _VECTOR, _DELTAS, _KS)

@@ -9,9 +9,15 @@ from repro.sim.actors import ActorKind
 from repro.sim.scenarios import ScenarioVariation, build_scenario
 
 
+#: Fields of a camera row (``CameraSensor.render_rows``) and of a detection
+#: row (``SimulatedDetector.detect_rows``).
+CAM_ACTOR_ID, CAM_CX, CAM_W = 2, 4, 6
+DET_CX, DET_KIND, DET_ACTOR_ID = 0, 4, 5
+
+
 def capture_ds1_frame():
     scenario = build_scenario("DS-1", ScenarioVariation.nominal())
-    return CameraSensor().capture(scenario.world.snapshot())
+    return CameraSensor().render_rows(scenario.world.snapshot())
 
 
 class TestNoiseModel:
@@ -44,20 +50,20 @@ class TestSimulatedDetector:
     def test_detects_visible_vehicle(self):
         detector = SimulatedDetector(rng=np.random.default_rng(0))
         frame = capture_ds1_frame()
-        detections = detector.detect(frame)
+        detections = detector.detect_rows(frame)
         assert len(detections) <= 1
         # Over several frames, the vehicle is detected most of the time.
-        hits = sum(bool(detector.detect(frame)) for _ in range(50))
+        hits = sum(bool(detector.detect_rows(frame)) for _ in range(50))
         assert hits > 40
 
     def test_detection_preserves_class_and_actor_id(self):
         detector = SimulatedDetector(rng=np.random.default_rng(1))
         frame = capture_ds1_frame()
         for _ in range(20):
-            detections = detector.detect(frame)
+            detections = detector.detect_rows(frame)
             if detections:
-                assert detections[0].kind is ActorKind.VEHICLE
-                assert detections[0].actor_id == frame.objects[0].actor_id
+                assert detections[0][DET_KIND] is ActorKind.VEHICLE
+                assert detections[0][DET_ACTOR_ID] == frame[0][CAM_ACTOR_ID]
                 break
         else:
             pytest.fail("vehicle never detected in 20 frames")
@@ -65,11 +71,11 @@ class TestSimulatedDetector:
     def test_center_noise_is_zero_mean_ish(self):
         detector = SimulatedDetector(rng=np.random.default_rng(2))
         frame = capture_ds1_frame()
-        truth = frame.objects[0].bbox
+        truth = frame[0]
         offsets = []
         for _ in range(400):
-            for detection in detector.detect(frame):
-                offsets.append((detection.bbox.cx - truth.cx) / truth.width)
+            for detection in detector.detect_rows(frame):
+                offsets.append((detection[DET_CX] - truth[CAM_CX]) / truth[CAM_W])
         assert abs(np.mean(offsets)) < 0.1
         assert np.std(offsets) > 0.01
 
@@ -86,7 +92,7 @@ class TestSimulatedDetector:
         )
         detector = SimulatedDetector(config, rng=np.random.default_rng(3))
         frame = capture_ds1_frame()
-        detected_sequence = [bool(detector.detect(frame)) for _ in range(800)]
+        detected_sequence = [bool(detector.detect_rows(frame)) for _ in range(800)]
         # Compute lengths of missed runs; with the burst model, mean run length
         # should exceed 1 frame by a clear margin.
         runs, current = [], 0
@@ -103,13 +109,13 @@ class TestSimulatedDetector:
     def test_far_small_objects_not_detected(self):
         detector = SimulatedDetector(DetectorConfig(min_bbox_height_px=10_000), rng=np.random.default_rng(4))
         frame = capture_ds1_frame()
-        assert detector.detect(frame) == []
+        assert detector.detect_rows(frame) == []
 
     def test_reset_clears_burst_state(self):
         detector = SimulatedDetector(rng=np.random.default_rng(5))
         frame = capture_ds1_frame()
         for _ in range(50):
-            detector.detect(frame)
+            detector.detect_rows(frame)
         detector.reset()
         assert detector._burst_remaining == {}
 
@@ -117,7 +123,7 @@ class TestSimulatedDetector:
         detector = SimulatedDetector(rng=np.random.default_rng(6))
         frame = capture_ds1_frame()
         for _ in range(20):
-            detector.detect(frame)
-        empty = frame.without_actor(frame.objects[0].actor_id)
-        detector.detect(empty)
+            detector.detect_rows(frame)
+        empty = [row for row in frame if row[CAM_ACTOR_ID] != frame[0][CAM_ACTOR_ID]]
+        detector.detect_rows(empty)
         assert detector._burst_remaining == {}

@@ -8,7 +8,6 @@ read through the index constants below.
 import numpy as np
 import pytest
 
-from repro.geometry import Vec2
 from repro.perception.fusion import (
     FUSION_POLICIES,
     CameraOnlyFusion,
@@ -21,7 +20,7 @@ from repro.perception.fusion import (
 )
 from repro.perception.pipeline import PerceptionConfig, PerceptionSystem
 from repro.sensors.camera import CameraSensor
-from repro.sensors.lidar import LidarDetection, LidarScan, LidarSensor
+from repro.sensors.lidar import LidarSensor
 from repro.sim.actors import ActorKind
 from repro.sim.scenarios import ScenarioVariation, build_scenario
 
@@ -36,19 +35,9 @@ def camera_estimate(distance, lateral, kind=ActorKind.VEHICLE, track_id=1, actor
     return (distance, lateral, v_rel, 0.0, track_id, actor_id, kind, 0.0, 5)
 
 
-def lidar_scan(step, detections):
-    """The LiDAR rows of a scan of ``detections``."""
-    return LidarScan(time_s=step * FRAME_DT, frame_index=step,
-                     detections=tuple(detections)).rows()
-
-
 def lidar_detection(distance, lateral, kind=ActorKind.VEHICLE, actor_id=1, speed=5.0):
-    return LidarDetection(
-        actor_id=actor_id,
-        kind=kind,
-        relative_position=Vec2(distance, lateral),
-        velocity=Vec2(speed, 0.0),
-    )
+    """A LiDAR row: (distance, lateral, actor id, kind, vx)."""
+    return (distance, lateral, actor_id, kind, speed)
 
 
 class TestRegistration:
@@ -58,7 +47,7 @@ class TestRegistration:
         for step in range(4):
             obstacles = fusion.fuse(
                 [camera_estimate(30.0, 0.0)],
-                lidar_scan(step, [lidar_detection(30.0, 0.0)]),
+                [lidar_detection(30.0, 0.0)],
                 ego_speed_mps=10.0,
                 frame_dt_s=FRAME_DT,
             )
@@ -91,7 +80,7 @@ class TestRegistration:
         obstacles = []
         for step in range(25):
             obstacles = fusion.fuse(
-                [], lidar_scan(step, [lidar_detection(25.0, 0.0)]), 10.0, FRAME_DT
+                [], [lidar_detection(25.0, 0.0)], 10.0, FRAME_DT
             )
         assert obstacles == []
 
@@ -102,7 +91,7 @@ class TestLateralBlending:
         for step in range(6):
             obstacles = fusion.fuse(
                 [camera_estimate(30.0, 2.0)],
-                lidar_scan(step, [lidar_detection(30.0, 0.0)]),
+                [lidar_detection(30.0, 0.0)],
                 10.0,
                 FRAME_DT,
             )
@@ -122,7 +111,7 @@ class TestLateralBlending:
         for step in range(6):
             obstacles = fusion.fuse(
                 [camera_estimate(26.0, 0.0)],
-                lidar_scan(step, [lidar_detection(30.0, 0.0)]),
+                [lidar_detection(30.0, 0.0)],
                 10.0,
                 FRAME_DT,
             )
@@ -134,7 +123,7 @@ class TestDropBehaviour:
         for step in range(6):
             obstacles = fusion.fuse(
                 [camera_estimate(25.0, 0.0)],
-                lidar_scan(step, [lidar_detection(25.0, 0.0)]),
+                [lidar_detection(25.0, 0.0)],
                 10.0,
                 FRAME_DT,
             )
@@ -146,7 +135,7 @@ class TestDropBehaviour:
         step = self._register_fused_track(fusion)
         for offset in range(5):
             obstacles = fusion.fuse(
-                [], lidar_scan(step + offset, [lidar_detection(25.0, 0.0)]), 10.0, FRAME_DT
+                [], [lidar_detection(25.0, 0.0)], 10.0, FRAME_DT
             )
         assert len(obstacles) == 1
 
@@ -156,7 +145,7 @@ class TestDropBehaviour:
         step = self._register_fused_track(fusion)
         for offset in range(config.lidar_backed_timeout_frames + 3):
             obstacles = fusion.fuse(
-                [], lidar_scan(step + offset, [lidar_detection(25.0, 0.0)]), 10.0, FRAME_DT
+                [], [lidar_detection(25.0, 0.0)], 10.0, FRAME_DT
             )
         assert obstacles == []
 
@@ -182,13 +171,10 @@ class TestAssociation:
         for step in range(8):
             obstacles = fusion.fuse(
                 [camera_estimate(30.0, 0.0, track_id=1, actor_id=1)],
-                lidar_scan(
-                    step,
-                    [
-                        lidar_detection(30.0, 0.0, actor_id=1),
-                        lidar_detection(31.0, 3.5, actor_id=2, speed=-10.0),
-                    ],
-                ),
+                [
+                    lidar_detection(30.0, 0.0, actor_id=1),
+                    lidar_detection(31.0, 3.5, actor_id=2, speed=-10.0),
+                ],
                 10.0,
                 FRAME_DT,
             )
@@ -203,7 +189,7 @@ class TestAssociation:
         for step in range(6):
             fusion.fuse(
                 [camera_estimate(30.0, 0.0, track_id=1)],
-                lidar_scan(step, [lidar_detection(30.0, 0.0)]),
+                [lidar_detection(30.0, 0.0)],
                 10.0,
                 FRAME_DT,
             )
@@ -211,7 +197,7 @@ class TestAssociation:
         # evidence must flow into the same fused track instead of duplicating.
         obstacles = fusion.fuse(
             [camera_estimate(30.0, 0.2, track_id=9)],
-            lidar_scan(7, [lidar_detection(30.0, 0.0)]),
+            [lidar_detection(30.0, 0.0)],
             10.0,
             FRAME_DT,
         )
@@ -329,7 +315,7 @@ class TestConsistencyGatedFusion:
         for step in range(steps):
             obstacles = fusion.fuse(
                 [camera_estimate(30.0, camera_lateral)],
-                lidar_scan(step, [lidar_detection(30.0, lidar_lateral)]),
+                [lidar_detection(30.0, lidar_lateral)],
                 10.0,
                 FRAME_DT,
             )
@@ -368,7 +354,7 @@ class TestCameraOnlyFusion:
     def test_ignores_lidar_scan(self):
         fusion = CameraOnlyFusion()
         obstacles = fusion.fuse(
-            [], lidar_scan(0, [lidar_detection(20.0, 0.0)]), 10.0, FRAME_DT
+            [], [lidar_detection(20.0, 0.0)], 10.0, FRAME_DT
         )
         assert obstacles == []
 
@@ -380,7 +366,7 @@ class TestLidarOnlyFusion:
         obstacles = []
         for step in range(config.fused_registration_frames + 2):
             obstacles = fusion.fuse(
-                [], lidar_scan(step, [lidar_detection(25.0, 0.5)]), 10.0, FRAME_DT
+                [], [lidar_detection(25.0, 0.5)], 10.0, FRAME_DT
             )
         assert len(obstacles) == 1
         assert obstacles[0][SOURCES] == ("lidar",)
@@ -397,16 +383,16 @@ class TestLidarOnlyFusion:
         config = FusionConfig(policy="lidar_only", lidar_only_timeout_scans=4)
         fusion = LidarOnlyFusion(config)
         for step in range(6):
-            fusion.fuse([], lidar_scan(step, [lidar_detection(25.0, 0.0)]), 10.0, FRAME_DT)
+            fusion.fuse([], [lidar_detection(25.0, 0.0)], 10.0, FRAME_DT)
         obstacles = []
         for step in range(6, 6 + config.lidar_only_timeout_scans + 2):
-            obstacles = fusion.fuse([], lidar_scan(step, []), 10.0, FRAME_DT)
+            obstacles = fusion.fuse([], [], 10.0, FRAME_DT)
         assert obstacles == []
 
     def test_reset_clears_tracks(self):
         fusion = LidarOnlyFusion()
         for step in range(8):
-            fusion.fuse([], lidar_scan(step, [lidar_detection(25.0, 0.0)]), 10.0, FRAME_DT)
+            fusion.fuse([], [lidar_detection(25.0, 0.0)], 10.0, FRAME_DT)
         fusion.reset()
         assert fusion.fuse([], None, 10.0, FRAME_DT) == []
 
@@ -431,11 +417,11 @@ class TestRowCore:
         ]
 
 
-def process(system, camera_frame, lidar_rows, ego_speed_mps):
+def process(system, camera_rows, lidar_rows, ego_speed_mps):
     """One frame through the pipeline's row cores, as a simulation lane runs
     them: detect, track, transform, fuse.  Returns (estimate rows, obstacle
     rows)."""
-    system.tracker.step(system.detector.detect(camera_frame))
+    system.tracker.step(system.detector.detect_rows(camera_rows))
     estimates = system.transform.estimate_rows(system.tracker.observed)
     return estimates, system.fusion.fuse(estimates, lidar_rows, ego_speed_mps,
                                          system.config.frame_dt_s)
@@ -450,8 +436,8 @@ class TestPerceptionSystem:
         obstacles = []
         for _ in range(8):
             snapshot = scenario.world.snapshot()
-            _, obstacles = process(system, camera.capture(snapshot),
-                                   lidar.scan(snapshot).rows(), ego_speed_mps=12.5)
+            _, obstacles = process(system, camera.render_rows(snapshot),
+                                   lidar.scan_rows(snapshot), ego_speed_mps=12.5)
             scenario.world.step(FRAME_DT, 0.0)
         assert obstacles
         lead = obstacles[0]
@@ -469,7 +455,7 @@ class TestPerceptionSystem:
         obstacles = []
         for _ in range(6):
             snapshot = scenario.world.snapshot()
-            _, obstacles = process(system, camera.capture(snapshot), None, ego_speed_mps=12.5)
+            _, obstacles = process(system, camera.render_rows(snapshot), None, ego_speed_mps=12.5)
             scenario.world.step(FRAME_DT, 0.0)
         assert obstacles
         assert obstacles[0][SOURCES] == ("camera",)
@@ -494,8 +480,8 @@ class TestPerceptionSystem:
         # camera estimate and the fused obstacle carry the target's actor id.
         for _ in range(25):
             snapshot = scenario.world.snapshot()
-            estimates, obstacles = process(system, camera.capture(snapshot),
-                                           lidar.scan(snapshot).rows(), 12.5)
+            estimates, obstacles = process(system, camera.render_rows(snapshot),
+                                           lidar.scan_rows(snapshot), 12.5)
             scenario.world.step(FRAME_DT, 0.0)
             if (
                 any(row[5] == target_id for row in estimates)
@@ -512,6 +498,6 @@ class TestPerceptionSystem:
         scenario = build_scenario("DS-1", ScenarioVariation.nominal())
         camera = CameraSensor()
         for _ in range(5):
-            process(system, camera.capture(scenario.world.snapshot()), None, 12.5)
+            process(system, camera.render_rows(scenario.world.snapshot()), None, 12.5)
         system.reset()
         assert system.tracker.tracks == {}

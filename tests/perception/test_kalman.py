@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import BoundingBox
-from repro.perception.detection import Detection
 from repro.perception.kalman import H, P0, F, KalmanFilter, KalmanPool, Q, R
 from repro.perception.mot import MultiObjectTracker
 from repro.sim.actors import ActorKind
@@ -105,7 +104,8 @@ class TestKalmanFilter:
 def _pooled_track(box):
     """A tracker holding one track started on ``box``."""
     tracker = MultiObjectTracker()
-    tracker.step([Detection(ActorKind.VEHICLE, box, 0.9, 1)])
+    # A detection row (cx, cy, w, h, kind, actor_id, confidence).
+    tracker.step([(box.cx, box.cy, box.width, box.height, ActorKind.VEHICLE, 1, 0.9)])
     (track,) = tracker.tracks.values()
     return tracker, track
 

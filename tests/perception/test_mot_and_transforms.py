@@ -3,15 +3,24 @@
 import numpy as np
 import pytest
 
-from repro.geometry import BoundingBox, CameraProjection
-from repro.perception.detection import Detection
+from repro.geometry import CameraProjection
 from repro.perception.mot import MultiObjectTracker, TrackerConfig
 from repro.perception.transforms import ImageToWorldTransform
 from repro.sim.actors import ActorKind
 
 
+#: Fields of an estimate row (``ImageToWorldTransform.estimate_rows``).
+DISTANCE, LATERAL, VELOCITY, LATERAL_VELOCITY = range(4)
+
+
 def det(cx, cy=500.0, w=60.0, h=45.0, kind=ActorKind.VEHICLE, actor_id=1, confidence=0.9):
-    return Detection(kind=kind, bbox=BoundingBox(cx, cy, w, h), confidence=confidence, actor_id=actor_id)
+    """A detection row, as ``SimulatedDetector.detect_rows`` returns it."""
+    return (cx, cy, w, h, kind, actor_id, confidence)
+
+
+def det_of(bbox, kind=ActorKind.VEHICLE, actor_id=1):
+    """The detection row of a box."""
+    return det(bbox.cx, bbox.cy, bbox.width, bbox.height, kind, actor_id)
 
 
 class TestObjectTrack:
@@ -124,36 +133,36 @@ class TestImageToWorldTransform:
         for step in range(steps):
             current_lateral = lateral + lateral_speed * step / 15.0
             bbox = projection.project(distance, current_lateral, 1.9, height)
-            tracks = tracker.step([Detection(kind, bbox, 0.9, actor_id=1)])
-            estimates = transform.transform(tracks)
+            tracks = tracker.step([det_of(bbox, kind)])
+            estimates = transform.estimate_rows(tracks)
         return estimates
 
     def test_recovers_distance_and_lateral(self):
         estimates = self._tracked_object_at(30.0, -2.0)
         assert len(estimates) == 1
-        assert estimates[0].distance_m == pytest.approx(30.0, rel=0.05)
-        assert estimates[0].lateral_m == pytest.approx(-2.0, rel=0.1)
+        assert estimates[0][DISTANCE] == pytest.approx(30.0, rel=0.05)
+        assert estimates[0][LATERAL] == pytest.approx(-2.0, rel=0.1)
 
     def test_lateral_velocity_estimated(self):
         estimates = self._tracked_object_at(30.0, -3.0, lateral_speed=1.5, steps=30)
-        assert estimates[0].lateral_velocity_mps == pytest.approx(1.5, abs=0.7)
+        assert estimates[0][LATERAL_VELOCITY] == pytest.approx(1.5, abs=0.7)
 
     def test_stationary_object_has_small_lateral_velocity(self):
         estimates = self._tracked_object_at(30.0, -3.0, steps=30)
-        assert abs(estimates[0].lateral_velocity_mps) < 0.3
+        assert abs(estimates[0][LATERAL_VELOCITY]) < 0.3
 
     def test_estimates_sorted_by_distance(self):
         projection = CameraProjection()
         transform = ImageToWorldTransform(projection=projection)
         tracker = MultiObjectTracker()
         detections = [
-            Detection(ActorKind.VEHICLE, projection.project(50.0, 0.0, 1.9, 1.6), 0.9, 1),
-            Detection(ActorKind.VEHICLE, projection.project(20.0, 3.0, 1.9, 1.6), 0.9, 2),
+            det_of(projection.project(50.0, 0.0, 1.9, 1.6), actor_id=1),
+            det_of(projection.project(20.0, 3.0, 1.9, 1.6), actor_id=2),
         ]
         for _ in range(4):
             tracks = tracker.step(detections)
-        estimates = transform.transform(tracks)
-        distances = [e.distance_m for e in estimates]
+        estimates = transform.estimate_rows(tracks)
+        distances = [e[DISTANCE] for e in estimates]
         assert distances == sorted(distances)
 
     def test_history_dropped_for_dead_tracks(self):
@@ -161,9 +170,9 @@ class TestImageToWorldTransform:
         tracker = MultiObjectTracker()
         for _ in range(4):
             tracks = tracker.step([det(960)])
-        transform.transform(tracks)
+        transform.estimate_rows(tracks)
         assert transform._history
-        transform.transform([])
+        transform.estimate_rows([])
         assert not transform._history
 
     def test_invalid_configuration_rejected(self):

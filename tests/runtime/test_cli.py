@@ -463,6 +463,22 @@ class TestSearchCli:
         assert completed.stderr.splitlines() == [message]
         assert not store.exists()
 
+    @pytest.mark.parametrize("max_iterations", ["0", "-3"])
+    def test_non_positive_max_iterations_exits_before_the_store(self, tmp_path,
+                                                                max_iterations):
+        # A search with no iteration to run once wrote its manifest and
+        # reported "Best score nan ... after 0 runs".
+        store = tmp_path / "store"
+        with pytest.raises(SystemExit, match="^--max-iterations must be a positive number"):
+            main(
+                [
+                    "search", "--scenario", "DS-1", "--attacker", "none",
+                    "--store", str(store), "--budget", "2", "--batch-points", "1",
+                    "--runs", "1", "--max-iterations", max_iterations,
+                ]
+            )
+        assert not store.exists()
+
     @pytest.mark.parametrize("axis", ["simulation.max_duration_s=nan",
                                       "variation.lead_gap_offset_m=0:inf"])
     def test_non_finite_axis_exits_before_the_store(self, tmp_path, axis):
@@ -647,8 +663,9 @@ class TestTrainCli:
             (["--repeats", "0"], "repeats must be at least 1"),
             (["--learning-rate", "0"], "learning_rate must be positive"),
             (["--seed", "-1"], "seed must be non-negative"),
+            (["--learning-rate", "inf"], "learning_rate must be positive and finite"),
         ],
-        ids=["repeats", "learning-rate", "seed"],
+        ids=["repeats", "learning-rate", "seed", "learning-rate-inf"],
     )
     def test_untrainable_spec_exits_with_error(self, tmp_path, flags, message):
         with pytest.raises(SystemExit, match=message):

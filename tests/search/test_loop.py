@@ -157,6 +157,15 @@ class TestBudgetAndTarget:
         assert second.iterations_completed == 2
         assert second.runs_spent == 12
 
+    @pytest.mark.parametrize("max_iterations", [0, -3])
+    def test_max_iterations_below_one_rejected_before_the_manifest(self, tmp_path,
+                                                                   max_iterations):
+        store = ExperimentStore(tmp_path)
+        loop = FalsificationLoop(_spec(), store)
+        with pytest.raises(ValueError, match="^max_iterations must be at least 1"):
+            loop.run(max_iterations=max_iterations)
+        assert not list(tmp_path.rglob("*.json"))
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             _spec(budget_runs=1)  # cannot fund a single 2-run point

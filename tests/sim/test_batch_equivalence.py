@@ -813,7 +813,9 @@ def _label(config):
 
 def _log_target_lookups(attacker):
     """Log (frame index, target box, misses) for every frame the trajectory
-    hijacker perturbs: the replica's view of the target at that moment."""
+    hijacker perturbs: the replica's view of the target at that moment.  The
+    attacker sees every frame from frame 0, so the frame being perturbed is
+    frame ``_frame_count - 1``."""
     log = []
     hijacker = attacker.trajectory_hijacker
     perturb = hijacker.perturb_frame
@@ -822,7 +824,7 @@ def _log_target_lookups(attacker):
         seen = None
         if attacker_track is not None:
             seen = (attacker_track.bbox, attacker_track.consecutive_misses)
-        log.append((frame.frame_index, seen))
+        log.append((attacker._frame_count - 1, seen))
         return perturb(frame, attacker_track)
 
     hijacker.perturb_frame = logged
@@ -903,8 +905,8 @@ class _ProtocolOnlyAttacker:
     def __init__(self, inner):
         self.inner = inner
 
-    def process_frame(self, frame, ego_speed_mps, dt):
-        return self.inner.process_frame(frame, ego_speed_mps=ego_speed_mps, dt=dt)
+    def process_frame(self, frame, ego_speed_mps):
+        return self.inner.process_frame(frame, ego_speed_mps=ego_speed_mps)
 
     @property
     def attack_active(self):
@@ -930,9 +932,9 @@ def _override_frame_to_deliver(attacker):
 
 def _used_attacker(attacker):
     """``attacker`` after five DS-2 frames driven through it by hand."""
-    frame = CameraSensor().capture(build_scenario("DS-2").world.snapshot())
+    frame = CameraSensor().render_rows(build_scenario("DS-2").world.snapshot())
     for _ in range(5):
-        attacker.process_frame(frame, ego_speed_mps=10.0, dt=1.0 / 15.0)
+        attacker.process_frame(frame, ego_speed_mps=10.0)
     return attacker
 
 

@@ -1,11 +1,14 @@
 """Tests for distribution fitting and summary statistics."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.utils.stats import (
+    NormalFit,
     boxplot_stats,
     fit_exponential,
     fit_normal,
@@ -80,6 +83,19 @@ class TestFitNormal:
     def test_percentile_median_is_mu(self):
         fit = fit_normal([0.0, 2.0, 4.0, 6.0])
         assert fit.percentile(50) == pytest.approx(fit.mu, abs=1e-9)
+
+    def test_percentile_needs_only_the_declared_dependencies(self, monkeypatch):
+        """The package declares only NumPy, so the percentile must not import
+        scipy: here scipy cannot be imported."""
+        monkeypatch.setitem(sys.modules, "scipy", None)
+        monkeypatch.setitem(sys.modules, "scipy.stats", None)
+        fit = NormalFit(mu=1.0, sigma=2.0, n_samples=10)
+        assert fit.percentile(50) == 1.0
+        # The standard normal's 97.5th and 2.5th percentiles are +-1.959963984540054.
+        assert fit.percentile(97.5) == pytest.approx(1.0 + 2.0 * 1.959963984540054, rel=1e-12)
+        assert fit.percentile(2.5) == pytest.approx(1.0 - 2.0 * 1.959963984540054, rel=1e-12)
+        assert fit.percentile(0) == float("-inf")
+        assert fit.percentile(100) == float("inf")
 
 
 class TestBoxplotStats:
