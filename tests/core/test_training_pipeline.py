@@ -3,7 +3,9 @@
 Covers the pipeline's contracts:
 
 * collected datasets match golden digests pinned on the scalar reference
-  loop, before collection moved to the batch engine;
+  loop, before collection moved to the batch engine, and an oracle trained
+  on a fixed synthetic dataset matches a golden digest of its predictions
+  and loss curves;
 * serial, parallel, and store-assembled dataset collection are bit-identical
   (per-point seeding + grid-order assembly);
 * an interrupted collection resumes from the store's dataset records and
@@ -16,6 +18,7 @@ Plus the `_label_for_run` frame-0 clamp regression, and that a collection
 lane's victim is the one the scenario's campaigns attack.
 """
 
+import hashlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -28,12 +31,14 @@ from repro.core.training import (
     _build_grid_point,
     _expand_jobs,
     _label_for_run,
+    SafetyDataset,
     collect_safety_dataset,
     collection_hash_for,
     dataset_content_hash,
     expand_training_grid,
     load_registered_predictor,
     train_and_register_predictor,
+    train_neural_safety_predictor,
     training_spec_hash,
 )
 from repro.experiments.campaign import AttackerKind, CampaignConfig, _build_run_setup
@@ -107,6 +112,27 @@ def test_collected_dataset_matches_golden_digest(case):
     scenario_id, vector, deltas, ks, digest = _GOLDEN_DATASETS[case]
     dataset = collect_safety_dataset(scenario_id, vector, deltas, ks, seed=17, repeats=1)
     assert dataset_content_hash(dataset) == digest
+
+
+#: SHA-256 over a trained oracle's predictions on a fixed probe (float64
+#: bytes) and then ``repr`` of its loss curves.  It pins the whole training
+#: numerics: He init, dropout masks, the loss gradient and the Adam update, in
+#: their draw and evaluation order.  Like perfbench's pinned oracle
+#: predictions, it depends on the host's BLAS kernels.
+_GOLDEN_TRAINED_ORACLE = "e84af9d00f04abe327e392e3960341e34f4aa37f26f09d3c17b5a60b6c5fd700"
+
+
+def test_trained_oracle_matches_golden_digest():
+    rng = np.random.default_rng(2020)
+    inputs = rng.normal(size=(200, 4)) * [10.0, 3.0, 1.0, 15.0] + [20.0, -2.0, 0.0, 30.0]
+    targets = inputs[:, :1] - 0.5 * inputs[:, 3:4] + rng.normal(size=(200, 1))
+    dataset = SafetyDataset(AttackVector.DISAPPEAR, "synthetic", inputs, targets)
+    predictor, result = train_neural_safety_predictor(dataset, epochs=30, seed=7)
+    probe = np.random.default_rng(7).normal(size=(64, 4)) * 10.0
+    digest = hashlib.sha256()
+    digest.update(np.ascontiguousarray(predictor.predict_batch(probe), dtype=np.float64).tobytes())
+    digest.update(repr([result.history.train_loss, result.history.validation_loss]).encode())
+    assert digest.hexdigest() == _GOLDEN_TRAINED_ORACLE
 
 
 class TestCollectionVictim:
