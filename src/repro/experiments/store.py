@@ -84,7 +84,7 @@ import numpy as np
 
 from repro.core.attack_vectors import AttackVector
 from repro.experiments.results import CampaignResult, RunResult
-from repro.runtime.cache import atomic_publish, encode_key
+from repro.runtime.cache import atomic_publish, encode_key, fsync_directory
 from repro.sim.actors import ActorKind
 from repro.sim.scenarios import ScenarioVariation
 
@@ -595,7 +595,11 @@ class ExperimentStore:
         renamed into place — readers never observe a half-written model, and
         concurrent publishers of the same hash race benignly (the loser's
         rename fails against the existing directory and is discarded: the
-        content address guarantees both wrote the same artifact).
+        content address guarantees both wrote the same artifact).  Every file
+        and directory of the staging tree is fsynced before the rename and
+        ``models/`` after it, so an index entry written afterwards
+        (:meth:`register_model_spec`) never survives a crash that its model
+        does not.
         """
         final = self.model_dir(model_hash_)
         if final.is_dir():
@@ -608,11 +612,17 @@ class ExperimentStore:
             self._write_document(
                 staging / "registry.json", {"model_hash": model_hash_, **metadata}
             )
+            for directory, _, files in os.walk(staging, topdown=False):
+                for name in files:
+                    with open(os.path.join(directory, name), "rb") as handle:
+                        os.fsync(handle.fileno())
+                fsync_directory(Path(directory))
             try:
                 os.replace(staging, final)
             except OSError:
                 if not final.is_dir():
                     raise
+            fsync_directory(final.parent)
         finally:
             if staging.is_dir():
                 shutil.rmtree(staging, ignore_errors=True)

@@ -20,7 +20,7 @@ import tempfile
 from pathlib import Path
 from typing import Any, Callable
 
-__all__ = ["atomic_publish", "encode_key"]
+__all__ = ["atomic_publish", "encode_key", "fsync_directory"]
 
 
 def atomic_publish(path: Path, write: Callable[[Any], None], durable: bool = False) -> None:
@@ -48,15 +48,23 @@ def atomic_publish(path: Path, write: Callable[[Any], None], durable: bool = Fal
             pass
         raise
     if durable:
-        try:  # pragma: no cover - platform-dependent; directory fsync is
-            # best-effort (not supported everywhere, e.g. Windows).
-            dir_fd = os.open(path.parent, os.O_RDONLY)
-            try:
-                os.fsync(dir_fd)
-            finally:
-                os.close(dir_fd)
-        except OSError:
-            pass
+        fsync_directory(path.parent)
+
+
+def fsync_directory(path: Path) -> None:
+    """fsync a directory, making its entries (renames, new files) durable.
+
+    Best-effort: not every platform can open or fsync a directory (e.g.
+    Windows).
+    """
+    try:  # pragma: no cover - platform-dependent
+        dir_fd = os.open(path, os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
+    except OSError:
+        pass
 
 
 def encode_key(key: Any) -> str:

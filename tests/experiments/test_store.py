@@ -9,6 +9,7 @@
 """
 
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.attack_vectors import AttackVector
+from repro.core.safety_hijacker import NeuralSafetyPredictor
 from repro.experiments.results import RunResult
 from repro.experiments.store import (
     SCHEMA_VERSION,
@@ -370,6 +372,33 @@ class TestModelRegistry:
         store.register_model_spec("f" * 64, self._MODEL_HASH)
         (tmp_path / "models" / ".tmp-leftover").mkdir()
         assert store.model_hashes() == [self._MODEL_HASH]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_published_model_is_durable_before_its_index_entry(self, tmp_path, monkeypatch):
+        # Write-ahead, as for a run line and its NPZ: every file and directory
+        # of the model reaches disk before the rename publishes it, and
+        # models/ after it, so a durable index entry implies a durable model.
+        synced = []
+        real_fsync = os.fsync
+
+        def recording_fsync(fd):
+            synced.append(os.readlink(f"/proc/self/fd/{fd}"))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        store = ExperimentStore(tmp_path.resolve())
+        predictor = NeuralSafetyPredictor.untrained(rng=np.random.default_rng(0))
+        final = store.publish_model(
+            self._MODEL_HASH, lambda staging: predictor.save(staging / "predictor"), {}
+        )
+        store.register_model_spec("e" * 64, self._MODEL_HASH)
+
+        staging = final.parent / f".tmp-{self._MODEL_HASH}-{os.getpid()}"
+        tree = [final, *final.rglob("*")]
+        assert len(tree) == 7  # 3 directories, 4 files
+        renamed = synced.index(str(final.parent))
+        assert {str(staging / path.relative_to(final)) for path in tree} <= set(synced[:renamed])
+        assert str(final.parent / "index") in synced[renamed + 1:]
 
 
 # --------------------------------------------------------------------- #
