@@ -61,7 +61,7 @@ from repro.core.attack_vectors import AttackVector
 from repro.core.robotack import CameraMitmAttackerBase, RoboTackConfig
 from repro.core.safety_hijacker import AttackFeatures, NeuralSafetyPredictor
 from repro.core.scenario_matcher import ScenarioMatcher
-from repro.nn import Adam, FeedForwardNetwork, TrainingResult, train_network
+from repro.nn import FeedForwardNetwork, TrainingResult, train_network
 from repro.runtime.cache import encode_key
 from repro.runtime.executor import ExecutorLike, chunked, executor_scope
 from repro.sim.batch import DEFAULT_BATCH_SIZE, BatchRunSpec, BatchSimulator
@@ -483,7 +483,7 @@ def train_neural_safety_predictor(
         normalized_targets,
         epochs=epochs,
         batch_size=32,
-        optimizer=Adam(learning_rate=learning_rate),
+        learning_rate=learning_rate,
         train_fraction=0.6,
         rng=rng,
     )

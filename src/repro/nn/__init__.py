@@ -1,38 +1,28 @@
-"""A small, pure-NumPy feed-forward neural network substrate.
+"""The safety hijacker's network, in pure NumPy.
 
-The paper's safety hijacker is a fully-connected network with three hidden
-layers (100, 100, 50 neurons), ReLU activations, dropout 0.1, trained with the
-Adam optimizer on an L2 loss (paper §IV-B).  This package implements exactly
-that stack from scratch: dense layers, activations, dropout, losses, Adam/SGD
-optimizers, and a mini-batch training loop with train/validation splitting.
+The paper's oracle is a fully-connected network with three hidden layers
+(100, 100, 50 neurons), ReLU activations and dropout 0.1, trained with Adam on
+an L2 loss over a 60/40 train/validation split (paper §IV-B).
+:class:`FeedForwardNetwork` is that network: weight and bias arrays and one
+dropout rate, with a lean inference pass (``predict``), a training pass
+(``forward``/``backward``) and ``save``/``load``.  :func:`train_network` is
+its mini-batch Adam loop.
 """
 
-from repro.nn.layers import Dense, Dropout, ReLU
-from repro.nn.losses import MeanSquaredError
 from repro.nn.network import FeedForwardNetwork
-from repro.nn.optimizers import SGD, Adam
-from repro.nn.serialization import (
-    load_network,
-    network_from_spec,
-    network_to_spec,
-    save_network,
+from repro.nn.training import (
+    TrainingHistory,
+    TrainingResult,
+    mean_squared_error,
+    train_network,
+    train_validation_split,
 )
-from repro.nn.training import TrainingHistory, TrainingResult, train_network, train_validation_split
 
 __all__ = [
-    "Dense",
-    "Dropout",
-    "ReLU",
-    "MeanSquaredError",
     "FeedForwardNetwork",
-    "load_network",
-    "network_from_spec",
-    "network_to_spec",
-    "save_network",
-    "Adam",
-    "SGD",
     "TrainingHistory",
     "TrainingResult",
+    "mean_squared_error",
     "train_network",
     "train_validation_split",
 ]

@@ -1,30 +1,85 @@
-"""The feed-forward network container.
+"""The safety hijacker's network (paper §IV-B).
 
-``FeedForwardNetwork.safety_hijacker_architecture`` builds exactly the
-architecture described in paper §IV-B: three hidden layers of 100, 100, and 50
-neurons with ReLU activations and dropout rate 0.1, and a linear scalar output
-(the predicted safety potential).
+:class:`FeedForwardNetwork` is a multi-layer perceptron held as plain arrays:
+``weights[i]`` of shape ``(n_in, n_out)`` and ``biases[i]`` of shape
+``(n_out,)``, a ReLU between consecutive layers, inverted dropout after each
+hidden ReLU while training, and a linear output layer.
+:meth:`~FeedForwardNetwork.safety_hijacker_architecture` builds the paper's
+network: hidden layers of 100, 100 and 50 neurons, dropout 0.1, and a scalar
+output (the predicted safety potential).
+
+* :meth:`~FeedForwardNetwork.predict` is the inference pass: no dropout and
+  nothing kept, one matrix product per layer.
+* :meth:`~FeedForwardNetwork.forward` is the training pass: it draws the
+  dropout masks from the network's generator and keeps each layer's input and
+  masks for :meth:`~FeedForwardNetwork.backward`, which fills
+  ``grad_weights`` and ``grad_biases``.
+* :meth:`~FeedForwardNetwork.save` persists the network as a directory::
+
+    <path>/
+      architecture.json   # {"format": ..., "version": 1, "layers": [...]}
+      weights.npz         # layer00_weights, layer00_bias, layer01_weights, ...
+
+  ``architecture.json`` lists one entry per dense, relu and dropout layer.
+  Both files are published atomically (temp file + rename), and the float64
+  arrays round-trip exactly, so a network rebuilt by
+  :meth:`~FeedForwardNetwork.load` predicts bit-identically.
 """
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
-from typing import Dict, List, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.nn.layers import Dense, Dropout, Layer, ReLU
+from repro.runtime.cache import atomic_publish
 
 __all__ = ["FeedForwardNetwork"]
 
+#: Format tag of ``architecture.json``; :meth:`FeedForwardNetwork.load`
+#: rejects other formats.
+NETWORK_FORMAT = "repro-feed-forward-network"
+
+#: Bump when the architecture schema changes incompatibly.
+NETWORK_VERSION = 1
+
 
 class FeedForwardNetwork:
-    """A sequential stack of layers with forward/backward passes."""
+    """A multi-layer perceptron: affine layers joined by ReLU, with dropout
+    after each hidden ReLU while training."""
 
-    def __init__(self, layers: Sequence[Layer]):
-        if not layers:
-            raise ValueError("a network needs at least one layer")
-        self.layers: List[Layer] = list(layers)
+    def __init__(
+        self,
+        weights: Sequence[np.ndarray],
+        biases: Sequence[np.ndarray],
+        dropout_rate: float = 0.0,
+        rng: np.random.Generator | None = None,
+    ):
+        if not weights or len(weights) != len(biases):
+            raise ValueError("a network needs at least one layer and one bias per layer")
+        if not 0.0 <= dropout_rate < 1.0:
+            raise ValueError(f"dropout rate must be in [0, 1), got {dropout_rate}")
+        self.weights = [np.asarray(layer, dtype=float) for layer in weights]
+        self.biases = [np.asarray(bias, dtype=float) for bias in biases]
+        n_in = self.weights[0].shape[0]
+        for layer, bias in zip(self.weights, self.biases):
+            if layer.ndim != 2 or layer.shape[0] != n_in or bias.shape != layer.shape[1:]:
+                raise ValueError(
+                    f"layer shapes do not chain: weights {layer.shape} and bias "
+                    f"{bias.shape} after {n_in} features"
+                )
+            n_in = layer.shape[1]
+        self.dropout_rate = dropout_rate
+        #: The generator the dropout masks are drawn from.
+        self.rng = rng if rng is not None else np.random.default_rng()
+        self.grad_weights = [np.zeros_like(layer) for layer in self.weights]
+        self.grad_biases = [np.zeros_like(bias) for bias in self.biases]
+        # What forward keeps for backward: each layer's input, and each hidden
+        # layer's ReLU mask and dropout mask (None without dropout).
+        self._inputs: List[np.ndarray] = []
+        self._masks: List[Tuple[np.ndarray, Optional[np.ndarray]]] = []
 
     @classmethod
     def mlp(
@@ -35,17 +90,20 @@ class FeedForwardNetwork:
         dropout_rate: float = 0.0,
         rng: np.random.Generator | None = None,
     ) -> "FeedForwardNetwork":
-        """Build a standard multi-layer perceptron with ReLU activations."""
+        """A multi-layer perceptron with He-initialized weights and zero biases.
+
+        ``rng`` draws the weights layer by layer and then the dropout masks.
+        """
         rng = rng if rng is not None else np.random.default_rng()
-        dims = [input_dim, *hidden_dims]
-        layers: List[Layer] = []
-        for in_dim, out_dim in zip(dims[:-1], dims[1:]):
-            layers.append(Dense(in_dim, out_dim, rng=rng))
-            layers.append(ReLU())
-            if dropout_rate > 0.0:
-                layers.append(Dropout(dropout_rate, rng=rng))
-        layers.append(Dense(dims[-1], output_dim, rng=rng))
-        return cls(layers)
+        dims = [input_dim, *hidden_dims, output_dim]
+        if min(dims) <= 0:
+            raise ValueError("layer dimensions must be positive")
+        weights = [
+            rng.normal(0.0, np.sqrt(2.0 / n_in), size=(n_in, n_out))
+            for n_in, n_out in zip(dims[:-1], dims[1:])
+        ]
+        biases = [np.zeros(n_out) for n_out in dims[1:]]
+        return cls(weights, biases, dropout_rate=dropout_rate, rng=rng)
 
     @classmethod
     def safety_hijacker_architecture(
@@ -60,74 +118,114 @@ class FeedForwardNetwork:
             rng=rng,
         )
 
-    def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
-        """Run the forward pass for a batch of inputs."""
-        out = np.atleast_2d(np.asarray(inputs, dtype=float))
-        for layer in self.layers:
-            out = layer.forward(out, training=training)
-        return out
-
     def predict(self, inputs: np.ndarray) -> np.ndarray:
-        """Inference-mode forward pass (dropout disabled)."""
-        return self.forward(inputs, training=False)
+        """The inference pass for a batch of input rows (dropout off)."""
+        out = np.atleast_2d(np.asarray(inputs, dtype=float))
+        for weights, bias in zip(self.weights[:-1], self.biases[:-1]):
+            out = out @ weights + bias
+            out = np.where(out > 0.0, out, 0.0)
+        return out @ self.weights[-1] + self.biases[-1]
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        """Back-propagate the loss gradient through every layer."""
-        grad = grad_output
-        for layer in reversed(self.layers):
-            grad = layer.backward(grad)
-        return grad
+    def forward(self, inputs: np.ndarray) -> np.ndarray:
+        """The training pass: :meth:`predict` with inverted dropout after each
+        hidden ReLU, keeping what :meth:`backward` needs."""
+        out = np.atleast_2d(np.asarray(inputs, dtype=float))
+        keep = 1.0 - self.dropout_rate
+        self._inputs, self._masks = [], []
+        for weights, bias in zip(self.weights[:-1], self.biases[:-1]):
+            self._inputs.append(out)
+            out = out @ weights + bias
+            relu_mask = out > 0.0
+            out = np.where(relu_mask, out, 0.0)
+            drop_mask = None
+            if self.dropout_rate > 0.0:
+                drop_mask = (self.rng.random(out.shape) < keep) / keep
+                out = out * drop_mask
+            self._masks.append((relu_mask, drop_mask))
+        self._inputs.append(out)
+        return out @ self.weights[-1] + self.biases[-1]
 
-    def trainable_layers(self) -> List[Layer]:
-        """Layers that expose trainable parameters."""
-        return [layer for layer in self.layers if layer.parameters()]
+    def backward(self, grad_output: np.ndarray) -> None:
+        """Back-propagate the loss gradient w.r.t. the last :meth:`forward`'s
+        output, filling ``grad_weights`` and ``grad_biases``."""
+        if not self._inputs:
+            raise RuntimeError("backward called before forward")
+        grad = np.atleast_2d(grad_output)
+        for index in range(len(self.weights) - 1, -1, -1):
+            self.grad_weights[index] = self._inputs[index].T @ grad
+            self.grad_biases[index] = grad.sum(axis=0)
+            if index:
+                grad = grad @ self.weights[index].T
+                relu_mask, drop_mask = self._masks[index - 1]
+                if drop_mask is not None:
+                    grad = grad * drop_mask
+                grad = grad * relu_mask
 
     def num_parameters(self) -> int:
         """Total count of trainable scalar parameters."""
-        return sum(
-            int(np.prod(param.shape))
-            for layer in self.trainable_layers()
-            for param in layer.parameters().values()
-        )
+        return sum(layer.size + bias.size for layer, bias in zip(self.weights, self.biases))
 
-    def get_weights(self) -> List[Dict[str, np.ndarray]]:
-        """Copy out all parameters (for checkpointing / tests)."""
-        return [
-            {name: param.copy() for name, param in layer.parameters().items()}
-            for layer in self.trainable_layers()
-        ]
+    def _layers(self) -> List[Dict[str, object]]:
+        """``architecture.json``'s layer entries, in network order."""
+        layers: List[Dict[str, object]] = []
+        for weights in self.weights:
+            if layers:
+                layers.append({"kind": "relu"})
+                if self.dropout_rate > 0.0:
+                    layers.append({"kind": "dropout", "rate": self.dropout_rate})
+            layers.append(
+                {"kind": "dense", "in_features": weights.shape[0], "out_features": weights.shape[1]}
+            )
+        return layers
 
     def save(self, path: Union[str, Path]) -> Path:
-        """Persist this network (architecture JSON + weights NPZ) under ``path``.
-
-        A loaded copy (:meth:`load`) produces bit-identical predictions.
-        """
-        from repro.nn.serialization import save_network
-
-        return save_network(self, path)
+        """Persist this network (architecture JSON + weights NPZ) under ``path``."""
+        directory = Path(path).expanduser()
+        directory.mkdir(parents=True, exist_ok=True)
+        spec = {"format": NETWORK_FORMAT, "version": NETWORK_VERSION, "layers": self._layers()}
+        atomic_publish(
+            directory / "architecture.json",
+            lambda handle: handle.write(json.dumps(spec, indent=2).encode("utf-8")),
+        )
+        arrays: Dict[str, np.ndarray] = {}
+        for index, (weights, bias) in enumerate(zip(self.weights, self.biases)):
+            arrays[f"layer{index:02d}_weights"] = weights
+            arrays[f"layer{index:02d}_bias"] = bias
+        atomic_publish(
+            directory / "weights.npz", lambda handle: np.savez_compressed(handle, **arrays)
+        )
+        return directory
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "FeedForwardNetwork":
-        """Rebuild a network previously persisted with :meth:`save`."""
-        from repro.nn.serialization import load_network
+        """Rebuild a network persisted with :meth:`save` (bit-exact weights).
 
-        return load_network(path)
-
-    def set_weights(self, weights: List[Dict[str, np.ndarray]]) -> None:
-        """Load parameters previously produced by :meth:`get_weights`."""
-        trainable = self.trainable_layers()
-        if len(weights) != len(trainable):
+        Rejects a foreign format, a newer version, and any layer list other
+        than dense layers joined by relu (and one dropout rate) that matches
+        the weights.
+        """
+        directory = Path(path).expanduser()
+        with (directory / "architecture.json").open("r", encoding="utf-8") as handle:
+            spec = json.load(handle)
+        if spec.get("format") != NETWORK_FORMAT:
+            raise ValueError(f"not a serialized network: format={spec.get('format')!r}")
+        version = int(spec.get("version", 0))
+        if version > NETWORK_VERSION:
             raise ValueError(
-                f"expected weights for {len(trainable)} layers, got {len(weights)}"
+                f"network saved by a newer serialization version ({version} > {NETWORK_VERSION})"
             )
-        for layer, layer_weights in zip(trainable, weights):
-            params = layer.parameters()
-            for name, value in layer_weights.items():
-                if name not in params:
-                    raise KeyError(f"unknown parameter {name!r}")
-                if params[name].shape != value.shape:
-                    raise ValueError(
-                        f"shape mismatch for {name!r}: "
-                        f"{params[name].shape} vs {value.shape}"
-                    )
-                params[name][...] = value
+        layers = spec.get("layers", [])
+        n_dense = sum(entry.get("kind") == "dense" for entry in layers)
+        rates = [entry.get("rate") for entry in layers if entry.get("kind") == "dropout"]
+        with np.load(directory / "weights.npz") as archive:
+            network = cls(
+                [archive[f"layer{index:02d}_weights"] for index in range(n_dense)],
+                [archive[f"layer{index:02d}_bias"] for index in range(n_dense)],
+                dropout_rate=rates[0] if rates else 0.0,
+            )
+        if network._layers() != layers:
+            raise ValueError(
+                f"unsupported network in {directory}: its layers are not dense layers "
+                "joined by relu (and one dropout rate) matching weights.npz"
+            )
+        return network

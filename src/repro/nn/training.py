@@ -1,8 +1,8 @@
-"""Mini-batch training loop with train/validation splitting.
+"""Mini-batch Adam training with train/validation splitting.
 
-The paper trains the safety hijacker with Adam on a 60 %/40 % train/validation
-split of the attack-response dataset (paper §IV-B); :func:`train_network`
-implements that loop generically.
+The paper trains the safety hijacker with Adam on the L2 loss of Eq. (3) and a
+60 %/40 % train/validation split of the attack-response dataset (paper §IV-B);
+:func:`train_network` implements that loop.
 """
 
 from __future__ import annotations
@@ -12,11 +12,32 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.nn.losses import MeanSquaredError
 from repro.nn.network import FeedForwardNetwork
-from repro.nn.optimizers import Adam, Optimizer
 
-__all__ = ["TrainingHistory", "TrainingResult", "train_validation_split", "train_network"]
+__all__ = [
+    "TrainingHistory",
+    "TrainingResult",
+    "mean_squared_error",
+    "train_validation_split",
+    "train_network",
+]
+
+#: Adam's moment decay rates and denominator guard (Kingma & Ba's defaults).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
+
+def mean_squared_error(predictions: np.ndarray, targets: np.ndarray) -> float:
+    """Paper Eq. (3): the squared L2 distance of each row, averaged over the batch."""
+    predictions = np.atleast_2d(np.asarray(predictions, dtype=float))
+    targets = np.atleast_2d(np.asarray(targets, dtype=float))
+    if predictions.shape != targets.shape:
+        raise ValueError(
+            f"prediction shape {predictions.shape} does not match target shape {targets.shape}"
+        )
+    diff = predictions - targets
+    return float(np.mean(np.sum(diff * diff, axis=1)))
 
 
 @dataclass
@@ -80,28 +101,34 @@ def train_network(
     targets: np.ndarray,
     epochs: int = 50,
     batch_size: int = 32,
-    optimizer: Optimizer | None = None,
+    learning_rate: float = 1e-3,
     train_fraction: float = 0.6,
     rng: np.random.Generator | None = None,
 ) -> TrainingResult:
-    """Train ``network`` on ``(inputs, targets)`` with mini-batch gradient descent.
+    """Train ``network`` on ``(inputs, targets)`` with mini-batch Adam.
 
     Returns the trained network along with per-epoch train/validation loss
-    curves.  The loss is the mean squared error of paper Eq. (3).
+    curves.  The loss is the mean squared error of paper Eq. (3).  Adam's
+    moments and step count live for this call only; ``rng`` draws the split
+    and each epoch's shuffle, and the network's own generator its dropout
+    masks.
     """
     if epochs <= 0:
         raise ValueError("epochs must be positive")
     if batch_size <= 0:
         raise ValueError("batch_size must be positive")
+    if learning_rate <= 0:
+        raise ValueError("learning rate must be positive")
     rng = rng if rng is not None else np.random.default_rng()
-    optimizer = optimizer if optimizer is not None else Adam(learning_rate=1e-3)
-    loss_fn = MeanSquaredError()
 
     x_train, y_train, x_val, y_val = train_validation_split(
         inputs, targets, train_fraction=train_fraction, rng=rng
     )
     history = TrainingHistory()
     n_train = x_train.shape[0]
+    params = network.weights + network.biases
+    moments = [(np.zeros_like(param), np.zeros_like(param)) for param in params]
+    step = 0
 
     for _ in range(epochs):
         order = rng.permutation(n_train)
@@ -112,16 +139,21 @@ def train_network(
             batch_idx = order[start : start + batch_size]
             x_batch = x_train[batch_idx]
             y_batch = y_train[batch_idx]
-            predictions = network.forward(x_batch, training=True)
-            batch_loss = loss_fn.forward(predictions, y_batch)
-            grad = loss_fn.backward(predictions, y_batch)
-            network.backward(grad)
-            optimizer.step(network.trainable_layers())
+            predictions = network.forward(x_batch)
+            batch_loss = mean_squared_error(predictions, y_batch)
+            network.backward(2.0 * (predictions - y_batch) / len(batch_idx))
+            step += 1
+            grads = network.grad_weights + network.grad_biases
+            for param, grad, (m, v) in zip(params, grads, moments):
+                m[...] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
+                v[...] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
+                m_hat = m / (1.0 - ADAM_BETA1**step)
+                v_hat = v / (1.0 - ADAM_BETA2**step)
+                param -= learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
             epoch_loss_sum += batch_loss * len(batch_idx)
         history.train_loss.append(float(epoch_loss_sum / n_train))
         if x_val.shape[0] > 0:
-            val_predictions = network.predict(x_val)
-            history.validation_loss.append(loss_fn.forward(val_predictions, y_val))
+            history.validation_loss.append(mean_squared_error(network.predict(x_val), y_val))
         else:
             history.validation_loss.append(history.train_loss[-1])
 

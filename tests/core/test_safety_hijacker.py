@@ -47,10 +47,7 @@ class TestKinematicPredictor:
 class TestNeuralPredictor:
     def test_untrained_predictor_has_paper_architecture(self, rng):
         predictor = NeuralSafetyPredictor.untrained(rng=rng)
-        sizes = [
-            (layer.in_features, layer.out_features)
-            for layer in predictor.network.trainable_layers()
-        ]
+        sizes = [weights.shape for weights in predictor.network.weights]
         assert sizes == [(4, 100), (100, 100), (100, 50), (50, 1)]
 
     def test_normalization_round_trip(self, rng):

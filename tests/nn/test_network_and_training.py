@@ -1,17 +1,11 @@
-"""Tests for the feed-forward network, losses, optimizers, and training loop."""
-
-import gc
-import weakref
+"""Tests for the feed-forward network, the loss, and the Adam training loop."""
 
 import numpy as np
 import pytest
 
 from repro.nn import (
-    Adam,
-    Dense,
     FeedForwardNetwork,
-    MeanSquaredError,
-    SGD,
+    mean_squared_error,
     train_network,
     train_validation_split,
 )
@@ -19,30 +13,23 @@ from repro.nn import (
 
 class TestMeanSquaredError:
     def test_zero_for_perfect_prediction(self):
-        loss = MeanSquaredError()
         y = np.array([[1.0], [2.0]])
-        assert loss.forward(y, y) == 0.0
+        assert mean_squared_error(y, y) == 0.0
 
     def test_known_value(self):
-        loss = MeanSquaredError()
-        assert loss.forward(np.array([[2.0]]), np.array([[0.0]])) == pytest.approx(4.0)
+        assert mean_squared_error(np.array([[2.0]]), np.array([[0.0]])) == pytest.approx(4.0)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            MeanSquaredError().forward(np.ones((2, 1)), np.ones((3, 1)))
-
-    def test_gradient_sign(self):
-        loss = MeanSquaredError()
-        grad = loss.backward(np.array([[2.0]]), np.array([[0.0]]))
-        assert grad[0, 0] > 0
+            mean_squared_error(np.ones((2, 1)), np.ones((3, 1)))
 
 
 class TestFeedForwardNetwork:
     def test_paper_architecture_layer_sizes(self, rng):
         network = FeedForwardNetwork.safety_hijacker_architecture(4, rng=rng)
-        dense_layers = network.trainable_layers()
-        sizes = [(layer.in_features, layer.out_features) for layer in dense_layers]
+        sizes = [weights.shape for weights in network.weights]
         assert sizes == [(4, 100), (100, 100), (100, 50), (50, 1)]
+        assert network.dropout_rate == 0.1
 
     def test_parameter_count_positive(self, rng):
         network = FeedForwardNetwork.mlp(4, (8, 8), 1, rng=rng)
@@ -54,23 +41,17 @@ class TestFeedForwardNetwork:
 
     def test_empty_layers_rejected(self):
         with pytest.raises(ValueError):
-            FeedForwardNetwork([])
+            FeedForwardNetwork([], [])
 
-    def test_get_set_weights_round_trip(self, rng):
-        network = FeedForwardNetwork.mlp(3, (5,), 1, rng=rng)
-        weights = network.get_weights()
-        x = np.ones((2, 3))
-        before = network.predict(x)
-        # Perturb, then restore.
-        for layer in network.trainable_layers():
-            layer.weights += 1.0
-        network.set_weights(weights)
-        np.testing.assert_allclose(network.predict(x), before)
-
-    def test_set_weights_wrong_length_rejected(self, rng):
-        network = FeedForwardNetwork.mlp(3, (5,), 1, rng=rng)
-        with pytest.raises(ValueError):
-            network.set_weights(network.get_weights()[:-1])
+    @pytest.mark.parametrize(
+        "weights, biases",
+        [([np.ones((3, 4)), np.ones((5, 1))], [np.zeros(4), np.zeros(1)]),
+         ([np.ones((3, 4)), np.ones((4, 1))], [np.zeros(4), np.zeros(2)])],
+        ids=["weights", "bias"],
+    )
+    def test_layers_that_do_not_chain_rejected(self, weights, biases):
+        with pytest.raises(ValueError, match="do not chain"):
+            FeedForwardNetwork(weights, biases)
 
     def test_dropout_only_active_in_training(self, rng):
         network = FeedForwardNetwork.mlp(4, (32, 32), 1, dropout_rate=0.5, rng=rng)
@@ -103,79 +84,6 @@ class TestTrainValidationSplit:
             train_validation_split(np.ones((4, 1)), np.ones((5, 1)), rng=rng)
 
 
-class TestOptimizers:
-    def test_sgd_reduces_simple_quadratic_loss(self, rng):
-        network = FeedForwardNetwork.mlp(1, (8,), 1, rng=rng)
-        x = np.linspace(-1, 1, 32).reshape(-1, 1)
-        y = 2.0 * x
-        result = train_network(
-            network, x, y, epochs=60, batch_size=8, optimizer=SGD(learning_rate=0.01), rng=rng
-        )
-        assert result.history.train_loss[-1] < result.history.train_loss[0]
-
-    def test_adam_invalid_learning_rate_rejected(self):
-        with pytest.raises(ValueError):
-            Adam(learning_rate=0.0)
-
-    def test_sgd_invalid_momentum_rejected(self):
-        with pytest.raises(ValueError):
-            SGD(momentum=1.5)
-
-    @staticmethod
-    def _dense_with_unit_grad() -> Dense:
-        layer = Dense(1, 1, rng=np.random.default_rng(0))
-        layer.weights[...] = 0.0
-        layer.bias[...] = 0.0
-        layer.grad_weights = np.array([[1.0]])
-        layer.grad_bias = np.array([0.0])
-        return layer
-
-    def test_optimizer_pins_layers_against_id_reuse(self):
-        # State is keyed by id(layer); the optimizer must hold a strong
-        # reference so a collected layer's id can never be recycled by an
-        # unrelated layer that would then inherit stale moment estimates.
-        optimizer = Adam()
-        layer = self._dense_with_unit_grad()
-        ref = weakref.ref(layer)
-        optimizer.step([layer])
-        del layer
-        gc.collect()
-        assert ref() is not None
-
-    def test_fresh_layer_gets_fresh_adam_state(self):
-        # After many steps on one layer, a brand-new layer must start from
-        # zero moments and t=1: its first bias-corrected update is exactly
-        # lr * g / (|g| + eps).  Stale moments or a shared global step count
-        # would both produce a visibly different first update.
-        optimizer = Adam(learning_rate=0.1)
-        veteran = self._dense_with_unit_grad()
-        for _ in range(50):
-            optimizer.step([veteran])
-        fresh = self._dense_with_unit_grad()
-        optimizer.step([fresh])
-        assert fresh.weights[0, 0] == pytest.approx(-0.1, rel=1e-6)
-
-    def test_two_networks_sharing_one_optimizer_train_independently(self, rng):
-        # Training net B through an optimizer that already trained net A must
-        # produce exactly the weights net B would get from a fresh optimizer.
-        x = rng.uniform(-1, 1, size=(40, 1))
-        y = 2.0 * x
-        shared = Adam(learning_rate=0.01)
-        net_a = FeedForwardNetwork.mlp(1, (8,), 1, rng=np.random.default_rng(1))
-        train_network(net_a, x, y, epochs=5, optimizer=shared, rng=np.random.default_rng(2))
-
-        net_b = FeedForwardNetwork.mlp(1, (8,), 1, rng=np.random.default_rng(3))
-        net_c = FeedForwardNetwork.mlp(1, (8,), 1, rng=np.random.default_rng(3))
-        train_network(net_b, x, y, epochs=5, optimizer=shared, rng=np.random.default_rng(4))
-        train_network(
-            net_c, x, y, epochs=5, optimizer=Adam(learning_rate=0.01),
-            rng=np.random.default_rng(4),
-        )
-        for shared_weights, fresh_weights in zip(net_b.get_weights(), net_c.get_weights()):
-            for name in shared_weights:
-                np.testing.assert_array_equal(shared_weights[name], fresh_weights[name])
-
-
 class TestTrainNetwork:
     def test_learns_linear_function(self, rng):
         network = FeedForwardNetwork.mlp(2, (16, 16), 1, rng=rng)
@@ -206,6 +114,26 @@ class TestTrainNetwork:
         with pytest.raises(ValueError):
             train_network(network, np.ones((4, 1)), np.ones((4, 1)), epochs=0, rng=rng)
 
+    def test_invalid_learning_rate_rejected(self, rng):
+        network = FeedForwardNetwork.mlp(1, (4,), 1, rng=rng)
+        with pytest.raises(ValueError):
+            train_network(network, np.ones((4, 1)), np.ones((4, 1)), learning_rate=0.0, rng=rng)
+
+    def test_second_network_trains_to_the_weights_it_gets_alone(self, rng):
+        # Adam's moments and step count belong to one call: training net A
+        # first must leave nothing behind that changes what net B learns.
+        x = rng.uniform(-1, 1, size=(40, 1))
+        y = 2.0 * x
+        alone = FeedForwardNetwork.mlp(1, (8,), 1, rng=np.random.default_rng(3))
+        train_network(alone, x, y, epochs=5, learning_rate=0.01, rng=np.random.default_rng(4))
+
+        net_a = FeedForwardNetwork.mlp(1, (8,), 1, rng=np.random.default_rng(1))
+        train_network(net_a, x, y, epochs=5, learning_rate=0.01, rng=np.random.default_rng(2))
+        net_b = FeedForwardNetwork.mlp(1, (8,), 1, rng=np.random.default_rng(3))
+        train_network(net_b, x, y, epochs=5, learning_rate=0.01, rng=np.random.default_rng(4))
+        for after_a, by_itself in zip(net_b.weights + net_b.biases, alone.weights + alone.biases):
+            np.testing.assert_array_equal(after_a, by_itself)
+
     def test_epoch_loss_weights_ragged_final_batch(self, rng):
         # 10 samples -> 6 train; batch_size 4 leaves a ragged batch of 2.  With
         # a (practically) frozen network the reported epoch loss must equal the
@@ -216,7 +144,7 @@ class TestTrainNetwork:
         network = FeedForwardNetwork.mlp(1, (4,), 1, rng=np.random.default_rng(0))
         result = train_network(
             network, inputs, targets, epochs=1, batch_size=4,
-            optimizer=SGD(learning_rate=1e-15), rng=np.random.default_rng(5),
+            learning_rate=1e-15, rng=np.random.default_rng(5),
         )
         # Replay the split and shuffle with the identical rng stream.
         replay_rng = np.random.default_rng(5)
@@ -224,13 +152,12 @@ class TestTrainNetwork:
             inputs, targets, train_fraction=0.6, rng=replay_rng
         )
         order = replay_rng.permutation(len(x_train))
-        loss_fn = MeanSquaredError()
         batch_losses = []
         batch_sizes = []
         for start in range(0, len(x_train), 4):
             batch_idx = order[start : start + 4]
             batch_losses.append(
-                loss_fn.forward(network.predict(x_train[batch_idx]), y_train[batch_idx])
+                mean_squared_error(network.predict(x_train[batch_idx]), y_train[batch_idx])
             )
             batch_sizes.append(len(batch_idx))
         weighted = sum(l * n for l, n in zip(batch_losses, batch_sizes)) / sum(batch_sizes)

@@ -6,28 +6,31 @@ its input/target standardization with it.
 """
 
 import json
+import shutil
 
 import numpy as np
 import pytest
 
 from repro.core.safety_hijacker import AttackFeatures, NeuralSafetyPredictor
-from repro.nn import (
-    FeedForwardNetwork,
-    load_network,
-    network_from_spec,
-    network_to_spec,
-    save_network,
-)
-from repro.nn.layers import Layer
-from repro.nn.serialization import NETWORK_FORMAT
+from repro.nn import FeedForwardNetwork
+from repro.nn.network import NETWORK_FORMAT
+
+
+def _edit_architecture(directory, edit):
+    """Rewrite a saved network's architecture.json through ``edit(spec)``."""
+    path = directory / "architecture.json"
+    spec = json.loads(path.read_text())
+    edit(spec)
+    path.write_text(json.dumps(spec))
 
 
 class TestNetworkSpec:
-    def test_spec_describes_every_layer(self):
+    def test_spec_describes_every_layer(self, tmp_path):
         network = FeedForwardNetwork.safety_hijacker_architecture(
             4, rng=np.random.default_rng(0)
         )
-        spec = network_to_spec(network)
+        network.save(tmp_path / "net")
+        spec = json.loads((tmp_path / "net" / "architecture.json").read_text())
         kinds = [entry["kind"] for entry in spec["layers"]]
         assert kinds == [
             "dense", "relu", "dropout",
@@ -38,35 +41,42 @@ class TestNetworkSpec:
         assert spec["layers"][0] == {"kind": "dense", "in_features": 4, "out_features": 100}
         assert spec["layers"][2] == {"kind": "dropout", "rate": 0.1}
 
-    def test_spec_rebuilds_matching_architecture(self):
-        network = FeedForwardNetwork.mlp(3, (8, 5), 2, rng=np.random.default_rng(1))
-        rebuilt = network_from_spec(network_to_spec(network))
-        assert [type(layer) for layer in rebuilt.layers] == [
-            type(layer) for layer in network.layers
-        ]
+    def test_spec_rebuilds_matching_architecture(self, tmp_path):
+        network = FeedForwardNetwork.mlp(
+            3, (8, 5), 2, dropout_rate=0.2, rng=np.random.default_rng(1)
+        )
+        network.save(tmp_path / "net")
+        rebuilt = FeedForwardNetwork.load(tmp_path / "net")
+        assert [w.shape for w in rebuilt.weights] == [w.shape for w in network.weights]
+        assert rebuilt.dropout_rate == network.dropout_rate
         assert rebuilt.num_parameters() == network.num_parameters()
 
-    def test_unknown_layer_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown layer kind"):
-            network_from_spec(
-                {"format": NETWORK_FORMAT, "version": 1, "layers": [{"kind": "conv"}]}
-            )
+    def test_unknown_layer_kind_rejected(self, tmp_path):
+        FeedForwardNetwork.mlp(2, (3,), 1, rng=np.random.default_rng(0)).save(tmp_path / "net")
+        _edit_architecture(
+            tmp_path / "net", lambda spec: spec["layers"].insert(1, {"kind": "conv"})
+        )
+        with pytest.raises(ValueError, match="unsupported network"):
+            FeedForwardNetwork.load(tmp_path / "net")
 
-    def test_foreign_format_rejected(self):
+    def test_foreign_format_rejected(self, tmp_path):
+        FeedForwardNetwork.mlp(2, (3,), 1, rng=np.random.default_rng(0)).save(tmp_path / "net")
+        _edit_architecture(tmp_path / "net", lambda spec: spec.update(format="something-else"))
         with pytest.raises(ValueError, match="not a serialized network"):
-            network_from_spec({"format": "something-else", "layers": []})
+            FeedForwardNetwork.load(tmp_path / "net")
 
-    def test_newer_version_rejected(self):
+    def test_newer_version_rejected(self, tmp_path):
+        FeedForwardNetwork.mlp(2, (3,), 1, rng=np.random.default_rng(0)).save(tmp_path / "net")
+        _edit_architecture(tmp_path / "net", lambda spec: spec.update(version=999))
         with pytest.raises(ValueError, match="newer serialization version"):
-            network_from_spec({"format": NETWORK_FORMAT, "version": 999, "layers": []})
+            FeedForwardNetwork.load(tmp_path / "net")
 
-    def test_unserializable_layer_rejected(self):
-        class Custom(Layer):
-            pass
-
-        network = FeedForwardNetwork([Custom()])
-        with pytest.raises(TypeError, match="cannot serialize layer"):
-            network_to_spec(network)
+    def test_weights_not_matching_architecture_rejected(self, tmp_path):
+        FeedForwardNetwork.mlp(3, (5,), 1, rng=np.random.default_rng(0)).save(tmp_path / "a")
+        FeedForwardNetwork.mlp(3, (6,), 1, rng=np.random.default_rng(0)).save(tmp_path / "b")
+        shutil.copy(tmp_path / "b" / "weights.npz", tmp_path / "a" / "weights.npz")
+        with pytest.raises(ValueError, match="unsupported network"):
+            FeedForwardNetwork.load(tmp_path / "a")
 
 
 class TestNetworkRoundTrip:
@@ -76,21 +86,13 @@ class TestNetworkRoundTrip:
         inputs = rng.normal(size=(32, 4))
         expected = network.predict(inputs)
 
-        save_network(network, tmp_path / "model")
-        loaded = load_network(tmp_path / "model")
+        network.save(tmp_path / "model")
+        loaded = FeedForwardNetwork.load(tmp_path / "model")
         np.testing.assert_array_equal(loaded.predict(inputs), expected)
-
-    def test_methods_on_network_delegate(self, tmp_path):
-        rng = np.random.default_rng(9)
-        network = FeedForwardNetwork.mlp(2, (6,), 1, dropout_rate=0.2, rng=rng)
-        inputs = rng.normal(size=(10, 2))
-        network.save(tmp_path / "net")
-        loaded = FeedForwardNetwork.load(tmp_path / "net")
-        np.testing.assert_array_equal(loaded.predict(inputs), network.predict(inputs))
 
     def test_architecture_file_is_readable_json(self, tmp_path):
         network = FeedForwardNetwork.mlp(2, (3,), 1, rng=np.random.default_rng(0))
-        save_network(network, tmp_path / "net")
+        network.save(tmp_path / "net")
         with (tmp_path / "net" / "architecture.json").open() as handle:
             spec = json.load(handle)
         assert spec["format"] == NETWORK_FORMAT
@@ -98,14 +100,12 @@ class TestNetworkRoundTrip:
     def test_save_is_idempotent_overwrite(self, tmp_path):
         rng = np.random.default_rng(3)
         network = FeedForwardNetwork.mlp(2, (4,), 1, rng=rng)
-        save_network(network, tmp_path / "net")
+        network.save(tmp_path / "net")
         # Mutate, re-save over the same path: the reload sees the new weights.
-        network.layers[0].weights += 1.0
-        save_network(network, tmp_path / "net")
-        loaded = load_network(tmp_path / "net")
-        np.testing.assert_array_equal(
-            loaded.layers[0].weights, network.layers[0].weights
-        )
+        network.weights[0] += 1.0
+        network.save(tmp_path / "net")
+        loaded = FeedForwardNetwork.load(tmp_path / "net")
+        np.testing.assert_array_equal(loaded.weights[0], network.weights[0])
 
 
 class TestPredictorRoundTrip:
