@@ -1,4 +1,6 @@
-"""Ablation benches for the design choices called out in DESIGN.md.
+"""Ablation benches for three design choices of the attack: when to attack
+(the safety hijacker), which oracle predicts the outcome, and how far the
+stealth bounds let the attack go.
 
 * safety hijacker ON vs OFF (attack timing) — the paper's central claim;
 * neural oracle vs closed-form kinematic oracle;

@@ -6,8 +6,9 @@ The smart malware answers three questions (paper §I):
   attack vector (`Move_Out`, `Move_In`, `Disappear`) from the rule table of
   paper Table I (:mod:`repro.core.scenario_matcher`);
 * **when** to attack — the safety hijacker predicts the post-attack safety
-  potential with a feed-forward neural network and binary-searches the minimal
-  attack window (:mod:`repro.core.safety_hijacker`);
+  potential with a feed-forward neural network and scans candidate attack
+  windows for a short one that clears the launch threshold; paper Eq. 2's
+  binary search is kept as the alternative (:mod:`repro.core.safety_hijacker`);
 * **how** to attack — the trajectory hijacker perturbs the camera feed within
   the detector's characterized noise so the Kalman-filter tracker follows a
   fake trajectory (:mod:`repro.core.trajectory_hijacker`).

@@ -12,10 +12,13 @@ on simulated attack responses; this module provides:
 * :class:`KinematicSafetyPredictor` — a closed-form constant-acceleration
   predictor, used as a fast fallback and as an ablation of the NN;
 * :class:`SafetyHijacker` — the decision logic: attack only when the predicted
-  safety potential falls below the launch threshold within the stealth bound
-  ``K <= Kmax``, finding the minimal ``k`` by binary search (valid because the
-  predicted delta is non-increasing in ``k`` for the scenarios considered,
-  paper Eq. 2).
+  safety potential after the stealth bound ``Kmax`` frames falls below the
+  launch threshold.  The default search (``search_method="scan"``) then steps
+  ``k`` from ``k_min_frames`` (12) by ``scan_step_frames`` (3) and takes the
+  first ``k`` that clears the threshold together with ``k + step``, falling
+  back to ``Kmax``.  Paper Eq. 2's binary search for the minimal ``k`` (valid
+  when the predicted delta is non-increasing in ``k``) is kept as
+  ``search_method="binary"``.
 """
 
 from __future__ import annotations
@@ -297,9 +300,11 @@ class SafetyHijacker:
     ) -> AttackDecision:
         """Return the attack/no-attack decision and the attack window ``K``.
 
-        The decision follows paper Eq. (2): attack only if some ``k <= Kmax``
-        yields a predicted safety potential below the launch threshold, and use
-        the smallest such ``k``.
+        The decision follows paper Eq. (2): attack only if the predicted
+        safety potential after ``Kmax`` frames is below the launch threshold.
+        ``K`` is then the scan's first ``k`` that clears the threshold together
+        with ``k + scan_step_frames``, else ``Kmax`` (the default), or the
+        smallest clearing ``k`` by binary search (``search_method="binary"``).
         """
         k_max = self.config.k_max_for(target_kind)
         threshold = self.config.threshold_for(vector)

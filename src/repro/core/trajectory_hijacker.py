@@ -29,9 +29,10 @@ Stealth constraints (paper Eq. 4):
 In the paper the box motion is realized by optimizing an adversarial pixel
 patch (Jia et al.); the substrate here rewrites the bounding boxes of the
 intercepted camera frame, the camera's rendered rows
-(:mod:`repro.sensors.camera`), directly, which exercises the identical
-downstream code path (tracker, fusion, planner) — see DESIGN.md for the
-substitution rationale.
+(:mod:`repro.sensors.camera`), directly.  The substitution is sound because
+the patch only ever acts on the victim through the boxes its detector
+outputs: rewriting those boxes stands in for the patch and drives the same
+tracker, fusion and planner path the patched boxes would.
 """
 
 from __future__ import annotations

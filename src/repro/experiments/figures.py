@@ -2,7 +2,7 @@
 
 Each generator returns the plotted *data* (five-number summaries, binned
 success probabilities, prediction/ground-truth pairs), which is what the
-benchmark harness prints and what EXPERIMENTS.md records.  Fig. 5 lives in
+benchmark harness prints.  Fig. 5 lives in
 :mod:`repro.experiments.characterization`.
 """
 
