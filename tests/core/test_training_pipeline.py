@@ -130,7 +130,8 @@ def test_trained_oracle_matches_golden_digest():
     predictor, result = train_neural_safety_predictor(dataset, epochs=30, seed=7)
     probe = np.random.default_rng(7).normal(size=(64, 4)) * 10.0
     digest = hashlib.sha256()
-    digest.update(np.ascontiguousarray(predictor.predict_batch(probe), dtype=np.float64).tobytes())
+    predictions = predictor.predict_batch(probe)
+    digest.update(np.ascontiguousarray(predictions, dtype=np.float64).tobytes())
     digest.update(repr([result.history.train_loss, result.history.validation_loss]).encode())
     assert digest.hexdigest() == _GOLDEN_TRAINED_ORACLE
 
