@@ -117,8 +117,8 @@ def train_network(
         raise ValueError("epochs must be positive")
     if batch_size <= 0:
         raise ValueError("batch_size must be positive")
-    if learning_rate <= 0:
-        raise ValueError("learning rate must be positive")
+    if not 0.0 < learning_rate < np.inf:
+        raise ValueError(f"learning rate must be positive and finite, got {learning_rate}")
     rng = rng if rng is not None else np.random.default_rng()
 
     x_train, y_train, x_val, y_val = train_validation_split(

@@ -31,7 +31,7 @@ class TestDense:
             FeedForwardNetwork.mlp(0, (), 3)
 
     def test_backward_before_forward_rejected(self, rng):
-        network = FeedForwardNetwork.mlp(2, (2,), 2, rng=rng)
+        network = FeedForwardNetwork.mlp(2, (), 2, rng=rng)
         with pytest.raises(RuntimeError):
             network.backward(np.ones((1, 2)))
 
@@ -79,6 +79,13 @@ class TestReLU:
         network.forward(np.array([[-1.0, 3.0]]))
         network.backward(np.array([[5.0, 5.0]]))
         np.testing.assert_array_equal(network.grad_biases[0], [0.0, 5.0])
+
+    def test_backward_before_forward_rejected(self):
+        # predict keeps no ReLU mask, so only forward makes backward valid.
+        network = identity_network(2)
+        network.predict(np.array([[-1.0, 3.0]]))
+        with pytest.raises(RuntimeError):
+            network.backward(np.ones((1, 2)))
 
 
 class TestDropout:

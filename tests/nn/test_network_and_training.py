@@ -5,10 +5,16 @@ import pytest
 
 from repro.nn import (
     FeedForwardNetwork,
+    TrainingHistory,
     mean_squared_error,
     train_network,
     train_validation_split,
 )
+
+
+def bias_only_network(bias: float) -> FeedForwardNetwork:
+    """One zero-weight dense layer: on zero inputs its output is ``bias``."""
+    return FeedForwardNetwork([np.zeros((1, 1))], [np.array([bias])])
 
 
 class TestMeanSquaredError:
@@ -22,6 +28,17 @@ class TestMeanSquaredError:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             mean_squared_error(np.ones((2, 1)), np.ones((3, 1)))
+
+    def test_gradient_sign(self):
+        # The loss gradient train_network applies points from target to
+        # prediction: one step lowers an output above its target and raises
+        # one below it.
+        zeros = np.zeros((4, 1))
+        for bias, direction in ((2.0, -1.0), (-2.0, 1.0)):
+            network = bias_only_network(bias)
+            train_network(network, zeros, zeros, epochs=1, learning_rate=0.1,
+                          rng=np.random.default_rng(0))
+            assert np.sign(network.biases[0][0] - bias) == direction
 
 
 class TestFeedForwardNetwork:
@@ -42,6 +59,10 @@ class TestFeedForwardNetwork:
     def test_empty_layers_rejected(self):
         with pytest.raises(ValueError):
             FeedForwardNetwork([], [])
+
+    def test_weights_and_biases_count_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="one bias per layer"):
+            FeedForwardNetwork([np.ones((3, 4)), np.ones((4, 1))], [np.zeros(4)])
 
     @pytest.mark.parametrize(
         "weights, biases",
@@ -84,6 +105,19 @@ class TestTrainValidationSplit:
             train_validation_split(np.ones((4, 1)), np.ones((5, 1)), rng=rng)
 
 
+class TestTrainingHistory:
+    def test_final_losses_are_the_last_epoch(self):
+        history = TrainingHistory(train_loss=[3.0, 2.0], validation_loss=[4.0, 2.5])
+        assert history.final_train_loss == 2.0
+        assert history.final_validation_loss == 2.5
+
+    def test_final_loss_of_empty_history_rejected(self):
+        with pytest.raises(ValueError, match="no training epochs"):
+            TrainingHistory().final_train_loss
+        with pytest.raises(ValueError, match="no validation epochs"):
+            TrainingHistory().final_validation_loss
+
+
 class TestTrainNetwork:
     def test_learns_linear_function(self, rng):
         network = FeedForwardNetwork.mlp(2, (16, 16), 1, rng=rng)
@@ -114,10 +148,50 @@ class TestTrainNetwork:
         with pytest.raises(ValueError):
             train_network(network, np.ones((4, 1)), np.ones((4, 1)), epochs=0, rng=rng)
 
+    def test_invalid_batch_size_rejected(self, rng):
+        network = FeedForwardNetwork.mlp(1, (4,), 1, rng=rng)
+        with pytest.raises(ValueError):
+            train_network(network, np.ones((4, 1)), np.ones((4, 1)), batch_size=0, rng=rng)
+
     def test_invalid_learning_rate_rejected(self, rng):
         network = FeedForwardNetwork.mlp(1, (4,), 1, rng=rng)
         with pytest.raises(ValueError):
             train_network(network, np.ones((4, 1)), np.ones((4, 1)), learning_rate=0.0, rng=rng)
+
+    @pytest.mark.parametrize("learning_rate", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_learning_rate_rejected(self, learning_rate):
+        # Either would train every weight to NaN without a word.
+        network = FeedForwardNetwork.mlp(2, (4,), 1, rng=np.random.default_rng(0))
+        before = [w.copy() for w in network.weights]
+        with pytest.raises(ValueError, match="positive and finite"):
+            train_network(network, np.ones((10, 2)), np.ones((10, 1)), epochs=2,
+                          learning_rate=learning_rate, rng=np.random.default_rng(1))
+        for after, initial in zip(network.weights, before):
+            np.testing.assert_array_equal(after, initial)
+
+    def test_single_row_validates_on_training_loss(self):
+        # One row leaves no validation rows: each epoch's validation loss is
+        # its training loss.
+        network = FeedForwardNetwork.mlp(1, (4,), 1, rng=np.random.default_rng(0))
+        result = train_network(network, np.ones((1, 1)), np.ones((1, 1)), epochs=3,
+                               rng=np.random.default_rng(1))
+        assert (result.n_train_samples, result.n_validation_samples) == (1, 0)
+        assert result.history.validation_loss == result.history.train_loss
+
+    def test_each_call_starts_adam_afresh(self):
+        # Zero moments and step 1 at each call: after 50 steps of a first
+        # call, the second call's first update is exactly lr * g / (|g| + eps)
+        # on the bias (about lr); moments or a step count carried over from
+        # the first call give a visibly different one (0.0091 for the
+        # 51st step of a single call).
+        zeros = np.zeros((10, 1))
+        network = bias_only_network(2.0)
+        train_network(network, zeros, zeros, epochs=50, learning_rate=0.01,
+                      rng=np.random.default_rng(0))
+        before = network.biases[0][0]
+        train_network(network, zeros, zeros, epochs=1, learning_rate=0.01,
+                      rng=np.random.default_rng(1))
+        assert before - network.biases[0][0] == pytest.approx(0.01, rel=1e-6)
 
     def test_second_network_trains_to_the_weights_it_gets_alone(self, rng):
         # Adam's moments and step count belong to one call: training net A
