@@ -37,7 +37,7 @@ PAIRS = 9
 #: at least 16 alternating before/after CPU-time pairs of the reference's 12-run
 #: sample (now ``one_lane_seconds_per_run(12)``) pinned to one core: sharing
 #: camera perception gave X1 = 1.18x (quartiles 1.02-1.24x), sharing the
-#: world side, whose scalar loop no longer snapshotted the world every step,
+#: world side, whose scalar loop stopped copying the world's state every step,
 #: X2 = 1.179x (quartiles 1.13-1.25x), and replacing the scalar loop with a
 #: one-lane lockstep batch X3 = 1.381x (32 pairs, quartiles 1.32-1.43x).  So
 #: the bound is 5 / (X1 * X2 * X3) = 2.603, rounded up to 0.1: the batch engine

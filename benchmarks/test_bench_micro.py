@@ -23,6 +23,7 @@ from repro.perception.hungarian import hungarian_assignment
 from repro.perception.pipeline import PerceptionSystem
 from repro.sensors.camera import CameraSensor
 from repro.sensors.lidar import LidarSensor
+from repro.sim.config import SimulationConfig
 from repro.sim.scenarios import ScenarioVariation, build_scenario
 from repro.sim.simulator import Simulator
 
@@ -31,12 +32,12 @@ def test_bench_perception_pipeline_step(benchmark):
     scenario = build_scenario("DS-5", ScenarioVariation.nominal())
     camera, lidar = CameraSensor(), LidarSensor(rng=np.random.default_rng(0))
     system = PerceptionSystem(rng=np.random.default_rng(1))
-    snapshot = scenario.world.snapshot()
-    camera_rows, lidar_rows = camera.render_rows(snapshot), lidar.scan_rows(snapshot)
+    world = scenario.world
+    camera_rows, lidar_rows = camera.render_rows(world), lidar.scan_rows(world)
 
     def pipeline_step():
-        """Detect, track, transform and fuse one frame, as a hand-driven loop
-        does (``examples/pedestrian_crossing_attack.py``)."""
+        """Detect, track, transform and fuse one frame on the stages' row
+        cores (the tracker through its one-tracker ``step``)."""
         system.tracker.step(system.detector.detect_rows(camera_rows))
         estimates = system.transform.estimate_rows(system.tracker.observed)
         return system.fusion.fuse(estimates, lidar_rows, 12.5, system.config.frame_dt_s)
@@ -61,36 +62,40 @@ def test_bench_safety_hijacker_decision(benchmark):
 
 
 def test_bench_robotack_frame_processing(benchmark):
-    scenario = build_scenario("DS-1", ScenarioVariation.nominal())
-    predictor = NeuralSafetyPredictor.untrained(rng=np.random.default_rng(4))
-    attacker = RoboTack(
-        scenario.road,
-        SafetyHijacker(predictor),
-        RoboTackConfig(allowed_vectors=(AttackVector.DISAPPEAR,)),
-        rng=np.random.default_rng(5),
-    )
-    camera = CameraSensor()
-    camera_rows = camera.render_rows(scenario.world.snapshot())
+    """The attacked step loop: a short fixed-length DS-1 run (60 steps) under
+    RoboTack with an untrained neural oracle, so every step runs the
+    attacker's split frame hook around its replica's step."""
 
-    benchmark(attacker.process_frame, camera_rows, 12.5)
+    def run_short():
+        scenario = build_scenario("DS-1", ScenarioVariation.nominal())
+        ads = build_ads_agent(scenario, np.random.default_rng(8))
+        predictor = NeuralSafetyPredictor.untrained(rng=np.random.default_rng(4))
+        attacker = RoboTack(
+            scenario.road,
+            SafetyHijacker(predictor),
+            RoboTackConfig(allowed_vectors=(AttackVector.DISAPPEAR,)),
+            rng=np.random.default_rng(5),
+        )
+        simulator = Simulator(
+            scenario,
+            ads,
+            config=SimulationConfig(max_duration_s=4.0),
+            attacker=attacker,
+            rng=np.random.default_rng(9),
+        )
+        return simulator.run()
 
-
-def test_bench_world_snapshot_ds5(benchmark):
-    """A ground-truth snapshot of the world: a run takes one, for its result
-    (the step loop itself reads the live world)."""
-    scenario = build_scenario("DS-5", ScenarioVariation.nominal())
-    benchmark(scenario.world.snapshot)
+    result = benchmark.pedantic(run_short, rounds=3, iterations=1)
+    assert result.steps_executed == 60
 
 
 def test_bench_simulation_step_loop(benchmark):
     """Guards the per-step cost of the step loop.
 
     A short fixed-length DS-1 run (60 steps, no attacker) dominated by the
-    per-step loop body, which reads the live world (a run takes one
-    ``world.snapshot``, for its result); regressions here mean someone added
-    a per-step cost, such as snapshotting the world each step.
+    per-step loop body, which reads the live world; regressions here mean
+    someone added a per-step cost.
     """
-    from repro.sim.config import SimulationConfig
 
     def run_short():
         scenario = build_scenario("DS-1", ScenarioVariation.nominal())

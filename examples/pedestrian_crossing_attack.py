@@ -2,13 +2,12 @@
 """DS-2 deep dive: trace a Disappear attack on the crossing pedestrian frame by frame.
 
 This example mirrors the attack walk-through of paper §III-E / Fig. 3: it runs
-the simulation loop manually so it can print, for the interesting frames, what
-the world actually looks like, what the ADS believes, and what the malware is
-doing.  Each frame the sensors render their rows, the attacker's
-``process_frame`` rewrites the camera's rows, and the victim ADS runs the
-same row-level stages a simulation lane calls (see ``repro.sim.simulator``):
-detection, tracking, the image-to-world transform, fusion, planning and
-actuation.
+one simulation lane (``repro.sim.simulator.Simulator``) with a scripted
+man-in-the-middle attacker on the camera link, then prints, for the
+interesting frames, what the world actually looks like (the ground-truth
+safety potential), what the ADS believes (the perceived one), and what the
+malware is doing.  Everything it prints comes from the run's
+``SimulationResult``: its per-step traces and its events.
 
 Run with:  python examples/pedestrian_crossing_attack.py
 """
@@ -17,35 +16,24 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ads.safety import SafetyModel, ground_truth_delta
 from repro.core import AttackVector
 from repro.core.training import ScriptedAttacker
 from repro.experiments.campaign import build_ads_agent
-from repro.sensors.camera import CameraSensor
-from repro.sensors.gps_imu import GpsImuSensor
-from repro.sensors.lidar import LidarSensor
-from repro.sim.config import SimulationConfig
+from repro.sim.events import EventKind
 from repro.sim.scenarios import ScenarioVariation, build_scenario
+from repro.sim.simulator import Simulator
 
 
-def ads_decide(ads, camera_rows, lidar_rows, ego_speed, dt):
-    """One perceive-plan-act cycle of the victim ADS: returns the smoothed
-    acceleration, the emergency-brake flag and the perceived safety potential."""
-    perception = ads.perception
-    perception.tracker.step(perception.detector.detect_rows(camera_rows))
-    estimates = perception.transform.estimate_rows(perception.tracker.observed)
-    obstacles = perception.fusion.fuse(
-        estimates, lidar_rows, ego_speed, perception.config.frame_dt_s
-    )
-    desired, emergency, perceived, _lead, target_speed = ads.planner.plan_rows(
-        obstacles, ego_speed
-    )
-    return ads.actuate(desired, emergency, target_speed, ego_speed, dt), emergency, perceived
+def _steps_of(result, kind):
+    return [event.step_index for event in result.events if event.kind is kind]
+
+
+def _delta_text(delta: float, width: int) -> str:
+    return f"{delta:{width}.1f}" if delta != float("inf") else "clear".rjust(width)
 
 
 def main() -> None:
     scenario = build_scenario("DS-2", ScenarioVariation.nominal())
-    config = SimulationConfig()
     ads = build_ads_agent(scenario, np.random.default_rng(1))
     # A scripted attacker reproduces the paper's data-collection setup: attack
     # as soon as the malware's own safety-potential estimate drops to 36 m and
@@ -58,53 +46,33 @@ def main() -> None:
         k_frames=28,
         rng=np.random.default_rng(2),
     )
+    result = Simulator(scenario, ads, attacker=attacker, rng=np.random.default_rng(3)).run()
 
-    camera = CameraSensor()
-    lidar = LidarSensor(rng=np.random.default_rng(3))
-    gps = GpsImuSensor(rng=np.random.default_rng(4))
-    safety = SafetyModel()
-    world = scenario.world
-    last_scan = None  # LiDAR rows of the latest scan
+    # The attacker perturbs every frame from the attack's start to its end.
+    attacking = set()
+    for start, end in zip(_steps_of(result, EventKind.ATTACK_STARTED),
+                          _steps_of(result, EventKind.ATTACK_ENDED)):
+        attacking.update(range(start, end + 1))
+    braking = set(_steps_of(result, EventKind.EMERGENCY_BRAKE))
 
-    print("frame |  ego x   v  | ped lateral | true δ | perceived δ | attack | EB")
-    print("-" * 78)
-    for step in range(int(scenario.duration_s * config.camera_rate_hz)):
-        snapshot = world.snapshot()
-        camera_rows = camera.render_rows(snapshot)
-        if config.lidar_due(step):
-            last_scan = lidar.scan_rows(snapshot)
-        _x, _y, ego_speed = gps.read(snapshot)
-
-        delivered = attacker.process_frame(camera_rows, ego_speed)
-        acceleration, emergency, perceived_delta = ads_decide(
-            ads, delivered, last_scan, ego_speed, config.dt
+    print("frame |   v  | true δ | perceived δ | attack | EB")
+    print("-" * 52)
+    for step in range(result.steps_executed):
+        if step % 15 and step not in attacking and step not in braking:
+            continue
+        print(
+            f"{step:5d} | {result.ego_speed_trace[step]:4.1f} | "
+            f"{_delta_text(result.true_delta_trace[step], 6)} | "
+            f"{_delta_text(result.perceived_delta_trace[step], 11)} | "
+            f"{'ACTIVE' if step in attacking else '      '} | "
+            f"{'EB' if step in braking else ''}"
         )
-
-        true_delta = ground_truth_delta(
-            snapshot, scenario.road, safety, target_actor_id=scenario.target_actor_id
-        )
-        pedestrian = snapshot.actor_by_id(scenario.target_actor_id)
-        attacking = attacker.attack_active
-
-        if step % 15 == 0 or attacking or emergency:
-            perceived = (
-                f"{perceived_delta:7.1f}" if perceived_delta != float("inf") else "  clear"
-            )
-            true_text = f"{true_delta:6.1f}" if true_delta != float("inf") else " clear"
-            print(
-                f"{step:5d} | {snapshot.ego.position.x:6.1f} {snapshot.ego.speed:4.1f} | "
-                f"{pedestrian.position.y:11.2f} | {true_text} | {perceived:>11s} | "
-                f"{'ACTIVE' if attacking else '      '} | {'EB' if emergency else ''}"
-            )
-
-        world.step(config.dt, acceleration)
-        collision = any(world.snapshot().ego.overlaps(actor) for actor in world.snapshot().actors)
-        if collision:
-            print(f"{step:5d} | COLLISION with the pedestrian — simulation halted")
-            break
+    collision = result.first_event(EventKind.COLLISION)
+    if collision is not None:
+        print(f"{collision.step_index:5d} | COLLISION with the pedestrian — simulation halted")
 
     record = attacker.record
-    print("-" * 78)
+    print("-" * 52)
     print(
         f"attack summary: launched={record.launched} start_frame={record.start_frame} "
         f"K={record.planned_k_frames} frames perturbed={record.frames_perturbed}"

@@ -19,7 +19,7 @@ from typing import Optional
 
 from repro.sim.actors import longitudinal_gap
 from repro.sim.road import Road
-from repro.sim.world import nearest_in_path
+from repro.sim.world import World, nearest_in_path
 
 __all__ = ["SafetyModel", "ground_truth_delta"]
 
@@ -59,7 +59,7 @@ class SafetyModel:
 
 
 def ground_truth_delta(
-    ground_truth,
+    world: World,
     road: Road,
     safety_model: SafetyModel,
     target_actor_id: Optional[int] = None,
@@ -67,19 +67,18 @@ def ground_truth_delta(
 ) -> float:
     """Ground-truth safety potential of the ego vehicle.
 
-    ``ground_truth`` is the live :class:`~repro.sim.world.World` (both
-    simulation engines pass theirs every step) or a
-    :class:`~repro.sim.world.GroundTruthSnapshot`.  When ``target_actor_id``
-    is given, the safety potential is computed with respect to that actor
+    ``world`` is the live :class:`~repro.sim.world.World` a simulation lane
+    drives; the lane scores it every step.  When ``target_actor_id`` is
+    given, the safety potential is computed with respect to that actor
     whenever it is ahead of the EV and inside (or laterally overlapping) the
     ego lane; otherwise the nearest in-path actor is used.  Returns ``inf``
     when there is no relevant in-path object, matching the convention that an
     unobstructed road has unbounded safety envelope.
     """
-    ego = ground_truth.ego
+    ego = world.ego
     candidate = None
     if target_actor_id is not None:
-        for actor in ground_truth.actors:
+        for actor in world.actors:
             if actor.actor_id == target_actor_id:
                 if actor.x > ego.x:
                     # Road.in_ego_lane(actor.y, margin)
@@ -89,7 +88,7 @@ def ground_truth_delta(
                         candidate = actor
                 break
     if candidate is None:
-        candidate = nearest_in_path(ground_truth, road, lateral_margin)
+        candidate = nearest_in_path(world, road, lateral_margin)
     if candidate is None:
         return float("inf")
     # safety_model.safety_potential(gap, ego speed)

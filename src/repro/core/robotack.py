@@ -30,9 +30,8 @@ lateral_velocity, track_id, actor_id, kind, rel_acceleration, age_frames)``
 One attack episode is mounted per run.  Once it is over nothing reads the
 reconstruction any more, so the attacker stops running it.  The per-frame hook
 is split around the reconstruction step (:meth:`frame_for_replica`, then
-:meth:`frame_to_deliver`): that split is what a simulation lane calls, so the
-replicas of many runs step in lockstep.  :meth:`process_frame` composes the
-two halves around the replica's own step, for loops driven by hand.
+:meth:`frame_to_deliver`): a simulation lane calls the two halves around its
+step of the replica, so the replicas of many runs step in lockstep.
 """
 
 from __future__ import annotations
@@ -173,20 +172,6 @@ class CameraMitmAttackerBase:
         nothing reads its reconstruction, so the replica stops running.
         """
         return self._attack_completed
-
-    def process_frame(self, frame: List[tuple], ego_speed_mps: float) -> List[tuple]:
-        """Observe the clean frame, maybe perturb it, and return what the ADS sees.
-
-        The split hook around one step of the replica's row cores, for loops
-        driven by hand; a simulation lane calls the two halves itself.
-        """
-        observed = self.frame_for_replica(frame)
-        if self.episode_over:
-            return observed
-        replica = self.perception
-        replica.tracker.step(replica.detector.detect_rows(observed))
-        estimates = replica.transform.estimate_rows(replica.tracker.observed)
-        return self.frame_to_deliver(observed, estimates, ego_speed_mps)
 
     def frame_for_replica(self, frame: List[tuple]) -> List[tuple]:
         """First half of a frame: count it and return what the replica observes.

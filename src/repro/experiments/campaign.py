@@ -450,10 +450,17 @@ def _build_run_setup(
 ) -> _RunSetup:
     """Derive one run's scenario, agent, attacker, and RNGs from its seed.
 
-    The draw order on ``rng`` (ads seed, attacker seed, simulator seed — the
-    attacker seed is drawn even for :attr:`AttackerKind.NONE`) is the
-    determinism contract of every stored run; changing it changes every
-    stored trace.
+    The draw order on ``rng`` (the variation unless the config pins one, then
+    the ads seed, the attacker seed and the simulator seed — the attacker
+    seed is drawn even for :attr:`AttackerKind.NONE`) is the determinism
+    contract of every stored run; changing it changes every stored trace.
+
+    It also pairs every attacked run with a *twin*: the run with the same
+    index in the benign campaign of the same scenario and seed gets the same
+    variation and the same victim and simulator seeds.  Until its attack
+    starts, an attacked run's traces and events equal its twin's, and a run
+    where nothing launched equals its twin entirely
+    (``tests/experiments/test_twins.py``).
     """
     run_seed = int(np.random.SeedSequence([config.seed, run_index]).generate_state(1)[0])
     rng = np.random.default_rng(run_seed)

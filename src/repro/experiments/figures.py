@@ -27,7 +27,6 @@ __all__ = [
     "Fig7Panel",
     "Fig8Data",
     "fig6_panels",
-    "fig6_panels_from_store",
     "fig7_panels",
     "fig7_panels_from_store",
     "fig8_data",
@@ -96,23 +95,6 @@ def fig6_panels(
             )
         )
     return panels
-
-
-def fig6_panels_from_store(
-    store: ExperimentStore,
-    with_sh: Sequence[CampaignConfig],
-    without_sh: Sequence[CampaignConfig],
-    allow_partial: bool = False,
-) -> List[Fig6Panel]:
-    """Build Fig. 6 panels from durably stored runs — no re-simulation.
-
-    Incomplete campaigns raise unless ``allow_partial=True`` (a min-δ
-    distribution over a partial run set is a silently skewed boxplot).
-    """
-    return fig6_panels(
-        [store.campaign_result(c, allow_partial=allow_partial) for c in with_sh],
-        [store.campaign_result(c, allow_partial=allow_partial) for c in without_sh],
-    )
 
 
 def fig7_panels(campaigns: Sequence[CampaignResult]) -> List[Fig7Panel]:

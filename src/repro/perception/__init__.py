@@ -23,8 +23,8 @@ on plain-float rows, which every simulation lane calls directly: the
 detector reads the camera's rendered rows (on an attacked run, the rows the
 attacker delivers) and the transform's estimate rows are what fusion fuses
 and what the attacker reads.  The tracker's ``step`` runs predict,
-association and update for one tracker on the detector's rows, for loops
-driven by hand, such as an attacker's ``process_frame``.
+association and update for one tracker on the detector's rows: the tracker's
+unit-test API, which no simulation lane calls.
 """
 
 from repro.perception.detection import DetectorNoiseModel, SimulatedDetector

@@ -20,6 +20,7 @@ paper relies on for evading the intrusion-detection system.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List
 
@@ -150,8 +151,9 @@ class DetectorDegradation:
 
     def __post_init__(self) -> None:
         for name in ("sigma_scale", "misdetection_scale", "burst_scale", "range_scale"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
     def is_identity(self) -> bool:
         return self == DetectorDegradation()

@@ -65,7 +65,8 @@ own policy object.  The rows are:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -158,6 +159,10 @@ class FusionConfig:
     )
 
     def __post_init__(self) -> None:
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if field.name != "policy" and not math.isfinite(value):
+                raise ValueError(f"{field.name} must be finite, got {value!r}")
         for name in self._UNIT_INTERVAL_FIELDS:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:

@@ -15,7 +15,8 @@ detection rows; it queues the matched tracks' Kalman updates instead of
 applying them, so the batch engine can predict and update the tracks of many
 trackers sharing one :class:`~repro.perception.kalman.KalmanPool` in one
 stacked call each.  :meth:`MultiObjectTracker.step` runs all four steps for
-one tracker, on the detector's rows, for loops driven by hand.
+one tracker, on the detector's rows: the tracker's unit-test API, which no
+simulation lane calls.
 """
 
 from __future__ import annotations

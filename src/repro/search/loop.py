@@ -321,16 +321,17 @@ class FalsificationLoop:
         ``max_iterations`` bounds how many iterations *this call* executes
         (``None`` = until the budget or target stops the search) — the knob
         tests and step-wise drivers use.  A cap below 1 raises
-        ``ValueError`` before anything is written.
+        ``ValueError`` before anything is written; so does an objective or a
+        sampler that cannot be built, with its own error.
         """
         if max_iterations is not None and max_iterations < 1:
             raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
         spec = self.spec
-        self.store.write_search_manifest(self.search_hash, {"spec": spec.to_json_dict()})
         objective = build_objective(spec.objective, **dict(spec.objective_options))
         sampler = build_search_sampler(
             spec.sampler, spec.space, seed=spec.seed, **dict(spec.sampler_options)
         )
+        self.store.write_search_manifest(self.search_hash, {"spec": spec.to_json_dict()})
 
         iteration = 0
         runs_spent = 0

@@ -36,6 +36,7 @@ sweep internals.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Dict, List, Optional, Protocol, Sequence, Tuple, runtime_checkable
 
 import numpy as np
@@ -174,6 +175,9 @@ class CrossEntropySampler:
             raise ValueError("elite_frac must be in (0, 1]")
         if not 0.0 < smoothing <= 1.0:
             raise ValueError("smoothing must be in (0, 1]")
+        for name, sigma in (("min_sigma", min_sigma), ("init_sigma", init_sigma)):
+            if not 0.0 < sigma < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {sigma!r}")
         self.space = space
         self.elite_frac = float(elite_frac)
         self.smoothing = float(smoothing)

@@ -2,10 +2,10 @@
 
 The paper's setup posts a 1920x1080 front camera at 15 Hz, a LiDAR at 10 Hz,
 and GPS/IMU at 12.5 Hz from the LGSVL simulator to Apollo.  Here each sensor
-reads the ground truth — the live :class:`~repro.sim.world.World`, which
-every simulation lane passes every step, or a snapshot of it — and produces
-its measurements as plain-float rows, through one core per sensor
-(``render_rows``, ``scan_rows``, ``read``):
+reads the ground truth — the live :class:`~repro.sim.world.World` that a
+simulation lane drives, every step — and produces its measurements as
+plain-float rows, through one core per sensor (``render_rows``,
+``scan_rows``, ``read``):
 
 * the camera projects objects ahead of the EV into image-plane bounding-box
   rows — the frame the trajectory hijacker intercepts and rewrites;

@@ -42,9 +42,9 @@ class CameraSensor:
         self.projection = CameraProjection(intrinsics)
         self.max_range_m = max_range_m
 
-    def render_rows(self, ground_truth) -> List[tuple]:
-        """Render the visible actors of the ground truth (a live world or a
-        snapshot) as rows, nearest first.
+    def render_rows(self, world) -> List[tuple]:
+        """Render the visible actors of the live ``world`` as rows, nearest
+        first.
 
         An actor is visible when it is more than the projection's minimum
         distance and at most ``max_range_m`` ahead of the camera (at the ego
@@ -53,7 +53,7 @@ class CameraSensor:
         camera sees the cross-road extent of a vehicle ahead), written out over
         plain floats: every simulation lane calls this every step.
         """
-        ego = ground_truth.ego
+        ego = world.ego
         camera_x = ego.x + ego.length / 2.0
         ego_y = ego.y
         intrinsics = self.projection.intrinsics
@@ -65,7 +65,7 @@ class CameraSensor:
         min_distance = CameraProjection.MIN_DISTANCE_M
         max_range = self.max_range_m
         rows = []
-        for actor in ground_truth.actors:
+        for actor in world.actors:
             distance = actor.x - camera_x
             if distance <= min_distance or distance > max_range:
                 continue

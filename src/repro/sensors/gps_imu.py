@@ -35,12 +35,12 @@ class GpsImuSensor:
             (position_noise_m, position_noise_m, speed_noise_mps),
         )
 
-    def read(self, ground_truth) -> Tuple[float, float, float]:
-        """The noisy ego ``(x, y, speed)`` of the ground truth (a live world
-        or a snapshot), speed clipped at zero; one draw each, in that order."""
+    def read(self, world) -> Tuple[float, float, float]:
+        """The noisy ego ``(x, y, speed)`` of the live ``world``, speed
+        clipped at zero; one draw each, in that order."""
         noise = self._noise
         i = noise.take()
         values = noise.values
-        ego = ground_truth.ego
+        ego = world.ego
         speed = ego.vx + values[i + 2]
         return ego.x + values[i], ego.y + values[i + 1], speed if speed > 0.0 else 0.0

@@ -56,20 +56,19 @@ class LidarSensor:
         """Detection range for a given object class."""
         return self.vehicle_range_m if kind is _VEHICLE else self.pedestrian_range_m
 
-    def scan_rows(self, ground_truth) -> List[tuple]:
-        """One scan of the ground truth (a live world or a snapshot) as
-        ``(distance, lateral, actor_id, kind, vx)`` rows, the fusion core's
-        LiDAR input, nearest first.
+    def scan_rows(self, world) -> List[tuple]:
+        """One scan of the live ``world`` as ``(distance, lateral, actor_id,
+        kind, vx)`` rows, the fusion core's LiDAR input, nearest first.
 
         Distance is from the ego front bumper; each detection in range takes
         one ``(x, y)`` pair of position noise, in actor order.
         """
-        ego = ground_truth.ego
+        ego = world.ego
         ego_front = ego.x + ego.length / 2.0
         ego_y = ego.y
         noise = self._noise
         rows = []
-        for actor in ground_truth.actors:
+        for actor in world.actors:
             distance = actor.x - ego_front
             kind = actor.kind
             if distance <= 0.0 or distance > self.effective_range(kind):

@@ -18,7 +18,7 @@ deterministic, seedable 2-D road-frame simulator.  It provides:
   (:mod:`repro.sim.batch`).
 """
 
-from repro.sim.actors import ActorKind, ActorSnapshot, EgoVehicle, ScriptedActor
+from repro.sim.actors import ActorKind, EgoVehicle, ScriptedActor
 from repro.sim.config import SimulationConfig
 from repro.sim.events import SimulationEvent
 from repro.sim.road import Lane, Road
@@ -29,7 +29,7 @@ from repro.sim.scenarios import (
     list_scenario_ids,
 )
 from repro.sim.waypoints import Waypoint, WaypointRoute
-from repro.sim.world import GroundTruthSnapshot, World
+from repro.sim.world import World
 
 
 def __getattr__(name: str):
@@ -51,7 +51,6 @@ def __getattr__(name: str):
 
 __all__ = [
     "ActorKind",
-    "ActorSnapshot",
     "EgoVehicle",
     "ScriptedActor",
     "SimulationConfig",
@@ -68,6 +67,5 @@ __all__ = [
     "BatchSimulator",
     "Waypoint",
     "WaypointRoute",
-    "GroundTruthSnapshot",
     "World",
 ]

@@ -20,7 +20,6 @@ from repro.sim.waypoints import WaypointRoute
 __all__ = [
     "ActorKind",
     "ActorDimensions",
-    "ActorSnapshot",
     "ScriptedActor",
     "EgoVehicle",
     "colliding_actor",
@@ -62,64 +61,6 @@ class ActorDimensions:
         return ActorDimensions(length_m=0.5, width_m=0.5, height_m=1.7)
 
 
-@dataclass(frozen=True)
-class ActorSnapshot:
-    """Ground-truth state of one actor at a simulation step.
-
-    Besides the :class:`Vec2` fields it reads as the plain floats ``x``,
-    ``y``, ``vx``, ``vy``, ``length``, ``width`` and ``height``, the names
-    the live :class:`ScriptedActor` and :class:`EgoVehicle` carry too, so
-    the sensing, safety and collision code reads either.
-    """
-
-    actor_id: int
-    kind: ActorKind
-    position: Vec2
-    velocity: Vec2
-    dimensions: ActorDimensions
-    is_ego: bool = False
-
-    @property
-    def x(self) -> float:
-        return self.position.x
-
-    @property
-    def y(self) -> float:
-        return self.position.y
-
-    @property
-    def vx(self) -> float:
-        return self.velocity.x
-
-    @property
-    def vy(self) -> float:
-        return self.velocity.y
-
-    @property
-    def length(self) -> float:
-        return self.dimensions.length_m
-
-    @property
-    def width(self) -> float:
-        return self.dimensions.width_m
-
-    @property
-    def height(self) -> float:
-        return self.dimensions.height_m
-
-    @property
-    def speed(self) -> float:
-        return self.velocity.norm()
-
-    def longitudinal_gap_to(self, other: "ActorSnapshot") -> float:
-        """Bumper-to-bumper longitudinal gap to ``other`` (negative if overlapping)."""
-        return longitudinal_gap(self, other)
-
-    def overlaps(self, other: "ActorSnapshot") -> bool:
-        """Whether the two rectangular footprints physically overlap."""
-        return colliding_actor(self, (other,)) is not None
-
-
 def longitudinal_gap(a, b) -> float:
     """Bumper-to-bumper longitudinal gap between two actors (negative if
     their footprints overlap lengthwise); reads ``x`` and ``length``."""
@@ -129,8 +70,7 @@ def longitudinal_gap(a, b) -> float:
 def colliding_actor(ego, actors) -> Optional[int]:
     """Id of the first of ``actors`` whose rectangular footprint overlaps
     ``ego``'s, or ``None``: the collision check both engines run after every
-    step.  Reads ``x``, ``y``, ``length`` and ``width`` of live actors and
-    snapshots alike."""
+    step.  Reads the live actors' ``x``, ``y``, ``length`` and ``width``."""
     x = ego.x
     y = ego.y
     length = ego.length
@@ -146,7 +86,8 @@ class ScriptedActor:
     """A non-ego actor (vehicle or pedestrian) that follows a waypoint route.
 
     Its position and velocity are its route's: ``x``, ``y``, ``vx`` and ``vy``
-    read the current ``route``, which may be replaced at any time.
+    read the current ``route``, which may be replaced at any time, and
+    :meth:`~repro.sim.world.World.step` advances it.
     """
 
     def __init__(
@@ -188,21 +129,6 @@ class ScriptedActor:
     @property
     def vy(self) -> float:
         return self.route.vy
-
-    def step(self, dt: float) -> None:
-        """Advance the actor along its route."""
-        self.route.advance(dt)
-
-    def snapshot(self) -> ActorSnapshot:
-        """Current ground-truth state."""
-        return ActorSnapshot(
-            actor_id=self.actor_id,
-            kind=self.kind,
-            position=self.route.position,
-            velocity=self.route.velocity,
-            dimensions=self._dimensions,
-            is_ego=False,
-        )
 
 
 class EgoVehicle:
@@ -275,14 +201,3 @@ class EgoVehicle:
         # speed clamps at zero.
         self.x = self.x + (speed + new_speed) / 2.0 * dt
         self.vx = new_speed
-
-    def snapshot(self) -> ActorSnapshot:
-        """Current ground-truth state."""
-        return ActorSnapshot(
-            actor_id=self.actor_id,
-            kind=self.kind,
-            position=Vec2(self.x, self.y),
-            velocity=Vec2(self.vx, 0.0),
-            dimensions=self._dimensions,
-            is_ego=True,
-        )

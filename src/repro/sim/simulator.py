@@ -91,7 +91,6 @@ from repro.sim.config import SimulationConfig
 from repro.sim.events import EventKind, SimulationEvent
 from repro.sim.scenarios import DrivingScenario
 from repro.sim.actors import colliding_actor
-from repro.sim.world import GroundTruthSnapshot
 
 if TYPE_CHECKING:  # pragma: no cover - imported for type hints only
     from repro.ads.agent import AdsAgent
@@ -107,6 +106,8 @@ class SimulationResult:
     The traces hold one entry per step, taken once the ADS has decided and
     before the world advances; a run halted by a collision appends one more,
     the impact state, so its traces are one entry longer than its steps.
+    The run's final ground truth is its scenario's world, which the lane
+    stops stepping when the run ends.
     """
 
     scenario_id: str
@@ -122,7 +123,6 @@ class SimulationResult:
     steps_executed: int
     duration_s: float
     halted_on_collision: bool
-    final_snapshot: GroundTruthSnapshot
     target_actor_id: Optional[int]
 
     def first_event(self, kind: EventKind) -> Optional[SimulationEvent]:
@@ -458,7 +458,6 @@ class Simulator:
             steps_executed=world.step_index,
             duration_s=world.time_s,
             halted_on_collision=halted,
-            final_snapshot=world.snapshot(),
             target_actor_id=self._target_id(),
         )
         self.tracker.reset()

@@ -273,7 +273,7 @@ class ParameterSpace:
                 f"units must be shaped (n_points, {len(self.axes)}), "
                 f"got {units.shape}"
             )
-        if units.size and (units.min() < 0.0 or units.max() > 1.0):
+        if units.size and not ((units >= 0.0) & (units <= 1.0)).all():
             raise ValueError("unit coordinates must lie in [0, 1]")
         paths = list(self.axes)
         return [

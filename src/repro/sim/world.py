@@ -1,61 +1,36 @@
-"""Ground-truth world state container.
+"""The ground truth: the world a simulation lane drives.
 
 The :class:`World` owns the ego vehicle and all scripted actors and advances
-them each simulation step.  Both simulation engines read the live world: the
-sensor models, the ground-truth safety potential and the collision check
-(:func:`~repro.sim.actors.colliding_actor`) take any *ground truth* — an
-object with ``ego`` and ``actors`` whose members carry the plain-float names
-of :class:`~repro.sim.actors.ActorSnapshot` (``x``, ``y``, ``vx``, ``vy``,
-``length``, ``width``, ``height``) and, for the sensors, ``time_s`` and
-``step_index``.  A :class:`World` is one; so is the immutable
-:class:`GroundTruthSnapshot` that :meth:`World.snapshot` captures for
-results, tests and offline analysis.
+them each simulation step.  It is the one ground truth: the sensors' row
+cores, the ground-truth safety potential, :func:`nearest_in_path` and the
+collision check (:func:`~repro.sim.actors.colliding_actor`) all read the
+live world a lane drives, through the plain-float names its actors carry
+(``x``, ``y``, ``vx``, ``vy``, ``length``, ``width``, ``height``), and the
+lane's run record reads its ``time_s`` and ``step_index``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from repro.sim.actors import ActorKind, ActorSnapshot, EgoVehicle, ScriptedActor
+from repro.sim.actors import ActorKind, EgoVehicle, ScriptedActor
 from repro.sim.road import Road
 
-__all__ = ["GroundTruthSnapshot", "World", "nearest_in_path"]
+__all__ = ["World", "nearest_in_path"]
 
 
-@dataclass(frozen=True)
-class GroundTruthSnapshot:
-    """Immutable ground-truth view of the world at one simulation step."""
-
-    time_s: float
-    step_index: int
-    ego: ActorSnapshot
-    actors: tuple[ActorSnapshot, ...]
-
-    def actor_by_id(self, actor_id: int) -> Optional[ActorSnapshot]:
-        """Find a non-ego actor by id, or ``None`` if it is not present."""
-        for actor in self.actors:
-            if actor.actor_id == actor_id:
-                return actor
-        return None
-
-    def nearest_in_path_actor(self, road: Road, lateral_margin: float = 0.2) -> Optional[ActorSnapshot]:
-        """The closest actor ahead whose footprint overlaps the ego lane."""
-        return nearest_in_path(self, road, lateral_margin)
-
-
-def nearest_in_path(ground_truth, road: Road, lateral_margin: float):
-    """The closest actor ahead of the ego front bumper whose footprint
-    overlaps the ego lane widened by ``lateral_margin``, or ``None``; ties go
-    to the actor listed first."""
-    ego = ground_truth.ego
+def nearest_in_path(world: World, road: Road, lateral_margin: float):
+    """The closest actor of ``world`` ahead of the ego front bumper whose
+    footprint overlaps the ego lane widened by ``lateral_margin``, or
+    ``None``; ties go to the actor listed first."""
+    ego = world.ego
     ego_front = ego.x + ego.length / 2.0
     lane = road.ego_lane
     lane_lo = lane.y_min
     lane_hi = lane.y_max
     nearest = None
     nearest_x = 0.0
-    for actor in ground_truth.actors:
+    for actor in world.actors:
         x = actor.x
         if x > ego_front and (nearest is None or x < nearest_x):
             margin = lateral_margin + actor.width / 2.0
@@ -82,15 +57,6 @@ class World:
             actor.route.advance(dt)
         self.time_s += dt
         self.step_index += 1
-
-    def snapshot(self) -> GroundTruthSnapshot:
-        """Capture the current ground-truth state."""
-        return GroundTruthSnapshot(
-            time_s=self.time_s,
-            step_index=self.step_index,
-            ego=self.ego.snapshot(),
-            actors=tuple(actor.snapshot() for actor in self.actors),
-        )
 
     def actor_by_id(self, actor_id: int) -> Optional[ScriptedActor]:
         """Look up a scripted actor by id."""

@@ -182,15 +182,15 @@ class TestAdsAgentIntegration:
         camera, lidar = CameraSensor(), LidarSensor(rng=np.random.default_rng(0))
         gps = GpsImuSensor(rng=np.random.default_rng(1))
         dt = 1.0 / 15.0
+        world = nominal_ds1.world
         for _ in range(10):
-            snapshot = nominal_ds1.world.snapshot()
-            _x, _y, speed = gps.read(snapshot)
-            perception.tracker.step(perception.detector.detect_rows(camera.render_rows(snapshot)))
+            _x, _y, speed = gps.read(world)
+            perception.tracker.step(perception.detector.detect_rows(camera.render_rows(world)))
             estimates = perception.transform.estimate_rows(perception.tracker.observed)
-            obstacles = perception.fusion.fuse(estimates, lidar.scan_rows(snapshot), speed, dt)
+            obstacles = perception.fusion.fuse(estimates, lidar.scan_rows(world), speed, dt)
             desired, emergency, _, _, target_speed = agent.planner.plan_rows(obstacles, speed)
             acceleration = agent.actuate(desired, emergency, target_speed, speed, dt)
-            nominal_ds1.world.step(dt, acceleration)
+            world.step(dt, acceleration)
         assert estimates
         assert len(obstacles) >= 1
         assert -6.0 <= acceleration <= 2.0

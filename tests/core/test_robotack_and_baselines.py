@@ -7,11 +7,15 @@ from repro.core.attack_vectors import AttackVector
 from repro.core.baselines import RandomAttacker, RoboTackWithoutSafetyHijacker
 from repro.core.robotack import RoboTack, RoboTackConfig
 from repro.core.safety_hijacker import KinematicSafetyPredictor, SafetyHijacker
+from repro.experiments.campaign import build_ads_agent
 from repro.perception.detection import DetectorConfig, DetectorNoiseModel
 from repro.perception.fusion import FusionConfig
 from repro.perception.pipeline import PerceptionConfig
 from repro.sensors.camera import CameraSensor
+from repro.sim.config import SimulationConfig
+from repro.sim.events import EventKind
 from repro.sim.scenarios import ScenarioVariation, build_scenario
+from repro.sim.simulator import Simulator
 
 FRAME_DT = 1.0 / 15.0
 
@@ -47,20 +51,42 @@ class _NeverAttackPredictor:
         return 1000.0
 
 
-#: Fields of a camera row (``CameraSensor.render_rows``).
-ACTOR_ID, KIND, CX, CY, W, H = 2, 3, 4, 5, 6, 7
+#: The actor-id field of a camera row (``CameraSensor.render_rows``).
+ACTOR_ID = 2
 
 
-def drive_with_attacker(scenario, attacker, n_frames=260, ego_speed=12.5):
-    """Feed clean camera frames of a constant-speed drive to the attacker."""
-    camera = CameraSensor()
-    delivered_frames = []
-    for _ in range(n_frames):
-        snapshot = scenario.world.snapshot()
-        frame = camera.render_rows(snapshot)
-        delivered_frames.append(attacker.process_frame(frame, ego_speed_mps=ego_speed))
-        scenario.world.step(FRAME_DT, ego_acceleration_mps2=0.0)
-    return delivered_frames
+def attacked_lane(scenario, attacker, n_frames):
+    """A simulation lane of ``scenario`` under ``attacker``, at most
+    ``n_frames`` camera frames long, against the scenario's victim ADS."""
+    ads = build_ads_agent(scenario, np.random.default_rng(0))
+    config = SimulationConfig(max_duration_s=n_frames * FRAME_DT)
+    return Simulator(scenario, ads, config=config, attacker=attacker,
+                     rng=np.random.default_rng(1))
+
+
+def run_lane(scenario, attacker, n_frames):
+    """Run ``attacker`` on :func:`attacked_lane` and return the result."""
+    return attacked_lane(scenario, attacker, n_frames).run()
+
+
+def spy(monkeypatch, owner, name, record):
+    """Wrap ``owner.name`` and return the list that gets ``record(args,
+    result)`` of each call.  A lane binds the victim's ``detect_rows`` in
+    ``start()``, so a spy set before ``run()`` sees every frame."""
+    calls = []
+    inner = getattr(owner, name)
+
+    def wrapper(*args):
+        out = inner(*args)
+        calls.append(record(args, out))
+        return out
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def _first_arg(args, out):
+    return args[0]
 
 
 def make_robotack(scenario, vector, rng_seed=0):
@@ -80,74 +106,54 @@ class TestRoboTack:
             RoboTackConfig(allowed_vectors=(AttackVector.DISAPPEAR,)),
             rng=np.random.default_rng(0),
         )
-        drive_with_attacker(scenario, attacker, n_frames=200)
+        run_lane(scenario, attacker, n_frames=200)
         assert not attacker.record.launched
 
-    def test_attacks_when_target_close_enough(self):
+    def test_attacks_when_target_close_enough(self, monkeypatch):
         scenario = build_scenario("DS-1", ScenarioVariation.nominal())
         attacker = make_robotack(scenario, AttackVector.DISAPPEAR)
-        # Driving at constant speed closes the gap until the oracle fires.
-        frames = drive_with_attacker(scenario, attacker, n_frames=260)
+        lane = attacked_lane(scenario, attacker, n_frames=260)
+        # The rows the victim's detector read, one list per frame.
+        received = spy(monkeypatch, lane.ads.perception.detector, "detect_rows", _first_arg)
+        # Following the lead vehicle closes the gap until the oracle fires.
+        lane.run()
         assert attacker.record.launched
         assert attacker.record.vector is AttackVector.DISAPPEAR
         assert attacker.record.target_actor_id == scenario.target_actor_id
         assert attacker.record.planned_k_frames > 0
         # During the attack the delivered frames omit the target.
-        start = attacker.record.start_frame - 1
-        attacked_frame = frames[start]
+        attacked_frame = received[attacker.record.start_frame - 1]
         assert not any(row[ACTOR_ID] == scenario.target_actor_id for row in attacked_frame)
 
     def test_single_episode_per_run(self):
         scenario = build_scenario("DS-1", ScenarioVariation.nominal())
         attacker = make_robotack(scenario, AttackVector.DISAPPEAR)
-        drive_with_attacker(scenario, attacker, n_frames=350)
+        result = run_lane(scenario, attacker, n_frames=350)
         assert attacker.record.frames_perturbed <= attacker.record.planned_k_frames
         assert not attacker.attack_active
         assert attacker._attack_completed
+        kinds = [event.kind for event in result.events]
+        assert kinds.count(EventKind.ATTACK_STARTED) == kinds.count(EventKind.ATTACK_ENDED) == 1
 
-    def test_replica_stops_once_the_episode_is_over(self):
+    def test_replica_stops_once_the_episode_is_over(self, monkeypatch):
+        """The lane runs the replica every frame until the episode is over,
+        then calls neither the replica nor the attacker again: the victim
+        reads the camera's own rows."""
         scenario = build_scenario("DS-1", ScenarioVariation.nominal())
         attacker = make_robotack(scenario, AttackVector.DISAPPEAR)
-        drive_with_attacker(scenario, attacker, n_frames=350)
+        lane = attacked_lane(scenario, attacker, n_frames=350)
+        rendered = spy(monkeypatch, CameraSensor, "render_rows", lambda args, out: out)
+        replica_frames = spy(monkeypatch, attacker.perception.detector, "detect_rows",
+                             lambda args, out: attacker._frame_count)
+        received = spy(monkeypatch, lane.ads.perception.detector, "detect_rows", _first_arg)
+        result = lane.run()
         assert attacker.episode_over
-        replica_calls = []
-        attacker.perception.detector.detect_rows = lambda *args: replica_calls.append(args)
-        camera = CameraSensor()
-        frame = camera.render_rows(scenario.world.snapshot())
-        assert attacker.process_frame(frame, ego_speed_mps=12.5) is frame
-        assert replica_calls == []
-
-    def test_split_hook_composes_to_process_frame(self):
-        """frame_for_replica -> replica -> frame_to_deliver is process_frame,
-        with the replica stepped on its row cores as a simulation lane steps
-        it."""
-        delivered = {}
-        for mode in ("whole", "split"):
-            scenario = build_scenario("DS-1", ScenarioVariation.nominal())
-            attacker = make_robotack(scenario, AttackVector.DISAPPEAR)
-            camera = CameraSensor()
-            frames = []
-            for _ in range(260):
-                frame = camera.render_rows(scenario.world.snapshot())
-                if mode == "whole":
-                    out = attacker.process_frame(frame, ego_speed_mps=12.5)
-                else:
-                    observed = attacker.frame_for_replica(frame)
-                    tracker = attacker.perception.tracker
-                    tracker.pool.predict_tracks((tracker,))
-                    rows, measurements = [], []
-                    tracker.track_rows(
-                        attacker.perception.detector.detect_rows(observed),
-                        rows, measurements,
-                    )
-                    tracker.pool.update_rows(rows, measurements)
-                    estimates = attacker.perception.transform.estimate_rows(tracker.observed)
-                    out = attacker.frame_to_deliver(observed, estimates, 12.5)
-                frames.append(tuple((row[KIND], row[CX], row[CY], row[W], row[H]) for row in out))
-                scenario.world.step(FRAME_DT, ego_acceleration_mps2=0.0)
-            assert attacker.record.launched
-            delivered[mode] = frames
-        assert delivered["whole"] == delivered["split"]
+        last_frame = attacker.record.start_frame + attacker.record.frames_perturbed - 1
+        assert attacker._frame_count == last_frame < result.steps_executed
+        assert replica_frames == list(range(1, last_frame))
+        assert len(received) == len(rendered) == result.steps_executed
+        assert all(delivered is clean for delivered, clean in
+                   zip(received[last_frame:], rendered[last_frame:]))
 
     def test_respects_scenario_matcher_rules(self):
         # Move_In is not applicable to an in-path lead vehicle that keeps its lane.
@@ -159,13 +165,13 @@ class TestRoboTack:
             quiet_config(AttackVector.MOVE_IN),
             rng=np.random.default_rng(1),
         )
-        drive_with_attacker(scenario, attacker, n_frames=200)
+        run_lane(scenario, attacker, n_frames=200)
         assert not attacker.record.launched
 
     def test_attack_record_features_captured(self):
         scenario = build_scenario("DS-1", ScenarioVariation.nominal())
         attacker = make_robotack(scenario, AttackVector.DISAPPEAR)
-        drive_with_attacker(scenario, attacker, n_frames=260)
+        run_lane(scenario, attacker, n_frames=260)
         record = attacker.record
         assert record.features_at_launch is not None
         assert record.features_at_launch.delta_m > 0
@@ -182,7 +188,7 @@ class TestRandomAttacker:
             start_window_frames=(10, 30),
             candidate_target_actor_ids=[scenario.target_actor_id],
         )
-        drive_with_attacker(scenario, attacker, n_frames=150)
+        run_lane(scenario, attacker, n_frames=150)
         assert attacker.record.launched
         assert attacker.record.start_frame >= 10
         assert 15 <= attacker.record.planned_k_frames <= 85
@@ -195,7 +201,7 @@ class TestRandomAttacker:
             start_window_frames=(5, 10),
             candidate_target_actor_ids=[10**9],
         )
-        drive_with_attacker(scenario, attacker, n_frames=80)
+        run_lane(scenario, attacker, n_frames=80)
         assert not attacker.record.launched
         # A fizzled random attack can never launch: its replica stops.
         assert attacker.episode_over
@@ -214,7 +220,7 @@ class TestRoboTackWithoutSafetyHijacker:
             rng=np.random.default_rng(5),
             start_window_frames=(20, 40),
         )
-        drive_with_attacker(scenario, attacker, n_frames=200)
+        run_lane(scenario, attacker, n_frames=200)
         assert attacker.record.launched
         assert attacker.record.vector is AttackVector.DISAPPEAR
         # The random timing ignores the safety potential entirely.
@@ -228,6 +234,6 @@ class TestRoboTackWithoutSafetyHijacker:
             rng=np.random.default_rng(6),
             start_window_frames=(20, 40),
         )
-        drive_with_attacker(scenario, attacker, n_frames=200)
+        run_lane(scenario, attacker, n_frames=200)
         # A parked car outside the ego lane cannot be "moved out".
         assert not attacker.record.launched

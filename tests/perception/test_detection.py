@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.perception.detection import DetectorConfig, DetectorNoiseModel, SimulatedDetector
+from repro.perception.detection import (
+    DetectorConfig,
+    DetectorDegradation,
+    DetectorNoiseModel,
+    SimulatedDetector,
+)
 from repro.sensors.camera import CameraSensor
 from repro.sim.actors import ActorKind
 from repro.sim.scenarios import ScenarioVariation, build_scenario
@@ -17,7 +22,7 @@ DET_CX, DET_KIND, DET_ACTOR_ID = 0, 4, 5
 
 def capture_ds1_frame():
     scenario = build_scenario("DS-1", ScenarioVariation.nominal())
-    return CameraSensor().render_rows(scenario.world.snapshot())
+    return CameraSensor().render_rows(scenario.world)
 
 
 class TestNoiseModel:
@@ -44,6 +49,17 @@ class TestNoiseModel:
         config = DetectorConfig()
         assert config.noise_for(ActorKind.VEHICLE) is config.vehicle_noise
         assert config.noise_for(ActorKind.PEDESTRIAN) is config.pedestrian_noise
+
+
+class TestDetectorDegradation:
+    @pytest.mark.parametrize("field", ["sigma_scale", "misdetection_scale", "burst_scale",
+                                       "range_scale"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf"), float("-inf")])
+    def test_non_positive_or_non_finite_factor_rejected(self, field, value):
+        # A NaN sigma_scale or an infinite range_scale once ran whole
+        # campaigns with ordinary-looking outcomes and serialized as NaN.
+        with pytest.raises(ValueError, match=f"^{field} must be positive and finite, got "):
+            DetectorDegradation(**{field: value})
 
 
 class TestSimulatedDetector:

@@ -5,6 +5,8 @@ documented in :mod:`repro.perception.fusion`); the obstacle rows' fields are
 read through the index constants below.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -256,6 +258,16 @@ class TestFusionConfigValidation:
         with pytest.raises(ValueError, match="unknown fusion policy"):
             FusionConfig(policy="kalman")
 
+    @pytest.mark.parametrize("field", [
+        field.name for field in dataclasses.fields(FusionConfig) if field.name != "policy"
+    ])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_numeric_field_rejected(self, field, value):
+        # NaN passed the count and gate checks (value <= 0 is False for NaN),
+        # and so did inf.
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got "):
+            FusionConfig(**{field: value})
+
     def test_boundary_values_accepted(self):
         config = FusionConfig(
             camera_weight=0.0,
@@ -433,12 +445,12 @@ class TestPerceptionSystem:
         camera = CameraSensor()
         lidar = LidarSensor(rng=np.random.default_rng(0))
         system = PerceptionSystem(rng=np.random.default_rng(1))
+        world = scenario.world
         obstacles = []
         for _ in range(8):
-            snapshot = scenario.world.snapshot()
-            _, obstacles = process(system, camera.render_rows(snapshot),
-                                   lidar.scan_rows(snapshot), ego_speed_mps=12.5)
-            scenario.world.step(FRAME_DT, 0.0)
+            _, obstacles = process(system, camera.render_rows(world),
+                                   lidar.scan_rows(world), ego_speed_mps=12.5)
+            world.step(FRAME_DT, 0.0)
         assert obstacles
         lead = obstacles[0]
         assert lead[KIND] is ActorKind.VEHICLE
@@ -452,11 +464,11 @@ class TestPerceptionSystem:
         assert type(system.fusion) is CameraOnlyFusion
         scenario = build_scenario("DS-1", ScenarioVariation.nominal())
         camera = CameraSensor()
+        world = scenario.world
         obstacles = []
         for _ in range(6):
-            snapshot = scenario.world.snapshot()
-            _, obstacles = process(system, camera.render_rows(snapshot), None, ego_speed_mps=12.5)
-            scenario.world.step(FRAME_DT, 0.0)
+            _, obstacles = process(system, camera.render_rows(world), None, ego_speed_mps=12.5)
+            world.step(FRAME_DT, 0.0)
         assert obstacles
         assert obstacles[0][SOURCES] == ("camera",)
 
@@ -478,11 +490,11 @@ class TestPerceptionSystem:
         # Individual frames can fall inside a misdetection burst and obstacle
         # registration takes a few frames, so look for a frame where both the
         # camera estimate and the fused obstacle carry the target's actor id.
+        world = scenario.world
         for _ in range(25):
-            snapshot = scenario.world.snapshot()
-            estimates, obstacles = process(system, camera.render_rows(snapshot),
-                                           lidar.scan_rows(snapshot), 12.5)
-            scenario.world.step(FRAME_DT, 0.0)
+            estimates, obstacles = process(system, camera.render_rows(world),
+                                           lidar.scan_rows(world), 12.5)
+            world.step(FRAME_DT, 0.0)
             if (
                 any(row[5] == target_id for row in estimates)
                 and any(row[ACTOR_ID] == target_id for row in obstacles)
@@ -498,6 +510,6 @@ class TestPerceptionSystem:
         scenario = build_scenario("DS-1", ScenarioVariation.nominal())
         camera = CameraSensor()
         for _ in range(5):
-            process(system, camera.render_rows(scenario.world.snapshot()), None, 12.5)
+            process(system, camera.render_rows(scenario.world), None, 12.5)
         system.reset()
         assert system.tracker.tracks == {}

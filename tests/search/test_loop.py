@@ -192,6 +192,22 @@ class TestBudgetAndTarget:
             FalsificationLoop(_spec(), ExperimentStore(tmp_path), batch_size=batch_size)
         assert not (tmp_path / "searches").exists()
 
+    @pytest.mark.parametrize("overrides", [
+        {"sampler_options": {"elite_frac": 2.0}},
+        {"sampler_options": {"bogus": 1}},
+        {"sampler_options": {"min_sigma": float("nan"), "init_sigma": float("nan")}},
+        {"objective_options": {"horizon_s": -1.0}},
+        {"sampler": "nope"},
+    ], ids=["elite_frac", "unknown_option", "nan_sigmas", "horizon", "unknown_sampler"])
+    def test_invalid_sampler_or_objective_fails_before_any_write(self, tmp_path, overrides):
+        # run() once wrote the search manifest first, so each of these left a
+        # stateless search that store.search_hashes() listed.
+        store = ExperimentStore(tmp_path)
+        with pytest.raises((ValueError, TypeError, KeyError)):
+            FalsificationLoop(_spec(**overrides), store).run()
+        assert not (tmp_path / "searches").exists()
+        assert store.search_hashes() == []
+
     def test_callers_executor_stays_open(self, tmp_path):
         class RecordingSerial(SerialExecutor):
             fanouts = 0

@@ -119,6 +119,14 @@ class TestCrossEntropyConvergence:
         with pytest.raises(ValueError):
             CrossEntropySampler(TWO_UNIFORM, smoothing=1.5)
 
+    @pytest.mark.parametrize("name", ["min_sigma", "init_sigma"])
+    @pytest.mark.parametrize("value", [0.0, -0.1, float("nan"), float("inf")])
+    def test_rejects_non_positive_or_non_finite_sigma(self, name, value):
+        # A NaN sigma proposed NaN axis values; a negative one raised numpy's
+        # "scale < 0" only at the first propose.
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got "):
+            CrossEntropySampler(TWO_UNIFORM, **{name: value})
+
 
 class TestBanditAllocation:
     RATES = {"late": 0.15, "camera_only": 0.8, "lidar_only": 0.3, "consistency_gated": 0.1}

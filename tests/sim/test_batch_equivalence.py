@@ -898,15 +898,18 @@ def _launched(lanes):
 
 
 class _ProtocolOnlyAttacker:
-    """Not a ``CameraMitmAttackerBase``: a wrapper that passes whole frames
-    through to an inner attacker's ``process_frame`` and reports its state.
+    """Not a ``CameraMitmAttackerBase``: a wrapper that passes both halves of
+    the split frame hook through to an inner attacker and reports its state.
     The loop has no black-box path, so it rejects this attacker."""
 
     def __init__(self, inner):
         self.inner = inner
 
-    def process_frame(self, frame, ego_speed_mps):
-        return self.inner.process_frame(frame, ego_speed_mps=ego_speed_mps)
+    def frame_for_replica(self, frame):
+        return self.inner.frame_for_replica(frame)
+
+    def frame_to_deliver(self, observed, estimates, ego_speed_mps):
+        return self.inner.frame_to_deliver(observed, estimates, ego_speed_mps)
 
     @property
     def attack_active(self):
@@ -931,10 +934,10 @@ def _override_frame_to_deliver(attacker):
 
 
 def _used_attacker(attacker):
-    """``attacker`` after five DS-2 frames driven through it by hand."""
-    frame = CameraSensor().render_rows(build_scenario("DS-2").world.snapshot())
+    """``attacker`` after it has counted five DS-2 frames."""
+    frame = CameraSensor().render_rows(build_scenario("DS-2").world)
     for _ in range(5):
-        attacker.process_frame(frame, ego_speed_mps=10.0)
+        attacker.frame_for_replica(frame)
     return attacker
 
 
@@ -1056,13 +1059,10 @@ class TestAttackedScalarBatchEquivalence:
         assert launch_reads and later_reads
 
     def test_stock_replica_runs_in_the_batch_port(self):
-        """A RoboTack lane never calls the attacker's whole-frame hook
-        (``process_frame``), and every Kalman row is back in the pool at the
-        end."""
+        """RoboTack lanes run their stock replicas in the batch, and every
+        Kalman row is back in the pool at the end."""
         lanes = [_lane(_campaign("DS-3", AttackerKind.ROBOTACK, AttackVector.MOVE_IN), index)
                  for index in range(_ATTACKED_RUNS)]
-        for _, attacker, _ in lanes:
-            attacker.process_frame = None  # any call would raise
         simulator = BatchSimulator([
             BatchRunSpec(scenario=setup.scenario, ads=setup.ads, attacker=attacker,
                          rng=setup.sim_rng)
@@ -1196,7 +1196,8 @@ def _width_specs():
 def _exact(spec, result):
     """Everything a lane produced, exactly, with actor ids replaced by the
     actor's index in its world (ids differ between separately built
-    scenarios)."""
+    scenarios).  The final ego state is the lane's world's, which the lane
+    stops stepping when the run ends."""
     index = {actor.actor_id: n for n, actor in enumerate(spec.scenario.world.actors)}
     attacker = spec.attacker
     record = None
@@ -1212,7 +1213,7 @@ def _exact(spec, result):
            for key, value in e.details.items()})
          for e in result.events],
         result.steps_executed, result.duration_s, result.halted_on_collision,
-        result.final_snapshot.ego.position, result.final_snapshot.ego.velocity,
+        spec.scenario.world.ego.position, spec.scenario.world.ego.vx,
         repr(record),
     )
 

@@ -1,16 +1,15 @@
 """Tests for scenario builders, the world container, and a run's record."""
 
-import numpy as np
+import math
+
 import pytest
 
 from repro.ads.safety import SafetyModel, ground_truth_delta
-from repro.sensors.camera import CameraSensor
-from repro.sensors.gps_imu import GpsImuSensor
-from repro.sensors.lidar import LidarSensor
-from repro.sim.actors import ActorKind, colliding_actor
+from repro.sim.actors import ActorKind, longitudinal_gap
 from repro.sim.events import EventKind, SimulationEvent
 from repro.sim.scenarios import ScenarioVariation, build_scenario, list_scenario_ids
 from repro.sim.simulator import SimulationResult
+from repro.sim.world import nearest_in_path
 from repro.utils.units import kph_to_mps
 
 
@@ -38,7 +37,7 @@ class TestDs1:
         scenario = build_scenario("DS-1", ScenarioVariation.nominal())
         assert scenario.target_kind is ActorKind.VEHICLE
         target = scenario.world.actor_by_id(scenario.target_actor_id)
-        assert target.snapshot().position.x == pytest.approx(60.0)
+        assert target.x == pytest.approx(60.0)
 
     def test_target_speed_is_25_kph(self):
         scenario = build_scenario("DS-1", ScenarioVariation.nominal())
@@ -57,15 +56,15 @@ class TestDs2:
     def test_pedestrian_starts_off_road(self):
         scenario = build_scenario("DS-2", ScenarioVariation.nominal())
         ped = scenario.world.actor_by_id(scenario.target_actor_id)
-        assert abs(ped.snapshot().position.y) > scenario.road.ego_lane.width
+        assert abs(ped.y) > scenario.road.ego_lane.width
 
     def test_pedestrian_crosses_the_ego_lane(self):
         scenario = build_scenario("DS-2", ScenarioVariation.nominal())
         ped = scenario.world.actor_by_id(scenario.target_actor_id)
         crossed = False
         for _ in range(int(scenario.duration_s * 15)):
-            ped.step(1.0 / 15.0)
-            if scenario.road.in_ego_lane(ped.snapshot().position.y):
+            scenario.world.step(1.0 / 15.0, ego_acceleration_mps2=0.0)
+            if scenario.road.in_ego_lane(ped.y):
                 crossed = True
         assert crossed
 
@@ -74,23 +73,22 @@ class TestDs3AndDs4:
     def test_parked_vehicle_in_parking_lane(self):
         scenario = build_scenario("DS-3", ScenarioVariation.nominal())
         parked = scenario.world.actor_by_id(scenario.target_actor_id)
-        assert scenario.road.lane_of(parked.snapshot().position.y).name == "parking"
-        assert parked.snapshot().speed == 0.0
+        assert scenario.road.lane_of(parked.y).name == "parking"
+        assert (parked.vx, parked.vy) == (0.0, 0.0)
 
     def test_ds4_pedestrian_walks_towards_ev_then_stops(self):
         scenario = build_scenario("DS-4", ScenarioVariation.nominal())
         ped = scenario.world.actor_by_id(scenario.target_actor_id)
-        start_x = ped.snapshot().position.x
+        start_x = ped.x
         for _ in range(int(15 * 15)):
-            ped.step(1.0 / 15.0)
-        end = ped.snapshot()
-        assert end.position.x == pytest.approx(start_x - 5.0, abs=0.2)
-        assert end.speed == pytest.approx(0.0)
+            scenario.world.step(1.0 / 15.0, ego_acceleration_mps2=0.0)
+        assert ped.x == pytest.approx(start_x - 5.0, abs=0.2)
+        assert math.hypot(ped.vx, ped.vy) == pytest.approx(0.0)
 
     def test_ds4_pedestrian_stays_out_of_ego_lane(self):
         scenario = build_scenario("DS-4", ScenarioVariation.nominal())
         ped = scenario.world.actor_by_id(scenario.target_actor_id)
-        assert not scenario.road.in_ego_lane(ped.snapshot().position.y, margin=0.3)
+        assert not scenario.road.in_ego_lane(ped.y, margin=0.3)
 
 
 class TestDs5:
@@ -146,57 +144,28 @@ class TestWorld:
     def test_step_advances_time_and_actors(self):
         scenario = build_scenario("DS-1", ScenarioVariation.nominal())
         world = scenario.world
-        before = world.snapshot()
+        lead = world.actor_by_id(scenario.target_actor_id)
+        time_s, step_index, ego_x, lead_x = world.time_s, world.step_index, world.ego.x, lead.x
         world.step(1.0 / 15.0, ego_acceleration_mps2=0.0)
-        after = world.snapshot()
-        assert after.time_s > before.time_s
-        assert after.step_index == before.step_index + 1
-        assert after.ego.position.x > before.ego.position.x
-
-    @pytest.mark.parametrize("scenario_id", list_scenario_ids())
-    def test_live_world_reads_like_its_snapshot(self, scenario_id):
-        """A simulation lane senses, scores and collision-checks the live
-        world; a loop driven by hand may pass a snapshot.  At every step of a
-        drive that speeds up through the scenario (and into some of its
-        actors), each sensor core, ground-truth δ and the collision check
-        give the same values on both."""
-        scenario = build_scenario(scenario_id)
-        world, road, safety = scenario.world, scenario.road, SafetyModel()
-        camera = CameraSensor()
-        lidars = [LidarSensor(rng=np.random.default_rng(3)) for _ in range(2)]
-        gpses = [GpsImuSensor(rng=np.random.default_rng(4)) for _ in range(2)]
-        collisions = 0
-        for step in range(200):
-            snapshot = world.snapshot()
-            assert camera.render_rows(world) == camera.render_rows(snapshot)
-            assert lidars[0].scan_rows(world) == lidars[1].scan_rows(snapshot)
-            assert gpses[0].read(world) == gpses[1].read(snapshot)
-            for target in (None, scenario.target_actor_id):
-                assert ground_truth_delta(world, road, safety, target) == ground_truth_delta(
-                    snapshot, road, safety, target)
-            hit = next((a.actor_id for a in snapshot.actors if snapshot.ego.overlaps(a)), None)
-            assert colliding_actor(world.ego, world.actors) == hit
-            collisions += hit is not None
-            world.step(1.0 / 15.0, ego_acceleration_mps2=1.0)
-        if scenario_id in ("DS-1", "DS-5", "DS-6"):
-            assert collisions  # the drive runs into a vehicle ahead
+        assert world.time_s > time_s
+        assert world.step_index == step_index + 1
+        assert world.ego.x > ego_x
+        assert lead.x > lead_x
 
     def test_invalid_dt_rejected(self):
         world = build_scenario("DS-1").world
         with pytest.raises(ValueError):
             world.step(0.0, 0.0)
 
-    def test_nearest_in_path_actor(self):
+    def test_nearest_in_path(self):
         scenario = build_scenario("DS-1", ScenarioVariation.nominal())
-        snapshot = scenario.world.snapshot()
-        nearest = snapshot.nearest_in_path_actor(scenario.road)
+        nearest = nearest_in_path(scenario.world, scenario.road, lateral_margin=0.2)
         assert nearest is not None
         assert nearest.actor_id == scenario.target_actor_id
 
     def test_parked_vehicle_not_in_path(self):
         scenario = build_scenario("DS-3", ScenarioVariation.nominal())
-        snapshot = scenario.world.snapshot()
-        assert snapshot.nearest_in_path_actor(scenario.road) is None
+        assert nearest_in_path(scenario.world, scenario.road, lateral_margin=0.2) is None
 
     def test_actor_lookup(self):
         scenario = build_scenario("DS-1")
@@ -212,18 +181,17 @@ class TestWorld:
 class TestGroundTruthDelta:
     def test_clear_road_gives_infinite_delta(self):
         scenario = build_scenario("DS-3", ScenarioVariation.nominal())
-        snapshot = scenario.world.snapshot()
-        delta = ground_truth_delta(snapshot, scenario.road, SafetyModel())
+        delta = ground_truth_delta(scenario.world, scenario.road, SafetyModel())
         assert delta == float("inf")
 
     def test_lead_vehicle_reduces_delta(self):
         scenario = build_scenario("DS-1", ScenarioVariation.nominal())
-        snapshot = scenario.world.snapshot()
+        world = scenario.world
         delta = ground_truth_delta(
-            snapshot, scenario.road, SafetyModel(), target_actor_id=scenario.target_actor_id
+            world, scenario.road, SafetyModel(), target_actor_id=scenario.target_actor_id
         )
-        gap = snapshot.ego.longitudinal_gap_to(snapshot.actors[0])
-        assert delta == pytest.approx(gap - SafetyModel().stopping_distance(snapshot.ego.speed))
+        gap = longitudinal_gap(world.ego, world.actors[0])
+        assert delta == pytest.approx(gap - SafetyModel().stopping_distance(world.ego.speed_mps))
 
 
 def _result(events=(), true_delta_trace=()):
@@ -238,7 +206,6 @@ def _result(events=(), true_delta_trace=()):
         steps_executed=len(trace),
         duration_s=len(trace) / 15.0,
         halted_on_collision=False,
-        final_snapshot=build_scenario("DS-1", ScenarioVariation.nominal()).world.snapshot(),
         target_actor_id=None,
     )
 

@@ -5,7 +5,7 @@ a batch lane where applicable:
 
 * a scenario whose actors spawn already overlapping halts at step 0 instead
   of driving the ego through them for the full duration;
-* on a collision halt the impact snapshot still gets a trace entry, so the
+* on a collision halt the impact state still gets a trace entry, so the
   traces are exactly one entry longer than ``steps_executed`` and
   ``min_true_delta_from_attack`` sees the value at impact;
 * a run that ends (duration elapsed or collision halt) while an attack is
@@ -141,7 +141,7 @@ class TestSpawnOverlapHalt:
 
 class TestCollisionStepTraceEntry:
     @pytest.mark.parametrize("engine", ["simulator", "batch"])
-    def test_impact_snapshot_is_traced(self, engine):
+    def test_impact_state_is_traced(self, engine):
         scenario = _imminent_collision_scenario()
         ads = build_ads_agent(scenario, np.random.default_rng(_ADS_SEED))
         rng = np.random.default_rng(_SIM_SEED)
@@ -154,8 +154,8 @@ class TestCollisionStepTraceEntry:
         _assert_golden(result, "impact")
         assert result.halted_on_collision
         assert result.steps_executed > 0
-        # One trace entry per pre-step snapshot plus one for the impact
-        # snapshot the loop previously dropped on the floor.
+        # One trace entry per step plus one for the impact state the loop
+        # previously dropped on the floor.
         assert len(result.true_delta_trace) == result.steps_executed + 1
         assert len(result.perceived_delta_trace) == result.steps_executed + 1
         assert len(result.ego_speed_trace) == result.steps_executed + 1
@@ -182,7 +182,7 @@ class TestOpenAttackIntervalClosed:
         assert kinds.count(EventKind.ATTACK_STARTED) == 1
         assert kinds.count(EventKind.ATTACK_ENDED) == 1
         # Started and ended are properly ordered and the interval is closed at
-        # the final snapshot, not left dangling.
+        # the run's end, not left dangling.
         started = next(
             e for e in result.events if e.kind is EventKind.ATTACK_STARTED
         )
@@ -216,21 +216,25 @@ class TestEgoLimitsFromConfig:
 
     @staticmethod
     def _run(make_scenario, config, engine):
+        """The run's result and its ego, which the lane stops stepping when
+        the run ends."""
         scenario = make_scenario()
         ads = build_ads_agent(scenario, np.random.default_rng(_ADS_SEED))
         rng = np.random.default_rng(_SIM_SEED)
         if engine == "simulator":
-            return Simulator(scenario, ads, config=config, rng=rng).run()
-        return BatchSimulator(
-            [BatchRunSpec(scenario=scenario, ads=ads, rng=rng)], config=config
-        ).run()[0]
+            result = Simulator(scenario, ads, config=config, rng=rng).run()
+        else:
+            result = BatchSimulator(
+                [BatchRunSpec(scenario=scenario, ads=ads, rng=rng)], config=config
+            ).run()[0]
+        return result, scenario.world.ego
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_config_limits_bind_alone_and_in_a_batch(self, case):
         make_scenario, limits = self.CASES[case]
-        default = self._run(make_scenario, SimulationConfig(), "simulator")
-        alone = self._run(make_scenario, limits, "simulator")
-        batch = self._run(make_scenario, limits, "batch")
+        default, _ = self._run(make_scenario, SimulationConfig(), "simulator")
+        alone, alone_ego = self._run(make_scenario, limits, "simulator")
+        batch, batch_ego = self._run(make_scenario, limits, "batch")
         _assert_golden(default, (case, "default"))
         _assert_golden(alone, (case, "limits"))
         _assert_golden(batch, (case, "limits"))
@@ -245,5 +249,5 @@ class TestEgoLimitsFromConfig:
         assert alone.perceived_delta_trace == batch.perceived_delta_trace
         assert alone.ego_speed_trace == batch.ego_speed_trace
         assert _kinds(alone) == _kinds(batch)
-        assert alone.final_snapshot.ego.position == batch.final_snapshot.ego.position
-        assert alone.final_snapshot.ego.velocity == batch.final_snapshot.ego.velocity
+        assert alone_ego.position == batch_ego.position
+        assert alone_ego.vx == batch_ego.vx

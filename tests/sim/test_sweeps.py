@@ -298,6 +298,12 @@ class TestUnitCubeBridge:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             self.SPACE.sample_from(np.array([[0.5, 1.2]]))
 
+    def test_sample_from_rejects_nan_units(self):
+        # NaN failed both units.min() < 0 and units.max() > 1, so it mapped
+        # to a NaN axis value.
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            self.SPACE.sample_from(np.array([[0.5, 0.5], [float("nan"), 0.5]]))
+
     def test_paths_and_spec_accessors(self):
         assert self.SPACE.paths() == list(self.SPACE) == [
             "variation.lead_gap_offset_m",

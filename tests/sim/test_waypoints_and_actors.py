@@ -5,7 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import Vec2
-from repro.sim.actors import ActorDimensions, ActorKind, EgoVehicle, ScriptedActor
+from repro.sim.actors import (
+    ActorDimensions,
+    ActorKind,
+    EgoVehicle,
+    ScriptedActor,
+    colliding_actor,
+    longitudinal_gap,
+)
 from repro.sim.waypoints import Waypoint, WaypointRoute
 
 
@@ -97,15 +104,13 @@ class TestScriptedActor:
         pedestrian = ScriptedActor(ActorKind.PEDESTRIAN, WaypointRoute.stationary(Vec2(0, 0)))
         assert vehicle.dimensions.length_m > pedestrian.dimensions.length_m
 
-    def test_snapshot_reflects_route_state(self):
+    def test_reads_its_route_state(self):
         actor = ScriptedActor(
             ActorKind.VEHICLE, WaypointRoute.straight_line(Vec2(0, 0), Vec2(10, 0), 5.0)
         )
-        actor.step(1.0)
-        snap = actor.snapshot()
-        assert snap.position.x == pytest.approx(5.0)
-        assert snap.velocity.x == pytest.approx(5.0)
-        assert not snap.is_ego
+        actor.route.advance(1.0)
+        assert actor.x == pytest.approx(5.0)
+        assert actor.vx == pytest.approx(5.0)
 
 
 class TestEgoVehicle:
@@ -141,36 +146,26 @@ class TestEgoVehicle:
         with pytest.raises(ValueError):
             ego.apply_control(0.0, dt=0.0)
 
-    def test_snapshot_is_ego(self):
-        ego = EgoVehicle(Vec2(0, 0), speed_mps=1.0)
-        assert ego.snapshot().is_ego
 
-
-class TestActorSnapshotGeometry:
+class TestActorGeometry:
     def test_longitudinal_gap(self):
-        ego = EgoVehicle(Vec2(0, 0), speed_mps=1.0).snapshot()
+        ego = EgoVehicle(Vec2(0, 0), speed_mps=1.0)
         lead = ScriptedActor(
             ActorKind.VEHICLE,
             WaypointRoute.stationary(Vec2(20, 0)),
             ActorDimensions.sedan(),
-        ).snapshot()
+        )
         expected = 20 - (ego.dimensions.length_m + lead.dimensions.length_m) / 2.0
-        assert ego.longitudinal_gap_to(lead) == pytest.approx(expected)
+        assert longitudinal_gap(ego, lead) == pytest.approx(expected)
 
     def test_overlap_detection(self):
-        ego = EgoVehicle(Vec2(0, 0), speed_mps=1.0).snapshot()
-        close = ScriptedActor(
-            ActorKind.VEHICLE, WaypointRoute.stationary(Vec2(3.0, 0.0))
-        ).snapshot()
-        far = ScriptedActor(
-            ActorKind.VEHICLE, WaypointRoute.stationary(Vec2(30.0, 0.0))
-        ).snapshot()
-        assert ego.overlaps(close)
-        assert not ego.overlaps(far)
+        ego = EgoVehicle(Vec2(0, 0), speed_mps=1.0)
+        close = ScriptedActor(ActorKind.VEHICLE, WaypointRoute.stationary(Vec2(3.0, 0.0)))
+        far = ScriptedActor(ActorKind.VEHICLE, WaypointRoute.stationary(Vec2(30.0, 0.0)))
+        assert colliding_actor(ego, [far, close]) == close.actor_id
+        assert colliding_actor(ego, [far]) is None
 
     def test_no_lateral_overlap_means_no_collision(self):
-        ego = EgoVehicle(Vec2(0, 0), speed_mps=1.0).snapshot()
-        beside = ScriptedActor(
-            ActorKind.VEHICLE, WaypointRoute.stationary(Vec2(1.0, 3.5))
-        ).snapshot()
-        assert not ego.overlaps(beside)
+        ego = EgoVehicle(Vec2(0, 0), speed_mps=1.0)
+        beside = ScriptedActor(ActorKind.VEHICLE, WaypointRoute.stationary(Vec2(1.0, 3.5)))
+        assert colliding_actor(ego, [beside]) is None
