@@ -59,6 +59,13 @@ class DetectorNoiseModel:
     misdetection_burst_p99_frames: float
 
     def __post_init__(self) -> None:
+        # A NaN passes the sign and percentile checks below, and an infinite
+        # burst percentile makes ``burst_rate`` 0.0, which fails only at the
+        # first burst, inside ``detect_rows``.
+        for spec in dataclasses.fields(self):
+            value = getattr(self, spec.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{spec.name} must be finite, got {value!r}")
         if self.center_noise_sigma_x < 0 or self.center_noise_sigma_y < 0:
             raise ValueError("noise sigmas must be non-negative")
         if not 0.0 <= self.misdetection_start_probability < 1.0:
@@ -122,6 +129,12 @@ class DetectorConfig:
     #: Boxes smaller than this many pixels in height are below the detector's
     #: resolution and are never reported (objects very far away).
     min_bbox_height_px: float = 8.0
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.min_bbox_height_px < math.inf:
+            raise ValueError(
+                f"min_bbox_height_px must be non-negative and finite, got {self.min_bbox_height_px!r}"
+            )
 
     def noise_for(self, kind: ActorKind) -> DetectorNoiseModel:
         """Noise model for an object class."""
@@ -207,13 +220,19 @@ class SimulatedDetector:
     def detect_rows(self, objects: List[tuple]) -> List[tuple]:
         """Run the detector on one frame of rendered rows: one ``(cx, cy, w,
         h, kind, actor_id, confidence)`` row per reported object, in frame
-        order.  ``confidence`` is the raw draw: no stage reads it, but it
-        keeps the detector's random stream."""
+        order.
+
+        A detected object takes one ``standard_normal(4)`` draw and forms
+        its centre noise, size jitter and ``confidence`` as ``loc + scale *
+        z``, exactly as four ``Generator.normal(loc, scale)`` calls would
+        from the same stream.  ``confidence`` is the raw draw: no stage
+        reads it, but it keeps the detector's random stream."""
         config = self.config
         vehicle_noise = config.vehicle_noise
         pedestrian_noise = config.pedestrian_noise
         min_bbox_h = config.min_bbox_height_px
         rng = self._rng
+        standard_normal = rng.standard_normal
         burst = self._burst_remaining
         detections = []
         visible = set()
@@ -231,13 +250,13 @@ class SimulatedDetector:
                 # The current frame consumes one frame of the burst.
                 burst[actor_id] = burst_length - 1 if burst_length > 1 else 0
                 continue
-            dx = rng.normal(noise.center_noise_mu_x, noise.center_noise_sigma_x) * w
-            dy = rng.normal(noise.center_noise_mu_y, noise.center_noise_sigma_y) * h
-            size_jitter = rng.normal(1.0, 0.03)
+            z_x, z_y, z_size, z_conf = standard_normal(4).tolist()
+            dx = (noise.center_noise_mu_x + noise.center_noise_sigma_x * z_x) * w
+            dy = (noise.center_noise_mu_y + noise.center_noise_sigma_y * z_y) * h
+            size_jitter = 1.0 + 0.03 * z_size
             size_jitter = 0.85 if 0.85 > size_jitter else 1.15 if size_jitter > 1.15 else size_jitter
             detections.append((float(cx + dx), float(cy + dy), float(w * size_jitter),
-                               float(h * size_jitter), kind, actor_id,
-                               rng.normal(0.85, 0.08)))
+                               float(h * size_jitter), kind, actor_id, 0.85 + 0.08 * z_conf))
         # Forget burst state for objects that left the field of view so the
         # state does not grow unboundedly over a long drive.
         if burst:

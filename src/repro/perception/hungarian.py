@@ -5,10 +5,17 @@ trackers as a bipartite matching problem solved with the Hungarian algorithm
 ("M" in paper Fig. 1).  This is a from-scratch O(n^3) implementation using the
 shortest-augmenting-path formulation with potentials; it is also the matching
 cost that the trajectory hijacker maximizes in paper Eq. (4).
+
+The solver runs on Python lists of floats: the tracker's matrices are a few
+rows wide, so indexing NumPy arrays one scalar at a time would cost more than
+the arithmetic.  The float64 arithmetic and the strict ``<`` tie-breaks are
+the textbook algorithm's, so the matching equals a NumPy-array solve of the
+same algorithm pair for pair.
 """
 
 from __future__ import annotations
 
+from math import isfinite
 from typing import List, Tuple
 
 import numpy as np
@@ -16,47 +23,65 @@ import numpy as np
 __all__ = ["hungarian_assignment", "assignment_total_cost"]
 
 
-def hungarian_assignment(cost_matrix: np.ndarray) -> List[Tuple[int, int]]:
+def hungarian_assignment(cost_matrix: np.ndarray | List[List[float]]) -> List[Tuple[int, int]]:
     """Solve the minimum-cost assignment problem.
 
-    ``cost_matrix`` has shape ``(n_rows, n_cols)``; the function returns a list
-    of ``(row, col)`` pairs forming a minimum-cost matching that covers
+    ``cost_matrix`` has shape ``(n_rows, n_cols)``: an array, or a list of
+    equal-length rows of floats (which the tracker passes, so its path makes
+    no NumPy call).  The function returns a sorted list of ``(row, col)``
+    ``int`` pairs forming a minimum-cost matching that covers
     ``min(n_rows, n_cols)`` rows/columns.  The matrix does not need to be
-    square.
+    square.  Every cost must be finite, or ``ValueError`` is raised before
+    solving: an infinite cost turns the potentials into infinities and NaNs
+    (an all-infinite matrix never closes an augmenting path), and a NaN
+    compares false both ways, so the matching would be arbitrary.
     """
-    cost = np.asarray(cost_matrix, dtype=float)
-    if cost.ndim != 2:
-        raise ValueError("cost matrix must be two-dimensional")
-    n_rows, n_cols = cost.shape
+    if type(cost_matrix) is list and cost_matrix and all(type(row) is list for row in cost_matrix):
+        cost = cost_matrix
+    else:
+        array = np.asarray(cost_matrix, dtype=float)
+        if array.ndim != 2:
+            raise ValueError("cost matrix must be two-dimensional")
+        cost = array.tolist()
+    n_rows = len(cost)
+    n_cols = len(cost[0]) if n_rows else 0
     if n_rows == 0 or n_cols == 0:
         return []
+    for row in cost:
+        if len(row) != n_cols:
+            raise ValueError("cost matrix rows must have equal length")
+        if not all(map(isfinite, row)):
+            raise ValueError("cost matrix entries must be finite")
     transposed = False
     if n_rows > n_cols:
-        cost = cost.T
-        n_rows, n_cols = cost.shape
+        cost = [list(col) for col in zip(*cost)]
+        n_rows, n_cols = n_cols, n_rows
         transposed = True
 
     # Potentials-based shortest augmenting path algorithm (1-indexed).
     INF = float("inf")
-    u = np.zeros(n_rows + 1)
-    v = np.zeros(n_cols + 1)
-    match_for_col = np.zeros(n_cols + 1, dtype=int)
-    way = np.zeros(n_cols + 1, dtype=int)
+    u = [0.0] * (n_rows + 1)
+    v = [0.0] * (n_cols + 1)
+    match_for_col = [0] * (n_cols + 1)
+    way = [0] * (n_cols + 1)
+    columns = range(1, n_cols + 1)
 
     for row in range(1, n_rows + 1):
         match_for_col[0] = row
         j0 = 0
-        min_values = np.full(n_cols + 1, INF)
-        used = np.zeros(n_cols + 1, dtype=bool)
+        min_values = [INF] * (n_cols + 1)
+        used = [False] * (n_cols + 1)
         while True:
             used[j0] = True
             i0 = match_for_col[j0]
+            cost_row = cost[i0 - 1]
+            u_i0 = u[i0]
             delta = INF
             j1 = -1
-            for j in range(1, n_cols + 1):
+            for j in columns:
                 if used[j]:
                     continue
-                current = cost[i0 - 1, j - 1] - u[i0] - v[j]
+                current = cost_row[j - 1] - u_i0 - v[j]
                 if current < min_values[j]:
                     min_values[j] = current
                     way[j] = j0
@@ -79,11 +104,7 @@ def hungarian_assignment(cost_matrix: np.ndarray) -> List[Tuple[int, int]]:
             if j0 == 0:
                 break
 
-    pairs: List[Tuple[int, int]] = []
-    for col in range(1, n_cols + 1):
-        row = match_for_col[col]
-        if row > 0:
-            pairs.append((row - 1, col - 1))
+    pairs = [(match_for_col[col] - 1, col - 1) for col in columns if match_for_col[col] > 0]
     if transposed:
         pairs = [(col, row) for row, col in pairs]
     pairs.sort()

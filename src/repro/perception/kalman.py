@@ -11,7 +11,7 @@ tracks it).
 :class:`KalmanPool` is the constant-velocity bounding-box filter the
 multi-object tracker runs: every track's state is one row of pooled arrays,
 so predict and update run over many tracks — of one tracker or of every lane
-of a batch — in one stacked call each.
+of a batch — in a few stacked calls each.
 """
 
 from __future__ import annotations
@@ -95,15 +95,12 @@ class KalmanFilter:
 
 # Constant-velocity bounding-box model shared by every pooled track.  State
 # ``[cx, cy, w, h, vx, vy]`` (``vx, vy`` are pixel velocities of the box
-# centre per frame); measurements ``[cx, cy, w, h]``.  F_T/H_T are kept as .T
-# views so the BLAS paths match KalmanFilter's ``A @ B.T`` expressions.
+# centre per frame); measurements ``[cx, cy, w, h]``.
 F = np.eye(6)
 F[0, 4] = 1.0
 F[1, 5] = 1.0
-_F_T = F.T
 H = np.zeros((4, 6))
 H[0, 0] = H[1, 1] = H[2, 2] = H[3, 3] = 1.0
-_H_T = H.T
 Q = np.diag([1.0, 1.0, 0.5, 0.5, 2.0, 2.0])
 R = np.eye(4) * 10.0
 P0 = np.diag([10.0, 10.0, 10.0, 10.0, 100.0, 100.0])
@@ -115,11 +112,22 @@ class KalmanPool:
 
     A track holds a *row* (its handle) in the pooled ``(cap, 6)`` state and
     ``(cap, 6, 6)`` covariance arrays; predict/update operate on arbitrary row
-    subsets in one stacked ``np.matmul`` call each.  The stacked algebra uses
-    the same operation order, ``.T`` views and Joseph-form update as
-    :class:`KalmanFilter`, and NumPy evaluates a stacked matmul as the same
-    dot products per stack element, so every row evolves exactly as a
+    subsets in a few stacked calls each, and every row evolves exactly as a
     :class:`KalmanFilter` built from ``F``, ``H``, ``Q``, ``R`` and ``P0``.
+
+    ``F`` and ``H`` hold only exact 0 and 1 entries and ``R`` is ``10 I``,
+    so every entry of ``F x``, ``F P``, ``(F P) Fᵀ``, ``P Hᵀ``, ``H P Hᵀ``,
+    ``K H`` and ``K R`` has at most two non-zero terms, each an exact
+    product: its dot product is their sum rounded once, or ``10 K`` rounded
+    once, which is what the slice sums, views and ``10 K`` below compute.
+    Only the sign of a zero could differ, and a matrix product's zero is
+    ``+0.0``: so ``x + 0.0`` clears a ``-0.0`` a measurement may bring into
+    a state, ``+ Q`` and ``+ R`` add ``+0.0`` off the diagonal, a covariance
+    never holds ``-0.0``, and ``I − K H`` is ``+0.0`` wherever ``K H`` is
+    zero.  The gain's solve, the Joseph products, their order and the
+    symmetrization are :class:`KalmanFilter`'s, on arrays of the same
+    layout, and NumPy evaluates a stacked matmul as the same dot products
+    per stack element.
     The tracker helpers take :class:`~repro.perception.mot.MultiObjectTracker`
     objects whose tracks all live in this pool.
     """
@@ -154,12 +162,19 @@ class KalmanPool:
 
     def predict(self, idx: np.ndarray) -> np.ndarray:
         """Stacked constant-velocity predict; returns the new states."""
-        states = self.states[idx]
-        covs = self.covs[idx]
-        new_states = np.matmul(F, states[..., None])[..., 0]
-        self.states[idx] = new_states
-        self.covs[idx] = np.matmul(np.matmul(F, covs), _F_T) + Q
-        return new_states
+        states = self.states.take(idx, axis=0)
+        covs = self.covs.take(idx, axis=0)
+        # F x: the box centre moves by its velocity.
+        states += 0.0
+        states[:, :2] += states[:, 4:]
+        # F P Fᵀ + Q: F P adds the velocity rows to the centre rows, then
+        # (F P) Fᵀ its velocity columns to its centre columns.
+        covs[:, :2] += covs[:, 4:]
+        covs[:, :, :2] += covs[:, :, 4:]
+        covs += Q
+        self.states[idx] = states
+        self.covs[idx] = covs
+        return states
 
     def update_rows(self, rows: List[int], measurements: List[tuple]) -> None:
         """One stacked measurement update (Joseph form, symmetrized) of
@@ -167,18 +182,22 @@ class KalmanPool:
         if not rows:
             return
         idx = np.array(rows, dtype=np.intp)
-        states = self.states[idx]
-        covs = self.covs[idx]
+        states = self.states.take(idx, axis=0)
+        covs = self.covs.take(idx, axis=0)
         innovation = np.array(measurements) - states[:, :4]
-        pht = np.matmul(covs, _H_T)
-        innovation_cov = np.matmul(np.matmul(H, covs), _H_T) + R
+        # P Hᵀ is P's first four columns, H P Hᵀ its top-left block.
+        innovation_cov = covs[:, :4, :4] + R
         gain = np.linalg.solve(
-            innovation_cov.transpose(0, 2, 1), pht.transpose(0, 2, 1)
+            innovation_cov.transpose(0, 2, 1), covs[:, :, :4].transpose(0, 2, 1)
         ).transpose(0, 2, 1)
         states = states + np.matmul(gain, innovation[..., None])[..., 0]
-        i_kh = _I6 - np.matmul(gain, H)
+        # K H is K in the first four columns, zero in the velocity ones; K R
+        # is 10 K, C-ordered as the product was.
+        kh = np.zeros((len(rows), 6, 6))
+        kh[:, :, :4] = gain
+        i_kh = _I6 - kh
         covs = np.matmul(np.matmul(i_kh, covs), i_kh.transpose(0, 2, 1)) + np.matmul(
-            np.matmul(gain, R), gain.transpose(0, 2, 1)
+            np.multiply(gain, 10.0, order="C"), gain.transpose(0, 2, 1)
         )
         self.covs[idx] = 0.5 * (covs + covs.transpose(0, 2, 1))
         self.states[idx] = states

@@ -82,19 +82,22 @@ def _overlap(track: ObjectTrack, geom: tuple) -> float:
     return 0.0 if union <= 0.0 else inter / union
 
 
-def _distance(track: ObjectTrack, geom: tuple) -> float:
-    """Centre distance of a track's predicted box and a detection, in mean
-    box widths."""
-    mean_width = (track.pred_w + geom[7]) / 2.0
-    if mean_width < 1.0:
-        mean_width = 1.0
-    return np.hypot(track.pred_cx - geom[5], track.pred_cy - geom[6]) / mean_width
+def _distances(pairs: List[tuple]) -> List[float]:
+    """Centre distance of each ``(track, geom)`` pair's predicted box and
+    detection, in mean box widths (a mean width below 1 px counts as 1).
 
-
-def _pair_cost(track: ObjectTrack, geom: tuple) -> float:
-    """Association cost: prefers high-IoU pairs but still orders
-    non-overlapping candidates by proximity."""
-    return (1.0 - _overlap(track, geom)) + 0.05 * min(_distance(track, geom), 10.0)
+    One vectorised ``np.hypot`` over the pairs: it equals the scalar call on
+    each pair, where ``math.hypot`` rounds differently on some inputs.
+    """
+    dx = []
+    dy = []
+    widths = []
+    for track, geom in pairs:
+        dx.append(track.pred_cx - geom[5])
+        dy.append(track.pred_cy - geom[6])
+        mean_width = (track.pred_w + geom[7]) / 2.0
+        widths.append(1.0 if mean_width < 1.0 else mean_width)
+    return [d / w for d, w in zip(np.hypot(dx, dy).tolist(), widths)]
 
 
 class MultiObjectTracker:
@@ -156,26 +159,34 @@ class MultiObjectTracker:
                 det_geom.append((dcx - dw / 2.0, dcx + dw / 2.0,
                                  dcy - dh / 2.0, dcy + dh / 2.0,
                                  dw * dh, dcx, dcy, dw))
-            # The Hungarian solve is only needed when the matrix is at least
-            # 2x2.  A 1x1 matrix always yields the pair (0, 0), and a single
-            # row (or column) reduces to a first-wins argmin — exactly the
-            # tie-break the strict ``<`` in the solver's delta update uses,
-            # and the one ``min`` keeps — so the common 1-track/1-detection
-            # frame skips the cost matrix entirely.  Acceptability is then
-            # checked lazily per returned pair (the boolean is identical; only
-            # unselected pairs skip it).
-            if n_tracks == 1 and n_dets == 1:
+            # Association cost: (1 - IoU) plus 0.05 times the centre
+            # distance clamped at 10 mean widths, so high-IoU pairs win and
+            # non-overlapping candidates still order by proximity.  A 1x1
+            # frame always pairs (0, 0), so it skips the costs.  Any other
+            # frame costs every pair as Python floats (one vectorised
+            # distance call); a single row or column reduces to a first-wins
+            # argmin — exactly the tie-break the strict ``<`` in the solver's
+            # delta update uses, and the one ``min`` keeps — and only a
+            # matrix of at least 2x2 runs the Hungarian solve.  Acceptability
+            # is checked per returned pair (the 1x1 frame computes its
+            # distance only when its IoU falls short).
+            costed = n_tracks > 1 or n_dets > 1
+            if not costed:
                 pairs = ((0, 0),)
-            elif n_tracks == 1 or n_dets == 1:
-                costs = [_pair_cost(track, geom) for track in track_list for geom in det_geom]
-                best = min(range(len(costs)), key=costs.__getitem__)
-                pairs = ((0, best),) if n_tracks == 1 else ((best, 0),)
             else:
-                cost = np.empty((n_tracks, n_dets))
-                for r, track in enumerate(track_list):
-                    for c in range(n_dets):
-                        cost[r, c] = _pair_cost(track, det_geom[c])
-                pairs = hungarian_assignment(cost)
+                pair_geom = [(track, geom) for track in track_list for geom in det_geom]
+                overlaps = [_overlap(track, geom) for track, geom in pair_geom]
+                distances = _distances(pair_geom)
+                # ``10.0 if d > 10.0 else d`` is ``min(d, 10.0)``, NaN included.
+                costs = [(1.0 - overlap) + 0.05 * (10.0 if d > 10.0 else d)
+                         for overlap, d in zip(overlaps, distances)]
+                if n_tracks == 1 or n_dets == 1:
+                    best = min(range(len(costs)), key=costs.__getitem__)
+                    pairs = ((0, best),) if n_tracks == 1 else ((best, 0),)
+                else:
+                    pairs = hungarian_assignment(
+                        [costs[r * n_dets:(r + 1) * n_dets] for r in range(n_tracks)]
+                    )
             min_iou = config.min_iou_for_match
             cd_gate = config.center_distance_gate
             for r, c in pairs:
@@ -183,7 +194,11 @@ class MultiObjectTracker:
                 geom = det_geom[c]
                 if not 0.4 <= geom[7] / track.pred_w <= 2.5:
                     continue
-                if _overlap(track, geom) < min_iou and _distance(track, geom) > cd_gate:
+                if costed:
+                    k = r * n_dets + c
+                    if overlaps[k] < min_iou and distances[k] > cd_gate:
+                        continue
+                elif _overlap(track, geom) < min_iou and _distances([(track, geom)])[0] > cd_gate:
                     continue
                 matched_tracks.append(track)
                 matched_det_idx.append(c)

@@ -310,6 +310,8 @@ class BanditSampler:
             raise ValueError(f"unknown bandit mode {mode!r}: expected 'ucb' or 'thompson'")
         if bins < 2:
             raise ValueError("bins must be at least 2")
+        if not 0.0 <= exploration < math.inf:
+            raise ValueError(f"exploration must be non-negative and finite, got {exploration!r}")
         self.space = space
         self.mode = mode
         self.name = mode

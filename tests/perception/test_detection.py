@@ -1,5 +1,7 @@
 """Tests for the simulated (YOLOv3 stand-in) object detector."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,8 @@ from repro.perception.detection import (
 from repro.sensors.camera import CameraSensor
 from repro.sim.actors import ActorKind
 from repro.sim.scenarios import ScenarioVariation, build_scenario
+
+_VEHICLE = ActorKind.VEHICLE
 
 
 #: Fields of a camera row (``CameraSensor.render_rows``) and of a detection
@@ -49,6 +53,27 @@ class TestNoiseModel:
         config = DetectorConfig()
         assert config.noise_for(ActorKind.VEHICLE) is config.vehicle_noise
         assert config.noise_for(ActorKind.PEDESTRIAN) is config.pedestrian_noise
+
+
+class TestNonFiniteParametersRejected:
+    FIELDS = [field.name for field in dataclasses.fields(DetectorNoiseModel)]
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_noise_model_field_must_be_finite(self, field, value):
+        # NaN passed the sign and percentile checks; an infinite burst
+        # percentile made burst_rate 0.0 and raised ZeroDivisionError only
+        # at the first burst, inside detect_rows.
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got "):
+            dataclasses.replace(DetectorNoiseModel.vehicle_default(), **{field: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -1.0])
+    def test_min_bbox_height_must_be_non_negative_and_finite(self, value):
+        with pytest.raises(ValueError, match="^min_bbox_height_px must be non-negative and finite"):
+            DetectorConfig(min_bbox_height_px=value)
+
+    def test_zero_min_bbox_height_accepted(self):
+        assert DetectorConfig(min_bbox_height_px=0.0).min_bbox_height_px == 0.0
 
 
 class TestDetectorDegradation:
@@ -143,3 +168,114 @@ class TestSimulatedDetector:
         empty = [row for row in frame if row[CAM_ACTOR_ID] != frame[0][CAM_ACTOR_ID]]
         detector.detect_rows(empty)
         assert detector._burst_remaining == {}
+
+
+class _FourNormalDetector(SimulatedDetector):
+    """The detector as it drew each reported object's noise: four
+    ``Generator.normal`` calls, the reference ``detect_rows`` must equal."""
+
+    def detect_rows(self, objects):
+        config = self.config
+        rng = self._rng
+        burst = self._burst_remaining
+        detections = []
+        visible = set()
+        for _distance, _lateral, actor_id, kind, cx, cy, w, h, _oh, _ow in objects:
+            visible.add(actor_id)
+            if h < config.min_bbox_height_px:
+                continue
+            remaining = burst.get(actor_id, 0)
+            if remaining > 0:
+                burst[actor_id] = remaining - 1
+                continue
+            noise = config.vehicle_noise if kind is _VEHICLE else config.pedestrian_noise
+            if rng.random() < noise.misdetection_start_probability:
+                burst_length = 1 + int(rng.exponential(1.0 / noise.burst_rate))
+                burst[actor_id] = burst_length - 1 if burst_length > 1 else 0
+                continue
+            dx = rng.normal(noise.center_noise_mu_x, noise.center_noise_sigma_x) * w
+            dy = rng.normal(noise.center_noise_mu_y, noise.center_noise_sigma_y) * h
+            size_jitter = rng.normal(1.0, 0.03)
+            size_jitter = 0.85 if 0.85 > size_jitter else 1.15 if size_jitter > 1.15 else size_jitter
+            detections.append((float(cx + dx), float(cy + dy), float(w * size_jitter),
+                               float(h * size_jitter), kind, actor_id,
+                               rng.normal(0.85, 0.08)))
+        for actor_id in [aid for aid in burst if aid not in visible]:
+            del burst[actor_id]
+        return detections
+
+
+def _exact(rows):
+    """Rows with every float as its hex form, so -0.0 and 0.0 differ."""
+    return [tuple(value.hex() if type(value) is float else value for value in row)
+            for row in rows]
+
+
+def _mixed_frames(seed, n_frames=300):
+    """Camera rows of up to five vehicles and pedestrians that drift, enter
+    and leave the frame; some boxes fall below the default minimum height."""
+    rng = np.random.default_rng(seed)
+    frames = []
+    for _ in range(n_frames):
+        rows = []
+        for actor_id in range(1, 6):
+            if rng.random() < 0.2:
+                continue
+            kind = ActorKind.VEHICLE if actor_id % 2 else ActorKind.PEDESTRIAN
+            w, h = rng.uniform(4.0, 300.0, size=2).tolist()
+            cx, cy = rng.uniform(0.0, 1920.0), rng.uniform(0.0, 1080.0)
+            rows.append((rng.uniform(5.0, 80.0), rng.uniform(-6.0, 6.0), actor_id, kind,
+                         cx, cy, w, h, 1.7, 1.9))
+        frames.append(rows)
+    return frames
+
+
+def _scenario_frames(scenario_id, n_frames=150):
+    scenario = build_scenario(scenario_id, ScenarioVariation.nominal())
+    camera = CameraSensor()
+    frames = []
+    for _ in range(n_frames):
+        frames.append(camera.render_rows(scenario.world))
+        scenario.world.step(1.0 / 15.0, 0.0)
+    return frames
+
+
+DEGRADED = DetectorDegradation(sigma_scale=2.5, misdetection_scale=20.0, burst_scale=0.5,
+                               range_scale=1.5).apply()
+BURSTY = DetectorConfig(
+    vehicle_noise=DetectorNoiseModel(0.02, 0.12, 0.03, 0.10, 0.3, 6.0),
+    pedestrian_noise=DetectorNoiseModel(0.04, 0.28, 0.03, 0.12, 0.4, 3.0),
+)
+
+
+class TestDrawsMatchFourNormalCalls:
+    """One standard_normal(4) draw per reported object gives exactly the
+    rows, burst state and generator state of four Generator.normal calls."""
+
+    @pytest.mark.parametrize("config", [None, DEGRADED, BURSTY],
+                             ids=["default", "degraded", "bursty"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_mixed_classes(self, config, seed):
+        detector = SimulatedDetector(config, rng=np.random.default_rng(seed))
+        reference = _FourNormalDetector(config, rng=np.random.default_rng(seed))
+        bursts = 0
+        kinds = set()
+        for frame in _mixed_frames(seed):
+            rows = detector.detect_rows(frame)
+            assert _exact(rows) == _exact(reference.detect_rows(frame))
+            assert detector._burst_remaining == reference._burst_remaining
+            bursts += sum(1 for remaining in detector._burst_remaining.values() if remaining)
+            kinds.update(row[DET_KIND] for row in rows)
+        assert detector._rng.bit_generator.state == reference._rng.bit_generator.state
+        assert kinds == {ActorKind.VEHICLE, ActorKind.PEDESTRIAN}
+        assert bursts > 0
+
+    @pytest.mark.parametrize("scenario_id", ["DS-2", "DS-5"])
+    def test_scenario_frames(self, scenario_id):
+        frames = _scenario_frames(scenario_id)
+        for config in (None, DEGRADED, BURSTY):
+            detector = SimulatedDetector(config, rng=np.random.default_rng(7))
+            reference = _FourNormalDetector(config, rng=np.random.default_rng(7))
+            for frame in frames:
+                assert _exact(detector.detect_rows(frame)) == _exact(reference.detect_rows(frame))
+            assert detector._rng.bit_generator.state == reference._rng.bit_generator.state

@@ -202,4 +202,29 @@ class TestKalmanPoolMatchesReference:
             for row, kf in reference.items():
                 assert np.array_equal(pool.states[row], kf.state), (step, row)
                 assert np.array_equal(pool.covs[row], kf.covariance), (step, row)
+                # np.array_equal treats -0.0 as 0.0; the bytes do not.
+                assert pool.states[row].tobytes() == kf.state.tobytes(), (step, row)
+                assert pool.covs[row].tobytes() == kf.covariance.tobytes(), (step, row)
         assert pool.states.shape[0] > capacity
+
+    def test_signed_zero_boxes_match_reference_bytes(self):
+        """A box or measurement with -0.0 entries: the slice-form predict and
+        update leave the bytes the matrix products leave."""
+        pool = KalmanPool(capacity=8)
+        boxes = [(-0.0, -0.0, -0.0, -0.0), (0.0, -0.0, 5.0, -0.0), (-0.0, 3.0, -0.0, 7.0)]
+        reference = {}
+        for box in boxes:
+            row = pool.alloc(*box)
+            reference[row] = KalmanFilter(F, H, Q, R, np.array([*box, 0.0, 0.0]), P0)
+        rows = list(reference)
+        for step, z in enumerate([(-0.0, 0.0, -0.0, -0.0), (1.0, -1.0, -0.0, 2.0)]):
+            pool.predict(np.array(rows, dtype=np.intp))
+            for row, kf in reference.items():
+                kf.predict()
+                assert pool.states[row].tobytes() == kf.state.tobytes(), (step, row)
+                assert pool.covs[row].tobytes() == kf.covariance.tobytes(), (step, row)
+            pool.update_rows(rows, [z] * len(rows))
+            for row, kf in reference.items():
+                kf.update(np.array(z))
+                assert pool.states[row].tobytes() == kf.state.tobytes(), (step, row)
+                assert pool.covs[row].tobytes() == kf.covariance.tobytes(), (step, row)

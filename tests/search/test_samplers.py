@@ -174,6 +174,16 @@ class TestBanditAllocation:
         with pytest.raises(ValueError):
             BanditSampler(CHOICE_ONLY, mode="greedy")
 
+    @pytest.mark.parametrize("value", [float("nan"), -1.0, float("inf"), float("-inf")])
+    def test_rejects_negative_or_non_finite_exploration(self, value):
+        # A NaN exploration scored every arm NaN; a negative one steered the
+        # UCB1 budget away from the least-tried arms.
+        with pytest.raises(ValueError, match="^exploration must be non-negative and finite, got "):
+            BanditSampler(CHOICE_ONLY, exploration=value)
+
+    def test_zero_exploration_is_greedy_ucb(self):
+        assert BanditSampler(CHOICE_ONLY, exploration=0.0).exploration == 0.0
+
 
 class TestProtocolAndState:
     @pytest.mark.parametrize("name", ["random", "ce", "ucb", "thompson"])
