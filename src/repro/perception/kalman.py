@@ -102,7 +102,10 @@ F[1, 5] = 1.0
 H = np.zeros((4, 6))
 H[0, 0] = H[1, 1] = H[2, 2] = H[3, 3] = 1.0
 Q = np.diag([1.0, 1.0, 0.5, 0.5, 2.0, 2.0])
-R = np.eye(4) * 10.0
+# Variance of each measured box coordinate: R is this times the identity, and
+# the pool's update forms K R from it.
+_MEASUREMENT_VAR = 10.0
+R = np.eye(4) * _MEASUREMENT_VAR
 P0 = np.diag([10.0, 10.0, 10.0, 10.0, 100.0, 100.0])
 _I6 = np.eye(6)
 
@@ -115,11 +118,12 @@ class KalmanPool:
     subsets in a few stacked calls each, and every row evolves exactly as a
     :class:`KalmanFilter` built from ``F``, ``H``, ``Q``, ``R`` and ``P0``.
 
-    ``F`` and ``H`` hold only exact 0 and 1 entries and ``R`` is ``10 I``,
-    so every entry of ``F x``, ``F P``, ``(F P) Fᵀ``, ``P Hᵀ``, ``H P Hᵀ``,
-    ``K H`` and ``K R`` has at most two non-zero terms, each an exact
-    product: its dot product is their sum rounded once, or ``10 K`` rounded
-    once, which is what the slice sums, views and ``10 K`` below compute.
+    ``F`` and ``H`` hold only exact 0 and 1 entries and ``R`` is ``r I``
+    (``r`` the measurement variance), so every entry of ``F x``, ``F P``,
+    ``(F P) Fᵀ``, ``P Hᵀ``, ``H P Hᵀ``, ``K H`` and ``K R`` has at most two
+    non-zero terms, each an exact product: its dot product is their sum
+    rounded once, or ``r K`` rounded once, which is what the slice sums,
+    views and ``r K`` below compute.
     Only the sign of a zero could differ, and a matrix product's zero is
     ``+0.0``: so ``x + 0.0`` clears a ``-0.0`` a measurement may bring into
     a state, ``+ Q`` and ``+ R`` add ``+0.0`` off the diagonal, a covariance
@@ -192,12 +196,12 @@ class KalmanPool:
         ).transpose(0, 2, 1)
         states = states + np.matmul(gain, innovation[..., None])[..., 0]
         # K H is K in the first four columns, zero in the velocity ones; K R
-        # is 10 K, C-ordered as the product was.
+        # is r K, C-ordered as the product was.
         kh = np.zeros((len(rows), 6, 6))
         kh[:, :, :4] = gain
         i_kh = _I6 - kh
         covs = np.matmul(np.matmul(i_kh, covs), i_kh.transpose(0, 2, 1)) + np.matmul(
-            np.multiply(gain, 10.0, order="C"), gain.transpose(0, 2, 1)
+            np.multiply(gain, _MEASUREMENT_VAR, order="C"), gain.transpose(0, 2, 1)
         )
         self.covs[idx] = 0.5 * (covs + covs.transpose(0, 2, 1))
         self.states[idx] = states

@@ -164,12 +164,14 @@ class MultiObjectTracker:
             # non-overlapping candidates still order by proximity.  A 1x1
             # frame always pairs (0, 0), so it skips the costs.  Any other
             # frame costs every pair as Python floats (one vectorised
-            # distance call); a single row or column reduces to a first-wins
+            # distance call, which beats a scalar call per pair from three
+            # pairs on); a single row or column reduces to a first-wins
             # argmin — exactly the tie-break the strict ``<`` in the solver's
             # delta update uses, and the one ``min`` keeps — and only a
             # matrix of at least 2x2 runs the Hungarian solve.  Acceptability
-            # is checked per returned pair (the 1x1 frame computes its
-            # distance only when its IoU falls short).
+            # is checked per returned pair: a costed frame reuses the pair's
+            # IoU and distance, and the 1x1 frame computes its distance only
+            # when its IoU falls short.
             costed = n_tracks > 1 or n_dets > 1
             if not costed:
                 pairs = ((0, 0),)
