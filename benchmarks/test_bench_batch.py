@@ -42,7 +42,7 @@ from benchmarks.engine_speed import (
     paired_seconds_per_run,
     speedups,
 )
-from repro.perception.fusion import DEFAULT_FUSION_POLICY, FusionConfig, list_fusion_policies
+from repro.perception.fusion import DEFAULT_FUSION_POLICY, FUSION_POLICIES, FusionConfig
 
 _WIDTHS = (1, 16, 64, 256)
 _GATED_WIDTH = 64
@@ -89,7 +89,7 @@ def test_bench_batch_engine_throughput():
             f"batch N={width:<4d}: {1.0 / per_run:8.1f} runs/sec "
             f"(speedup {speedup:.2f}x{note})"
         )
-    for policy in list_fusion_policies():
+    for policy in sorted(FUSION_POLICIES):
         if policy != DEFAULT_FUSION_POLICY:
             per_run = batch_seconds_per_run(_GATED_WIDTH, FusionConfig(policy=policy))
             print(

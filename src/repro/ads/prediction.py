@@ -17,21 +17,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from repro.sim.actors import ActorKind
+from repro.sim.actors import NOMINAL_DIMENSIONS, ActorKind
 from repro.sim.road import Road
 
 __all__ = ["PredictionConfig", "ObstaclePredictor"]
 
 #: Nominal half-widths used to decide lane overlap, per class.
-_NOMINAL_HALF_WIDTH_M = {
-    ActorKind.VEHICLE: 0.95,
-    ActorKind.PEDESTRIAN: 0.25,
-}
+_NOMINAL_HALF_WIDTH_M = {kind: dims.width_m / 2.0 for kind, dims in NOMINAL_DIMENSIONS.items()}
 #: Nominal half-lengths used to convert centre distance to bumper gap.
-_NOMINAL_HALF_LENGTH_M = {
-    ActorKind.VEHICLE: 2.3,
-    ActorKind.PEDESTRIAN: 0.25,
-}
+_NOMINAL_HALF_LENGTH_M = {kind: dims.length_m / 2.0 for kind, dims in NOMINAL_DIMENSIONS.items()}
 
 
 @dataclass(frozen=True)

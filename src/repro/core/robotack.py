@@ -50,13 +50,13 @@ from repro.core.trajectory_hijacker import TrajectoryHijacker, TrajectoryHijacke
 from repro.perception.detection import DetectorConfig
 from repro.perception.fusion import FusionConfig
 from repro.perception.pipeline import PerceptionConfig, PerceptionSystem
-from repro.sim.actors import ActorKind
+from repro.sim.actors import NOMINAL_DIMENSIONS, ActorKind
 from repro.sim.road import Road
 
 __all__ = ["AttackRecord", "RoboTackConfig", "CameraMitmAttackerBase", "RoboTack"]
 
 #: Nominal half-lengths used to convert centre distance into a bumper gap.
-_HALF_LENGTH_M = {ActorKind.VEHICLE: 2.3, ActorKind.PEDESTRIAN: 0.25}
+_HALF_LENGTH_M = {kind: dims.length_m / 2.0 for kind, dims in NOMINAL_DIMENSIONS.items()}
 _first = itemgetter(0)
 
 

@@ -29,10 +29,14 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.core.attack_vectors import AttackVector
-from repro.sim.actors import ActorKind
+from repro.sim.actors import NOMINAL_DIMENSIONS, ActorKind
 from repro.sim.road import Road
 
 __all__ = ["TrajectoryClass", "ScenarioMatcherConfig", "ScenarioMatcher"]
+
+# Nominal half-widths as plain names: the matcher runs on every attacked frame.
+_VEHICLE_HALF_WIDTH = NOMINAL_DIMENSIONS[ActorKind.VEHICLE].width_m / 2.0
+_PEDESTRIAN_HALF_WIDTH = NOMINAL_DIMENSIONS[ActorKind.PEDESTRIAN].width_m / 2.0
 
 
 class TrajectoryClass(enum.Enum):
@@ -84,7 +88,7 @@ class ScenarioMatcher:
     def in_ego_lane(self, estimate: tuple) -> bool:
         """Whether the target currently overlaps the ego lane."""
         _distance, lateral, _v, _lv, _tid, _aid, kind, _a, _age = estimate
-        half_width = 0.95 if kind is ActorKind.VEHICLE else 0.25
+        half_width = _VEHICLE_HALF_WIDTH if kind is ActorKind.VEHICLE else _PEDESTRIAN_HALF_WIDTH
         margin = self.config.lane_membership_margin_m + half_width
         return self.road.in_ego_lane(lateral, margin=margin)
 

@@ -44,7 +44,7 @@ from repro.core.attack_vectors import AttackVector
 from repro.geometry import BoundingBox, CameraProjection, iou
 from repro.perception.detection import DetectorConfig
 from repro.perception.tracker import ObjectTrack
-from repro.sim.actors import ActorKind
+from repro.sim.actors import NOMINAL_DIMENSIONS, ActorKind
 from repro.sim.road import Road
 
 __all__ = ["TrajectoryHijackerConfig", "TrajectoryHijacker"]
@@ -142,7 +142,7 @@ class TrajectoryHijacker:
         self, vector: AttackVector, target_lateral_m: float, target_kind: ActorKind
     ) -> float:
         """The lateral position Ω that the fake trajectory should reach and hold."""
-        half_width = 0.95 if target_kind is ActorKind.VEHICLE else 0.25
+        half_width = NOMINAL_DIMENSIONS[target_kind].width_m / 2.0
         exit_margin = (
             self.config.move_out_exit_margin_vehicle_m
             if target_kind is ActorKind.VEHICLE

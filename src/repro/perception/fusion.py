@@ -26,13 +26,13 @@ Fusion policies
 
 The fusion stage is pluggable: a *fusion policy* is a
 :class:`RowFusionPolicy` — anything with its ``reset()`` and
-``fuse(estimates, lidar, ego_speed_mps, frame_dt_s)`` — registered by name
-in :data:`FUSION_POLICIES` and selected through ``FusionConfig.policy``.
-Four built-ins ship as first-class victim variants for defense evaluation:
+``fuse(estimates, lidar, ego_speed_mps, frame_dt_s)`` — whose factory the
+:data:`FUSION_POLICIES` dict maps a name to, selected through
+``FusionConfig.policy``.  Four built-ins ship as first-class victim variants
+for defense evaluation:
 
 * ``late`` — the confidence-weighted camera/LiDAR fusion described above
-  (:class:`SensorFusion`); the default victim, bit-identical to the
-  pre-registry behaviour;
+  (:class:`SensorFusion`); the default victim;
 * ``camera_only`` — the camera estimates pass straight through
   (:class:`CameraOnlyFusion`);
 * ``lidar_only`` — obstacles come from LiDAR returns alone
@@ -70,7 +70,6 @@ from dataclasses import dataclass, fields
 from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.runtime.registry import Registry
 from repro.sim.actors import ActorKind
 
 __all__ = [
@@ -82,8 +81,6 @@ __all__ = [
     "ConsistencyGatedFusion",
     "FUSION_POLICIES",
     "DEFAULT_FUSION_POLICY",
-    "build_fusion_policy",
-    "list_fusion_policies",
 ]
 
 #: The policy a defaulted :class:`FusionConfig` resolves to — the paper's
@@ -138,7 +135,7 @@ class FusionConfig:
     #: Multiplier applied to both camera blend weights while the modalities
     #: disagree (``consistency_gated`` policy only).
     consistency_camera_penalty: float = 0.25
-    #: Which registered fusion policy the perception pipeline instantiates.
+    #: Which :data:`FUSION_POLICIES` entry the perception pipeline instantiates.
     #: See :data:`FUSION_POLICIES` for the built-ins.
     policy: str = DEFAULT_FUSION_POLICY
 
@@ -180,7 +177,7 @@ class FusionConfig:
         if self.policy not in FUSION_POLICIES:
             raise ValueError(
                 f"unknown fusion policy {self.policy!r}; "
-                f"available: {', '.join(FUSION_POLICIES.keys())}"
+                f"available: {', '.join(sorted(FUSION_POLICIES))}"
             )
 
 
@@ -558,43 +555,12 @@ class LidarOnlyFusion(RowFusionPolicy):
         return obstacles
 
 
-#: Registry of fusion-policy factories (``FusionConfig -> RowFusionPolicy``).
-#: Third-party policies register here and become sweepable/CLI-selectable.
-FUSION_POLICIES: Registry[Callable[[FusionConfig], RowFusionPolicy]] = Registry(
-    "fusion policy"
-)
-
-FUSION_POLICIES.register(
-    "late",
-    SensorFusion,
-    description="confidence-weighted camera/LiDAR late fusion (paper default victim)",
-)
-FUSION_POLICIES.register(
-    "camera_only",
-    CameraOnlyFusion,
-    description="camera estimates pass straight through",
-)
-FUSION_POLICIES.register(
-    "lidar_only",
-    LidarOnlyFusion,
-    description="world model from LiDAR returns alone",
-)
-FUSION_POLICIES.register(
-    "consistency_gated",
-    ConsistencyGatedFusion,
-    description="late fusion that down-weights the camera on modality disagreement",
-)
-
-
-def build_fusion_policy(name: str, config: FusionConfig | None = None) -> RowFusionPolicy:
-    """Instantiate the registered fusion policy ``name`` with ``config``."""
-    policy = FUSION_POLICIES.get(name)(config or FusionConfig())
-    if not callable(getattr(policy, "fuse", None)):
-        raise ValueError(f"fusion policy {name!r} has no fuse(estimates, lidar, "
-                         "ego_speed_mps, frame_dt_s) method")
-    return policy
-
-
-def list_fusion_policies() -> List[str]:
-    """Registered fusion-policy names, sorted."""
-    return sorted(FUSION_POLICIES.keys())
+#: Fusion-policy name -> factory (``FusionConfig -> RowFusionPolicy``): the
+#: names ``FusionConfig.policy`` accepts.  A third-party policy added here
+#: becomes sweepable and CLI-selectable.
+FUSION_POLICIES: Dict[str, Callable[[FusionConfig], RowFusionPolicy]] = {
+    "late": SensorFusion,
+    "camera_only": CameraOnlyFusion,
+    "lidar_only": LidarOnlyFusion,
+    "consistency_gated": ConsistencyGatedFusion,
+}

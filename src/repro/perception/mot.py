@@ -22,7 +22,8 @@ simulation lane calls.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from typing import Dict, List
 
 import numpy as np
@@ -52,6 +53,12 @@ class TrackerConfig:
     min_hits_to_confirm: int = 2
 
     def __post_init__(self) -> None:
+        # A NaN or infinite gate accepts every pair, an infinite miss limit
+        # never retires a track, and a NaN hit count never confirms one.
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{field.name} must be finite, got {value!r}")
         if not 0.0 <= self.min_iou_for_match <= 1.0:
             raise ValueError("min_iou_for_match must be in [0, 1]")
         if self.center_distance_gate <= 0:

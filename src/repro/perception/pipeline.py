@@ -1,10 +1,11 @@
 """The full perception system facade.
 
 ``PerceptionSystem`` wires together the simulated detector, the multi-object
-tracker, the image-to-world transformation, and a registry-selected fusion
-policy — the pipeline labelled "Perception System" in paper Fig. 1.  A
-simulation lane calls each stage's row-level core on the rows it carries
-(see :mod:`repro.sim.simulator`).
+tracker, the image-to-world transformation, and the fusion policy its
+:class:`~repro.perception.fusion.FusionConfig` names in
+:data:`~repro.perception.fusion.FUSION_POLICIES` — the pipeline labelled
+"Perception System" in paper Fig. 1.  A simulation lane calls each stage's
+row-level core on the rows it carries (see :mod:`repro.sim.simulator`).
 
 Two configurations are used in the reproduction:
 
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.perception.detection import DetectorConfig, SimulatedDetector
-from repro.perception.fusion import FusionConfig, build_fusion_policy
+from repro.perception.fusion import FUSION_POLICIES, FusionConfig
 from repro.perception.mot import MultiObjectTracker, TrackerConfig
 from repro.perception.transforms import ImageToWorldTransform
 
@@ -52,7 +53,13 @@ class PerceptionSystem:
         self.detector = SimulatedDetector(self.config.detector, rng=rng)
         self.tracker = MultiObjectTracker(self.config.tracker)
         self.transform = ImageToWorldTransform(frame_dt_s=self.config.frame_dt_s)
-        self.fusion = build_fusion_policy(self.config.fusion.policy, self.config.fusion)
+        fusion = self.config.fusion
+        self.fusion = FUSION_POLICIES[fusion.policy](fusion)
+        # ``fuse`` is the fusion contract every lane calls; a plug-in factory's
+        # policy without one fails here, in one line.
+        if not callable(getattr(self.fusion, "fuse", None)):
+            raise ValueError(f"fusion policy {fusion.policy!r} has no fuse(estimates, lidar, "
+                             "ego_speed_mps, frame_dt_s) method")
 
     def reset(self) -> None:
         """Reset all stateful stages."""

@@ -1,4 +1,4 @@
-"""Execution runtime: parallel executors, content keys, and registries.
+"""Execution runtime: parallel executors, content keys, and the CLI.
 
 This package is the infrastructure layer underneath the experiment harness:
 
@@ -12,14 +12,12 @@ This package is the infrastructure layer underneath the experiment harness:
 * :mod:`repro.runtime.cache` — :func:`~repro.runtime.cache.encode_key`,
   the canonical key encoding every content hash derives from, and
   :func:`~repro.runtime.cache.atomic_publish`, temp-file + rename writes;
-* :mod:`repro.runtime.registry` — :class:`Registry`, the decorator-friendly
-  plugin registry backing the open scenario catalog of
-  :mod:`repro.sim.scenarios`;
 * :mod:`repro.runtime.cli` — the ``repro-campaign`` console entry point.
 
 The runtime deliberately depends on nothing above it (no ``repro.sim`` /
 ``repro.experiments`` imports outside the CLI), so every layer of the
-reproduction can build on it without cycles.
+reproduction can build on it without cycles; the simulation and perception
+layers need none of it.
 """
 
 from repro.runtime.executor import (
@@ -34,7 +32,6 @@ from repro.runtime.executor import (
     executor_scope,
     resolve_executor,
 )
-from repro.runtime.registry import Registry, RegistryError
 
 __all__ = [
     "Executor",
@@ -47,6 +44,4 @@ __all__ = [
     "chunked",
     "executor_scope",
     "resolve_executor",
-    "Registry",
-    "RegistryError",
 ]

@@ -189,10 +189,12 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     _add_campaign_args(sweep, runs=3, attacker="none")
+    from repro.sim.sweeps import SAMPLERS
+
     sweep.add_argument(
         "--sampler",
         default="lhs",
-        choices=("grid", "random", "lhs"),
+        choices=tuple(SAMPLERS),
         help="how to sample the space; 'grid' enumerates the full cartesian "
         "product of the axes' grid points (size it per axis via "
         "low:high:points), ignoring --n/--sweep-seed with a warning",
@@ -356,13 +358,13 @@ def _parse_vector(name: str):
 
 def _parse_fusion(policy: Optional[str]):
     """Convert ``--fusion POLICY`` into a FusionConfig (or None when unset)."""
-    from repro.perception.fusion import FusionConfig, list_fusion_policies
+    from repro.perception.fusion import FUSION_POLICIES, FusionConfig
 
     if policy is None:
         return None
-    if policy not in list_fusion_policies():
+    if policy not in FUSION_POLICIES:
         raise SystemExit(
-            f"unknown fusion policy {policy!r}; choose from {list_fusion_policies()}"
+            f"unknown fusion policy {policy!r}; choose from {sorted(FUSION_POLICIES)}"
         )
     return FusionConfig(policy=policy)
 
@@ -520,25 +522,10 @@ def _run_sweep(args: argparse.Namespace) -> None:
 def _run_search(args: argparse.Namespace) -> None:
     from repro.experiments.store import ExperimentStore
     from repro.experiments.tables import search_report_from_store
-    from repro.search import (
-        FalsificationLoop,
-        SearchSpec,
-        list_objectives,
-        list_search_samplers,
-    )
+    from repro.search import FalsificationLoop, SearchSpec
     from repro.sim.sweeps import default_variation_space
 
     base = _base_config(args, "search")
-    if args.sampler not in list_search_samplers():
-        raise SystemExit(
-            f"unknown search sampler {args.sampler!r}; "
-            f"choose from {list_search_samplers()}"
-        )
-    if args.objective not in list_objectives():
-        raise SystemExit(
-            f"unknown objective {args.objective!r}; "
-            f"choose from {list_objectives()}"
-        )
     space = _parse_space(args)
     if space is None:
         space = default_variation_space()

@@ -28,8 +28,6 @@ from repro.search.objectives import (
     MinDeltaMargin,
     Objective,
     TimeToViolation,
-    build_objective,
-    list_objectives,
 )
 from repro.search.samplers import (
     SEARCH_SAMPLERS,
@@ -37,8 +35,6 @@ from repro.search.samplers import (
     BanditSampler,
     CrossEntropySampler,
     RandomSearchSampler,
-    build_search_sampler,
-    list_search_samplers,
 )
 
 __all__ = [
@@ -47,15 +43,11 @@ __all__ = [
     "CrossEntropySampler",
     "BanditSampler",
     "SEARCH_SAMPLERS",
-    "build_search_sampler",
-    "list_search_samplers",
     "Objective",
     "AttackSuccessRate",
     "TimeToViolation",
     "MinDeltaMargin",
     "OBJECTIVES",
-    "build_objective",
-    "list_objectives",
     "SearchSpec",
     "SearchPoint",
     "SearchResult",

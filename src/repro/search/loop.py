@@ -47,8 +47,8 @@ from repro.experiments.campaign import (
 from repro.experiments.store import ExperimentStore, StoreLike, config_hash, resolve_store
 from repro.runtime import ExecutorLike, executor_scope
 from repro.runtime.cache import encode_key
-from repro.search.objectives import AttackSuccessRate, Objective, build_objective
-from repro.search.samplers import AdaptiveSampler, build_search_sampler
+from repro.search.objectives import OBJECTIVES, AttackSuccessRate, Objective
+from repro.search.samplers import SEARCH_SAMPLERS, AdaptiveSampler
 from repro.sim.sweeps import Assignment, Choice, ParameterSpace, Uniform, expand_campaigns
 
 __all__ = [
@@ -103,7 +103,9 @@ class SearchSpec:
     ``budget_runs`` caps the *total* number of simulation runs the search may
     spend; ``batch_points`` is the proposal batch per iteration;
     ``target_score`` stops the search early once any point scores at or above
-    it (``None`` = spend the whole budget).
+    it (``None`` = spend the whole budget).  A ``sampler`` or ``objective``
+    that names no :data:`~repro.search.samplers.SEARCH_SAMPLERS` or
+    :data:`~repro.search.objectives.OBJECTIVES` entry is rejected here.
     """
 
     base: CampaignConfig
@@ -118,6 +120,12 @@ class SearchSpec:
     objective_options: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if self.sampler not in SEARCH_SAMPLERS:
+            raise ValueError(f"unknown search sampler {self.sampler!r}; "
+                             f"choose from {sorted(SEARCH_SAMPLERS)}")
+        if self.objective not in OBJECTIVES:
+            raise ValueError(f"unknown objective {self.objective!r}; "
+                             f"choose from {sorted(OBJECTIVES)}")
         if self.batch_points < 1:
             raise ValueError("batch_points must be positive")
         if self.seed < 0:
@@ -327,9 +335,9 @@ class FalsificationLoop:
         if max_iterations is not None and max_iterations < 1:
             raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
         spec = self.spec
-        objective = build_objective(spec.objective, **dict(spec.objective_options))
-        sampler = build_search_sampler(
-            spec.sampler, spec.space, seed=spec.seed, **dict(spec.sampler_options)
+        objective = OBJECTIVES[spec.objective](**dict(spec.objective_options))
+        sampler = SEARCH_SAMPLERS[spec.sampler](
+            spec.space, spec.seed, **dict(spec.sampler_options)
         )
         self.store.write_search_manifest(self.search_hash, {"spec": spec.to_json_dict()})
 

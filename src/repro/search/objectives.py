@@ -5,7 +5,7 @@ An objective condenses one sweep point's runs (the
 :meth:`~repro.experiments.store.ExperimentStore.load_records` returns, the
 same records tables and resume read) into a single scalar in ``[0, 1]`` —
 higher means *closer to falsification*, so every sampler maximizes.
-Built-ins (the :data:`OBJECTIVES` registry behind ``--objective``):
+Built-ins (:data:`OBJECTIVES`, the names ``--objective`` accepts):
 
 * ``attack_success`` (default) — the fraction of runs that produced the
   hazard their vector aims for (the shared
@@ -21,13 +21,13 @@ Built-ins (the :data:`OBJECTIVES` registry behind ``--objective``):
 
 from __future__ import annotations
 
-from typing import List, Protocol, Sequence, runtime_checkable
+import math
+from typing import Callable, Dict, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
 from repro.experiments.metrics import attack_succeeded
 from repro.experiments.store import RunRecord
-from repro.runtime.registry import Registry
 
 __all__ = [
     "Objective",
@@ -35,8 +35,6 @@ __all__ = [
     "TimeToViolation",
     "MinDeltaMargin",
     "OBJECTIVES",
-    "build_objective",
-    "list_objectives",
 ]
 
 
@@ -44,7 +42,8 @@ __all__ = [
 class Objective(Protocol):
     """Scores one sweep point's runs; higher = closer to falsification."""
 
-    #: Registry name (recorded in search manifests and reports).
+    #: The objective's :data:`OBJECTIVES` name (recorded in search manifests
+    #: and reports).
     name: str
 
     def score(self, records: Sequence[RunRecord]) -> float:
@@ -74,8 +73,8 @@ class TimeToViolation:
     name = "time_to_violation"
 
     def __init__(self, horizon_s: float = 60.0):
-        if horizon_s <= 0:
-            raise ValueError("horizon_s must be positive")
+        if not 0.0 < horizon_s < math.inf:
+            raise ValueError(f"horizon_s must be positive and finite, got {horizon_s!r}")
         self.horizon_s = float(horizon_s)
 
     def score(self, records: Sequence[RunRecord]) -> float:
@@ -101,8 +100,8 @@ class MinDeltaMargin:
     name = "min_delta_margin"
 
     def __init__(self, scale_m: float = 10.0):
-        if scale_m <= 0:
-            raise ValueError("scale_m must be positive")
+        if not 0.0 < scale_m < math.inf:
+            raise ValueError(f"scale_m must be positive and finite, got {scale_m!r}")
         self.scale_m = float(scale_m)
 
     def score(self, records: Sequence[RunRecord]) -> float:
@@ -116,27 +115,10 @@ class MinDeltaMargin:
         return total / len(records)
 
 
-#: Objective name -> factory(**options); the ``--objective`` registry.
-OBJECTIVES: Registry = Registry("search objective")
-OBJECTIVES.register(
-    "attack_success", AttackSuccessRate,
-    description="fraction of runs producing their vector's intended hazard",
-)
-OBJECTIVES.register(
-    "time_to_violation", TimeToViolation,
-    description="mean normalized earliness of violations (1 = instant)",
-)
-OBJECTIVES.register(
-    "min_delta_margin", MinDeltaMargin,
-    description="mean depth of the ground-truth safety-potential dip",
-)
-
-
-def build_objective(name: str, **options) -> Objective:
-    """Instantiate a registered objective (the ``--objective`` path)."""
-    return OBJECTIVES.get(name)(**options)
-
-
-def list_objectives() -> List[str]:
-    """The registered objective names (CLI help and validation)."""
-    return OBJECTIVES.keys()
+#: Objective name -> factory(**options): the names ``--objective`` and
+#: ``SearchSpec.objective`` accept.
+OBJECTIVES: Dict[str, Callable[..., Objective]] = {
+    "attack_success": AttackSuccessRate,
+    "time_to_violation": TimeToViolation,
+    "min_delta_margin": MinDeltaMargin,
+}

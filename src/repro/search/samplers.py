@@ -14,7 +14,7 @@ toward the attack-success boundary.  The protocol is deliberately tiny:
   units of a proposed-but-unobserved batch — through JSON, which is what
   makes a killed search resume *bit-identically* from its checkpoint.
 
-Built-ins (the :data:`SEARCH_SAMPLERS` registry behind ``--sampler``):
+Built-ins (:data:`SEARCH_SAMPLERS`, the names ``--sampler`` accepts):
 
 * ``random`` — the non-adaptive control: i.i.d. uniform draws whose first
   batch is bit-identical to ``ParameterSpace.random`` at the same seed (the
@@ -37,11 +37,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Dict, List, Optional, Protocol, Sequence, Tuple, runtime_checkable
+from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple, runtime_checkable
 
 import numpy as np
 
-from repro.runtime.registry import Registry
 from repro.sim.sweeps import Assignment, Choice, ParameterSpace, Uniform
 
 __all__ = [
@@ -50,8 +49,6 @@ __all__ = [
     "CrossEntropySampler",
     "BanditSampler",
     "SEARCH_SAMPLERS",
-    "build_search_sampler",
-    "list_search_samplers",
 ]
 
 
@@ -59,7 +56,7 @@ __all__ = [
 class AdaptiveSampler(Protocol):
     """The closed-loop sampling protocol (see module docstring)."""
 
-    #: Registry name of the sampler (recorded in search manifests).
+    #: The sampler's :data:`SEARCH_SAMPLERS` name (recorded in search manifests).
     name: str
 
     def propose(self, n: int) -> List[Assignment]:
@@ -466,36 +463,12 @@ class BanditSampler:
         )
 
 
-#: Sampler name -> factory(space, seed, **options); the ``--sampler`` registry.
-SEARCH_SAMPLERS: Registry = Registry("search sampler")
-SEARCH_SAMPLERS.register(
-    "random", RandomSearchSampler,
-    description="non-adaptive uniform draws (the sweep-equivalent control)",
-)
-SEARCH_SAMPLERS.register(
-    "ce", CrossEntropySampler,
-    description="cross-entropy elite-quantile refitting per axis",
-)
-SEARCH_SAMPLERS.register(
-    "ucb",
-    lambda space, seed=0, **options: BanditSampler(space, seed, mode="ucb", **options),
-    description="UCB1 bandit budget allocation over discrete arms",
-)
-SEARCH_SAMPLERS.register(
-    "thompson",
-    lambda space, seed=0, **options: BanditSampler(space, seed, mode="thompson", **options),
-    description="Thompson-sampling bandit allocation over discrete arms",
-)
-
-
-def build_search_sampler(
-    name: str, space: ParameterSpace, seed: int = 0, **options
-) -> AdaptiveSampler:
-    """Instantiate a registered sampler over a space (the ``--sampler`` path)."""
-    factory = SEARCH_SAMPLERS.get(name)
-    return factory(space, seed, **options)
-
-
-def list_search_samplers() -> List[str]:
-    """The registered sampler names (CLI help and validation)."""
-    return SEARCH_SAMPLERS.keys()
+#: Sampler name -> factory(space, seed, **options): the names ``--sampler``
+#: and ``SearchSpec.sampler`` accept.
+SEARCH_SAMPLERS: Dict[str, Callable[..., AdaptiveSampler]] = {
+    "random": RandomSearchSampler,
+    "ce": CrossEntropySampler,
+    "ucb": lambda space, seed=0, **options: BanditSampler(space, seed, mode="ucb", **options),
+    "thompson":
+        lambda space, seed=0, **options: BanditSampler(space, seed, mode="thompson", **options),
+}

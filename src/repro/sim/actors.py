@@ -20,6 +20,7 @@ from repro.sim.waypoints import WaypointRoute
 __all__ = [
     "ActorKind",
     "ActorDimensions",
+    "NOMINAL_DIMENSIONS",
     "ScriptedActor",
     "EgoVehicle",
     "colliding_actor",
@@ -59,6 +60,16 @@ class ActorDimensions:
     @staticmethod
     def pedestrian() -> "ActorDimensions":
         return ActorDimensions(length_m=0.5, width_m=0.5, height_m=1.7)
+
+
+#: Each class's nominal footprint: what a :class:`ScriptedActor` of that class
+#: defaults to, and the size the victim's prediction and the attacker assume
+#: for an object they know only by class (half its width for lane overlap,
+#: half its length for the bumper gap).
+NOMINAL_DIMENSIONS = {
+    ActorKind.VEHICLE: ActorDimensions.sedan(),
+    ActorKind.PEDESTRIAN: ActorDimensions.pedestrian(),
+}
 
 
 def longitudinal_gap(a, b) -> float:
@@ -101,9 +112,7 @@ class ScriptedActor:
         self.kind = kind
         self.route = route
         if dimensions is None:
-            dimensions = (
-                ActorDimensions.sedan() if kind is ActorKind.VEHICLE else ActorDimensions.pedestrian()
-            )
+            dimensions = NOMINAL_DIMENSIONS[kind]
         self._dimensions = dimensions
         self.length = dimensions.length_m
         self.width = dimensions.width_m

@@ -25,11 +25,11 @@ Catalog extensions beyond the paper:
   degraded camera detector (fog/low-light: shorter detection range, noisier
   boxes, more frequent misdetection bursts) with a correspondingly slower EV.
 
-Scenarios register themselves with :func:`register_scenario`, a decorator over
-the runtime :class:`~repro.runtime.registry.Registry` — downstream projects
-can plug in new scenarios (``@register_scenario("DS-8")``) without touching
-this module, and every registered scenario is runnable through
-:func:`repro.experiments.campaign.run_campaign`.
+Scenarios register themselves with the :func:`register_scenario` decorator,
+which files each builder in a plain module dict keyed by scenario id —
+downstream projects can plug in new scenarios (``@register_scenario("DS-8")``)
+without touching this module, and every registered scenario is runnable
+through :func:`repro.experiments.campaign.run_campaign`.
 
 Each scenario builder accepts a :class:`ScenarioVariation` that randomizes the
 initial conditions (speeds, gaps, pedestrian timing) so that campaigns of
@@ -45,7 +45,6 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 import numpy as np
 
 from repro.geometry import Vec2
-from repro.runtime.registry import Registry, RegistryError
 from repro.sim.actors import ActorDimensions, ActorKind, EgoVehicle, ScriptedActor
 from repro.sim.road import Road
 from repro.sim.waypoints import Waypoint, WaypointRoute
@@ -157,29 +156,45 @@ class DrivingScenario:
 #: Signature every registered scenario builder must satisfy.
 ScenarioBuilder = Callable[[ScenarioVariation], DrivingScenario]
 
-_SCENARIOS: Registry[ScenarioBuilder] = Registry("driving scenario")
+#: Scenario id -> builder, and scenario id -> its one-line catalog
+#: description; :func:`register_scenario` fills both.
+_SCENARIOS: Dict[str, ScenarioBuilder] = {}
+_DESCRIPTIONS: Dict[str, str] = {}
 
 
 def register_scenario(
-    scenario_id: str, *, description: str = "", overwrite: bool = False
+    scenario_id: str, *, description: str = ""
 ) -> Callable[[ScenarioBuilder], ScenarioBuilder]:
     """Register the decorated builder in the scenario catalog under ``scenario_id``.
+
+    Without a ``description`` the catalog shows the first line of the
+    builder's docstring.  A taken id raises ``KeyError``, so a typo cannot
+    silently shadow a scenario.
 
     >>> @register_scenario("DS-8")
     ... def _build_ds8(variation: ScenarioVariation) -> DrivingScenario:
     ...     ...
     """
-    return _SCENARIOS.register(scenario_id, description=description, overwrite=overwrite)
+
+    def register(builder: ScenarioBuilder) -> ScenarioBuilder:
+        if scenario_id in _SCENARIOS:
+            raise KeyError(f"driving scenario {scenario_id!r} is already registered")
+        _SCENARIOS[scenario_id] = builder
+        doc = (builder.__doc__ or "").strip()
+        _DESCRIPTIONS[scenario_id] = description or doc.split("\n", 1)[0]
+        return builder
+
+    return register
 
 
 def list_scenario_ids() -> List[str]:
-    """The identifiers of all registered driving scenarios."""
-    return _SCENARIOS.keys()
+    """The identifiers of all registered driving scenarios, sorted."""
+    return sorted(_SCENARIOS)
 
 
 def scenario_catalog() -> Dict[str, str]:
-    """Mapping of scenario id to its one-line description."""
-    return {scenario_id: _SCENARIOS.description(scenario_id) for scenario_id in _SCENARIOS}
+    """Mapping of scenario id to its one-line description, sorted by id."""
+    return {scenario_id: _DESCRIPTIONS[scenario_id] for scenario_id in list_scenario_ids()}
 
 
 def build_scenario(
@@ -187,13 +202,12 @@ def build_scenario(
 ) -> DrivingScenario:
     """Instantiate a driving scenario by id with the given variation."""
     try:
-        builder = _SCENARIOS.get(scenario_id)
-    except RegistryError:
+        builder = _SCENARIOS[scenario_id]
+    except KeyError:
         raise KeyError(
             f"unknown scenario {scenario_id!r}; available: {list_scenario_ids()}"
         ) from None
-    variation = variation or ScenarioVariation.nominal()
-    return builder(variation)
+    return builder(variation or ScenarioVariation.nominal())
 
 
 def _make_ego(speed_mps: float) -> EgoVehicle:

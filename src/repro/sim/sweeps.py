@@ -336,7 +336,7 @@ def _lhs_sampler(
     )
 
 
-#: Sampler name -> callable(space, n, seed); the registry behind ``--sampler``.
+#: Sampler name -> callable(space, n, seed): the choices of ``sweep --sampler``.
 #: ``n``/``seed`` may be ``None`` (defaulted); the grid sampler warns when
 #: explicit values are passed that it cannot honour.
 SAMPLERS = {

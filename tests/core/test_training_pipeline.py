@@ -157,7 +157,8 @@ class TestCollectionVictim:
                 config, 0, predictor=KinematicSafetyPredictor(_VECTOR)
             ).ads
         finally:
-            scenarios_module._SCENARIOS.unregister("TEST-CAMERA-ONLY")
+            del scenarios_module._SCENARIOS["TEST-CAMERA-ONLY"]
+            del scenarios_module._DESCRIPTIONS["TEST-CAMERA-ONLY"]
         assert type(ads.perception.fusion) is CameraOnlyFusion
         assert type(campaign_ads.perception.fusion) is CameraOnlyFusion
         assert ads.perception.config == campaign_ads.perception.config

@@ -316,14 +316,14 @@ class TestBatchEngine:
         assert all(_results_equal(a, b) for a, b in zip(mixed.runs, full.runs))
 
     def test_default_engine_runs_a_custom_fuse_fusion_policy(self):
-        """A registered policy with its own ``fuse`` runs in every lane: the
+        """A plug-in policy with its own ``fuse`` runs in every lane: the
         default chunking and one run per chunk agree."""
 
         class NearestOnly(SensorFusion):
             def fuse(self, estimates, lidar, ego_speed_mps, frame_dt_s):
                 return super().fuse(estimates, lidar, ego_speed_mps, frame_dt_s)[:1]
 
-        FUSION_POLICIES.register("nearest_only", NearestOnly)
+        FUSION_POLICIES["nearest_only"] = NearestOnly
         try:
             config = self._config(
                 campaign_id="custom-fusion", scenario_id="DS-2",
@@ -333,7 +333,7 @@ class TestBatchEngine:
             default = run_campaign(config, use_cache=False)
             one_lane = run_campaign(config, use_cache=False, batch_size=1)
         finally:
-            FUSION_POLICIES.unregister("nearest_only")
+            del FUSION_POLICIES["nearest_only"]
         assert default.n_runs == one_lane.n_runs == 3
         assert all(_results_equal(a, b) for a, b in zip(default.runs, one_lane.runs))
 

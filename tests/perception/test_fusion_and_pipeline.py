@@ -17,8 +17,6 @@ from repro.perception.fusion import (
     FusionConfig,
     LidarOnlyFusion,
     SensorFusion,
-    build_fusion_policy,
-    list_fusion_policies,
 )
 from repro.perception.pipeline import PerceptionConfig, PerceptionSystem
 from repro.sensors.camera import CameraSensor
@@ -281,27 +279,28 @@ class TestFusionConfigValidation:
 
 class TestPolicyRegistry:
     def test_builtin_policies_registered(self):
-        assert list_fusion_policies() == [
+        assert sorted(FUSION_POLICIES) == [
             "camera_only",
             "consistency_gated",
             "late",
             "lidar_only",
         ]
-        assert "late" in FUSION_POLICIES
 
-    def test_build_fusion_policy_returns_expected_types(self):
-        assert type(build_fusion_policy("late")) is SensorFusion
-        assert type(build_fusion_policy("camera_only")) is CameraOnlyFusion
-        assert type(build_fusion_policy("lidar_only")) is LidarOnlyFusion
-        assert type(build_fusion_policy("consistency_gated")) is ConsistencyGatedFusion
-
-    def test_build_fusion_policy_unknown_name(self):
-        with pytest.raises(Exception, match="unknown fusion policy"):
-            build_fusion_policy("ekf")
+    @pytest.mark.parametrize("name, policy_type", [
+        ("late", SensorFusion),
+        ("camera_only", CameraOnlyFusion),
+        ("lidar_only", LidarOnlyFusion),
+        ("consistency_gated", ConsistencyGatedFusion),
+    ])
+    def test_perception_system_builds_the_named_policy(self, name, policy_type):
+        fusion = FusionConfig(policy=name, camera_weight=0.5)
+        system = PerceptionSystem(PerceptionConfig(fusion=fusion))
+        assert type(system.fusion) is policy_type
+        assert system.fusion.config is fusion
 
     def test_policy_without_fuse_is_rejected(self):
-        """``fuse`` is the fusion contract: a registered factory whose
-        policy has none fails at build time, in one line."""
+        """``fuse`` is the fusion contract: a plug-in factory whose policy
+        has none fails when the pipeline is built, in one line."""
 
         class StepOnly:
             def __init__(self, config):
@@ -313,12 +312,13 @@ class TestPolicyRegistry:
             def step(self, camera_estimates, lidar_scan, ego_speed_mps, frame_dt_s):
                 return []
 
-        FUSION_POLICIES.register("step_only", StepOnly)
+        FUSION_POLICIES["step_only"] = StepOnly
         try:
-            with pytest.raises(ValueError, match="fusion policy 'step_only' has no fuse"):
-                build_fusion_policy("step_only")
+            config = PerceptionConfig(fusion=FusionConfig(policy="step_only"))
+            with pytest.raises(ValueError, match="^fusion policy 'step_only' has no fuse"):
+                PerceptionSystem(config)
         finally:
-            FUSION_POLICIES.unregister("step_only")
+            del FUSION_POLICIES["step_only"]
 
 
 class TestConsistencyGatedFusion:

@@ -123,6 +123,18 @@ class TestMultiObjectTracker:
         with pytest.raises(ValueError):
             TrackerConfig(center_distance_gate=0.0)
 
+    @pytest.mark.parametrize("field", [
+        "min_iou_for_match", "center_distance_gate", "max_consecutive_misses",
+        "min_hits_to_confirm",
+    ])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_config_field_rejected(self, field, value):
+        # The gate, miss and hit checks compare with <= and <, which NaN
+        # passes: a NaN or infinite gate accepted every pair, an infinite
+        # miss limit never retired a track, a NaN hit count confirmed none.
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got "):
+            TrackerConfig(**{field: value})
+
 
 def _reference_overlap(track, geom):
     pw = track.pred_w

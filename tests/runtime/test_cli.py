@@ -17,6 +17,7 @@ from repro.experiments.campaign import (
     run_campaign,
 )
 from repro.runtime.cli import build_parser, main
+from repro.sim.sweeps import SAMPLERS
 
 COMMANDS = ("table2", "run", "sweep", "search", "train", "resume", "scenarios")
 
@@ -103,6 +104,13 @@ class TestParserStructure:
         ]
         assert len(listed) == len(set(listed))
         assert sorted(listed) == sorted(declared)
+
+    def test_sweep_sampler_choices_are_the_sweep_samplers(self):
+        (sampler,) = [
+            action for action in _subparsers(build_parser())["sweep"]._actions
+            if "--sampler" in action.option_strings
+        ]
+        assert sampler.choices == tuple(SAMPLERS) == ("grid", "random", "lhs")
 
     def test_defaults_hold_for_every_subcommand(self):
         # One parser, every subcommand: a default shared through one argparse
@@ -461,6 +469,26 @@ class TestSearchCli:
         )
         assert completed.returncode == 1
         assert completed.stderr.splitlines() == [message]
+        assert not store.exists()
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--sampler",
+         "unknown search sampler 'nope'; choose from ['ce', 'random', 'thompson', 'ucb']"),
+        ("--objective", "unknown objective 'nope'; choose from "
+                        "['attack_success', 'min_delta_margin', 'time_to_violation']"),
+    ])
+    def test_unknown_sampler_or_objective_exits_before_the_store(self, tmp_path, flag,
+                                                                 message):
+        # SearchSpec checks both names; the CLI prints its error as one line.
+        store = tmp_path / "store"
+        with pytest.raises(SystemExit) as error:
+            main(
+                [
+                    "search", "--scenario", "DS-1", "--attacker", "none",
+                    "--store", str(store), flag, "nope",
+                ]
+            )
+        assert error.value.code == message
         assert not store.exists()
 
     @pytest.mark.parametrize("max_iterations", ["0", "-3"])

@@ -131,17 +131,15 @@ class TestBudgetAndTarget:
                 search_report_from_store(ExperimentStore(tmp_path), result.search_hash)] == [3, 3]
 
     def test_target_stops_early(self, tmp_path):
-        OBJECTIVES.register(
-            "const_one_for_tests",
-            lambda: type("ConstOne", (), {
-                "name": "const_one_for_tests",
-                "score": staticmethod(lambda records: 1.0),
-            })(),
-            description="test objective scoring every point 1.0",
-            overwrite=True,
-        )
-        spec = _spec(objective="const_one_for_tests", target_score=0.5, budget_runs=30)
-        result = FalsificationLoop(spec, ExperimentStore(tmp_path)).run()
+        OBJECTIVES["const_one_for_tests"] = lambda: type("ConstOne", (), {
+            "name": "const_one_for_tests",
+            "score": staticmethod(lambda records: 1.0),
+        })()
+        try:
+            spec = _spec(objective="const_one_for_tests", target_score=0.5, budget_runs=30)
+            result = FalsificationLoop(spec, ExperimentStore(tmp_path)).run()
+        finally:
+            del OBJECTIVES["const_one_for_tests"]
         assert result.reached_target
         assert result.iterations_completed == 1
         assert result.runs_spent == 6
@@ -178,6 +176,18 @@ class TestBudgetAndTarget:
         with pytest.raises(ValueError):
             FalsificationLoop(_spec(), store=None)
 
+    @pytest.mark.parametrize("field, message", [
+        ("sampler", "unknown search sampler 'nope'; choose from ['ce', 'random', 'thompson', 'ucb']"),
+        ("objective", "unknown objective 'nope'; choose from "
+                      "['attack_success', 'min_delta_margin', 'time_to_violation']"),
+    ])
+    def test_unknown_sampler_or_objective_rejected_by_the_spec(self, field, message):
+        # The one check of the names, before a loop or a store exists; the
+        # CLI prints this message as its one-line error.
+        with pytest.raises(ValueError) as error:
+            _spec(**{field: "nope"})
+        assert str(error.value) == message
+
     @pytest.mark.parametrize("engine", ["scalar", "vectorized"])
     def test_engine_other_than_batch_is_rejected(self, tmp_path, engine):
         FalsificationLoop(_spec(), ExperimentStore(tmp_path), engine="batch")
@@ -198,7 +208,11 @@ class TestBudgetAndTarget:
         {"sampler_options": {"min_sigma": float("nan"), "init_sigma": float("nan")}},
         {"objective_options": {"horizon_s": -1.0}},
         {"sampler": "nope"},
-    ], ids=["elite_frac", "unknown_option", "nan_sigmas", "horizon", "unknown_sampler"])
+        {"objective": "time_to_violation", "objective_options": {"horizon_s": float("nan")}},
+        {"objective_options": {"scale_m": float("nan")}},
+        {"objective_options": {"scale_m": float("inf")}},
+    ], ids=["elite_frac", "unknown_option", "nan_sigmas", "horizon", "unknown_sampler",
+            "nan_horizon", "nan_scale", "inf_scale"])
     def test_invalid_sampler_or_objective_fails_before_any_write(self, tmp_path, overrides):
         # run() once wrote the search manifest first, so each of these left a
         # stateless search that store.search_hashes() listed.

@@ -14,10 +14,10 @@ from repro.core.attack_vectors import AttackVector
 from repro.experiments.results import RunResult
 from repro.experiments.store import ExperimentStore, RunRecord
 from repro.search.objectives import (
+    OBJECTIVES,
     AttackSuccessRate,
     MinDeltaMargin,
     TimeToViolation,
-    build_objective,
 )
 from repro.sim.scenarios import ScenarioVariation
 
@@ -93,7 +93,7 @@ class TestAttackSuccessRate:
 
     def test_no_runs_scores_zero(self):
         for name in ("attack_success", "time_to_violation", "min_delta_margin"):
-            assert build_objective(name).score([]) == 0.0
+            assert OBJECTIVES[name]().score([]) == 0.0
 
 
 class TestTimeToViolation:
@@ -108,8 +108,10 @@ class TestTimeToViolation:
         assert TimeToViolation(horizon_s=10.0).score(records) == pytest.approx(1.5 / 4)
 
     def test_horizon_must_be_positive(self):
-        with pytest.raises(ValueError):
-            TimeToViolation(horizon_s=0.0)
+        # A NaN horizon scored NaN, which the search's argmax took as its best.
+        for horizon_s in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="^horizon_s must be positive and finite, got "):
+                TimeToViolation(horizon_s=horizon_s)
 
 
 class TestMinDeltaMargin:
@@ -131,5 +133,8 @@ class TestMinDeltaMargin:
         assert MinDeltaMargin(scale_m=10.0).score(records) == pytest.approx(1.5 / 3)
 
     def test_scale_must_be_positive(self):
-        with pytest.raises(ValueError):
-            MinDeltaMargin(scale_m=-1.0)
+        # A NaN scale scored NaN; an infinite one scored 1.0 for any finite
+        # minimum delta, 2 m and 30 m alike.
+        for scale_m in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="^scale_m must be positive and finite, got "):
+                MinDeltaMargin(scale_m=scale_m)

@@ -14,11 +14,10 @@ import numpy as np
 import pytest
 
 from repro.search.samplers import (
+    SEARCH_SAMPLERS,
     BanditSampler,
     CrossEntropySampler,
     RandomSearchSampler,
-    build_search_sampler,
-    list_search_samplers,
 )
 from repro.sim.sweeps import Choice, ParameterSpace, Uniform
 
@@ -188,14 +187,14 @@ class TestBanditAllocation:
 class TestProtocolAndState:
     @pytest.mark.parametrize("name", ["random", "ce", "ucb", "thompson"])
     def test_state_round_trip_is_bit_identical(self, name):
-        sampler = build_search_sampler(name, MIXED, seed=13)
+        sampler = SEARCH_SAMPLERS[name](MIXED, 13)
         batch = sampler.propose(6)
         sampler.observe(batch, [0.1, 0.9, 0.4, 0.4, 0.0, 1.0])
         mid_propose = sampler.propose(6)  # leave a pending batch in the state
         state = sampler.state_dict()
         encoded = json.dumps(state, sort_keys=True)
 
-        clone = build_search_sampler(name, MIXED, seed=999)
+        clone = SEARCH_SAMPLERS[name](MIXED, 999)
         clone.load_state_dict(json.loads(encoded))
         assert json.dumps(clone.state_dict(), sort_keys=True) == encoded
         # Observing the pending batch then proposing must match exactly.
@@ -206,22 +205,22 @@ class TestProtocolAndState:
 
     @pytest.mark.parametrize("name", ["random", "ce", "ucb", "thompson"])
     def test_observe_before_propose_raises(self, name):
-        sampler = build_search_sampler(name, MIXED, seed=0)
+        sampler = SEARCH_SAMPLERS[name](MIXED, 0)
         with pytest.raises(RuntimeError):
             sampler.observe([], [])
 
     @pytest.mark.parametrize("name", ["random", "ce", "ucb", "thompson"])
     def test_batch_length_mismatch_raises(self, name):
-        sampler = build_search_sampler(name, MIXED, seed=0)
+        sampler = SEARCH_SAMPLERS[name](MIXED, 0)
         batch = sampler.propose(4)
         with pytest.raises(ValueError):
             sampler.observe(batch, [0.5])
 
     def test_bandit_checkpoint_mode_mismatch_raises(self):
-        ucb = build_search_sampler("ucb", CHOICE_ONLY, seed=0)
-        thompson = build_search_sampler("thompson", CHOICE_ONLY, seed=0)
+        ucb = SEARCH_SAMPLERS["ucb"](CHOICE_ONLY, 0)
+        thompson = SEARCH_SAMPLERS["thompson"](CHOICE_ONLY, 0)
         with pytest.raises(ValueError):
             thompson.load_state_dict(ucb.state_dict())
 
     def test_registry_lists_all_samplers(self):
-        assert list_search_samplers() == ["ce", "random", "thompson", "ucb"]
+        assert sorted(SEARCH_SAMPLERS) == ["ce", "random", "thompson", "ucb"]

@@ -49,7 +49,7 @@ from repro.experiments.campaign import (
 )
 from repro.geometry import Vec2
 from repro.perception.detection import DetectorDegradation
-from repro.perception.fusion import FusionConfig, SensorFusion, list_fusion_policies
+from repro.perception.fusion import FUSION_POLICIES, FusionConfig, SensorFusion
 from repro.sensors.camera import CameraSensor
 from repro.sim import batch as batch_module
 from repro.sim.batch import BatchRunSpec, BatchSimulator
@@ -615,7 +615,7 @@ class TestScalarBatchEquivalence:
             BatchSimulator([])
 
     @pytest.mark.parametrize("scenario_id", list_scenario_ids())
-    @pytest.mark.parametrize("policy", [p for p in list_fusion_policies() if p != "late"])
+    @pytest.mark.parametrize("policy", [p for p in sorted(FUSION_POLICIES) if p != "late"])
     def test_non_default_policies_match_scalar(self, scenario_id, policy):
         """Every non-default fusion policy matches its golden run (the
         default ``late`` policy is covered by every other test here)."""
@@ -623,7 +623,7 @@ class TestScalarBatchEquivalence:
         _assert_golden(_run_batch(*_benign_setup(scenario_id, fusion=fusion)),
                        GOLDEN_POLICIES[(policy, scenario_id)], f"{scenario_id}/{policy}")
 
-    @pytest.mark.parametrize("policy", [p for p in list_fusion_policies() if p != "late"])
+    @pytest.mark.parametrize("policy", [p for p in sorted(FUSION_POLICIES) if p != "late"])
     def test_non_default_policies_match_scalar_under_attack(self, policy):
         """Same gate with the random attacker in the loop (DS-2 hosts the
         pedestrian variant of the perception stack)."""

@@ -47,7 +47,7 @@ from repro.experiments.campaign import (
     build_ads_agent,
     standard_campaigns,
 )
-from repro.perception.fusion import FusionConfig, list_fusion_policies
+from repro.perception.fusion import FUSION_POLICIES, FusionConfig
 from repro.sim.scenarios import ScenarioVariation, build_scenario, list_scenario_ids
 from repro.sim.simulator import SimulationResult, Simulator
 
@@ -370,7 +370,7 @@ def test_every_builtin_scenario_has_a_golden_digest():
 
 
 def test_every_non_default_policy_has_golden_digests():
-    policies = [policy for policy in list_fusion_policies() if policy != "late"]
+    policies = [policy for policy in sorted(FUSION_POLICIES) if policy != "late"]
     assert sorted(GOLDEN_POLICIES) == sorted(
         (policy, scenario_id) for policy in policies for scenario_id in GOLDEN
     )

@@ -1,9 +1,10 @@
-"""Tests for the scenario registry and the DS-6 / DS-7 catalog extensions."""
+"""Tests for the scenario catalog and its DS-6 / DS-7 extensions."""
 
 import numpy as np
 import pytest
 
 from repro.experiments.campaign import AttackerKind, CampaignConfig, run_campaign
+from repro.sim import scenarios as scenarios_module
 from repro.sim.actors import ActorKind
 from repro.sim.scenarios import (
     ScenarioVariation,
@@ -13,6 +14,12 @@ from repro.sim.scenarios import (
     scenario_catalog,
 )
 from repro.sim.simulator import Simulator
+
+
+def _unregister(scenario_id: str) -> None:
+    """Remove a test scenario from the process-wide catalog."""
+    del scenarios_module._SCENARIOS[scenario_id]
+    del scenarios_module._DESCRIPTIONS[scenario_id]
 
 
 class TestScenarioRegistryExtension:
@@ -26,8 +33,6 @@ class TestScenarioRegistryExtension:
             assert catalog[scenario_id]
 
     def test_register_scenario_decorator_round_trip(self):
-        from repro.sim import scenarios as scenarios_module
-
         @register_scenario("TEST-DS", description="temporary test scenario")
         def _build_test(variation: ScenarioVariation):
             scenario = build_scenario("DS-1", variation)
@@ -36,18 +41,46 @@ class TestScenarioRegistryExtension:
 
         try:
             assert "TEST-DS" in list_scenario_ids()
+            assert scenario_catalog()["TEST-DS"] == "temporary test scenario"
             built = build_scenario("TEST-DS")
             assert built.scenario_id == "TEST-DS"
         finally:
-            scenarios_module._SCENARIOS.unregister("TEST-DS")
+            _unregister("TEST-DS")
         assert "TEST-DS" not in list_scenario_ids()
 
+    def test_description_defaults_to_the_docstring_first_line(self):
+        @register_scenario("TEST-DOC")
+        def _build_test(variation: ScenarioVariation):
+            """Builds the documented test scenario.
+
+            Later lines stay out of the catalog.
+            """
+            raise AssertionError("never built")
+
+        @register_scenario("TEST-NODOC")
+        def _build_bare(variation: ScenarioVariation):
+            raise AssertionError("never built")
+
+        try:
+            catalog = scenario_catalog()
+            assert catalog["TEST-DOC"] == "Builds the documented test scenario."
+            assert catalog["TEST-NODOC"] == ""
+        finally:
+            _unregister("TEST-DOC")
+            _unregister("TEST-NODOC")
+
+    def test_listings_are_sorted(self):
+        ids = list_scenario_ids()
+        assert ids == sorted(ids)
+        assert list(scenario_catalog()) == ids
+
     def test_duplicate_registration_rejected(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="'DS-1' is already registered"):
 
             @register_scenario("DS-1")
             def _clash(variation: ScenarioVariation):
                 raise AssertionError("never built")
+        assert scenario_catalog()["DS-1"] == "EV follows a target vehicle in its lane"
 
 
 class TestDs6PlatoonCutIn:

@@ -23,8 +23,11 @@ class TestScenarioRegistry:
         assert len(ids) >= 7
 
     def test_unknown_scenario_rejected(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError) as error:
             build_scenario("DS-9")
+        assert error.value.args[0] == (
+            f"unknown scenario 'DS-9'; available: {list_scenario_ids()}"
+        )
 
     def test_default_variation_is_nominal(self):
         a = build_scenario("DS-1")
